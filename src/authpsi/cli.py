@@ -8,18 +8,17 @@ all pointed at the same JSON config:
 
     {
       "session_id": "<32 hex chars>",
-      "salted": true,
       "n": 3, "t": 1,
       "dealer": {"address": "127.0.0.1:9000"},
       "parties": {
-        "1": {"address": "127.0.0.1:9001", "dataset": "p1.dat",
-              "root": "p1.root", "role": "receiver"},
+        "1": {"address": "127.0.0.1:9001", "dataset": "p1.dat", "root": "p1.root"},
         ...
       }
     }
 
-`--local` instead runs every party of the session inside one process over the
-in-process bus.
+Roots come from `authpsi commit --salt <session_id>`. In a 2pc session party 1
+is the receiver and party 2 the sender. `--local` instead runs every party of
+the session inside one process over the in-process bus.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import datasets, harness, merkle, psi2, psin, transport, vole
+from . import datasets, harness, merkle, psi2, transport
 from .errors import ConfigError, TransportError
 
 EXIT_ABORT = 3
@@ -92,7 +91,8 @@ def gen(count, elem_bytes, seed, parties, overlap, out_prefix):
 
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
-@click.option("--salt", default="", help="hex leaf salt (the session id); empty = unsalted")
+@click.option("--salt", required=True,
+              help="the session id (32 hex chars); leaves are salted with it")
 @click.option("--out", "out_path", required=True)
 def commit(in_path, salt, out_path):
     """Commit to a dataset: write its tree root."""
@@ -102,13 +102,19 @@ def commit(in_path, salt, out_path):
         raise click.UsageError(str(exc))
     if not elements:
         raise click.UsageError("cannot commit to an empty dataset")
-    try:
-        salt_bytes = bytes.fromhex(salt)
-    except ValueError:
-        raise click.UsageError("--salt must be hex")
-    root = merkle.root(elements, salt_bytes)
+    root = merkle.root(elements, _session_id(salt, "--salt"))
     Path(out_path).write_bytes(root.to_bytes())
     click.echo(root.to_bytes().hex())
+
+
+def _session_id(text, what: str) -> bytes:
+    try:
+        raw = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        raw = b""
+    if len(raw) != 16:
+        raise click.UsageError(f"{what} must be 16 bytes of hex (32 hex digits)")
+    return raw
 
 
 def _load_config(path) -> dict:
@@ -127,24 +133,46 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _config_party(cfg: dict, i: int) -> dict:
-    entry = cfg["parties"].get(str(i))
-    if entry is None:
-        raise click.UsageError(f"config has no party {i}")
-    return entry
-
-
-def _load_inputs(cfg: dict) -> tuple[dict, dict]:
-    """Datasets and announced roots for every configured party."""
+def _session(construction: str, cfg: dict, tamper) -> harness.Session:
+    """The session a config describes, with every party's dataset and root loaded."""
+    session_id = _session_id(cfg["session_id"], "session_id")
+    if cfg.get("salted", True) is not True:
+        raise click.UsageError('config key "salted" must be true or absent: '
+                               "leaves are always salted with the session id")
+    parties = {int(k): entry for k, entry in cfg["parties"].items()}
     sets, roots = {}, {}
-    for key, entry in cfg["parties"].items():
-        i = int(key)
+    for i, entry in parties.items():
         try:
             sets[i] = datasets.read_dataset(entry["dataset"])
             roots[i] = merkle.MerkleRoot.from_bytes(Path(entry["root"]).read_bytes())
         except (OSError, ValueError, KeyError) as exc:
             raise click.UsageError(f"party {i}: {exc}")
-    return sets, roots
+    if construction == "2pc":
+        if sorted(sets) != [1, 2]:
+            raise click.UsageError("2pc config must define parties 1 and 2")
+        for i, role in ((1, psi2.RECEIVER), (2, psi2.SENDER)):
+            if parties[i].get("role", role) != role:
+                raise click.UsageError(f"party {i} is the {role} of a 2pc session, "
+                                       f"not {parties[i]['role']!r}")
+        return harness.Session(sets, roots, session_id, None, tamper)
+    if "t" not in cfg:
+        raise click.UsageError("npc config is missing 't'")
+    try:
+        t, n = int(cfg["t"]), int(cfg.get("n", len(sets)))
+    except (TypeError, ValueError):
+        raise click.UsageError("'n' and 't' must be integers")
+    if sorted(sets) != list(range(1, n + 1)):
+        raise click.UsageError("npc config must define parties 1..n")
+    return harness.Session(sets, roots, session_id, t, tamper)
+
+
+def _tamper(spec, party):
+    if not spec:
+        return None
+    try:
+        return harness.Tamper.parse(spec, party)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _write_outputs(out_dir, intersection, report) -> None:
@@ -172,44 +200,33 @@ def _write_outputs(out_dir, intersection, report) -> None:
 def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, out_dir):
     """Execute one protocol session."""
     cfg = _load_config(config_path)
-    try:
-        session = bytes.fromhex(cfg["session_id"])
-    except ValueError:
-        raise click.UsageError("session_id must be hex")
-    salted = bool(cfg.get("salted", True))
-
     if local:
-        _run_local(construction, cfg, session, salted, tamper, tamper_party, seed, out_dir)
-    else:
-        if role is None:
-            raise click.UsageError("networked mode needs --role (0 for the dealer)")
-        _run_networked(construction, cfg, session, salted, role, tamper, tamper_party, out_dir)
-
-
-def _run_local(construction, cfg, session, salted, tamper, tamper_party, seed, out_dir):
-    sets, roots = _load_inputs(cfg)
-    tamper_obj = None
-    if tamper:
-        if tamper_party is None:
+        if tamper and tamper_party is None:
             raise click.UsageError("--tamper in local mode needs --tamper-party")
+        _run_local(_session(construction, cfg, _tamper(tamper, tamper_party)), seed, out_dir)
+        return
+    if role is None:
+        raise click.UsageError("networked mode needs --role (0 for the dealer)")
+    addresses = {int(k): _parse_addr(v["address"]) for k, v in cfg["parties"].items()}
+    if "dealer" in cfg:
+        addresses[transport.DEALER_INDEX] = _parse_addr(cfg["dealer"]["address"])
+    if role == transport.DEALER_INDEX:
+        node = transport.TcpNode(role, addresses.get(role), addresses)
         try:
-            tamper_obj = harness.Tamper.parse(tamper, tamper_party)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+            served = harness.serve_dealer(node)
+        finally:
+            node.close()
+        click.echo(f"dealer served {served} responses")
+        return
+    tamper_obj = _tamper(tamper, role if tamper_party is None else tamper_party)
+    if tamper_obj is not None and tamper_obj.party != role:
+        raise click.UsageError("a networked process can only tamper with its own inputs")
+    _run_networked(_session(construction, cfg, tamper_obj), role, addresses, out_dir)
+
+
+def _run_local(session: harness.Session, seed, out_dir):
     try:
-        if construction == "2pc":
-            if sorted(sets) != [1, 2]:
-                raise click.UsageError("2pc config must define parties 1 and 2")
-            result = harness.run_two_party(sets[1], sets[2], session_id=session, salted=salted,
-                                           tamper=tamper_obj, seed=seed, announced_roots=roots)
-        else:
-            n = int(cfg.get("n", len(sets)))
-            t = int(cfg["t"])
-            if sorted(sets) != list(range(1, n + 1)):
-                raise click.UsageError("npc config must define parties 1..n")
-            result = harness.run_multi_party([sets[i] for i in range(1, n + 1)], t,
-                                             session_id=session, salted=salted,
-                                             tamper=tamper_obj, seed=seed, announced_roots=roots)
+        result = harness.run_session(session, np.random.default_rng(seed))
     except ConfigError as exc:
         raise click.UsageError(str(exc))
     _write_outputs(out_dir, result.intersection, result.report)
@@ -220,53 +237,15 @@ def _run_local(construction, cfg, session, salted, tamper, tamper_party, seed, o
                f"{result.report['bits_per_element']:.0f} bits/element")
 
 
-def _run_networked(construction, cfg, session, salted, role, tamper, tamper_party, out_dir):
-    dealer_addr = _parse_addr(cfg["dealer"]["address"]) if "dealer" in cfg else None
-    addresses = {int(k): _parse_addr(v["address"]) for k, v in cfg["parties"].items()}
-    if dealer_addr is not None:
-        addresses[transport.DEALER_INDEX] = dealer_addr
-
-    if role == transport.DEALER_INDEX:
-        node = transport.TcpNode(role, dealer_addr, addresses)
-        try:
-            served = harness.serve_dealer(node)
-        finally:
-            node.close()
-        click.echo(f"dealer served {served} responses")
-        return
-
-    sets, roots = _load_inputs(cfg)
-    my = _config_party(cfg, role)
-    inputs = sets[role]
-
-    tamper_obj = None
-    if tamper:
-        try:
-            tamper_obj = harness.Tamper.parse(tamper, tamper_party if tamper_party is not None else role)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        if tamper_obj.party != role:
-            raise click.UsageError("a networked process can only tamper with its own inputs")
-        if tamper_obj.kind in ("flip-element", "extra-element"):
-            inputs = harness._tampered_inputs(inputs, tamper_obj)
-
-    try:
-        engine = _build_engine(construction, cfg, role, my, inputs, roots, session, salted,
-                               skip_self_check=tamper_obj is not None)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc))
-
-    def mutate(env):
-        if (tamper_obj and tamper_obj.kind in ("flip-path", "swap-proofs")
-                and env.msg_type in (psi2.MSG_ROOT_PROOFS, psin.MSG_ROOT_PROOFS)):
-            return transport.Envelope(env.session_id, env.msg_type,
-                                      harness._mutate_proof_payload(env.payload, tamper_obj))
-        return env
-
+def _run_networked(session: harness.Session, role: int, addresses: dict, out_dir):
+    if role not in session.sets:
+        raise click.UsageError(f"config has no party {role}")
     node = transport.TcpNode(role, addresses[role], addresses)
     t0 = time.perf_counter()
     try:
-        harness.drive_engine(engine, node, mutate_outbound=mutate if tamper_obj else None)
+        engine = harness.drive_engine(session, role, node)
+    except ConfigError as exc:
+        raise click.UsageError(str(exc))
     except TransportError as exc:
         click.echo(f"transport failure: {exc}", err=True)
         sys.exit(EXIT_TRANSPORT)
@@ -274,10 +253,9 @@ def _run_networked(construction, cfg, session, salted, role, tamper, tamper_part
         node.close()
     elapsed = (time.perf_counter() - t0) * 1000
 
-    n_l = len(sets[role])
-    report = transport.make_report(node.meter, session_id=session, n=n_l,
-                                   parties=len(cfg["parties"]),
-                                   t=cfg.get("t"), phase_ms=engine.phase_ms,
+    report = transport.make_report(node.meter, session_id=session.session_id,
+                                   n=len(session.sets[role]), parties=len(session.roots),
+                                   t=session.t, phase_ms=engine.phase_ms,
                                    aborted=engine.aborted)
     report["elapsed_ms"] = elapsed
     _write_outputs(out_dir, engine.intersection, report)
@@ -288,23 +266,6 @@ def _run_networked(construction, cfg, session, salted, role, tamper, tamper_part
         click.echo(f"ok: {len(engine.intersection)} common elements")
     else:
         click.echo("ok: finished (no output at this party)")
-
-
-def _build_engine(construction, cfg, role, my, inputs, roots, session, salted, skip_self_check):
-    if construction == "2pc":
-        peer = 2 if role == 1 else 1
-        role_name = my.get("role") or (psi2.RECEIVER if role == 1 else psi2.SENDER)
-        config = psi2.PartyConfig2(role=role_name, party_index=role, peer_index=peer,
-                                   input_set=inputs, session_id=session,
-                                   announced_root=roots[role], peer_root=roots[peer],
-                                   salted=salted, skip_self_check=skip_self_check)
-        return psi2.Psi2Engine(config)
-    n = int(cfg.get("n", len(cfg["parties"])))
-    t = int(cfg["t"])
-    config = psin.PartyConfigN(n=n, t=t, party_index=role, input_set=inputs,
-                               session_id=session, roots=roots, salted=salted,
-                               skip_self_check=skip_self_check)
-    return psin.PsinEngine(config)
 
 
 @main.command()

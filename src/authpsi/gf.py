@@ -5,14 +5,9 @@ over GF(2) with bit 0 as the constant term. Addition is XOR; multiplication is
 a carry-less product reduced modulo x^128 + x^7 + x^2 + x + 1. Serialization
 is 16 bytes little-endian, so byte 0 holds bits 0..7.
 
-Two derived value types ride on top:
-
-- 128-bit mask values (the hash range used for OKVS payloads). The nominal
-  payload width only needs to cover the statistical collision budget, but this
-  artifact instantiates it at the full field width, so embed/truncate are
-  identities at 128 bits.
-- 64-bit XOR values (PRF outputs and per-element shares), carried as 8-byte
-  strings and embedded into field elements by zero-padding.
+OKVS payloads (128-bit mask values) are field elements as they stand. The
+64-bit XOR values (PRF outputs and per-element shares) ride on top, carried
+as 8-byte strings and embedded into field elements by zero-padding.
 
 The batch helpers at the bottom operate on numpy arrays of shape (n, 2) with
 dtype '<u8' (limb 0 = bits 0..63). They exist because the encoders and the
@@ -31,9 +26,6 @@ MASK128 = (1 << 128) - 1
 # x^128 + x^7 + x^2 + x + 1, the standard irreducible polynomial for GF(2^128)
 REDUCTION_POLY = (1 << 128) | 0x87
 _LOW_TERMS = 0x87  # x^7 + x^2 + x + 1
-
-# width of the mask-value type (full field width in this artifact)
-B_BITS = 128
 
 # width of XOR-group values (PRF outputs, shares)
 XOR_BYTES = 8
@@ -103,19 +95,6 @@ def from_bytes(raw: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# mask values (out_B = 128 bits here, so the embedding is the identity)
-
-def embed_mask(v: int) -> int:
-    """Embed a mask value into a field element (zero-padding convention)."""
-    return v & ((1 << B_BITS) - 1)
-
-
-def truncate_mask(a: int) -> int:
-    """Truncate a field element back to mask width."""
-    return a & ((1 << B_BITS) - 1)
-
-
-# ---------------------------------------------------------------------------
 # 64-bit XOR values
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -168,10 +147,6 @@ def vec_from_bytes(raw: bytes) -> np.ndarray:
     if len(raw) % GF_BYTES:
         raise ValueError("vector byte length is not a multiple of 16")
     return np.frombuffer(raw, dtype=_LIMB).reshape(-1, 2).copy()
-
-
-def vec_xor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a ^ b
 
 
 def _reduce_lanes(lanes: np.ndarray) -> np.ndarray:

@@ -1,24 +1,32 @@
-"""Session orchestration: wiring engines, dealers, and tamper injection.
+"""Session orchestration: one builder for every party, the dealer, and tamper injection.
 
-The single-process driver runs every party over the in-process bus with one
-global FIFO, which keeps runs reproducible under fixed seeds. Adversarial
-runs install a tamper on one party; tampering either swaps the party's real
-inputs out from under its announced commitment (flip-element, extra-element)
-or mutates its outgoing proof payload (flip-path, swap-proofs). Honest
-parties are expected to abort in every tampered run.
+A `Session` describes a run once: the parties' input sets, their announced
+roots, the session id, the collusion bound t (None selects the two-party
+construction) and an optional tamper. Its `engine` method builds any party's
+engine. The single-process driver builds all of them and runs them over the
+in-process bus with one global FIFO, which keeps runs reproducible under
+fixed seeds; the networked CLI builds one party and runs it with
+`drive_engine`.
+
+Adversarial runs install a tamper on one party; tampering either swaps the
+party's real inputs out from under its announced commitment (flip-element,
+extra-element) or mutates its outgoing proof payload (flip-path,
+swap-proofs). Honest parties are expected to abort in every tampered run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import secrets
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import merkle, opprf, psi2, psin, transport, vole
-from .errors import ProtocolError
+from .errors import ProtocolError, TransportClosed, TransportError
 from .psi2 import decode_root_proofs, encode_root_proofs
 
 
@@ -47,12 +55,91 @@ class Tamper:
             return cls(kind=kind, party=party)
         return cls(kind=kind, party=party, index=int(rest))
 
+    def inputs(self, elements: list[bytes]) -> list[bytes]:
+        """The inputs the party actually runs on: flip-element / extra-element change them."""
+        out = list(elements)
+        if self.kind == "flip-element":
+            i = self.index % len(out)
+            for bit in range(8 * len(out[i])):
+                flipped = bytearray(out[i])
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                flipped = bytes(flipped)
+                if flipped not in out:
+                    out[i] = flipped
+                    break
+        elif self.kind == "extra-element":
+            extra = secrets.token_bytes(max(1, len(out[0])))
+            while extra in out:
+                extra = secrets.token_bytes(max(1, len(out[0])))
+            out.append(extra)
+        return out
+
+    def envelope(self, env: transport.Envelope) -> transport.Envelope:
+        """flip-path / swap-proofs rewrite the party's outgoing root+proofs message."""
+        if (self.kind not in ("flip-path", "swap-proofs")
+                or env.msg_type not in (psi2.MSG_ROOT_PROOFS, psin.MSG_ROOT_PROOFS)):
+            return env
+        root, proofs = decode_root_proofs(env.payload)
+        a = self.index % len(proofs)
+        pa = proofs[a]
+        if self.kind == "flip-path":
+            if pa.siblings:
+                side, digest = pa.siblings[0]
+                flipped = ((side, bytes([digest[0] ^ 0x01]) + digest[1:]),) + pa.siblings[1:]
+                proofs[a] = dataclasses.replace(pa, siblings=flipped)
+            else:
+                flipped = bytes([pa.leaf_hash[0] ^ 0x01]) + pa.leaf_hash[1:]
+                proofs[a] = dataclasses.replace(pa, leaf_hash=flipped)
+        else:
+            b = self.index2 % len(proofs)
+            if a == b:
+                b = (b + 1) % len(proofs)
+            pb = proofs[b]
+            proofs[a] = dataclasses.replace(pa, index=pb.index)
+            proofs[b] = dataclasses.replace(pb, index=pa.index)
+        return transport.Envelope(env.session_id, env.msg_type, encode_root_proofs(root, proofs))
+
+
+@dataclass(frozen=True)
+class Session:
+    """Everything a session's engines are built from."""
+    sets: dict[int, list[bytes]]           # party index -> input set
+    roots: dict[int, merkle.MerkleRoot]    # party index -> announced commitment
+    session_id: bytes
+    t: Optional[int] = None                # collusion bound; None for the two-party construction
+    tamper: Optional[Tamper] = None
+
+    @property
+    def output_party(self) -> int:
+        """The party that learns the intersection: the receiver P_1, or P_n."""
+        return 1 if self.t is None else len(self.roots)
+
+    def tamper_at(self, i: int) -> Optional[Tamper]:
+        return self.tamper if self.tamper is not None and self.tamper.party == i else None
+
+    def engine(self, i: int, rng: Optional[np.random.Generator] = None):
+        """Party i's engine, running on its tampered inputs if the tamper is its."""
+        tamper = self.tamper_at(i)
+        inputs = tamper.inputs(self.sets[i]) if tamper else list(self.sets[i])
+        if self.t is None:
+            # party 1 is always the receiver
+            peer = 2 if i == 1 else 1
+            config = psi2.PartyConfig2(
+                role=psi2.RECEIVER if i == 1 else psi2.SENDER, party_index=i, peer_index=peer,
+                input_set=inputs, session_id=self.session_id, announced_root=self.roots[i],
+                peer_root=self.roots[peer], skip_self_check=tamper is not None)
+            return psi2.Psi2Engine(config, rng=rng)
+        config = psin.PartyConfigN(
+            n=len(self.roots), t=self.t, party_index=i, input_set=inputs,
+            session_id=self.session_id, roots=self.roots, skip_self_check=tamper is not None)
+        return psin.PsinEngine(config, rng=rng)
+
 
 @dataclass
 class RunResult:
     intersection: Optional[set[bytes]]
     aborted: bool
-    abort_parties: list[int]
+    abort_parties: list[int]  # honest parties that aborted
     report: dict
     transcript: transport.Transcript
     elapsed_ms: float
@@ -83,73 +170,27 @@ class DealerService:
         raise ProtocolError(f"dealer cannot serve message type {env.msg_type:#x}")
 
 
-def _mutate_proof_payload(payload: bytes, tamper: Tamper) -> bytes:
-    """flip-path / swap-proofs act on the outgoing root+proofs message."""
-    root, proofs = decode_root_proofs(payload)
-    if tamper.kind == "flip-path":
-        target = proofs[tamper.index % len(proofs)]
-        if target.siblings:
-            side, digest = target.siblings[0]
-            digest = bytes([digest[0] ^ 0x01]) + digest[1:]
-            siblings = ((side, digest),) + target.siblings[1:]
-            mutated = merkle.InclusionProof(index=target.index, leaf_hash=target.leaf_hash,
-                                            siblings=siblings, set_size=target.set_size)
-        else:
-            flipped = bytes([target.leaf_hash[0] ^ 0x01]) + target.leaf_hash[1:]
-            mutated = merkle.InclusionProof(index=target.index, leaf_hash=flipped,
-                                            siblings=target.siblings, set_size=target.set_size)
-        proofs[tamper.index % len(proofs)] = mutated
-    elif tamper.kind == "swap-proofs":
-        a = tamper.index % len(proofs)
-        b = tamper.index2 % len(proofs)
-        if a == b:
-            b = (b + 1) % len(proofs)
-        pa, pb = proofs[a], proofs[b]
-        proofs[a] = merkle.InclusionProof(index=pb.index, leaf_hash=pa.leaf_hash,
-                                          siblings=pa.siblings, set_size=pa.set_size)
-        proofs[b] = merkle.InclusionProof(index=pa.index, leaf_hash=pb.leaf_hash,
-                                          siblings=pb.siblings, set_size=pb.set_size)
-    return encode_root_proofs(root, proofs)
-
-
-def _tampered_inputs(elements: list[bytes], tamper: Tamper) -> list[bytes]:
-    """flip-element / extra-element act on the party's actual inputs."""
-    out = list(elements)
-    if tamper.kind == "flip-element":
-        i = tamper.index % len(out)
-        for bit in range(8 * len(out[i])):
-            flipped = bytearray(out[i])
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            flipped = bytes(flipped)
-            if flipped not in out:
-                out[i] = flipped
-                break
-    elif tamper.kind == "extra-element":
-        extra = secrets.token_bytes(max(1, len(out[0])))
-        while extra in out:
-            extra = secrets.token_bytes(max(1, len(out[0])))
-        out.append(extra)
-    return out
-
-
 def _pump(net: transport.BusNetwork, handlers: dict, initial: list,
-          tolerate: Optional[int] = None) -> None:
+          tamper: Optional[Tamper] = None) -> None:
     """Single global FIFO delivery until all engines go quiet.
 
-    Exceptions raised by the tolerated (tampered) party are swallowed: an
-    adversary that trips over honest traffic simply stops participating,
-    and the run's outcome is judged by the honest engines alone.
+    The tampered party's outgoing envelopes pass through its tamper, and the
+    exceptions it raises are swallowed: an adversary that trips over honest
+    traffic simply stops participating, and the run's outcome is judged by
+    the honest engines alone.
     """
-    queue: list[tuple[int, int, transport.Envelope]] = []
+    queue: deque[tuple[int, int, transport.Envelope]] = deque()
 
     def push(src: int, outs):
         for dst, env in outs:
+            if tamper is not None and src == tamper.party:
+                env = tamper.envelope(env)
             queue.append((src, dst, env))
 
     for src, outs in initial:
         push(src, outs)
     while queue:
-        src, dst, env = queue.pop(0)
+        src, dst, env = queue.popleft()
         net.node(src).send(dst, env)
         got = net.node(dst).recv(timeout=0.001)
         assert got is not None
@@ -157,157 +198,87 @@ def _pump(net: transport.BusNetwork, handlers: dict, initial: list,
         try:
             outs = handlers[dst](real_src, delivered)
         except ProtocolError:
-            if dst != tolerate:
+            if tamper is None or dst != tamper.party:
                 raise
             outs = []
         push(dst, outs)
 
 
-def run_two_party(receiver_set: list[bytes], sender_set: list[bytes], *,
-                  session_id: Optional[bytes] = None, salted: bool = True,
-                  tamper: Optional[Tamper] = None, seed: Optional[int] = None,
-                  network: Optional[transport.BusNetwork] = None,
-                  announced_roots: Optional[dict[int, merkle.MerkleRoot]] = None) -> RunResult:
-    """One full two-party session over the in-process bus."""
-    master = np.random.default_rng(seed if seed is not None else secrets.randbits(128))
-    session = session_id if session_id is not None else master.bytes(16)
-    salt = session if salted else b""
+def run_session(session: Session, rng: np.random.Generator,
+                network: Optional[transport.BusNetwork] = None) -> RunResult:
+    """Every party of a session over the in-process bus.
 
-    sets = {1: list(receiver_set), 2: list(sender_set)}
-    roots = announced_roots if announced_roots is not None else {
-        i: merkle.root(s, salt) for i, s in sets.items()}
-    tampered_party = tamper.party if tamper else None
-    if tamper and tamper.kind in ("flip-element", "extra-element"):
-        sets[tamper.party] = _tampered_inputs(sets[tamper.party], tamper)
-
-    configs = {
-        1: psi2.PartyConfig2(role=psi2.RECEIVER, party_index=1, peer_index=2,
-                             input_set=sets[1], session_id=session,
-                             announced_root=roots[1], peer_root=roots[2], salted=salted,
-                             skip_self_check=(tampered_party == 1)),
-        2: psi2.PartyConfig2(role=psi2.SENDER, party_index=2, peer_index=1,
-                             input_set=sets[2], session_id=session,
-                             announced_root=roots[2], peer_root=roots[1], salted=salted,
-                             skip_self_check=(tampered_party == 2)),
-    }
-    engines = {i: psi2.Psi2Engine(configs[i], rng=np.random.default_rng(master.integers(1 << 62)))
-               for i in (1, 2)}
-    dealer = DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
+    `rng` seeds one engine per party in index order, then the dealer.
+    """
+    engines = {i: session.engine(i, np.random.default_rng(rng.integers(1 << 62)))
+               for i in sorted(session.sets)}
+    dealer = DealerService(rng=np.random.default_rng(rng.integers(1 << 62)))
 
     net = network if network is not None else transport.BusNetwork()
-    for i in (0, 1, 2):
+    handlers = {0: dealer.handle}
+    net.node(0)
+    for i, engine in engines.items():
         net.node(i)
-
-    def party_handler(i):
-        def handle(src, env):
-            return engines[i].handle(src, env)
-        return handle
-
-    handlers = {0: dealer.handle, 1: party_handler(1), 2: party_handler(2)}
-
-    def tamper_outs(i, outs):
-        if tamper and i == tamper.party and tamper.kind in ("flip-path", "swap-proofs"):
-            fixed = []
-            for dst, env in outs:
-                if env.msg_type == psi2.MSG_ROOT_PROOFS:
-                    env = transport.Envelope(env.session_id, env.msg_type,
-                                             _mutate_proof_payload(env.payload, tamper))
-                fixed.append((dst, env))
-            return fixed
-        return outs
+        handlers[i] = engine.handle
 
     t0 = time.perf_counter()
-    initial = [(i, tamper_outs(i, engines[i].start())) for i in (1, 2)]
-    _pump(net, handlers, initial, tolerate=tampered_party)
+    _pump(net, handlers, [(i, e.start()) for i, e in engines.items()], session.tamper)
     elapsed = (time.perf_counter() - t0) * 1000
 
-    honest = [i for i in (1, 2) if i != tampered_party]
-    aborted = any(engines[i].aborted for i in honest)
+    aborted = [i for i, e in engines.items() if e.aborted and not session.tamper_at(i)]
+    out = engines[session.output_party]
     report = transport.make_report(
-        net.meter, session_id=session, n=len(receiver_set), parties=2, t=None,
-        phase_ms=engines[1].phase_ms, aborted=aborted)
-    return RunResult(intersection=engines[1].intersection, aborted=aborted,
-                     abort_parties=[i for i in (1, 2) if engines[i].aborted],
-                     report=report, transcript=net.transcript, elapsed_ms=elapsed)
+        net.meter, session_id=session.session_id, n=len(session.sets[1]),
+        parties=len(engines), t=session.t, phase_ms=out.phase_ms, aborted=bool(aborted))
+    return RunResult(intersection=out.intersection, aborted=bool(aborted),
+                     abort_parties=aborted, report=report, transcript=net.transcript,
+                     elapsed_ms=elapsed)
+
+
+def _run(sets, t, session_id, tamper, seed, network, announced_roots) -> RunResult:
+    rng = np.random.default_rng(seed)
+    if session_id is None:
+        session_id = rng.bytes(16)
+    roots = announced_roots if announced_roots is not None else {
+        i: merkle.root(s, session_id) for i, s in sets.items()}
+    return run_session(Session(sets, roots, session_id, t, tamper), rng, network)
+
+
+def run_two_party(receiver_set: list[bytes], sender_set: list[bytes], *,
+                  session_id: Optional[bytes] = None, tamper: Optional[Tamper] = None,
+                  seed: Optional[int] = None, network: Optional[transport.BusNetwork] = None,
+                  announced_roots: Optional[dict[int, merkle.MerkleRoot]] = None) -> RunResult:
+    """One full two-party session over the in-process bus."""
+    return _run({1: list(receiver_set), 2: list(sender_set)}, None,
+                session_id, tamper, seed, network, announced_roots)
 
 
 def run_multi_party(input_sets: list[list[bytes]], t: int, *,
-                    session_id: Optional[bytes] = None, salted: bool = True,
-                    tamper: Optional[Tamper] = None, seed: Optional[int] = None,
-                    network: Optional[transport.BusNetwork] = None,
+                    session_id: Optional[bytes] = None, tamper: Optional[Tamper] = None,
+                    seed: Optional[int] = None, network: Optional[transport.BusNetwork] = None,
                     announced_roots: Optional[dict[int, merkle.MerkleRoot]] = None) -> RunResult:
     """One full n-party session over the in-process bus; output lands at P_n."""
-    n = len(input_sets)
-    master = np.random.default_rng(seed if seed is not None else secrets.randbits(128))
-    session = session_id if session_id is not None else master.bytes(16)
-    salt = session if salted else b""
-
-    sets = {i + 1: list(s) for i, s in enumerate(input_sets)}
-    roots = announced_roots if announced_roots is not None else {
-        i: merkle.root(s, salt) for i, s in sets.items()}
-    tampered_party = tamper.party if tamper else None
-    if tamper and tamper.kind in ("flip-element", "extra-element"):
-        sets[tamper.party] = _tampered_inputs(sets[tamper.party], tamper)
-
-    configs = {
-        i: psin.PartyConfigN(n=n, t=t, party_index=i, input_set=sets[i],
-                             session_id=session, roots=roots, salted=salted,
-                             skip_self_check=(tampered_party == i))
-        for i in range(1, n + 1)
-    }
-    engines = {i: psin.PsinEngine(configs[i], rng=np.random.default_rng(master.integers(1 << 62)))
-               for i in range(1, n + 1)}
-    dealer = DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
-
-    net = network if network is not None else transport.BusNetwork()
-    for i in range(0, n + 1):
-        net.node(i)
-
-    handlers = {0: dealer.handle}
-    for i in range(1, n + 1):
-        handlers[i] = (lambda j: lambda src, env: engines[j].handle(src, env))(i)
-
-    def tamper_outs(i, outs):
-        if tamper and i == tamper.party and tamper.kind in ("flip-path", "swap-proofs"):
-            fixed = []
-            for dst, env in outs:
-                if env.msg_type == psin.MSG_ROOT_PROOFS:
-                    env = transport.Envelope(env.session_id, env.msg_type,
-                                             _mutate_proof_payload(env.payload, tamper))
-                fixed.append((dst, env))
-            return fixed
-        return outs
-
-    t0 = time.perf_counter()
-    initial = [(i, tamper_outs(i, engines[i].start())) for i in range(1, n + 1)]
-    _pump(net, handlers, initial, tolerate=tampered_party)
-    elapsed = (time.perf_counter() - t0) * 1000
-
-    honest = [i for i in range(1, n + 1) if i != tampered_party]
-    aborted = any(engines[i].aborted for i in honest)
-    report = transport.make_report(
-        net.meter, session_id=session, n=len(input_sets[0]), parties=n, t=t,
-        phase_ms=engines[n].phase_ms, aborted=aborted)
-    return RunResult(intersection=engines[n].intersection, aborted=aborted,
-                     abort_parties=[i for i in honest if engines[i].aborted],
-                     report=report, transcript=net.transcript, elapsed_ms=elapsed)
+    return _run({i + 1: list(s) for i, s in enumerate(input_sets)}, t,
+                session_id, tamper, seed, network, announced_roots)
 
 
-def drive_engine(engine, node, *, timeout: float = 30.0,
-                 mutate_outbound=None) -> None:
-    """Run one engine over a live endpoint until it reaches a terminal state.
+def drive_engine(session: Session, index: int, node, *,
+                 rng: Optional[np.random.Generator] = None, timeout: float = 30.0):
+    """Build party `index` of a session and run it over a live endpoint to a terminal state.
 
-    Used by the networked CLI mode, one process per party. Send failures are
-    tolerated while aborting (the peer may be gone already), and a peer that
-    hangs up after finishing its part is not an error: only a timeout while
-    traffic is still owed counts as a transport failure.
+    Used by the networked CLI mode, one process per party; returns the
+    engine. Send failures are tolerated while aborting (the peer may be gone
+    already), and a peer that hangs up after finishing its part is not an
+    error: only a timeout while traffic is still owed counts as a transport
+    failure.
     """
-    from .errors import TransportClosed, TransportError
+    engine = session.engine(index, rng)
+    tamper = session.tamper_at(index)
 
     def flush(outs):
         for dst, env in outs:
-            if mutate_outbound is not None:
-                env = mutate_outbound(env)
+            if tamper is not None:
+                env = tamper.envelope(env)
             try:
                 node.send(dst, env)
             except TransportError:
@@ -324,6 +295,7 @@ def drive_engine(engine, node, *, timeout: float = 30.0,
             raise TransportError("timed out waiting for protocol traffic")
         src, env = got
         flush(engine.handle(src, env))
+    return engine
 
 
 def serve_dealer(node, *, idle_timeout: float = 10.0,
@@ -332,8 +304,6 @@ def serve_dealer(node, *, idle_timeout: float = 10.0,
 
     Clients hanging up after a finished session is normal, not an error.
     """
-    from .errors import TransportClosed
-
     dealer = DealerService(rng=rng)
     served = 0
     while True:

@@ -22,10 +22,9 @@ the intersection while everything else stays masked by the correlation.
 Digests are truncated to cover the statistical collision budget for the two
 set sizes.
 
-Leaf hashes inside proofs are salted with the session id by default so that
-proofs from different sessions cannot be linked by dictionary attack; the
-commitment must then be per-session as well. `salted=False` restores plain
-leaf hashing.
+Leaf hashes inside proofs are salted with the session id so that proofs
+from different sessions cannot be linked by dictionary attack; commitments
+are therefore per session.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ MSG_DIGEST_SET = 0x03
 MSG_ABORT = 0x0F
 
 LAMBDA_STAT = 40
-KAPPA = 128
 
 MAX_ENCODE_ATTEMPTS = 16
 
@@ -89,9 +87,6 @@ class PartyConfig2:
     session_id: bytes
     announced_root: merkle.MerkleRoot
     peer_root: merkle.MerkleRoot
-    lambda_stat: int = LAMBDA_STAT
-    kappa: int = KAPPA
-    salted: bool = True
     # harness knob for adversarial runs: skip the local commitment re-check
     skip_self_check: bool = False
 
@@ -106,10 +101,6 @@ class PartyConfig2:
             raise ConfigError("session id must be 16 bytes")
 
     @property
-    def leaf_salt(self) -> bytes:
-        return self.session_id if self.salted else b""
-
-    @property
     def n_own(self) -> int:
         return len(self.input_set)
 
@@ -121,7 +112,7 @@ class PartyConfig2:
     def out_bytes(self) -> int:
         n_x = self.n_own if self.role == RECEIVER else self.n_peer
         n_y = self.n_peer if self.role == RECEIVER else self.n_own
-        return digest_width(n_x, n_y, self.lambda_stat)
+        return digest_width(n_x, n_y)
 
 
 def encode_root_proofs(root: merkle.MerkleRoot, proofs: list[merkle.InclusionProof]) -> bytes:
@@ -218,10 +209,10 @@ class Psi2Engine:
         t0 = time.perf_counter()
         cfg = self.config
         if not cfg.skip_self_check:
-            local = merkle.root(cfg.input_set, cfg.leaf_salt)
+            local = merkle.root(cfg.input_set, cfg.session_id)
             if local != cfg.announced_root:
                 raise ConfigError("input set does not match the announced commitment")
-        proofs = merkle.gen_all_paths(cfg.input_set, cfg.leaf_salt)
+        proofs = merkle.gen_all_paths(cfg.input_set, cfg.session_id)
         out = []
         if cfg.role == RECEIVER:
             seed = self.rng.bytes(okvs.SEED_BYTES)

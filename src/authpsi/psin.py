@@ -73,7 +73,6 @@ class PartyConfigN:
     input_set: list[bytes]
     session_id: bytes
     roots: dict[int, merkle.MerkleRoot]
-    salted: bool = True
     skip_self_check: bool = False
 
     def __post_init__(self):
@@ -127,10 +126,6 @@ class PartyConfigN:
     def senders(self) -> list[int]:
         """Hint senders: coordinator through P_{n-1}."""
         return list(range(self.v, self.n))
-
-    @property
-    def leaf_salt(self) -> bytes:
-        return self.session_id if self.salted else b""
 
 
 class PsinEngine:
@@ -198,11 +193,11 @@ class PsinEngine:
         cfg = self.config
         i = cfg.party_index
         if not cfg.skip_self_check:
-            local = merkle.root(cfg.input_set, cfg.leaf_salt)
+            local = merkle.root(cfg.input_set, cfg.session_id)
             if local != cfg.roots[i]:
                 raise ConfigError("input set does not match the announced commitment")
         out = []
-        proofs_payload = encode_root_proofs(cfg.roots[i], merkle.gen_all_paths(cfg.input_set, cfg.leaf_salt))
+        proofs_payload = encode_root_proofs(cfg.roots[i], merkle.gen_all_paths(cfg.input_set, cfg.session_id))
         for j in self._others():
             out.append((j, self._env(MSG_ROOT_PROOFS, proofs_payload)))
 

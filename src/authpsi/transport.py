@@ -280,6 +280,8 @@ class TcpNode:
                 self._inbox.put(_CLOSED)
         except OSError:
             pass
+        finally:
+            conn.close()
 
     def _connection(self, dst: int, retry_for: float = 10.0) -> socket.socket:
         with self._lock:

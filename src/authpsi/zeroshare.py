@@ -13,7 +13,6 @@ The PRF is keyed BLAKE2b truncated to 8 bytes.
 from __future__ import annotations
 
 import hashlib
-import secrets
 from dataclasses import dataclass
 
 from . import gf
@@ -30,16 +29,6 @@ class ZsKeySet:
 def prf(seed: bytes, x: bytes) -> bytes:
     """Keyed PRF, 64-bit output."""
     return hashlib.blake2b(x, key=seed, digest_size=gf.XOR_BYTES).digest()
-
-
-def gen_pair_seeds(parties: list[int]) -> dict[tuple[int, int], bytes]:
-    """Fresh seeds for every unordered pair, keyed (lower, higher)."""
-    out = {}
-    for a in parties:
-        for b in parties:
-            if a < b:
-                out[(a, b)] = secrets.token_bytes(SEED_BYTES)
-    return out
 
 
 def zs_setup(parties, pair_seeds: dict[tuple[int, int], bytes]) -> list[ZsKeySet]:

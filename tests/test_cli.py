@@ -95,9 +95,18 @@ def test_commit_matches_library(runner, tmp_path):
 def test_commit_rejects_bad_dataset(runner, tmp_path):
     path = tmp_path / "bad.dat"
     path.write_text("count=2 elem_bytes=4\ndeadbeef\n")
-    result = runner.invoke(main, ["commit", "--in", str(path), "--salt", "",
+    result = runner.invoke(main, ["commit", "--in", str(path), "--salt", "ab" * 16,
                                   "--out", str(tmp_path / "x.root")])
     assert result.exit_code == 2
+
+
+def test_commit_needs_the_session_id_as_salt(runner, tmp_path):
+    prefix = _gen(runner, tmp_path)
+    for args in ([], ["--salt", ""], ["--salt", "ab" * 8], ["--salt", "zz" * 16]):
+        result = runner.invoke(main, ["commit", "--in", f"{prefix}1.dat",
+                                      "--out", f"{prefix}1.root"] + args)
+        assert result.exit_code == 2, (args, result.output)
+        assert "--salt" in result.output, args
 
 
 def test_local_two_party_run(runner, tmp_path):
@@ -184,3 +193,50 @@ def test_bench_smoke(runner, tmp_path):
                                   "--construction", "2pc", "--out", str(csv_out)])
     assert result.exit_code == 0
     assert csv_out.read_text().startswith("construction,n,median_ms")
+
+
+def test_unsalted_config_is_usage_error(runner, tmp_path):
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=10)
+    salt = "66" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg = _config(tmp_path, prefix, 2, salt, extra={"salted": False})
+    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
+                                  "--local", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert '"salted"' in result.output
+    # an absent key runs like "salted": true
+    cfg_data = json.loads(Path(cfg).read_text())
+    del cfg_data["salted"]
+    Path(cfg).write_text(json.dumps(cfg_data))
+    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
+                                  "--local", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("mode", [["--local"], ["--role", "1"]])
+def test_two_party_role_mismatch_is_usage_error(runner, tmp_path, mode):
+    # party 1 is always the receiver, in local and networked runs alike
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=11)
+    salt = "77" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg = _config(tmp_path, prefix, 2, salt)
+    cfg_data = json.loads(Path(cfg).read_text())
+    cfg_data["parties"]["1"]["role"] = "sender"
+    cfg_data["parties"]["2"]["role"] = "receiver"
+    Path(cfg).write_text(json.dumps(cfg_data))
+    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
+                                  "--out-dir", str(tmp_path / "out")] + mode)
+    assert result.exit_code == 2, result.output
+    assert "receiver" in result.output
+
+
+@pytest.mark.parametrize("mode", [["--local"], ["--role", "1"]])
+def test_multi_party_config_without_t_is_usage_error(runner, tmp_path, mode):
+    prefix = _gen(runner, tmp_path, count=12, parties=3, overlap=4, seed=12)
+    salt = "88" * 16
+    _commit_all(runner, prefix, 3, salt)
+    cfg = _config(tmp_path, prefix, 3, salt, extra={"n": 3})
+    result = runner.invoke(main, ["run", "--construction", "npc", "--config", cfg,
+                                  "--out-dir", str(tmp_path / "out")] + mode)
+    assert result.exit_code == 2, result.output
+    assert "'t'" in result.output

@@ -116,13 +116,6 @@ def test_serialization_is_little_endian():
     assert gf.from_bytes(bytes(15) + b"\x80") == 1 << 127
 
 
-def test_mask_embedding_identity():
-    r = random.Random(6)
-    for _ in range(100):
-        v = r.getrandbits(gf.B_BITS)
-        assert gf.truncate_mask(gf.embed_mask(v)) == v
-
-
 def test_xor_value_helpers():
     a, b = bytes(range(8)), bytes(range(8, 16))
     assert gf.xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))

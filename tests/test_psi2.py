@@ -85,20 +85,20 @@ def test_masking_identity_white_box():
         assert lhs == okvs.decode(c_table, el)
 
 
-def _run_engines(x, y, session, roots, seed):
+def _build(x, y, session, roots, seed, dealer_cls=harness.DealerService):
+    """Both engines from the shared session builder, the dealer, and the bus."""
     master = np.random.default_rng(seed)
-    cfgs = {
-        1: psi2.PartyConfig2(role=psi2.RECEIVER, party_index=1, peer_index=2, input_set=x,
-                             session_id=session, announced_root=roots[1], peer_root=roots[2]),
-        2: psi2.PartyConfig2(role=psi2.SENDER, party_index=2, peer_index=1, input_set=y,
-                             session_id=session, announced_root=roots[2], peer_root=roots[1]),
-    }
-    engines = {i: psi2.Psi2Engine(cfgs[i], rng=np.random.default_rng(master.integers(1 << 62)))
-               for i in (1, 2)}
-    dealer = harness.DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
+    spec = harness.Session({1: x, 2: y}, roots, session)
+    engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62))) for i in (1, 2)}
+    dealer = dealer_cls(rng=np.random.default_rng(master.integers(1 << 62)))
     net = transport.BusNetwork()
     for i in (0, 1, 2):
         net.node(i)
+    return engines, dealer, net
+
+
+def _run_engines(x, y, session, roots, seed):
+    engines, dealer, net = _build(x, y, session, roots, seed)
     handlers = {0: dealer.handle,
                 1: lambda s, e: engines[1].handle(s, e),
                 2: lambda s, e: engines[2].handle(s, e)}
@@ -111,20 +111,7 @@ def test_digest_set_size_and_permutation():
     session = b"\x23" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     sent = {}
-
-    master = np.random.default_rng(7)
-    cfgs = {
-        1: psi2.PartyConfig2(role=psi2.RECEIVER, party_index=1, peer_index=2, input_set=x,
-                             session_id=session, announced_root=roots[1], peer_root=roots[2]),
-        2: psi2.PartyConfig2(role=psi2.SENDER, party_index=2, peer_index=1, input_set=y,
-                             session_id=session, announced_root=roots[2], peer_root=roots[1]),
-    }
-    engines = {i: psi2.Psi2Engine(cfgs[i], rng=np.random.default_rng(master.integers(1 << 62)))
-               for i in (1, 2)}
-    dealer = harness.DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
-    net = transport.BusNetwork()
-    for i in (0, 1, 2):
-        net.node(i)
+    engines, dealer, net = _build(x, y, session, roots, seed=7)
 
     def spy2(src, env):
         if env.msg_type == psi2.MSG_DIGEST_SET:
@@ -137,7 +124,7 @@ def test_digest_set_size_and_permutation():
     payload = sent["digests"]
     count = int.from_bytes(payload[:4], "big")
     assert count == len(y)
-    width = cfgs[1].out_bytes
+    width = engines[1].config.out_bytes
     assert len(payload) == 4 + count * width
     # out width covers the statistical budget: 40 + ceil(log2(30*30)) bits
     assert width == 7
@@ -196,24 +183,12 @@ def test_wrong_digest_count_is_protocol_error():
     x, y = _sets(12, 12, 4, seed=12)
     session = b"\x27" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    master = np.random.default_rng(12)
-    cfgs = {
-        1: psi2.PartyConfig2(role=psi2.RECEIVER, party_index=1, peer_index=2, input_set=x,
-                             session_id=session, announced_root=roots[1], peer_root=roots[2]),
-        2: psi2.PartyConfig2(role=psi2.SENDER, party_index=2, peer_index=1, input_set=y,
-                             session_id=session, announced_root=roots[2], peer_root=roots[1]),
-    }
-    engines = {i: psi2.Psi2Engine(cfgs[i], rng=np.random.default_rng(master.integers(1 << 62)))
-               for i in (1, 2)}
-    dealer = harness.DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
-    net = transport.BusNetwork()
-    for i in (0, 1, 2):
-        net.node(i)
+    engines, dealer, net = _build(x, y, session, roots, seed=12)
 
     def truncate_digests(src, env):
         if env.msg_type == psi2.MSG_DIGEST_SET:
             count = int.from_bytes(env.payload[:4], "big")
-            width = cfgs[1].out_bytes
+            width = engines[1].config.out_bytes
             env = transport.Envelope(env.session_id, env.msg_type,
                                      (count - 1).to_bytes(4, "big") + env.payload[4:-width])
         return engines[1].handle(src, env)
@@ -245,19 +220,7 @@ def test_vole_backend_substitutability():
     x, y = _sets(40, 40, 15, seed=13)
     session = b"\x28" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    master = np.random.default_rng(13)
-    cfgs = {
-        1: psi2.PartyConfig2(role=psi2.RECEIVER, party_index=1, peer_index=2, input_set=x,
-                             session_id=session, announced_root=roots[1], peer_root=roots[2]),
-        2: psi2.PartyConfig2(role=psi2.SENDER, party_index=2, peer_index=1, input_set=y,
-                             session_id=session, announced_root=roots[2], peer_root=roots[1]),
-    }
-    engines = {i: psi2.Psi2Engine(cfgs[i], rng=np.random.default_rng(master.integers(1 << 62)))
-               for i in (1, 2)}
-    dealer = FixedDeltaDealer(rng=np.random.default_rng(master.integers(1 << 62)))
-    net = transport.BusNetwork()
-    for i in (0, 1, 2):
-        net.node(i)
+    engines, dealer, net = _build(x, y, session, roots, seed=13, dealer_cls=FixedDeltaDealer)
     handlers = {0: dealer.handle,
                 1: lambda s, e: engines[1].handle(s, e),
                 2: lambda s, e: engines[2].handle(s, e)}
@@ -298,19 +261,7 @@ def test_digest_set_leaks_nothing_beyond_membership():
 
 
 def _capture_digest_payload(x, y, session, roots, seed):
-    master = np.random.default_rng(seed)
-    cfgs = {
-        1: psi2.PartyConfig2(role=psi2.RECEIVER, party_index=1, peer_index=2, input_set=x,
-                             session_id=session, announced_root=roots[1], peer_root=roots[2]),
-        2: psi2.PartyConfig2(role=psi2.SENDER, party_index=2, peer_index=1, input_set=y,
-                             session_id=session, announced_root=roots[2], peer_root=roots[1]),
-    }
-    engines = {i: psi2.Psi2Engine(cfgs[i], rng=np.random.default_rng(master.integers(1 << 62)))
-               for i in (1, 2)}
-    dealer = harness.DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
-    net = transport.BusNetwork()
-    for i in (0, 1, 2):
-        net.node(i)
+    engines, dealer, net = _build(x, y, session, roots, seed)
     captured = {}
 
     def spy(src, env):

@@ -89,10 +89,8 @@ def _run_engines(sets, t, session, roots, seed):
     from authpsi import transport
     n = len(sets)
     master = np.random.default_rng(seed)
-    cfgs = {i: psin.PartyConfigN(n=n, t=t, party_index=i, input_set=sets[i - 1],
-                                 session_id=session, roots=roots)
-            for i in range(1, n + 1)}
-    engines = {i: psin.PsinEngine(cfgs[i], rng=np.random.default_rng(master.integers(1 << 62)))
+    spec = harness.Session({i: s for i, s in enumerate(sets, start=1)}, roots, session, t)
+    engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62)))
                for i in range(1, n + 1)}
     dealer = harness.DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
     net = transport.BusNetwork()

@@ -124,18 +124,13 @@ def test_backends_produce_identical_transcripts():
 
     bus_run = harness.run_two_party(x, y, session_id=session, seed=5)
 
-    from authpsi import merkle, psi2
-    salt = session
-    roots = {1: merkle.root(x, salt), 2: merkle.root(y, salt)}
+    # the networked CLI's path: the shared builder, one drive_engine per party
+    from authpsi import merkle
+    roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
+    spec = harness.Session({1: x, 2: y}, roots, session)
     master = np.random.default_rng(5)
     rngs = {i: np.random.default_rng(master.integers(1 << 62)) for i in (1, 2)}
     dealer_rng = np.random.default_rng(master.integers(1 << 62))
-
-    cfg1 = psi2.PartyConfig2(role=psi2.RECEIVER, party_index=1, peer_index=2, input_set=x,
-                             session_id=session, announced_root=roots[1], peer_root=roots[2])
-    cfg2 = psi2.PartyConfig2(role=psi2.SENDER, party_index=2, peer_index=1, input_set=y,
-                             session_id=session, announced_root=roots[2], peer_root=roots[1])
-    engines = {1: psi2.Psi2Engine(cfg1, rng=rngs[1]), 2: psi2.Psi2Engine(cfg2, rng=rngs[2])}
 
     nodes = {}
     nodes[0] = transport.TcpNode(0, ("127.0.0.1", 0), {})
@@ -147,9 +142,14 @@ def test_backends_produce_identical_transcripts():
     nodes[0]._peers = {1: ("127.0.0.1", nodes[1].bound_port),
                        2: ("127.0.0.1", nodes[2].bound_port)}
 
+    engines = {}
+
+    def party(i):
+        engines[i] = harness.drive_engine(spec, i, nodes[i], rng=rngs[i])
+
     threads = [
-        threading.Thread(target=harness.drive_engine, args=(engines[1], nodes[1])),
-        threading.Thread(target=harness.drive_engine, args=(engines[2], nodes[2])),
+        threading.Thread(target=party, args=(1,)),
+        threading.Thread(target=party, args=(2,)),
         threading.Thread(target=harness.serve_dealer, args=(nodes[0],),
                          kwargs={"idle_timeout": 1.0, "rng": dealer_rng}),
     ]
@@ -158,6 +158,7 @@ def test_backends_produce_identical_transcripts():
             th.start()
         for th in threads[:2]:
             th.join(timeout=30)
+            assert not th.is_alive()
     finally:
         for node in nodes.values():
             node.close()

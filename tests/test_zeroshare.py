@@ -50,7 +50,7 @@ def test_missing_pair_seed_rejected():
 
 
 def test_int_shorthand_for_parties():
-    seeds = zeroshare.gen_pair_seeds([1, 2, 3])
+    seeds = {(1, 2): b"\x00" * 16, (1, 3): b"\x01" * 16, (2, 3): b"\x02" * 16}
     keysets = zeroshare.zs_setup(3, seeds)
     assert [ks.party_index for ks in keysets] == [1, 2, 3]
 
