@@ -40,8 +40,8 @@ EXIT_TRANSPORT = 4
 
 # published communication figures of the underlying two-party protocol family
 # (volePSI with the Silver encoder), kept for side-by-side context only: this
-# artifact ships full per-element proofs and a wider value field, so its
-# bits/element are expected to sit well above these.
+# artifact also ships every party's 256-bit leaf hashes and a wider value
+# field, so its bits/element are expected to sit above these.
 REFERENCE_BITS_PER_ELEMENT = {1024: 462, 4096: 437, 16384: 455, 65536: 467}
 
 # published end-to-end timings for the commitment-gated multi-party protocol
@@ -133,8 +133,12 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _session(construction: str, cfg: dict, tamper) -> harness.Session:
-    """The session a config describes, with every party's dataset and root loaded."""
+def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session:
+    """The session a config describes, with every party's root loaded.
+
+    A networked party (`role` given) reads only its own dataset, since the
+    other parties' inputs are private to them; a local run reads them all.
+    """
     session_id = _session_id(cfg["session_id"], "session_id")
     if cfg.get("salted", True) is not True:
         raise click.UsageError('config key "salted" must be true or absent: '
@@ -143,12 +147,13 @@ def _session(construction: str, cfg: dict, tamper) -> harness.Session:
     sets, roots = {}, {}
     for i, entry in parties.items():
         try:
-            sets[i] = datasets.read_dataset(entry["dataset"])
+            if role is None or i == role:
+                sets[i] = datasets.read_dataset(entry["dataset"])
             roots[i] = merkle.MerkleRoot.from_bytes(Path(entry["root"]).read_bytes())
         except (OSError, ValueError, KeyError) as exc:
             raise click.UsageError(f"party {i}: {exc}")
     if construction == "2pc":
-        if sorted(sets) != [1, 2]:
+        if sorted(roots) != [1, 2]:
             raise click.UsageError("2pc config must define parties 1 and 2")
         for i, role in ((1, psi2.RECEIVER), (2, psi2.SENDER)):
             if parties[i].get("role", role) != role:
@@ -158,10 +163,10 @@ def _session(construction: str, cfg: dict, tamper) -> harness.Session:
     if "t" not in cfg:
         raise click.UsageError("npc config is missing 't'")
     try:
-        t, n = int(cfg["t"]), int(cfg.get("n", len(sets)))
+        t, n = int(cfg["t"]), int(cfg.get("n", len(roots)))
     except (TypeError, ValueError):
         raise click.UsageError("'n' and 't' must be integers")
-    if sorted(sets) != list(range(1, n + 1)):
+    if sorted(roots) != list(range(1, n + 1)):
         raise click.UsageError("npc config must define parties 1..n")
     return harness.Session(sets, roots, session_id, t, tamper)
 
@@ -191,7 +196,9 @@ def _write_outputs(out_dir, intersection, report) -> None:
               help="party index this process runs (0 = dealer); omit with --local")
 @click.option("--local", is_flag=True, help="run all parties in-process")
 @click.option("--tamper", default=None,
-              help="adversarial move: flip-element:I | flip-path:I | swap-proofs:I,J | extra-element")
+              help="adversarial move: flip-element:I (flip a bit of element I) | flip-path:I "
+                   "(flip a byte of leaf hash I) | swap-proofs:I,J (swap leaf hashes I and J) | "
+                   "extra-element (add one element)")
 @click.option("--tamper-party", type=int, default=None,
               help="which party misbehaves (defaults to --role in networked mode)")
 @click.option("--seed", type=int, default=None,
@@ -221,7 +228,7 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
     tamper_obj = _tamper(tamper, role if tamper_party is None else tamper_party)
     if tamper_obj is not None and tamper_obj.party != role:
         raise click.UsageError("a networked process can only tamper with its own inputs")
-    _run_networked(_session(construction, cfg, tamper_obj), role, addresses, out_dir)
+    _run_networked(_session(construction, cfg, tamper_obj, role), role, addresses, out_dir)
 
 
 def _run_local(session: harness.Session, seed, out_dir):

@@ -10,13 +10,16 @@ fixed seeds; the networked CLI builds one party and runs it with
 
 Adversarial runs install a tamper on one party; tampering either swaps the
 party's real inputs out from under its announced commitment (flip-element,
-extra-element) or mutates its outgoing proof payload (flip-path,
-swap-proofs). Honest parties are expected to abort in every tampered run.
+extra-element) or mutates its outgoing leaf-hash vector (flip-path flips a
+leaf, swap-proofs swaps two leaves). Every kind is deterministic in its
+indices, so a seeded tampered run is reproducible. Honest parties are
+expected to abort in every tampered run.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import hashlib
+import itertools
 import secrets
 import time
 from collections import deque
@@ -32,7 +35,15 @@ from .psi2 import decode_root_proofs, encode_root_proofs
 
 @dataclass(frozen=True)
 class Tamper:
-    """One adversarial move by one party, applied after commitments are fixed."""
+    """One adversarial move by one party, applied after commitments are fixed.
+
+    - flip-element:I runs on the inputs with one bit of element I flipped;
+    - extra-element runs on the inputs plus one new element hashed from `index`;
+    - flip-path:I flips one byte of leaf hash I in the outgoing leaf vector;
+    - swap-proofs:I,J swaps leaf hashes I and J (J bumped by one if equal).
+
+    Indices are taken modulo the set size.
+    """
     kind: str  # flip-element | flip-path | swap-proofs | extra-element
     party: int
     index: int = 0
@@ -68,42 +79,35 @@ class Tamper:
                     out[i] = flipped
                     break
         elif self.kind == "extra-element":
-            extra = secrets.token_bytes(max(1, len(out[0])))
-            while extra in out:
-                extra = secrets.token_bytes(max(1, len(out[0])))
-            out.append(extra)
+            # the first SHA-256 candidate over (index, counter) that is new to the set
+            width = max(1, len(out[0]))
+            candidates = (hashlib.sha256(f"extra-element:{self.index}:{c}".encode()).digest()[:width]
+                          for c in itertools.count())
+            out.append(next(e for e in candidates if e not in out))
         return out
 
     def envelope(self, env: transport.Envelope) -> transport.Envelope:
-        """flip-path / swap-proofs rewrite the party's outgoing root+proofs message."""
+        """flip-path / swap-proofs rewrite the party's outgoing leaf-vector message."""
         if (self.kind not in ("flip-path", "swap-proofs")
                 or env.msg_type not in (psi2.MSG_ROOT_PROOFS, psin.MSG_ROOT_PROOFS)):
             return env
-        root, proofs = decode_root_proofs(env.payload)
-        a = self.index % len(proofs)
-        pa = proofs[a]
+        leaves = decode_root_proofs(env.payload)
+        a = self.index % len(leaves)
         if self.kind == "flip-path":
-            if pa.siblings:
-                side, digest = pa.siblings[0]
-                flipped = ((side, bytes([digest[0] ^ 0x01]) + digest[1:]),) + pa.siblings[1:]
-                proofs[a] = dataclasses.replace(pa, siblings=flipped)
-            else:
-                flipped = bytes([pa.leaf_hash[0] ^ 0x01]) + pa.leaf_hash[1:]
-                proofs[a] = dataclasses.replace(pa, leaf_hash=flipped)
+            leaves[a] = bytes([leaves[a][0] ^ 0x01]) + leaves[a][1:]
         else:
-            b = self.index2 % len(proofs)
+            b = self.index2 % len(leaves)
             if a == b:
-                b = (b + 1) % len(proofs)
-            pb = proofs[b]
-            proofs[a] = dataclasses.replace(pa, index=pb.index)
-            proofs[b] = dataclasses.replace(pb, index=pa.index)
-        return transport.Envelope(env.session_id, env.msg_type, encode_root_proofs(root, proofs))
+                b = (b + 1) % len(leaves)
+            leaves[a], leaves[b] = leaves[b], leaves[a]
+        return transport.Envelope(env.session_id, env.msg_type, encode_root_proofs(leaves))
 
 
 @dataclass(frozen=True)
 class Session:
     """Everything a session's engines are built from."""
-    sets: dict[int, list[bytes]]           # party index -> input set
+    # party index -> input set; a networked party holds only its own
+    sets: dict[int, list[bytes]]
     roots: dict[int, merkle.MerkleRoot]    # party index -> announced commitment
     session_id: bytes
     t: Optional[int] = None                # collusion bound; None for the two-party construction

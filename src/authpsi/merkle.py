@@ -1,4 +1,4 @@
-"""Set commitments and per-element inclusion proofs over SHA-256 hash trees.
+"""Set commitments, leaf-hash vectors and per-element inclusion proofs over SHA-256 hash trees.
 
 A committed set is an ordered sequence of byte strings. The tree is the
 left-balanced binary tree used by transparency logs: an internal node over a
@@ -8,14 +8,18 @@ internal nodes are domain-separated (0x00 / 0x01 prefixes) so a leaf can never
 be confused with an interior hash.
 
 Leaves may carry a per-session salt. Salted commitments prevent an observer
-who sees proofs from two sessions from linking leaf hashes across them; the
+who sees leaf hashes from two sessions from linking them across sessions; the
 salt must then be fixed before the root is announced.
 
-Verification is stateless: a proof carries its index, leaf hash, sibling
-chain, and the committed set size. `verify` recomputes the sibling-side
-pattern from (index, set_size) and rejects a proof whose recorded sides
-disagree, so re-binding a proof to a different index is caught even when the
-hash chain alone would fold to the same digest.
+`leaf_hashes` and `root_of_leaves` split a commitment into its two steps, so
+a holder of the ordered leaf-hash vector can rebuild and check the root
+without the elements; `root` is their composition.
+
+Per-element proofs are verified statelessly: a proof carries its index, leaf
+hash, sibling chain, and the committed set size. `verify` recomputes the
+sibling-side pattern from (index, set_size) and rejects a proof whose
+recorded sides disagree, so re-binding a proof to a different index is
+caught even when the hash chain alone would fold to the same digest.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ NODE_PREFIX = b"\x01"
 DIGEST_BYTES = 32
 
 ROOT_WIRE_VERSION = 0x01
-PROOF_WIRE_VERSION = 0x01
 
 LEFT = 0x00   # sibling sits to the left of the running hash
 RIGHT = 0x01  # sibling sits to the right
@@ -67,43 +70,10 @@ class InclusionProof:
     siblings: tuple[tuple[int, bytes], ...]  # (side, digest), leaf level first
     set_size: int
 
-    def to_bytes(self) -> bytes:
-        out = bytearray([PROOF_WIRE_VERSION])
-        out += self.set_size.to_bytes(4, "big")
-        out += self.index.to_bytes(4, "big")
-        out += self.leaf_hash
-        out.append(len(self.siblings))
-        for side, digest in self.siblings:
-            out.append(side)
-            out += digest
-        return bytes(out)
 
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "InclusionProof":
-        if len(raw) < 1 + 4 + 4 + DIGEST_BYTES + 1:
-            raise ValueError("truncated proof encoding")
-        if raw[0] != PROOF_WIRE_VERSION:
-            raise ValueError("unknown proof encoding version")
-        set_size = int.from_bytes(raw[1:5], "big")
-        index = int.from_bytes(raw[5:9], "big")
-        leaf_hash = raw[9 : 9 + DIGEST_BYTES]
-        depth = raw[9 + DIGEST_BYTES]
-        pos = 10 + DIGEST_BYTES
-        if len(raw) != pos + depth * (1 + DIGEST_BYTES):
-            raise ValueError("bad proof encoding length")
-        siblings = []
-        for _ in range(depth):
-            side = raw[pos]
-            if side not in (LEFT, RIGHT):
-                raise ValueError("bad sibling side byte")
-            siblings.append((side, raw[pos + 1 : pos + 1 + DIGEST_BYTES]))
-            pos += 1 + DIGEST_BYTES
-        return cls(index=index, leaf_hash=leaf_hash, siblings=tuple(siblings), set_size=set_size)
-
-
-def _levels(leaf_hashes: list[bytes]) -> list[list[bytes]]:
+def _levels(leaves: list[bytes]) -> list[list[bytes]]:
     """All tree levels bottom-up; a lone trailing node is promoted unhashed."""
-    levels = [leaf_hashes]
+    levels = [leaves]
     while len(levels[-1]) > 1:
         cur = levels[-1]
         nxt = [hash_node(cur[i], cur[i + 1]) for i in range(0, len(cur) - 1, 2)]
@@ -133,28 +103,35 @@ def expected_sides(index: int, set_size: int) -> tuple[int, ...]:
     return tuple(sides)
 
 
+def leaf_hashes(elements: Iterable[bytes], salt: bytes = b"") -> list[bytes]:
+    """The ordered leaf hashes of a committed sequence."""
+    return [hash_leaf(e, salt) for e in elements]
+
+
+def root_of_leaves(leaves: Sequence[bytes]) -> MerkleRoot:
+    """Commitment over an ordered leaf-hash vector, as `root` computes it from the elements."""
+    if not leaves:
+        raise ValueError("cannot commit to an empty set")
+    return MerkleRoot(digest=_levels(list(leaves))[-1][0], set_size=len(leaves))
+
+
 def root(elements: Sequence[bytes], salt: bytes = b"") -> MerkleRoot:
     """Commit to an ordered sequence of elements. Deterministic."""
-    if not elements:
-        raise ValueError("cannot commit to an empty set")
-    hashes = [hash_leaf(e, salt) for e in elements]
-    return MerkleRoot(digest=_levels(hashes)[-1][0], set_size=len(elements))
+    return root_of_leaves(leaf_hashes(elements, salt))
 
 
 def gen_path(elements: Sequence[bytes], index: int, salt: bytes = b"") -> InclusionProof:
     """Inclusion proof for the element at a position. Deterministic."""
     if not 0 <= index < len(elements):
         raise ValueError(f"index {index} out of range for set of {len(elements)}")
-    hashes = [hash_leaf(e, salt) for e in elements]
-    return _path_from_levels(_levels(hashes), index, len(elements))
+    return _path_from_levels(_levels(leaf_hashes(elements, salt)), index, len(elements))
 
 
 def gen_all_paths(elements: Sequence[bytes], salt: bytes = b"") -> list[InclusionProof]:
     """Inclusion proofs for every element, sharing one tree construction."""
     if not elements:
         raise ValueError("cannot prove membership in an empty set")
-    hashes = [hash_leaf(e, salt) for e in elements]
-    levels = _levels(hashes)
+    levels = _levels(leaf_hashes(elements, salt))
     n = len(elements)
     return [_path_from_levels(levels, i, n) for i in range(n)]
 

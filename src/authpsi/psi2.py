@@ -3,13 +3,14 @@
 Both parties publish a commitment (tree root) to their input set before the
 session. The run then has three phases:
 
-- transform: each party re-derives its own root (refusing to start if its
-  inputs drifted from the commitment), generates inclusion proofs for every
-  element, and the receiver additionally encodes its set into an oblivious
-  table P mapping x -> HB(x).
-- interact: each side checks every received proof against the peer's
-  pre-announced root and aborts the session on any failure. Both sides then
-  draw a correlation (A, C) / (B, delta) with C = A*delta + B from the dealer.
+- transform: each party hashes its leaves once, re-derives its own root from
+  them (refusing to start if its inputs drifted from the commitment) and
+  sends the ordered leaf-hash vector to its peer; the receiver additionally
+  encodes its set into an oblivious table P mapping x -> HB(x).
+- interact: each side rebuilds the tree over the received leaf vector,
+  compares it with the peer's pre-announced root and aborts the session on
+  any mismatch. Both sides then draw a correlation (A, C) / (B, delta) with
+  C = A*delta + B from the dealer.
   The receiver sends the masked table A' = A + P; the sender folds it into
   B' = B + A'*delta and answers with the digest set
   R = { Ho( Decode(B', y) + delta*HB(y) ) | y in Y }, randomly permuted.
@@ -22,9 +23,9 @@ the intersection while everything else stays masked by the correlation.
 Digests are truncated to cover the statistical collision budget for the two
 set sizes.
 
-Leaf hashes inside proofs are salted with the session id so that proofs
-from different sessions cannot be linked by dictionary attack; commitments
-are therefore per session.
+Leaf hashes are salted with the session id so that leaf vectors from
+different sessions cannot be linked by dictionary attack; commitments are
+therefore per session.
 """
 
 from __future__ import annotations
@@ -115,47 +116,34 @@ class PartyConfig2:
         return digest_width(n_x, n_y)
 
 
-def encode_root_proofs(root: merkle.MerkleRoot, proofs: list[merkle.InclusionProof]) -> bytes:
-    out = bytearray(root.to_bytes())
-    out += len(proofs).to_bytes(4, "big")
-    for p in proofs:
-        out += p.to_bytes()
-    return bytes(out)
+def encode_root_proofs(leaves: list[bytes]) -> bytes:
+    """The commitment message: the ordered leaf hashes, 32 bytes each, no header.
+
+    The peer already holds the announced root and set size, so neither
+    crosses the wire again.
+    """
+    return b"".join(leaves)
 
 
-def decode_root_proofs(raw: bytes) -> tuple[merkle.MerkleRoot, list[merkle.InclusionProof]]:
-    root_len = 1 + 4 + merkle.DIGEST_BYTES
-    if len(raw) < root_len + 4:
-        raise ProtocolError("truncated root+proofs payload")
-    root = merkle.MerkleRoot.from_bytes(raw[:root_len])
-    count = int.from_bytes(raw[root_len : root_len + 4], "big")
-    pos = root_len + 4
-    proofs = []
-    for _ in range(count):
-        depth_at = pos + 9 + merkle.DIGEST_BYTES
-        if depth_at >= len(raw):
-            raise ProtocolError("truncated proof in payload")
-        plen = 10 + merkle.DIGEST_BYTES + raw[depth_at] * (1 + merkle.DIGEST_BYTES)
-        try:
-            proofs.append(merkle.InclusionProof.from_bytes(raw[pos : pos + plen]))
-        except ValueError as exc:
-            raise ProtocolError(f"bad proof encoding: {exc}") from exc
-        pos += plen
-    if pos != len(raw):
-        raise ProtocolError("trailing bytes in root+proofs payload")
-    return root, proofs
+def decode_root_proofs(raw: bytes) -> list[bytes]:
+    """Split a commitment message into its leaf hashes."""
+    width = merkle.DIGEST_BYTES
+    if len(raw) % width:
+        raise ProtocolError("leaf vector length is not a multiple of the digest size")
+    return [raw[i : i + width] for i in range(0, len(raw), width)]
 
 
-def check_peer_commitment(committed: merkle.MerkleRoot, received_root: merkle.MerkleRoot,
-                          proofs: list[merkle.InclusionProof]) -> bool:
-    """The gate: the announced commitment must cover every element exactly once."""
-    if received_root != committed:
-        return False
-    if len(proofs) != committed.set_size:
-        return False
-    if sorted(p.index for p in proofs) != list(range(committed.set_size)):
-        return False
-    return merkle.batch_verify(committed, proofs)
+def check_peer_commitment(committed: merkle.MerkleRoot, leaves: list[bytes]) -> bool:
+    """The gate: the peer's leaf vector must rebuild its announced commitment.
+
+    Accepts iff the vector holds exactly `set_size` leaf hashes and the tree
+    rebuilt from them, in order, has the committed digest. This proves
+    exactly what n inclusion proofs at distinct indices that all fold to the
+    root prove, barring SHA-256 collisions: such proofs pin the leaf hash at
+    every position, and so does the rebuild. It costs n - 1 node hashes
+    instead of n log n.
+    """
+    return len(leaves) == committed.set_size and merkle.root_of_leaves(leaves) == committed
 
 
 class Psi2Engine:
@@ -208,11 +196,9 @@ class Psi2Engine:
             raise ProtocolError("engine already started")
         t0 = time.perf_counter()
         cfg = self.config
-        if not cfg.skip_self_check:
-            local = merkle.root(cfg.input_set, cfg.session_id)
-            if local != cfg.announced_root:
-                raise ConfigError("input set does not match the announced commitment")
-        proofs = merkle.gen_all_paths(cfg.input_set, cfg.session_id)
+        leaves = merkle.leaf_hashes(cfg.input_set, cfg.session_id)
+        if not cfg.skip_self_check and merkle.root_of_leaves(leaves) != cfg.announced_root:
+            raise ConfigError("input set does not match the announced commitment")
         out = []
         if cfg.role == RECEIVER:
             seed = self.rng.bytes(okvs.SEED_BYTES)
@@ -222,8 +208,7 @@ class Psi2Engine:
             if result is None:
                 return self._abort("oblivious table encoding failed")
             self._table, _ = result
-        out.append((cfg.peer_index, self._env(
-            MSG_ROOT_PROOFS, encode_root_proofs(cfg.announced_root, proofs))))
+        out.append((cfg.peer_index, self._env(MSG_ROOT_PROOFS, encode_root_proofs(leaves))))
         role = vole.RECEIVER if cfg.role == RECEIVER else vole.SENDER
         from .transport import DEALER_INDEX
         out.append((DEALER_INDEX, self._env(
@@ -258,16 +243,16 @@ class Psi2Engine:
 
     def _on_root_proofs(self, src: int, payload: bytes) -> list:
         if src != self.config.peer_index or self.phase != "transformed" or self._peer_verified:
-            raise ProtocolError("root+proofs out of order")
+            raise ProtocolError("leaf vector out of order")
         t0 = time.perf_counter()
         try:
-            received_root, proofs = decode_root_proofs(payload)
+            leaves = decode_root_proofs(payload)
         except ProtocolError:
-            return self._abort("undecodable proof set")
-        ok = check_peer_commitment(self.config.peer_root, received_root, proofs)
+            return self._abort("undecodable leaf vector")
+        ok = check_peer_commitment(self.config.peer_root, leaves)
         self.phase_ms["verify"] = self.phase_ms.get("verify", 0.0) + (time.perf_counter() - t0) * 1000
         if not ok:
-            return self._abort("peer proofs failed verification")
+            return self._abort("peer leaf vector failed verification")
         self._peer_verified = True
         return self._advance()
 

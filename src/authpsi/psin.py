@@ -5,14 +5,15 @@ Around v = n - t the parties split into group A (P_1 .. P_{v-1}), a central
 coordinator P_v, and group B (P_{v+1} .. P_n); P_n is the only party that
 learns the intersection.
 
-- transform: everyone broadcasts its root and all inclusion proofs. Each
+- transform: everyone broadcasts its ordered leaf-hash vector. Each
   group-A party P_i draws one PRF key per group-B party, sends each key to
   its target, and ships the coordinator an oblivious table T_i encoding
   x -> XOR of the PRF of x under all those keys. The parties P_v .. P_n
   exchange pairwise zero-sharing seeds.
-- interact: every party checks every other party's proofs against the
-  announced roots; the first failure anywhere broadcasts an abort and the
-  whole session dies. The coordinator aggregates A^v(x) = XOR of
+- interact: every party rebuilds every other party's tree from its leaf
+  vector and compares it with that party's announced root (the gate of
+  `psi2.check_peer_commitment`); the first failure anywhere broadcasts an
+  abort and the whole session dies. The coordinator aggregates A^v(x) = XOR of
   Decode(T_i, x); each group-B party aggregates A^i(x) = XOR of its received
   PRF evaluations.
 - reconstruct: each of P_v .. P_{n-1} programs an oblivious PRF with points
@@ -192,14 +193,11 @@ class PsinEngine:
         t0 = time.perf_counter()
         cfg = self.config
         i = cfg.party_index
-        if not cfg.skip_self_check:
-            local = merkle.root(cfg.input_set, cfg.session_id)
-            if local != cfg.roots[i]:
-                raise ConfigError("input set does not match the announced commitment")
-        out = []
-        proofs_payload = encode_root_proofs(cfg.roots[i], merkle.gen_all_paths(cfg.input_set, cfg.session_id))
-        for j in self._others():
-            out.append((j, self._env(MSG_ROOT_PROOFS, proofs_payload)))
+        leaves = merkle.leaf_hashes(cfg.input_set, cfg.session_id)
+        if not cfg.skip_self_check and merkle.root_of_leaves(leaves) != cfg.roots[i]:
+            raise ConfigError("input set does not match the announced commitment")
+        leaf_vector = encode_root_proofs(leaves)
+        out = [(j, self._env(MSG_ROOT_PROOFS, leaf_vector)) for j in self._others()]
 
         if i in cfg.group_a:
             for j in cfg.group_b:
@@ -267,16 +265,16 @@ class PsinEngine:
 
     def _on_root_proofs(self, src: int, payload: bytes) -> list:
         if src not in self._pending_verify:
-            raise ProtocolError(f"unexpected proof set from party {src}")
+            raise ProtocolError(f"unexpected leaf vector from party {src}")
         t0 = time.perf_counter()
         try:
-            received_root, proofs = decode_root_proofs(payload)
+            leaves = decode_root_proofs(payload)
         except ProtocolError:
-            return self._abort_all(f"undecodable proof set from party {src}")
-        ok = check_peer_commitment(self.config.roots[src], received_root, proofs)
+            return self._abort_all(f"undecodable leaf vector from party {src}")
+        ok = check_peer_commitment(self.config.roots[src], leaves)
         self.phase_ms["verify"] = self.phase_ms.get("verify", 0.0) + (time.perf_counter() - t0) * 1000
         if not ok:
-            return self._abort_all(f"party {src} failed commitment verification")
+            return self._abort_all(f"leaf vector from party {src} failed verification")
         self._pending_verify.discard(src)
         if not self._pending_verify:
             self._verified_all = True

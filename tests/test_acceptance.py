@@ -66,15 +66,13 @@ def test_criterion_02_two_party_integrity_game():
 
 
 def test_criterion_03_communication_linearity():
-    """bits/element grows like a + b*log2(n): each doubling-pair step in the
-    size sweep moves it by < 25%, and the log-slope is constant.
+    """bits/element stays flat in n and within 2x of the published
+    unauthenticated baseline at every size: each doubling-pair step in the
+    size sweep moves it by < 25%, and measured[n] <= 2 * reference[n].
 
-    The absolute figure sits far above the published unauthenticated baseline
-    because every element's inclusion proof crosses the wire in both
-    directions (33 bytes per tree level, twice); both numbers are reported
-    side by side. The full min-to-max span across the 16x sweep exceeds a
-    single-step band precisely because of that per-level term, so the
-    asserted statistic is the per-step variation plus slope constancy.
+    The commitment costs a constant 256 bits per element in each direction
+    (one leaf hash; the peer rebuilds the tree itself), so there is no
+    per-level term left; both numbers are reported side by side.
     """
     t0 = time.perf_counter()
     sizes = (1024, 4096, 16384)
@@ -91,10 +89,8 @@ def test_criterion_03_communication_linearity():
     steps = [measured[4096] / measured[1024], measured[16384] / measured[4096]]
     for ratio in steps:
         assert abs(ratio - 1) < 0.25, steps
-    # constant slope per log2 step: second difference stays small
-    d1 = measured[4096] - measured[1024]
-    d2 = measured[16384] - measured[4096]
-    assert abs(d2 - d1) / max(d1, d2) < 0.05
+    for n in sizes:
+        assert measured[n] <= 2 * reference[n], (n, measured[n])
     span = max(measured.values()) / min(measured.values()) - 1
     print(f"[criterion 3] PASS: step variation {[f'{(r - 1) * 100:.1f}%' for r in steps]}, "
           f"full span {span * 100:.1f}% ({time.perf_counter() - t0:.1f}s)")

@@ -3,10 +3,11 @@
 import json
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from authpsi import datasets, merkle
+from authpsi import cli, datasets, merkle
 from authpsi.cli import main
 
 
@@ -240,3 +241,17 @@ def test_multi_party_config_without_t_is_usage_error(runner, tmp_path, mode):
                                   "--out-dir", str(tmp_path / "out")] + mode)
     assert result.exit_code == 2, result.output
     assert "'t'" in result.output
+
+
+def test_networked_party_reads_only_its_own_dataset(runner, tmp_path):
+    # the other party's private input need not be readable by this process
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=13)
+    salt = "99" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg = json.loads(Path(_config(tmp_path, prefix, 2, salt)).read_text())
+    Path(f"{prefix}1.dat").unlink()
+    session = cli._session("2pc", cfg, None, role=2)
+    assert set(session.sets) == {2} and set(session.roots) == {1, 2}
+    assert session.sets[2] == datasets.read_dataset(f"{prefix}2.dat")
+    with pytest.raises(click.UsageError, match="party 1"):
+        cli._session("2pc", cfg, None)  # a local run still needs every dataset

@@ -1,4 +1,4 @@
-"""Commitments and inclusion proofs: shape, rejection behavior, wire formats."""
+"""Commitments, leaf-hash vectors and inclusion proofs: shape, rejection behavior, root wire format."""
 
 import hashlib
 import random
@@ -38,6 +38,8 @@ def test_empty_set_rejected():
     with pytest.raises(ValueError):
         merkle.root([])
     with pytest.raises(ValueError):
+        merkle.root_of_leaves([])
+    with pytest.raises(ValueError):
         merkle.gen_all_paths([])
 
 
@@ -65,9 +67,11 @@ def test_correctness_small_sizes_exhaustive():
     for n in list(range(1, 40)) + [63, 64, 65, 127, 128, 129]:
         data = _elements(n, tag=1)
         r = merkle.root(data)
+        leaves = merkle.leaf_hashes(data)
+        assert merkle.root_of_leaves(leaves) == r
         proofs = merkle.gen_all_paths(data)
         for i, p in enumerate(proofs):
-            assert p.index == i and p.set_size == n
+            assert p.index == i and p.set_size == n and p.leaf_hash == leaves[i]
             assert len(p.siblings) <= max(1, (n - 1).bit_length())
             assert merkle.verify(r, p), (n, i)
             assert p == merkle.gen_path(data, i)
@@ -76,7 +80,7 @@ def test_correctness_small_sizes_exhaustive():
 def test_determinism():
     data = _elements(19)
     assert merkle.root(data) == merkle.root(data)
-    assert merkle.gen_path(data, 7).to_bytes() == merkle.gen_path(data, 7).to_bytes()
+    assert merkle.gen_path(data, 7) == merkle.gen_path(data, 7)
 
 
 def test_salt_changes_root_and_binds_proofs():
@@ -89,19 +93,15 @@ def test_salt_changes_root_and_binds_proofs():
 
 
 def test_single_bit_flip_sweep_rejects():
+    # every single-bit flip anywhere in a leaf-hash vector changes the root
     data = _elements(11, tag=2)
     r = merkle.root(data)
-    proof = merkle.gen_path(data, 6)
-    raw = proof.to_bytes()
-    assert merkle.verify(r, merkle.InclusionProof.from_bytes(raw))
+    raw = b"".join(merkle.leaf_hashes(data))
     for bit in range(8 * len(raw)):
         mutated = bytearray(raw)
         mutated[bit // 8] ^= 1 << (bit % 8)
-        try:
-            p = merkle.InclusionProof.from_bytes(bytes(mutated))
-        except ValueError:
-            continue  # unparseable counts as rejection
-        assert not merkle.verify(r, p), f"bit {bit} accepted"
+        leaves = [bytes(mutated[i : i + 32]) for i in range(0, len(mutated), 32)]
+        assert merkle.root_of_leaves(leaves) != r, f"bit {bit} accepted"
 
 
 def test_leaf_substitution_rejected_bulk():
@@ -158,15 +158,7 @@ def test_wire_roundtrips():
     data = _elements(13, tag=8)
     r = merkle.root(data)
     assert merkle.MerkleRoot.from_bytes(r.to_bytes()) == r
-    p = merkle.gen_path(data, 9)
-    assert merkle.InclusionProof.from_bytes(p.to_bytes()) == p
-    # exact layout: version | set_size | index | leaf | depth | entries
-    raw = p.to_bytes()
-    assert raw[0] == 0x01
-    assert int.from_bytes(raw[1:5], "big") == 13
-    assert int.from_bytes(raw[5:9], "big") == 9
-    assert raw[9:41] == p.leaf_hash
-    assert raw[41] == len(p.siblings)
-    assert len(raw) == 42 + 33 * len(p.siblings)
+    # exact layout: version | set_size | digest
     root_raw = r.to_bytes()
     assert root_raw[0] == 0x01 and len(root_raw) == 37
+    assert int.from_bytes(root_raw[1:5], "big") == 13 and root_raw[5:] == r.digest

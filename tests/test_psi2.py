@@ -1,5 +1,6 @@
 """Two-party engine: correctness, integrity aborts, masking algebra, errors."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -97,12 +98,12 @@ def _build(x, y, session, roots, seed, dealer_cls=harness.DealerService):
     return engines, dealer, net
 
 
-def _run_engines(x, y, session, roots, seed):
+def _run_engines(x, y, session, roots, seed, tamper=None):
     engines, dealer, net = _build(x, y, session, roots, seed)
     handlers = {0: dealer.handle,
                 1: lambda s, e: engines[1].handle(s, e),
                 2: lambda s, e: engines[2].handle(s, e)}
-    harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)])
+    harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)], tamper)
     return engines
 
 
@@ -275,11 +276,74 @@ def _capture_digest_payload(x, y, session, roots, seed):
 
 
 def test_root_proofs_payload_roundtrip():
+    # the commitment message is the bare leaf-hash vector, 32 bytes per leaf
     x, _ = _sets(10, 10, 0, seed=11)
-    root = merkle.root(x)
-    proofs = merkle.gen_all_paths(x)
-    raw = psi2.encode_root_proofs(root, proofs)
-    r2, p2 = psi2.decode_root_proofs(raw)
-    assert r2 == root and p2 == proofs
-    with pytest.raises(ProtocolError):
-        psi2.decode_root_proofs(raw + b"\x00")
+    leaves = merkle.leaf_hashes(x, b"\x2a" * 16)
+    raw = psi2.encode_root_proofs(leaves)
+    assert raw == b"".join(leaves) and len(raw) == 32 * len(x)
+    assert psi2.decode_root_proofs(raw) == leaves
+    assert psi2.check_peer_commitment(merkle.root(x, b"\x2a" * 16), leaves)
+    for ragged in (raw + b"\x00", raw[:-1]):
+        with pytest.raises(ProtocolError):
+            psi2.decode_root_proofs(ragged)
+
+
+LEAF = merkle.DIGEST_BYTES
+
+# Ways to corrupt a party's outgoing leaf vector `raw`, given the party's
+# elements `xs` and the session id `sid`; the gate must reject every one.
+LEAF_VECTOR_FAULTS = {
+    "ragged-length": lambda raw, xs, sid: raw[:-1],
+    "one-leaf-short": lambda raw, xs, sid: raw[:-LEAF],
+    "one-leaf-extra": lambda raw, xs, sid: raw + raw[:LEAF],
+    "flipped-leaf": lambda raw, xs, sid: raw[:LEAF] + bytes([raw[LEAF] ^ 1]) + raw[LEAF + 1:],
+    "swapped-leaves": lambda raw, xs, sid: raw[LEAF:2 * LEAF] + raw[:LEAF] + raw[2 * LEAF:],
+    "other-set": lambda raw, xs, sid: b"".join(merkle.leaf_hashes([b"\xee" + x for x in xs], sid)),
+    "other-salt": lambda raw, xs, sid: b"".join(merkle.leaf_hashes(xs, bytes(16))),
+}
+
+
+@dataclasses.dataclass
+class LeafVectorFault:
+    """Rewrites one party's outgoing leaf vectors on the bus, in place of a `harness.Tamper`."""
+    party: int
+    msg_type: int
+    fault: str
+    elements: list
+    session: bytes
+
+    def envelope(self, env):
+        if env.msg_type != self.msg_type:
+            return env
+        payload = LEAF_VECTOR_FAULTS[self.fault](env.payload, self.elements, self.session)
+        return transport.Envelope(env.session_id, env.msg_type, payload)
+
+
+@pytest.mark.parametrize("fault", sorted(LEAF_VECTOR_FAULTS))
+@pytest.mark.parametrize("party", [1, 2])
+def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault, party):
+    x, y = _sets(16, 16, 4, seed=16)
+    session = b"\x29" * 16
+    roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
+    tamper = LeafVectorFault(party, psi2.MSG_ROOT_PROOFS, fault, x if party == 1 else y, session)
+    engines = _run_engines(x, y, session, roots, seed=16, tamper=tamper)  # no escaped error
+    honest = engines[3 - party]
+    assert honest.aborted and honest.intersection is None
+    assert "leaf vector" in honest.abort_reason
+
+
+def test_leaf_vector_is_32_bytes_per_element():
+    x, y = _sets(20, 70, 9, seed=17)
+    res = harness.run_two_party(x, y, seed=17)
+    for (src, dst), sent in res.transcript.per_pair().items():
+        sizes = [nbytes for msg_type, nbytes, _ in sent if msg_type == psi2.MSG_ROOT_PROOFS]
+        if src and dst:
+            assert sizes == [transport.HEADER_BYTES + 32 * len(x if src == 1 else y)]
+
+
+def test_seeded_extra_element_run_is_reproducible():
+    x, y = _sets(24, 24, 8, seed=18)
+    runs = [harness.run_two_party(x, y, seed=3, tamper=harness.Tamper("extra-element", 1))
+            for _ in range(2)]
+    assert runs[0].aborted
+    assert runs[0].transcript.per_pair() == runs[1].transcript.per_pair()

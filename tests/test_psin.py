@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from authpsi import gf, harness, merkle, psin, zeroshare
+from authpsi import gf, harness, merkle, psin, transport, zeroshare
 from authpsi.errors import ConfigError
+from test_psi2 import LEAF_VECTOR_FAULTS, LeafVectorFault
 
 
 def _party_sets(n, n_l, core_size, seed=0, width=8):
@@ -85,8 +86,7 @@ def test_only_output_party_learns_intersection():
         assert engines[i].phase == "done"
 
 
-def _run_engines(sets, t, session, roots, seed):
-    from authpsi import transport
+def _run_engines(sets, t, session, roots, seed, tamper=None):
     n = len(sets)
     master = np.random.default_rng(seed)
     spec = harness.Session({i: s for i, s in enumerate(sets, start=1)}, roots, session, t)
@@ -99,8 +99,31 @@ def _run_engines(sets, t, session, roots, seed):
     handlers = {0: dealer.handle}
     for i in range(1, n + 1):
         handlers[i] = (lambda j: lambda s, e: engines[j].handle(s, e))(i)
-    harness._pump(net, handlers, [(i, engines[i].start()) for i in range(1, n + 1)])
+    harness._pump(net, handlers, [(i, engines[i].start()) for i in range(1, n + 1)], tamper)
     return engines
+
+
+@pytest.mark.parametrize("fault", sorted(LEAF_VECTOR_FAULTS))
+def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault):
+    sets, _ = _party_sets(4, 12, 4, seed=11)
+    session = b"\x05" * 16
+    roots = {i + 1: merkle.root(sets[i], session) for i in range(4)}
+    tamper = LeafVectorFault(2, psin.MSG_ROOT_PROOFS, fault, sets[1], session)
+    engines = _run_engines(sets, t=2, session=session, roots=roots, seed=11,
+                           tamper=tamper)  # no escaped error
+    for i in (1, 3, 4):
+        assert engines[i].aborted and engines[i].abort_reason, i
+        assert engines[i].intersection is None
+    assert any("leaf vector" in engines[i].abort_reason for i in (1, 3, 4))
+
+
+def test_leaf_vector_is_32_bytes_per_element():
+    sets, _ = _party_sets(4, 12, 4, seed=12)
+    res = harness.run_multi_party(sets, t=2, seed=12)
+    for (src, dst), sent in res.transcript.per_pair().items():
+        sizes = [nbytes for msg_type, nbytes, _ in sent if msg_type == psin.MSG_ROOT_PROOFS]
+        if src and dst:
+            assert sizes == [transport.HEADER_BYTES + 32 * 12]
 
 
 def test_cancellation_identity_white_box():
