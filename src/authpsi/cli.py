@@ -155,9 +155,9 @@ def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session
     if construction == "2pc":
         if sorted(roots) != [1, 2]:
             raise click.UsageError("2pc config must define parties 1 and 2")
-        for i, role in ((1, psi2.RECEIVER), (2, psi2.SENDER)):
-            if parties[i].get("role", role) != role:
-                raise click.UsageError(f"party {i} is the {role} of a 2pc session, "
+        for i, expected in ((1, psi2.RECEIVER), (2, psi2.SENDER)):
+            if parties[i].get("role", expected) != expected:
+                raise click.UsageError(f"party {i} is the {expected} of a 2pc session, "
                                        f"not {parties[i]['role']!r}")
         return harness.Session(sets, roots, session_id, None, tamper)
     if "t" not in cfg:
