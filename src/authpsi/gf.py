@@ -10,9 +10,11 @@ OKVS payloads (128-bit mask values) are field elements as they stand. The
 as 8-byte strings and embedded into field elements by zero-padding.
 
 The batch helpers at the bottom operate on numpy arrays of shape (n, 2) with
-dtype '<u8' (limb 0 = bits 0..63). They exist because the encoders and the
-protocol hot paths multiply one fixed scalar into vectors of thousands of
-elements; the scalar path would dominate the runtime otherwise.
+dtype '<u8' (limb 0 = bits 0..63). `scalar_mul_vec` exists because the VOLE
+expansion and the two-party sender multiply one fixed scalar (delta) into
+vectors of thousands of elements. The OKVS needs no field multiplication:
+its rows are binary, so decoding is a XOR of table cells. `mul` is the
+scalar reference that `scalar_mul_vec` is tested against.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ import numpy as np
 GF_BITS = 128
 GF_BYTES = 16
 MASK128 = (1 << 128) - 1
-
-# x^128 + x^7 + x^2 + x + 1, the standard irreducible polynomial for GF(2^128)
-REDUCTION_POLY = (1 << 128) | 0x87
-_LOW_TERMS = 0x87  # x^7 + x^2 + x + 1
 
 # width of XOR-group values (PRF outputs, shares)
 XOR_BYTES = 8
@@ -64,24 +62,6 @@ def mul(a: int, b: int) -> int:
     return reduce(clmul(a, b))
 
 
-def inv(a: int) -> int:
-    """Multiplicative inverse of a nonzero element (extended Euclid on GF(2)[x])."""
-    if not 0 < a <= MASK128:
-        raise ValueError("inverse of zero (or out-of-range value) is undefined")
-    r0, r1 = a, REDUCTION_POLY
-    s0, s1 = 1, 0
-    while r0 != 1:
-        d = r0.bit_length() - r1.bit_length()
-        if d < 0:
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            d = -d
-        r0 ^= r1 << d
-        s0 ^= s1 << d
-        if r0 == 0:
-            raise ArithmeticError("gcd != 1; the reduction polynomial is not irreducible?")
-    return reduce(s0)
-
-
 def to_bytes(a: int) -> bytes:
     """Serialize a field element as 16 bytes little-endian."""
     return a.to_bytes(GF_BYTES, "little")
@@ -109,11 +89,6 @@ def xor_to_field(v: bytes) -> int:
     if len(v) != XOR_BYTES:
         raise ValueError(f"xor value must be {XOR_BYTES} bytes, got {len(v)}")
     return int.from_bytes(v, "little")
-
-
-def field_to_xor(a: int) -> bytes:
-    """Extract the low 8 bytes of a field element as an XOR value."""
-    return (a & 0xFFFFFFFFFFFFFFFF).to_bytes(XOR_BYTES, "little")
 
 
 # ---------------------------------------------------------------------------

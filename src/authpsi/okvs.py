@@ -1,31 +1,35 @@
-"""Binary linear oblivious key-value store with a dense field tail.
+"""Binary oblivious key-value store: GF(2) rows over GF(2^128) table cells.
 
 A table is a vector of m = m_sparse + m_dense field elements. Each key maps
-deterministically to a row: omega distinct positions in the sparse region
-(coefficient 1) plus m_dense uniform field coefficients for the dense region.
-Decoding is the inner product of that row with the table. Encoding solves the
-resulting linear system:
+deterministically to a binary row: omega distinct positions in the sparse
+region plus an m_dense-bit mask over the dense region. Decoding XORs the
+cells the row selects, which is linear over GF(2^128) although every
+coefficient is 0 or 1; this is the shape of the binary OKVS of volePSI
+(Raghuraman-Rindal, CCS 2022), and neither side multiplies field elements.
+Encoding solves the resulting GF(2) system:
 
 1. peel sparse columns of degree 1, recording (row, pivot column) in order;
-2. solve the remaining core rows over (their sparse columns + all dense
-   columns) by Gaussian elimination over the field;
-3. fill every still-free position with uniform randomness, then walk the
-   peeled rows in reverse, assigning each pivot so its equation holds.
+2. eliminate the remaining core rows over (their sparse columns + all dense
+   columns), each row packed into one integer so that a reduction is an XOR;
+3. every position without a pivot keeps a uniform random fill; the core
+   pivots are resolved from it, then the peeled rows in reverse, assigning
+   each pivot so its equation holds.
 
 Random fill of unconstrained positions is load-bearing: with uniform values
 the encoded vector is indistinguishable across key sets, which is what the
 protocols rely on when they ship tables to the other side.
 
 Rows are derived from a 16-byte seed: per key, a keyed BLAKE2b digest is
-expanded through AES-ECB counter blocks into a byte stream from which the
-sparse indices (rejection-sampled until omega distinct) and dense
-coefficients are read at fixed offsets. The batch path produces bit-identical
-rows to the scalar path; both sides of a protocol must use the same seed, so
-the seed travels inside the table wire format.
+expanded through AES-ECB counter blocks into five blocks. The first eight
+64-bit words are candidates for the sparse indices (rejection-sampled until
+omega distinct, with further blocks only when they run out); the low m_dense
+bits of the ninth word are the dense mask. Both sides of a protocol must use
+the same seed, so the seed travels inside the table wire format.
 
-Encoding can fail when the core system is singular; that failure is a value
-(None), not an exception, and `encode_with_retry` re-randomizes the rows with
-seeds derived from the base seed until one attempt succeeds.
+Encoding can fail when a core row's coefficients cancel but its value does
+not; that failure is a value (None), not an exception, and
+`encode_with_retry` re-randomizes the rows with seeds derived from the base
+seed until one attempt succeeds.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import hashlib
 import math
 import secrets
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -43,17 +47,18 @@ from . import gf
 
 EXPANSION = 1.23          # sparse columns per key-value pair
 ROW_WEIGHT = 3            # omega
-DENSE_COLUMNS = 30        # dense tail width
+DENSE_COLUMNS = 30        # dense tail width, one mask bit per column
 SEED_BYTES = 16
 
-TABLE_WIRE_VERSION = 0x01
+TABLE_WIRE_VERSION = 0x02
 
 # per-key stream layout: 8 candidate words for the sparse indices, then the
-# dense coefficients; extension blocks continue the counter when the 8 words
-# do not yield omega distinct indices (only plausible at tiny table sizes)
+# dense mask word; extension blocks continue the counter when the 8 words do
+# not yield omega distinct indices (only plausible at tiny table sizes)
 _SPARSE_WORDS = 8
-_DENSE_OFFSET = _SPARSE_WORDS * 8
-_BASE_BLOCKS = (_DENSE_OFFSET + DENSE_COLUMNS * 16) // 16  # 34 AES blocks
+_MASK_WORD = _SPARSE_WORDS
+_BASE_BLOCKS = 5          # ceil(9 words * 8 bytes / 16-byte blocks)
+_MAX_DENSE = 64           # the mask is read from one 64-bit word
 
 _U64 = np.dtype("<u8")
 
@@ -71,10 +76,12 @@ class OkvsParams:
     row_seed: bytes
 
     def __post_init__(self):
-        if self.omega < 2:
-            raise ValueError("row weight must be at least 2")
+        if not 2 <= self.omega <= _SPARSE_WORDS:
+            raise ValueError(f"row weight must be 2..{_SPARSE_WORDS}")
         if self.m_sparse < max(self.n, self.omega):
             raise ValueError("sparse region too small for the pair count")
+        if not 0 <= self.m_dense <= _MAX_DENSE:
+            raise ValueError(f"dense region must have 0..{_MAX_DENSE} columns")
         if len(self.row_seed) != SEED_BYTES:
             raise ValueError(f"row seed must be {SEED_BYTES} bytes")
 
@@ -89,21 +96,10 @@ class OkvsParams:
         return cls(n=n, m_sparse=m_sparse, m_dense=m_dense, omega=omega, row_seed=row_seed)
 
 
-class RowSpec(NamedTuple):
-    sparse_indices: tuple[int, ...]  # strictly increasing, omega entries
-    dense_part: tuple[int, ...]      # m_dense field elements
-
-
 @dataclass
 class OkvsTable:
     params: OkvsParams
     values: np.ndarray  # (m, 2) uint64 limbs
-
-    def value(self, i: int) -> int:
-        return gf.vec_get(self.values, i)
-
-    def dense_values(self) -> list[int]:
-        return [self.value(self.params.m_sparse + j) for j in range(self.params.m_dense)]
 
     def to_bytes(self) -> bytes:
         p = self.params
@@ -137,114 +133,58 @@ def _default_rng() -> np.random.Generator:
     return np.random.default_rng(secrets.randbits(128))
 
 
-def _random_element(rng: np.random.Generator) -> int:
-    lo, hi = rng.integers(0, 1 << 64, 2, dtype=np.uint64)
-    return int(lo) | (int(hi) << 64)
-
-
 def _key_digests(keys: Sequence[bytes], seed: bytes) -> bytes:
     return b"".join(hashlib.blake2b(k, key=seed, digest_size=16).digest() for k in keys)
 
 
-def _expand_streams(digests: bytes, seed: bytes, n: int, blocks: int) -> np.ndarray:
-    """AES-ECB counter expansion of per-key digests; returns (n, 16*blocks) uint8."""
+def _expand_streams(digests: bytes, seed: bytes, n: int, blocks: int, first: int = 0) -> np.ndarray:
+    """AES-ECB counter blocks first..first+blocks-1 of each per-key digest; (n, 2*blocks) words."""
     kd = np.frombuffer(digests, dtype=np.uint8).reshape(n, 16)
     blk = np.repeat(kd[:, None, :], blocks, axis=0).reshape(n, blocks, 16).copy()
-    ctr = np.frombuffer(np.arange(blocks, dtype=">u4").tobytes(), dtype=np.uint8).reshape(blocks, 4)
+    ctr = np.frombuffer(np.arange(first, first + blocks, dtype=">u4").tobytes(),
+                        dtype=np.uint8).reshape(blocks, 4)
     blk[:, :, 12:16] ^= ctr[None, :, :]
     enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
     out = enc.update(blk.tobytes()) + enc.finalize()
-    return np.frombuffer(out, dtype=np.uint8).reshape(n, blocks * 16)
+    return np.frombuffer(out, dtype=_U64).reshape(n, 2 * blocks)
 
 
-def _extension_words(digest16: bytes, seed: bytes, start_block: int, count: int) -> list[int]:
-    """Extra 64-bit draws for one key, continuing the block counter."""
-    enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
-    buf = bytearray()
-    for c in range(start_block, start_block + count):
-        blk = bytearray(digest16)
-        blk[12:16] = bytes(a ^ b for a, b in zip(blk[12:16], c.to_bytes(4, "big")))
-        buf += enc.update(bytes(blk))
-    return [int.from_bytes(buf[i : i + 8], "little") for i in range(0, len(buf), 8)]
-
-
-def _pick_indices(words, m_sparse: int, omega: int,
-                  digest16: bytes, seed: bytes) -> tuple[int, ...]:
-    """Scan 64-bit draws, keeping the first omega distinct indices mod m_sparse."""
+def _pick_indices(candidates: list[int], digest16: bytes, params: OkvsParams) -> list[int]:
+    """The first omega distinct candidates, sorted; draws extension blocks when they run out."""
     chosen: list[int] = []
-    for w in words:
-        idx = int(w) % m_sparse
-        if idx not in chosen:
-            chosen.append(idx)
-            if len(chosen) == omega:
-                return tuple(sorted(chosen))
     block = _BASE_BLOCKS
     while True:
-        for w in _extension_words(digest16, seed, block, 1):
-            idx = w % m_sparse
-            if idx not in chosen:
-                chosen.append(idx)
-                if len(chosen) == omega:
-                    return tuple(sorted(chosen))
-        block += 1
-
-
-def row(key: bytes, params: OkvsParams) -> RowSpec:
-    """The deterministic row of one key: sparse positions plus dense coefficients."""
-    digest = hashlib.blake2b(key, key=params.row_seed, digest_size=16).digest()
-    stream = _expand_streams(digest, params.row_seed, 1, _BASE_BLOCKS)[0]
-    words = stream[:_DENSE_OFFSET].copy().view(_U64)
-    sparse = _pick_indices(words, params.m_sparse, params.omega, digest, params.row_seed)
-    dense_bytes = stream[_DENSE_OFFSET : _DENSE_OFFSET + params.m_dense * 16]
-    dense = tuple(
-        int.from_bytes(dense_bytes[16 * j : 16 * j + 16].tobytes(), "little")
-        for j in range(params.m_dense)
-    )
-    return RowSpec(sparse_indices=sparse, dense_part=dense)
-
-
-def row_batch(keys: Sequence[bytes], params: OkvsParams) -> tuple[np.ndarray, np.ndarray]:
-    """Rows for many keys at once: (n, omega) indices and (n, m_dense, 2) limbs.
-
-    Bit-identical to calling `row` per key.
-    """
-    n = len(keys)
-    if n == 0:
-        return np.zeros((0, params.omega), dtype=np.int64), np.zeros((0, params.m_dense, 2), dtype=_U64)
-    digests = _key_digests(keys, params.row_seed)
-    streams = _expand_streams(digests, params.row_seed, n, _BASE_BLOCKS)
-    words = streams[:, :_DENSE_OFFSET].copy().view(_U64)        # (n, 8)
-    mods = words % np.uint64(params.m_sparse)
-    idx = np.empty((n, params.omega), dtype=np.int64)
-    for i in range(n):
-        cand = mods[i]
-        a = int(cand[0])
-        chosen = [a]
-        for t in range(1, _SPARSE_WORDS):
-            c = int(cand[t])
+        for c in candidates:
             if c not in chosen:
                 chosen.append(c)
                 if len(chosen) == params.omega:
-                    break
-        if len(chosen) < params.omega:
-            digest = digests[16 * i : 16 * i + 16]
-            chosen = list(_pick_indices(words[i], params.m_sparse, params.omega,
-                                        digest, params.row_seed))
-            idx[i] = chosen
-        else:
-            idx[i] = sorted(chosen)
-    dense = streams[:, _DENSE_OFFSET : _DENSE_OFFSET + params.m_dense * 16].copy()
-    dense = dense.view(_U64).reshape(n, params.m_dense, 2)
-    return idx, dense
+                    return sorted(chosen)
+        words = _expand_streams(digest16, params.row_seed, 1, 1, first=block)[0]
+        candidates = [w % params.m_sparse for w in words.tolist()]
+        block += 1
 
 
-def _dense_inner_batch(dense_rows: np.ndarray, dense_table: list[int]) -> np.ndarray:
-    """Per-row inner product of dense coefficients with the dense table region."""
-    n = dense_rows.shape[0]
-    acc = gf.vec_zeros(n)
-    for j, tv in enumerate(dense_table):
-        if tv:
-            acc ^= gf.scalar_mul_vec(tv, np.ascontiguousarray(dense_rows[:, j, :]))
+def row_batch(keys: Sequence[bytes], params: OkvsParams) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of many keys: (n, omega) sorted sparse indices and (n,) uint64 dense masks."""
+    n = len(keys)
+    digests = _key_digests(keys, params.row_seed)
+    words = _expand_streams(digests, params.row_seed, n, _BASE_BLOCKS)
+    cands = words[:, :_SPARSE_WORDS] % np.uint64(params.m_sparse)
+    # when the first omega candidates are distinct they are the row; only
+    # the rare clashing keys take the rejection loop
+    idx = np.sort(cands[:, :params.omega].astype(np.int64), axis=1)
+    for i in np.flatnonzero((idx[:, 1:] == idx[:, :-1]).any(axis=1)):
+        idx[i] = _pick_indices(cands[i].tolist(), digests[16 * i : 16 * i + 16], params)
+    masks = words[:, _MASK_WORD] & np.uint64((1 << params.m_dense) - 1)
+    return idx, masks
+
+
+def _dense_xor(masks: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per row, the XOR of the dense cells its mask selects; (n, 2) limbs."""
+    acc = np.zeros((masks.shape[0], 2), dtype=_U64)
+    for j in range(cells.shape[0]):
+        bit = (masks >> np.uint64(j)) & np.uint64(1)
+        acc ^= bit[:, None] * cells[j]
     return acc
 
 
@@ -260,8 +200,8 @@ def encode(pairs: Sequence[tuple[bytes, int]], params: OkvsParams,
     n = len(pairs)
     rhs = [v & gf.MASK128 for _, v in pairs]
 
-    idx, dense_rows = row_batch(keys, params)
-    sparse = [tuple(int(c) for c in idx[i]) for i in range(n)]
+    idx, masks = row_batch(keys, params)
+    sparse = idx.tolist()
 
     # peel degree-1 sparse columns
     col_rows: list[list[int]] = [[] for _ in range(params.m_sparse)]
@@ -284,29 +224,17 @@ def encode(pairs: Sequence[tuple[bytes, int]], params: OkvsParams,
             if degree[c2] == 1:
                 stack.append(c2)
 
+    # uniform fill of every position; the solves overwrite the pivots
+    fill = rng.bytes(params.m * gf.GF_BYTES)
+    values = [int.from_bytes(fill[i : i + gf.GF_BYTES], "little")
+              for i in range(0, len(fill), gf.GF_BYTES)]
+
     core = [r for r in range(n) if alive[r]]
-    values: list[Optional[int]] = [None] * params.m
+    if not _solve_core(core, sparse, masks.tolist(), rhs, params, values):
+        return None
 
-    if core:
-        solved = _solve_core(core, sparse, dense_rows, rhs, params, rng, values)
-        if not solved:
-            return None
-    else:
-        for j in range(params.m_dense):
-            values[params.m_sparse + j] = _random_element(rng)
-
-    # randomize every remaining free position before back-substitution
-    pivot_cols = {c for _, c in peeled}
-    for c in range(params.m_sparse):
-        if values[c] is None and c not in pivot_cols:
-            values[c] = _random_element(rng)
-    for j in range(params.m_dense):
-        if values[params.m_sparse + j] is None:
-            values[params.m_sparse + j] = _random_element(rng)
-
-    dense_table = [values[params.m_sparse + j] for j in range(params.m_dense)]
-    contrib = _dense_inner_batch(dense_rows, dense_table)
-
+    dense = gf.vec_from_ints(values[params.m_sparse:])
+    contrib = _dense_xor(masks, dense)
     for r, c in reversed(peeled):
         acc = rhs[r] ^ gf.vec_get(contrib, r)
         for c2 in sparse[r]:
@@ -314,162 +242,67 @@ def encode(pairs: Sequence[tuple[bytes, int]], params: OkvsParams,
                 acc ^= values[c2]
         values[c] = acc
 
-    assert all(v is not None for v in values)
     return OkvsTable(params=params, values=gf.vec_from_ints(values))
 
 
-def _solve_core(core: list[int], sparse, dense_rows, rhs, params: OkvsParams,
-                rng: np.random.Generator, values: list) -> bool:
-    """Eliminate the unpeeled rows; fills `values` in place.
+def _solve_core(core: list[int], sparse: list[list[int]], masks: list[int], rhs: list[int],
+                params: OkvsParams, values: list[int]) -> bool:
+    """GF(2) elimination of the unpeeled rows; writes their pivots into `values`.
 
-    Core rows are binary over their sparse columns, so elimination pivots
-    there first with whole-row XORs: each row rides in one packed integer
-    (sparse bitmask, then the dense coefficients, then the right-hand side),
-    and reducing a row against a pivot is a single XOR. Rows whose sparse
-    part cancels entirely constrain only the dense columns; that small
-    residual system is solved by field elimination. Near the peeling
-    threshold the core can hold a sizable fraction of all rows, which is why
-    this path avoids per-coefficient field multiplications.
+    Each row rides in one packed integer: a bit per sparse column the core
+    touches, then the m_dense mask bits, then the right-hand side, so
+    reducing a row against a pivot is one XOR. A row whose coefficients
+    cancel is redundant when its right-hand side cancels too and makes the
+    system unsolvable (False) otherwise. Near the peeling threshold the core
+    can hold a sizable fraction of all rows, which is why this path works on
+    whole rows rather than on single coefficients.
     """
-    m_dense = params.m_dense
     core_cols = sorted({c for r in core for c in sparse[r]})
     col_pos = {c: i for i, c in enumerate(core_cols)}
     s = len(core_cols)
-    dense_shift = s
-    rhs_shift = s + 128 * m_dense
-    sparse_region = (1 << s) - 1
-    dense_region = (1 << (128 * m_dense)) - 1
-
-    packed = []
-    for r in core:
-        mask = 0
-        for c in sparse[r]:
-            mask |= 1 << col_pos[c]
-        dense_int = int.from_bytes(np.ascontiguousarray(dense_rows[r]).tobytes(), "little")
-        packed.append(mask | (dense_int << dense_shift) | (rhs[r] << rhs_shift))
+    rhs_shift = s + params.m_dense
+    coef_region = (1 << rhs_shift) - 1
+    cells = core_cols + list(range(params.m_sparse, params.m))
 
     # lowest-set-bit pivoting: a settled pivot row has its pivot as lowest
-    # bit, so every other sparse bit it carries refers to a higher position
+    # bit, so every other coefficient bit it carries refers to a higher position
     pivot_row: dict[int, int] = {}
-    residual: list[int] = []
-    for row in packed:
+    for r in core:
+        row = (rhs[r] << rhs_shift) | (masks[r] << s)
+        for c in sparse[r]:
+            row |= 1 << col_pos[c]
         while True:
-            mask = row & sparse_region
-            if not mask:
-                residual.append(row)
+            coef = row & coef_region
+            if not coef:
+                if row:
+                    return False
                 break
-            p = (mask & -mask).bit_length() - 1
+            p = (coef & -coef).bit_length() - 1
             other = pivot_row.get(p)
             if other is None:
                 pivot_row[p] = row
                 break
             row ^= other
 
-    dense_sol = _solve_dense_residual(residual, m_dense, dense_shift, rhs_shift, rng)
-    if dense_sol is None:
-        return False
-    for j in range(m_dense):
-        values[params.m_sparse + j] = dense_sol[j]
-
-    sol: list[Optional[int]] = [None] * s
-    for pos in range(s):
-        if pos not in pivot_row:
-            sol[pos] = _random_element(rng)
-
-    pivots_desc = sorted(pivot_row)
-    k = len(pivots_desc)
-    if k:
-        coeffs = np.empty((k, m_dense, 2), dtype=_U64)
-        for i, p in enumerate(pivots_desc):
-            dense_int = (pivot_row[p] >> dense_shift) & dense_region
-            coeffs[i] = np.frombuffer(dense_int.to_bytes(16 * m_dense, "little"),
-                                      dtype=_U64).reshape(m_dense, 2)
-        contrib = _dense_inner_batch(coeffs, dense_sol)
-        # highest pivot first: every non-pivot sparse bit of a row points at
-        # a higher position, already resolved by then
-        for i in range(k - 1, -1, -1):
-            p = pivots_desc[i]
-            acc = (pivot_row[p] >> rhs_shift) ^ gf.vec_get(contrib, i)
-            mask = (pivot_row[p] & sparse_region) ^ (1 << p)
-            while mask:
-                q = (mask & -mask).bit_length() - 1
-                acc ^= sol[q]
-                mask &= mask - 1
-            sol[p] = acc
-
-    for c, pos in col_pos.items():
-        values[c] = sol[pos]
+    # highest pivot first: every other position of a row is then resolved,
+    # either a pivot already assigned or a free position keeping its fill
+    for p in sorted(pivot_row, reverse=True):
+        row = pivot_row[p]
+        acc = row >> rhs_shift
+        coef = row & coef_region & ~(1 << p)
+        while coef:
+            q = (coef & -coef).bit_length() - 1
+            acc ^= values[cells[q]]
+            coef &= coef - 1
+        values[cells[p]] = acc
     return True
 
 
-def _solve_dense_residual(residual: list[int], m_dense: int, dense_shift: int,
-                          rhs_shift: int, rng: np.random.Generator) -> Optional[list[int]]:
-    """Field elimination of the rows that constrain only the dense columns."""
-    mask128 = gf.MASK128
-    pivots: dict[int, tuple[list[int], int]] = {}
-    for row in residual:
-        coeffs = [(row >> (dense_shift + 128 * j)) & mask128 for j in range(m_dense)]
-        b = row >> rhs_shift
-        for pc, (prow, pb) in pivots.items():
-            f = coeffs[pc]
-            if f:
-                for t in range(m_dense):
-                    if prow[t]:
-                        coeffs[t] ^= gf.mul(f, prow[t])
-                b ^= gf.mul(f, pb)
-        pc = next((t for t in range(m_dense) if coeffs[t]), None)
-        if pc is None:
-            if b != 0:
-                return None  # inconsistent: encoding failure
-            continue
-        f = gf.inv(coeffs[pc])
-        coeffs = [gf.mul(f, x) for x in coeffs]
-        b = gf.mul(f, b)
-        for opc, (prow, pb) in list(pivots.items()):
-            g = prow[pc]
-            if g:
-                for t in range(m_dense):
-                    if coeffs[t]:
-                        prow[t] ^= gf.mul(g, coeffs[t])
-                pivots[opc] = (prow, pb ^ gf.mul(g, b))
-        pivots[pc] = (coeffs, b)
-
-    sol: list[Optional[int]] = [None] * m_dense
-    for t in range(m_dense):
-        if t not in pivots:
-            sol[t] = _random_element(rng)
-    for pc, (prow, pb) in pivots.items():
-        acc = pb
-        for t in range(m_dense):
-            if t != pc and prow[t]:
-                acc ^= gf.mul(prow[t], sol[t])
-        sol[pc] = acc
-    return sol
-
-
-def decode(table: OkvsTable, key: bytes) -> int:
-    """Inner product of a key's row with the table; defined for any key."""
-    spec = row(key, table.params)
-    acc = 0
-    for c in spec.sparse_indices:
-        acc ^= table.value(c)
-    for j, coef in enumerate(spec.dense_part):
-        if coef:
-            acc ^= gf.mul(coef, table.value(table.params.m_sparse + j))
-    return acc
-
-
 def decode_batch(table: OkvsTable, keys: Sequence[bytes]) -> np.ndarray:
-    """Decode many keys at once; returns (n, 2) limbs, matching `decode` per key."""
-    idx, dense_rows = row_batch(keys, table.params)
-    if len(keys) == 0:
-        return gf.vec_zeros(0)
-    gathered = table.values[idx]  # (n, omega, 2)
-    acc = gathered[:, 0, :].copy()
-    for t in range(1, table.params.omega):
-        acc ^= gathered[:, t, :]
-    acc ^= _dense_inner_batch(dense_rows, table.dense_values())
-    return acc
+    """The XOR of the cells each key's row selects, (n, 2) limbs; defined for any key."""
+    idx, masks = row_batch(keys, table.params)
+    acc = np.bitwise_xor.reduce(table.values[idx], axis=1)
+    return acc ^ _dense_xor(masks, table.values[table.params.m_sparse:])
 
 
 def derived_seed(base_seed: bytes, attempt: int) -> bytes:

@@ -96,15 +96,9 @@ def opprf_program(points: Sequence[tuple[bytes, bytes]], session: bytes, oprf_ke
     return OpprfHint(okvs_table=table, oprf_session=session)
 
 
-def opprf_query(hint: OpprfHint, q: bytes, session: bytes, evaluation: bytes) -> bytes:
-    """Receiver side: combine the hint with the dealer's OPRF evaluation of q."""
-    if session != hint.oprf_session:
-        raise ValueError("hint belongs to a different OPRF session")
-    return gf.xor_bytes(gf.field_to_xor(okvs.decode(hint.okvs_table, q)), evaluation)
-
-
 def opprf_query_batch(hint: OpprfHint, queries: Sequence[bytes], session: bytes,
                       evaluations: Sequence[bytes]) -> list[bytes]:
+    """Receiver side: combine the hint with the dealer's OPRF evaluation of each query."""
     if session != hint.oprf_session:
         raise ValueError("hint belongs to a different OPRF session")
     if len(queries) != len(evaluations):

@@ -299,9 +299,10 @@ class PsinEngine:
         try:
             table = okvs.OkvsTable.from_bytes(payload)
         except ValueError as exc:
-            raise ProtocolError(f"bad share table: {exc}") from exc
-        if table.params.n != cfg.n_l:
-            raise ProtocolError("share table sized for a different set")
+            return self._abort_all(f"undecodable share table from party {src}: {exc}")
+        params = table.params
+        if params != okvs.OkvsParams.for_size(cfg.n_l, params.row_seed):
+            return self._abort_all(f"share table from party {src} has the wrong parameters")
         self._share_tables[src] = table
         return self._advance()
 
@@ -349,9 +350,12 @@ class PsinEngine:
         try:
             hint = opprf.OpprfHint.from_bytes(payload)
         except ValueError as exc:
-            raise ProtocolError(f"bad hint: {exc}") from exc
+            return self._abort_all(f"undecodable hint from party {src}: {exc}")
+        params = hint.okvs_table.params
+        if params != okvs.OkvsParams.for_size(cfg.n_l, params.row_seed):
+            return self._abort_all(f"hint from party {src} has the wrong parameters")
         if hint.oprf_session != oprf_session_id(cfg.session_id, src):
-            raise ProtocolError("hint bound to the wrong OPRF session")
+            return self._abort_all(f"hint from party {src} is bound to the wrong OPRF session")
         self._hints[src] = hint
         return self._advance()
 

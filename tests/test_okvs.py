@@ -27,65 +27,89 @@ def test_params_shape():
     assert p.m == 1260
     with pytest.raises(ValueError):
         okvs.OkvsParams(n=10, m_sparse=5, m_dense=30, omega=3, row_seed=b"\x00" * 16)
+    # the dense mask is one 64-bit stream word, the sparse candidates are eight
+    for m_dense, omega in ((65, 3), (30, 9)):
+        with pytest.raises(ValueError):
+            okvs.OkvsParams(n=10, m_sparse=13, m_dense=m_dense, omega=omega, row_seed=b"\x00" * 16)
 
 
 def test_row_determinism_and_weight():
     p = _params(500)
-    for i in range(50):
-        key = bytes([i]) * 8
-        r1, r2 = okvs.row(key, p), okvs.row(key, p)
-        assert r1 == r2
-        assert len(r1.sparse_indices) == 3
-        assert len(set(r1.sparse_indices)) == 3
-        assert list(r1.sparse_indices) == sorted(r1.sparse_indices)
-        assert all(0 <= c < p.m_sparse for c in r1.sparse_indices)
-        assert len(r1.dense_part) == p.m_dense
+    keys = [bytes([i]) * 8 for i in range(50)]
+    idx, masks = okvs.row_batch(keys, p)
+    idx2, masks2 = okvs.row_batch(keys, p)
+    assert (idx == idx2).all() and (masks == masks2).all()
+    assert idx.shape == (50, 3) and masks.shape == (50,)
+    for row in idx.tolist():
+        assert len(set(row)) == 3
+        assert row == sorted(row)
+        assert all(0 <= c < p.m_sparse for c in row)
+
+
+def test_row_mask_below_2_pow_m_dense():
+    rng = random.Random(1)
+    keys = [rng.randbytes(9) for _ in range(2000)]
+    _, masks = okvs.row_batch(keys, _params(64))
+    assert masks.dtype == np.uint64
+    assert int(masks.max()) < 1 << 30
+    # every dense column is used and none is stuck: each bit is set about half the time
+    bits = (masks[:, None] >> np.arange(30, dtype=np.uint64)) & np.uint64(1)
+    share = bits.mean(axis=0)
+    assert share.min() > 0.4 and share.max() < 0.6
+    narrow = okvs.OkvsParams(n=64, m_sparse=79, m_dense=5, omega=3, row_seed=b"\x07" * 16)
+    _, narrow_masks = okvs.row_batch(keys, narrow)
+    assert (narrow_masks == masks & np.uint64(0b11111)).all()
 
 
 def test_row_distinct_keys_distinct_rows():
     p = _params(4096)
     rng = random.Random(0)
-    rows = set()
-    for _ in range(10_000):
-        spec = okvs.row(rng.randbytes(10), p)
-        rows.add((spec.sparse_indices, spec.dense_part[:2]))
+    idx, masks = okvs.row_batch([rng.randbytes(10) for _ in range(10_000)], p)
+    rows = {(tuple(r), m) for r, m in zip(idx.tolist(), masks.tolist())}
     assert len(rows) == 10_000
 
 
 def test_row_seed_changes_rows():
-    a = okvs.row(b"key", _params(100, b"\x01" * 16))
-    b = okvs.row(b"key", _params(100, b"\x02" * 16))
-    assert a != b
+    a_idx, a_mask = okvs.row_batch([b"key"], _params(100, b"\x01" * 16))
+    b_idx, b_mask = okvs.row_batch([b"key"], _params(100, b"\x02" * 16))
+    assert a_idx.tolist() != b_idx.tolist() or a_mask.tolist() != b_mask.tolist()
+
+
+def _rows_one_key_at_a_time(keys, p):
+    rows = [okvs.row_batch([k], p) for k in keys]
+    return [r[0].tolist() for r, _ in rows], [int(m[0]) for _, m in rows]
 
 
 def test_row_batch_matches_scalar():
+    # a key's row does not depend on the other keys of its batch
     p = _params(64)
     rng = random.Random(1)
     keys = [rng.randbytes(9) for _ in range(200)]
-    idx, dense = okvs.row_batch(keys, p)
-    for i, k in enumerate(keys):
-        spec = okvs.row(k, p)
-        assert tuple(int(c) for c in idx[i]) == spec.sparse_indices
-        got = tuple(int(dense[i, j, 0]) | (int(dense[i, j, 1]) << 64) for j in range(p.m_dense))
-        assert got == spec.dense_part
+    idx, masks = okvs.row_batch(keys, p)
+    assert (idx.tolist(), masks.tolist()) == _rows_one_key_at_a_time(keys, p)
 
 
 def test_row_batch_matches_scalar_tiny_table():
-    # m_sparse this small forces the distinct-index rejection loop to recurse
-    # into extension blocks for some keys
+    # m_sparse this small leaves some keys with fewer than omega distinct
+    # indices among their eight candidate words, so their rows continue into
+    # extension blocks; those rows are patched in by position in the batch
     p = okvs.OkvsParams(n=3, m_sparse=4, m_dense=30, omega=3, row_seed=b"\x05" * 16)
     rng = random.Random(2)
     keys = [rng.randbytes(6) for _ in range(300)]
-    idx, _ = okvs.row_batch(keys, p)
-    for i, k in enumerate(keys):
-        assert tuple(int(c) for c in idx[i]) == okvs.row(k, p).sparse_indices
+    idx, masks = okvs.row_batch(keys, p)
+    for row in idx.tolist():
+        assert len(set(row)) == 3 and row == sorted(row) and max(row) < 4
+    digests = okvs._key_digests(keys, p.row_seed)
+    words = okvs._expand_streams(digests, p.row_seed, len(keys), okvs._BASE_BLOCKS)
+    assert any(len(set((words[i, :8] % np.uint64(4)).tolist())) < 3 for i in range(len(keys)))
+    assert (idx.tolist(), masks.tolist()) == _rows_one_key_at_a_time(keys, p)
 
 
 def test_single_pair_roundtrip():
     rng = random.Random(3)
     table = okvs.encode([(b"only", 12345)], _params(1), rng=np.random.default_rng(0))
     assert table is not None
-    assert okvs.decode(table, b"only") == 12345
+    assert gf.vec_get(okvs.decode_batch(table, [b"only"]), 0) == 12345
 
 
 @pytest.mark.parametrize("n", [16, 256, 1024, 4096])
@@ -106,7 +130,7 @@ def test_decode_batch_matches_scalar():
     probes = [k for k, _ in pairs[:10]] + [rng.randbytes(12) for _ in range(10)]
     batch = okvs.decode_batch(table, probes)
     for i, k in enumerate(probes):
-        assert gf.vec_get(batch, i) == okvs.decode(table, k)
+        assert (batch[i] == okvs.decode_batch(table, [k])[0]).all()
 
 
 def test_duplicate_keys_rejected():
@@ -125,11 +149,25 @@ def test_linearity_and_scalar_identities():
     xored = okvs.OkvsTable(params=p, values=t1.values ^ t2.values)
     delta = rng.getrandbits(128)
     scaled = okvs.OkvsTable(params=p, values=gf.scalar_mul_vec(delta, t1.values))
-    for _ in range(200):
-        k = rng.randbytes(12)
-        d1, d2 = okvs.decode(t1, k), okvs.decode(t2, k)
-        assert okvs.decode(xored, k) == d1 ^ d2
-        assert okvs.decode(scaled, k) == gf.mul(delta, d1)
+    probes = [rng.randbytes(12) for _ in range(200)]
+    d1, d2 = okvs.decode_batch(t1, probes), okvs.decode_batch(t2, probes)
+    assert (okvs.decode_batch(xored, probes) == d1 ^ d2).all()
+    ds = okvs.decode_batch(scaled, probes)
+    for i in range(len(probes)):
+        assert gf.vec_get(ds, i) == gf.mul(delta, gf.vec_get(d1, i))
+
+
+def test_encode_and_decode_use_no_field_multiplication(monkeypatch):
+    # rows are binary, so both directions are XORs of table cells
+    def refuse(*args):
+        raise AssertionError("field multiplication in the OKVS")
+
+    monkeypatch.setattr(gf, "mul", refuse)
+    monkeypatch.setattr(gf, "scalar_mul_vec", refuse)
+    pairs = _pairs(512, random.Random(11))
+    table = okvs.encode(pairs, _params(512), rng=np.random.default_rng(11))
+    decoded = okvs.decode_batch(table, [k for k, _ in pairs])
+    assert [gf.vec_get(decoded, i) for i in range(512)] == [v for _, v in pairs]
 
 
 def test_unknown_key_decodes_do_not_repeat():
@@ -140,7 +178,7 @@ def test_unknown_key_decodes_do_not_repeat():
     for i in range(1000):
         pairs = _pairs(8, rng)
         table = okvs.encode(pairs, _params(8, rng.randbytes(16)), rng=np.random.default_rng(i))
-        seen.add(okvs.decode(table, b"never-encoded"))
+        seen.add(gf.vec_get(okvs.decode_batch(table, [b"never-encoded"]), 0))
     assert len(seen) == 1000
 
 
@@ -169,14 +207,15 @@ def test_table_wire_roundtrip():
     rng = random.Random(9)
     table = okvs.encode(_pairs(20, rng), _params(20), rng=np.random.default_rng(9))
     raw = table.to_bytes()
-    assert raw[0] == 0x01
+    assert raw[0] == 0x02
     assert int.from_bytes(raw[1:5], "big") == 20
     assert len(raw) == 28 + table.params.m * 16
     back = okvs.OkvsTable.from_bytes(raw)
     assert back.params == table.params
     assert back.values.tolist() == table.values.tolist()
-    for k, v in _pairs(20, random.Random(9)):
-        assert okvs.decode(back, k) == v
+    pairs = _pairs(20, random.Random(9))
+    decoded = okvs.decode_batch(back, [k for k, _ in pairs])
+    assert [gf.vec_get(decoded, i) for i in range(20)] == [v for _, v in pairs]
 
 
 def test_obliviousness_bit_bias_proxy():

@@ -81,9 +81,11 @@ def test_masking_identity_white_box():
     assert er.intersection == set(x) & set(y)
     c_table = okvs.OkvsTable(params=er._table.params, values=er._recv_corr.c_vec)
     delta = es._send_corr.delta
-    for el in set(x) & set(y):
-        lhs = okvs.decode(es.bprime_table, el) ^ gf.mul(delta, psi2.hash_to_mask(el))
-        assert lhs == okvs.decode(c_table, el)
+    common = sorted(set(x) & set(y))
+    bprime, c = okvs.decode_batch(es.bprime_table, common), okvs.decode_batch(c_table, common)
+    for i, el in enumerate(common):
+        lhs = gf.vec_get(bprime, i) ^ gf.mul(delta, psi2.hash_to_mask(el))
+        assert lhs == gf.vec_get(c, i)
 
 
 def _build(x, y, session, roots, seed, dealer_cls=harness.DealerService):
@@ -330,6 +332,40 @@ def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault, party):
     honest = engines[3 - party]
     assert honest.aborted and honest.intersection is None
     assert "leaf vector" in honest.abort_reason
+
+
+@dataclasses.dataclass
+class ReplayedLeafVector:
+    """Replaces one party's outgoing leaf vector with the honest one of its committed set."""
+    party: int
+    committed: list
+    session: bytes
+
+    def envelope(self, env):
+        if env.msg_type != psi2.MSG_ROOT_PROOFS:
+            return env
+        leaves = merkle.leaf_hashes(self.committed, self.session)
+        return transport.Envelope(env.session_id, env.msg_type, psi2.encode_root_proofs(leaves))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the gate checks the leaf vector, not the inputs the PSI runs on: "
+                          "a replayed honest vector passes (ROADMAP item 2)")
+def test_gate_binds_inputs_actually_used():
+    # the sender commits to Y and ships Y's honest leaf vector, then runs the
+    # PSI on Y' of the same size, half of it taken from the receiver's set
+    x, y = _sets(32, 32, 4, seed=19)
+    session = b"\x2b" * 16
+    roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
+    y_used = [e for e in y if e not in x][:16] + x[:16]
+    engines, dealer, net = _build(x, y_used, session, roots, seed=19)
+    engines[2].config.skip_self_check = True
+    handlers = {0: dealer.handle,
+                1: lambda s, e: engines[1].handle(s, e),
+                2: lambda s, e: engines[2].handle(s, e)}
+    harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)],
+                  ReplayedLeafVector(2, y, session))
+    assert engines[1].aborted and engines[1].intersection is None
 
 
 def test_leaf_vector_is_32_bytes_per_element():

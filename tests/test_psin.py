@@ -1,11 +1,12 @@
 """Multi-party engine: correctness across (n, t), aborts, cancellation algebra."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from authpsi import gf, harness, merkle, psin, transport, zeroshare
+from authpsi import gf, harness, merkle, okvs, psin, transport, zeroshare
 from authpsi.errors import ConfigError
 from test_psi2 import LEAF_VECTOR_FAULTS, LeafVectorFault
 
@@ -115,6 +116,64 @@ def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault):
         assert engines[i].aborted and engines[i].abort_reason, i
         assert engines[i].intersection is None
     assert any("leaf vector" in engines[i].abort_reason for i in (1, 3, 4))
+
+
+def _malformed_table(raw, fault):
+    """Rewrite an OKVS table encoding: header is version, n, m_sparse, m_dense, omega, seed."""
+    if fault == "truncated":
+        return raw[:-1]
+    if fault == "wrong-m-dense":  # one dense column more, body extended to match
+        return raw[:9] + (okvs.DENSE_COLUMNS + 1).to_bytes(2, "big") + raw[11:] + bytes(16)
+    n = int.from_bytes(raw[1:5], "big")
+    return raw[:1] + (n + 1).to_bytes(4, "big") + raw[5:]
+
+
+@dataclasses.dataclass
+class TableFault:
+    """Rewrites one party's outgoing share table or hint: its OKVS table, or the hint's OPRF session."""
+    party: int
+    msg_type: int
+    fault: str
+
+    def envelope(self, env):
+        if env.msg_type != self.msg_type:
+            return env
+        head = 16 if self.msg_type == psin.MSG_OPPRF_HINT else 0  # the hint's OPRF session id
+        if self.fault == "wrong-oprf-session":
+            payload = bytes(head) + env.payload[head:]
+        else:
+            payload = env.payload[:head] + _malformed_table(env.payload[head:], self.fault)
+        return transport.Envelope(env.session_id, env.msg_type, payload)
+
+
+@pytest.mark.parametrize("fault", ["truncated", "wrong-m-dense", "wrong-n"])
+@pytest.mark.parametrize("msg_type", [psin.MSG_SHARE_TABLE, psin.MSG_OPPRF_HINT],
+                         ids=["0x13", "0x14"])
+def test_malformed_table_aborts_cleanly(msg_type, fault):
+    # (3,1): P_1 sends the share table to the coordinator P_2, which sends the hint to P_3
+    sets, _ = _party_sets(3, 12, 4, seed=13)
+    session = b"\x06" * 16
+    roots = {i + 1: merkle.root(sets[i], session) for i in range(3)}
+    sender = 1 if msg_type == psin.MSG_SHARE_TABLE else 2
+    engines = _run_engines(sets, t=1, session=session, roots=roots, seed=13,
+                           tamper=TableFault(sender, msg_type, fault))  # no escaped error
+    for i in (1, 2, 3):
+        if i != sender:
+            assert engines[i].aborted and engines[i].abort_reason, i
+            assert engines[i].intersection is None
+    assert any(kind in engines[i].abort_reason for i in (1, 2, 3) if i != sender
+               for kind in ("share table", "hint"))
+
+
+def test_hint_for_another_oprf_session_aborts_cleanly():
+    sets, _ = _party_sets(3, 12, 4, seed=14)
+    session = b"\x07" * 16
+    roots = {i + 1: merkle.root(sets[i], session) for i in range(3)}
+    engines = _run_engines(sets, t=1, session=session, roots=roots, seed=14,
+                           tamper=TableFault(2, psin.MSG_OPPRF_HINT, "wrong-oprf-session"))
+    for i in (1, 3):
+        assert engines[i].aborted and engines[i].intersection is None, i
+    assert "OPRF session" in engines[3].abort_reason
 
 
 def test_leaf_vector_is_32_bytes_per_element():
