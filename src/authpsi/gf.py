@@ -1,4 +1,4 @@
-"""Arithmetic in GF(2^128) plus the fixed-width XOR value types used by the protocols.
+"""Arithmetic in GF(2^128).
 
 Field elements are plain Python ints in [0, 2^128), interpreted as polynomials
 over GF(2) with bit 0 as the constant term. Addition is XOR; multiplication is
@@ -6,8 +6,9 @@ a carry-less product reduced modulo x^128 + x^7 + x^2 + x + 1. Serialization
 is 16 bytes little-endian, so byte 0 holds bits 0..7.
 
 OKVS payloads (128-bit mask values) are field elements as they stand. The
-64-bit XOR values (PRF outputs and per-element shares) ride on top, carried
-as 8-byte strings and embedded into field elements by zero-padding.
+64-bit XOR values of the multi-party path (PRF outputs and per-element
+shares) are not field elements: `zeroshare` carries them as uint64 arrays,
+and an OKVS holding them uses the low limb of each cell.
 
 The batch helpers at the bottom operate on numpy arrays of shape (n, 2) with
 dtype '<u8' (limb 0 = bits 0..63). `scalar_mul_vec` exists because the VOLE
@@ -24,10 +25,6 @@ import numpy as np
 GF_BITS = 128
 GF_BYTES = 16
 MASK128 = (1 << 128) - 1
-
-# width of XOR-group values (PRF outputs, shares)
-XOR_BYTES = 8
-XOR_ZERO = bytes(XOR_BYTES)
 
 ZERO = 0
 ONE = 1
@@ -72,23 +69,6 @@ def from_bytes(raw: bytes) -> int:
     if len(raw) != GF_BYTES:
         raise ValueError(f"field element must be {GF_BYTES} bytes, got {len(raw)}")
     return int.from_bytes(raw, "little")
-
-
-# ---------------------------------------------------------------------------
-# 64-bit XOR values
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
-    if len(a) != len(b):
-        raise ValueError("xor of unequal lengths")
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
-def xor_to_field(v: bytes) -> int:
-    """Embed an 8-byte XOR value into a field element (low 64 bits)."""
-    if len(v) != XOR_BYTES:
-        raise ValueError(f"xor value must be {XOR_BYTES} bytes, got {len(v)}")
-    return int.from_bytes(v, "little")
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,24 @@ is an oblivious encoding of masked values and reveals nothing useful.
 
 The OPRF itself is an ideal functionality held by the dealer (sender gets the
 key, receiver gets evaluations); the interface leaves room for a real OPRF
-protocol behind it. Values are 64-bit XOR strings, zero-embedded into the
-OKVS field.
+protocol behind it. The ideal OPRF is the zero-sharing PRF under the
+session key, so one dealer request is evaluated in one batched AES pass.
+
+Values are 64-bit XOR values in uint64 arrays over a whole batch of points
+or queries: the sender's masked values go into the low limb of OKVS cells,
+the receiver reads the low limb of each decode, and evaluation responses
+carry the array as 8 little-endian bytes per query.
 """
 
 from __future__ import annotations
 
-import hashlib
 import secrets
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import gf, okvs
+from . import okvs, zeroshare
 from .errors import ProtocolError
 
 KEY_BYTES = 16
@@ -55,9 +59,9 @@ class OpprfHint:
                    okvs_table=okvs.OkvsTable.from_bytes(raw[SESSION_ID_BYTES:]))
 
 
-def oprf_eval(key: bytes, q: bytes) -> bytes:
-    """The ideal OPRF: keyed PRF with 64-bit output."""
-    return hashlib.blake2b(q, key=key, digest_size=gf.XOR_BYTES).digest()
+def oprf_eval(key: bytes, queries: Sequence[bytes]) -> np.ndarray:
+    """The ideal OPRF: the zero-sharing PRF under one key; (len(queries),) uint64."""
+    return zeroshare.prf([key], queries)
 
 
 class OprfDealer:
@@ -74,21 +78,21 @@ class OprfDealer:
             self._keys[session] = k
         return k
 
-    def evaluate(self, session: bytes, queries: Sequence[bytes]) -> list[bytes]:
-        k = self.key(session)
-        return [oprf_eval(k, q) for q in queries]
+    def evaluate(self, session: bytes, queries: Sequence[bytes]) -> np.ndarray:
+        return oprf_eval(self.key(session), queries)
 
 
-def opprf_program(points: Sequence[tuple[bytes, bytes]], session: bytes, oprf_key: bytes,
+def opprf_program(xs: Sequence[bytes], ys: np.ndarray, session: bytes, oprf_key: bytes,
                   rng: Optional[np.random.Generator] = None,
                   row_seed: Optional[bytes] = None) -> OpprfHint:
-    """Sender side: build the hint for a programmed point set."""
-    xs = [x for x, _ in points]
+    """Sender side: build the hint programming each xs[i] to the uint64 value ys[i]."""
+    if len(xs) != len(ys):
+        raise ValueError("one programmed value per point required")
     if len(set(xs)) != len(xs):
         raise okvs.DuplicateKeyError("programmed points contain duplicate keys")
-    masked = [(x, gf.xor_to_field(gf.xor_bytes(y, oprf_eval(oprf_key, x)))) for x, y in points]
+    masked = list(zip(xs, (ys ^ oprf_eval(oprf_key, xs)).tolist()))
     seed = row_seed if row_seed is not None else secrets.token_bytes(okvs.SEED_BYTES)
-    params = okvs.OkvsParams.for_size(len(points), seed)
+    params = okvs.OkvsParams.for_size(len(xs), seed)
     result = okvs.encode_with_retry(masked, params, MAX_ENCODE_ATTEMPTS, rng=rng)
     if result is None:
         raise ProtocolError("hint encoding failed after retries")
@@ -97,16 +101,13 @@ def opprf_program(points: Sequence[tuple[bytes, bytes]], session: bytes, oprf_ke
 
 
 def opprf_query_batch(hint: OpprfHint, queries: Sequence[bytes], session: bytes,
-                      evaluations: Sequence[bytes]) -> list[bytes]:
+                      evaluations: np.ndarray) -> np.ndarray:
     """Receiver side: combine the hint with the dealer's OPRF evaluation of each query."""
     if session != hint.oprf_session:
         raise ValueError("hint belongs to a different OPRF session")
     if len(queries) != len(evaluations):
         raise ValueError("one evaluation per query required")
-    decoded = okvs.decode_batch(hint.okvs_table, queries)
-    low = decoded[:, 0]
-    return [gf.xor_bytes(int(low[i]).to_bytes(gf.XOR_BYTES, "little"), evaluations[i])
-            for i in range(len(queries))]
+    return okvs.decode_batch(hint.okvs_table, queries)[:, 0] ^ evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +130,9 @@ def encode_eval_request(session: bytes, queries: Sequence[bytes]) -> bytes:
     return bytes(out)
 
 
-def encode_eval_response(session: bytes, values: Sequence[bytes]) -> bytes:
-    out = bytearray([OPRF_EVAL_RESPONSE])
-    out += session
-    out += len(values).to_bytes(4, "big")
-    for v in values:
-        out += v
-    return bytes(out)
+def encode_eval_response(session: bytes, values: np.ndarray) -> bytes:
+    return (bytes([OPRF_EVAL_RESPONSE]) + session + len(values).to_bytes(4, "big")
+            + values.astype(zeroshare.VALUE_DTYPE, copy=False).tobytes())
 
 
 def decode_dealer_payload(raw: bytes):
@@ -153,11 +150,17 @@ def decode_dealer_payload(raw: bytes):
         return subtype, session, body
     if subtype == OPRF_EVAL_REQUEST:
         count = int.from_bytes(body[:4], "big")
+        # every query costs at least its 4-byte length prefix, so a claimed
+        # count is checked against the body before anything loops over it
+        if len(body) < 4 + 4 * count:
+            raise ProtocolError("OPRF query count exceeds the payload")
         queries = []
         pos = 4
         for _ in range(count):
             qlen = int.from_bytes(body[pos : pos + 4], "big")
             pos += 4
+            if qlen > len(body) - pos:
+                raise ProtocolError("OPRF query length exceeds the payload")
             queries.append(body[pos : pos + qlen])
             pos += qlen
         if pos != len(body):
@@ -165,8 +168,7 @@ def decode_dealer_payload(raw: bytes):
         return subtype, session, queries
     if subtype == OPRF_EVAL_RESPONSE:
         count = int.from_bytes(body[:4], "big")
-        if len(body) != 4 + count * gf.XOR_BYTES:
+        if len(body) != 4 + count * zeroshare.VALUE_DTYPE.itemsize:
             raise ProtocolError("bad OPRF evaluation payload length")
-        values = [body[4 + i * gf.XOR_BYTES : 4 + (i + 1) * gf.XOR_BYTES] for i in range(count)]
-        return subtype, session, values
+        return subtype, session, np.frombuffer(body, dtype=zeroshare.VALUE_DTYPE, offset=4)
     raise ProtocolError(f"unknown OPRF dealer subtype {subtype:#x}")

@@ -24,6 +24,10 @@ learns the intersection.
   cancel, so the test reduces to zero; any missing holder leaves an unpaired
   pseudorandom term.
 
+Every 64-bit XOR value (table values, aggregates, shares, hint points and
+the final comparison) is a uint64 array over the party's input set, so each
+step above is a handful of whole-array XORs and batched PRF calls.
+
 Only P_n terminates with output; everyone else ends with none.
 """
 
@@ -37,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import gf, merkle, okvs, opprf, zeroshare
+from . import merkle, okvs, opprf, zeroshare
 from .errors import ConfigError, ProtocolError
 from .psi2 import check_peer_commitment, decode_root_proofs, encode_root_proofs
 
@@ -157,7 +161,7 @@ class PsinEngine:
         self._hint_sent = False
         # P_n side
         self._hints: dict[int, opprf.OpprfHint] = {}
-        self._evals: dict[int, list[bytes]] = {}
+        self._evals: dict[int, np.ndarray] = {}
         self._eval_requested: set[int] = set()
 
     # -- helpers -------------------------------------------------------------
@@ -204,12 +208,8 @@ class PsinEngine:
                 key = self.rng.bytes(zeroshare.SEED_BYTES)
                 self._own_groupb_keys[j] = key
                 out.append((j, self._env(MSG_GROUP_KEY, encode_indexed_key(i, j, key))))
-            pairs = []
-            for x in cfg.input_set:
-                acc = gf.XOR_ZERO
-                for j in cfg.group_b:
-                    acc = gf.xor_bytes(acc, zeroshare.prf(self._own_groupb_keys[j], x))
-                pairs.append((x, gf.xor_to_field(acc)))
+            values = zeroshare.prf([self._own_groupb_keys[j] for j in cfg.group_b], cfg.input_set)
+            pairs = list(zip(cfg.input_set, values.tolist()))
             params = okvs.OkvsParams.for_size(cfg.n_l, self.rng.bytes(okvs.SEED_BYTES))
             result = okvs.encode_with_retry(pairs, params, MAX_ENCODE_ATTEMPTS, rng=self.rng)
             if result is None:
@@ -282,11 +282,14 @@ class PsinEngine:
 
     def _on_group_key(self, src: int, payload: bytes) -> list:
         cfg = self.config
-        i, j, key = decode_indexed_key(payload)
+        try:
+            i, j, key = decode_indexed_key(payload)
+        except ProtocolError:
+            return self._abort_all(f"undecodable group key from party {src}")
         if src != i or j != cfg.party_index or src not in cfg.group_a or cfg.party_index not in cfg.group_b:
-            raise ProtocolError("group key with inconsistent endpoints")
+            return self._abort_all(f"group key from party {src} has inconsistent endpoints")
         if i in self.groupa_keys:
-            raise ProtocolError(f"duplicate group key from party {i}")
+            return self._abort_all(f"duplicate group key from party {i}")
         self.groupa_keys[i] = key
         return self._advance()
 
@@ -308,13 +311,16 @@ class PsinEngine:
 
     def _on_zs_seed(self, src: int, payload: bytes) -> list:
         cfg = self.config
-        i, j, seed = decode_indexed_key(payload)
+        try:
+            i, j, seed = decode_indexed_key(payload)
+        except ProtocolError:
+            return self._abort_all(f"undecodable zero-sharing seed from party {src}")
         if src != i or j != cfg.party_index:
-            raise ProtocolError("zero-sharing seed with inconsistent endpoints")
+            return self._abort_all(f"zero-sharing seed from party {src} has inconsistent endpoints")
         if i not in cfg.subgroup or j not in cfg.subgroup or not i < j:
-            raise ProtocolError("zero-sharing seed outside the subgroup")
+            return self._abort_all(f"zero-sharing seed from party {src} is outside the subgroup")
         if (i, j) in self._zs_seeds:
-            raise ProtocolError(f"duplicate zero-sharing seed from party {i}")
+            return self._abort_all(f"duplicate zero-sharing seed from party {i}")
         self._zs_seeds[(i, j)] = seed
         return self._advance()
 
@@ -378,22 +384,19 @@ class PsinEngine:
                 keys[j] = self._zs_seeds[(min(i, j), max(i, j))]
         return zeroshare.ZsKeySet(party_index=i, keys=keys)
 
-    def _aggregate(self) -> list[bytes]:
-        """A^i per own element: tables at the coordinator, PRF keys in group B."""
+    def _aggregate(self) -> np.ndarray:
+        """A^i per own element, uint64: tables at the coordinator, PRF keys in group B."""
         cfg = self.config
-        i = cfg.party_index
-        agg = [gf.XOR_ZERO] * cfg.n_l
-        if i == cfg.v:
+        if cfg.party_index == cfg.v:
+            agg = np.zeros(cfg.n_l, dtype=zeroshare.VALUE_DTYPE)
             for table in self._share_tables.values():
-                decoded = okvs.decode_batch(table, cfg.input_set)
-                for q in range(cfg.n_l):
-                    agg[q] = gf.xor_bytes(agg[q], int(decoded[q, 0]).to_bytes(8, "little"))
-        else:
-            for s in cfg.group_a:
-                key = self.groupa_keys[s]
-                for q, x in enumerate(cfg.input_set):
-                    agg[q] = gf.xor_bytes(agg[q], zeroshare.prf(key, x))
-        return agg
+                agg ^= okvs.decode_batch(table, cfg.input_set)[:, 0]
+            return agg
+        return zeroshare.prf([self.groupa_keys[s] for s in cfg.group_a], cfg.input_set)
+
+    def _own_values(self) -> np.ndarray:
+        """share(x) XOR A^i(x) per own element: what a sender programs, what P_n compares."""
+        return zeroshare.zs_share(self._zs_keyset(), self.config.input_set) ^ self._aggregate()
 
     def _materials_ready(self) -> bool:
         cfg = self.config
@@ -418,15 +421,10 @@ class PsinEngine:
         if self._is_sender() and not self._hint_sent:
             if self._oprf_key is not None and self._zs_complete() and self._materials_ready():
                 t0 = time.perf_counter()
-                keyset = self._zs_keyset()
-                agg = self._aggregate()
-                points = [
-                    (x, gf.xor_bytes(zeroshare.zs_share(keyset, x), agg[q]))
-                    for q, x in enumerate(cfg.input_set)
-                ]
                 sid = oprf_session_id(cfg.session_id, i)
                 try:
-                    hint = opprf.opprf_program(points, sid, self._oprf_key, rng=self.rng,
+                    hint = opprf.opprf_program(cfg.input_set, self._own_values(), sid,
+                                               self._oprf_key, rng=self.rng,
                                                row_seed=self.rng.bytes(okvs.SEED_BYTES))
                 except ProtocolError:
                     return self._abort_all("hint encoding failed")
@@ -449,20 +447,13 @@ class PsinEngine:
                      and len(self._evals) == len(cfg.senders))
             if ready and self.phase != "done":
                 t0 = time.perf_counter()
-                keyset = self._zs_keyset()
-                agg = self._aggregate()
-                combined = [gf.XOR_ZERO] * cfg.n_l
+                own = self._own_values()
+                combined = np.zeros(cfg.n_l, dtype=zeroshare.VALUE_DTYPE)
                 for s in cfg.senders:
                     sid = oprf_session_id(cfg.session_id, s)
-                    z = opprf.opprf_query_batch(self._hints[s], cfg.input_set, sid, self._evals[s])
-                    for q in range(cfg.n_l):
-                        combined[q] = gf.xor_bytes(combined[q], z[q])
-                result = set()
-                for q, x in enumerate(cfg.input_set):
-                    own = gf.xor_bytes(zeroshare.zs_share(keyset, x), agg[q])
-                    if own == combined[q]:
-                        result.add(x)
-                self.intersection = result
+                    combined ^= opprf.opprf_query_batch(self._hints[s], cfg.input_set, sid,
+                                                        self._evals[s])
+                self.intersection = {cfg.input_set[q] for q in np.flatnonzero(own == combined)}
                 self.phase = "done"
                 self.phase_ms["reconstruct"] = (time.perf_counter() - t0) * 1000
             return out

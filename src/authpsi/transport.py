@@ -275,7 +275,8 @@ class TcpNode:
                 env = read_frame(conn)
                 self.meter.add(env.session_id, src, self.index, env.msg_type, env.wire_bytes)
                 self._inbox.put((src, env))
-        except TransportClosed:
+        except TransportError:
+            # a peer hang-up or an undecodable frame ends this connection alike
             if not self._closed:
                 self._inbox.put(_CLOSED)
         except OSError:

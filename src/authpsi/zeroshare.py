@@ -7,17 +7,25 @@ appears exactly twice across the group, so the XOR of all shares is zero; any
 strict subset leaves unpaired terms and its XOR is indistinguishable from
 random.
 
-The PRF is keyed BLAKE2b truncated to 8 bytes.
+The PRF of x under a 16-byte seed k is the low 64 bits of AES_k(H(x)), where
+H is unkeyed 16-byte BLAKE2b. A batch hashes every element once and runs one
+AES-128-ECB pass per seed over all the hashed blocks, the way the OKVS
+expands its row streams. Values are 64-bit XOR values carried as uint64
+arrays, one entry per element of the batch; shares of a batch are whole-array
+XORs.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Sequence
 
-from . import gf
+import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 SEED_BYTES = 16
+VALUE_DTYPE = np.dtype("<u8")  # one 64-bit XOR value, little-endian on the wire
 
 
 @dataclass(frozen=True)
@@ -26,9 +34,14 @@ class ZsKeySet:
     keys: dict[int, bytes]  # counterpart index -> shared pair seed
 
 
-def prf(seed: bytes, x: bytes) -> bytes:
-    """Keyed PRF, 64-bit output."""
-    return hashlib.blake2b(x, key=seed, digest_size=gf.XOR_BYTES).digest()
+def prf(seeds: Sequence[bytes], xs: Sequence[bytes]) -> np.ndarray:
+    """Per element of xs, the XOR over seeds of low64(AES_seed(H(x))); (len(xs),) uint64."""
+    blocks = b"".join(hashlib.blake2b(x, digest_size=16).digest() for x in xs)
+    acc = np.zeros(len(xs), dtype=VALUE_DTYPE)
+    for seed in seeds:
+        enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
+        acc ^= np.frombuffer(enc.update(blocks) + enc.finalize(), dtype=VALUE_DTYPE)[0::2]
+    return acc
 
 
 def zs_setup(parties, pair_seeds: dict[tuple[int, int], bytes]) -> list[ZsKeySet]:
@@ -57,9 +70,6 @@ def zs_setup(parties, pair_seeds: dict[tuple[int, int], bytes]) -> list[ZsKeySet
     return sets
 
 
-def zs_share(keys: ZsKeySet, x: bytes) -> bytes:
-    """This party's share of x: XOR of the PRF of x under every pair seed."""
-    acc = gf.XOR_ZERO
-    for seed in keys.keys.values():
-        acc = gf.xor_bytes(acc, prf(seed, x))
-    return acc
+def zs_share(keys: ZsKeySet, xs: Sequence[bytes]) -> np.ndarray:
+    """This party's share of each element of xs: the PRF under all its pair seeds."""
+    return prf(list(keys.keys.values()), xs)

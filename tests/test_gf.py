@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from authpsi import gf
@@ -81,15 +80,6 @@ def test_serialization_is_little_endian():
     assert gf.to_bytes(1)[0] == 1
     assert gf.from_bytes(b"\x01" + bytes(15)) == 1
     assert gf.from_bytes(bytes(15) + b"\x80") == 1 << 127
-
-
-def test_xor_value_helpers():
-    a, b = bytes(range(8)), bytes(range(8, 16))
-    assert gf.xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
-    assert gf.xor_bytes(a, a) == gf.XOR_ZERO
-    assert gf.xor_to_field(a) == int.from_bytes(a, "little")
-    with pytest.raises(ValueError):
-        gf.xor_bytes(a, b"\x00")
 
 
 def test_vector_roundtrips():

@@ -1,18 +1,21 @@
 """Programmable PRF: programmed recovery, pseudorandom elsewhere, session binding."""
 
 import random
+import time
 
 import numpy as np
 import pytest
 
 from authpsi import gf, okvs, opprf
+from authpsi.errors import ProtocolError
 
 
 def _points(m, rng):
+    """m distinct keys and their uint64 programmed values."""
     xs = set()
     while len(xs) < m:
         xs.add(rng.randbytes(10))
-    return [(x, rng.randbytes(8)) for x in sorted(xs)]
+    return sorted(xs), np.array([rng.getrandbits(64) for _ in range(m)], dtype=np.uint64)
 
 
 def _session(tag=1):
@@ -21,90 +24,94 @@ def _session(tag=1):
 
 def test_programmed_points_recovered():
     rng = random.Random(0)
-    points = _points(256, rng)
+    xs, ys = _points(256, rng)
     session = _session()
     key = b"\x09" * 16
-    hint = opprf.opprf_program(points, session, key, rng=np.random.default_rng(0))
-    xs = [x for x, _ in points]
-    got = opprf.opprf_query_batch(hint, xs, session, [opprf.oprf_eval(key, x) for x in xs])
-    assert got == [y for _, y in points]
+    hint = opprf.opprf_program(xs, ys, session, key, rng=np.random.default_rng(0))
+    got = opprf.opprf_query_batch(hint, xs, session, opprf.oprf_eval(key, xs))
+    assert got.dtype == np.uint64
+    assert (got == ys).all()
 
 
 def test_batch_query_matches_scalar():
     rng = random.Random(1)
-    points = _points(64, rng)
+    xs, ys = _points(64, rng)
     session = _session(2)
     key = b"\x0a" * 16
-    hint = opprf.opprf_program(points, session, key, rng=np.random.default_rng(1))
-    queries = [x for x, _ in points[:16]] + [rng.randbytes(10) for _ in range(16)]
-    evals = [opprf.oprf_eval(key, q) for q in queries]
+    hint = opprf.opprf_program(xs, ys, session, key, rng=np.random.default_rng(1))
+    queries = xs[:16] + [rng.randbytes(10) for _ in range(16)]
+    evals = opprf.oprf_eval(key, queries)
     batch = opprf.opprf_query_batch(hint, queries, session, evals)
+    assert (batch[:16] == ys[:16]).all()
     # one query at a time gives the same answers as the mixed batch
-    for q, ev, got in zip(queries, evals, batch):
-        assert [got] == opprf.opprf_query_batch(hint, [q], session, [ev])
+    for k, q in enumerate(queries):
+        ev = opprf.oprf_eval(key, [q])
+        assert ev[0] == evals[k]
+        assert opprf.opprf_query_batch(hint, [q], session, ev)[0] == batch[k]
 
 
 def test_unprogrammed_queries_look_random():
     # 10^5 fresh queries: none hits a programmed value, none repeats
     # (expected collision mass at 64-bit outputs is ~5e-15)
     rng = random.Random(2)
-    points = _points(32, rng)
+    xs, ys = _points(32, rng)
     session = _session(3)
     key = b"\x0b" * 16
-    hint = opprf.opprf_program(points, session, key, rng=np.random.default_rng(2))
-    programmed = {y for _, y in points}
+    hint = opprf.opprf_program(xs, ys, session, key, rng=np.random.default_rng(2))
     queries = [b"q" + i.to_bytes(4, "big") for i in range(100_000)]
-    evals = [opprf.oprf_eval(key, q) for q in queries]
-    outs = opprf.opprf_query_batch(hint, queries, session, evals)
-    seen = set(outs)
-    assert len(seen) == len(queries)
-    assert not (seen & programmed)
+    outs = opprf.opprf_query_batch(hint, queries, session, opprf.oprf_eval(key, queries))
+    assert len(np.unique(outs)) == len(queries)
+    assert not np.isin(outs, ys).any()
 
 
 def test_repeated_query_is_deterministic():
     rng = random.Random(3)
-    points = _points(8, rng)
+    xs, ys = _points(8, rng)
     session = _session(4)
     key = b"\x0c" * 16
-    hint = opprf.opprf_program(points, session, key, rng=np.random.default_rng(3))
+    hint = opprf.opprf_program(xs, ys, session, key, rng=np.random.default_rng(3))
     q = b"again"
-    ev = opprf.oprf_eval(key, q)
-    first, second = opprf.opprf_query_batch(hint, [q, q], session, [ev, ev])
-    assert first == second == opprf.opprf_query_batch(hint, [q], session, [ev])[0]
+    evals = opprf.oprf_eval(key, [q, q])
+    assert evals[0] == evals[1]
+    first, second = opprf.opprf_query_batch(hint, [q, q], session, evals)
+    assert first == second == opprf.opprf_query_batch(hint, [q], session, evals[:1])[0]
 
 
 def test_empty_point_set():
     session = _session(5)
     key = b"\x0d" * 16
-    hint = opprf.opprf_program([], session, key, rng=np.random.default_rng(4))
+    hint = opprf.opprf_program([], np.zeros(0, dtype=np.uint64), session, key,
+                               rng=np.random.default_rng(4))
     rng = random.Random(5)
     outs = opprf.opprf_query_batch(hint, [rng.randbytes(8) for _ in range(50)], session,
-                                   [b"\x00" * 8] * 50)
-    assert len(set(outs)) == 50
+                                   np.zeros(50, dtype=np.uint64))
+    assert len(np.unique(outs)) == 50
 
 
 def test_session_mismatch_rejected():
     rng = random.Random(6)
-    hint = opprf.opprf_program(_points(4, rng), _session(6), b"\x0e" * 16,
+    hint = opprf.opprf_program(*_points(4, rng), _session(6), b"\x0e" * 16,
                                rng=np.random.default_rng(5))
     with pytest.raises(ValueError):
-        opprf.opprf_query_batch(hint, [b"q"], _session(7), [b"\x00" * 8])
+        opprf.opprf_query_batch(hint, [b"q"], _session(7), np.zeros(1, dtype=np.uint64))
 
 
 def test_duplicate_points_rejected():
     with pytest.raises(okvs.DuplicateKeyError):
-        opprf.opprf_program([(b"x", b"\x00" * 8), (b"x", b"\x01" * 8)], _session(8), b"\x0f" * 16)
+        opprf.opprf_program([b"x", b"x"], np.array([0, 1], dtype=np.uint64), _session(8),
+                            b"\x0f" * 16)
 
 
 def test_fresh_key_changes_hint():
     rng = random.Random(7)
-    points = _points(16, rng)
+    xs, ys = _points(16, rng)
     dealer = opprf.OprfDealer(rng=np.random.default_rng(6))
     k1, k2 = dealer.key(_session(9)), dealer.key(_session(10))
     assert k1 != k2
-    h1 = opprf.opprf_program(points, _session(9), k1, rng=np.random.default_rng(7),
+    assert (dealer.evaluate(_session(9), xs) == opprf.oprf_eval(k1, xs)).all()
+    h1 = opprf.opprf_program(xs, ys, _session(9), k1, rng=np.random.default_rng(7),
                              row_seed=b"\x01" * 16)
-    h2 = opprf.opprf_program(points, _session(10), k2, rng=np.random.default_rng(7),
+    h2 = opprf.opprf_program(xs, ys, _session(10), k2, rng=np.random.default_rng(7),
                              row_seed=b"\x01" * 16)
     assert h1.okvs_table.to_bytes() != h2.okvs_table.to_bytes()
 
@@ -115,8 +122,7 @@ def test_hint_bytes_look_uniform():
     nprng = np.random.default_rng(8)
     trials, ones, total = 200, 0, 0
     for t in range(trials):
-        points = _points(16, rng)
-        hint = opprf.opprf_program(points, _session(11), nprng.bytes(16), rng=nprng)
+        hint = opprf.opprf_program(*_points(16, rng), _session(11), nprng.bytes(16), rng=nprng)
         raw = gf.vec_to_bytes(hint.okvs_table.values)
         ones += sum(bin(b).count("1") for b in raw)
         total += len(raw) * 8
@@ -126,7 +132,7 @@ def test_hint_bytes_look_uniform():
 
 def test_wire_roundtrip():
     rng = random.Random(9)
-    hint = opprf.opprf_program(_points(8, rng), _session(12), b"\x10" * 16,
+    hint = opprf.opprf_program(*_points(8, rng), _session(12), b"\x10" * 16,
                                rng=np.random.default_rng(9))
     back = opprf.OpprfHint.from_bytes(hint.to_bytes())
     assert back.oprf_session == hint.oprf_session
@@ -142,6 +148,31 @@ def test_dealer_payload_roundtrips():
     queries = [b"a", b"bb", b"ccc"]
     sub, s, qs = opprf.decode_dealer_payload(opprf.encode_eval_request(sid, queries))
     assert qs == queries
-    values = [bytes([i]) * 8 for i in range(3)]
-    sub, s, vs = opprf.decode_dealer_payload(opprf.encode_eval_response(sid, values))
-    assert vs == values
+    values = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+    raw = opprf.encode_eval_response(sid, values)
+    assert len(raw) == 1 + 16 + 4 + 8 * 3
+    assert raw[-8:] == b"\xff" * 8 and raw[-16:-8] == (1).to_bytes(8, "little")
+    sub, s, vs = opprf.decode_dealer_payload(raw)
+    assert sub == opprf.OPRF_EVAL_RESPONSE and (vs == values).all()
+
+
+@pytest.mark.parametrize("count", [2_000_000, 2**32 - 1])
+def test_oversized_query_count_rejected_at_once(count):
+    # a 21-byte request whose count claims far more queries than it carries
+    raw = bytes([opprf.OPRF_EVAL_REQUEST]) + _session(14) + count.to_bytes(4, "big")
+    assert len(raw) == 21
+    t0 = time.perf_counter()
+    with pytest.raises(ProtocolError):
+        opprf.decode_dealer_payload(raw)
+    assert time.perf_counter() - t0 < 0.05
+
+
+@pytest.mark.parametrize("body", [
+    (1).to_bytes(4, "big") + (5).to_bytes(4, "big") + b"abc",       # query longer than the body
+    (2).to_bytes(4, "big") + (0).to_bytes(4, "big") + (2**32 - 1).to_bytes(4, "big"),
+    (1).to_bytes(4, "big") + (1).to_bytes(4, "big") + b"ab",        # trailing byte
+    b"\x00\x00",                                                    # truncated count
+], ids=["long-query", "huge-second-query", "trailing", "short-count"])
+def test_malformed_query_lengths_rejected(body):
+    with pytest.raises(ProtocolError):
+        opprf.decode_dealer_payload(bytes([opprf.OPRF_EVAL_REQUEST]) + _session(15) + body)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from authpsi import gf, harness, merkle, okvs, psin, transport, zeroshare
+from authpsi import harness, merkle, okvs, psin, transport, zeroshare
 from authpsi.errors import ConfigError
 from test_psi2 import LEAF_VECTOR_FAULTS, LeafVectorFault
 
@@ -176,6 +176,44 @@ def test_hint_for_another_oprf_session_aborts_cleanly():
     assert "OPRF session" in engines[3].abort_reason
 
 
+@dataclasses.dataclass
+class IndexedKeyFault:
+    """Rewrites one party's outgoing group key or zero-sharing seed: (i, j, 16-byte key)."""
+    party: int
+    msg_type: int
+    fault: str
+
+    def envelope(self, env):
+        if env.msg_type != self.msg_type:
+            return env
+        i, j, key = env.payload[:2], env.payload[2:4], env.payload[4:]
+        payload = {
+            "truncated": env.payload[:-1],
+            "extended": env.payload + b"\x00",
+            "wrong-source": j + j + key,
+            "wrong-target": i + i + key,
+        }[self.fault]
+        return transport.Envelope(env.session_id, env.msg_type, payload)
+
+
+@pytest.mark.parametrize("fault", ["truncated", "extended", "wrong-source", "wrong-target"])
+@pytest.mark.parametrize("msg_type", [psin.MSG_GROUP_KEY, psin.MSG_ZS_SEED], ids=["0x12", "0x16"])
+def test_malformed_indexed_key_aborts_cleanly(msg_type, fault):
+    # (3,1): group-A P_1 sends its group key to P_3; P_2 sends P_3 their zero-sharing seed
+    sets, _ = _party_sets(3, 12, 4, seed=15)
+    session = b"\x08" * 16
+    roots = {i + 1: merkle.root(sets[i], session) for i in range(3)}
+    sender = 1 if msg_type == psin.MSG_GROUP_KEY else 2
+    engines = _run_engines(sets, t=1, session=session, roots=roots, seed=15,
+                           tamper=IndexedKeyFault(sender, msg_type, fault))  # no escaped error
+    for i in (1, 2, 3):
+        if i != sender:
+            assert engines[i].aborted and engines[i].abort_reason, i
+            assert engines[i].intersection is None
+    kind = "group key" if msg_type == psin.MSG_GROUP_KEY else "zero-sharing seed"
+    assert kind in engines[3].abort_reason
+
+
 def test_leaf_vector_is_32_bytes_per_element():
     sets, _ = _party_sets(4, 12, 4, seed=12)
     res = harness.run_multi_party(sets, t=2, seed=12)
@@ -196,19 +234,16 @@ def test_cancellation_identity_white_box():
     cfg = engines[5].config
     assert cfg.v == 2
 
-    for x in core:
-        share_sum = gf.XOR_ZERO
-        for i in cfg.subgroup:
-            share_sum = gf.xor_bytes(share_sum,
-                                     zeroshare.zs_share(engines[i]._zs_keyset(), x))
-        assert share_sum == gf.XOR_ZERO
-
+    share_sum = np.zeros(len(core), dtype=np.uint64)
+    total = np.zeros(len(core), dtype=np.uint64)
+    for i in cfg.subgroup:
+        engine = engines[i]
+        share_sum ^= zeroshare.zs_share(engine._zs_keyset(), core)
         # every pairwise PRF term appears exactly twice across the aggregates
-        total = gf.XOR_ZERO
-        for i in cfg.subgroup:
-            q = engines[i].config.input_set.index(x)
-            total = gf.xor_bytes(total, engines[i]._aggregate()[q])
-        assert total == gf.XOR_ZERO
+        positions = [engine.config.input_set.index(x) for x in core]
+        total ^= engine._aggregate()[positions]
+    assert (share_sum == 0).all()
+    assert (total == 0).all()
 
 
 def test_aggregates_match_raw_keys():
@@ -222,12 +257,11 @@ def test_aggregates_match_raw_keys():
     assert cfg.v == 2 and cfg.group_a == [1]
     coord = engines[2]
     holder = engines[1]
-    for x in core:
-        q = coord.config.input_set.index(x)
-        expect = gf.XOR_ZERO
-        for j in cfg.group_b:
-            expect = gf.xor_bytes(expect, zeroshare.prf(holder._own_groupb_keys[j], x))
-        assert coord._aggregate()[q] == expect
+    expect = np.zeros(len(core), dtype=np.uint64)
+    for j in cfg.group_b:
+        expect ^= zeroshare.prf([holder._own_groupb_keys[j]], core)
+    positions = [coord.config.input_set.index(x) for x in core]
+    assert (coord._aggregate()[positions] == expect).all()
 
 
 @pytest.mark.parametrize("kind", ["flip-element", "flip-path", "swap-proofs", "extra-element"])

@@ -1,6 +1,8 @@
 """Framing, metering, delivery order, and backend equivalence."""
 
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +106,21 @@ def test_tcp_roundtrip_and_meter():
     finally:
         n1.close()
         n2.close()
+
+
+@pytest.mark.parametrize("body", [b"\x00" * 5, SID + b"\x01" + (9).to_bytes(4, "big") + b"short"],
+                         ids=["truncated-envelope", "length-mismatch"])
+def test_tcp_malformed_frame_delivers_close(body):
+    node = transport.TcpNode(1, ("127.0.0.1", 0), {})
+    try:
+        with socket.create_connection(("127.0.0.1", node.bound_port), timeout=5) as raw:
+            raw.sendall((2).to_bytes(2, "big") + len(body).to_bytes(4, "big") + body)
+            t0 = time.monotonic()
+            with pytest.raises(TransportClosed):
+                node.recv(timeout=5)
+            assert time.monotonic() - t0 < 2
+    finally:
+        node.close()
 
 
 def test_tcp_unreachable_peer():

@@ -1,11 +1,13 @@
 """Zero-sharing: cancellation over the full group, pseudorandomness elsewhere."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from authpsi import gf, zeroshare
+from authpsi import zeroshare
 
 
 def _setup(n, seed=0):
@@ -15,24 +17,59 @@ def _setup(n, seed=0):
     return zeroshare.zs_setup(parties, seeds), seeds
 
 
+def _xor_shares(keysets, xs):
+    acc = np.zeros(len(xs), dtype=np.uint64)
+    for ks in keysets:
+        acc ^= zeroshare.zs_share(ks, xs)
+    return acc
+
+
+def _reference_prf(seed, x):
+    """low64(AES_seed(BLAKE2b-16(x))), one element at a time."""
+    enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
+    block = enc.update(hashlib.blake2b(x, digest_size=16).digest()) + enc.finalize()
+    return int.from_bytes(block[:8], "little")
+
+
+def test_prf_matches_reference():
+    rng = random.Random(11)
+    seeds = [rng.randbytes(16) for _ in range(3)]
+    xs = [rng.randbytes(rng.randrange(0, 40)) for _ in range(200)]
+    got = zeroshare.prf(seeds, xs)
+    assert got.dtype == np.uint64 and got.shape == (200,)
+    for i, x in enumerate(xs):
+        expect = 0
+        for seed in seeds:
+            expect ^= _reference_prf(seed, x)
+        assert int(got[i]) == expect
+    assert (zeroshare.prf([], xs) == 0).all()
+    assert zeroshare.prf(seeds, []).shape == (0,)
+
+
+def test_prf_does_not_depend_on_batch_composition():
+    rng = random.Random(12)
+    seeds = [rng.randbytes(16) for _ in range(2)]
+    xs = [rng.randbytes(rng.randrange(1, 24)) for _ in range(64)]
+    batch = zeroshare.prf(seeds, xs)
+    for i, x in enumerate(xs):
+        assert batch[i] == zeroshare.prf(seeds, [x])[0]
+    assert (zeroshare.prf(seeds, xs[::-1]) == batch[::-1]).all()
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_full_group_cancellation(n):
     keysets, _ = _setup(n, seed=n)
     rng = random.Random(100 + n)
-    for _ in range(300):
-        x = rng.randbytes(10)
-        acc = gf.XOR_ZERO
-        for ks in keysets:
-            acc = gf.xor_bytes(acc, zeroshare.zs_share(ks, x))
-        assert acc == gf.XOR_ZERO
+    xs = [rng.randbytes(10) for _ in range(300)]
+    assert (_xor_shares(keysets, xs) == 0).all()
 
 
 def test_two_party_shares_coincide():
     keysets, seeds = _setup(2, seed=1)
-    x = b"common"
-    s1 = zeroshare.zs_share(keysets[0], x)
-    s2 = zeroshare.zs_share(keysets[1], x)
-    assert s1 == s2 == zeroshare.prf(seeds[(1, 2)], x)
+    xs = [b"common"]
+    s1 = zeroshare.zs_share(keysets[0], xs)
+    s2 = zeroshare.zs_share(keysets[1], xs)
+    assert s1[0] == s2[0] == zeroshare.prf([seeds[(1, 2)]], xs)[0]
 
 
 def test_key_counts():
@@ -58,13 +95,9 @@ def test_int_shorthand_for_parties():
 def test_strict_subset_xor_is_nonzero():
     keysets, _ = _setup(5, seed=3)
     rng = random.Random(4)
-    for _ in range(500):
-        x = rng.randbytes(8)
-        # drop one party: the terms pairing with it survive
-        acc = gf.XOR_ZERO
-        for ks in keysets[:-1]:
-            acc = gf.xor_bytes(acc, zeroshare.zs_share(ks, x))
-        assert acc != gf.XOR_ZERO
+    xs = [rng.randbytes(8) for _ in range(500)]
+    # drop one party: the terms pairing with it survive
+    assert (_xor_shares(keysets[:-1], xs) != 0).all()
 
 
 def test_subset_xor_bit_frequency():
@@ -72,12 +105,9 @@ def test_subset_xor_bit_frequency():
     keysets, _ = _setup(4, seed=5)
     rng = random.Random(6)
     trials = 1000
-    ones = 0
-    for _ in range(trials):
-        x = rng.randbytes(8)
-        acc = zeroshare.zs_share(keysets[0], x)
-        acc = gf.xor_bytes(acc, zeroshare.zs_share(keysets[2], x))
-        ones += sum(bin(byte).count("1") for byte in acc)
+    xs = [rng.randbytes(8) for _ in range(trials)]
+    acc = _xor_shares([keysets[0], keysets[2]], xs)
+    ones = int(np.unpackbits(acc.view(np.uint8)).sum())
     total = trials * 64
     sigma = (0.25 / total) ** 0.5
     assert abs(ones / total - 0.5) < 4 * sigma
@@ -85,15 +115,17 @@ def test_subset_xor_bit_frequency():
 
 def test_share_determinism():
     keysets, _ = _setup(3, seed=7)
-    assert zeroshare.zs_share(keysets[1], b"x") == zeroshare.zs_share(keysets[1], b"x")
+    xs = [b"x", b"y", b"x"]
+    first = zeroshare.zs_share(keysets[1], xs)
+    assert (first == zeroshare.zs_share(keysets[1], xs)).all()
+    assert first[0] == first[2] != first[1]
 
 
 def test_nonshared_element_xor_survives():
     # an element held by n-1 of n parties leaves the unpaired PRF terms alive
     keysets, seeds = _setup(3, seed=8)
-    x = b"partial"
-    partial = gf.xor_bytes(zeroshare.zs_share(keysets[0], x), zeroshare.zs_share(keysets[1], x))
+    xs = [b"partial"]
+    partial = _xor_shares(keysets[:2], xs)
     # the surviving terms are exactly the pair PRFs toward party 3
-    expect = gf.xor_bytes(zeroshare.prf(seeds[(1, 3)], x), zeroshare.prf(seeds[(2, 3)], x))
-    assert partial == expect
-    assert partial != gf.XOR_ZERO
+    expect = zeroshare.prf([seeds[(1, 3)], seeds[(2, 3)]], xs)
+    assert partial[0] == expect[0] != 0
