@@ -40,8 +40,8 @@ EXIT_TRANSPORT = 4
 
 # published communication figures of the underlying two-party protocol family
 # (volePSI with the Silver encoder), kept for side-by-side context only: this
-# artifact also ships every party's 256-bit leaf hashes and a wider value
-# field, so its bits/element are expected to sit above these.
+# artifact also sends each party's 37-byte root and uses a wider value field,
+# so its bits/element are expected to sit above these.
 REFERENCE_BITS_PER_ELEMENT = {1024: 462, 4096: 437, 16384: 455, 65536: 467}
 
 # published end-to-end timings for the commitment-gated multi-party protocol
@@ -197,8 +197,8 @@ def _write_outputs(out_dir, intersection, report) -> None:
 @click.option("--local", is_flag=True, help="run all parties in-process")
 @click.option("--tamper", default=None,
               help="adversarial move: flip-element:I (flip a bit of element I) | flip-path:I "
-                   "(flip a byte of leaf hash I) | swap-proofs:I,J (swap leaf hashes I and J) | "
-                   "extra-element (add one element)")
+                   "(flip digest byte I mod 32 of the sent root) | swap-proofs:I,J (run with "
+                   "elements I and J swapped) | extra-element (add one element)")
 @click.option("--tamper-party", type=int, default=None,
               help="which party misbehaves (defaults to --role in networked mode)")
 @click.option("--seed", type=int, default=None,
@@ -221,6 +221,9 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
         node = transport.TcpNode(role, addresses.get(role), addresses)
         try:
             served = harness.serve_dealer(node)
+        except TransportError as exc:
+            click.echo(f"transport failure: {exc}", err=True)
+            sys.exit(EXIT_TRANSPORT)
         finally:
             node.close()
         click.echo(f"dealer served {served} responses")

@@ -8,11 +8,11 @@ in-process bus with one global FIFO, which keeps runs reproducible under
 fixed seeds; the networked CLI builds one party and runs it with
 `drive_engine`.
 
-Adversarial runs install a tamper on one party; tampering either swaps the
-party's real inputs out from under its announced commitment (flip-element,
-extra-element) or mutates its outgoing leaf-hash vector (flip-path flips a
-leaf, swap-proofs swaps two leaves). Every kind is deterministic in its
-indices, so a seeded tampered run is reproducible. Honest parties are
+Adversarial runs install a tamper on one party; tampering either runs the
+party on inputs other than its committed sequence (flip-element changes an
+element, extra-element adds one, swap-proofs reorders two) or mutates its
+outgoing root (flip-path flips a digest byte). Every kind is deterministic
+in its indices, so a seeded tampered run is reproducible. Honest parties are
 expected to abort in every tampered run.
 """
 
@@ -39,10 +39,11 @@ class Tamper:
 
     - flip-element:I runs on the inputs with one bit of element I flipped;
     - extra-element runs on the inputs plus one new element hashed from `index`;
-    - flip-path:I flips one byte of leaf hash I in the outgoing leaf vector;
-    - swap-proofs:I,J swaps leaf hashes I and J (J bumped by one if equal).
+    - swap-proofs:I,J runs on the committed sequence with elements I and J
+      swapped (J bumped by one if equal);
+    - flip-path:I flips digest byte I mod 32 of the outgoing root.
 
-    Indices are taken modulo the set size.
+    Element indices are taken modulo the set size.
     """
     kind: str  # flip-element | flip-path | swap-proofs | extra-element
     party: int
@@ -67,7 +68,7 @@ class Tamper:
         return cls(kind=kind, party=party, index=int(rest))
 
     def inputs(self, elements: list[bytes]) -> list[bytes]:
-        """The inputs the party actually runs on: flip-element / extra-element change them."""
+        """The inputs the party actually runs on: every kind but flip-path changes them."""
         out = list(elements)
         if self.kind == "flip-element":
             i = self.index % len(out)
@@ -84,23 +85,23 @@ class Tamper:
             candidates = (hashlib.sha256(f"extra-element:{self.index}:{c}".encode()).digest()[:width]
                           for c in itertools.count())
             out.append(next(e for e in candidates if e not in out))
+        elif self.kind == "swap-proofs":
+            a, b = self.index % len(out), self.index2 % len(out)
+            if a == b:
+                b = (b + 1) % len(out)
+            out[a], out[b] = out[b], out[a]
         return out
 
     def envelope(self, env: transport.Envelope) -> transport.Envelope:
-        """flip-path / swap-proofs rewrite the party's outgoing leaf-vector message."""
-        if (self.kind not in ("flip-path", "swap-proofs")
+        """flip-path rewrites the party's outgoing root message."""
+        if (self.kind != "flip-path"
                 or env.msg_type not in (psi2.MSG_ROOT_PROOFS, psin.MSG_ROOT_PROOFS)):
             return env
-        leaves = decode_root_proofs(env.payload)
-        a = self.index % len(leaves)
-        if self.kind == "flip-path":
-            leaves[a] = bytes([leaves[a][0] ^ 0x01]) + leaves[a][1:]
-        else:
-            b = self.index2 % len(leaves)
-            if a == b:
-                b = (b + 1) % len(leaves)
-            leaves[a], leaves[b] = leaves[b], leaves[a]
-        return transport.Envelope(env.session_id, env.msg_type, encode_root_proofs(leaves))
+        sent = decode_root_proofs(env.payload)
+        digest = bytearray(sent.digest)
+        digest[self.index % len(digest)] ^= 0x01
+        flipped = merkle.MerkleRoot(digest=bytes(digest), set_size=sent.set_size)
+        return transport.Envelope(env.session_id, env.msg_type, encode_root_proofs(flipped))
 
 
 @dataclass(frozen=True)
@@ -273,8 +274,8 @@ def drive_engine(session: Session, index: int, node, *,
     Used by the networked CLI mode, one process per party; returns the
     engine. Send failures are tolerated while aborting (the peer may be gone
     already), and a peer that hangs up after finishing its part is not an
-    error: only a timeout while traffic is still owed counts as a transport
-    failure.
+    error: only a timeout while traffic is still owed, or a malformed frame,
+    counts as a transport failure.
     """
     engine = session.engine(index, rng)
     tamper = session.tamper_at(index)
@@ -306,7 +307,8 @@ def serve_dealer(node, *, idle_timeout: float = 10.0,
                  rng: Optional[np.random.Generator] = None) -> int:
     """Dealer process main loop: answer requests until traffic goes idle.
 
-    Clients hanging up after a finished session is normal, not an error.
+    Clients hanging up after a finished session is normal, not an error; a
+    malformed frame raises `TransportError`.
     """
     dealer = DealerService(rng=rng)
     served = 0

@@ -1,4 +1,4 @@
-"""Set commitments, leaf-hash vectors and per-element inclusion proofs over SHA-256 hash trees.
+"""Set commitments and per-element inclusion proofs over SHA-256 hash trees.
 
 A committed set is an ordered sequence of byte strings. The tree is the
 left-balanced binary tree used by transparency logs: an internal node over a
@@ -7,19 +7,16 @@ size, and a lone node is promoted unhashed to the next level. Leaves and
 internal nodes are domain-separated (0x00 / 0x01 prefixes) so a leaf can never
 be confused with an interior hash.
 
-Leaves may carry a per-session salt. Salted commitments prevent an observer
-who sees leaf hashes from two sessions from linking them across sessions; the
-salt must then be fixed before the root is announced.
+Leaves may carry a per-session salt, so the same set committed for two
+sessions gives two unrelated roots; the salt must be fixed before the root is
+announced. The protocol engines exchange only roots (`MerkleRoot.to_bytes`).
 
-`leaf_hashes` and `root_of_leaves` split a commitment into its two steps, so
-a holder of the ordered leaf-hash vector can rebuild and check the root
-without the elements; `root` is their composition.
-
-Per-element proofs are verified statelessly: a proof carries its index, leaf
-hash, sibling chain, and the committed set size. `verify` recomputes the
-sibling-side pattern from (index, set_size) and rejects a proof whose
-recorded sides disagree, so re-binding a proof to a different index is
-caught even when the hash chain alone would fold to the same digest.
+Per-element proofs are library code that no session sends. They are
+verified statelessly: a proof carries its index, leaf hash, sibling chain,
+and the committed set size. `verify` recomputes the sibling-side pattern
+from (index, set_size) and rejects a proof whose recorded sides disagree, so
+re-binding a proof to a different index is caught even when the hash chain
+alone would fold to the same digest.
 """
 
 from __future__ import annotations
@@ -103,35 +100,29 @@ def expected_sides(index: int, set_size: int) -> tuple[int, ...]:
     return tuple(sides)
 
 
-def leaf_hashes(elements: Iterable[bytes], salt: bytes = b"") -> list[bytes]:
-    """The ordered leaf hashes of a committed sequence."""
-    return [hash_leaf(e, salt) for e in elements]
-
-
-def root_of_leaves(leaves: Sequence[bytes]) -> MerkleRoot:
-    """Commitment over an ordered leaf-hash vector, as `root` computes it from the elements."""
-    if not leaves:
-        raise ValueError("cannot commit to an empty set")
-    return MerkleRoot(digest=_levels(list(leaves))[-1][0], set_size=len(leaves))
+def _tree(elements: Sequence[bytes], salt: bytes) -> list[list[bytes]]:
+    return _levels([hash_leaf(e, salt) for e in elements])
 
 
 def root(elements: Sequence[bytes], salt: bytes = b"") -> MerkleRoot:
     """Commit to an ordered sequence of elements. Deterministic."""
-    return root_of_leaves(leaf_hashes(elements, salt))
+    if not elements:
+        raise ValueError("cannot commit to an empty set")
+    return MerkleRoot(digest=_tree(elements, salt)[-1][0], set_size=len(elements))
 
 
 def gen_path(elements: Sequence[bytes], index: int, salt: bytes = b"") -> InclusionProof:
     """Inclusion proof for the element at a position. Deterministic."""
     if not 0 <= index < len(elements):
         raise ValueError(f"index {index} out of range for set of {len(elements)}")
-    return _path_from_levels(_levels(leaf_hashes(elements, salt)), index, len(elements))
+    return _path_from_levels(_tree(elements, salt), index, len(elements))
 
 
 def gen_all_paths(elements: Sequence[bytes], salt: bytes = b"") -> list[InclusionProof]:
     """Inclusion proofs for every element, sharing one tree construction."""
     if not elements:
         raise ValueError("cannot prove membership in an empty set")
-    levels = _levels(leaf_hashes(elements, salt))
+    levels = _tree(elements, salt)
     n = len(elements)
     return [_path_from_levels(levels, i, n) for i in range(n)]
 

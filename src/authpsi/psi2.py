@@ -3,14 +3,14 @@
 Both parties publish a commitment (tree root) to their input set before the
 session. The run then has three phases:
 
-- transform: each party hashes its leaves once, re-derives its own root from
-  them (refusing to start if its inputs drifted from the commitment) and
-  sends the ordered leaf-hash vector to its peer; the receiver additionally
-  encodes its set into an oblivious table P mapping x -> HB(x).
-- interact: each side rebuilds the tree over the received leaf vector,
-  compares it with the peer's pre-announced root and aborts the session on
-  any mismatch. Both sides then draw a correlation (A, C) / (B, delta) with
-  C = A*delta + B from the dealer.
+- transform: each party computes the root of the inputs it runs on once,
+  refuses to start if it differs from its announced commitment, and sends
+  that root (37 bytes: version, set size, digest) to its peer; the receiver
+  additionally encodes its set into an oblivious table P mapping x -> HB(x).
+- interact: each side compares the received root with the peer's
+  pre-announced one and aborts the session on any difference. Both sides
+  then draw a correlation (A, C) / (B, delta) with C = A*delta + B from the
+  dealer.
   The receiver sends the masked table A' = A + P; the sender folds it into
   B' = B + A'*delta and answers with the digest set
   R = { Ho( Decode(B', y) + delta*HB(y) ) | y in Y }, randomly permuted.
@@ -23,9 +23,14 @@ the intersection while everything else stays masked by the correlation.
 Digests are truncated to cover the statistical collision budget for the two
 set sizes.
 
-Leaf hashes are salted with the session id so that leaf vectors from
-different sessions cannot be linked by dictionary attack; commitments are
-therefore per session.
+The commitment gate catches a party whose run-time inputs or set size
+differ from its commitment, provided that party derives its messages from
+those inputs, as these engines do. It does not stop a party that replays its
+honest root and runs the intersection on other inputs. Apart from that root,
+no message carries a function of a single element that the peer could
+evaluate itself (the digests are masked by the correlation), so a peer can
+check only a guess of a whole set, against the announced root. Leaves are
+salted with the session id, so commitments are per session.
 """
 
 from __future__ import annotations
@@ -116,34 +121,22 @@ class PartyConfig2:
         return digest_width(n_x, n_y)
 
 
-def encode_root_proofs(leaves: list[bytes]) -> bytes:
-    """The commitment message: the ordered leaf hashes, 32 bytes each, no header.
-
-    The peer already holds the announced root and set size, so neither
-    crosses the wire again.
-    """
-    return b"".join(leaves)
+def encode_root_proofs(root: merkle.MerkleRoot) -> bytes:
+    """The commitment message: the root of the sender's run-time inputs."""
+    return root.to_bytes()
 
 
-def decode_root_proofs(raw: bytes) -> list[bytes]:
-    """Split a commitment message into its leaf hashes."""
-    width = merkle.DIGEST_BYTES
-    if len(raw) % width:
-        raise ProtocolError("leaf vector length is not a multiple of the digest size")
-    return [raw[i : i + width] for i in range(0, len(raw), width)]
+def decode_root_proofs(raw: bytes) -> merkle.MerkleRoot:
+    """Parse a commitment message; a bad length or version is a ProtocolError."""
+    try:
+        return merkle.MerkleRoot.from_bytes(raw)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from exc
 
 
-def check_peer_commitment(committed: merkle.MerkleRoot, leaves: list[bytes]) -> bool:
-    """The gate: the peer's leaf vector must rebuild its announced commitment.
-
-    Accepts iff the vector holds exactly `set_size` leaf hashes and the tree
-    rebuilt from them, in order, has the committed digest. This proves
-    exactly what n inclusion proofs at distinct indices that all fold to the
-    root prove, barring SHA-256 collisions: such proofs pin the leaf hash at
-    every position, and so does the rebuild. It costs n - 1 node hashes
-    instead of n log n.
-    """
-    return len(leaves) == committed.set_size and merkle.root_of_leaves(leaves) == committed
+def check_peer_commitment(committed: merkle.MerkleRoot, sent: merkle.MerkleRoot) -> bool:
+    """The gate: the peer's root must equal its announced commitment, digest and set size."""
+    return sent == committed
 
 
 class Psi2Engine:
@@ -196,8 +189,8 @@ class Psi2Engine:
             raise ProtocolError("engine already started")
         t0 = time.perf_counter()
         cfg = self.config
-        leaves = merkle.leaf_hashes(cfg.input_set, cfg.session_id)
-        if not cfg.skip_self_check and merkle.root_of_leaves(leaves) != cfg.announced_root:
+        own_root = merkle.root(cfg.input_set, cfg.session_id)
+        if not cfg.skip_self_check and own_root != cfg.announced_root:
             raise ConfigError("input set does not match the announced commitment")
         out = []
         if cfg.role == RECEIVER:
@@ -208,7 +201,7 @@ class Psi2Engine:
             if result is None:
                 return self._abort("oblivious table encoding failed")
             self._table, _ = result
-        out.append((cfg.peer_index, self._env(MSG_ROOT_PROOFS, encode_root_proofs(leaves))))
+        out.append((cfg.peer_index, self._env(MSG_ROOT_PROOFS, encode_root_proofs(own_root))))
         role = vole.RECEIVER if cfg.role == RECEIVER else vole.SENDER
         from .transport import DEALER_INDEX
         out.append((DEALER_INDEX, self._env(
@@ -243,16 +236,16 @@ class Psi2Engine:
 
     def _on_root_proofs(self, src: int, payload: bytes) -> list:
         if src != self.config.peer_index or self.phase != "transformed" or self._peer_verified:
-            raise ProtocolError("leaf vector out of order")
+            raise ProtocolError("root out of order")
         t0 = time.perf_counter()
         try:
-            leaves = decode_root_proofs(payload)
-        except ProtocolError:
-            return self._abort("undecodable leaf vector")
-        ok = check_peer_commitment(self.config.peer_root, leaves)
+            sent = decode_root_proofs(payload)
+        except ProtocolError as exc:
+            return self._abort(f"undecodable peer root: {exc}")
+        ok = check_peer_commitment(self.config.peer_root, sent)
         self.phase_ms["verify"] = self.phase_ms.get("verify", 0.0) + (time.perf_counter() - t0) * 1000
         if not ok:
-            return self._abort("peer leaf vector failed verification")
+            return self._abort("peer root does not match its commitment")
         self._peer_verified = True
         return self._advance()
 
@@ -310,7 +303,7 @@ class Psi2Engine:
         body = payload[okvs.SEED_BYTES + 4 :]
         m = self._expected_length()
         if count != m or len(body) != m * gf.GF_BYTES:
-            raise ProtocolError("masked vector length mismatch")
+            return self._abort("masked vector length mismatch")
         masked = gf.vec_from_bytes(body)
         corr = self._send_corr
         bprime = corr.b_vec ^ gf.scalar_mul_vec(corr.delta, masked)
@@ -337,10 +330,10 @@ class Psi2Engine:
         t0 = time.perf_counter()
         count = int.from_bytes(payload[:4], "big")
         if count != cfg.n_peer:
-            raise ProtocolError("digest set size does not match the peer commitment")
+            return self._abort("digest set size does not match the peer commitment")
         width = cfg.out_bytes
         if len(payload) != 4 + count * width:
-            raise ProtocolError("bad digest set payload length")
+            return self._abort("bad digest set payload length")
         received = {payload[4 + i * width : 4 + (i + 1) * width] for i in range(count)}
 
         c_table = okvs.OkvsTable(params=self._table.params, values=self._recv_corr.c_vec)

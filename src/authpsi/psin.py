@@ -5,17 +5,16 @@ Around v = n - t the parties split into group A (P_1 .. P_{v-1}), a central
 coordinator P_v, and group B (P_{v+1} .. P_n); P_n is the only party that
 learns the intersection.
 
-- transform: everyone broadcasts its ordered leaf-hash vector. Each
+- transform: everyone broadcasts the root of the inputs it runs on. Each
   group-A party P_i draws one PRF key per group-B party, sends each key to
   its target, and ships the coordinator an oblivious table T_i encoding
   x -> XOR of the PRF of x under all those keys. The parties P_v .. P_n
   exchange pairwise zero-sharing seeds.
-- interact: every party rebuilds every other party's tree from its leaf
-  vector and compares it with that party's announced root (the gate of
-  `psi2.check_peer_commitment`); the first failure anywhere broadcasts an
-  abort and the whole session dies. The coordinator aggregates A^v(x) = XOR of
-  Decode(T_i, x); each group-B party aggregates A^i(x) = XOR of its received
-  PRF evaluations.
+- interact: every party compares every other party's root with the one
+  that party announced (the gate of `psi2.check_peer_commitment`); the first
+  failure anywhere broadcasts an abort and the whole session dies. The
+  coordinator aggregates A^v(x) = XOR of Decode(T_i, x); each group-B party
+  aggregates A^i(x) = XOR of its received PRF evaluations.
 - reconstruct: each of P_v .. P_{n-1} programs an oblivious PRF with points
   (x, share(x) XOR A(x)) and sends the hint to P_n, which queries every hint
   at its own elements and keeps those x where its own share XOR A^n(x)
@@ -28,7 +27,12 @@ Every 64-bit XOR value (table values, aggregates, shares, hint points and
 the final comparison) is a uint64 array over the party's input set, so each
 step above is a handful of whole-array XORs and batched PRF calls.
 
-Only P_n terminates with output; everyone else ends with none.
+Only P_n terminates with output; everyone else ends with none. The gate
+binds each party to its commitment as far as `psi2` states: a party that
+replays its honest root is not caught. Apart from those roots, no message
+between parties carries a function of a single element that the receiving
+party could evaluate itself. The ideal-OPRF dealer does see P_n's plaintext
+queries.
 """
 
 from __future__ import annotations
@@ -197,11 +201,11 @@ class PsinEngine:
         t0 = time.perf_counter()
         cfg = self.config
         i = cfg.party_index
-        leaves = merkle.leaf_hashes(cfg.input_set, cfg.session_id)
-        if not cfg.skip_self_check and merkle.root_of_leaves(leaves) != cfg.roots[i]:
+        own_root = merkle.root(cfg.input_set, cfg.session_id)
+        if not cfg.skip_self_check and own_root != cfg.roots[i]:
             raise ConfigError("input set does not match the announced commitment")
-        leaf_vector = encode_root_proofs(leaves)
-        out = [(j, self._env(MSG_ROOT_PROOFS, leaf_vector)) for j in self._others()]
+        message = encode_root_proofs(own_root)
+        out = [(j, self._env(MSG_ROOT_PROOFS, message)) for j in self._others()]
 
         if i in cfg.group_a:
             for j in cfg.group_b:
@@ -265,16 +269,16 @@ class PsinEngine:
 
     def _on_root_proofs(self, src: int, payload: bytes) -> list:
         if src not in self._pending_verify:
-            raise ProtocolError(f"unexpected leaf vector from party {src}")
+            raise ProtocolError(f"unexpected root from party {src}")
         t0 = time.perf_counter()
         try:
-            leaves = decode_root_proofs(payload)
-        except ProtocolError:
-            return self._abort_all(f"undecodable leaf vector from party {src}")
-        ok = check_peer_commitment(self.config.roots[src], leaves)
+            sent = decode_root_proofs(payload)
+        except ProtocolError as exc:
+            return self._abort_all(f"undecodable root from party {src}: {exc}")
+        ok = check_peer_commitment(self.config.roots[src], sent)
         self.phase_ms["verify"] = self.phase_ms.get("verify", 0.0) + (time.perf_counter() - t0) * 1000
         if not ok:
-            return self._abort_all(f"leaf vector from party {src} failed verification")
+            return self._abort_all(f"root from party {src} does not match its commitment")
         self._pending_verify.discard(src)
         if not self._pending_verify:
             self._verified_all = True

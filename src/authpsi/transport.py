@@ -275,10 +275,13 @@ class TcpNode:
                 env = read_frame(conn)
                 self.meter.add(env.session_id, src, self.index, env.msg_type, env.wire_bytes)
                 self._inbox.put((src, env))
-        except TransportError:
-            # a peer hang-up or an undecodable frame ends this connection alike
+        except TransportClosed:
             if not self._closed:
                 self._inbox.put(_CLOSED)
+        except TransportError as exc:
+            # an undecodable frame ends this connection and the session with it
+            if not self._closed:
+                self._inbox.put(TransportError(f"malformed frame from party {src}: {exc}"))
         except OSError:
             pass
         finally:
@@ -324,6 +327,8 @@ class TcpNode:
             return None
         if item is _CLOSED:
             raise TransportClosed("peer closed the connection")
+        if isinstance(item, TransportError):
+            raise item
         return item
 
     def close(self):

@@ -70,9 +70,8 @@ def test_criterion_03_communication_linearity():
     unauthenticated baseline at every size: each doubling-pair step in the
     size sweep moves it by < 25%, and measured[n] <= 2 * reference[n].
 
-    The commitment costs a constant 256 bits per element in each direction
-    (one leaf hash; the peer rebuilds the tree itself), so there is no
-    per-level term left; both numbers are reported side by side.
+    The commitment costs one 37-byte root message in each direction, so it
+    adds no per-element term at all; both numbers are reported side by side.
     """
     t0 = time.perf_counter()
     sizes = (1024, 4096, 16384)

@@ -1,13 +1,16 @@
 """CLI surface: dataset generation, commitment, local runs, bench output."""
 
 import json
+import socket
+import threading
+import time
 from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
-from authpsi import cli, datasets, merkle
+from authpsi import cli, datasets, merkle, transport
 from authpsi.cli import main
 
 
@@ -255,3 +258,57 @@ def test_networked_party_reads_only_its_own_dataset(runner, tmp_path):
     assert session.sets[2] == datasets.read_dataset(f"{prefix}2.dat")
     with pytest.raises(click.UsageError, match="party 1"):
         cli._session("2pc", cfg, None)  # a local run still needs every dataset
+
+
+def _free_port():
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def _send_malformed_frame(port):
+    """Connect as party 2 once the process listens, send one 5-byte frame, wait for the hang-up."""
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            raw = socket.create_connection(("127.0.0.1", port), timeout=10)
+            break
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.02)
+    with raw:
+        raw.sendall((2).to_bytes(2, "big") + (5).to_bytes(4, "big") + bytes(5))
+        raw.recv(1)
+
+
+@pytest.mark.parametrize("role", [0, 1], ids=["dealer", "party"])
+def test_malformed_frame_exits_4_at_once(runner, tmp_path, role):
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=14)
+    salt = "aa" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg_path = _config(tmp_path, prefix, 2, salt)
+    cfg = json.loads(Path(cfg_path).read_text())
+    # the endpoints this process sends to accept and ignore its traffic
+    sinks = {i: transport.TcpNode(i, ("127.0.0.1", 0), {}) for i in (0, 2) if i != role}
+    port = _free_port()
+    entries = {0: cfg["dealer"], 1: cfg["parties"]["1"], 2: cfg["parties"]["2"]}
+    entries[role]["address"] = f"127.0.0.1:{port}"
+    for i, sink in sinks.items():
+        entries[i]["address"] = f"127.0.0.1:{sink.bound_port}"
+    Path(cfg_path).write_text(json.dumps(cfg))
+    sender = threading.Thread(target=_send_malformed_frame, args=(port,))
+    sender.start()
+    try:
+        t0 = time.monotonic()
+        result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg_path,
+                                      "--role", str(role), "--out-dir", str(tmp_path / "out")])
+        elapsed = time.monotonic() - t0
+    finally:
+        sender.join(timeout=10)
+        for sink in sinks.values():
+            sink.close()
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "malformed frame" in result.output
+    assert elapsed < 5

@@ -1,11 +1,12 @@
-"""Commitments, leaf-hash vectors and inclusion proofs: shape, rejection behavior, root wire format."""
+"""Commitments and inclusion proofs: shape, rejection behavior, root wire format."""
 
 import hashlib
 import random
 
 import pytest
 
-from authpsi import merkle
+from authpsi import merkle, psi2
+from authpsi.errors import ProtocolError
 
 
 def _elements(n, tag=0):
@@ -38,8 +39,6 @@ def test_empty_set_rejected():
     with pytest.raises(ValueError):
         merkle.root([])
     with pytest.raises(ValueError):
-        merkle.root_of_leaves([])
-    with pytest.raises(ValueError):
         merkle.gen_all_paths([])
 
 
@@ -67,8 +66,7 @@ def test_correctness_small_sizes_exhaustive():
     for n in list(range(1, 40)) + [63, 64, 65, 127, 128, 129]:
         data = _elements(n, tag=1)
         r = merkle.root(data)
-        leaves = merkle.leaf_hashes(data)
-        assert merkle.root_of_leaves(leaves) == r
+        leaves = [merkle.hash_leaf(d) for d in data]
         proofs = merkle.gen_all_paths(data)
         for i, p in enumerate(proofs):
             assert p.index == i and p.set_size == n and p.leaf_hash == leaves[i]
@@ -93,15 +91,20 @@ def test_salt_changes_root_and_binds_proofs():
 
 
 def test_single_bit_flip_sweep_rejects():
-    # every single-bit flip anywhere in a leaf-hash vector changes the root
+    # every single-bit flip anywhere in the 37-byte root message fails the
+    # gate: it no longer decodes, or it decodes to another commitment
     data = _elements(11, tag=2)
     r = merkle.root(data)
-    raw = b"".join(merkle.leaf_hashes(data))
+    raw = psi2.encode_root_proofs(r)
+    assert psi2.check_peer_commitment(r, psi2.decode_root_proofs(raw))
     for bit in range(8 * len(raw)):
         mutated = bytearray(raw)
         mutated[bit // 8] ^= 1 << (bit % 8)
-        leaves = [bytes(mutated[i : i + 32]) for i in range(0, len(mutated), 32)]
-        assert merkle.root_of_leaves(leaves) != r, f"bit {bit} accepted"
+        try:
+            sent = psi2.decode_root_proofs(bytes(mutated))
+        except ProtocolError:
+            continue
+        assert not psi2.check_peer_commitment(r, sent), f"bit {bit} accepted"
 
 
 def test_leaf_substitution_rejected_bulk():

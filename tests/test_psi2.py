@@ -1,6 +1,7 @@
 """Two-party engine: correctness, integrity aborts, masking algebra, errors."""
 
 import dataclasses
+import hashlib
 import random
 
 import numpy as np
@@ -182,7 +183,7 @@ def test_table_length_formula():
     assert psi2.okvs_length(4096) == 5039 + 30
 
 
-def test_wrong_digest_count_is_protocol_error():
+def test_wrong_digest_count_aborts_cleanly():
     x, y = _sets(12, 12, 4, seed=12)
     session = b"\x27" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
@@ -197,8 +198,44 @@ def test_wrong_digest_count_is_protocol_error():
         return engines[1].handle(src, env)
 
     handlers = {0: dealer.handle, 1: truncate_digests, 2: lambda s, e: engines[2].handle(s, e)}
-    with pytest.raises(ProtocolError):
-        harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)])
+    harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)])  # no escaped error
+    assert engines[1].aborted and engines[1].intersection is None
+    assert "digest set size" in engines[1].abort_reason
+
+
+@dataclasses.dataclass
+class LengthFault:
+    """Rewrites one party's outgoing masked vector (seed, count, cells) or digest set (count, digests)."""
+    party: int
+    msg_type: int
+    fault: str
+
+    def envelope(self, env):
+        if env.msg_type != self.msg_type:
+            return env
+        at = okvs.SEED_BYTES if self.msg_type == psi2.MSG_MASKED_VECTOR else 0
+        count = int.from_bytes(env.payload[at : at + 4], "big")
+        payload = {
+            "truncated": env.payload[:-1],
+            "extended": env.payload + b"\x00",
+            "count-off-by-one": env.payload[:at] + (count + 1).to_bytes(4, "big") + env.payload[at + 4:],
+        }[self.fault]
+        return transport.Envelope(env.session_id, env.msg_type, payload)
+
+
+@pytest.mark.parametrize("fault", ["truncated", "extended", "count-off-by-one"])
+@pytest.mark.parametrize("msg_type", [psi2.MSG_MASKED_VECTOR, psi2.MSG_DIGEST_SET],
+                         ids=["0x02", "0x03"])
+def test_malformed_masked_vector_or_digest_set_aborts_cleanly(msg_type, fault):
+    x, y = _sets(12, 12, 4, seed=20)
+    session = b"\x2c" * 16
+    roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
+    sender = 1 if msg_type == psi2.MSG_MASKED_VECTOR else 2
+    engines = _run_engines(x, y, session, roots, seed=20,
+                           tamper=LengthFault(sender, msg_type, fault))  # no escaped error
+    for i in (1, 2):
+        assert engines[i].aborted and engines[i].abort_reason, i
+        assert engines[i].intersection is None
 
 
 def test_vole_backend_substitutability():
@@ -278,36 +315,51 @@ def _capture_digest_payload(x, y, session, roots, seed):
 
 
 def test_root_proofs_payload_roundtrip():
-    # the commitment message is the bare leaf-hash vector, 32 bytes per leaf
+    # the commitment message is the 37-byte root: version, set size, digest
     x, _ = _sets(10, 10, 0, seed=11)
-    leaves = merkle.leaf_hashes(x, b"\x2a" * 16)
-    raw = psi2.encode_root_proofs(leaves)
-    assert raw == b"".join(leaves) and len(raw) == 32 * len(x)
-    assert psi2.decode_root_proofs(raw) == leaves
-    assert psi2.check_peer_commitment(merkle.root(x, b"\x2a" * 16), leaves)
-    for ragged in (raw + b"\x00", raw[:-1]):
+    committed = merkle.root(x, b"\x2a" * 16)
+    raw = psi2.encode_root_proofs(committed)
+    assert raw == committed.to_bytes() and len(raw) == 37
+    assert psi2.decode_root_proofs(raw) == committed
+    assert psi2.check_peer_commitment(committed, psi2.decode_root_proofs(raw))
+    assert not psi2.check_peer_commitment(
+        committed, merkle.MerkleRoot(committed.digest, committed.set_size + 1))
+    for bad in (raw + b"\x00", raw[:-1], b"\x02" + raw[1:]):
         with pytest.raises(ProtocolError):
-            psi2.decode_root_proofs(ragged)
+            psi2.decode_root_proofs(bad)
 
 
-LEAF = merkle.DIGEST_BYTES
+def _resized(raw, delta):
+    size = int.from_bytes(raw[1:5], "big") + delta
+    return raw[:1] + size.to_bytes(4, "big") + raw[5:]
 
-# Ways to corrupt a party's outgoing leaf vector `raw`, given the party's
+
+def _root_bytes(xs, sid):
+    return merkle.root(xs, sid).to_bytes()
+
+
+# Ways to corrupt a party's outgoing root message `raw`, given the party's
 # elements `xs` and the session id `sid`; the gate must reject every one.
-LEAF_VECTOR_FAULTS = {
+# Names that mention leaves say how the sent root misstates the committed
+# leaf sequence: one-leaf-short/-extra change only the set-size field;
+# flipped-leaf and swapped-leaves are roots of a changed or reordered sequence.
+ROOT_FAULTS = {
     "ragged-length": lambda raw, xs, sid: raw[:-1],
-    "one-leaf-short": lambda raw, xs, sid: raw[:-LEAF],
-    "one-leaf-extra": lambda raw, xs, sid: raw + raw[:LEAF],
-    "flipped-leaf": lambda raw, xs, sid: raw[:LEAF] + bytes([raw[LEAF] ^ 1]) + raw[LEAF + 1:],
-    "swapped-leaves": lambda raw, xs, sid: raw[LEAF:2 * LEAF] + raw[:LEAF] + raw[2 * LEAF:],
-    "other-set": lambda raw, xs, sid: b"".join(merkle.leaf_hashes([b"\xee" + x for x in xs], sid)),
-    "other-salt": lambda raw, xs, sid: b"".join(merkle.leaf_hashes(xs, bytes(16))),
+    "one-byte-extra": lambda raw, xs, sid: raw + b"\x00",
+    "wrong-version": lambda raw, xs, sid: bytes([raw[0] ^ 0xFF]) + raw[1:],
+    "one-leaf-short": lambda raw, xs, sid: _resized(raw, -1),
+    "one-leaf-extra": lambda raw, xs, sid: _resized(raw, +1),
+    "flipped-digest-byte": lambda raw, xs, sid: raw[:-1] + bytes([raw[-1] ^ 1]),
+    "flipped-leaf": lambda raw, xs, sid: _root_bytes([xs[0], b"\xee" + xs[1]] + xs[2:], sid),
+    "swapped-leaves": lambda raw, xs, sid: _root_bytes([xs[1], xs[0]] + xs[2:], sid),
+    "other-set": lambda raw, xs, sid: _root_bytes([b"\xee" + x for x in xs], sid),
+    "other-salt": lambda raw, xs, sid: _root_bytes(xs, bytes(16)),
 }
 
 
 @dataclasses.dataclass
-class LeafVectorFault:
-    """Rewrites one party's outgoing leaf vectors on the bus, in place of a `harness.Tamper`."""
+class RootFault:
+    """Rewrites one party's outgoing root messages on the bus, in place of a `harness.Tamper`."""
     party: int
     msg_type: int
     fault: str
@@ -317,26 +369,27 @@ class LeafVectorFault:
     def envelope(self, env):
         if env.msg_type != self.msg_type:
             return env
-        payload = LEAF_VECTOR_FAULTS[self.fault](env.payload, self.elements, self.session)
+        payload = ROOT_FAULTS[self.fault](env.payload, self.elements, self.session)
         return transport.Envelope(env.session_id, env.msg_type, payload)
 
 
-@pytest.mark.parametrize("fault", sorted(LEAF_VECTOR_FAULTS))
+@pytest.mark.parametrize("fault", sorted(ROOT_FAULTS))
 @pytest.mark.parametrize("party", [1, 2])
 def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault, party):
+    # every fault sends a root message other than the one of the committed leaves
     x, y = _sets(16, 16, 4, seed=16)
     session = b"\x29" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    tamper = LeafVectorFault(party, psi2.MSG_ROOT_PROOFS, fault, x if party == 1 else y, session)
+    tamper = RootFault(party, psi2.MSG_ROOT_PROOFS, fault, x if party == 1 else y, session)
     engines = _run_engines(x, y, session, roots, seed=16, tamper=tamper)  # no escaped error
     honest = engines[3 - party]
     assert honest.aborted and honest.intersection is None
-    assert "leaf vector" in honest.abort_reason
+    assert "root" in honest.abort_reason
 
 
 @dataclasses.dataclass
-class ReplayedLeafVector:
-    """Replaces one party's outgoing leaf vector with the honest one of its committed set."""
+class ReplayedRoot:
+    """Replaces one party's outgoing root with the honest root of its committed set."""
     party: int
     committed: list
     session: bytes
@@ -344,16 +397,16 @@ class ReplayedLeafVector:
     def envelope(self, env):
         if env.msg_type != psi2.MSG_ROOT_PROOFS:
             return env
-        leaves = merkle.leaf_hashes(self.committed, self.session)
-        return transport.Envelope(env.session_id, env.msg_type, psi2.encode_root_proofs(leaves))
+        honest = psi2.encode_root_proofs(merkle.root(self.committed, self.session))
+        return transport.Envelope(env.session_id, env.msg_type, honest)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the gate checks the leaf vector, not the inputs the PSI runs on: "
-                          "a replayed honest vector passes (ROADMAP item 2)")
+                   reason="the gate checks the sent root, not the inputs the PSI runs on: "
+                          "a replayed honest root passes (ROADMAP item 2)")
 def test_gate_binds_inputs_actually_used():
-    # the sender commits to Y and ships Y's honest leaf vector, then runs the
-    # PSI on Y' of the same size, half of it taken from the receiver's set
+    # the sender commits to Y and sends Y's honest root, then runs the PSI
+    # on Y' of the same size, half of it taken from the receiver's set
     x, y = _sets(32, 32, 4, seed=19)
     session = b"\x2b" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
@@ -364,17 +417,48 @@ def test_gate_binds_inputs_actually_used():
                 1: lambda s, e: engines[1].handle(s, e),
                 2: lambda s, e: engines[2].handle(s, e)}
     harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)],
-                  ReplayedLeafVector(2, y, session))
+                  ReplayedRoot(2, y, session))
     assert engines[1].aborted and engines[1].intersection is None
 
 
-def test_leaf_vector_is_32_bytes_per_element():
+def test_commitment_message_is_one_root():
     x, y = _sets(20, 70, 9, seed=17)
     res = harness.run_two_party(x, y, seed=17)
     for (src, dst), sent in res.transcript.per_pair().items():
         sizes = [nbytes for msg_type, nbytes, _ in sent if msg_type == psi2.MSG_ROOT_PROOFS]
         if src and dst:
-            assert sizes == [transport.HEADER_BYTES + 32 * len(x if src == 1 else y)]
+            assert sizes == [transport.HEADER_BYTES + 37]
+
+
+class RecordingBus(transport.BusNetwork):
+    """An in-process bus that also keeps every delivered payload, per receiving party."""
+
+    def __init__(self):
+        super().__init__()
+        self.received: dict[int, list[bytes]] = {}
+
+    def deliver(self, src, dst, env):
+        super().deliver(src, dst, env)
+        self.received.setdefault(dst, []).append(env.payload)
+
+
+def assert_no_own_leaf_hash_received(bus, sets, session):
+    """No party finds the salted leaf hash SHA256(0x00 || sid || x) of an own element in any payload."""
+    for i, own in sets.items():
+        leaves = [hashlib.sha256(b"\x00" + session + x).digest() for x in own]
+        for payload in bus.received[i]:
+            assert not [leaf for leaf in leaves if leaf in payload], i
+
+
+def test_transcript_carries_no_leaf_hash_of_own_elements():
+    # a party that hashes its own elements under the public session id must
+    # not find any of them in what it receives: membership stays hidden
+    x, y = _sets(24, 24, 12, seed=21)
+    session = b"\x2d" * 16
+    bus = RecordingBus()
+    res = harness.run_two_party(x, y, session_id=session, seed=21, network=bus)
+    assert res.intersection == set(x) & set(y)
+    assert_no_own_leaf_hash_received(bus, {1: x, 2: y}, session)
 
 
 def test_seeded_extra_element_run_is_reproducible():

@@ -8,7 +8,7 @@ import pytest
 
 from authpsi import harness, merkle, okvs, psin, transport, zeroshare
 from authpsi.errors import ConfigError
-from test_psi2 import LEAF_VECTOR_FAULTS, LeafVectorFault
+from test_psi2 import ROOT_FAULTS, RecordingBus, RootFault, assert_no_own_leaf_hash_received
 
 
 def _party_sets(n, n_l, core_size, seed=0, width=8):
@@ -104,18 +104,19 @@ def _run_engines(sets, t, session, roots, seed, tamper=None):
     return engines
 
 
-@pytest.mark.parametrize("fault", sorted(LEAF_VECTOR_FAULTS))
+@pytest.mark.parametrize("fault", sorted(ROOT_FAULTS))
 def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault):
+    # every fault sends a root message other than the one of the committed leaves
     sets, _ = _party_sets(4, 12, 4, seed=11)
     session = b"\x05" * 16
     roots = {i + 1: merkle.root(sets[i], session) for i in range(4)}
-    tamper = LeafVectorFault(2, psin.MSG_ROOT_PROOFS, fault, sets[1], session)
+    tamper = RootFault(2, psin.MSG_ROOT_PROOFS, fault, sets[1], session)
     engines = _run_engines(sets, t=2, session=session, roots=roots, seed=11,
                            tamper=tamper)  # no escaped error
     for i in (1, 3, 4):
         assert engines[i].aborted and engines[i].abort_reason, i
         assert engines[i].intersection is None
-    assert any("leaf vector" in engines[i].abort_reason for i in (1, 3, 4))
+    assert any("root" in engines[i].abort_reason for i in (1, 3, 4))
 
 
 def _malformed_table(raw, fault):
@@ -214,13 +215,24 @@ def test_malformed_indexed_key_aborts_cleanly(msg_type, fault):
     assert kind in engines[3].abort_reason
 
 
-def test_leaf_vector_is_32_bytes_per_element():
+def test_commitment_message_is_one_root():
     sets, _ = _party_sets(4, 12, 4, seed=12)
     res = harness.run_multi_party(sets, t=2, seed=12)
     for (src, dst), sent in res.transcript.per_pair().items():
         sizes = [nbytes for msg_type, nbytes, _ in sent if msg_type == psin.MSG_ROOT_PROOFS]
         if src and dst:
-            assert sizes == [transport.HEADER_BYTES + 32 * 12]
+            assert sizes == [transport.HEADER_BYTES + 37]
+
+
+def test_transcript_carries_no_leaf_hash_of_own_elements():
+    # no party finds the leaf hash of an own element in any message it
+    # receives, from its peers or from the dealer
+    sets, core = _party_sets(4, 16, 6, seed=16)
+    session = b"\x09" * 16
+    bus = RecordingBus()
+    res = harness.run_multi_party(sets, t=2, session_id=session, seed=16, network=bus)
+    assert res.intersection == set(core)
+    assert_no_own_leaf_hash_received(bus, dict(enumerate(sets, start=1)), session)
 
 
 def test_cancellation_identity_white_box():

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from authpsi import harness, transport
+from authpsi import harness, merkle, transport
 from authpsi.errors import TransportClosed, TransportError
 from authpsi.transport import Envelope
 
@@ -111,16 +111,45 @@ def test_tcp_roundtrip_and_meter():
 @pytest.mark.parametrize("body", [b"\x00" * 5, SID + b"\x01" + (9).to_bytes(4, "big") + b"short"],
                          ids=["truncated-envelope", "length-mismatch"])
 def test_tcp_malformed_frame_delivers_close(body):
+    # the node closes the connection and delivers the bad frame as an error of
+    # its own, not as the hang-up of a peer that finished its part
     node = transport.TcpNode(1, ("127.0.0.1", 0), {})
     try:
         with socket.create_connection(("127.0.0.1", node.bound_port), timeout=5) as raw:
             raw.sendall((2).to_bytes(2, "big") + len(body).to_bytes(4, "big") + body)
             t0 = time.monotonic()
-            with pytest.raises(TransportClosed):
+            with pytest.raises(TransportError, match="malformed frame from party 2") as info:
                 node.recv(timeout=5)
             assert time.monotonic() - t0 < 2
+            assert not isinstance(info.value, TransportClosed)
+            assert raw.recv(1) == b""
     finally:
         node.close()
+
+
+def test_networked_receiver_gives_up_on_malformed_frame():
+    # a 2pc receiver whose party-2 connection sends one 5-byte frame stops at
+    # once instead of waiting out its timeout
+    x = [bytes([i, 2]) for i in range(16)]
+    y = [bytes([i, 2]) for i in range(8, 24)]
+    session = b"\x34" * 16
+    roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
+    spec = harness.Session({1: x}, roots, session)
+    sinks = {i: transport.TcpNode(i, ("127.0.0.1", 0), {}) for i in (0, 2)}
+    node = transport.TcpNode(1, ("127.0.0.1", 0),
+                             {i: ("127.0.0.1", sink.bound_port) for i, sink in sinks.items()})
+    try:
+        with socket.create_connection(("127.0.0.1", node.bound_port), timeout=5) as raw:
+            raw.sendall((2).to_bytes(2, "big") + (5).to_bytes(4, "big") + bytes(5))
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match="malformed frame") as info:
+                harness.drive_engine(spec, 1, node, rng=np.random.default_rng(0), timeout=4.0)
+            assert time.monotonic() - t0 < 1.0
+            assert not isinstance(info.value, TransportClosed)
+    finally:
+        node.close()
+        for sink in sinks.values():
+            sink.close()
 
 
 def test_tcp_unreachable_peer():
@@ -142,7 +171,6 @@ def test_backends_produce_identical_transcripts():
     bus_run = harness.run_two_party(x, y, session_id=session, seed=5)
 
     # the networked CLI's path: the shared builder, one drive_engine per party
-    from authpsi import merkle
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     spec = harness.Session({1: x, 2: y}, roots, session)
     master = np.random.default_rng(5)
