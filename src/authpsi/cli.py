@@ -32,7 +32,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import datasets, harness, merkle, psi2, transport
+from . import datasets, harness, merkle, transport
 from .errors import ConfigError, TransportError
 
 EXIT_ABORT = 3
@@ -155,7 +155,7 @@ def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session
     if construction == "2pc":
         if sorted(roots) != [1, 2]:
             raise click.UsageError("2pc config must define parties 1 and 2")
-        for i, expected in ((1, psi2.RECEIVER), (2, psi2.SENDER)):
+        for i, expected in ((1, "receiver"), (2, "sender")):
             if parties[i].get("role", expected) != expected:
                 raise click.UsageError(f"party {i} is the {expected} of a 2pc session, "
                                        f"not {parties[i]['role']!r}")
@@ -181,12 +181,17 @@ def _tamper(spec, party):
 
 
 def _write_outputs(out_dir, intersection, report) -> None:
+    """Write the intersection and the report; on an abort, name each party's reason and exit 3."""
     out = Path(out_dir) if out_dir else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     if intersection is not None:
         lines = sorted(e.hex() for e in intersection)
         (out / "intersection.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    if report["aborted"]:
+        for i, reason in report["abort_reasons"].items():
+            click.echo(f"session aborted at party {i}: {reason}", err=True)
+        sys.exit(EXIT_ABORT)
 
 
 @main.command(name="run")
@@ -240,9 +245,6 @@ def _run_local(session: harness.Session, seed, out_dir):
     except ConfigError as exc:
         raise click.UsageError(str(exc))
     _write_outputs(out_dir, result.intersection, result.report)
-    if result.aborted:
-        click.echo("session aborted: integrity verification failed", err=True)
-        sys.exit(EXIT_ABORT)
     click.echo(f"ok: {len(result.intersection or ())} common elements, "
                f"{result.report['bits_per_element']:.0f} bits/element")
 
@@ -263,15 +265,12 @@ def _run_networked(session: harness.Session, role: int, addresses: dict, out_dir
         node.close()
     elapsed = (time.perf_counter() - t0) * 1000
 
-    report = transport.make_report(node.meter, session_id=session.session_id,
-                                   n=len(session.sets[role]), parties=len(session.roots),
-                                   t=session.t, phase_ms=engine.phase_ms,
-                                   aborted=engine.aborted)
+    report = transport.make_report(
+        node.meter, session_id=session.session_id, n=len(session.sets[role]),
+        parties=len(session.roots), t=session.t, phase_ms={role: engine.phase_ms},
+        abort_reasons={role: engine.abort_reason} if engine.aborted else {})
     report["elapsed_ms"] = elapsed
     _write_outputs(out_dir, engine.intersection, report)
-    if engine.aborted:
-        click.echo("session aborted: integrity verification failed", err=True)
-        sys.exit(EXIT_ABORT)
     if engine.intersection is not None:
         click.echo(f"ok: {len(engine.intersection)} common elements")
     else:

@@ -22,19 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-GF_BITS = 128
 GF_BYTES = 16
 MASK128 = (1 << 128) - 1
 
-ZERO = 0
-ONE = 1
-
 _LIMB = np.dtype("<u8")
-
-
-def add(a: int, b: int) -> int:
-    """Field addition (= subtraction): bitwise XOR."""
-    return a ^ b
 
 
 def clmul(a: int, b: int) -> int:

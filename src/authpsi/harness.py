@@ -126,18 +126,11 @@ class Session:
         """Party i's engine, running on its tampered inputs if the tamper is its."""
         tamper = self.tamper_at(i)
         inputs = tamper.inputs(self.sets[i]) if tamper else list(self.sets[i])
+        config = dict(party_index=i, input_set=inputs, session_id=self.session_id,
+                      roots=self.roots, skip_self_check=tamper is not None)
         if self.t is None:
-            # party 1 is always the receiver
-            peer = 2 if i == 1 else 1
-            config = psi2.PartyConfig2(
-                role=psi2.RECEIVER if i == 1 else psi2.SENDER, party_index=i, peer_index=peer,
-                input_set=inputs, session_id=self.session_id, announced_root=self.roots[i],
-                peer_root=self.roots[peer], skip_self_check=tamper is not None)
-            return psi2.Psi2Engine(config, rng=rng)
-        config = psin.PartyConfigN(
-            n=len(self.roots), t=self.t, party_index=i, input_set=inputs,
-            session_id=self.session_id, roots=self.roots, skip_self_check=tamper is not None)
-        return psin.PsinEngine(config, rng=rng)
+            return psi2.Psi2Engine(psi2.PartyConfig(**config), rng=rng)
+        return psin.PsinEngine(psin.PartyConfigN(**config, t=self.t), rng=rng)
 
 
 @dataclass
@@ -179,10 +172,10 @@ def _pump(net: transport.BusNetwork, handlers: dict, initial: list,
           tamper: Optional[Tamper] = None) -> None:
     """Single global FIFO delivery until all engines go quiet.
 
-    The tampered party's outgoing envelopes pass through its tamper, and the
-    exceptions it raises are swallowed: an adversary that trips over honest
-    traffic simply stops participating, and the run's outcome is judged by
-    the honest engines alone.
+    The tampered party's outgoing envelopes pass through its tamper. No
+    exception is caught here: an engine turns every fault a peer causes into
+    a clean abort, so anything that escapes a handler is a defect of the
+    program and ends the run.
     """
     queue: deque[tuple[int, int, transport.Envelope]] = deque()
 
@@ -200,13 +193,7 @@ def _pump(net: transport.BusNetwork, handlers: dict, initial: list,
         got = net.node(dst).recv(timeout=0.001)
         assert got is not None
         real_src, delivered = got
-        try:
-            outs = handlers[dst](real_src, delivered)
-        except ProtocolError:
-            if tamper is None or dst != tamper.party:
-                raise
-            outs = []
-        push(dst, outs)
+        push(dst, handlers[dst](real_src, delivered))
 
 
 def run_session(session: Session, rng: np.random.Generator,
@@ -230,14 +217,14 @@ def run_session(session: Session, rng: np.random.Generator,
     _pump(net, handlers, [(i, e.start()) for i, e in engines.items()], session.tamper)
     elapsed = (time.perf_counter() - t0) * 1000
 
-    aborted = [i for i, e in engines.items() if e.aborted and not session.tamper_at(i)]
-    out = engines[session.output_party]
+    reasons = {i: e.abort_reason for i, e in engines.items()
+               if e.aborted and not session.tamper_at(i)}
     report = transport.make_report(
-        net.meter, session_id=session.session_id, n=len(session.sets[1]),
-        parties=len(engines), t=session.t, phase_ms=out.phase_ms, aborted=bool(aborted))
-    return RunResult(intersection=out.intersection, aborted=bool(aborted),
-                     abort_parties=aborted, report=report, transcript=net.transcript,
-                     elapsed_ms=elapsed)
+        net.meter, session_id=session.session_id, n=len(session.sets[1]), parties=len(engines),
+        t=session.t, phase_ms={i: e.phase_ms for i, e in engines.items()}, abort_reasons=reasons)
+    return RunResult(intersection=engines[session.output_party].intersection,
+                     aborted=bool(reasons), abort_parties=list(reasons), report=report,
+                     transcript=net.transcript, elapsed_ms=elapsed)
 
 
 def _run(sets, t, session_id, tamper, seed, network, announced_roots) -> RunResult:

@@ -1,4 +1,4 @@
-"""Two-party authenticated set intersection over committed inputs.
+"""Two-party authenticated set intersection over committed inputs, and the party core.
 
 Both parties publish a commitment (tree root) to their input set before the
 session. The run then has three phases:
@@ -6,7 +6,8 @@ session. The run then has three phases:
 - transform: each party computes the root of the inputs it runs on once,
   refuses to start if it differs from its announced commitment, and sends
   that root (37 bytes: version, set size, digest) to its peer; the receiver
-  additionally encodes its set into an oblivious table P mapping x -> HB(x).
+  (always party 1) additionally encodes its set into an oblivious table P
+  mapping x -> HB(x).
 - interact: each side compares the received root with the peer's
   pre-announced one and aborts the session on any difference. Both sides
   then draw a correlation (A, C) / (B, delta) with C = A*delta + B from the
@@ -31,6 +32,15 @@ no message carries a function of a single element that the peer could
 evaluate itself (the digests are masked by the correlation), so a peer can
 check only a guess of a whole set, against the announced root. Leaves are
 salted with the session id, so commitments are per session.
+
+`Party` is the layer both engines share (`psin` builds on it too): the
+self-check and the root sent to every other party at start, the gate on
+every other party's root, and the abort path. The abort rule: a message
+handler that meets a fault a peer caused (a malformed, duplicated,
+misrouted or out-of-order message, or one for another session) raises
+`ProtocolError`, and `Party._route` turns it into an abort to every other
+party with the error's text as the reason. No `ProtocolError` leaves
+`handle`; after an abort, sent or received, further traffic is dropped.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ import numpy as np
 
 from . import gf, merkle, okvs, vole
 from .errors import ConfigError, ProtocolError
+from .transport import DEALER_INDEX, Envelope
 
 MSG_ROOT_PROOFS = 0x01
 MSG_MASKED_VECTOR = 0x02
@@ -58,9 +69,6 @@ MAX_ENCODE_ATTEMPTS = 16
 
 _HB_TAG = b"\x42"
 _HO_TAG = b"\x4f"
-
-RECEIVER = "receiver"
-SENDER = "sender"
 
 
 def hash_to_mask(x: bytes) -> int:
@@ -85,20 +93,20 @@ def okvs_length(n_x: int) -> int:
 
 
 @dataclass
-class PartyConfig2:
-    role: str
+class PartyConfig:
+    """One party of a session whose parties are numbered 1..n, n = len(roots)."""
     party_index: int
-    peer_index: int
     input_set: list[bytes]
     session_id: bytes
-    announced_root: merkle.MerkleRoot
-    peer_root: merkle.MerkleRoot
+    roots: dict[int, merkle.MerkleRoot]  # party index -> announced commitment
     # harness knob for adversarial runs: skip the local commitment re-check
     skip_self_check: bool = False
 
     def __post_init__(self):
-        if self.role not in (RECEIVER, SENDER):
-            raise ConfigError(f"unknown role {self.role!r}")
+        if sorted(self.roots) != list(range(1, self.n + 1)):
+            raise ConfigError("a root must be announced for every party")
+        if self.party_index not in self.roots:
+            raise ConfigError("party index out of range")
         if not self.input_set:
             raise ConfigError("input set must be nonempty")
         if len(set(self.input_set)) != len(self.input_set):
@@ -107,18 +115,8 @@ class PartyConfig2:
             raise ConfigError("session id must be 16 bytes")
 
     @property
-    def n_own(self) -> int:
-        return len(self.input_set)
-
-    @property
-    def n_peer(self) -> int:
-        return self.peer_root.set_size
-
-    @property
-    def out_bytes(self) -> int:
-        n_x = self.n_own if self.role == RECEIVER else self.n_peer
-        n_y = self.n_peer if self.role == RECEIVER else self.n_own
-        return digest_width(n_x, n_y)
+    def n(self) -> int:
+        return len(self.roots)
 
 
 def encode_root_proofs(root: merkle.MerkleRoot) -> bytes:
@@ -139,10 +137,17 @@ def check_peer_commitment(committed: merkle.MerkleRoot, sent: merkle.MerkleRoot)
     return sent == committed
 
 
-class Psi2Engine:
-    """Message-driven state machine for one party of a two-party session."""
+class Party:
+    """State, commitment gate and abort path shared by both engines.
 
-    def __init__(self, config: PartyConfig2, rng: Optional[np.random.Generator] = None):
+    An engine names its root and abort message types, calls `_open` first in
+    `start`, passes every message to `_route` with its handler table, and
+    implements `_advance`, which the gate calls after each accepted root.
+    """
+    ROOT_TYPE: int
+    ABORT_TYPE: int
+
+    def __init__(self, config: PartyConfig, rng: Optional[np.random.Generator] = None):
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(secrets.randbits(128))
         self.phase = "fresh"
@@ -150,7 +155,92 @@ class Psi2Engine:
         self.abort_reason: Optional[str] = None
         self.intersection: Optional[set[bytes]] = None
         self.phase_ms: dict[str, float] = {}
-        self._peer_verified = False
+        self.peers = [j for j in sorted(config.roots) if j != config.party_index]
+        self._unverified = set(self.peers)
+
+    @property
+    def done(self) -> bool:
+        return self.phase in ("done", "aborted")
+
+    @property
+    def verified(self) -> bool:
+        """Every other party's root has passed the gate."""
+        return not self._unverified
+
+    def _env(self, msg_type: int, payload: bytes) -> Envelope:
+        return Envelope(session_id=self.config.session_id, msg_type=msg_type, payload=payload)
+
+    def _abort(self, reason: str) -> list:
+        self.aborted = True
+        self.abort_reason = reason
+        self.phase = "aborted"
+        self.intersection = None
+        env = self._env(self.ABORT_TYPE, reason.encode())
+        return [(j, env) for j in self.peers]
+
+    def _open(self) -> list:
+        """Check the own inputs against the own commitment; their root to every other party."""
+        if self.phase != "fresh":
+            raise ProtocolError("engine already started")
+        cfg = self.config
+        own_root = merkle.root(cfg.input_set, cfg.session_id)
+        if not cfg.skip_self_check and own_root != cfg.roots[cfg.party_index]:
+            raise ConfigError("input set does not match the announced commitment")
+        self.phase = "transformed"
+        env = self._env(self.ROOT_TYPE, encode_root_proofs(own_root))
+        return [(j, env) for j in self.peers]
+
+    def _route(self, src: int, env: Envelope, handlers: dict) -> list:
+        """Deliver one message: drop, abort, gate or dispatch by type to `handlers`."""
+        if self.phase == "aborted":
+            return []  # late traffic for a dead session is dropped
+        try:
+            if env.session_id != self.config.session_id:
+                raise ProtocolError("envelope for a different session")
+            if env.msg_type == self.ABORT_TYPE:
+                self._abort(env.payload.decode(errors="replace") or "peer abort")
+                return []  # a peer's abort is not echoed
+            if self.phase == "fresh":
+                raise ProtocolError("message before transform")
+            if env.msg_type == self.ROOT_TYPE:
+                return self._on_root(src, env.payload)
+            if env.msg_type not in handlers:
+                raise ProtocolError(f"unexpected message type {env.msg_type:#x}")
+            return handlers[env.msg_type](src, env.payload)
+        except ProtocolError as exc:
+            return self._abort(str(exc))
+
+    def _on_root(self, src: int, payload: bytes) -> list:
+        """The gate: one root from each other party, equal to the one it announced."""
+        if src not in self._unverified:
+            raise ProtocolError(f"unexpected root from party {src}")
+        t0 = time.perf_counter()
+        try:
+            ok = check_peer_commitment(self.config.roots[src], decode_root_proofs(payload))
+        except ProtocolError:
+            ok = False  # an undecodable root fails the gate like a wrong one
+        self.phase_ms["verify"] = self.phase_ms.get("verify", 0.0) + (time.perf_counter() - t0) * 1000
+        if not ok:
+            raise ProtocolError(f"root from party {src} fails its commitment")
+        self._unverified.discard(src)
+        return self._advance()
+
+
+class Psi2Engine(Party):
+    """Message-driven state machine for one party of a two-party session."""
+    ROOT_TYPE = MSG_ROOT_PROOFS
+    ABORT_TYPE = MSG_ABORT
+
+    def __init__(self, config: PartyConfig, rng: Optional[np.random.Generator] = None):
+        if config.n != 2:
+            raise ConfigError("a two-party session has parties 1 and 2")
+        super().__init__(config, rng)
+        self.receiver = config.party_index == 1
+        self.peer = 3 - config.party_index
+        n_own, n_peer = len(config.input_set), config.roots[self.peer].set_size
+        self.n_x, self.n_y = (n_own, n_peer) if self.receiver else (n_peer, n_own)
+        self.out_bytes = digest_width(self.n_x, self.n_y)
+        self._length = okvs_length(self.n_x)
         self._vole_seed: Optional[vole.VoleSeed] = None
         self._pending_masked: Optional[bytes] = None
         self._sent_masked = False
@@ -161,131 +251,68 @@ class Psi2Engine:
         self._send_corr: Optional[vole.SenderCorrelation] = None
         self.bprime_table: Optional[okvs.OkvsTable] = None  # exposed for white-box checks
 
-    # -- helpers -------------------------------------------------------------
-
-    @property
-    def done(self) -> bool:
-        return self.phase in ("done", "aborted")
-
-    def _env(self, msg_type: int, payload: bytes):
-        from .transport import Envelope
-        return Envelope(session_id=self.config.session_id, msg_type=msg_type, payload=payload)
-
-    def _abort(self, reason: str) -> list:
-        self.aborted = True
-        self.abort_reason = reason
-        self.phase = "aborted"
-        self.intersection = None
-        return [(self.config.peer_index, self._env(MSG_ABORT, reason.encode()))]
-
-    def _expected_length(self) -> int:
-        n_x = self.config.n_own if self.config.role == RECEIVER else self.config.n_peer
-        return okvs_length(n_x)
-
     # -- transform -----------------------------------------------------------
 
     def start(self) -> list:
-        if self.phase != "fresh":
-            raise ProtocolError("engine already started")
         t0 = time.perf_counter()
         cfg = self.config
-        own_root = merkle.root(cfg.input_set, cfg.session_id)
-        if not cfg.skip_self_check and own_root != cfg.announced_root:
-            raise ConfigError("input set does not match the announced commitment")
-        out = []
-        if cfg.role == RECEIVER:
+        out = self._open()
+        if self.receiver:
             seed = self.rng.bytes(okvs.SEED_BYTES)
-            params = okvs.OkvsParams.for_size(cfg.n_own, seed)
+            params = okvs.OkvsParams.for_size(self.n_x, seed)
             pairs = [(x, hash_to_mask(x)) for x in cfg.input_set]
             result = okvs.encode_with_retry(pairs, params, MAX_ENCODE_ATTEMPTS, rng=self.rng)
             if result is None:
-                return self._abort("oblivious table encoding failed")
+                return out + self._abort("oblivious table encoding failed")
             self._table, _ = result
-        out.append((cfg.peer_index, self._env(MSG_ROOT_PROOFS, encode_root_proofs(own_root))))
-        role = vole.RECEIVER if cfg.role == RECEIVER else vole.SENDER
-        from .transport import DEALER_INDEX
+        role = vole.RECEIVER if self.receiver else vole.SENDER
         out.append((DEALER_INDEX, self._env(
-            vole.MSG_VOLE_REQUEST,
-            vole.encode_dealer_msg(cfg.session_id, role, self._expected_length()))))
-        self.phase = "transformed"
+            vole.MSG_VOLE_REQUEST, vole.encode_dealer_msg(cfg.session_id, role, self._length))))
         self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
         return out
 
     # -- message handling ----------------------------------------------------
 
-    def handle(self, src: int, env) -> list:
-        if env.session_id != self.config.session_id:
-            raise ProtocolError("envelope for a different session")
-        if self.phase == "aborted":
-            return []  # late traffic for a dead session is dropped
-        if env.msg_type == MSG_ABORT:
-            self.aborted = True
-            self.abort_reason = env.payload.decode(errors="replace") or "peer abort"
-            self.phase = "aborted"
-            self.intersection = None
-            return []
-        if env.msg_type == MSG_ROOT_PROOFS:
-            return self._on_root_proofs(src, env.payload)
-        if env.msg_type == vole.MSG_VOLE_MATERIAL:
-            return self._on_vole_material(src, env.payload)
-        if env.msg_type == MSG_MASKED_VECTOR:
-            return self._on_masked_vector(src, env.payload)
-        if env.msg_type == MSG_DIGEST_SET:
-            return self._on_digest_set(src, env.payload)
-        raise ProtocolError(f"unexpected message type {env.msg_type:#x}")
-
-    def _on_root_proofs(self, src: int, payload: bytes) -> list:
-        if src != self.config.peer_index or self.phase != "transformed" or self._peer_verified:
-            raise ProtocolError("root out of order")
-        t0 = time.perf_counter()
-        try:
-            sent = decode_root_proofs(payload)
-        except ProtocolError as exc:
-            return self._abort(f"undecodable peer root: {exc}")
-        ok = check_peer_commitment(self.config.peer_root, sent)
-        self.phase_ms["verify"] = self.phase_ms.get("verify", 0.0) + (time.perf_counter() - t0) * 1000
-        if not ok:
-            return self._abort("peer root does not match its commitment")
-        self._peer_verified = True
-        return self._advance()
+    def handle(self, src: int, env: Envelope) -> list:
+        return self._route(src, env, {vole.MSG_VOLE_MATERIAL: self._on_vole_material,
+                                      MSG_MASKED_VECTOR: self._on_masked_vector,
+                                      MSG_DIGEST_SET: self._on_digest_set})
 
     def _on_vole_material(self, src: int, payload: bytes) -> list:
-        from .transport import DEALER_INDEX
         if src != DEALER_INDEX or self._vole_seed is not None:
             raise ProtocolError("unexpected dealer material")
         seed = vole.seed_from_material(payload)
-        if seed.length != self._expected_length():
+        if seed.length != self._length:
             raise ProtocolError("dealer correlation has the wrong length")
         self._vole_seed = seed
         corr = vole.extend(seed)
-        if self.config.role == RECEIVER:
+        if self.receiver:
             self._recv_corr = corr
         else:
             self._send_corr = corr
         return self._advance()
 
     def _advance(self) -> list:
-        cfg = self.config
         out = []
-        if cfg.role == RECEIVER:
-            if self._peer_verified and self._recv_corr is not None and not self._sent_masked:
+        if self.receiver:
+            if self.verified and self._recv_corr is not None and not self._sent_masked:
                 t0 = time.perf_counter()
                 masked = self._recv_corr.a_vec ^ self._table.values
                 payload = (self._table.params.row_seed
                            + masked.shape[0].to_bytes(4, "big")
                            + gf.vec_to_bytes(masked))
-                out.append((cfg.peer_index, self._env(MSG_MASKED_VECTOR, payload)))
+                out.append((self.peer, self._env(MSG_MASKED_VECTOR, payload)))
                 self._sent_masked = True
                 self.phase = "interacted"
                 self.phase_ms["interact"] = (time.perf_counter() - t0) * 1000
         else:
-            if (self._peer_verified and self._send_corr is not None
+            if (self.verified and self._send_corr is not None
                     and self._pending_masked is not None and self.phase != "done"):
                 out.extend(self._send_digest_set())
         return out
 
     def _on_masked_vector(self, src: int, payload: bytes) -> list:
-        if self.config.role != SENDER or src != self.config.peer_index:
+        if self.receiver or src != self.peer:
             raise ProtocolError("masked vector sent to the wrong party")
         if self._pending_masked is not None or self.phase != "transformed":
             raise ProtocolError("masked vector out of order")
@@ -297,43 +324,43 @@ class Psi2Engine:
         t0 = time.perf_counter()
         payload = self._pending_masked
         if len(payload) < okvs.SEED_BYTES + 4:
-            return self._abort("malformed masked vector")
+            raise ProtocolError("malformed masked vector")
         row_seed = payload[: okvs.SEED_BYTES]
         count = int.from_bytes(payload[okvs.SEED_BYTES : okvs.SEED_BYTES + 4], "big")
         body = payload[okvs.SEED_BYTES + 4 :]
-        m = self._expected_length()
+        m = self._length
         if count != m or len(body) != m * gf.GF_BYTES:
-            return self._abort("masked vector length mismatch")
+            raise ProtocolError("masked vector length mismatch")
         masked = gf.vec_from_bytes(body)
         corr = self._send_corr
         bprime = corr.b_vec ^ gf.scalar_mul_vec(corr.delta, masked)
-        params = okvs.OkvsParams.for_size(cfg.n_peer, row_seed)
+        params = okvs.OkvsParams.for_size(self.n_x, row_seed)
         self.bprime_table = okvs.OkvsTable(params=params, values=bprime)
 
         decoded = okvs.decode_batch(self.bprime_table, cfg.input_set)
         hb = gf.vec_from_ints([hash_to_mask(y) for y in cfg.input_set])
         unmasked = decoded ^ gf.scalar_mul_vec(corr.delta, hb)
-        width = cfg.out_bytes
-        digests = [output_digest(gf.vec_get(unmasked, i), width) for i in range(cfg.n_own)]
-        order = self.rng.permutation(cfg.n_own)
+        width = self.out_bytes
+        digests = [output_digest(gf.vec_get(unmasked, i), width) for i in range(self.n_y)]
+        order = self.rng.permutation(self.n_y)
         payload_out = len(digests).to_bytes(4, "big") + b"".join(digests[i] for i in order)
         self.phase = "done"
         self.phase_ms["interact"] = (time.perf_counter() - t0) * 1000
-        return [(cfg.peer_index, self._env(MSG_DIGEST_SET, payload_out))]
+        return [(self.peer, self._env(MSG_DIGEST_SET, payload_out))]
 
     def _on_digest_set(self, src: int, payload: bytes) -> list:
         cfg = self.config
-        if cfg.role != RECEIVER or src != cfg.peer_index:
+        if not self.receiver or src != self.peer:
             raise ProtocolError("digest set sent to the wrong party")
         if self.phase != "interacted":
             raise ProtocolError("digest set out of order")
         t0 = time.perf_counter()
         count = int.from_bytes(payload[:4], "big")
-        if count != cfg.n_peer:
-            return self._abort("digest set size does not match the peer commitment")
-        width = cfg.out_bytes
+        if count != self.n_y:
+            raise ProtocolError("digest set size does not match the peer commitment")
+        width = self.out_bytes
         if len(payload) != 4 + count * width:
-            return self._abort("bad digest set payload length")
+            raise ProtocolError("bad digest set payload length")
         received = {payload[4 + i * width : 4 + (i + 1) * width] for i in range(count)}
 
         c_table = okvs.OkvsTable(params=self._table.params, values=self._recv_corr.c_vec)

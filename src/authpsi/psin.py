@@ -11,10 +11,10 @@ learns the intersection.
   x -> XOR of the PRF of x under all those keys. The parties P_v .. P_n
   exchange pairwise zero-sharing seeds.
 - interact: every party compares every other party's root with the one
-  that party announced (the gate of `psi2.check_peer_commitment`); the first
-  failure anywhere broadcasts an abort and the whole session dies. The
-  coordinator aggregates A^v(x) = XOR of Decode(T_i, x); each group-B party
-  aggregates A^i(x) = XOR of its received PRF evaluations.
+  that party announced; the first failure anywhere broadcasts an abort and
+  the whole session dies. The coordinator aggregates
+  A^v(x) = XOR of Decode(T_i, x); each group-B party aggregates
+  A^i(x) = XOR of its received PRF evaluations.
 - reconstruct: each of P_v .. P_{n-1} programs an oblivious PRF with points
   (x, share(x) XOR A(x)) and sends the hint to P_n, which queries every hint
   at its own elements and keeps those x where its own share XOR A^n(x)
@@ -27,6 +27,11 @@ Every 64-bit XOR value (table values, aggregates, shares, hint points and
 the final comparison) is a uint64 array over the party's input set, so each
 step above is a handful of whole-array XORs and batched PRF calls.
 
+The self-check, the root gate and the abort path are `psi2.Party`'s, the
+core this engine shares with the two-party one: a handler raises
+`ProtocolError` on a peer's fault, and the core turns it into one abort to
+every other party.
+
 Only P_n terminates with output; everyone else ends with none. The gate
 binds each party to its commitment as far as `psi2` states: a party that
 replays its honest root is not caught. Apart from those roots, no message
@@ -38,16 +43,17 @@ queries.
 from __future__ import annotations
 
 import hashlib
-import secrets
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import merkle, okvs, opprf, zeroshare
+from . import okvs, opprf, zeroshare
 from .errors import ConfigError, ProtocolError
-from .psi2 import check_peer_commitment, decode_root_proofs, encode_root_proofs
+# decode_root_proofs is held by name so bench/layers.py's tracer reaches it here too
+from .psi2 import Party, PartyConfig, decode_root_proofs  # noqa: F401
+from .transport import DEALER_INDEX
 
 MSG_ROOT_PROOFS = 0x11
 MSG_GROUP_KEY = 0x12
@@ -68,21 +74,15 @@ def encode_indexed_key(i: int, j: int, key: bytes) -> bytes:
     return i.to_bytes(2, "big") + j.to_bytes(2, "big") + key
 
 
-def decode_indexed_key(raw: bytes) -> tuple[int, int, bytes]:
+def decode_indexed_key(raw: bytes, what: str) -> tuple[int, int, bytes]:
     if len(raw) != 4 + 16:
-        raise ProtocolError("bad keyed-pair payload length")
+        raise ProtocolError(f"undecodable {what}")
     return int.from_bytes(raw[:2], "big"), int.from_bytes(raw[2:4], "big"), raw[4:]
 
 
-@dataclass
-class PartyConfigN:
-    n: int
+@dataclass(kw_only=True)
+class PartyConfigN(PartyConfig):
     t: int
-    party_index: int
-    input_set: list[bytes]
-    session_id: bytes
-    roots: dict[int, merkle.MerkleRoot]
-    skip_self_check: bool = False
 
     def __post_init__(self):
         if self.n < 3:
@@ -92,14 +92,7 @@ class PartyConfigN:
             raise ConfigError(f"collusion bound t={self.t} out of range for n={self.n}")
         if self.v < 2:
             raise ConfigError("n - t must be at least 2")
-        if not 1 <= self.party_index <= self.n:
-            raise ConfigError("party index out of range")
-        if sorted(self.roots) != list(range(1, self.n + 1)):
-            raise ConfigError("a root must be announced for every party")
-        if not self.input_set:
-            raise ConfigError("input set must be nonempty")
-        if len(set(self.input_set)) != len(self.input_set):
-            raise ConfigError("input set must contain distinct elements")
+        super().__post_init__()
         sizes = {r.set_size for r in self.roots.values()}
         # the adversarial knob also lifts the own-size check so a tampered
         # party can run with an inflated set against its stale commitment
@@ -107,8 +100,6 @@ class PartyConfigN:
             raise ConfigError("all parties must commit to sets of one common size")
         if len(sizes) != 1:
             raise ConfigError("announced commitments disagree on the set size")
-        if len(self.session_id) != 16:
-            raise ConfigError("session id must be 16 bytes")
 
     @property
     def v(self) -> int:
@@ -137,21 +128,13 @@ class PartyConfigN:
         return list(range(self.v, self.n))
 
 
-class PsinEngine:
-    """Message-driven state machine for one party of an n-party session."""
+class PsinEngine(Party):
+    """Message-driven state machine for one party of an n-party session; only P_n gets output."""
+    ROOT_TYPE = MSG_ROOT_PROOFS
+    ABORT_TYPE = MSG_ABORT
 
     def __init__(self, config: PartyConfigN, rng: Optional[np.random.Generator] = None):
-        self.config = config
-        self.rng = rng if rng is not None else np.random.default_rng(secrets.randbits(128))
-        self.phase = "fresh"
-        self.aborted = False
-        self.abort_reason: Optional[str] = None
-        self.intersection: Optional[set[bytes]] = None  # populated only at P_n
-        self.phase_ms: dict[str, float] = {}
-
-        i = config.party_index
-        self._pending_verify = {j for j in range(1, config.n + 1) if j != i}
-        self._verified_all = False
+        super().__init__(config, rng)
         # group-A keys this party holds (group B side): sender index -> key
         self.groupa_keys: dict[int, bytes] = {}
         # PRF keys a group-A party generated, per group-B target
@@ -168,27 +151,6 @@ class PsinEngine:
         self._evals: dict[int, np.ndarray] = {}
         self._eval_requested: set[int] = set()
 
-    # -- helpers -------------------------------------------------------------
-
-    @property
-    def done(self) -> bool:
-        return self.phase in ("done", "aborted")
-
-    def _env(self, msg_type: int, payload: bytes):
-        from .transport import Envelope
-        return Envelope(session_id=self.config.session_id, msg_type=msg_type, payload=payload)
-
-    def _others(self) -> list[int]:
-        return [j for j in range(1, self.config.n + 1) if j != self.config.party_index]
-
-    def _abort_all(self, reason: str) -> list:
-        self.aborted = True
-        self.abort_reason = reason
-        self.phase = "aborted"
-        self.intersection = None
-        env = self._env(MSG_ABORT, reason.encode())
-        return [(j, env) for j in self._others()]
-
     def _is_sender(self) -> bool:
         cfg = self.config
         return cfg.v <= cfg.party_index < cfg.n
@@ -196,16 +158,10 @@ class PsinEngine:
     # -- transform -----------------------------------------------------------
 
     def start(self) -> list:
-        if self.phase != "fresh":
-            raise ProtocolError("engine already started")
         t0 = time.perf_counter()
+        out = self._open()
         cfg = self.config
         i = cfg.party_index
-        own_root = merkle.root(cfg.input_set, cfg.session_id)
-        if not cfg.skip_self_check and own_root != cfg.roots[i]:
-            raise ConfigError("input set does not match the announced commitment")
-        message = encode_root_proofs(own_root)
-        out = [(j, self._env(MSG_ROOT_PROOFS, message)) for j in self._others()]
 
         if i in cfg.group_a:
             for j in cfg.group_b:
@@ -218,7 +174,7 @@ class PsinEngine:
             result = okvs.encode_with_retry(pairs, params, MAX_ENCODE_ATTEMPTS, rng=self.rng)
             if result is None:
                 self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
-                return out + self._abort_all("share table encoding failed")
+                return out + self._abort("share table encoding failed")
             table, _ = result
             out.append((cfg.v, self._env(MSG_SHARE_TABLE, table.to_bytes())))
 
@@ -230,70 +186,28 @@ class PsinEngine:
                     out.append((j, self._env(MSG_ZS_SEED, encode_indexed_key(i, j, seed))))
 
         if self._is_sender():
-            from .transport import DEALER_INDEX
             sid = oprf_session_id(cfg.session_id, i)
             out.append((DEALER_INDEX, self._env(MSG_OPRF_DEALER, opprf.encode_key_request(sid))))
 
-        self.phase = "transformed"
         self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
         return out
 
     # -- message handling ----------------------------------------------------
 
     def handle(self, src: int, env) -> list:
-        if env.session_id != self.config.session_id:
-            raise ProtocolError("envelope for a different session")
-        if self.phase == "aborted":
-            return []
-        if env.msg_type == MSG_ABORT:
-            self.aborted = True
-            self.abort_reason = env.payload.decode(errors="replace") or "peer abort"
-            self.phase = "aborted"
-            self.intersection = None
-            return []
-        if self.phase == "fresh":
-            raise ProtocolError("message before transform")
-        if env.msg_type == MSG_ROOT_PROOFS:
-            return self._on_root_proofs(src, env.payload)
-        if env.msg_type == MSG_GROUP_KEY:
-            return self._on_group_key(src, env.payload)
-        if env.msg_type == MSG_SHARE_TABLE:
-            return self._on_share_table(src, env.payload)
-        if env.msg_type == MSG_ZS_SEED:
-            return self._on_zs_seed(src, env.payload)
-        if env.msg_type == MSG_OPPRF_HINT:
-            return self._on_hint(src, env.payload)
-        if env.msg_type == MSG_OPRF_DEALER:
-            return self._on_oprf_dealer(src, env.payload)
-        raise ProtocolError(f"unexpected message type {env.msg_type:#x}")
-
-    def _on_root_proofs(self, src: int, payload: bytes) -> list:
-        if src not in self._pending_verify:
-            raise ProtocolError(f"unexpected root from party {src}")
-        t0 = time.perf_counter()
-        try:
-            sent = decode_root_proofs(payload)
-        except ProtocolError as exc:
-            return self._abort_all(f"undecodable root from party {src}: {exc}")
-        ok = check_peer_commitment(self.config.roots[src], sent)
-        self.phase_ms["verify"] = self.phase_ms.get("verify", 0.0) + (time.perf_counter() - t0) * 1000
-        if not ok:
-            return self._abort_all(f"root from party {src} does not match its commitment")
-        self._pending_verify.discard(src)
-        if not self._pending_verify:
-            self._verified_all = True
-        return self._advance()
+        return self._route(src, env, {MSG_GROUP_KEY: self._on_group_key,
+                                      MSG_SHARE_TABLE: self._on_share_table,
+                                      MSG_ZS_SEED: self._on_zs_seed,
+                                      MSG_OPPRF_HINT: self._on_hint,
+                                      MSG_OPRF_DEALER: self._on_oprf_dealer})
 
     def _on_group_key(self, src: int, payload: bytes) -> list:
         cfg = self.config
-        try:
-            i, j, key = decode_indexed_key(payload)
-        except ProtocolError:
-            return self._abort_all(f"undecodable group key from party {src}")
+        i, j, key = decode_indexed_key(payload, f"group key from party {src}")
         if src != i or j != cfg.party_index or src not in cfg.group_a or cfg.party_index not in cfg.group_b:
-            return self._abort_all(f"group key from party {src} has inconsistent endpoints")
+            raise ProtocolError(f"group key from party {src} has inconsistent endpoints")
         if i in self.groupa_keys:
-            return self._abort_all(f"duplicate group key from party {i}")
+            raise ProtocolError(f"duplicate group key from party {i}")
         self.groupa_keys[i] = key
         return self._advance()
 
@@ -306,30 +220,26 @@ class PsinEngine:
         try:
             table = okvs.OkvsTable.from_bytes(payload)
         except ValueError as exc:
-            return self._abort_all(f"undecodable share table from party {src}: {exc}")
+            raise ProtocolError(f"undecodable share table from party {src}: {exc}") from exc
         params = table.params
         if params != okvs.OkvsParams.for_size(cfg.n_l, params.row_seed):
-            return self._abort_all(f"share table from party {src} has the wrong parameters")
+            raise ProtocolError(f"share table from party {src} has the wrong parameters")
         self._share_tables[src] = table
         return self._advance()
 
     def _on_zs_seed(self, src: int, payload: bytes) -> list:
         cfg = self.config
-        try:
-            i, j, seed = decode_indexed_key(payload)
-        except ProtocolError:
-            return self._abort_all(f"undecodable zero-sharing seed from party {src}")
+        i, j, seed = decode_indexed_key(payload, f"zero-sharing seed from party {src}")
         if src != i or j != cfg.party_index:
-            return self._abort_all(f"zero-sharing seed from party {src} has inconsistent endpoints")
+            raise ProtocolError(f"zero-sharing seed from party {src} has inconsistent endpoints")
         if i not in cfg.subgroup or j not in cfg.subgroup or not i < j:
-            return self._abort_all(f"zero-sharing seed from party {src} is outside the subgroup")
+            raise ProtocolError(f"zero-sharing seed from party {src} is outside the subgroup")
         if (i, j) in self._zs_seeds:
-            return self._abort_all(f"duplicate zero-sharing seed from party {i}")
+            raise ProtocolError(f"duplicate zero-sharing seed from party {i}")
         self._zs_seeds[(i, j)] = seed
         return self._advance()
 
     def _on_oprf_dealer(self, src: int, payload: bytes) -> list:
-        from .transport import DEALER_INDEX
         cfg = self.config
         if src != DEALER_INDEX:
             raise ProtocolError("OPRF dealer traffic from a non-dealer")
@@ -360,12 +270,12 @@ class PsinEngine:
         try:
             hint = opprf.OpprfHint.from_bytes(payload)
         except ValueError as exc:
-            return self._abort_all(f"undecodable hint from party {src}: {exc}")
+            raise ProtocolError(f"undecodable hint from party {src}: {exc}") from exc
         params = hint.okvs_table.params
         if params != okvs.OkvsParams.for_size(cfg.n_l, params.row_seed):
-            return self._abort_all(f"hint from party {src} has the wrong parameters")
+            raise ProtocolError(f"hint from party {src} has the wrong parameters")
         if hint.oprf_session != oprf_session_id(cfg.session_id, src):
-            return self._abort_all(f"hint from party {src} is bound to the wrong OPRF session")
+            raise ProtocolError(f"hint from party {src} is bound to the wrong OPRF session")
         self._hints[src] = hint
         return self._advance()
 
@@ -415,7 +325,7 @@ class PsinEngine:
         cfg = self.config
         i = cfg.party_index
         out = []
-        if not self._verified_all:
+        if not self.verified:
             return out
 
         if i in cfg.group_a:
@@ -426,12 +336,9 @@ class PsinEngine:
             if self._oprf_key is not None and self._zs_complete() and self._materials_ready():
                 t0 = time.perf_counter()
                 sid = oprf_session_id(cfg.session_id, i)
-                try:
-                    hint = opprf.opprf_program(cfg.input_set, self._own_values(), sid,
-                                               self._oprf_key, rng=self.rng,
-                                               row_seed=self.rng.bytes(okvs.SEED_BYTES))
-                except ProtocolError:
-                    return self._abort_all("hint encoding failed")
+                hint = opprf.opprf_program(cfg.input_set, self._own_values(), sid,
+                                           self._oprf_key, rng=self.rng,
+                                           row_seed=self.rng.bytes(okvs.SEED_BYTES))
                 out.append((cfg.n, self._env(MSG_OPPRF_HINT, hint.to_bytes())))
                 self._hint_sent = True
                 self.phase = "done"
@@ -439,7 +346,6 @@ class PsinEngine:
             return out
 
         if i == cfg.n:
-            from .transport import DEALER_INDEX
             for s in cfg.senders:
                 if s not in self._eval_requested:
                     sid = oprf_session_id(cfg.session_id, s)

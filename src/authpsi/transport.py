@@ -130,9 +130,14 @@ class Transcript:
         return out
 
 
-def make_report(meter: Meter, *, session_id: bytes, n: int, parties: int,
-                t: Optional[int], phase_ms: dict, aborted: bool) -> dict:
-    """Communication summary in the shape consumed by the CLI and benchmarks."""
+def make_report(meter: Meter, *, session_id: bytes, n: int, parties: int, t: Optional[int],
+                phase_ms: dict[int, dict], abort_reasons: dict[int, str]) -> dict:
+    """Communication summary in the shape consumed by the CLI and benchmarks.
+
+    `phase_ms` maps each reported party to its phase timings. `abort_reasons`
+    maps each aborted party the run is judged by to its reason: every honest
+    party of a bus run, or the own party of a networked one.
+    """
     protocol = meter.protocol_bytes(session_id)
     return {
         "session": session_id.hex(),
@@ -144,7 +149,8 @@ def make_report(meter: Meter, *, session_id: bytes, n: int, parties: int,
         "per_type": meter.per_type(session_id),
         "setup_bytes": meter.setup_bytes(session_id),
         "phase_ms": phase_ms,
-        "aborted": aborted,
+        "aborted": bool(abort_reasons),
+        "abort_reasons": abort_reasons,
     }
 
 

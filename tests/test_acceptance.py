@@ -314,14 +314,8 @@ def test_criterion_10_masking_identity_white_box():
 def _white_box_session(x, y, session, roots, seed):
     from authpsi import transport
     master = np.random.default_rng(seed)
-    cfgs = {
-        1: psi2.PartyConfig2(role=psi2.RECEIVER, party_index=1, peer_index=2, input_set=x,
-                             session_id=session, announced_root=roots[1], peer_root=roots[2]),
-        2: psi2.PartyConfig2(role=psi2.SENDER, party_index=2, peer_index=1, input_set=y,
-                             session_id=session, announced_root=roots[2], peer_root=roots[1]),
-    }
-    engines = {i: psi2.Psi2Engine(cfgs[i], rng=np.random.default_rng(master.integers(1 << 62)))
-               for i in (1, 2)}
+    spec = harness.Session({1: x, 2: y}, roots, session)
+    engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62))) for i in (1, 2)}
     dealer = harness.DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
     net = transport.BusNetwork()
     for i in (0, 1, 2):

@@ -129,7 +129,11 @@ def test_local_two_party_run(runner, tmp_path):
     assert report["bits_per_element"] > 0
     assert set(report) >= {"session", "n", "parties", "t", "bytes_total",
                            "bits_per_element", "per_type", "setup_bytes",
-                           "phase_ms", "aborted"}
+                           "phase_ms", "aborted", "abort_reasons"}
+    # every party's phases, not only the output party's
+    assert set(report["phase_ms"]) == {"1", "2"}
+    assert all("transform" in phases for phases in report["phase_ms"].values())
+    assert report["abort_reasons"] == {}
 
 
 def test_local_tampered_run_exits_3(runner, tmp_path):
@@ -143,6 +147,10 @@ def test_local_tampered_run_exits_3(runner, tmp_path):
     assert result.exit_code == 3, result.output
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["aborted"] is True
+    # the honest party 1 names the gate that stopped it; the tamperer is not judged
+    assert set(report["abort_reasons"]) == {"1"}
+    assert "root from party 2" in report["abort_reasons"]["1"]
+    assert "party 1: root from party 2" in result.output
 
 
 def test_local_multi_party_run(runner, tmp_path):

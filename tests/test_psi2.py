@@ -9,6 +9,7 @@ import pytest
 
 from authpsi import gf, harness, merkle, okvs, psi2, transport, vole
 from authpsi.errors import ConfigError, ProtocolError
+from authpsi.transport import DEALER_INDEX
 
 
 def _sets(nx, ny, overlap, seed=0, width=8):
@@ -101,11 +102,13 @@ def _build(x, y, session, roots, seed, dealer_cls=harness.DealerService):
     return engines, dealer, net
 
 
-def _run_engines(x, y, session, roots, seed, tamper=None):
+def _run_engines(x, y, session, roots, seed, tamper=None, replay=None):
     engines, dealer, net = _build(x, y, session, roots, seed)
     handlers = {0: dealer.handle,
                 1: lambda s, e: engines[1].handle(s, e),
                 2: lambda s, e: engines[2].handle(s, e)}
+    if replay is not None:
+        handlers = replayed(handlers, *replay)
     harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)], tamper)
     return engines
 
@@ -128,7 +131,7 @@ def test_digest_set_size_and_permutation():
     payload = sent["digests"]
     count = int.from_bytes(payload[:4], "big")
     assert count == len(y)
-    width = engines[1].config.out_bytes
+    width = engines[1].out_bytes
     assert len(payload) == 4 + count * width
     # out width covers the statistical budget: 40 + ceil(log2(30*30)) bits
     assert width == 7
@@ -136,29 +139,36 @@ def test_digest_set_size_and_permutation():
     assert len(set(digests)) == count
 
 
-def test_out_of_order_messages_rejected():
-    x, y = _sets(8, 8, 2, seed=8)
-    session = b"\x24" * 16
+def _started_receiver(x, y, session):
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    cfg = psi2.PartyConfig2(role=psi2.RECEIVER, party_index=1, peer_index=2, input_set=x,
-                            session_id=session, announced_root=roots[1], peer_root=roots[2])
+    cfg = psi2.PartyConfig(party_index=1, input_set=x, session_id=session, roots=roots)
     engine = psi2.Psi2Engine(cfg, rng=np.random.default_rng(0))
     engine.start()
-    bogus = transport.Envelope(session, psi2.MSG_DIGEST_SET, b"\x00\x00\x00\x01" + b"\x00" * 8)
-    with pytest.raises(ProtocolError):
-        engine.handle(2, bogus)
+    return engine
+
+
+def assert_clean_abort(engine, out, fault):
+    """The engine aborted with a reason naming the fault and told every other party why."""
+    assert engine.aborted and engine.intersection is None
+    assert fault in engine.abort_reason
+    assert [dst for dst, _ in out] == engine.peers
+    assert all(env.msg_type == engine.ABORT_TYPE and env.payload == engine.abort_reason.encode()
+               for _, env in out)
+
+
+def test_out_of_order_messages_rejected():
+    x, y = _sets(8, 8, 2, seed=8)
+    engine = _started_receiver(x, y, b"\x24" * 16)
+    bogus = transport.Envelope(b"\x24" * 16, psi2.MSG_DIGEST_SET, b"\x00\x00\x00\x01" + b"\x00" * 8)
+    assert_clean_abort(engine, engine.handle(2, bogus), "digest set out of order")
+    assert engine.handle(2, bogus) == []  # traffic after the abort is dropped
 
 
 def test_wrong_session_rejected():
     x, y = _sets(8, 8, 2, seed=9)
-    session = b"\x25" * 16
-    roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    cfg = psi2.PartyConfig2(role=psi2.RECEIVER, party_index=1, peer_index=2, input_set=x,
-                            session_id=session, announced_root=roots[1], peer_root=roots[2])
-    engine = psi2.Psi2Engine(cfg, rng=np.random.default_rng(0))
-    engine.start()
-    with pytest.raises(ProtocolError):
-        engine.handle(2, transport.Envelope(b"\x26" * 16, psi2.MSG_ROOT_PROOFS, b""))
+    engine = _started_receiver(x, y, b"\x25" * 16)
+    out = engine.handle(2, transport.Envelope(b"\x26" * 16, psi2.MSG_ROOT_PROOFS, b""))
+    assert_clean_abort(engine, out, "different session")
 
 
 def test_dealer_bytes_are_setup_not_protocol():
@@ -192,7 +202,7 @@ def test_wrong_digest_count_aborts_cleanly():
     def truncate_digests(src, env):
         if env.msg_type == psi2.MSG_DIGEST_SET:
             count = int.from_bytes(env.payload[:4], "big")
-            width = engines[1].config.out_bytes
+            width = engines[1].out_bytes
             env = transport.Envelope(env.session_id, env.msg_type,
                                      (count - 1).to_bytes(4, "big") + env.payload[4:-width])
         return engines[1].handle(src, env)
@@ -459,6 +469,49 @@ def test_transcript_carries_no_leaf_hash_of_own_elements():
     res = harness.run_two_party(x, y, session_id=session, seed=21, network=bus)
     assert res.intersection == set(x) & set(y)
     assert_no_own_leaf_hash_received(bus, {1: x, 2: y}, session)
+
+
+def party_messages(run):
+    """(src, dst, type) of every message between two parties of a run."""
+    return [(src, dst, msg_type) for (src, dst), sent in run.transcript.per_pair().items()
+            if DEALER_INDEX not in (src, dst) for msg_type, _, _ in sent]
+
+
+def replayed(handlers, src, dst, msg_type):
+    """The handlers with the first src -> dst message of msg_type delivered twice in a row."""
+    inner, pending = handlers[dst], [True]
+
+    def handler(s, env):
+        out = inner(s, env)
+        if pending and s == src and env.msg_type == msg_type:
+            pending.clear()
+            out = out + inner(s, env)
+        return out
+
+    return {**handlers, dst: handler}
+
+
+def message_id(message):
+    src, dst, msg_type = message
+    return f"{src}to{dst}-{msg_type:#04x}"
+
+
+REPLAY_SETS = _sets(12, 12, 4, seed=22)
+REPLAYS = party_messages(harness.run_two_party(*REPLAY_SETS, seed=22))
+
+
+@pytest.mark.parametrize("message", REPLAYS, ids=message_id)
+def test_replayed_message_aborts_cleanly(message):
+    # a party-to-party message delivered twice is a fault its receiver must
+    # turn into an abort; every party then ends aborted with a reason
+    assert len(REPLAYS) == 4
+    x, y = REPLAY_SETS
+    session = b"\x2e" * 16
+    roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
+    engines = _run_engines(x, y, session, roots, seed=22, replay=message)  # no escaped error
+    for i in (1, 2):
+        assert engines[i].aborted and engines[i].abort_reason, i
+        assert engines[i].intersection is None
 
 
 def test_seeded_extra_element_run_is_reproducible():

@@ -8,7 +8,8 @@ import pytest
 
 from authpsi import harness, merkle, okvs, psin, transport, zeroshare
 from authpsi.errors import ConfigError
-from test_psi2 import ROOT_FAULTS, RecordingBus, RootFault, assert_no_own_leaf_hash_received
+from test_psi2 import (ROOT_FAULTS, RecordingBus, RootFault, assert_no_own_leaf_hash_received,
+                       message_id, party_messages, replayed)
 
 
 def _party_sets(n, n_l, core_size, seed=0, width=8):
@@ -52,7 +53,7 @@ def test_element_missing_at_one_party_excluded():
 
 def test_group_split():
     sets, _ = _party_sets(8, 8, 2, seed=3)
-    cfg = psin.PartyConfigN(n=8, t=4, party_index=1, input_set=sets[0],
+    cfg = psin.PartyConfigN(t=4, party_index=1, input_set=sets[0],
                             session_id=b"\x01" * 16,
                             roots={i + 1: merkle.root(sets[i], b"\x01" * 16) for i in range(8)})
     assert cfg.v == 4
@@ -87,7 +88,7 @@ def test_only_output_party_learns_intersection():
         assert engines[i].phase == "done"
 
 
-def _run_engines(sets, t, session, roots, seed, tamper=None):
+def _run_engines(sets, t, session, roots, seed, tamper=None, replay=None):
     n = len(sets)
     master = np.random.default_rng(seed)
     spec = harness.Session({i: s for i, s in enumerate(sets, start=1)}, roots, session, t)
@@ -100,6 +101,8 @@ def _run_engines(sets, t, session, roots, seed, tamper=None):
     handlers = {0: dealer.handle}
     for i in range(1, n + 1):
         handlers[i] = (lambda j: lambda s, e: engines[j].handle(s, e))(i)
+    if replay is not None:
+        handlers = replayed(handlers, *replay)
     harness._pump(net, handlers, [(i, engines[i].start()) for i in range(1, n + 1)], tamper)
     return engines
 
@@ -213,6 +216,24 @@ def test_malformed_indexed_key_aborts_cleanly(msg_type, fault):
             assert engines[i].intersection is None
     kind = "group key" if msg_type == psin.MSG_GROUP_KEY else "zero-sharing seed"
     assert kind in engines[3].abort_reason
+
+
+REPLAY_SETS, _ = _party_sets(4, 12, 4, seed=17)
+REPLAYS = party_messages(harness.run_multi_party(REPLAY_SETS, t=2, seed=17))
+
+
+@pytest.mark.parametrize("message", REPLAYS, ids=message_id)
+def test_replayed_message_aborts_cleanly(message):
+    # (4,2): 12 roots, group keys 1->3 and 1->4, the share table 1->2,
+    # seeds 2->3, 2->4 and 3->4, hints 2->4 and 3->4; each delivered twice
+    assert len(REPLAYS) == 20
+    session = b"\x0a" * 16
+    roots = {i + 1: merkle.root(s, session) for i, s in enumerate(REPLAY_SETS)}
+    engines = _run_engines(REPLAY_SETS, t=2, session=session, roots=roots, seed=17,
+                           replay=message)  # no escaped error
+    for i in range(1, 5):
+        assert engines[i].aborted and engines[i].abort_reason, i
+        assert engines[i].intersection is None
 
 
 def test_commitment_message_is_one_root():
