@@ -1,7 +1,8 @@
 """Operator entry points: dataset generation, commitment, runs, benchmarks.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 protocol abort
-(integrity violation detected), 4 transport failure.
+(integrity violation detected, or a request the dealer cannot serve),
+4 transport failure.
 
 A networked run needs one process per party plus a dealer process (role 0),
 all pointed at the same JSON config:
@@ -33,7 +34,7 @@ import click
 import numpy as np
 
 from . import datasets, harness, merkle, transport
-from .errors import ConfigError, TransportError
+from .errors import ConfigError, ProtocolError, TransportError
 
 EXIT_ABORT = 3
 EXIT_TRANSPORT = 4
@@ -226,6 +227,9 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
         node = transport.TcpNode(role, addresses.get(role), addresses)
         try:
             served = harness.serve_dealer(node)
+        except ProtocolError as exc:
+            click.echo(f"session aborted at the dealer: {exc}", err=True)
+            sys.exit(EXIT_ABORT)
         except TransportError as exc:
             click.echo(f"transport failure: {exc}", err=True)
             sys.exit(EXIT_TRANSPORT)

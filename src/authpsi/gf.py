@@ -11,14 +11,19 @@ shares) are not field elements: `zeroshare` carries them as uint64 arrays,
 and an OKVS holding them uses the low limb of each cell.
 
 The batch helpers at the bottom operate on numpy arrays of shape (n, 2) with
-dtype '<u8' (limb 0 = bits 0..63). `scalar_mul_vec` exists because the VOLE
-expansion and the two-party sender multiply one fixed scalar (delta) into
-vectors of thousands of elements. The OKVS needs no field multiplication:
-its rows are binary, so decoding is a XOR of table cells. `mul` is the
-scalar reference that `scalar_mul_vec` is tested against.
+dtype '<u8' (limb 0 = bits 0..63); set elements enter that layout through
+`hash_elements`, the one digest per element that every engine derives from.
+`scalar_mul_vec` exists because the VOLE expansion and the two-party sender
+multiply one fixed scalar (delta) into vectors of thousands of elements. The
+OKVS needs no field multiplication: its rows are binary, so decoding is a
+XOR of table cells. `mul` is the scalar reference that `scalar_mul_vec` is
+tested against.
 """
 
 from __future__ import annotations
+
+import hashlib
+from typing import Sequence
 
 import numpy as np
 
@@ -65,17 +70,20 @@ def from_bytes(raw: bytes) -> int:
 # ---------------------------------------------------------------------------
 # batch operations on (n, 2) uint64 limb arrays
 
-def vec_zeros(n: int) -> np.ndarray:
-    return np.zeros((n, 2), dtype=_LIMB)
+def hash_elements(xs: Sequence[bytes]) -> np.ndarray:
+    """d(x) = BLAKE2b-16(x) of each element, as an (n, 2) limb array."""
+    raw = b"".join(hashlib.blake2b(x, digest_size=GF_BYTES).digest() for x in xs)
+    return np.frombuffer(raw, dtype=_LIMB).reshape(-1, 2)
 
 
 def vec_from_ints(values) -> np.ndarray:
-    """Build an (n, 2) limb array from an iterable of field elements."""
-    out = np.empty((len(values), 2), dtype=_LIMB)
-    for i, v in enumerate(values):
-        out[i, 0] = v & 0xFFFFFFFFFFFFFFFF
-        out[i, 1] = v >> 64
-    return out
+    """Build an (n, 2) limb array from a sequence of field elements."""
+    return vec_from_bytes(b"".join(v.to_bytes(GF_BYTES, "little") for v in values))
+
+
+def vec_to_ints(arr: np.ndarray) -> list[int]:
+    """The elements of a limb array as a list of ints."""
+    return [lo | (hi << 64) for lo, hi in zip(arr[:, 0].tolist(), arr[:, 1].tolist())]
 
 
 def vec_get(arr: np.ndarray, i: int) -> int:
@@ -130,11 +138,9 @@ def scalar_mul_vec(scalar: int, vec: np.ndarray) -> np.ndarray:
     (shifts never cross a lane because each product fits in 255 bits).
     """
     n = vec.shape[0]
-    if n == 0:
-        return vec_zeros(0)
     scalar &= MASK128
-    if scalar == 0:
-        return vec_zeros(n)
+    if n == 0 or scalar == 0:
+        return np.zeros((n, 2), dtype=_LIMB)
     lanes = np.zeros((n, 4), dtype=_LIMB)
     lanes[:, 0] = vec[:, 0]
     lanes[:, 1] = vec[:, 1]

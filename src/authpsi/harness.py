@@ -295,7 +295,8 @@ def serve_dealer(node, *, idle_timeout: float = 10.0,
     """Dealer process main loop: answer requests until traffic goes idle.
 
     Clients hanging up after a finished session is normal, not an error; a
-    malformed frame raises `TransportError`.
+    malformed frame raises `TransportError`, and a request the dealer cannot
+    serve raises `ProtocolError` naming the party that sent it.
     """
     dealer = DealerService(rng=rng)
     served = 0
@@ -307,6 +308,10 @@ def serve_dealer(node, *, idle_timeout: float = 10.0,
         if got is None:
             return served
         src, env = got
-        for dst, out in dealer.handle(src, env):
+        try:
+            outs = dealer.handle(src, env)
+        except ProtocolError as exc:
+            raise ProtocolError(f"party {src}: {exc}") from exc
+        for dst, out in outs:
             node.send(dst, out)
             served += 1

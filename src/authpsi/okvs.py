@@ -19,26 +19,28 @@ Random fill of unconstrained positions is load-bearing: with uniform values
 the encoded vector is indistinguishable across key sets, which is what the
 protocols rely on when they ship tables to the other side.
 
-Rows are derived from a 16-byte seed: per key, a keyed BLAKE2b digest is
-expanded through AES-ECB counter blocks into five blocks. The first eight
-64-bit words are candidates for the sparse indices (rejection-sampled until
-omega distinct, with further blocks only when they run out); the low m_dense
-bits of the ninth word are the dense mask. Both sides of a protocol must use
-the same seed, so the seed travels inside the table wire format.
+Keys are element digests d(x) (`gf.hash_elements`) in an (n, 2) limb array
+that each engine computes once, and values are (n, 2) limbs too. A key's
+row is AES_seed(d XOR ctr) for counters 0..4 in the block's last four
+bytes, under a 16-byte row seed that travels inside the table wire format:
+eight 64-bit words are candidates for the sparse indices (rejection-sampled
+until omega distinct, with further counter blocks only when they run out),
+and the low m_dense bits of the ninth are the dense mask.
 
 Encoding can fail when a core row's coefficients cancel but its value does
 not; that failure is a value (None), not an exception, and
-`encode_with_retry` re-randomizes the rows with seeds derived from the base
-seed until one attempt succeeds.
+`encode_with_retry` re-randomizes the rows with seeds derived from a base
+seed until one attempt succeeds or `MAX_ENCODE_ATTEMPTS`, the budget every
+protocol uses, runs out.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import secrets
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+import struct
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -49,8 +51,11 @@ EXPANSION = 1.23          # sparse columns per key-value pair
 ROW_WEIGHT = 3            # omega
 DENSE_COLUMNS = 30        # dense tail width, one mask bit per column
 SEED_BYTES = 16
+MAX_ENCODE_ATTEMPTS = 16  # retry budget of every protocol table
 
-TABLE_WIRE_VERSION = 0x02
+TABLE_WIRE_VERSION = 0x03
+# version, n, m_sparse, m_dense, omega, row seed; the cells follow
+_HEADER = struct.Struct(">BIIHB16s")
 
 # per-key stream layout: 8 candidate words for the sparse indices, then the
 # dense mask word; extension blocks continue the counter when the 8 words do
@@ -103,44 +108,28 @@ class OkvsTable:
 
     def to_bytes(self) -> bytes:
         p = self.params
-        head = bytes([TABLE_WIRE_VERSION])
-        head += p.n.to_bytes(4, "big")
-        head += p.m_sparse.to_bytes(4, "big")
-        head += p.m_dense.to_bytes(2, "big")
-        head += bytes([p.omega])
-        head += p.row_seed
-        return head + gf.vec_to_bytes(self.values)
+        return (_HEADER.pack(TABLE_WIRE_VERSION, p.n, p.m_sparse, p.m_dense, p.omega, p.row_seed)
+                + gf.vec_to_bytes(self.values))
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "OkvsTable":
-        if len(raw) < 28:
+        if len(raw) < _HEADER.size:
             raise ValueError("truncated table encoding")
-        if raw[0] != TABLE_WIRE_VERSION:
+        version, *fields = _HEADER.unpack_from(raw)
+        if version != TABLE_WIRE_VERSION:
             raise ValueError("unknown table encoding version")
-        n = int.from_bytes(raw[1:5], "big")
-        m_sparse = int.from_bytes(raw[5:9], "big")
-        m_dense = int.from_bytes(raw[9:11], "big")
-        omega = raw[11]
-        row_seed = raw[12:28]
-        params = OkvsParams(n=n, m_sparse=m_sparse, m_dense=m_dense, omega=omega, row_seed=row_seed)
-        body = raw[28:]
+        params = OkvsParams(*fields)
+        body = raw[_HEADER.size:]
         if len(body) != params.m * gf.GF_BYTES:
             raise ValueError("bad table body length")
         return cls(params=params, values=gf.vec_from_bytes(body))
 
 
-def _default_rng() -> np.random.Generator:
-    return np.random.default_rng(secrets.randbits(128))
-
-
-def _key_digests(keys: Sequence[bytes], seed: bytes) -> bytes:
-    return b"".join(hashlib.blake2b(k, key=seed, digest_size=16).digest() for k in keys)
-
-
-def _expand_streams(digests: bytes, seed: bytes, n: int, blocks: int, first: int = 0) -> np.ndarray:
-    """AES-ECB counter blocks first..first+blocks-1 of each per-key digest; (n, 2*blocks) words."""
-    kd = np.frombuffer(digests, dtype=np.uint8).reshape(n, 16)
-    blk = np.repeat(kd[:, None, :], blocks, axis=0).reshape(n, blocks, 16).copy()
+def _expand_streams(digests: np.ndarray, seed: bytes, blocks: int, first: int = 0) -> np.ndarray:
+    """AES-ECB counter blocks first..first+blocks-1 of each key digest; (n, 2*blocks) words."""
+    kd = np.ascontiguousarray(digests, dtype=_U64).view(np.uint8).reshape(-1, 16)
+    n = kd.shape[0]
+    blk = np.repeat(kd[:, None, :], blocks, axis=1)
     ctr = np.frombuffer(np.arange(first, first + blocks, dtype=">u4").tobytes(),
                         dtype=np.uint8).reshape(blocks, 4)
     blk[:, :, 12:16] ^= ctr[None, :, :]
@@ -149,7 +138,7 @@ def _expand_streams(digests: bytes, seed: bytes, n: int, blocks: int, first: int
     return np.frombuffer(out, dtype=_U64).reshape(n, 2 * blocks)
 
 
-def _pick_indices(candidates: list[int], digest16: bytes, params: OkvsParams) -> list[int]:
+def _pick_indices(candidates: list[int], digest: np.ndarray, params: OkvsParams) -> list[int]:
     """The first omega distinct candidates, sorted; draws extension blocks when they run out."""
     chosen: list[int] = []
     block = _BASE_BLOCKS
@@ -159,22 +148,20 @@ def _pick_indices(candidates: list[int], digest16: bytes, params: OkvsParams) ->
                 chosen.append(c)
                 if len(chosen) == params.omega:
                     return sorted(chosen)
-        words = _expand_streams(digest16, params.row_seed, 1, 1, first=block)[0]
+        words = _expand_streams(digest, params.row_seed, 1, first=block)[0]
         candidates = [w % params.m_sparse for w in words.tolist()]
         block += 1
 
 
-def row_batch(keys: Sequence[bytes], params: OkvsParams) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of many keys: (n, omega) sorted sparse indices and (n,) uint64 dense masks."""
-    n = len(keys)
-    digests = _key_digests(keys, params.row_seed)
-    words = _expand_streams(digests, params.row_seed, n, _BASE_BLOCKS)
+def row_batch(digests: np.ndarray, params: OkvsParams) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of key digests: (n, omega) sorted sparse indices and (n,) uint64 dense masks."""
+    words = _expand_streams(digests, params.row_seed, _BASE_BLOCKS)
     cands = words[:, :_SPARSE_WORDS] % np.uint64(params.m_sparse)
     # when the first omega candidates are distinct they are the row; only
     # the rare clashing keys take the rejection loop
     idx = np.sort(cands[:, :params.omega].astype(np.int64), axis=1)
     for i in np.flatnonzero((idx[:, 1:] == idx[:, :-1]).any(axis=1)):
-        idx[i] = _pick_indices(cands[i].tolist(), digests[16 * i : 16 * i + 16], params)
+        idx[i] = _pick_indices(cands[i].tolist(), digests[i : i + 1], params)
     masks = words[:, _MASK_WORD] & np.uint64((1 << params.m_dense) - 1)
     return idx, masks
 
@@ -188,19 +175,16 @@ def _dense_xor(masks: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return acc
 
 
-def encode(pairs: Sequence[tuple[bytes, int]], params: OkvsParams,
-           rng: Optional[np.random.Generator] = None) -> Optional[OkvsTable]:
-    """Encode key-value pairs; returns None when the system cannot be solved."""
-    keys = [k for k, _ in pairs]
-    if len(set(keys)) != len(keys):
+def encode(digests: np.ndarray, values: np.ndarray, params: OkvsParams,
+           rng: np.random.Generator) -> Optional[OkvsTable]:
+    """Encode key digests to (n, 2) limb values; returns None when the system cannot be solved."""
+    n = digests.shape[0]
+    if len(np.unique(np.ascontiguousarray(digests, dtype=_U64).view("V16"))) != n:
         raise DuplicateKeyError("encoding input contains duplicate keys")
-    if len(pairs) != params.n:
-        raise ValueError(f"params sized for n={params.n}, got {len(pairs)} pairs")
-    rng = rng if rng is not None else _default_rng()
-    n = len(pairs)
-    rhs = [v & gf.MASK128 for _, v in pairs]
+    if n != params.n or values.shape != (n, 2):
+        raise ValueError(f"params sized for n={params.n}, got {n} keys, values {values.shape}")
 
-    idx, masks = row_batch(keys, params)
+    idx, masks = row_batch(digests, params)
     sparse = idx.tolist()
 
     # peel degree-1 sparse columns
@@ -225,29 +209,29 @@ def encode(pairs: Sequence[tuple[bytes, int]], params: OkvsParams,
                 stack.append(c2)
 
     # uniform fill of every position; the solves overwrite the pivots
-    fill = rng.bytes(params.m * gf.GF_BYTES)
-    values = [int.from_bytes(fill[i : i + gf.GF_BYTES], "little")
-              for i in range(0, len(fill), gf.GF_BYTES)]
+    cells = gf.vec_to_ints(gf.vec_from_bytes(rng.bytes(params.m * gf.GF_BYTES)))
 
     core = [r for r in range(n) if alive[r]]
-    if not _solve_core(core, sparse, masks.tolist(), rhs, params, values):
+    rhs = gf.vec_to_ints(values)
+    if not _solve_core(core, sparse, masks.tolist(), rhs, params, cells):
         return None
 
-    dense = gf.vec_from_ints(values[params.m_sparse:])
-    contrib = _dense_xor(masks, dense)
+    # the dense cells are settled now: fold each row's dense part into its value
+    dense = gf.vec_from_ints(cells[params.m_sparse:])
+    rhs = gf.vec_to_ints(values ^ _dense_xor(masks, dense))
     for r, c in reversed(peeled):
-        acc = rhs[r] ^ gf.vec_get(contrib, r)
+        acc = rhs[r]
         for c2 in sparse[r]:
             if c2 != c:
-                acc ^= values[c2]
-        values[c] = acc
+                acc ^= cells[c2]
+        cells[c] = acc
 
-    return OkvsTable(params=params, values=gf.vec_from_ints(values))
+    return OkvsTable(params=params, values=gf.vec_from_ints(cells))
 
 
 def _solve_core(core: list[int], sparse: list[list[int]], masks: list[int], rhs: list[int],
-                params: OkvsParams, values: list[int]) -> bool:
-    """GF(2) elimination of the unpeeled rows; writes their pivots into `values`.
+                params: OkvsParams, cells: list[int]) -> bool:
+    """GF(2) elimination of the unpeeled rows; writes their pivots into `cells`.
 
     Each row rides in one packed integer: a bit per sparse column the core
     touches, then the m_dense mask bits, then the right-hand side, so
@@ -262,7 +246,7 @@ def _solve_core(core: list[int], sparse: list[list[int]], masks: list[int], rhs:
     s = len(core_cols)
     rhs_shift = s + params.m_dense
     coef_region = (1 << rhs_shift) - 1
-    cells = core_cols + list(range(params.m_sparse, params.m))
+    positions = core_cols + list(range(params.m_sparse, params.m))
 
     # lowest-set-bit pivoting: a settled pivot row has its pivot as lowest
     # bit, so every other coefficient bit it carries refers to a higher position
@@ -292,15 +276,15 @@ def _solve_core(core: list[int], sparse: list[list[int]], masks: list[int], rhs:
         coef = row & coef_region & ~(1 << p)
         while coef:
             q = (coef & -coef).bit_length() - 1
-            acc ^= values[cells[q]]
+            acc ^= cells[positions[q]]
             coef &= coef - 1
-        values[cells[p]] = acc
+        cells[positions[p]] = acc
     return True
 
 
-def decode_batch(table: OkvsTable, keys: Sequence[bytes]) -> np.ndarray:
-    """The XOR of the cells each key's row selects, (n, 2) limbs; defined for any key."""
-    idx, masks = row_batch(keys, table.params)
+def decode_batch(table: OkvsTable, digests: np.ndarray) -> np.ndarray:
+    """The XOR of the cells each key digest's row selects, (n, 2) limbs; defined for any key."""
+    idx, masks = row_batch(digests, table.params)
     acc = np.bitwise_xor.reduce(table.values[idx], axis=1)
     return acc ^ _dense_xor(masks, table.values[table.params.m_sparse:])
 
@@ -312,20 +296,20 @@ def derived_seed(base_seed: bytes, attempt: int) -> bytes:
     return hashlib.sha256(base_seed + attempt.to_bytes(4, "big")).digest()[:SEED_BYTES]
 
 
-def encode_with_retry(pairs: Sequence[tuple[bytes, int]], base_params: OkvsParams,
-                      max_attempts: int,
-                      rng: Optional[np.random.Generator] = None
-                      ) -> Optional[tuple[OkvsTable, int]]:
-    """Encode, re-randomizing rows with derived seeds until success.
+def encode_with_retry(digests: np.ndarray, values: np.ndarray, max_attempts: int,
+                      rng: np.random.Generator) -> Optional[tuple[OkvsTable, int]]:
+    """Encode into a table sized for the keys, re-randomizing rows until success.
 
-    The returned table carries the seed that actually succeeded; ship the
-    table (not the base params) so the decoder derives identical rows.
+    The base row seed is drawn from `rng`, and retries use seeds derived from
+    it. The returned table carries the seed that actually succeeded; ship the
+    table so the decoder derives identical rows.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
+    base_seed = rng.bytes(SEED_BYTES)
     for attempt in range(1, max_attempts + 1):
-        params = replace(base_params, row_seed=derived_seed(base_params.row_seed, attempt))
-        table = encode(pairs, params, rng=rng)
+        params = OkvsParams.for_size(digests.shape[0], derived_seed(base_seed, attempt))
+        table = encode(digests, values, params, rng=rng)
         if table is not None:
             return table, attempt
     return None

@@ -12,21 +12,22 @@ key, receiver gets evaluations); the interface leaves room for a real OPRF
 protocol behind it. The ideal OPRF is the zero-sharing PRF under the
 session key, so one dealer request is evaluated in one batched AES pass.
 
-Values are 64-bit XOR values in uint64 arrays over a whole batch of points
-or queries: the sender's masked values go into the low limb of OKVS cells,
-the receiver reads the low limb of each decode, and evaluation responses
-carry the array as 8 little-endian bytes per query.
+Points and queries are element digests d(x) as (n, 2) limb arrays
+(`gf.hash_elements`), so nothing here hashes an element, and an evaluation
+request carries 16 bytes per query: the dealer sees digests of P_n's
+elements, not the elements. Values are 64-bit XOR values in uint64 arrays:
+the sender's masked values go into the low limb of OKVS cells, the receiver
+reads the low limb of each decode, and evaluation responses carry 8
+little-endian bytes per query.
 """
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from . import okvs, zeroshare
+from . import gf, okvs, zeroshare
 from .errors import ProtocolError
 
 KEY_BYTES = 16
@@ -39,8 +40,6 @@ OPRF_KEY_REQUEST = 0x01
 OPRF_KEY_RESPONSE = 0x02
 OPRF_EVAL_REQUEST = 0x03
 OPRF_EVAL_RESPONSE = 0x04
-
-MAX_ENCODE_ATTEMPTS = 16
 
 
 @dataclass
@@ -59,53 +58,48 @@ class OpprfHint:
                    okvs_table=okvs.OkvsTable.from_bytes(raw[SESSION_ID_BYTES:]))
 
 
-def oprf_eval(key: bytes, queries: Sequence[bytes]) -> np.ndarray:
-    """The ideal OPRF: the zero-sharing PRF under one key; (len(queries),) uint64."""
+def oprf_eval(key: bytes, queries: np.ndarray) -> np.ndarray:
+    """The ideal OPRF: the zero-sharing PRF under one key over query digests; (n,) uint64."""
     return zeroshare.prf([key], queries)
 
 
 class OprfDealer:
     """Ideal-OPRF functionality: hands the key to senders, evaluations to receivers."""
 
-    def __init__(self, rng: Optional[np.random.Generator] = None):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._keys: dict[bytes, bytes] = {}
 
     def key(self, session: bytes) -> bytes:
         k = self._keys.get(session)
         if k is None:
-            k = self._rng.bytes(KEY_BYTES) if self._rng is not None else secrets.token_bytes(KEY_BYTES)
-            self._keys[session] = k
+            k = self._keys[session] = self._rng.bytes(KEY_BYTES)
         return k
 
-    def evaluate(self, session: bytes, queries: Sequence[bytes]) -> np.ndarray:
+    def evaluate(self, session: bytes, queries: np.ndarray) -> np.ndarray:
         return oprf_eval(self.key(session), queries)
 
 
-def opprf_program(xs: Sequence[bytes], ys: np.ndarray, session: bytes, oprf_key: bytes,
-                  rng: Optional[np.random.Generator] = None,
-                  row_seed: Optional[bytes] = None) -> OpprfHint:
-    """Sender side: build the hint programming each xs[i] to the uint64 value ys[i]."""
-    if len(xs) != len(ys):
+def opprf_program(points: np.ndarray, ys: np.ndarray, session: bytes, oprf_key: bytes,
+                  rng: np.random.Generator) -> OpprfHint:
+    """Sender side: build the hint programming each point digest points[i] to the uint64 ys[i]."""
+    if points.shape[0] != len(ys):
         raise ValueError("one programmed value per point required")
-    if len(set(xs)) != len(xs):
-        raise okvs.DuplicateKeyError("programmed points contain duplicate keys")
-    masked = list(zip(xs, (ys ^ oprf_eval(oprf_key, xs)).tolist()))
-    seed = row_seed if row_seed is not None else secrets.token_bytes(okvs.SEED_BYTES)
-    params = okvs.OkvsParams.for_size(len(xs), seed)
-    result = okvs.encode_with_retry(masked, params, MAX_ENCODE_ATTEMPTS, rng=rng)
+    values = np.zeros((len(ys), 2), dtype=zeroshare.VALUE_DTYPE)
+    values[:, 0] = ys ^ oprf_eval(oprf_key, points)
+    result = okvs.encode_with_retry(points, values, okvs.MAX_ENCODE_ATTEMPTS, rng)
     if result is None:
         raise ProtocolError("hint encoding failed after retries")
     table, _ = result
     return OpprfHint(okvs_table=table, oprf_session=session)
 
 
-def opprf_query_batch(hint: OpprfHint, queries: Sequence[bytes], session: bytes,
+def opprf_query_batch(hint: OpprfHint, queries: np.ndarray, session: bytes,
                       evaluations: np.ndarray) -> np.ndarray:
-    """Receiver side: combine the hint with the dealer's OPRF evaluation of each query."""
+    """Receiver side: combine the hint with the dealer's OPRF evaluation of each query digest."""
     if session != hint.oprf_session:
         raise ValueError("hint belongs to a different OPRF session")
-    if len(queries) != len(evaluations):
+    if queries.shape[0] != len(evaluations):
         raise ValueError("one evaluation per query required")
     return okvs.decode_batch(hint.okvs_table, queries)[:, 0] ^ evaluations
 
@@ -121,13 +115,9 @@ def encode_key_response(session: bytes, key: bytes) -> bytes:
     return bytes([OPRF_KEY_RESPONSE]) + session + key
 
 
-def encode_eval_request(session: bytes, queries: Sequence[bytes]) -> bytes:
-    out = bytearray([OPRF_EVAL_REQUEST])
-    out += session
-    out += len(queries).to_bytes(4, "big")
-    for q in queries:
-        out += len(q).to_bytes(4, "big") + q
-    return bytes(out)
+def encode_eval_request(session: bytes, queries: np.ndarray) -> bytes:
+    return (bytes([OPRF_EVAL_REQUEST]) + session + queries.shape[0].to_bytes(4, "big")
+            + gf.vec_to_bytes(queries))
 
 
 def encode_eval_response(session: bytes, values: np.ndarray) -> bytes:
@@ -150,22 +140,9 @@ def decode_dealer_payload(raw: bytes):
         return subtype, session, body
     if subtype == OPRF_EVAL_REQUEST:
         count = int.from_bytes(body[:4], "big")
-        # every query costs at least its 4-byte length prefix, so a claimed
-        # count is checked against the body before anything loops over it
-        if len(body) < 4 + 4 * count:
-            raise ProtocolError("OPRF query count exceeds the payload")
-        queries = []
-        pos = 4
-        for _ in range(count):
-            qlen = int.from_bytes(body[pos : pos + 4], "big")
-            pos += 4
-            if qlen > len(body) - pos:
-                raise ProtocolError("OPRF query length exceeds the payload")
-            queries.append(body[pos : pos + qlen])
-            pos += qlen
-        if pos != len(body):
-            raise ProtocolError("trailing bytes in OPRF query payload")
-        return subtype, session, queries
+        if len(body) != 4 + count * gf.GF_BYTES:
+            raise ProtocolError("OPRF query count does not match the payload")
+        return subtype, session, gf.vec_from_bytes(body[4:])
     if subtype == OPRF_EVAL_RESPONSE:
         count = int.from_bytes(body[:4], "big")
         if len(body) != 4 + count * zeroshare.VALUE_DTYPE.itemsize:

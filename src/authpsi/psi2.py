@@ -4,10 +4,10 @@ Both parties publish a commitment (tree root) to their input set before the
 session. The run then has three phases:
 
 - transform: each party computes the root of the inputs it runs on once,
-  refuses to start if it differs from its announced commitment, and sends
-  that root (37 bytes: version, set size, digest) to its peer; the receiver
-  (always party 1) additionally encodes its set into an oblivious table P
-  mapping x -> HB(x).
+  refuses to start if it differs from its announced commitment, sends that
+  root (37 bytes: version, set size, digest) to its peer and digests each
+  element once, d(x) = BLAKE2b-16(x); the receiver (always party 1) also
+  encodes its set into an oblivious table P mapping x -> HB(x).
 - interact: each side compares the received root with the peer's
   pre-announced one and aborts the session on any difference. Both sides
   then draw a correlation (A, C) / (B, delta) with C = A*delta + B from the
@@ -23,6 +23,23 @@ equals Decode(C, x) by linearity of decoding, so matching digests identify
 the intersection while everything else stays masked by the correlation.
 Digests are truncated to cover the statistical collision budget for the two
 set sizes.
+
+Every per-element value derives from d(x) (`gf.hash_elements`): the OKVS
+rows, HB and, in `psin`, every PRF. The two hashes:
+
+- HB(x) = d(x) read as a field element (`hash_to_mask`). Masking needs only
+  HB(y) != Decode(P, y) for y outside X, since the sender's value for such
+  a y is Decode(C, y) + delta*w with w = Decode(P, y) + HB(y). P's uniform
+  fill makes Decode(P, y) uniform, so w = 0 is a 2^-128 event.
+- Ho(v) = pi(sigma(v)) XOR sigma(v), truncated (`output_digest`), with pi
+  AES-128 under a fixed public key and sigma(v_L || v_R) = (v_L XOR v_R) ||
+  v_L (Guo-Katz-Wang-Yu, "Efficient and Secure Multiparty Computation from
+  Fixed-Key Block Ciphers", IEEE S&P 2020). The receiver knows u =
+  Decode(C, y) and w, so Ho(u + delta*w) must look random to anyone who
+  knows u and a nonzero w while delta is secret and uniform. GKWY's
+  construction gives this with pi an ideal cipher: delta*w is a uniform
+  offset, which a distinguisher must guess to query pi where it matters.
+  Each side evaluates Ho in one batched AES pass.
 
 The commitment gate catches a party whose run-time inputs or set size
 differ from its commitment, provided that party derives its messages from
@@ -45,7 +62,6 @@ party with the error's text as the reason. No `ProtocolError` leaves
 
 from __future__ import annotations
 
-import hashlib
 import math
 import secrets
 import time
@@ -53,6 +69,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import gf, merkle, okvs, vole
 from .errors import ConfigError, ProtocolError
@@ -65,20 +82,22 @@ MSG_ABORT = 0x0F
 
 LAMBDA_STAT = 40
 
-MAX_ENCODE_ATTEMPTS = 16
-
-_HB_TAG = b"\x42"
-_HO_TAG = b"\x4f"
+_HO_KEY = bytes(range(16))  # pi's fixed public AES key; any fixed key will do
 
 
-def hash_to_mask(x: bytes) -> int:
-    """HB: hash an element into the 128-bit mask range of the oblivious table."""
-    return int.from_bytes(hashlib.sha256(_HB_TAG + x).digest()[:16], "little")
+def hash_to_mask(digests: np.ndarray) -> np.ndarray:
+    """HB: the element digests, read as the field elements the receiver's table maps them to."""
+    return digests
 
 
-def output_digest(value: int, out_bytes: int) -> bytes:
-    """Ho: truncated digest of a field element, out_bytes wide."""
-    return hashlib.sha256(_HO_TAG + gf.to_bytes(value)).digest()[:out_bytes]
+def output_digest(values: np.ndarray, out_bytes: int) -> np.ndarray:
+    """Ho: pi(sigma(v)) XOR sigma(v) of each (n, 2) field element; (n, out_bytes) uint8."""
+    sigma = np.empty((values.shape[0], 2), dtype=values.dtype)
+    sigma[:, 0] = values[:, 1]
+    sigma[:, 1] = values[:, 0] ^ values[:, 1]
+    enc = Cipher(algorithms.AES(_HO_KEY), modes.ECB()).encryptor()
+    pi = np.frombuffer(enc.update(sigma.tobytes()) + enc.finalize(), dtype=values.dtype)
+    return (pi.reshape(-1, 2) ^ sigma).view(np.uint8)[:, :out_bytes]
 
 
 def digest_width(n_x: int, n_y: int, lambda_stat: int = LAMBDA_STAT) -> int:
@@ -157,6 +176,7 @@ class Party:
         self.phase_ms: dict[str, float] = {}
         self.peers = [j for j in sorted(config.roots) if j != config.party_index]
         self._unverified = set(self.peers)
+        self.digests: Optional[np.ndarray] = None  # d(x) of each own element, once started
 
     @property
     def done(self) -> bool:
@@ -179,13 +199,14 @@ class Party:
         return [(j, env) for j in self.peers]
 
     def _open(self) -> list:
-        """Check the own inputs against the own commitment; their root to every other party."""
+        """Self-check and digest the own inputs; their root to every other party."""
         if self.phase != "fresh":
             raise ProtocolError("engine already started")
         cfg = self.config
         own_root = merkle.root(cfg.input_set, cfg.session_id)
         if not cfg.skip_self_check and own_root != cfg.roots[cfg.party_index]:
             raise ConfigError("input set does not match the announced commitment")
+        self.digests = gf.hash_elements(cfg.input_set)
         self.phase = "transformed"
         env = self._env(self.ROOT_TYPE, encode_root_proofs(own_root))
         return [(j, env) for j in self.peers]
@@ -258,10 +279,8 @@ class Psi2Engine(Party):
         cfg = self.config
         out = self._open()
         if self.receiver:
-            seed = self.rng.bytes(okvs.SEED_BYTES)
-            params = okvs.OkvsParams.for_size(self.n_x, seed)
-            pairs = [(x, hash_to_mask(x)) for x in cfg.input_set]
-            result = okvs.encode_with_retry(pairs, params, MAX_ENCODE_ATTEMPTS, rng=self.rng)
+            result = okvs.encode_with_retry(self.digests, hash_to_mask(self.digests),
+                                            okvs.MAX_ENCODE_ATTEMPTS, self.rng)
             if result is None:
                 return out + self._abort("oblivious table encoding failed")
             self._table, _ = result
@@ -320,7 +339,6 @@ class Psi2Engine(Party):
         return self._advance()
 
     def _send_digest_set(self) -> list:
-        cfg = self.config
         t0 = time.perf_counter()
         payload = self._pending_masked
         if len(payload) < okvs.SEED_BYTES + 4:
@@ -337,13 +355,11 @@ class Psi2Engine(Party):
         params = okvs.OkvsParams.for_size(self.n_x, row_seed)
         self.bprime_table = okvs.OkvsTable(params=params, values=bprime)
 
-        decoded = okvs.decode_batch(self.bprime_table, cfg.input_set)
-        hb = gf.vec_from_ints([hash_to_mask(y) for y in cfg.input_set])
-        unmasked = decoded ^ gf.scalar_mul_vec(corr.delta, hb)
-        width = self.out_bytes
-        digests = [output_digest(gf.vec_get(unmasked, i), width) for i in range(self.n_y)]
+        decoded = okvs.decode_batch(self.bprime_table, self.digests)
+        unmasked = decoded ^ gf.scalar_mul_vec(corr.delta, hash_to_mask(self.digests))
+        outputs = output_digest(unmasked, self.out_bytes)
         order = self.rng.permutation(self.n_y)
-        payload_out = len(digests).to_bytes(4, "big") + b"".join(digests[i] for i in order)
+        payload_out = self.n_y.to_bytes(4, "big") + outputs[order].tobytes()
         self.phase = "done"
         self.phase_ms["interact"] = (time.perf_counter() - t0) * 1000
         return [(self.peer, self._env(MSG_DIGEST_SET, payload_out))]
@@ -364,12 +380,9 @@ class Psi2Engine(Party):
         received = {payload[4 + i * width : 4 + (i + 1) * width] for i in range(count)}
 
         c_table = okvs.OkvsTable(params=self._table.params, values=self._recv_corr.c_vec)
-        decoded = okvs.decode_batch(c_table, cfg.input_set)
-        result = set()
-        for i, x in enumerate(cfg.input_set):
-            if output_digest(gf.vec_get(decoded, i), width) in received:
-                result.add(x)
-        self.intersection = result
+        own = output_digest(okvs.decode_batch(c_table, self.digests), width).tobytes()
+        self.intersection = {x for i, x in enumerate(cfg.input_set)
+                             if own[i * width : (i + 1) * width] in received}
         self.phase = "done"
         self.phase_ms["reconstruct"] = (time.perf_counter() - t0) * 1000
         return []

@@ -25,7 +25,9 @@ learns the intersection.
 
 Every 64-bit XOR value (table values, aggregates, shares, hint points and
 the final comparison) is a uint64 array over the party's input set, so each
-step above is a handful of whole-array XORs and batched PRF calls.
+step above is a handful of whole-array XORs and batched PRF calls. Each
+party digests its elements once, d(x) = BLAKE2b-16(x), and every PRF, OKVS
+row and OPRF query of the session runs over those digests.
 
 The self-check, the root gate and the abort path are `psi2.Party`'s, the
 core this engine shares with the two-party one: a handler raises
@@ -36,8 +38,9 @@ Only P_n terminates with output; everyone else ends with none. The gate
 binds each party to its commitment as far as `psi2` states: a party that
 replays its honest root is not caught. Apart from those roots, no message
 between parties carries a function of a single element that the receiving
-party could evaluate itself. The ideal-OPRF dealer does see P_n's plaintext
-queries.
+party could evaluate itself. The ideal-OPRF dealer sees P_n's queries as
+element digests d(x), not as plaintext elements, though it can still test
+a guessed element against them.
 """
 
 from __future__ import annotations
@@ -62,8 +65,6 @@ MSG_OPPRF_HINT = 0x14
 MSG_OPRF_DEALER = opprf.MSG_OPRF_DEALER  # 0x15
 MSG_ZS_SEED = 0x16
 MSG_ABORT = 0x1F
-
-MAX_ENCODE_ATTEMPTS = 16
 
 
 def oprf_session_id(session_id: bytes, sender_index: int) -> bytes:
@@ -168,10 +169,11 @@ class PsinEngine(Party):
                 key = self.rng.bytes(zeroshare.SEED_BYTES)
                 self._own_groupb_keys[j] = key
                 out.append((j, self._env(MSG_GROUP_KEY, encode_indexed_key(i, j, key))))
-            values = zeroshare.prf([self._own_groupb_keys[j] for j in cfg.group_b], cfg.input_set)
-            pairs = list(zip(cfg.input_set, values.tolist()))
-            params = okvs.OkvsParams.for_size(cfg.n_l, self.rng.bytes(okvs.SEED_BYTES))
-            result = okvs.encode_with_retry(pairs, params, MAX_ENCODE_ATTEMPTS, rng=self.rng)
+            values = np.zeros((cfg.n_l, 2), dtype=zeroshare.VALUE_DTYPE)
+            values[:, 0] = zeroshare.prf([self._own_groupb_keys[j] for j in cfg.group_b],
+                                         self.digests)
+            result = okvs.encode_with_retry(self.digests, values, okvs.MAX_ENCODE_ATTEMPTS,
+                                            self.rng)
             if result is None:
                 self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
                 return out + self._abort("share table encoding failed")
@@ -304,13 +306,13 @@ class PsinEngine(Party):
         if cfg.party_index == cfg.v:
             agg = np.zeros(cfg.n_l, dtype=zeroshare.VALUE_DTYPE)
             for table in self._share_tables.values():
-                agg ^= okvs.decode_batch(table, cfg.input_set)[:, 0]
+                agg ^= okvs.decode_batch(table, self.digests)[:, 0]
             return agg
-        return zeroshare.prf([self.groupa_keys[s] for s in cfg.group_a], cfg.input_set)
+        return zeroshare.prf([self.groupa_keys[s] for s in cfg.group_a], self.digests)
 
     def _own_values(self) -> np.ndarray:
         """share(x) XOR A^i(x) per own element: what a sender programs, what P_n compares."""
-        return zeroshare.zs_share(self._zs_keyset(), self.config.input_set) ^ self._aggregate()
+        return zeroshare.zs_share(self._zs_keyset(), self.digests) ^ self._aggregate()
 
     def _materials_ready(self) -> bool:
         cfg = self.config
@@ -336,9 +338,8 @@ class PsinEngine(Party):
             if self._oprf_key is not None and self._zs_complete() and self._materials_ready():
                 t0 = time.perf_counter()
                 sid = oprf_session_id(cfg.session_id, i)
-                hint = opprf.opprf_program(cfg.input_set, self._own_values(), sid,
-                                           self._oprf_key, rng=self.rng,
-                                           row_seed=self.rng.bytes(okvs.SEED_BYTES))
+                hint = opprf.opprf_program(self.digests, self._own_values(), sid,
+                                           self._oprf_key, rng=self.rng)
                 out.append((cfg.n, self._env(MSG_OPPRF_HINT, hint.to_bytes())))
                 self._hint_sent = True
                 self.phase = "done"
@@ -350,7 +351,7 @@ class PsinEngine(Party):
                 if s not in self._eval_requested:
                     sid = oprf_session_id(cfg.session_id, s)
                     out.append((DEALER_INDEX, self._env(
-                        MSG_OPRF_DEALER, opprf.encode_eval_request(sid, cfg.input_set))))
+                        MSG_OPRF_DEALER, opprf.encode_eval_request(sid, self.digests))))
                     self._eval_requested.add(s)
             ready = (self._zs_complete() and self._materials_ready()
                      and len(self._hints) == len(cfg.senders)
@@ -361,7 +362,7 @@ class PsinEngine(Party):
                 combined = np.zeros(cfg.n_l, dtype=zeroshare.VALUE_DTYPE)
                 for s in cfg.senders:
                     sid = oprf_session_id(cfg.session_id, s)
-                    combined ^= opprf.opprf_query_batch(self._hints[s], cfg.input_set, sid,
+                    combined ^= opprf.opprf_query_batch(self._hints[s], self.digests, sid,
                                                         self._evals[s])
                 self.intersection = {cfg.input_set[q] for q in np.flatnonzero(own == combined)}
                 self.phase = "done"

@@ -7,22 +7,24 @@ appears exactly twice across the group, so the XOR of all shares is zero; any
 strict subset leaves unpaired terms and its XOR is indistinguishable from
 random.
 
-The PRF of x under a 16-byte seed k is the low 64 bits of AES_k(H(x)), where
-H is unkeyed 16-byte BLAKE2b. A batch hashes every element once and runs one
-AES-128-ECB pass per seed over all the hashed blocks, the way the OKVS
-expands its row streams. Values are 64-bit XOR values carried as uint64
-arrays, one entry per element of the batch; shares of a batch are whole-array
-XORs.
+The PRF of x under a 16-byte seed k is the low 64 bits of AES_k(d(x)), where
+d(x) = BLAKE2b-16(x) is the element digest each engine computes once
+(`gf.hash_elements`). The functions here take those digests as an (n, 2)
+limb array and hash nothing: a batch is one AES-128-ECB pass per seed over
+the digest blocks, the way the OKVS expands its rows. Values are 64-bit XOR
+values carried as uint64 arrays, one entry per element of the batch; shares
+of a batch are whole-array XORs.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+from . import gf
 
 SEED_BYTES = 16
 VALUE_DTYPE = np.dtype("<u8")  # one 64-bit XOR value, little-endian on the wire
@@ -34,10 +36,10 @@ class ZsKeySet:
     keys: dict[int, bytes]  # counterpart index -> shared pair seed
 
 
-def prf(seeds: Sequence[bytes], xs: Sequence[bytes]) -> np.ndarray:
-    """Per element of xs, the XOR over seeds of low64(AES_seed(H(x))); (len(xs),) uint64."""
-    blocks = b"".join(hashlib.blake2b(x, digest_size=16).digest() for x in xs)
-    acc = np.zeros(len(xs), dtype=VALUE_DTYPE)
+def prf(seeds: Sequence[bytes], digests: np.ndarray) -> np.ndarray:
+    """Per element digest d, the XOR over seeds of low64(AES_seed(d)); (n,) uint64."""
+    blocks = gf.vec_to_bytes(digests)
+    acc = np.zeros(digests.shape[0], dtype=VALUE_DTYPE)
     for seed in seeds:
         enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
         acc ^= np.frombuffer(enc.update(blocks) + enc.finalize(), dtype=VALUE_DTYPE)[0::2]
@@ -70,6 +72,6 @@ def zs_setup(parties, pair_seeds: dict[tuple[int, int], bytes]) -> list[ZsKeySet
     return sets
 
 
-def zs_share(keys: ZsKeySet, xs: Sequence[bytes]) -> np.ndarray:
-    """This party's share of each element of xs: the PRF under all its pair seeds."""
-    return prf(list(keys.keys.values()), xs)
+def zs_share(keys: ZsKeySet, digests: np.ndarray) -> np.ndarray:
+    """This party's share of each element digest: the PRF under all its pair seeds."""
+    return prf(list(keys.keys.values()), digests)

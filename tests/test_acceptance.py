@@ -145,11 +145,11 @@ def test_criterion_06_zero_sharing_cancellation():
         seeds = {(a, b): rng.randbytes(16) for a in parties for b in parties if a < b}
         keysets = zeroshare.zs_setup(parties, seeds)
         elements = [rng.randbytes(12) for _ in range(1000)]
-        shares = [zeroshare.zs_share(ks, elements) for ks in keysets]
+        shares = [zeroshare.zs_share(ks, gf.hash_elements(elements)) for ks in keysets]
         # the batch answers element by element as one-element batches would
         for k in range(0, 1000, 50):
             for ks, share in zip(keysets, shares):
-                assert zeroshare.zs_share(ks, [elements[k]])[0] == share[k], n
+                assert zeroshare.zs_share(ks, gf.hash_elements([elements[k]]))[0] == share[k], n
         acc = np.bitwise_xor.reduce(shares)
         assert acc.shape == (1000,) and (acc == 0).all(), n
         if n > 1:
@@ -177,9 +177,9 @@ def test_criterion_07_okvs_suite():
             keys.add(rng.randbytes(12))
         pairs = [(k, rng.getrandbits(128)) for k in sorted(keys)]
         params = okvs.OkvsParams.for_size(n, rng.randbytes(16))
-        table = okvs.encode(pairs, params, rng=np.random.default_rng(n))
+        table = _encode(pairs, params, rng=np.random.default_rng(n))
         assert table is not None, n
-        decoded = okvs.decode_batch(table, [k for k, _ in pairs])
+        decoded = okvs.decode_batch(table, gf.hash_elements([k for k, _ in pairs]))
         for i, (_, v) in enumerate(pairs):
             assert gf.vec_get(decoded, i) == v, n
 
@@ -188,12 +188,12 @@ def test_criterion_07_okvs_suite():
     params = okvs.OkvsParams.for_size(n, b"\x55" * 16)
     pairs1 = [(b"1" + i.to_bytes(3, "big"), rng.getrandbits(128)) for i in range(n)]
     pairs2 = [(b"2" + i.to_bytes(3, "big"), rng.getrandbits(128)) for i in range(n)]
-    t1 = okvs.encode(pairs1, params, rng=np.random.default_rng(1))
-    t2 = okvs.encode(pairs2, params, rng=np.random.default_rng(2))
+    t1 = _encode(pairs1, params, rng=np.random.default_rng(1))
+    t2 = _encode(pairs2, params, rng=np.random.default_rng(2))
     delta = rng.getrandbits(128)
     xored = okvs.OkvsTable(params=params, values=t1.values ^ t2.values)
     scaled = okvs.OkvsTable(params=params, values=gf.scalar_mul_vec(delta, t1.values))
-    probes = [rng.randbytes(10) for _ in range(10_000)]
+    probes = gf.hash_elements([rng.randbytes(10) for _ in range(10_000)])
     d1 = okvs.decode_batch(t1, probes)
     d2 = okvs.decode_batch(t2, probes)
     dx = okvs.decode_batch(xored, probes)
@@ -213,7 +213,7 @@ def test_criterion_07_okvs_suite():
             keys = list({*keys})[:n]
         pairs = [(k, int.from_bytes(nprng.bytes(16), "little")) for k in keys]
         params = okvs.OkvsParams.for_size(n, nprng.bytes(16))
-        if okvs.encode(pairs, params, rng=nprng) is not None:
+        if _encode(pairs, params, rng=nprng) is not None:
             successes += 1
     assert successes >= 995, successes
     print(f"\n[criterion 7] PASS: roundtrips exact, identities hold on 10^4 probes, "
@@ -296,10 +296,10 @@ def test_criterion_10_masking_identity_white_box():
         assert er.intersection == set(x) & set(y)
         c_table = okvs.OkvsTable(params=er._table.params, values=er._recv_corr.c_vec)
         delta = es._send_corr.delta
-        common = sorted(set(x) & set(y))
+        common = gf.hash_elements(sorted(set(x) & set(y)))
         bprime_decoded = okvs.decode_batch(es.bprime_table, common)
         c_decoded = okvs.decode_batch(c_table, common)
-        masks = gf.scalar_mul_vec(delta, gf.vec_from_ints([psi2.hash_to_mask(e) for e in common]))
+        masks = gf.scalar_mul_vec(delta, psi2.hash_to_mask(common))
         for i in range(len(common)):
             lhs = gf.vec_get(bprime_decoded, i) ^ gf.vec_get(masks, i)
             assert lhs == gf.vec_get(c_decoded, i)
@@ -309,6 +309,12 @@ def test_criterion_10_masking_identity_white_box():
     assert checked == 1000
     print(f"\n[criterion 10] PASS: masking identity bit-exact on 1000 common elements "
           f"({time.perf_counter() - t0:.1f}s)")
+
+
+def _encode(pairs, params, rng):
+    """okvs.encode of (element, field element) pairs: elements as digests, values as limbs."""
+    return okvs.encode(gf.hash_elements([k for k, _ in pairs]),
+                       gf.vec_from_ints([v for _, v in pairs]), params, rng=rng)
 
 
 def _white_box_session(x, y, session, roots, seed):

@@ -10,7 +10,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from authpsi import cli, datasets, merkle, transport
+from authpsi import cli, datasets, merkle, opprf, transport
 from authpsi.cli import main
 
 
@@ -274,8 +274,8 @@ def _free_port():
         return s.getsockname()[1]
 
 
-def _send_malformed_frame(port):
-    """Connect as party 2 once the process listens, send one 5-byte frame, wait for the hang-up."""
+def _connect_as_party_2(port):
+    """A raw connection to the process under test, once it listens, introduced as party 2."""
     deadline = time.monotonic() + 10
     while True:
         try:
@@ -285,8 +285,14 @@ def _send_malformed_frame(port):
             if time.monotonic() > deadline:
                 raise
             time.sleep(0.02)
-    with raw:
-        raw.sendall((2).to_bytes(2, "big") + (5).to_bytes(4, "big") + bytes(5))
+    raw.sendall((2).to_bytes(2, "big"))
+    return raw
+
+
+def _send_malformed_frame(port):
+    """Send one 5-byte frame as party 2 and wait for the hang-up."""
+    with _connect_as_party_2(port) as raw:
+        raw.sendall((5).to_bytes(4, "big") + bytes(5))
         raw.recv(1)
 
 
@@ -319,4 +325,36 @@ def test_malformed_frame_exits_4_at_once(runner, tmp_path, role):
     assert result.exit_code == 4, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "malformed frame" in result.output
+    assert elapsed < 5
+
+
+def _send_malformed_dealer_request(port, session_id):
+    """Send the dealer, as party 2, one well-framed OPRF evaluation request with a 2-byte body."""
+    payload = bytes([opprf.OPRF_EVAL_REQUEST]) + bytes(16) + b"\x00\x01"
+    with _connect_as_party_2(port) as raw:
+        raw.sendall(transport.Envelope(session_id, opprf.MSG_OPRF_DEALER, payload).to_frame())
+
+
+def test_malformed_dealer_request_exits_3_at_once(runner, tmp_path):
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=15)
+    salt = "bb" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg_path = _config(tmp_path, prefix, 2, salt)
+    cfg = json.loads(Path(cfg_path).read_text())
+    port = _free_port()
+    cfg["dealer"]["address"] = f"127.0.0.1:{port}"
+    Path(cfg_path).write_text(json.dumps(cfg))
+    sender = threading.Thread(target=_send_malformed_dealer_request,
+                              args=(port, bytes.fromhex(salt)))
+    sender.start()
+    try:
+        t0 = time.monotonic()
+        result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg_path,
+                                      "--role", "0"])
+        elapsed = time.monotonic() - t0
+    finally:
+        sender.join(timeout=10)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "party 2" in result.output and "OPRF query count" in result.output
     assert elapsed < 5

@@ -19,6 +19,16 @@ def _pairs(n, rng):
     return [(k, rng.getrandbits(128)) for k in sorted(keys)]
 
 
+def _h(keys):
+    return gf.hash_elements(keys)
+
+
+def _encode(pairs, params, rng):
+    """Encode (element, field element) pairs under the elements' digests."""
+    return okvs.encode(_h([k for k, _ in pairs]), gf.vec_from_ints([v for _, v in pairs]),
+                       params, rng=rng)
+
+
 def test_params_shape():
     p = _params(1000)
     assert p.m_sparse == 1230
@@ -36,8 +46,8 @@ def test_params_shape():
 def test_row_determinism_and_weight():
     p = _params(500)
     keys = [bytes([i]) * 8 for i in range(50)]
-    idx, masks = okvs.row_batch(keys, p)
-    idx2, masks2 = okvs.row_batch(keys, p)
+    idx, masks = okvs.row_batch(_h(keys), p)
+    idx2, masks2 = okvs.row_batch(_h(keys), p)
     assert (idx == idx2).all() and (masks == masks2).all()
     assert idx.shape == (50, 3) and masks.shape == (50,)
     for row in idx.tolist():
@@ -49,7 +59,7 @@ def test_row_determinism_and_weight():
 def test_row_mask_below_2_pow_m_dense():
     rng = random.Random(1)
     keys = [rng.randbytes(9) for _ in range(2000)]
-    _, masks = okvs.row_batch(keys, _params(64))
+    _, masks = okvs.row_batch(_h(keys), _params(64))
     assert masks.dtype == np.uint64
     assert int(masks.max()) < 1 << 30
     # every dense column is used and none is stuck: each bit is set about half the time
@@ -57,26 +67,26 @@ def test_row_mask_below_2_pow_m_dense():
     share = bits.mean(axis=0)
     assert share.min() > 0.4 and share.max() < 0.6
     narrow = okvs.OkvsParams(n=64, m_sparse=79, m_dense=5, omega=3, row_seed=b"\x07" * 16)
-    _, narrow_masks = okvs.row_batch(keys, narrow)
+    _, narrow_masks = okvs.row_batch(_h(keys), narrow)
     assert (narrow_masks == masks & np.uint64(0b11111)).all()
 
 
 def test_row_distinct_keys_distinct_rows():
     p = _params(4096)
     rng = random.Random(0)
-    idx, masks = okvs.row_batch([rng.randbytes(10) for _ in range(10_000)], p)
+    idx, masks = okvs.row_batch(_h([rng.randbytes(10) for _ in range(10_000)]), p)
     rows = {(tuple(r), m) for r, m in zip(idx.tolist(), masks.tolist())}
     assert len(rows) == 10_000
 
 
 def test_row_seed_changes_rows():
-    a_idx, a_mask = okvs.row_batch([b"key"], _params(100, b"\x01" * 16))
-    b_idx, b_mask = okvs.row_batch([b"key"], _params(100, b"\x02" * 16))
+    a_idx, a_mask = okvs.row_batch(_h([b"key"]), _params(100, b"\x01" * 16))
+    b_idx, b_mask = okvs.row_batch(_h([b"key"]), _params(100, b"\x02" * 16))
     assert a_idx.tolist() != b_idx.tolist() or a_mask.tolist() != b_mask.tolist()
 
 
 def _rows_one_key_at_a_time(keys, p):
-    rows = [okvs.row_batch([k], p) for k in keys]
+    rows = [okvs.row_batch(_h([k]), p) for k in keys]
     return [r[0].tolist() for r, _ in rows], [int(m[0]) for _, m in rows]
 
 
@@ -85,7 +95,7 @@ def test_row_batch_matches_scalar():
     p = _params(64)
     rng = random.Random(1)
     keys = [rng.randbytes(9) for _ in range(200)]
-    idx, masks = okvs.row_batch(keys, p)
+    idx, masks = okvs.row_batch(_h(keys), p)
     assert (idx.tolist(), masks.tolist()) == _rows_one_key_at_a_time(keys, p)
 
 
@@ -96,29 +106,28 @@ def test_row_batch_matches_scalar_tiny_table():
     p = okvs.OkvsParams(n=3, m_sparse=4, m_dense=30, omega=3, row_seed=b"\x05" * 16)
     rng = random.Random(2)
     keys = [rng.randbytes(6) for _ in range(300)]
-    idx, masks = okvs.row_batch(keys, p)
+    idx, masks = okvs.row_batch(_h(keys), p)
     for row in idx.tolist():
         assert len(set(row)) == 3 and row == sorted(row) and max(row) < 4
-    digests = okvs._key_digests(keys, p.row_seed)
-    words = okvs._expand_streams(digests, p.row_seed, len(keys), okvs._BASE_BLOCKS)
+    words = okvs._expand_streams(_h(keys), p.row_seed, okvs._BASE_BLOCKS)
     assert any(len(set((words[i, :8] % np.uint64(4)).tolist())) < 3 for i in range(len(keys)))
     assert (idx.tolist(), masks.tolist()) == _rows_one_key_at_a_time(keys, p)
 
 
 def test_single_pair_roundtrip():
     rng = random.Random(3)
-    table = okvs.encode([(b"only", 12345)], _params(1), rng=np.random.default_rng(0))
+    table = _encode([(b"only", 12345)], _params(1), rng=np.random.default_rng(0))
     assert table is not None
-    assert gf.vec_get(okvs.decode_batch(table, [b"only"]), 0) == 12345
+    assert gf.vec_get(okvs.decode_batch(table, _h([b"only"])), 0) == 12345
 
 
 @pytest.mark.parametrize("n", [16, 256, 1024, 4096])
 def test_roundtrip(n):
     rng = random.Random(n)
     pairs = _pairs(n, rng)
-    table = okvs.encode(pairs, _params(n), rng=np.random.default_rng(n))
+    table = _encode(pairs, _params(n), rng=np.random.default_rng(n))
     assert table is not None
-    decoded = okvs.decode_batch(table, [k for k, _ in pairs])
+    decoded = okvs.decode_batch(table, _h([k for k, _ in pairs]))
     for i, (_, v) in enumerate(pairs):
         assert gf.vec_get(decoded, i) == v
 
@@ -126,17 +135,17 @@ def test_roundtrip(n):
 def test_decode_batch_matches_scalar():
     rng = random.Random(4)
     pairs = _pairs(100, rng)
-    table = okvs.encode(pairs, _params(100), rng=np.random.default_rng(4))
+    table = _encode(pairs, _params(100), rng=np.random.default_rng(4))
     probes = [k for k, _ in pairs[:10]] + [rng.randbytes(12) for _ in range(10)]
-    batch = okvs.decode_batch(table, probes)
+    batch = okvs.decode_batch(table, _h(probes))
     for i, k in enumerate(probes):
-        assert (batch[i] == okvs.decode_batch(table, [k])[0]).all()
+        assert (batch[i] == okvs.decode_batch(table, _h([k]))[0]).all()
 
 
 def test_duplicate_keys_rejected():
     pairs = [(b"a", 1), (b"b", 2), (b"a", 3)]
     with pytest.raises(okvs.DuplicateKeyError):
-        okvs.encode(pairs, _params(3))
+        _encode(pairs, _params(3), np.random.default_rng(3))
 
 
 def test_linearity_and_scalar_identities():
@@ -144,12 +153,12 @@ def test_linearity_and_scalar_identities():
     n = 64
     p = _params(n)
     nprng = np.random.default_rng(5)
-    t1 = okvs.encode(_pairs(n, rng), p, rng=nprng)
-    t2 = okvs.encode(_pairs(n, random.Random(6)), p, rng=nprng)
+    t1 = _encode(_pairs(n, rng), p, rng=nprng)
+    t2 = _encode(_pairs(n, random.Random(6)), p, rng=nprng)
     xored = okvs.OkvsTable(params=p, values=t1.values ^ t2.values)
     delta = rng.getrandbits(128)
     scaled = okvs.OkvsTable(params=p, values=gf.scalar_mul_vec(delta, t1.values))
-    probes = [rng.randbytes(12) for _ in range(200)]
+    probes = _h([rng.randbytes(12) for _ in range(200)])
     d1, d2 = okvs.decode_batch(t1, probes), okvs.decode_batch(t2, probes)
     assert (okvs.decode_batch(xored, probes) == d1 ^ d2).all()
     ds = okvs.decode_batch(scaled, probes)
@@ -165,8 +174,8 @@ def test_encode_and_decode_use_no_field_multiplication(monkeypatch):
     monkeypatch.setattr(gf, "mul", refuse)
     monkeypatch.setattr(gf, "scalar_mul_vec", refuse)
     pairs = _pairs(512, random.Random(11))
-    table = okvs.encode(pairs, _params(512), rng=np.random.default_rng(11))
-    decoded = okvs.decode_batch(table, [k for k, _ in pairs])
+    table = _encode(pairs, _params(512), rng=np.random.default_rng(11))
+    decoded = okvs.decode_batch(table, _h([k for k, _ in pairs]))
     assert [gf.vec_get(decoded, i) for i in range(512)] == [v for _, v in pairs]
 
 
@@ -177,19 +186,20 @@ def test_unknown_key_decodes_do_not_repeat():
     seen = set()
     for i in range(1000):
         pairs = _pairs(8, rng)
-        table = okvs.encode(pairs, _params(8, rng.randbytes(16)), rng=np.random.default_rng(i))
-        seen.add(gf.vec_get(okvs.decode_batch(table, [b"never-encoded"]), 0))
+        table = _encode(pairs, _params(8, rng.randbytes(16)), rng=np.random.default_rng(i))
+        seen.add(gf.vec_get(okvs.decode_batch(table, _h([b"never-encoded"])), 0))
     assert len(seen) == 1000
 
 
 def test_encode_with_retry_first_attempt():
-    rng = random.Random(8)
-    result = okvs.encode_with_retry(_pairs(128, rng), _params(128), 8,
-                                    rng=np.random.default_rng(8))
+    # the table is sized for the keys, and its base row seed is the rng's next 16 bytes
+    pairs = _pairs(128, random.Random(8))
+    values = gf.vec_from_ints([v for _, v in pairs])
+    result = okvs.encode_with_retry(_h([k for k, _ in pairs]), values, 8, np.random.default_rng(8))
     assert result is not None
     table, attempts = result
     assert attempts == 1
-    assert table.params.row_seed == _params(128).row_seed
+    assert table.params == _params(128, np.random.default_rng(8).bytes(16))
 
 
 def test_encode_with_retry_derives_new_seeds():
@@ -200,21 +210,21 @@ def test_encode_with_retry_derives_new_seeds():
 
 def test_encode_with_retry_rejects_zero_attempts():
     with pytest.raises(ValueError):
-        okvs.encode_with_retry([(b"k", 1)], _params(1), 0)
+        okvs.encode_with_retry(_h([b"k"]), gf.vec_from_ints([1]), 0, np.random.default_rng(0))
 
 
 def test_table_wire_roundtrip():
     rng = random.Random(9)
-    table = okvs.encode(_pairs(20, rng), _params(20), rng=np.random.default_rng(9))
+    table = _encode(_pairs(20, rng), _params(20), rng=np.random.default_rng(9))
     raw = table.to_bytes()
-    assert raw[0] == 0x02
+    assert raw[0] == 0x03
     assert int.from_bytes(raw[1:5], "big") == 20
     assert len(raw) == 28 + table.params.m * 16
     back = okvs.OkvsTable.from_bytes(raw)
     assert back.params == table.params
     assert back.values.tolist() == table.values.tolist()
     pairs = _pairs(20, random.Random(9))
-    decoded = okvs.decode_batch(back, [k for k, _ in pairs])
+    decoded = okvs.decode_batch(back, _h([k for k, _ in pairs]))
     assert [gf.vec_get(decoded, i) for i in range(20)] == [v for _, v in pairs]
 
 
@@ -231,7 +241,7 @@ def test_obliviousness_bit_bias_proxy():
     for trial in range(trials):
         for which, keys in ((0, keys0), (1, keys1)):
             pairs = [(k, int.from_bytes(nprng.bytes(16), "little")) for k in keys]
-            table = okvs.encode(pairs, p, rng=nprng)
+            table = _encode(pairs, p, rng=nprng)
             bits = np.unpackbits(np.frombuffer(gf.vec_to_bytes(table.values), dtype=np.uint8),
                                  bitorder="little")
             ones[which] += bits

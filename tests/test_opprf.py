@@ -11,11 +11,16 @@ from authpsi.errors import ProtocolError
 
 
 def _points(m, rng):
-    """m distinct keys and their uint64 programmed values."""
+    """The digests of m distinct keys and their uint64 programmed values."""
     xs = set()
     while len(xs) < m:
         xs.add(rng.randbytes(10))
-    return sorted(xs), np.array([rng.getrandbits(64) for _ in range(m)], dtype=np.uint64)
+    return (gf.hash_elements(sorted(xs)),
+            np.array([rng.getrandbits(64) for _ in range(m)], dtype=np.uint64))
+
+
+def _h(queries):
+    return gf.hash_elements(queries)
 
 
 def _session(tag=1):
@@ -39,15 +44,16 @@ def test_batch_query_matches_scalar():
     session = _session(2)
     key = b"\x0a" * 16
     hint = opprf.opprf_program(xs, ys, session, key, rng=np.random.default_rng(1))
-    queries = xs[:16] + [rng.randbytes(10) for _ in range(16)]
+    queries = np.concatenate([xs[:16], _h([rng.randbytes(10) for _ in range(16)])])
     evals = opprf.oprf_eval(key, queries)
     batch = opprf.opprf_query_batch(hint, queries, session, evals)
     assert (batch[:16] == ys[:16]).all()
     # one query at a time gives the same answers as the mixed batch
-    for k, q in enumerate(queries):
-        ev = opprf.oprf_eval(key, [q])
+    for k in range(len(queries)):
+        q = queries[k : k + 1]
+        ev = opprf.oprf_eval(key, q)
         assert ev[0] == evals[k]
-        assert opprf.opprf_query_batch(hint, [q], session, ev)[0] == batch[k]
+        assert opprf.opprf_query_batch(hint, q, session, ev)[0] == batch[k]
 
 
 def test_unprogrammed_queries_look_random():
@@ -58,7 +64,7 @@ def test_unprogrammed_queries_look_random():
     session = _session(3)
     key = b"\x0b" * 16
     hint = opprf.opprf_program(xs, ys, session, key, rng=np.random.default_rng(2))
-    queries = [b"q" + i.to_bytes(4, "big") for i in range(100_000)]
+    queries = _h([b"q" + i.to_bytes(4, "big") for i in range(100_000)])
     outs = opprf.opprf_query_batch(hint, queries, session, opprf.oprf_eval(key, queries))
     assert len(np.unique(outs)) == len(queries)
     assert not np.isin(outs, ys).any()
@@ -70,20 +76,20 @@ def test_repeated_query_is_deterministic():
     session = _session(4)
     key = b"\x0c" * 16
     hint = opprf.opprf_program(xs, ys, session, key, rng=np.random.default_rng(3))
-    q = b"again"
-    evals = opprf.oprf_eval(key, [q, q])
+    q = _h([b"again", b"again"])
+    evals = opprf.oprf_eval(key, q)
     assert evals[0] == evals[1]
-    first, second = opprf.opprf_query_batch(hint, [q, q], session, evals)
-    assert first == second == opprf.opprf_query_batch(hint, [q], session, evals[:1])[0]
+    first, second = opprf.opprf_query_batch(hint, q, session, evals)
+    assert first == second == opprf.opprf_query_batch(hint, q[:1], session, evals[:1])[0]
 
 
 def test_empty_point_set():
     session = _session(5)
     key = b"\x0d" * 16
-    hint = opprf.opprf_program([], np.zeros(0, dtype=np.uint64), session, key,
+    hint = opprf.opprf_program(_h([]), np.zeros(0, dtype=np.uint64), session, key,
                                rng=np.random.default_rng(4))
     rng = random.Random(5)
-    outs = opprf.opprf_query_batch(hint, [rng.randbytes(8) for _ in range(50)], session,
+    outs = opprf.opprf_query_batch(hint, _h([rng.randbytes(8) for _ in range(50)]), session,
                                    np.zeros(50, dtype=np.uint64))
     assert len(np.unique(outs)) == 50
 
@@ -93,13 +99,13 @@ def test_session_mismatch_rejected():
     hint = opprf.opprf_program(*_points(4, rng), _session(6), b"\x0e" * 16,
                                rng=np.random.default_rng(5))
     with pytest.raises(ValueError):
-        opprf.opprf_query_batch(hint, [b"q"], _session(7), np.zeros(1, dtype=np.uint64))
+        opprf.opprf_query_batch(hint, _h([b"q"]), _session(7), np.zeros(1, dtype=np.uint64))
 
 
 def test_duplicate_points_rejected():
     with pytest.raises(okvs.DuplicateKeyError):
-        opprf.opprf_program([b"x", b"x"], np.array([0, 1], dtype=np.uint64), _session(8),
-                            b"\x0f" * 16)
+        opprf.opprf_program(_h([b"x", b"x"]), np.array([0, 1], dtype=np.uint64), _session(8),
+                            b"\x0f" * 16, np.random.default_rng(8))
 
 
 def test_fresh_key_changes_hint():
@@ -109,10 +115,10 @@ def test_fresh_key_changes_hint():
     k1, k2 = dealer.key(_session(9)), dealer.key(_session(10))
     assert k1 != k2
     assert (dealer.evaluate(_session(9), xs) == opprf.oprf_eval(k1, xs)).all()
-    h1 = opprf.opprf_program(xs, ys, _session(9), k1, rng=np.random.default_rng(7),
-                             row_seed=b"\x01" * 16)
-    h2 = opprf.opprf_program(xs, ys, _session(10), k2, rng=np.random.default_rng(7),
-                             row_seed=b"\x01" * 16)
+    # alike rngs give alike row seeds, so the two hints share their rows
+    h1 = opprf.opprf_program(xs, ys, _session(9), k1, rng=np.random.default_rng(7))
+    h2 = opprf.opprf_program(xs, ys, _session(10), k2, rng=np.random.default_rng(7))
+    assert h1.okvs_table.params == h2.okvs_table.params
     assert h1.okvs_table.to_bytes() != h2.okvs_table.to_bytes()
 
 
@@ -145,9 +151,11 @@ def test_dealer_payload_roundtrips():
     assert (sub, s) == (opprf.OPRF_KEY_REQUEST, sid)
     sub, s, key = opprf.decode_dealer_payload(opprf.encode_key_response(sid, b"\x11" * 16))
     assert (sub, key) == (opprf.OPRF_KEY_RESPONSE, b"\x11" * 16)
-    queries = [b"a", b"bb", b"ccc"]
-    sub, s, qs = opprf.decode_dealer_payload(opprf.encode_eval_request(sid, queries))
-    assert qs == queries
+    queries = _h([b"a", b"bb", b"ccc"])
+    raw = opprf.encode_eval_request(sid, queries)
+    assert len(raw) == 1 + 16 + 4 + 16 * 3  # a query is its 16-byte digest
+    sub, s, qs = opprf.decode_dealer_payload(raw)
+    assert sub == opprf.OPRF_EVAL_REQUEST and (qs == queries).all()
     values = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
     raw = opprf.encode_eval_response(sid, values)
     assert len(raw) == 1 + 16 + 4 + 8 * 3
@@ -168,11 +176,12 @@ def test_oversized_query_count_rejected_at_once(count):
 
 
 @pytest.mark.parametrize("body", [
-    (1).to_bytes(4, "big") + (5).to_bytes(4, "big") + b"abc",       # query longer than the body
-    (2).to_bytes(4, "big") + (0).to_bytes(4, "big") + (2**32 - 1).to_bytes(4, "big"),
-    (1).to_bytes(4, "big") + (1).to_bytes(4, "big") + b"ab",        # trailing byte
+    (1).to_bytes(4, "big") + bytes(32),                             # one query, two digests long
+    (2).to_bytes(4, "big") + bytes(16) + (2**32 - 1).to_bytes(4, "big"),  # second query cut short
+    (1).to_bytes(4, "big") + bytes(17),                             # trailing byte
     b"\x00\x00",                                                    # truncated count
 ], ids=["long-query", "huge-second-query", "trailing", "short-count"])
 def test_malformed_query_lengths_rejected(body):
+    # every query is one 16-byte digest, so the body must be 4 + 16 * count bytes
     with pytest.raises(ProtocolError):
         opprf.decode_dealer_payload(bytes([opprf.OPRF_EVAL_REQUEST]) + _session(15) + body)

@@ -83,10 +83,11 @@ def test_masking_identity_white_box():
     assert er.intersection == set(x) & set(y)
     c_table = okvs.OkvsTable(params=er._table.params, values=er._recv_corr.c_vec)
     delta = es._send_corr.delta
-    common = sorted(set(x) & set(y))
+    common = gf.hash_elements(sorted(set(x) & set(y)))
     bprime, c = okvs.decode_batch(es.bprime_table, common), okvs.decode_batch(c_table, common)
-    for i, el in enumerate(common):
-        lhs = gf.vec_get(bprime, i) ^ gf.mul(delta, psi2.hash_to_mask(el))
+    hb = psi2.hash_to_mask(common)
+    for i in range(len(common)):
+        lhs = gf.vec_get(bprime, i) ^ gf.mul(delta, gf.vec_get(hb, i))
         assert lhs == gf.vec_get(c, i)
 
 
@@ -453,11 +454,15 @@ class RecordingBus(transport.BusNetwork):
 
 
 def assert_no_own_leaf_hash_received(bus, sets, session):
-    """No party finds the salted leaf hash SHA256(0x00 || sid || x) of an own element in any payload."""
+    """No party finds the salted leaf hash SHA256(0x00 || sid || x) of an own element in any
+    payload, nor its digest d(x) = BLAKE2b-16(x), from which every per-element value derives."""
     for i, own in sets.items():
         leaves = [hashlib.sha256(b"\x00" + session + x).digest() for x in own]
+        digests = [gf.vec_to_bytes(d) for d in gf.hash_elements(own)]
+        assert digests == [hashlib.blake2b(x, digest_size=16).digest() for x in own]
         for payload in bus.received[i]:
             assert not [leaf for leaf in leaves if leaf in payload], i
+            assert not [d for d in digests if d in payload], i
 
 
 def test_transcript_carries_no_leaf_hash_of_own_elements():
