@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage/configuration error, 3 protocol abort
 (integrity violation detected, or a request the dealer cannot serve),
-4 transport failure.
+4 transport failure (also a `--local` run whose bus goes quiet while a
+party still waits).
 
 A networked run needs one process per party plus a dealer process (role 0),
 all pointed at the same JSON config:
@@ -38,6 +39,11 @@ from .errors import ConfigError, ProtocolError, TransportError
 
 EXIT_ABORT = 3
 EXIT_TRANSPORT = 4
+
+# how long a networked party waits for a message it is owed, and how long the
+# dealer process waits for the next request before it ends
+PARTY_WAIT_S = 30.0
+DEALER_IDLE_S = 10.0
 
 # published communication figures of the underlying two-party protocol family
 # (volePSI with the Silver encoder), kept for side-by-side context only: this
@@ -129,9 +135,22 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _parse_addr(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    return host, int(port)
+def _party_index(key) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise click.UsageError(f"party key {key!r} is not an integer")
+
+
+def _address(who: str, entry) -> tuple[str, int]:
+    """The (host, port) of an endpoint's "address" entry."""
+    try:
+        host, sep, port = entry["address"].rpartition(":")
+        if sep and 0 <= int(port) <= 0xFFFF:
+            return host, int(port)
+    except (KeyError, TypeError, AttributeError, ValueError):
+        pass
+    raise click.UsageError(f'{who} needs an "address" of the form host:port')
 
 
 def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session:
@@ -144,7 +163,7 @@ def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session
     if cfg.get("salted", True) is not True:
         raise click.UsageError('config key "salted" must be true or absent: '
                                "leaves are always salted with the session id")
-    parties = {int(k): entry for k, entry in cfg["parties"].items()}
+    parties = {_party_index(k): entry for k, entry in cfg["parties"].items()}
     sets, roots = {}, {}
     for i, entry in parties.items():
         try:
@@ -220,13 +239,13 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
         return
     if role is None:
         raise click.UsageError("networked mode needs --role (0 for the dealer)")
-    addresses = {int(k): _parse_addr(v["address"]) for k, v in cfg["parties"].items()}
+    addresses = {_party_index(k): _address(f"party {k}", v) for k, v in cfg["parties"].items()}
     if "dealer" in cfg:
-        addresses[transport.DEALER_INDEX] = _parse_addr(cfg["dealer"]["address"])
+        addresses[transport.DEALER_INDEX] = _address("the dealer", cfg["dealer"])
     if role == transport.DEALER_INDEX:
         node = transport.TcpNode(role, addresses.get(role), addresses)
         try:
-            served = harness.serve_dealer(node)
+            harness.drive(node, {}, harness.DealerService(), timeout=DEALER_IDLE_S)
         except ProtocolError as exc:
             click.echo(f"session aborted at the dealer: {exc}", err=True)
             sys.exit(EXIT_ABORT)
@@ -235,7 +254,7 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
             sys.exit(EXIT_TRANSPORT)
         finally:
             node.close()
-        click.echo(f"dealer served {served} responses")
+        click.echo(f"dealer served {len(node.transcript.entries)} responses")
         return
     tamper_obj = _tamper(tamper, role if tamper_party is None else tamper_party)
     if tamper_obj is not None and tamper_obj.party != role:
@@ -248,6 +267,9 @@ def _run_local(session: harness.Session, seed, out_dir):
         result = harness.run_session(session, np.random.default_rng(seed))
     except ConfigError as exc:
         raise click.UsageError(str(exc))
+    except TransportError as exc:
+        click.echo(f"transport failure: {exc}", err=True)
+        sys.exit(EXIT_TRANSPORT)
     _write_outputs(out_dir, result.intersection, result.report)
     click.echo(f"ok: {len(result.intersection or ())} common elements, "
                f"{result.report['bits_per_element']:.0f} bits/element")
@@ -259,7 +281,8 @@ def _run_networked(session: harness.Session, role: int, addresses: dict, out_dir
     node = transport.TcpNode(role, addresses[role], addresses)
     t0 = time.perf_counter()
     try:
-        engine = harness.drive_engine(session, role, node)
+        engine = session.engine(role)
+        harness.drive(node, {role: engine}, tamper=session.tamper, timeout=PARTY_WAIT_S)
     except ConfigError as exc:
         raise click.UsageError(str(exc))
     except TransportError as exc:

@@ -3,10 +3,10 @@
 A `Session` describes a run once: the parties' input sets, their announced
 roots, the session id, the collusion bound t (None selects the two-party
 construction) and an optional tamper. Its `engine` method builds any party's
-engine. The single-process driver builds all of them and runs them over the
-in-process bus with one global FIFO, which keeps runs reproducible under
-fixed seeds; the networked CLI builds one party and runs it with
-`drive_engine`.
+engine. `drive` is the one delivery loop: `run_session` runs every party
+and the dealer with it over the in-process bus, whose one global FIFO keeps
+runs reproducible under fixed seeds; a networked CLI process runs one party,
+or the dealer, with it over its TCP node.
 
 Adversarial runs install a tamper on one party; tampering either runs the
 party on inputs other than its committed sequence (flip-element changes an
@@ -22,14 +22,13 @@ import hashlib
 import itertools
 import secrets
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import merkle, opprf, psi2, psin, transport, vole
-from .errors import ProtocolError, TransportClosed, TransportError
+from .errors import ProtocolError, TransportError
 from .psi2 import decode_root_proofs, encode_root_proofs
 
 
@@ -168,32 +167,62 @@ class DealerService:
         raise ProtocolError(f"dealer cannot serve message type {env.msg_type:#x}")
 
 
-def _pump(net: transport.BusNetwork, handlers: dict, initial: list,
-          tamper: Optional[Tamper] = None) -> None:
-    """Single global FIFO delivery until all engines go quiet.
+def drive(net, engines: dict, dealer: Optional[DealerService] = None,
+          tamper: Optional[Tamper] = None, timeout: Optional[float] = None) -> None:
+    """Run `engines` (party index -> engine) and `dealer` over `net` until the traffic ends.
 
-    The tampered party's outgoing envelopes pass through its tamper. No
-    exception is caught here: an engine turns every fault a peer causes into
-    a clean abort, so anything that escapes a handler is a defect of the
+    The one delivery loop: every party and the dealer of a bus run, or the one
+    party or dealer of a TCP process. Engines start in index order, the tamper
+    rewrites its party's outgoing envelopes, and each message received goes to
+    its destination's engine, or to the dealer at index 0. The loop ends once
+    every engine is done and nothing is left queued for them. An empty receive
+    while an engine waits raises `TransportError` naming the waiting parties:
+    at once on the bus, after `timeout` seconds over TCP. With no engine, as in
+    a dealer process, an empty receive is the normal end.
+
+    A failed TCP send raises only when the traffic ends, and not at all if its
+    sender ended aborted or is the dealer: its peer may have aborted and left,
+    with the abort already queued here. Later sends to that peer are skipped.
+    A request the dealer cannot serve raises `ProtocolError` naming its
+    sender. Nothing else is caught: an engine turns every fault a peer causes
+    into a clean abort, so anything that escapes a handler is a defect of the
     program and ends the run.
     """
-    queue: deque[tuple[int, int, transport.Envelope]] = deque()
+    unsent: dict[int, tuple[int, TransportError]] = {}  # dst -> (src, its first failed send)
 
-    def push(src: int, outs):
+    def send(src: int, outs):
         for dst, env in outs:
             if tamper is not None and src == tamper.party:
                 env = tamper.envelope(env)
-            queue.append((src, dst, env))
+            if dst in unsent:
+                continue
+            try:
+                net.deliver(src, dst, env)
+            except TransportError as exc:
+                unsent[dst] = (src, exc)
 
-    for src, outs in initial:
-        push(src, outs)
-    while queue:
-        src, dst, env = queue.popleft()
-        net.node(src).send(dst, env)
-        got = net.node(dst).recv(timeout=0.001)
-        assert got is not None
-        real_src, delivered = got
-        push(dst, handlers[dst](real_src, delivered))
+    for i in sorted(engines):
+        send(i, engines[i].start())
+    while True:
+        waiting = [i for i, e in engines.items() if not e.done]
+        got = net.recv(0 if engines and not waiting else timeout)
+        if got is None:
+            failed = [exc for src, exc in unsent.values()
+                      if src in engines and not engines[src].aborted]
+            if failed:
+                raise failed[0]
+            if waiting:
+                raise TransportError(f"traffic stopped while parties {waiting} wait for it")
+            return
+        src, dst, env = got
+        if dst != transport.DEALER_INDEX:
+            send(dst, engines[dst].handle(src, env))
+            continue
+        try:
+            outs = dealer.handle(src, env)
+        except ProtocolError as exc:
+            raise ProtocolError(f"party {src}: {exc}") from exc
+        send(dst, outs)
 
 
 def run_session(session: Session, rng: np.random.Generator,
@@ -207,14 +236,8 @@ def run_session(session: Session, rng: np.random.Generator,
     dealer = DealerService(rng=np.random.default_rng(rng.integers(1 << 62)))
 
     net = network if network is not None else transport.BusNetwork()
-    handlers = {0: dealer.handle}
-    net.node(0)
-    for i, engine in engines.items():
-        net.node(i)
-        handlers[i] = engine.handle
-
     t0 = time.perf_counter()
-    _pump(net, handlers, [(i, e.start()) for i, e in engines.items()], session.tamper)
+    drive(net, engines, dealer, session.tamper)
     elapsed = (time.perf_counter() - t0) * 1000
 
     reasons = {i: e.abort_reason for i, e in engines.items()
@@ -252,66 +275,3 @@ def run_multi_party(input_sets: list[list[bytes]], t: int, *,
     """One full n-party session over the in-process bus; output lands at P_n."""
     return _run({i + 1: list(s) for i, s in enumerate(input_sets)}, t,
                 session_id, tamper, seed, network, announced_roots)
-
-
-def drive_engine(session: Session, index: int, node, *,
-                 rng: Optional[np.random.Generator] = None, timeout: float = 30.0):
-    """Build party `index` of a session and run it over a live endpoint to a terminal state.
-
-    Used by the networked CLI mode, one process per party; returns the
-    engine. Send failures are tolerated while aborting (the peer may be gone
-    already), and a peer that hangs up after finishing its part is not an
-    error: only a timeout while traffic is still owed, or a malformed frame,
-    counts as a transport failure.
-    """
-    engine = session.engine(index, rng)
-    tamper = session.tamper_at(index)
-
-    def flush(outs):
-        for dst, env in outs:
-            if tamper is not None:
-                env = tamper.envelope(env)
-            try:
-                node.send(dst, env)
-            except TransportError:
-                if not engine.aborted:
-                    raise
-
-    flush(engine.start())
-    while not engine.done:
-        try:
-            got = node.recv(timeout=timeout)
-        except TransportClosed:
-            continue
-        if got is None:
-            raise TransportError("timed out waiting for protocol traffic")
-        src, env = got
-        flush(engine.handle(src, env))
-    return engine
-
-
-def serve_dealer(node, *, idle_timeout: float = 10.0,
-                 rng: Optional[np.random.Generator] = None) -> int:
-    """Dealer process main loop: answer requests until traffic goes idle.
-
-    Clients hanging up after a finished session is normal, not an error; a
-    malformed frame raises `TransportError`, and a request the dealer cannot
-    serve raises `ProtocolError` naming the party that sent it.
-    """
-    dealer = DealerService(rng=rng)
-    served = 0
-    while True:
-        try:
-            got = node.recv(timeout=idle_timeout)
-        except TransportClosed:
-            continue
-        if got is None:
-            return served
-        src, env = got
-        try:
-            outs = dealer.handle(src, env)
-        except ProtocolError as exc:
-            raise ProtocolError(f"party {src}: {exc}") from exc
-        for dst, out in outs:
-            node.send(dst, out)
-            served += 1

@@ -4,9 +4,12 @@ Every protocol message travels as an envelope: 16-byte session id, one type
 byte, and a length-prefixed payload. On the wire an envelope is preceded by a
 4-byte big-endian frame length, for 25 bytes of header per message.
 
-Two backends share one node interface (send to a peer index, receive from
-any): an in-process bus for tests and single-process runs, and TCP with one
-connection per directed party pair for multi-process runs. Party index 0 is
+Two backends offer `harness.drive` the same two calls: `deliver(src, dst,
+env)` sends a message, and `recv(timeout)` returns the next (src, dst, env)
+or None. The in-process bus, for tests and single-process runs, is one
+global FIFO for every party and the dealer; its receive never waits. TCP,
+for multi-process runs, is one node per process with one connection per
+directed party pair; its receive waits up to the timeout. Party index 0 is
 reserved for dealer endpoints (correlated-randomness setup); traffic to or
 from index 0 is accounted as setup bytes, everything else as protocol bytes.
 Delivery is exactly-once and FIFO per directed pair on both backends.
@@ -20,6 +23,7 @@ import socket
 import struct
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -154,64 +158,27 @@ def make_report(meter: Meter, *, session_id: bytes, n: int, parties: int, t: Opt
     }
 
 
-_CLOSED = object()
-
-
-class BusNode:
-    """One party's endpoint on the in-process bus."""
-
-    def __init__(self, network: "BusNetwork", index: int):
-        self._network = network
-        self.index = index
-        self._inbox: queue.Queue = queue.Queue()
-        self._closed = False
-
-    def send(self, dst: int, env: Envelope):
-        if self._closed:
-            raise TransportError("send on closed endpoint")
-        self._network.deliver(self.index, dst, env)
-
-    def recv(self, timeout: Optional[float] = None):
-        """Next (src, envelope), or None on timeout."""
-        try:
-            item = self._inbox.get(timeout=timeout) if timeout is not None else self._inbox.get_nowait()
-        except queue.Empty:
-            return None
-        if item is _CLOSED:
-            raise TransportClosed("peer endpoint closed")
-        return item
-
-    def close(self):
-        if not self._closed:
-            self._closed = True
-            self._network.notify_closed(self.index)
-
-
 class BusNetwork:
-    """All-pairs in-process delivery with shared metering and transcript."""
+    """The in-process bus: one global FIFO of (src, dst, envelope) for every party and the dealer.
+
+    One queue for the whole session keeps delivery order, and with it every
+    seeded run, reproducible. A receive never waits: an empty queue means no
+    party has anything left to say.
+    """
 
     def __init__(self, meter: Optional[Meter] = None, transcript: Optional[Transcript] = None):
         self.meter = meter if meter is not None else Meter()
         self.transcript = transcript if transcript is not None else Transcript()
-        self._nodes: dict[int, BusNode] = {}
-
-    def node(self, index: int) -> BusNode:
-        if index not in self._nodes:
-            self._nodes[index] = BusNode(self, index)
-        return self._nodes[index]
+        self._fifo: deque[tuple[int, int, Envelope]] = deque()
 
     def deliver(self, src: int, dst: int, env: Envelope):
-        node = self._nodes.get(dst)
-        if node is None or node._closed:
-            raise TransportError(f"no open endpoint for party {dst}")
         self.meter.add(env.session_id, src, dst, env.msg_type, env.wire_bytes)
         self.transcript.add(src, dst, env)
-        node._inbox.put((src, env))
+        self._fifo.append((src, dst, env))
 
-    def notify_closed(self, index: int):
-        for other, node in self._nodes.items():
-            if other != index and not node._closed:
-                node._inbox.put(_CLOSED)
+    def recv(self, timeout: Optional[float] = None):
+        """The oldest queued (src, dst, envelope), or None at once if nothing is queued."""
+        return self._fifo.popleft() if self._fifo else None
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -249,12 +216,9 @@ class TcpNode:
         self._lock = threading.Lock()
         self._closed = False
         self._listener = None
-        self._threads: list[threading.Thread] = []
         if listen_addr is not None:
             self._listener = socket.create_server(listen_addr)
-            th = threading.Thread(target=self._accept_loop, daemon=True)
-            th.start()
-            self._threads.append(th)
+            threading.Thread(target=self._accept_loop, daemon=True).start()
 
     @property
     def bound_port(self) -> Optional[int]:
@@ -271,19 +235,16 @@ class TcpNode:
             except TransportError:
                 conn.close()
                 continue
-            th = threading.Thread(target=self._read_loop, args=(conn, src), daemon=True)
-            th.start()
-            self._threads.append(th)
+            threading.Thread(target=self._read_loop, args=(conn, src), daemon=True).start()
 
     def _read_loop(self, conn: socket.socket, src: int):
         try:
             while True:
                 env = read_frame(conn)
                 self.meter.add(env.session_id, src, self.index, env.msg_type, env.wire_bytes)
-                self._inbox.put((src, env))
+                self._inbox.put((src, self.index, env))
         except TransportClosed:
-            if not self._closed:
-                self._inbox.put(_CLOSED)
+            pass  # a peer that hangs up after its part is done is not an error
         except TransportError as exc:
             # an undecodable frame ends this connection and the session with it
             if not self._closed:
@@ -315,7 +276,8 @@ class TcpNode:
                 self._out[dst] = sock
             return sock
 
-    def send(self, dst: int, env: Envelope):
+    def deliver(self, src: int, dst: int, env: Envelope):
+        """Send `env` from this node (`src` is its own index) to party `dst`."""
         if self._closed:
             raise TransportError("send on closed endpoint")
         sock = self._connection(dst)
@@ -323,16 +285,15 @@ class TcpNode:
             sock.sendall(env.to_frame())
         except OSError as exc:
             raise TransportError(f"send to party {dst} failed: {exc}") from exc
-        self.meter.add(env.session_id, self.index, dst, env.msg_type, env.wire_bytes)
-        self.transcript.add(self.index, dst, env)
+        self.meter.add(env.session_id, src, dst, env.msg_type, env.wire_bytes)
+        self.transcript.add(src, dst, env)
 
     def recv(self, timeout: Optional[float] = None):
+        """The next (src, own index, envelope), or None after `timeout` seconds without one."""
         try:
             item = self._inbox.get(timeout=timeout)
         except queue.Empty:
             return None
-        if item is _CLOSED:
-            raise TransportClosed("peer closed the connection")
         if isinstance(item, TransportError):
             raise item
         return item

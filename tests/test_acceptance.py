@@ -323,11 +323,5 @@ def _white_box_session(x, y, session, roots, seed):
     spec = harness.Session({1: x, 2: y}, roots, session)
     engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62))) for i in (1, 2)}
     dealer = harness.DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
-    net = transport.BusNetwork()
-    for i in (0, 1, 2):
-        net.node(i)
-    handlers = {0: dealer.handle,
-                1: lambda s, e: engines[1].handle(s, e),
-                2: lambda s, e: engines[2].handle(s, e)}
-    harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)])
+    harness.drive(transport.BusNetwork(), engines, dealer)
     return engines

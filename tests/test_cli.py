@@ -1,7 +1,11 @@
-"""CLI surface: dataset generation, commitment, local runs, bench output."""
+"""CLI surface: dataset generation, commitment, local and networked runs, bench output."""
 
 import json
+import os
+import re
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -10,7 +14,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from authpsi import cli, datasets, merkle, opprf, transport
+from authpsi import cli, datasets, merkle, opprf, psi2, transport
 from authpsi.cli import main
 
 
@@ -268,6 +272,76 @@ def test_networked_party_reads_only_its_own_dataset(runner, tmp_path):
         cli._session("2pc", cfg, None)  # a local run still needs every dataset
 
 
+# config faults, each with the text its usage error must show
+CONFIG_FAULTS = {
+    "dealer-address-without-port": (lambda cfg: cfg["dealer"].update(address="127.0.0.1"),
+                                    'the dealer needs an "address"'),
+    "dealer-address-missing": (lambda cfg: cfg["dealer"].pop("address"),
+                               'the dealer needs an "address"'),
+    "party-address-without-port": (lambda cfg: cfg["parties"]["2"].update(address="127.0.0.1"),
+                                   'party 2 needs an "address"'),
+    "party-address-missing": (lambda cfg: cfg["parties"]["2"].pop("address"),
+                              'party 2 needs an "address"'),
+    "party-port-out-of-range": (lambda cfg: cfg["parties"]["2"].update(address="127.0.0.1:70000"),
+                                'party 2 needs an "address"'),
+    "non-integer-party-key": (lambda cfg: cfg["parties"].update(two=cfg["parties"].pop("2")),
+                              "party key 'two' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("mode", [["--role", "1"], ["--role", "0"]], ids=["party", "dealer"])
+@pytest.mark.parametrize("fault", sorted(CONFIG_FAULTS))
+def test_bad_networked_config_is_usage_error(runner, tmp_path, fault, mode):
+    # a malformed address or party key is the operator's error: exit 2, no traceback
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=16)
+    salt = "cc" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg_path = _config(tmp_path, prefix, 2, salt)
+    cfg = json.loads(Path(cfg_path).read_text())
+    mutate, message = CONFIG_FAULTS[fault]
+    mutate(cfg)
+    Path(cfg_path).write_text(json.dumps(cfg))
+    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg_path,
+                                  "--out-dir", str(tmp_path / "out")] + mode)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def test_non_integer_party_key_is_usage_error_locally(runner, tmp_path):
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=17)
+    salt = "dd" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg_path = _config(tmp_path, prefix, 2, salt)
+    cfg = json.loads(Path(cfg_path).read_text())
+    mutate, message = CONFIG_FAULTS["non-integer-party-key"]
+    mutate(cfg)
+    Path(cfg_path).write_text(json.dumps(cfg))
+    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg_path,
+                                  "--local", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def test_local_transport_failure_exits_4(runner, tmp_path, monkeypatch):
+    # a bus run that loses the masked vector goes quiet with both parties waiting
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=18)
+    salt = "ee" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg = _config(tmp_path, prefix, 2, salt)
+    deliver = transport.BusNetwork.deliver
+
+    def lossy(self, src, dst, env):
+        if env.msg_type != psi2.MSG_MASKED_VECTOR:
+            deliver(self, src, dst, env)
+
+    monkeypatch.setattr(transport.BusNetwork, "deliver", lossy)
+    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
+                                  "--local", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "transport failure: " in result.output and "parties [1, 2]" in result.output
+
+
 def _free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -358,3 +432,64 @@ def test_malformed_dealer_request_exits_3_at_once(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "party 2" in result.output and "OPRF query count" in result.output
     assert elapsed < 5
+
+
+def _run_processes(config_path, construction, parties, out_dir, tamper=None):
+    """`authpsi run --role I` for the dealer and every party, each its own process.
+
+    Returns I -> (exit code, stdout, stderr)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    procs = {}
+    try:
+        for i in range(parties + 1):
+            args = [sys.executable, "-m", "authpsi.cli", "run", "--construction", construction,
+                    "--config", config_path, "--role", str(i), "--out-dir", str(out_dir / str(i))]
+            if tamper is not None and i == tamper[0]:
+                args += ["--tamper", tamper[1]]
+            procs[i] = subprocess.Popen(args, env=env, stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE, text=True)
+        outputs = {i: proc.communicate(timeout=60) for i, proc in procs.items()}
+        return {i: (proc.returncode, *outputs[i]) for i, proc in procs.items()}
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+
+@pytest.mark.parametrize("construction,parties,tamper", [
+    ("2pc", 2, None),
+    ("npc", 3, None),
+    ("npc", 3, (3, "flip-element:0")),
+], ids=["2pc", "3x1", "3x1-tampered-at-3"])
+def test_networked_run_matches_local(runner, tmp_path, construction, parties, tamper):
+    # the dealer and every party in its own process, over TCP on free ports
+    prefix = _gen(runner, tmp_path, count=24, parties=parties, overlap=6, seed=19)
+    salt = "ff" * 16
+    _commit_all(runner, prefix, parties, salt)
+    extra = {"n": parties, "t": 1} if construction == "npc" else None
+    cfg_path = _config(tmp_path, prefix, parties, salt, extra)
+    cfg = json.loads(Path(cfg_path).read_text())
+    for entry in [cfg["dealer"], *cfg["parties"].values()]:
+        entry["address"] = f"127.0.0.1:{_free_port()}"
+    Path(cfg_path).write_text(json.dumps(cfg))
+
+    results = _run_processes(cfg_path, construction, parties, tmp_path / "net", tamper)
+    # the dealer serves until traffic goes idle, and counts what it sent
+    assert results[0][0] == 0, results[0][2]
+    assert re.search(r"dealer served [1-9]\d* responses", results[0][1]), results[0][1]
+    if tamper is not None:
+        for i in range(1, parties + 1):
+            if i != tamper[0]:
+                assert results[i][0] == 3, results[i][2]
+                assert f"root from party {tamper[0]}" in results[i][2]
+        return
+    assert all(code == 0 for code, _, _ in results.values()), results
+    local = runner.invoke(main, ["run", "--construction", construction, "--config", cfg_path,
+                                 "--local", "--out-dir", str(tmp_path / "local")])
+    assert local.exit_code == 0, local.output
+    output_party = 1 if construction == "2pc" else parties
+    networked = (tmp_path / "net" / str(output_party) / "intersection.txt").read_text()
+    assert networked == (tmp_path / "local" / "intersection.txt").read_text()
+    assert networked.split() == sorted(e.hex() for e in datasets.read_dataset(f"{prefix}_core.dat"))

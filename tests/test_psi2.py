@@ -92,25 +92,16 @@ def test_masking_identity_white_box():
 
 
 def _build(x, y, session, roots, seed, dealer_cls=harness.DealerService):
-    """Both engines from the shared session builder, the dealer, and the bus."""
+    """Both engines from the shared session builder, and the dealer."""
     master = np.random.default_rng(seed)
     spec = harness.Session({1: x, 2: y}, roots, session)
     engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62))) for i in (1, 2)}
-    dealer = dealer_cls(rng=np.random.default_rng(master.integers(1 << 62)))
-    net = transport.BusNetwork()
-    for i in (0, 1, 2):
-        net.node(i)
-    return engines, dealer, net
+    return engines, dealer_cls(rng=np.random.default_rng(master.integers(1 << 62)))
 
 
-def _run_engines(x, y, session, roots, seed, tamper=None, replay=None):
-    engines, dealer, net = _build(x, y, session, roots, seed)
-    handlers = {0: dealer.handle,
-                1: lambda s, e: engines[1].handle(s, e),
-                2: lambda s, e: engines[2].handle(s, e)}
-    if replay is not None:
-        handlers = replayed(handlers, *replay)
-    harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)], tamper)
+def _run_engines(x, y, session, roots, seed, tamper=None, net=None):
+    engines, dealer = _build(x, y, session, roots, seed)
+    harness.drive(net if net is not None else transport.BusNetwork(), engines, dealer, tamper)
     return engines
 
 
@@ -118,18 +109,10 @@ def test_digest_set_size_and_permutation():
     x, y = _sets(30, 30, 10, seed=7)
     session = b"\x23" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    sent = {}
-    engines, dealer, net = _build(x, y, session, roots, seed=7)
+    bus = RecordingBus()
+    engines = _run_engines(x, y, session, roots, seed=7, net=bus)
 
-    def spy2(src, env):
-        if env.msg_type == psi2.MSG_DIGEST_SET:
-            sent["digests"] = env.payload
-        return engines[1].handle(src, env)
-
-    handlers = {0: dealer.handle, 1: spy2, 2: lambda s, e: engines[2].handle(s, e)}
-    harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)])
-
-    payload = sent["digests"]
+    [payload] = bus.payloads(1, psi2.MSG_DIGEST_SET)
     count = int.from_bytes(payload[:4], "big")
     assert count == len(y)
     width = engines[1].out_bytes
@@ -198,18 +181,20 @@ def test_wrong_digest_count_aborts_cleanly():
     x, y = _sets(12, 12, 4, seed=12)
     session = b"\x27" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    engines, dealer, net = _build(x, y, session, roots, seed=12)
+    engines, dealer = _build(x, y, session, roots, seed=12)
 
-    def truncate_digests(src, env):
-        if env.msg_type == psi2.MSG_DIGEST_SET:
-            count = int.from_bytes(env.payload[:4], "big")
-            width = engines[1].out_bytes
-            env = transport.Envelope(env.session_id, env.msg_type,
-                                     (count - 1).to_bytes(4, "big") + env.payload[4:-width])
-        return engines[1].handle(src, env)
+    class TruncatingBus(transport.BusNetwork):
+        """Drops the last digest of the digest set in transit, and its count with it."""
 
-    handlers = {0: dealer.handle, 1: truncate_digests, 2: lambda s, e: engines[2].handle(s, e)}
-    harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)])  # no escaped error
+        def deliver(self, src, dst, env):
+            if env.msg_type == psi2.MSG_DIGEST_SET:
+                count = int.from_bytes(env.payload[:4], "big")
+                width = engines[1].out_bytes
+                env = transport.Envelope(env.session_id, env.msg_type,
+                                         (count - 1).to_bytes(4, "big") + env.payload[4:-width])
+            super().deliver(src, dst, env)
+
+    harness.drive(TruncatingBus(), engines, dealer)  # no escaped error
     assert engines[1].aborted and engines[1].intersection is None
     assert "digest set size" in engines[1].abort_reason
 
@@ -271,11 +256,8 @@ def test_vole_backend_substitutability():
     x, y = _sets(40, 40, 15, seed=13)
     session = b"\x28" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    engines, dealer, net = _build(x, y, session, roots, seed=13, dealer_cls=FixedDeltaDealer)
-    handlers = {0: dealer.handle,
-                1: lambda s, e: engines[1].handle(s, e),
-                2: lambda s, e: engines[2].handle(s, e)}
-    harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)])
+    engines, dealer = _build(x, y, session, roots, seed=13, dealer_cls=FixedDeltaDealer)
+    harness.drive(transport.BusNetwork(), engines, dealer)
     assert engines[1].intersection == set(x) & set(y)
 
 
@@ -312,17 +294,10 @@ def test_digest_set_leaks_nothing_beyond_membership():
 
 
 def _capture_digest_payload(x, y, session, roots, seed):
-    engines, dealer, net = _build(x, y, session, roots, seed)
-    captured = {}
-
-    def spy(src, env):
-        if env.msg_type == psi2.MSG_DIGEST_SET:
-            captured["payload"] = env.payload
-        return engines[1].handle(src, env)
-
-    handlers = {0: dealer.handle, 1: spy, 2: lambda s, e: engines[2].handle(s, e)}
-    harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)])
-    return captured["payload"]
+    bus = RecordingBus()
+    _run_engines(x, y, session, roots, seed, net=bus)
+    [payload] = bus.payloads(1, psi2.MSG_DIGEST_SET)
+    return payload
 
 
 def test_root_proofs_payload_roundtrip():
@@ -422,13 +397,9 @@ def test_gate_binds_inputs_actually_used():
     session = b"\x2b" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     y_used = [e for e in y if e not in x][:16] + x[:16]
-    engines, dealer, net = _build(x, y_used, session, roots, seed=19)
+    engines, dealer = _build(x, y_used, session, roots, seed=19)
     engines[2].config.skip_self_check = True
-    handlers = {0: dealer.handle,
-                1: lambda s, e: engines[1].handle(s, e),
-                2: lambda s, e: engines[2].handle(s, e)}
-    harness._pump(net, handlers, [(i, engines[i].start()) for i in (1, 2)],
-                  ReplayedRoot(2, y, session))
+    harness.drive(transport.BusNetwork(), engines, dealer, ReplayedRoot(2, y, session))
     assert engines[1].aborted and engines[1].intersection is None
 
 
@@ -442,15 +413,18 @@ def test_commitment_message_is_one_root():
 
 
 class RecordingBus(transport.BusNetwork):
-    """An in-process bus that also keeps every delivered payload, per receiving party."""
+    """An in-process bus that also keeps every delivered envelope, per receiving party."""
 
     def __init__(self):
         super().__init__()
-        self.received: dict[int, list[bytes]] = {}
+        self.received: dict[int, list[transport.Envelope]] = {}
 
     def deliver(self, src, dst, env):
         super().deliver(src, dst, env)
-        self.received.setdefault(dst, []).append(env.payload)
+        self.received.setdefault(dst, []).append(env)
+
+    def payloads(self, dst, msg_type):
+        return [env.payload for env in self.received[dst] if env.msg_type == msg_type]
 
 
 def assert_no_own_leaf_hash_received(bus, sets, session):
@@ -460,9 +434,9 @@ def assert_no_own_leaf_hash_received(bus, sets, session):
         leaves = [hashlib.sha256(b"\x00" + session + x).digest() for x in own]
         digests = [gf.vec_to_bytes(d) for d in gf.hash_elements(own)]
         assert digests == [hashlib.blake2b(x, digest_size=16).digest() for x in own]
-        for payload in bus.received[i]:
-            assert not [leaf for leaf in leaves if leaf in payload], i
-            assert not [d for d in digests if d in payload], i
+        for env in bus.received[i]:
+            assert not [leaf for leaf in leaves if leaf in env.payload], i
+            assert not [d for d in digests if d in env.payload], i
 
 
 def test_transcript_carries_no_leaf_hash_of_own_elements():
@@ -482,18 +456,18 @@ def party_messages(run):
             if DEALER_INDEX not in (src, dst) for msg_type, _, _ in sent]
 
 
-def replayed(handlers, src, dst, msg_type):
-    """The handlers with the first src -> dst message of msg_type delivered twice in a row."""
-    inner, pending = handlers[dst], [True]
+class ReplayBus(transport.BusNetwork):
+    """An in-process bus that delivers the first src -> dst message of msg_type twice in a row."""
 
-    def handler(s, env):
-        out = inner(s, env)
-        if pending and s == src and env.msg_type == msg_type:
-            pending.clear()
-            out = out + inner(s, env)
-        return out
+    def __init__(self, src, dst, msg_type):
+        super().__init__()
+        self.replay = (src, dst, msg_type)
 
-    return {**handlers, dst: handler}
+    def deliver(self, src, dst, env):
+        super().deliver(src, dst, env)
+        if self.replay == (src, dst, env.msg_type):
+            self.replay = None
+            super().deliver(src, dst, env)
 
 
 def message_id(message):
@@ -513,7 +487,8 @@ def test_replayed_message_aborts_cleanly(message):
     x, y = REPLAY_SETS
     session = b"\x2e" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    engines = _run_engines(x, y, session, roots, seed=22, replay=message)  # no escaped error
+    engines = _run_engines(x, y, session, roots, seed=22,
+                           net=ReplayBus(*message))  # no escaped error
     for i in (1, 2):
         assert engines[i].aborted and engines[i].abort_reason, i
         assert engines[i].intersection is None

@@ -8,8 +8,8 @@ import pytest
 
 from authpsi import gf, harness, merkle, okvs, psin, transport, zeroshare
 from authpsi.errors import ConfigError
-from test_psi2 import (ROOT_FAULTS, RecordingBus, RootFault, assert_no_own_leaf_hash_received,
-                       message_id, party_messages, replayed)
+from test_psi2 import (ROOT_FAULTS, RecordingBus, ReplayBus, RootFault,
+                       assert_no_own_leaf_hash_received, message_id, party_messages)
 
 
 def _party_sets(n, n_l, core_size, seed=0, width=8):
@@ -88,22 +88,13 @@ def test_only_output_party_learns_intersection():
         assert engines[i].phase == "done"
 
 
-def _run_engines(sets, t, session, roots, seed, tamper=None, replay=None):
-    n = len(sets)
+def _run_engines(sets, t, session, roots, seed, tamper=None, net=None):
     master = np.random.default_rng(seed)
     spec = harness.Session({i: s for i, s in enumerate(sets, start=1)}, roots, session, t)
     engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62)))
-               for i in range(1, n + 1)}
+               for i in range(1, len(sets) + 1)}
     dealer = harness.DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
-    net = transport.BusNetwork()
-    for i in range(n + 1):
-        net.node(i)
-    handlers = {0: dealer.handle}
-    for i in range(1, n + 1):
-        handlers[i] = (lambda j: lambda s, e: engines[j].handle(s, e))(i)
-    if replay is not None:
-        handlers = replayed(handlers, *replay)
-    harness._pump(net, handlers, [(i, engines[i].start()) for i in range(1, n + 1)], tamper)
+    harness.drive(net if net is not None else transport.BusNetwork(), engines, dealer, tamper)
     return engines
 
 
@@ -230,7 +221,7 @@ def test_replayed_message_aborts_cleanly(message):
     session = b"\x0a" * 16
     roots = {i + 1: merkle.root(s, session) for i, s in enumerate(REPLAY_SETS)}
     engines = _run_engines(REPLAY_SETS, t=2, session=session, roots=roots, seed=17,
-                           replay=message)  # no escaped error
+                           net=ReplayBus(*message))  # no escaped error
     for i in range(1, 5):
         assert engines[i].aborted and engines[i].abort_reason, i
         assert engines[i].intersection is None

@@ -1,14 +1,17 @@
 """Whole sessions of both engines: pinned message sizes, one digest per element, a fuzz gate."""
 
 import hashlib
+import re
 import sys
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from authpsi import datasets, gf, harness, merkle, psi2, psin, transport
+from authpsi.errors import TransportError
 from authpsi.transport import DEALER_INDEX
 
 
@@ -128,7 +131,7 @@ def _corrupt(payload, how, offset, bit):
 @given(data=st.data())
 def test_one_corrupted_message_ends_every_party_cleanly(data):
     # one party-to-party message of an honest run is corrupted in transit: no
-    # exception escapes the pump and every party ends done; a corrupted root
+    # exception escapes the delivery loop and every party ends done; a corrupted root
     # aborts every party. A flipped bit in a pseudorandom payload may still
     # give a wrong output, which only channel authentication can turn into an
     # abort, so outputs are not checked here.
@@ -141,26 +144,47 @@ def test_one_corrupted_message_ends_every_party_cleanly(data):
     rng = np.random.default_rng(43)
     engines = {i: spec.engine(i, np.random.default_rng(rng.integers(1 << 62))) for i in spec.sets}
     dealer = harness.DealerService(rng=np.random.default_rng(rng.integers(1 << 62)))
-    net = transport.BusNetwork()
     seen, corrupted = [0], []
 
-    def deliver(engine):
-        def handler(src, env):
-            if src != DEALER_INDEX:
+    class CorruptingBus(transport.BusNetwork):
+        def deliver(self, src, dst, env):
+            if DEALER_INDEX not in (src, dst):
                 if seen[0] == target:
                     corrupted.append(env.msg_type)
                     env = transport.Envelope(env.session_id, env.msg_type,
                                              _corrupt(env.payload, how, offset, bit))
                 seen[0] += 1
-            return engine.handle(src, env)
-        return handler
+            super().deliver(src, dst, env)
 
-    handlers = {DEALER_INDEX: dealer.handle, **{i: deliver(e) for i, e in engines.items()}}
-    for i in handlers:
-        net.node(i)
-    harness._pump(net, handlers, [(i, e.start()) for i, e in engines.items()])
+    harness.drive(CorruptingBus(), engines, dealer)
 
     assert len(corrupted) == 1
     assert all(e.done for e in engines.values()), {i: e.phase for i, e in engines.items()}
     if corrupted[0] in ROOT_TYPES:
         assert all(e.aborted and e.intersection is None for e in engines.values())
+
+
+class DroppingBus(transport.BusNetwork):
+    """An in-process bus that loses the first message of one type."""
+
+    def __init__(self, msg_type):
+        super().__init__()
+        self.drop = msg_type
+
+    def deliver(self, src, dst, env):
+        if env.msg_type == self.drop:
+            self.drop = None
+            return
+        super().deliver(src, dst, env)
+
+
+@pytest.mark.parametrize("name,msg_type,waiting", [
+    ("2pc", psi2.MSG_MASKED_VECTOR, "[1, 2]"),  # the sender waits for it, the receiver for its answer
+    ("4x2", psin.MSG_OPPRF_HINT, "[4]"),        # only the output party waits for a hint
+], ids=["2pc-0x02", "4x2-0x14"])
+def test_quiet_bus_names_the_waiting_parties(name, msg_type, waiting):
+    # a bus that goes quiet while a party still waits is a transport failure,
+    # not a silent end of the run
+    spec, _ = FUZZ_SESSIONS[name]
+    with pytest.raises(TransportError, match=f"parties {re.escape(waiting)} wait"):
+        harness.run_session(spec, np.random.default_rng(43), DroppingBus(msg_type))

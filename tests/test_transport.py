@@ -32,8 +32,7 @@ def test_envelope_validation():
 
 def test_meter_header_arithmetic():
     net = transport.BusNetwork()
-    a, b = net.node(1), net.node(2)
-    a.send(2, Envelope(SID, 0x01, b"\x00" * 100))
+    net.deliver(1, 2, Envelope(SID, 0x01, b"\x00" * 100))
     assert net.meter.protocol_bytes(SID) == 125  # payload + 25 header bytes
     assert net.meter.setup_bytes(SID) == 0
     assert net.meter.per_type(SID) == {"0x01": 125}
@@ -41,67 +40,59 @@ def test_meter_header_arithmetic():
 
 def test_dealer_traffic_is_setup_bytes():
     net = transport.BusNetwork()
-    net.node(0)
-    a = net.node(1)
-    a.send(0, Envelope(SID, 0x21, b"\x00" * 10))
+    net.deliver(1, 0, Envelope(SID, 0x21, b"\x00" * 10))
     assert net.meter.protocol_bytes(SID) == 0
     assert net.meter.setup_bytes(SID) == 35
 
 
 def test_meter_conservation():
     net = transport.BusNetwork()
-    net.node(1), net.node(2)
     sizes = [3, 50, 7, 0]
     for i, size in enumerate(sizes):
-        net.node(1).send(2, Envelope(SID, i + 1, b"\x01" * size))
+        net.deliver(1, 2, Envelope(SID, i + 1, b"\x01" * size))
     assert sum(net.meter.per_type(SID).values()) == net.meter.protocol_bytes(SID)
 
 
 def test_bus_fifo_order_and_exactly_once():
     net = transport.BusNetwork()
-    a, b = net.node(1), net.node(2)
     for i in range(10_000):
-        a.send(2, Envelope(SID, 0x01, i.to_bytes(4, "big")))
+        net.deliver(1, 2, Envelope(SID, 0x01, i.to_bytes(4, "big")))
     for i in range(10_000):
-        src, env = b.recv(timeout=0.1)
-        assert src == 1
+        src, dst, env = net.recv(timeout=0.1)
+        assert (src, dst) == (1, 2)
         assert int.from_bytes(env.payload, "big") == i
-    assert b.recv(timeout=0.01) is None
+    assert net.recv(timeout=0.01) is None
 
 
 def test_abort_not_reordered():
     # strict FIFO: an abort queued behind data does not jump the queue
     net = transport.BusNetwork()
-    a, b = net.node(1), net.node(2)
-    a.send(2, Envelope(SID, 0x02, b"data"))
-    a.send(2, Envelope(SID, 0x0F, b"abort"))
-    assert b.recv(timeout=0.1)[1].msg_type == 0x02
-    assert b.recv(timeout=0.1)[1].msg_type == 0x0F
+    net.deliver(1, 2, Envelope(SID, 0x02, b"data"))
+    net.deliver(1, 2, Envelope(SID, 0x0F, b"abort"))
+    assert net.recv(timeout=0.1)[2].msg_type == 0x02
+    assert net.recv(timeout=0.1)[2].msg_type == 0x0F
 
 
 def test_bus_timeout_vs_closed():
+    # an empty bus is a value, returned at once; the bus has no close
     net = transport.BusNetwork()
-    a, b = net.node(1), net.node(2)
-    assert b.recv(timeout=0.01) is None  # timeout is a value
-    a.close()
-    with pytest.raises(TransportClosed):
-        b.recv(timeout=0.1)
-    with pytest.raises(TransportError):
-        a.send(2, Envelope(SID, 0x01, b""))
+    t0 = time.monotonic()
+    assert net.recv(timeout=5) is None
+    assert time.monotonic() - t0 < 1
 
 
 def test_tcp_roundtrip_and_meter():
     n1 = transport.TcpNode(1, ("127.0.0.1", 0), {})
     n2 = transport.TcpNode(2, ("127.0.0.1", 0), {1: ("127.0.0.1", n1.bound_port)})
     try:
-        n2.send(1, Envelope(SID, 0x07, b"over tcp"))
-        src, env = n1.recv(timeout=5)
-        assert (src, env.payload) == (2, b"over tcp")
+        n2.deliver(2, 1, Envelope(SID, 0x07, b"over tcp"))
+        src, dst, env = n1.recv(timeout=5)
+        assert (src, dst, env.payload) == (2, 1, b"over tcp")
         # both ends metered the same direction key
         assert n1.meter.protocol_bytes(SID) == n2.meter.protocol_bytes(SID) == 33
         for i in range(100):
-            n2.send(1, Envelope(SID, 0x08, bytes([i])))
-        got = [n1.recv(timeout=5)[1].payload[0] for _ in range(100)]
+            n2.deliver(2, 1, Envelope(SID, 0x08, bytes([i])))
+        got = [n1.recv(timeout=5)[2].payload[0] for _ in range(100)]
         assert got == list(range(100))
     finally:
         n1.close()
@@ -143,7 +134,7 @@ def test_networked_receiver_gives_up_on_malformed_frame():
             raw.sendall((2).to_bytes(2, "big") + (5).to_bytes(4, "big") + bytes(5))
             t0 = time.monotonic()
             with pytest.raises(TransportError, match="malformed frame") as info:
-                harness.drive_engine(spec, 1, node, rng=np.random.default_rng(0), timeout=4.0)
+                harness.drive(node, {1: spec.engine(1, np.random.default_rng(0))}, timeout=4.0)
             assert time.monotonic() - t0 < 1.0
             assert not isinstance(info.value, TransportClosed)
     finally:
@@ -170,7 +161,7 @@ def test_backends_produce_identical_transcripts():
 
     bus_run = harness.run_two_party(x, y, session_id=session, seed=5)
 
-    # the networked CLI's path: the shared builder, one drive_engine per party
+    # the networked CLI's path: the shared builder, one `drive` per process
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     spec = harness.Session({1: x, 2: y}, roots, session)
     master = np.random.default_rng(5)
@@ -190,13 +181,15 @@ def test_backends_produce_identical_transcripts():
     engines = {}
 
     def party(i):
-        engines[i] = harness.drive_engine(spec, i, nodes[i], rng=rngs[i])
+        engines[i] = spec.engine(i, rngs[i])
+        harness.drive(nodes[i], {i: engines[i]}, timeout=30.0)
 
     threads = [
         threading.Thread(target=party, args=(1,)),
         threading.Thread(target=party, args=(2,)),
-        threading.Thread(target=harness.serve_dealer, args=(nodes[0],),
-                         kwargs={"idle_timeout": 1.0, "rng": dealer_rng}),
+        threading.Thread(target=harness.drive,
+                         args=(nodes[0], {}, harness.DealerService(rng=dealer_rng)),
+                         kwargs={"timeout": 1.0}),
     ]
     try:
         for th in threads:
