@@ -30,6 +30,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import click
 import numpy as np
@@ -41,7 +42,8 @@ EXIT_ABORT = 3
 EXIT_TRANSPORT = 4
 
 # how long a networked party waits for a message it is owed, and how long the
-# dealer process waits for the next request before it ends
+# dealer process waits for the next request from a client that has not yet
+# connected and hung up before it ends
 PARTY_WAIT_S = 30.0
 DEALER_IDLE_S = 10.0
 
@@ -153,6 +155,29 @@ def _address(who: str, entry) -> tuple[str, int]:
     raise click.UsageError(f'{who} needs an "address" of the form host:port')
 
 
+def _parties(construction: str, cfg: dict) -> tuple[dict, Optional[int]]:
+    """The config's party entries by index, and t (None in 2pc), checked
+    without opening any file they name."""
+    parties = {_party_index(k): entry for k, entry in cfg["parties"].items()}
+    if construction == "2pc":
+        if sorted(parties) != [1, 2]:
+            raise click.UsageError("2pc config must define parties 1 and 2")
+        for i, expected in ((1, "receiver"), (2, "sender")):
+            if parties[i].get("role", expected) != expected:
+                raise click.UsageError(f"party {i} is the {expected} of a 2pc session, "
+                                       f"not {parties[i]['role']!r}")
+        return parties, None
+    if "t" not in cfg:
+        raise click.UsageError("npc config is missing 't'")
+    try:
+        t, n = int(cfg["t"]), int(cfg.get("n", len(parties)))
+    except (TypeError, ValueError):
+        raise click.UsageError("'n' and 't' must be integers")
+    if sorted(parties) != list(range(1, n + 1)):
+        raise click.UsageError("npc config must define parties 1..n")
+    return parties, t
+
+
 def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session:
     """The session a config describes, with every party's root loaded.
 
@@ -163,7 +188,7 @@ def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session
     if cfg.get("salted", True) is not True:
         raise click.UsageError('config key "salted" must be true or absent: '
                                "leaves are always salted with the session id")
-    parties = {_party_index(k): entry for k, entry in cfg["parties"].items()}
+    parties, t = _parties(construction, cfg)
     sets, roots = {}, {}
     for i, entry in parties.items():
         try:
@@ -172,22 +197,6 @@ def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session
             roots[i] = merkle.MerkleRoot.from_bytes(Path(entry["root"]).read_bytes())
         except (OSError, ValueError, KeyError) as exc:
             raise click.UsageError(f"party {i}: {exc}")
-    if construction == "2pc":
-        if sorted(roots) != [1, 2]:
-            raise click.UsageError("2pc config must define parties 1 and 2")
-        for i, expected in ((1, "receiver"), (2, "sender")):
-            if parties[i].get("role", expected) != expected:
-                raise click.UsageError(f"party {i} is the {expected} of a 2pc session, "
-                                       f"not {parties[i]['role']!r}")
-        return harness.Session(sets, roots, session_id, None, tamper)
-    if "t" not in cfg:
-        raise click.UsageError("npc config is missing 't'")
-    try:
-        t, n = int(cfg["t"]), int(cfg.get("n", len(roots)))
-    except (TypeError, ValueError):
-        raise click.UsageError("'n' and 't' must be integers")
-    if sorted(roots) != list(range(1, n + 1)):
-        raise click.UsageError("npc config must define parties 1..n")
     return harness.Session(sets, roots, session_id, t, tamper)
 
 
@@ -243,9 +252,14 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
     if "dealer" in cfg:
         addresses[transport.DEALER_INDEX] = _address("the dealer", cfg["dealer"])
     if role == transport.DEALER_INDEX:
+        # the dealer learns its clients from the config alone: it holds no
+        # party's dataset or root
+        parties, t = _parties(construction, cfg)
+        clients = harness.dealer_clients(len(parties), t)
         node = transport.TcpNode(role, addresses.get(role), addresses)
+        dealer = harness.DealerService()
         try:
-            harness.drive(node, {}, harness.DealerService(), timeout=DEALER_IDLE_S)
+            harness.drive(node, {}, dealer, timeout=DEALER_IDLE_S, clients=clients)
         except ProtocolError as exc:
             click.echo(f"session aborted at the dealer: {exc}", err=True)
             sys.exit(EXIT_ABORT)
@@ -254,7 +268,7 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
             sys.exit(EXIT_TRANSPORT)
         finally:
             node.close()
-        click.echo(f"dealer served {len(node.transcript.entries)} responses")
+        click.echo(f"dealer served {dealer.served} responses")
         return
     tamper_obj = _tamper(tamper, role if tamper_party is None else tamper_party)
     if tamper_obj is not None and tamper_obj.party != role:

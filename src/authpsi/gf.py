@@ -81,11 +81,6 @@ def vec_from_ints(values) -> np.ndarray:
     return vec_from_bytes(b"".join(v.to_bytes(GF_BYTES, "little") for v in values))
 
 
-def vec_to_ints(arr: np.ndarray) -> list[int]:
-    """The elements of a limb array as a list of ints."""
-    return [lo | (hi << 64) for lo, hi in zip(arr[:, 0].tolist(), arr[:, 1].tolist())]
-
-
 def vec_get(arr: np.ndarray, i: int) -> int:
     """Read one element of a limb array as an int."""
     return int(arr[i, 0]) | (int(arr[i, 1]) << 64)

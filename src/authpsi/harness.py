@@ -142,6 +142,12 @@ class RunResult:
     elapsed_ms: float
 
 
+def dealer_clients(n: int, t: Optional[int]) -> frozenset[int]:
+    """The parties of an n-party session (t None: the two-party construction)
+    that request from the dealer."""
+    return psi2.DEALER_CLIENTS if t is None else psin.dealer_clients(n, t)
+
+
 class DealerService:
     """Party 0: serves VOLE correlations and ideal-OPRF keys/evaluations."""
 
@@ -149,26 +155,33 @@ class DealerService:
         self.rng = rng if rng is not None else np.random.default_rng(secrets.randbits(128))
         self.vole = vole.VoleDealer(rng=self.rng)
         self.oprf = opprf.OprfDealer(rng=self.rng)
+        self.served = 0  # requests answered, whether or not the answer got through
 
     def handle(self, src: int, env: transport.Envelope) -> list:
+        reply = self._answer(env)
+        self.served += 1
+        return [(src, reply)]
+
+    def _answer(self, env: transport.Envelope) -> transport.Envelope:
         if env.msg_type == vole.MSG_VOLE_REQUEST:
             sid, role, length, _ = vole.decode_dealer_msg(env.payload)
             payload = self.vole.request(sid, role, length)
-            return [(src, transport.Envelope(env.session_id, vole.MSG_VOLE_MATERIAL, payload))]
+            return transport.Envelope(env.session_id, vole.MSG_VOLE_MATERIAL, payload)
         if env.msg_type == opprf.MSG_OPRF_DEALER:
             subtype, session, body = opprf.decode_dealer_payload(env.payload)
             if subtype == opprf.OPRF_KEY_REQUEST:
                 payload = opprf.encode_key_response(session, self.oprf.key(session))
-                return [(src, transport.Envelope(env.session_id, opprf.MSG_OPRF_DEALER, payload))]
+                return transport.Envelope(env.session_id, opprf.MSG_OPRF_DEALER, payload)
             if subtype == opprf.OPRF_EVAL_REQUEST:
                 values = self.oprf.evaluate(session, body)
                 payload = opprf.encode_eval_response(session, values)
-                return [(src, transport.Envelope(env.session_id, opprf.MSG_OPRF_DEALER, payload))]
+                return transport.Envelope(env.session_id, opprf.MSG_OPRF_DEALER, payload)
         raise ProtocolError(f"dealer cannot serve message type {env.msg_type:#x}")
 
 
 def drive(net, engines: dict, dealer: Optional[DealerService] = None,
-          tamper: Optional[Tamper] = None, timeout: Optional[float] = None) -> None:
+          tamper: Optional[Tamper] = None, timeout: Optional[float] = None,
+          clients: frozenset[int] = frozenset()) -> None:
     """Run `engines` (party index -> engine) and `dealer` over `net` until the traffic ends.
 
     The one delivery loop: every party and the dealer of a bus run, or the one
@@ -178,7 +191,9 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
     every engine is done and nothing is left queued for them. An empty receive
     while an engine waits raises `TransportError` naming the waiting parties:
     at once on the bus, after `timeout` seconds over TCP. With no engine, as in
-    a dealer process, an empty receive is the normal end.
+    a dealer process, the run ends once every party in `clients` has hung up
+    (nothing of theirs can still be queued then), or at an empty receive,
+    which caps the wait for a client that never shows up.
 
     A failed TCP send raises only when the traffic ends, and not at all if its
     sender ended aborted or is the dealer: its peer may have aborted and left,
@@ -189,6 +204,7 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
     program and ends the run.
     """
     unsent: dict[int, tuple[int, TransportError]] = {}  # dst -> (src, its first failed send)
+    left: set[int] = set()  # parties whose TCP connection has hung up
 
     def send(src: int, outs):
         for dst, env in outs:
@@ -215,6 +231,11 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
                 raise TransportError(f"traffic stopped while parties {waiting} wait for it")
             return
         src, dst, env = got
+        if env is None:
+            left.add(src)
+            if not engines and clients and clients <= left:
+                return
+            continue
         if dst != transport.DEALER_INDEX:
             send(dst, engines[dst].handle(src, env))
             continue

@@ -6,18 +6,31 @@ region plus an m_dense-bit mask over the dense region. Decoding XORs the
 cells the row selects, which is linear over GF(2^128) although every
 coefficient is 0 or 1; this is the shape of the binary OKVS of volePSI
 (Raghuraman-Rindal, CCS 2022), and neither side multiplies field elements.
-Encoding solves the resulting GF(2) system:
+Encoding solves the resulting GF(2) system in whole-array steps, with no
+loop over rows (peeling in rounds: Jiang-Mitzenmacher-Thaler, "Parallel
+Peeling Algorithms", SPAA 2014):
 
-1. peel sparse columns of degree 1, recording (row, pivot column) in order;
-2. eliminate the remaining core rows over (their sparse columns + all dense
-   columns), each row packed into one integer so that a reduction is an XOR;
-3. every position without a pivot keeps a uniform random fill; the core
-   pivots are resolved from it, then the peeled rows in reverse, assigning
-   each pivot so its equation holds.
+1. peel in rounds: each sparse column keeps its degree and the XOR of its
+   live rows' ids, so a degree-1 column names its row. A round takes every
+   degree-1 column at once, one pivot per row, and rows peeled in the same
+   round hold none of each other's pivots;
+2. when no column has degree 1, defer a small batch of live rows (one per
+   512 live rows, preferring rows with the most degree-2 columns) and peel
+   on. Near the peeling threshold this replaces a core of a third or more
+   of the rows by a few deferred ones;
+3. substitute the pivots peeled after the first stall into the deferred
+   rows, which leaves a small system over the dense cells and the free
+   sparse cells the substitution reaches; it is solvable exactly when the
+   whole system is, and is solved by elimination on packed integers;
+4. back-substitute round by round in reverse: a round's pivots are one
+   vectorized XOR of the other cells of their rows.
 
-Random fill of unconstrained positions is load-bearing: with uniform values
-the encoded vector is indistinguishable across key sets, which is what the
-protocols rely on when they ship tables to the other side.
+Every position starts from a uniform random fill, and only pivot positions
+(of the peel or of the small system) are overwritten. The free positions
+thus stay uniform and independent, and the table is uniform over the
+solution set: that is load-bearing, since with uniform values the encoded
+vector is indistinguishable across key sets, which is what the protocols
+rely on when they ship tables to the other side.
 
 Keys are element digests d(x) (`gf.hash_elements`) in an (n, 2) limb array
 that each engine computes once, and values are (n, 2) limbs too. A key's
@@ -27,8 +40,8 @@ eight 64-bit words are candidates for the sparse indices (rejection-sampled
 until omega distinct, with further counter blocks only when they run out),
 and the low m_dense bits of the ninth are the dense mask.
 
-Encoding can fail when a core row's coefficients cancel but its value does
-not; that failure is a value (None), not an exception, and
+Encoding can fail when a deferred row's coefficients cancel but its value
+does not; that failure is a value (None), not an exception, and
 `encode_with_retry` re-randomizes the rows with seeds derived from a base
 seed until one attempt succeeds or `MAX_ENCODE_ATTEMPTS`, the budget every
 protocol uses, runs out.
@@ -167,12 +180,67 @@ def row_batch(digests: np.ndarray, params: OkvsParams) -> tuple[np.ndarray, np.n
 
 
 def _dense_xor(masks: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Per row, the XOR of the dense cells its mask selects; (n, 2) limbs."""
+    """Per row, the XOR of the dense cells its mask selects; (n, 2) limbs.
+
+    Each byte of the mask indexes a 256-entry table of the XORs of the (up
+    to) eight cells it covers, so a row costs one lookup per byte.
+    """
     acc = np.zeros((masks.shape[0], 2), dtype=_U64)
-    for j in range(cells.shape[0]):
-        bit = (masks >> np.uint64(j)) & np.uint64(1)
-        acc ^= bit[:, None] * cells[j]
+    for low in range(0, cells.shape[0], 8):
+        chunk = cells[low : low + 8]
+        table = np.zeros((1 << chunk.shape[0], 2), dtype=_U64)
+        for j, cell in enumerate(chunk):
+            table[1 << j : 2 << j] = table[: 1 << j] ^ cell
+        acc ^= table[(masks >> np.uint64(low)) & np.uint64(table.shape[0] - 1)]
     return acc
+
+
+def _peel(idx: np.ndarray, m_sparse: int
+          ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray], int]:
+    """Peel the rows in rounds, deferring a few rows whenever no column has degree 1.
+
+    Returns the rounds as (rows, pivot columns) pairs in peeling order, the
+    deferred batches in order, and the index of the first round after the
+    first stall (len(rounds) when peeling never stalled).
+    """
+    n = idx.shape[0]
+    degree = np.bincount(idx.ravel(), minlength=m_sparse)
+    # the XOR of the ids of a column's live rows: a degree-1 column names its row
+    row_xor = np.zeros(m_sparse, dtype=np.int64)
+    np.bitwise_xor.at(row_xor, idx, np.arange(n, dtype=np.int64)[:, None])
+    alive = np.ones(n, dtype=bool)
+    claim = np.zeros(n, dtype=np.int64)
+    live = n
+    rounds: list[tuple[np.ndarray, np.ndarray]] = []
+    deferred: list[np.ndarray] = []
+    first_stall = None
+    ones = np.flatnonzero(degree == 1)
+    while live:
+        if ones.size:
+            # one pivot per row: where several entries name a row, keep the
+            # one whose position survives in `claim`; rows of one round share
+            # no pivot column
+            rows = row_xor[ones]
+            position = np.arange(rows.size)
+            claim[rows] = position
+            kept = claim[rows] == position
+            rows = rows[kept]
+            rounds.append((rows, ones[kept]))
+        else:
+            if first_stall is None:
+                first_stall = len(rounds)
+            # removing a row with degree-2 columns leaves them at degree 1
+            left = np.flatnonzero(alive)
+            twos = (degree[idx[left]] == 2).sum(axis=1)
+            rows = left[np.argsort(-twos, kind="stable")[: max(1, left.size // 512)]]
+            deferred.append(rows)
+        alive[rows] = False
+        live -= rows.size
+        cols = idx[rows]
+        np.subtract.at(degree, cols, 1)
+        np.bitwise_xor.at(row_xor, cols, rows[:, None])
+        ones = cols[degree[cols] == 1]
+    return rounds, deferred, len(rounds) if first_stall is None else first_stall
 
 
 def encode(digests: np.ndarray, values: np.ndarray, params: OkvsParams,
@@ -185,76 +253,75 @@ def encode(digests: np.ndarray, values: np.ndarray, params: OkvsParams,
         raise ValueError(f"params sized for n={params.n}, got {n} keys, values {values.shape}")
 
     idx, masks = row_batch(digests, params)
-    sparse = idx.tolist()
-
-    # peel degree-1 sparse columns
-    col_rows: list[list[int]] = [[] for _ in range(params.m_sparse)]
-    for r, trip in enumerate(sparse):
-        for c in trip:
-            col_rows[c].append(r)
-    degree = [len(rows) for rows in col_rows]
-    alive = [True] * n
-    stack = [c for c, d in enumerate(degree) if d == 1]
-    peeled: list[tuple[int, int]] = []
-    while stack:
-        c = stack.pop()
-        if degree[c] != 1:
-            continue
-        r = next(rr for rr in col_rows[c] if alive[rr])
-        peeled.append((r, c))
-        alive[r] = False
-        for c2 in sparse[r]:
-            degree[c2] -= 1
-            if degree[c2] == 1:
-                stack.append(c2)
+    rounds, deferred, first_stall = _peel(idx, params.m_sparse)
 
     # uniform fill of every position; the solves overwrite the pivots
-    cells = gf.vec_to_ints(gf.vec_from_bytes(rng.bytes(params.m * gf.GF_BYTES)))
-
-    core = [r for r in range(n) if alive[r]]
-    rhs = gf.vec_to_ints(values)
-    if not _solve_core(core, sparse, masks.tolist(), rhs, params, cells):
+    cells = gf.vec_from_bytes(rng.bytes(params.m * gf.GF_BYTES))
+    if deferred and not _solve_deferred(idx, masks, values, rounds[first_stall:],
+                                        np.concatenate(deferred), params, cells):
         return None
 
     # the dense cells are settled now: fold each row's dense part into its value
-    dense = gf.vec_from_ints(cells[params.m_sparse:])
-    rhs = gf.vec_to_ints(values ^ _dense_xor(masks, dense))
-    for r, c in reversed(peeled):
-        acc = rhs[r]
-        for c2 in sparse[r]:
-            if c2 != c:
-                acc ^= cells[c2]
-        cells[c] = acc
-
-    return OkvsTable(params=params, values=gf.vec_from_ints(cells))
+    rhs = values ^ _dense_xor(masks, cells[params.m_sparse:])
+    for rows, pivots in reversed(rounds):
+        # no other row of the round holds these pivots, and XORing a whole
+        # row into its pivot cancels the pivot's old fill
+        cells[pivots] ^= rhs[rows] ^ np.bitwise_xor.reduce(cells[idx[rows]], axis=1)
+    return OkvsTable(params=params, values=cells)
 
 
-def _solve_core(core: list[int], sparse: list[list[int]], masks: list[int], rhs: list[int],
-                params: OkvsParams, cells: list[int]) -> bool:
-    """GF(2) elimination of the unpeeled rows; writes their pivots into `cells`.
+def _solve_deferred(idx: np.ndarray, masks: np.ndarray, values: np.ndarray,
+                    rounds: list[tuple[np.ndarray, np.ndarray]], deferred: np.ndarray,
+                    params: OkvsParams, cells: np.ndarray) -> bool:
+    """Solve the deferred rows over the cells they depend on; writes those cells into `cells`.
 
-    Each row rides in one packed integer: a bit per sparse column the core
-    touches, then the m_dense mask bits, then the right-hand side, so
-    reducing a row against a pivot is one XOR. A row whose coefficients
-    cancel is redundant when its right-hand side cancels too and makes the
-    system unsolvable (False) otherwise. Near the peeling threshold the core
-    can hold a sizable fraction of all rows, which is why this path works on
-    whole rows rather than on single coefficients.
+    `rounds` are the rounds peeled after the first stall; no deferred row
+    holds a pivot peeled before it. Substituting a pivot by its row's value
+    XOR the row's other cells, in peeling order, leaves each deferred
+    equation over the free sparse cells and the dense cells (U). Every sparse
+    cell carries one bit per deferred row, set while that row's equation
+    involves the cell, and each round moves its pivots' bits onto the other
+    cells of their rows at once. The g x |U| system that remains is solvable
+    exactly when the whole system is; positions of U without a pivot keep
+    their fill.
     """
-    core_cols = sorted({c for r in core for c in sparse[r]})
-    col_pos = {c: i for i, c in enumerate(core_cols)}
-    s = len(core_cols)
+    g = deferred.size
+    words = -(-g // 64)
+    d = np.arange(g)
+    unit = np.zeros((g, words), dtype=_U64)
+    unit[d, d // 64] = np.left_shift(np.uint64(1), (d % 64).astype(np.uint64))
+    involves = np.zeros((params.m_sparse, words), dtype=_U64)
+    np.bitwise_xor.at(involves, idx[deferred], unit[:, None, :])
+    sources, bits = [deferred], [unit]
+    for rows, pivots in rounds:
+        moved = involves[pivots]
+        np.bitwise_xor.at(involves, idx[rows], moved[:, None, :])
+        sources.append(rows)
+        bits.append(moved)
+    sources, bits = np.concatenate(sources), np.concatenate(bits)
+    src_values, src_masks = values[sources], masks[sources]
+
+    # one packed integer per equation: free sparse cells, dense mask, right-hand side
+    free = np.flatnonzero(involves.any(axis=1))
+    s = free.size
     rhs_shift = s + params.m_dense
     coef_region = (1 << rhs_shift) - 1
-    positions = core_cols + list(range(params.m_sparse, params.m))
+    system = []
+    for e in range(g):
+        word, bit = e // 64, np.uint64(e % 64)
+        # equation e has absorbed the value and dense mask of every row substituted into it
+        used = ((bits[:, word] >> bit) & np.uint64(1)).astype(bool)
+        lo, hi = np.bitwise_xor.reduce(src_values[used], axis=0).tolist()
+        dense = int(np.bitwise_xor.reduce(src_masks[used]))
+        sparse = np.packbits(((involves[free, word] >> bit) & np.uint64(1)).astype(np.uint8),
+                             bitorder="little")
+        system.append(int.from_bytes(sparse.tobytes(), "little") | (dense << s)
+                      | ((lo | (hi << 64)) << rhs_shift))
 
     # lowest-set-bit pivoting: a settled pivot row has its pivot as lowest
     # bit, so every other coefficient bit it carries refers to a higher position
     pivot_row: dict[int, int] = {}
-    for r in core:
-        row = (rhs[r] << rhs_shift) | (masks[r] << s)
-        for c in sparse[r]:
-            row |= 1 << col_pos[c]
+    for row in system:
         while True:
             coef = row & coef_region
             if not coef:
@@ -270,15 +337,16 @@ def _solve_core(core: list[int], sparse: list[list[int]], masks: list[int], rhs:
 
     # highest pivot first: every other position of a row is then resolved,
     # either a pivot already assigned or a free position keeping its fill
+    positions = np.concatenate([free, np.arange(params.m_sparse, params.m)])
+    u = cells[positions]
     for p in sorted(pivot_row, reverse=True):
         row = pivot_row[p]
         acc = row >> rhs_shift
-        coef = row & coef_region & ~(1 << p)
-        while coef:
-            q = (coef & -coef).bit_length() - 1
-            acc ^= cells[positions[q]]
-            coef &= coef - 1
-        cells[positions[p]] = acc
+        others = (row & coef_region & ~(1 << p)).to_bytes(-(-rhs_shift // 8), "little")
+        sel = np.unpackbits(np.frombuffer(others, dtype=np.uint8), bitorder="little")
+        u[p] = (np.bitwise_xor.reduce(u[sel[:rhs_shift].astype(bool)], axis=0)
+                ^ gf.vec_from_bytes(gf.to_bytes(acc))[0])
+    cells[positions] = u
     return True
 
 

@@ -80,6 +80,10 @@ MSG_MASKED_VECTOR = 0x02
 MSG_DIGEST_SET = 0x03
 MSG_ABORT = 0x0F
 
+# the parties that request from the dealer: the receiver and the sender each
+# ask for their half of the VOLE correlation
+DEALER_CLIENTS = frozenset({1, 2})
+
 LAMBDA_STAT = 40
 
 _HO_KEY = bytes(range(16))  # pi's fixed public AES key; any fixed key will do

@@ -81,6 +81,18 @@ def decode_indexed_key(raw: bytes, what: str) -> tuple[int, int, bytes]:
     return int.from_bytes(raw[:2], "big"), int.from_bytes(raw[2:4], "big"), raw[4:]
 
 
+def oprf_senders(n: int, t: int) -> list[int]:
+    """Hint senders, the coordinator P_{n-t} through P_{n-1}: each asks the
+    dealer for its OPRF key."""
+    return list(range(n - t, n))
+
+
+def dealer_clients(n: int, t: int) -> frozenset[int]:
+    """The parties that request from the dealer: the OPRF senders, and P_n,
+    which asks it to evaluate each sender's OPRF."""
+    return frozenset(oprf_senders(n, t) + [n])
+
+
 @dataclass(kw_only=True)
 class PartyConfigN(PartyConfig):
     t: int
@@ -125,8 +137,7 @@ class PartyConfigN(PartyConfig):
 
     @property
     def senders(self) -> list[int]:
-        """Hint senders: coordinator through P_{n-1}."""
-        return list(range(self.v, self.n))
+        return oprf_senders(self.n, self.t)
 
 
 class PsinEngine(Party):
@@ -153,8 +164,7 @@ class PsinEngine(Party):
         self._eval_requested: set[int] = set()
 
     def _is_sender(self) -> bool:
-        cfg = self.config
-        return cfg.v <= cfg.party_index < cfg.n
+        return self.config.party_index in self.config.senders
 
     # -- transform -----------------------------------------------------------
 

@@ -9,7 +9,8 @@ env)` sends a message, and `recv(timeout)` returns the next (src, dst, env)
 or None. The in-process bus, for tests and single-process runs, is one
 global FIFO for every party and the dealer; its receive never waits. TCP,
 for multi-process runs, is one node per process with one connection per
-directed party pair; its receive waits up to the timeout. Party index 0 is
+directed party pair; its receive waits up to the timeout, and it returns
+(src, dst, None) once src's connection has hung up. Party index 0 is
 reserved for dealer endpoints (correlated-randomness setup); traffic to or
 from index 0 is accounted as setup bytes, everything else as protocol bytes.
 Delivery is exactly-once and FIFO per directed pair on both backends.
@@ -214,6 +215,8 @@ class TcpNode:
         self._out: dict[int, socket.socket] = {}
         self._inbox: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
+        # peers whose connection to this node has hung up: they have left
+        self._gone: set[int] = set()
         self._closed = False
         self._listener = None
         if listen_addr is not None:
@@ -244,7 +247,10 @@ class TcpNode:
                 self.meter.add(env.session_id, src, self.index, env.msg_type, env.wire_bytes)
                 self._inbox.put((src, self.index, env))
         except TransportClosed:
-            pass  # a peer that hangs up after its part is done is not an error
+            # a peer that hangs up after its part is done is not an error; it
+            # has left, and its frames are all queued ahead of the hang-up
+            self._gone.add(src)
+            self._inbox.put((src, self.index, None))
         except TransportError as exc:
             # an undecodable frame ends this connection and the session with it
             if not self._closed:
@@ -263,11 +269,15 @@ class TcpNode:
                     raise TransportError(f"no address configured for party {dst}")
                 deadline = time.monotonic() + retry_for
                 while True:
+                    # peers come up in arbitrary order, so a refused connection
+                    # is retried until the deadline; one that has been here
+                    # and hung up is not coming back
+                    if dst in self._gone:
+                        raise TransportError(f"party {dst} has left")
                     try:
                         sock = socket.create_connection(addr, timeout=5)
                         break
                     except OSError as exc:
-                        # peers come up in arbitrary order; retry until the deadline
                         if time.monotonic() >= deadline:
                             raise TransportError(
                                 f"cannot reach party {dst} at {addr}: {exc}") from exc
@@ -289,7 +299,10 @@ class TcpNode:
         self.transcript.add(src, dst, env)
 
     def recv(self, timeout: Optional[float] = None):
-        """The next (src, own index, envelope), or None after `timeout` seconds without one."""
+        """The next (src, own index, envelope), or None after `timeout` seconds without one.
+
+        The envelope is None when src's connection has hung up.
+        """
         try:
             item = self._inbox.get(timeout=timeout)
         except queue.Empty:
@@ -301,6 +314,12 @@ class TcpNode:
     def close(self):
         self._closed = True
         if self._listener:
+            # closing alone leaves a thread blocked in accept() still
+            # accepting on the port; shutting the socket down ends that wait
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._listener.close()
         with self._lock:
             for sock in self._out.values():

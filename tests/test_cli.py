@@ -434,13 +434,28 @@ def test_malformed_dealer_request_exits_3_at_once(runner, tmp_path):
     assert elapsed < 5
 
 
+@pytest.mark.parametrize("construction,parties", [("2pc", 2), ("npc", 3)])
+def test_dealer_reads_no_party_file(runner, tmp_path, monkeypatch, construction, parties):
+    # the dealer works out its clients from the config alone, so its host
+    # needs no party's dataset or root; with no client coming it ends at
+    # its idle cap
+    monkeypatch.setattr(cli, "DEALER_IDLE_S", 0.2)
+    extra = {"n": parties, "t": 1} if construction == "npc" else None
+    cfg_path = _config(tmp_path, str(tmp_path / "absent"), parties, "cc" * 16, extra)
+    result = runner.invoke(main, ["run", "--construction", construction, "--config", cfg_path,
+                                  "--role", "0"])
+    assert result.exit_code == 0, result.output
+    assert "dealer served 0 responses" in result.output
+
+
 def _run_processes(config_path, construction, parties, out_dir, tamper=None):
     """`authpsi run --role I` for the dealer and every party, each its own process.
 
-    Returns I -> (exit code, stdout, stderr)."""
+    Returns I -> (exit code, stdout, stderr, seconds from the first start to its exit)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     procs = {}
+    t0 = time.monotonic()
     try:
         for i in range(parties + 1):
             args = [sys.executable, "-m", "authpsi.cli", "run", "--construction", construction,
@@ -449,8 +464,14 @@ def _run_processes(config_path, construction, parties, out_dir, tamper=None):
                 args += ["--tamper", tamper[1]]
             procs[i] = subprocess.Popen(args, env=env, stdout=subprocess.PIPE,
                                         stderr=subprocess.PIPE, text=True)
+        # their output is a few lines, so polling cannot fill a pipe
+        ended = {}
+        while len(ended) < len(procs) and time.monotonic() - t0 < 60:
+            ended.update({i: time.monotonic() - t0 for i, proc in procs.items()
+                          if i not in ended and proc.poll() is not None})
+            time.sleep(0.02)
         outputs = {i: proc.communicate(timeout=60) for i, proc in procs.items()}
-        return {i: (proc.returncode, *outputs[i]) for i, proc in procs.items()}
+        return {i: (proc.returncode, *outputs[i], ended.get(i)) for i, proc in procs.items()}
     finally:
         for proc in procs.values():
             if proc.poll() is None:
@@ -476,7 +497,9 @@ def test_networked_run_matches_local(runner, tmp_path, construction, parties, ta
     Path(cfg_path).write_text(json.dumps(cfg))
 
     results = _run_processes(cfg_path, construction, parties, tmp_path / "net", tamper)
-    # the dealer serves until traffic goes idle, and counts what it sent
+    # the dealer serves until its clients have hung up, and counts the
+    # requests it answered: the 2pc parties and the OPRF senders ask in their
+    # first step, before any root check, so even a tampered run has some
     assert results[0][0] == 0, results[0][2]
     assert re.search(r"dealer served [1-9]\d* responses", results[0][1]), results[0][1]
     if tamper is not None:
@@ -485,7 +508,9 @@ def test_networked_run_matches_local(runner, tmp_path, construction, parties, ta
                 assert results[i][0] == 3, results[i][2]
                 assert f"root from party {tamper[0]}" in results[i][2]
         return
-    assert all(code == 0 for code, _, _ in results.values()), results
+    assert all(code == 0 for code, _, _, _ in results.values()), results
+    last_party = max(results[i][3] for i in range(1, parties + 1))
+    assert results[0][3] - last_party < 5, {i: r[3] for i, r in results.items()}
     local = runner.invoke(main, ["run", "--construction", construction, "--config", cfg_path,
                                  "--local", "--out-dir", str(tmp_path / "local")])
     assert local.exit_code == 0, local.output

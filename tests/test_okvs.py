@@ -1,6 +1,7 @@
 """Oblivious key-value store: rows, encode/decode, retries, obliviousness proxy."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -228,24 +229,77 @@ def test_table_wire_roundtrip():
     assert [gf.vec_get(decoded, i) for i in range(20)] == [v for _, v in pairs]
 
 
+def _stalls(idx):
+    """Reference 2-core: whether removing rows that own a degree-1 column leaves any row."""
+    live = set(range(len(idx)))
+    while True:
+        degree = Counter(c for r in live for c in idx[r])
+        peelable = {r for r in live if any(degree[c] == 1 for c in idx[r])}
+        if not peelable:
+            return bool(live)
+        live -= peelable
+
+
+def _consistent(idx, values, m):
+    """Reference: Gaussian elimination of the whole binary system, rows as coefficients | value."""
+    pivots = {}
+    for cols, (lo, hi) in zip(idx.tolist(), values.tolist()):
+        row = sum(1 << c for c in cols) | ((lo | (hi << 64)) << m)
+        while row & ((1 << m) - 1):
+            p = (row & -row).bit_length() - 1
+            if p not in pivots:
+                pivots[p] = row
+                break
+            row ^= pivots[p]
+        else:
+            if row:
+                return False
+    return True
+
+
+def test_encode_matches_reference_elimination():
+    # without dense columns small systems often stall and are often
+    # inconsistent; encode must fail exactly when elimination of the whole
+    # system finds a dependent row with a nonzero value, and decode every
+    # key otherwise
+    rng = random.Random(12)
+    outcomes = Counter()
+    for n in (8, 16, 32, 64, 200):
+        for trial in range(120):
+            digests = _h([k for k, _ in _pairs(n, rng)])
+            values = gf.vec_from_bytes(rng.randbytes(16 * n))
+            p = okvs.OkvsParams.for_size(n, rng.randbytes(16), m_dense=0)
+            idx, _ = okvs.row_batch(digests, p)
+            table = okvs.encode(digests, values, p, rng=np.random.default_rng(trial))
+            solvable = _consistent(idx, values, p.m)
+            assert (table is not None) == solvable, (n, trial)
+            if table is not None:
+                assert (okvs.decode_batch(table, digests) == values).all(), (n, trial)
+            outcomes[solvable, _stalls(idx.tolist())] += 1
+    assert outcomes[True, True] and outcomes[False, True] and outcomes[True, False], outcomes
+
+
 def test_obliviousness_bit_bias_proxy():
-    # two fixed distinct key sets, uniform values: each table coordinate's
-    # bit bias, pooled over its 128 bits and 10^3 encodings, stays within
-    # 4 sigma of one half for both key sets
+    # fixed distinct key sets, uniform values: each table coordinate's bit
+    # bias, pooled over its 128 bits and 10^3 encodings, stays within 4 sigma
+    # of one half for every key set; under this row seed peeling stalls on
+    # the first two sets, so deferred rows are solved, and peels the third
+    # completely (found by a search over key prefixes)
     n, trials = 16, 1000
-    keys0 = [b"L" + bytes([i]) for i in range(n)]
-    keys1 = [b"R" + bytes([i]) for i in range(n)]
-    nprng = np.random.default_rng(10)
     p = _params(n)
-    ones = {0: np.zeros(p.m * 128), 1: np.zeros(p.m * 128)}
+    key_sets = {prefix: [prefix + bytes([i]) for i in range(n)] for prefix in (b"L", b"R", b"S")}
+    for prefix, stalls in ((b"L", True), (b"R", True), (b"S", False)):
+        assert _stalls(okvs.row_batch(_h(key_sets[prefix]), p)[0].tolist()) == stalls, prefix
+    nprng = np.random.default_rng(10)
+    ones = {prefix: np.zeros(p.m * 128) for prefix in key_sets}
     for trial in range(trials):
-        for which, keys in ((0, keys0), (1, keys1)):
+        for prefix, keys in key_sets.items():
             pairs = [(k, int.from_bytes(nprng.bytes(16), "little")) for k in keys]
             table = _encode(pairs, p, rng=nprng)
             bits = np.unpackbits(np.frombuffer(gf.vec_to_bytes(table.values), dtype=np.uint8),
                                  bitorder="little")
-            ones[which] += bits
+            ones[prefix] += bits
     sigma = (0.25 / (128 * trials)) ** 0.5
-    for which in (0, 1):
-        per_coord = np.abs((ones[which] / trials).reshape(p.m, 128).mean(axis=1) - 0.5)
-        assert float(per_coord.max()) < 4 * sigma
+    for prefix in key_sets:
+        per_coord = np.abs((ones[prefix] / trials).reshape(p.m, 128).mean(axis=1) - 0.5)
+        assert float(per_coord.max()) < 4 * sigma, prefix

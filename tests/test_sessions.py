@@ -188,3 +188,15 @@ def test_quiet_bus_names_the_waiting_parties(name, msg_type, waiting):
     spec, _ = FUZZ_SESSIONS[name]
     with pytest.raises(TransportError, match=f"parties {re.escape(waiting)} wait"):
         harness.run_session(spec, np.random.default_rng(43), DroppingBus(msg_type))
+
+
+@pytest.mark.parametrize("parties,t", [(2, None), (3, 1), (5, 2), (8, 4)],
+                         ids=["2pc", "3x1", "5x2", "8x4"])
+def test_dealer_clients_are_the_parties_that_ask_it(parties, t):
+    # a networked dealer ends once exactly these parties have hung up
+    sets = datasets.generate_sets(32, 16, parties, 8, 50 + parties)
+    run = (harness.run_two_party(*sets, seed=51) if t is None
+           else harness.run_multi_party(sets, t, seed=51))
+    assert not run.aborted
+    asked = {src for src, dst, *_ in run.transcript.entries if dst == DEALER_INDEX}
+    assert harness.dealer_clients(parties, t) == asked

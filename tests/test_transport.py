@@ -152,6 +152,27 @@ def test_tcp_unreachable_peer():
         n.close()
 
 
+def test_tcp_send_to_a_peer_that_left_fails_at_once():
+    # a peer whose own connection has hung up has left: the first send to it
+    # fails at once instead of retrying the refused connection for 10 s
+    a = transport.TcpNode(1, ("127.0.0.1", 0), {})
+    b = transport.TcpNode(2, ("127.0.0.1", 0), {1: ("127.0.0.1", a.bound_port)})
+    a._peers[2] = ("127.0.0.1", b.bound_port)
+    try:
+        b.deliver(2, 1, Envelope(SID, 0x07, b"done"))
+        assert a.recv(timeout=5)[2].payload == b"done"
+        b.close()
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="party 2"):
+            a.deliver(1, 2, Envelope(SID, 0x07, b"too late"))
+        assert time.monotonic() - t0 < 1
+        # the hang-up itself is delivered after the peer's last frame
+        assert a.recv(timeout=5) == (2, 1, None)
+    finally:
+        a.close()
+        b.close()
+
+
 def test_backends_produce_identical_transcripts():
     # same seeds, same session: bus and TCP runs must exchange byte-identical
     # per-pair message sequences
