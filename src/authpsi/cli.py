@@ -296,6 +296,9 @@ def _run_networked(session: harness.Session, role: int, addresses: dict, out_dir
     t0 = time.perf_counter()
     try:
         engine = session.engine(role)
+        # dialled up front, the dealer sees this client leave even without a request
+        if role in harness.dealer_clients(len(session.roots), session.t):
+            node.connect(transport.DEALER_INDEX)
         harness.drive(node, {role: engine}, tamper=session.tamper, timeout=PARTY_WAIT_S)
     except ConfigError as exc:
         raise click.UsageError(str(exc))

@@ -10,14 +10,13 @@ OKVS payloads (128-bit mask values) are field elements as they stand. The
 shares) are not field elements: `zeroshare` carries them as uint64 arrays,
 and an OKVS holding them uses the low limb of each cell.
 
-The batch helpers at the bottom operate on numpy arrays of shape (n, 2) with
-dtype '<u8' (limb 0 = bits 0..63); set elements enter that layout through
-`hash_elements`, the one digest per element that every engine derives from.
-`scalar_mul_vec` exists because the VOLE expansion and the two-party sender
-multiply one fixed scalar (delta) into vectors of thousands of elements. The
-OKVS needs no field multiplication: its rows are binary, so decoding is a
-XOR of table cells. `mul` is the scalar reference that `scalar_mul_vec` is
-tested against.
+The batch helpers at the bottom operate on (n, 2) '<u8' arrays (limb 0 =
+bits 0..63), which set elements enter through `hash_elements`, the one
+digest per element. Every GF(2)-linear map on them is one kernel, `xor_rows`
+(Shoup's byte tables; McGrew-Viega, "The Galois/Counter Mode of Operation",
+2004, 4.1): the OKVS dense columns, and `scalar_mul_vec`, which multiplies
+the fixed delta of the VOLE dealer and the two-party sender into vectors.
+`mul` is the scalar reference that `scalar_mul_vec` is tested against.
 """
 
 from __future__ import annotations
@@ -98,54 +97,31 @@ def vec_from_bytes(raw: bytes) -> np.ndarray:
     return np.frombuffer(raw, dtype=_LIMB).reshape(-1, 2).copy()
 
 
-def _reduce_lanes(lanes: np.ndarray) -> np.ndarray:
-    """Reduce (n, 4) 256-bit lanes to (n, 2) field elements, vectorized."""
-    n = lanes.shape[0]
-    l0 = lanes[:, 0].copy()
-    l1 = lanes[:, 1].copy()
-    h0 = lanes[:, 2]
-    h1 = lanes[:, 3]
-    # fold H * x^128 = H * (x^7 + x^2 + x + 1); the product is at most 135 bits
-    m0 = h0.copy()
-    m1 = h1.copy()
-    m2 = np.zeros(n, dtype=_LIMB)
-    for k in (1, 2, 7):
-        kk = np.uint64(k)
-        rr = np.uint64(64 - k)
-        m0 ^= h0 << kk
-        m1 ^= (h1 << kk) | (h0 >> rr)
-        m2 ^= h1 >> rr
-    l0 ^= m0
-    l1 ^= m1
-    # the at-most-7-bit overflow folds once more without further carries
-    l0 ^= m2 ^ (m2 << np.uint64(1)) ^ (m2 << np.uint64(2)) ^ (m2 << np.uint64(7))
-    out = np.empty((n, 2), dtype=_LIMB)
-    out[:, 0] = l0
-    out[:, 1] = l1
-    return out
+def xor_rows(masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per mask, the XOR of the rows its set bits select; (n, 2) limbs.
+
+    Bit j of an (n,) uint64 mask selects row j of the (at most 64) rows.
+    Each byte of the mask indexes a 256-entry table of the XORs of the (up
+    to) eight rows it covers, so a mask costs one lookup per byte.
+    """
+    acc = np.zeros((masks.shape[0], 2), dtype=_LIMB)
+    for low in range(0, rows.shape[0], 8):
+        chunk = rows[low : low + 8]
+        table = np.zeros((1 << chunk.shape[0], 2), dtype=_LIMB)
+        for j, row in enumerate(chunk):
+            table[1 << j : 2 << j] = table[: 1 << j] ^ row
+        acc ^= table[(masks >> np.uint64(low)) & np.uint64(table.shape[0] - 1)]
+    return acc
 
 
 def scalar_mul_vec(scalar: int, vec: np.ndarray) -> np.ndarray:
-    """Multiply every element of an (n, 2) limb array by one field scalar.
+    """Multiply every element of an (n, 2) limb array by one field scalar s.
 
-    Packs the vector into a single big integer with 256-bit lanes; XOR of
-    shifted copies then performs all n carry-less multiplications at once
-    (shifts never cross a lane because each product fits in 255 bits).
+    s * v is GF(2)-linear in v: the XOR of the basis products s * x^i that
+    the bits of v select, limb 0 from x^0..x^63 and limb 1 from x^64..x^127.
     """
-    n = vec.shape[0]
-    scalar &= MASK128
-    if n == 0 or scalar == 0:
-        return np.zeros((n, 2), dtype=_LIMB)
-    lanes = np.zeros((n, 4), dtype=_LIMB)
-    lanes[:, 0] = vec[:, 0]
-    lanes[:, 1] = vec[:, 1]
-    packed = int.from_bytes(lanes.tobytes(), "little")
-    acc = 0
-    s = scalar
-    while s:
-        k = (s & -s).bit_length() - 1
-        acc ^= packed << k
-        s &= s - 1
-    buf = acc.to_bytes(n * 32 + 32, "little")[: n * 32]
-    prod = np.frombuffer(buf, dtype=_LIMB).reshape(n, 4)
-    return _reduce_lanes(prod)
+    basis = [scalar & MASK128]
+    for _ in range(127):
+        basis.append(reduce(basis[-1] << 1))
+    rows = vec_from_ints(basis)
+    return xor_rows(vec[:, 0], rows[:64]) ^ xor_rows(vec[:, 1], rows[64:])

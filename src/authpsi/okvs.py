@@ -3,7 +3,8 @@
 A table is a vector of m = m_sparse + m_dense field elements. Each key maps
 deterministically to a binary row: omega distinct positions in the sparse
 region plus an m_dense-bit mask over the dense region. Decoding XORs the
-cells the row selects, which is linear over GF(2^128) although every
+cells the row selects (the dense ones through `gf.xor_rows`, the one
+byte-table kernel), which is linear over GF(2^128) although every
 coefficient is 0 or 1; this is the shape of the binary OKVS of volePSI
 (Raghuraman-Rindal, CCS 2022), and neither side multiplies field elements.
 Encoding solves the resulting GF(2) system in whole-array steps, with no
@@ -179,22 +180,6 @@ def row_batch(digests: np.ndarray, params: OkvsParams) -> tuple[np.ndarray, np.n
     return idx, masks
 
 
-def _dense_xor(masks: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Per row, the XOR of the dense cells its mask selects; (n, 2) limbs.
-
-    Each byte of the mask indexes a 256-entry table of the XORs of the (up
-    to) eight cells it covers, so a row costs one lookup per byte.
-    """
-    acc = np.zeros((masks.shape[0], 2), dtype=_U64)
-    for low in range(0, cells.shape[0], 8):
-        chunk = cells[low : low + 8]
-        table = np.zeros((1 << chunk.shape[0], 2), dtype=_U64)
-        for j, cell in enumerate(chunk):
-            table[1 << j : 2 << j] = table[: 1 << j] ^ cell
-        acc ^= table[(masks >> np.uint64(low)) & np.uint64(table.shape[0] - 1)]
-    return acc
-
-
 def _peel(idx: np.ndarray, m_sparse: int
           ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray], int]:
     """Peel the rows in rounds, deferring a few rows whenever no column has degree 1.
@@ -262,7 +247,7 @@ def encode(digests: np.ndarray, values: np.ndarray, params: OkvsParams,
         return None
 
     # the dense cells are settled now: fold each row's dense part into its value
-    rhs = values ^ _dense_xor(masks, cells[params.m_sparse:])
+    rhs = values ^ gf.xor_rows(masks, cells[params.m_sparse:])
     for rows, pivots in reversed(rounds):
         # no other row of the round holds these pivots, and XORing a whole
         # row into its pivot cancels the pivot's old fill
@@ -354,7 +339,7 @@ def decode_batch(table: OkvsTable, digests: np.ndarray) -> np.ndarray:
     """The XOR of the cells each key digest's row selects, (n, 2) limbs; defined for any key."""
     idx, masks = row_batch(digests, table.params)
     acc = np.bitwise_xor.reduce(table.values[idx], axis=1)
-    return acc ^ _dense_xor(masks, table.values[table.params.m_sparse:])
+    return acc ^ gf.xor_rows(masks, table.values[table.params.m_sparse:])
 
 
 def derived_seed(base_seed: bytes, attempt: int) -> bytes:

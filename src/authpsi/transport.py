@@ -286,6 +286,10 @@ class TcpNode:
                 self._out[dst] = sock
             return sock
 
+    def connect(self, dst: int):
+        """Dial party `dst` now, so that it sees this node hang up even if it never sends."""
+        self._connection(dst)
+
     def deliver(self, src: int, dst: int, env: Envelope):
         """Send `env` from this node (`src` is its own index) to party `dst`."""
         if self._closed:

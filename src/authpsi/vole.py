@@ -3,9 +3,10 @@
 A correlation of length m gives the receiver (A, C) and the sender (B, delta)
 with C[i] = A[i] * delta + B[i] over GF(2^128). The dealer samples delta,
 expands A and B from the two parties' expansion seeds with a counter-mode
-generator, computes C, and hands each side its half. Only C ever crosses the
-dealer boundary (seed expansion keeps A and B local), and dealer traffic is
-metered separately from protocol traffic.
+generator, computes C with `gf.scalar_mul_vec` (two calls of the byte-table
+kernel `gf.xor_rows`), and hands each side its half. Only C ever crosses
+the dealer boundary (seed expansion keeps A and B local), and dealer
+traffic is metered separately from protocol traffic.
 
 `extend` is deterministic given a completed seed, so a party can re-derive its
 vectors at will; freshness lives entirely in `gen_seed`.

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from authpsi import gf
@@ -94,12 +95,32 @@ def test_vector_roundtrips():
 
 def test_scalar_mul_vec_matches_scalar():
     r = random.Random(8)
-    values = [r.getrandbits(128) for _ in range(257)]
+    # the unit elements x^0..x^127 pick out one basis product each, which
+    # catches an off-by-one at the limb boundary 63/64
+    values = [r.getrandbits(128) for _ in range(257)] + [1 << i for i in range(128)] + [MASK]
     arr = gf.vec_from_ints(values)
-    for scalar in (0, 1, 2, r.getrandbits(128)):
+    for scalar in (0, 1, 2, r.getrandbits(128), (1 << 127) | r.getrandbits(127)):
         out = gf.scalar_mul_vec(scalar, arr)
-        for i in (0, 1, 128, 256):
+        for i in (0, 1, 128, 256, *range(257, len(values))):
             assert gf.vec_get(out, i) == gf.mul(scalar, values[i])
+        empty = gf.scalar_mul_vec(scalar, arr[:0])
+        assert empty.shape == (0, 2) and empty.dtype == arr.dtype
+
+
+def test_xor_rows_matches_row_loop():
+    rng = np.random.default_rng(9)
+    masks = np.concatenate([rng.integers(0, 1 << 64, size=200, dtype=np.uint64),
+                            np.array([0, (1 << 64) - 1], dtype=np.uint64)])
+    for count in (0, 1, 7, 8, 9, 30, 63, 64):
+        rows = gf.vec_from_bytes(rng.bytes(16 * count))
+        out = gf.xor_rows(masks & np.uint64((1 << count) - 1), rows)
+        assert out.shape == (masks.size, 2)
+        for k, mask in enumerate(masks.tolist()):
+            expect = np.zeros(2, dtype=np.uint64)
+            for j in range(count):
+                if mask >> j & 1:
+                    expect ^= rows[j]
+            assert out[k].tolist() == expect.tolist(), (count, k)
 
 
 @settings(max_examples=50, deadline=None)

@@ -389,7 +389,7 @@ class ReplayedRoot:
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the gate checks the sent root, not the inputs the PSI runs on: "
-                          "a replayed honest root passes (ROADMAP item 2)")
+                          "a replayed honest root passes (ROADMAP, Parked: Defect 2)")
 def test_gate_binds_inputs_actually_used():
     # the sender commits to Y and sends Y's honest root, then runs the PSI
     # on Y' of the same size, half of it taken from the receiver's set
