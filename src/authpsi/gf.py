@@ -11,18 +11,16 @@ shares) are not field elements: `zeroshare` carries them as uint64 arrays,
 and an OKVS holding them uses the low limb of each cell.
 
 The batch helpers at the bottom operate on (n, 2) '<u8' arrays (limb 0 =
-bits 0..63), which set elements enter through `hash_elements`, the one
-digest per element. Every GF(2)-linear map on them is one kernel, `xor_rows`
-(Shoup's byte tables; McGrew-Viega, "The Galois/Counter Mode of Operation",
-2004, 4.1): the OKVS dense columns, and `scalar_mul_vec`, which multiplies
+bits 0..63), which set elements enter as their digests d(x), the salted
+leaf prefixes that `merkle.commit` returns. Every GF(2)-linear map on them
+is one kernel, `xor_rows` (Shoup's byte tables; McGrew-Viega, "The
+Galois/Counter Mode of Operation", 2004, 4.1): the OKVS dense columns, and
+`scalar_mul_vec`, which multiplies
 the fixed delta of the VOLE dealer and the two-party sender into vectors.
 `mul` is the scalar reference that `scalar_mul_vec` is tested against.
 """
 
 from __future__ import annotations
-
-import hashlib
-from typing import Sequence
 
 import numpy as np
 
@@ -68,12 +66,6 @@ def from_bytes(raw: bytes) -> int:
 
 # ---------------------------------------------------------------------------
 # batch operations on (n, 2) uint64 limb arrays
-
-def hash_elements(xs: Sequence[bytes]) -> np.ndarray:
-    """d(x) = BLAKE2b-16(x) of each element, as an (n, 2) limb array."""
-    raw = b"".join(hashlib.blake2b(x, digest_size=GF_BYTES).digest() for x in xs)
-    return np.frombuffer(raw, dtype=_LIMB).reshape(-1, 2)
-
 
 def vec_from_ints(values) -> np.ndarray:
     """Build an (n, 2) limb array from a sequence of field elements."""

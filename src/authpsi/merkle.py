@@ -11,6 +11,17 @@ Leaves may carry a per-session salt, so the same set committed for two
 sessions gives two unrelated roots; the salt must be fixed before the root is
 announced. The protocol engines exchange only roots (`MerkleRoot.to_bytes`).
 
+The salted leaf is also the element digest of a session: `commit` returns
+d(x), the first 16 bytes of SHA256(0x00 || salt || x), next to the root, so
+a party hashes each of its elements once. This is sound on three counts.
+The tree still hashes all 32 bytes of every leaf, so binding is unchanged.
+d(x) is a random-oracle digest truncated to 128 bits, and the salt is the
+session id, so every party of a session derives the same d(x) for a common
+element, and another session gives an unrelated one. An ideal-OPRF dealer
+that sees d(x) sees a session-salted leaf prefix; knowing the session id, it
+can test a guessed element against it, exactly as it could test an unsalted
+digest.
+
 Per-element proofs are library code that no session sends. They are
 verified statelessly: a proof carries its index, leaf hash, sibling chain,
 and the committed set size. `verify` recomputes the sibling-side pattern
@@ -24,6 +35,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 LEAF_PREFIX = b"\x00"
 NODE_PREFIX = b"\x01"
@@ -109,6 +122,19 @@ def root(elements: Sequence[bytes], salt: bytes = b"") -> MerkleRoot:
     if not elements:
         raise ValueError("cannot commit to an empty set")
     return MerkleRoot(digest=_tree(elements, salt)[-1][0], set_size=len(elements))
+
+
+def commit(elements: Sequence[bytes], salt: bytes = b"") -> tuple[MerkleRoot, np.ndarray]:
+    """The root, and each element's digest d(x) as an (n, 2) '<u8' limb array.
+
+    d(x) is the first 16 bytes of the element's salted leaf, read from the
+    one tree the root is built from.
+    """
+    if not elements:
+        raise ValueError("cannot commit to an empty set")
+    levels = _tree(elements, salt)
+    leaves = np.frombuffer(b"".join(levels[0]), dtype="<u8").reshape(-1, 4)
+    return MerkleRoot(digest=levels[-1][0], set_size=len(elements)), leaves[:, :2].copy()
 
 
 def gen_path(elements: Sequence[bytes], index: int, salt: bytes = b"") -> InclusionProof:

@@ -33,8 +33,8 @@ solution set: that is load-bearing, since with uniform values the encoded
 vector is indistinguishable across key sets, which is what the protocols
 rely on when they ship tables to the other side.
 
-Keys are element digests d(x) (`gf.hash_elements`) in an (n, 2) limb array
-that each engine computes once, and values are (n, 2) limbs too. A key's
+Keys are element digests d(x) (the salted leaf prefixes of `merkle.commit`)
+in an (n, 2) limb array that each engine computes once, and values are (n, 2) limbs too. A key's
 row is AES_seed(d XOR ctr) for counters 0..4 in the block's last four
 bytes, under a 16-byte row seed that travels inside the table wire format:
 eight 64-bit words are candidates for the sparse indices (rejection-sampled

@@ -12,10 +12,10 @@ key, receiver gets evaluations); the interface leaves room for a real OPRF
 protocol behind it. The ideal OPRF is the zero-sharing PRF under the
 session key, so one dealer request is evaluated in one batched AES pass.
 
-Points and queries are element digests d(x) as (n, 2) limb arrays
-(`gf.hash_elements`), so nothing here hashes an element, and an evaluation
-request carries 16 bytes per query: the dealer sees digests of P_n's
-elements, not the elements. Values are 64-bit XOR values in uint64 arrays:
+Points and queries are element digests d(x) as (n, 2) limb arrays (the
+salted leaf prefixes of `merkle.commit`), so nothing here hashes an element,
+and an evaluation request carries 16 bytes per query: the dealer sees
+session-salted digests of P_n's elements, not the elements. Values are 64-bit XOR values in uint64 arrays:
 the sender's masked values go into the low limb of OKVS cells, the receiver
 reads the low limb of each decode, and evaluation responses carry 8
 little-endian bytes per query.

@@ -5,9 +5,9 @@ session. The run then has three phases:
 
 - transform: each party computes the root of the inputs it runs on once,
   refuses to start if it differs from its announced commitment, sends that
-  root (37 bytes: version, set size, digest) to its peer and digests each
-  element once, d(x) = BLAKE2b-16(x); the receiver (always party 1) also
-  encodes its set into an oblivious table P mapping x -> HB(x).
+  root (37 bytes: version, set size, digest) to its peer; the receiver
+  (always party 1) also encodes its set into an oblivious table P mapping
+  x -> HB(x).
 - interact: each side compares the received root with the peer's
   pre-announced one and aborts the session on any difference. Both sides
   then draw a correlation (A, C) / (B, delta) with C = A*delta + B from the
@@ -24,8 +24,15 @@ the intersection while everything else stays masked by the correlation.
 Digests are truncated to cover the statistical collision budget for the two
 set sizes.
 
-Every per-element value derives from d(x) (`gf.hash_elements`): the OKVS
-rows, HB and, in `psin`, every PRF. The two hashes:
+Every per-element value derives from d(x): the OKVS rows, HB and, in
+`psin`, every PRF. d(x) is the first 16 bytes of the element's salted leaf
+SHA256(0x00 || session id || x), which `merkle.commit` returns with the
+root, so a party hashes each element once per session. This is sound: the
+root still binds all 32 bytes of every leaf; d(x) is a truncated
+random-oracle digest that every party of a session derives alike, since the
+salt is the session id; and the OPRF dealer of `psin`, which sees
+session-salted leaf prefixes, can test a guessed element against them as it
+could an unsalted digest. The two hashes:
 
 - HB(x) = d(x) read as a field element (`hash_to_mask`). Masking needs only
   HB(y) != Decode(P, y) for y outside X, since the sender's value for such
@@ -207,10 +214,9 @@ class Party:
         if self.phase != "fresh":
             raise ProtocolError("engine already started")
         cfg = self.config
-        own_root = merkle.root(cfg.input_set, cfg.session_id)
+        own_root, self.digests = merkle.commit(cfg.input_set, cfg.session_id)
         if not cfg.skip_self_check and own_root != cfg.roots[cfg.party_index]:
             raise ConfigError("input set does not match the announced commitment")
-        self.digests = gf.hash_elements(cfg.input_set)
         self.phase = "transformed"
         env = self._env(self.ROOT_TYPE, encode_root_proofs(own_root))
         return [(j, env) for j in self.peers]
@@ -261,6 +267,7 @@ class Psi2Engine(Party):
             raise ConfigError("a two-party session has parties 1 and 2")
         super().__init__(config, rng)
         self.receiver = config.party_index == 1
+        self._role = vole.RECEIVER if self.receiver else vole.SENDER
         self.peer = 3 - config.party_index
         n_own, n_peer = len(config.input_set), config.roots[self.peer].set_size
         self.n_x, self.n_y = (n_own, n_peer) if self.receiver else (n_peer, n_own)
@@ -288,9 +295,8 @@ class Psi2Engine(Party):
             if result is None:
                 return out + self._abort("oblivious table encoding failed")
             self._table, _ = result
-        role = vole.RECEIVER if self.receiver else vole.SENDER
         out.append((DEALER_INDEX, self._env(
-            vole.MSG_VOLE_REQUEST, vole.encode_dealer_msg(cfg.session_id, role, self._length))))
+            vole.MSG_VOLE_REQUEST, vole.encode_dealer_msg(cfg.session_id, self._role, self._length))))
         self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
         return out
 
@@ -305,6 +311,8 @@ class Psi2Engine(Party):
         if src != DEALER_INDEX or self._vole_seed is not None:
             raise ProtocolError("unexpected dealer material")
         seed = vole.seed_from_material(payload)
+        if seed.role != self._role:
+            raise ProtocolError(f"dealer material for the {seed.role}, not the {self._role}")
         if seed.length != self._length:
             raise ProtocolError("dealer correlation has the wrong length")
         self._vole_seed = seed

@@ -26,8 +26,9 @@ learns the intersection.
 Every 64-bit XOR value (table values, aggregates, shares, hint points and
 the final comparison) is a uint64 array over the party's input set, so each
 step above is a handful of whole-array XORs and batched PRF calls. Each
-party digests its elements once, d(x) = BLAKE2b-16(x), and every PRF, OKVS
-row and OPRF query of the session runs over those digests.
+party hashes its elements once, into the leaves of its root, and every PRF,
+OKVS row and OPRF query of the session runs over the digests d(x) those
+leaves begin with (`psi2` says why that is sound).
 
 The self-check, the root gate and the abort path are `psi2.Party`'s, the
 core this engine shares with the two-party one: a handler raises
@@ -39,8 +40,8 @@ binds each party to its commitment as far as `psi2` states: a party that
 replays its honest root is not caught. Apart from those roots, no message
 between parties carries a function of a single element that the receiving
 party could evaluate itself. The ideal-OPRF dealer sees P_n's queries as
-element digests d(x), not as plaintext elements, though it can still test
-a guessed element against them.
+session-salted element digests d(x), not as plaintext elements, though it
+can still test a guessed element against them.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from .errors import TransportClosed, TransportError
 SESSION_ID_BYTES = 16
 HEADER_BYTES = 25  # 4 frame length + 16 session + 1 type + 4 payload length
 MAX_PAYLOAD = (1 << 32) - 1
+RECV_CHUNK = 1 << 16  # most bytes one socket read asks for
 
 DEALER_INDEX = 0
 
@@ -183,9 +184,11 @@ class BusNetwork:
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    # reads at most RECV_CHUNK at a time: a recv buffer is allocated in full
+    # before any byte arrives, so a frame length alone must not size it
     buf = bytearray()
     while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
+        chunk = sock.recv(min(count - len(buf), RECV_CHUNK))
         if not chunk:
             raise TransportClosed("peer closed the connection")
         buf += chunk

@@ -8,8 +8,8 @@ strict subset leaves unpaired terms and its XOR is indistinguishable from
 random.
 
 The PRF of x under a 16-byte seed k is the low 64 bits of AES_k(d(x)), where
-d(x) = BLAKE2b-16(x) is the element digest each engine computes once
-(`gf.hash_elements`). The functions here take those digests as an (n, 2)
+d(x), the first 16 bytes of x's salted leaf SHA256(0x00 || session id || x),
+is the element digest each engine takes from `merkle.commit`. The functions here take those digests as an (n, 2)
 limb array and hash nothing: a batch is one AES-128-ECB pass per seed over
 the digest blocks, the way the OKVS expands its rows. Values are 64-bit XOR
 values carried as uint64 arrays, one entry per element of the batch; shares

@@ -145,11 +145,11 @@ def test_criterion_06_zero_sharing_cancellation():
         seeds = {(a, b): rng.randbytes(16) for a in parties for b in parties if a < b}
         keysets = zeroshare.zs_setup(parties, seeds)
         elements = [rng.randbytes(12) for _ in range(1000)]
-        shares = [zeroshare.zs_share(ks, gf.hash_elements(elements)) for ks in keysets]
+        shares = [zeroshare.zs_share(ks, _digests(elements)) for ks in keysets]
         # the batch answers element by element as one-element batches would
         for k in range(0, 1000, 50):
             for ks, share in zip(keysets, shares):
-                assert zeroshare.zs_share(ks, gf.hash_elements([elements[k]]))[0] == share[k], n
+                assert zeroshare.zs_share(ks, _digests([elements[k]]))[0] == share[k], n
         acc = np.bitwise_xor.reduce(shares)
         assert acc.shape == (1000,) and (acc == 0).all(), n
         if n > 1:
@@ -179,7 +179,7 @@ def test_criterion_07_okvs_suite():
         params = okvs.OkvsParams.for_size(n, rng.randbytes(16))
         table = _encode(pairs, params, rng=np.random.default_rng(n))
         assert table is not None, n
-        decoded = okvs.decode_batch(table, gf.hash_elements([k for k, _ in pairs]))
+        decoded = okvs.decode_batch(table, _digests([k for k, _ in pairs]))
         for i, (_, v) in enumerate(pairs):
             assert gf.vec_get(decoded, i) == v, n
 
@@ -193,7 +193,7 @@ def test_criterion_07_okvs_suite():
     delta = rng.getrandbits(128)
     xored = okvs.OkvsTable(params=params, values=t1.values ^ t2.values)
     scaled = okvs.OkvsTable(params=params, values=gf.scalar_mul_vec(delta, t1.values))
-    probes = gf.hash_elements([rng.randbytes(10) for _ in range(10_000)])
+    probes = _digests([rng.randbytes(10) for _ in range(10_000)])
     d1 = okvs.decode_batch(t1, probes)
     d2 = okvs.decode_batch(t2, probes)
     dx = okvs.decode_batch(xored, probes)
@@ -296,7 +296,7 @@ def test_criterion_10_masking_identity_white_box():
         assert er.intersection == set(x) & set(y)
         c_table = okvs.OkvsTable(params=er._table.params, values=er._recv_corr.c_vec)
         delta = es._send_corr.delta
-        common = gf.hash_elements(sorted(set(x) & set(y)))
+        common = merkle.commit(sorted(set(x) & set(y)), session)[1]
         bprime_decoded = okvs.decode_batch(es.bprime_table, common)
         c_decoded = okvs.decode_batch(c_table, common)
         masks = gf.scalar_mul_vec(delta, psi2.hash_to_mask(common))
@@ -311,9 +311,14 @@ def test_criterion_10_masking_identity_white_box():
           f"({time.perf_counter() - t0:.1f}s)")
 
 
+def _digests(elements):
+    """The element digests d(x) (salted leaf prefixes) that tables and PRFs take."""
+    return merkle.commit(elements, b"\x5a" * 16)[1]
+
+
 def _encode(pairs, params, rng):
     """okvs.encode of (element, field element) pairs: elements as digests, values as limbs."""
-    return okvs.encode(gf.hash_elements([k for k, _ in pairs]),
+    return okvs.encode(_digests([k for k, _ in pairs]),
                        gf.vec_from_ints([v for _, v in pairs]), params, rng=rng)
 
 

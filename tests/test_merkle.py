@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from authpsi import merkle, psi2
@@ -38,6 +39,8 @@ def test_permutation_changes_root():
 def test_empty_set_rejected():
     with pytest.raises(ValueError):
         merkle.root([])
+    with pytest.raises(ValueError):
+        merkle.commit([])
     with pytest.raises(ValueError):
         merkle.gen_all_paths([])
 
@@ -165,3 +168,24 @@ def test_wire_roundtrips():
     root_raw = r.to_bytes()
     assert root_raw[0] == 0x01 and len(root_raw) == 37
     assert int.from_bytes(root_raw[1:5], "big") == 13 and root_raw[5:] == r.digest
+
+
+def test_commit_is_the_root_and_the_leaf_prefixes():
+    data, salt = [b"elem-%d" % i for i in range(11)], b"\x5a" * 16
+    root_, digests = merkle.commit(data, salt)
+    assert root_ == merkle.root(data, salt)
+    # pinned: the same root, byte for byte, as before the leaves became the digests
+    assert root_.to_bytes().hex() == (
+        "010000000bef878417c99a0c7d4cf2642ca459cd172891f0ad3a857e2f454b666d5c982169")
+    assert digests.dtype == np.dtype("<u8") and digests.shape == (11, 2)
+    assert digests.tobytes() == b"".join(merkle.hash_leaf(x, salt)[:16] for x in data)
+
+
+def test_common_element_digest_is_shared_within_a_session_only():
+    # every party derives the same d(x) of a common element from its own set,
+    # whatever its position, and another session id gives another d(x)
+    common, session, other = b"common", b"\x01" * 16, b"\x02" * 16
+    sets = [[b"a", common], [common, b"b", b"c"], [b"d", b"e", b"f", common]]
+    per_party = {merkle.commit(s, session)[1][s.index(common)].tobytes() for s in sets}
+    assert len(per_party) == 1
+    assert merkle.commit([common], other)[1].tobytes() not in per_party

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from authpsi import gf, okvs, opprf
+from authpsi import gf, merkle, okvs, opprf
 from authpsi.errors import ProtocolError
 
 
@@ -15,12 +15,13 @@ def _points(m, rng):
     xs = set()
     while len(xs) < m:
         xs.add(rng.randbytes(10))
-    return (gf.hash_elements(sorted(xs)),
+    return (_h(sorted(xs)),
             np.array([rng.getrandbits(64) for _ in range(m)], dtype=np.uint64))
 
 
 def _h(queries):
-    return gf.hash_elements(queries)
+    """The element digests d(x) that points and queries are: salted leaf prefixes."""
+    return merkle.commit(queries, _session())[1]
 
 
 def _session(tag=1):
@@ -86,7 +87,7 @@ def test_repeated_query_is_deterministic():
 def test_empty_point_set():
     session = _session(5)
     key = b"\x0d" * 16
-    hint = opprf.opprf_program(_h([]), np.zeros(0, dtype=np.uint64), session, key,
+    hint = opprf.opprf_program(np.zeros((0, 2), "<u8"), np.zeros(0, dtype=np.uint64), session, key,
                                rng=np.random.default_rng(4))
     rng = random.Random(5)
     outs = opprf.opprf_query_batch(hint, _h([rng.randbytes(8) for _ in range(50)]), session,

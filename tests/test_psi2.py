@@ -83,7 +83,7 @@ def test_masking_identity_white_box():
     assert er.intersection == set(x) & set(y)
     c_table = okvs.OkvsTable(params=er._table.params, values=er._recv_corr.c_vec)
     delta = es._send_corr.delta
-    common = gf.hash_elements(sorted(set(x) & set(y)))
+    common = merkle.commit(sorted(set(x) & set(y)), session)[1]
     bprime, c = okvs.decode_batch(es.bprime_table, common), okvs.decode_batch(c_table, common)
     hb = psi2.hash_to_mask(common)
     for i in range(len(common)):
@@ -261,6 +261,29 @@ def test_vole_backend_substitutability():
     assert engines[1].intersection == set(x) & set(y)
 
 
+@pytest.mark.parametrize("victim", [1, 2])
+def test_wrong_role_dealer_material_aborts_cleanly(victim):
+    # material naming the other party's role (the receiver's seed and C, or
+    # the sender's seed and delta) is a fault, not an escaped exception
+    class SwappedRoleDealer(harness.DealerService):
+        def handle(self, src, env):
+            if env.msg_type == vole.MSG_VOLE_REQUEST and src == victim:
+                sid, role, length, _ = vole.decode_dealer_msg(env.payload)
+                other = vole.SENDER if role == vole.RECEIVER else vole.RECEIVER
+                payload = self.vole.request(sid, other, length)
+                return [(src, transport.Envelope(env.session_id, vole.MSG_VOLE_MATERIAL, payload))]
+            return super().handle(src, env)
+
+    x, y = _sets(20, 20, 8, seed=24)
+    session = b"\x2e" * 16
+    roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
+    engines, dealer = _build(x, y, session, roots, seed=24, dealer_cls=SwappedRoleDealer)
+    harness.drive(transport.BusNetwork(), engines, dealer)  # no escaped error
+    assert engines[victim].abort_reason.startswith("dealer material for the")
+    for i in (1, 2):
+        assert engines[i].aborted and engines[i].intersection is None, i
+
+
 def test_digest_set_leaks_nothing_beyond_membership():
     # statistical shadow of sender privacy: across 10^2 sessions, the digest
     # payloads produced by two candidate sender sets sharing the same
@@ -429,11 +452,12 @@ class RecordingBus(transport.BusNetwork):
 
 def assert_no_own_leaf_hash_received(bus, sets, session):
     """No party finds the salted leaf hash SHA256(0x00 || sid || x) of an own element in any
-    payload, nor its digest d(x) = BLAKE2b-16(x), from which every per-element value derives."""
+    payload, nor its digest d(x), the leaf's first 16 bytes, from which every per-element
+    value derives."""
     for i, own in sets.items():
         leaves = [hashlib.sha256(b"\x00" + session + x).digest() for x in own]
-        digests = [gf.vec_to_bytes(d) for d in gf.hash_elements(own)]
-        assert digests == [hashlib.blake2b(x, digest_size=16).digest() for x in own]
+        digests = [leaf[:16] for leaf in leaves]
+        assert digests == [gf.vec_to_bytes(d) for d in merkle.commit(own, session)[1]]
         for env in bus.received[i]:
             assert not [leaf for leaf in leaves if leaf in env.payload], i
             assert not [d for d in digests if d in env.payload], i

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from authpsi import gf, harness, merkle, okvs, psin, transport, zeroshare
+from authpsi import harness, merkle, okvs, psin, transport, zeroshare
 from authpsi.errors import ConfigError
 from test_psi2 import (ROOT_FAULTS, RecordingBus, ReplayBus, RootFault,
                        assert_no_own_leaf_hash_received, message_id, party_messages)
@@ -262,7 +262,7 @@ def test_cancellation_identity_white_box():
     total = np.zeros(len(core), dtype=np.uint64)
     for i in cfg.subgroup:
         engine = engines[i]
-        share_sum ^= zeroshare.zs_share(engine._zs_keyset(), gf.hash_elements(core))
+        share_sum ^= zeroshare.zs_share(engine._zs_keyset(), merkle.commit(core, session)[1])
         # every pairwise PRF term appears exactly twice across the aggregates
         positions = [engine.config.input_set.index(x) for x in core]
         total ^= engine._aggregate()[positions]
@@ -283,7 +283,7 @@ def test_aggregates_match_raw_keys():
     holder = engines[1]
     expect = np.zeros(len(core), dtype=np.uint64)
     for j in cfg.group_b:
-        expect ^= zeroshare.prf([holder._own_groupb_keys[j]], gf.hash_elements(core))
+        expect ^= zeroshare.prf([holder._own_groupb_keys[j]], merkle.commit(core, session)[1])
     positions = [coord.config.input_set.index(x) for x in core]
     assert (coord._aggregate()[positions] == expect).all()
 

@@ -1,4 +1,4 @@
-"""Whole sessions of both engines: pinned message sizes, one digest per element, a fuzz gate."""
+"""Whole sessions of both engines: pinned message sizes, one hash per element, a fuzz gate."""
 
 import hashlib
 import re
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from authpsi import datasets, gf, harness, merkle, psi2, psin, transport
+from authpsi import datasets, harness, merkle, psi2, psin, transport
 from authpsi.errors import TransportError
 from authpsi.transport import DEALER_INDEX
 
@@ -45,57 +45,58 @@ def test_message_sizes_are_pinned():
 
 
 def test_each_element_is_hashed_once(monkeypatch):
-    # every per-element value derives from one digest per element: each party
-    # digests its set once, the dealer hashes nothing, and no hashlib call
-    # outside merkle's leaves and that digest runs once per element
-    digested, outside = [], Counter()
-    inside = {"digest": 0, "dealer": 0}
-    dealer_hashes = []
-    real_digest, real_handle = gf.hash_elements, harness.DealerService.handle
-
-    def digest(xs):
-        assert not inside["dealer"]
-        digested.append(tuple(xs))
-        inside["digest"] += 1
-        try:
-            return real_digest(xs)
-        finally:
-            inside["digest"] -= 1
+    # every per-element value derives from one hash per element: in a session
+    # each party hashes each of its elements once, into its SHA-256 leaf in
+    # merkle, no other hash algorithm runs, the dealer hashes nothing, and no
+    # other hashing runs once per element
+    leaves, outside, others, dealer_hashes = Counter(), Counter(), Counter(), []
+    in_dealer = [0]
+    real_handle = harness.DealerService.handle
 
     def handle(self, src, env):
-        inside["dealer"] += 1
+        in_dealer[0] += 1
         try:
             return real_handle(self, src, env)
         finally:
-            inside["dealer"] -= 1
+            in_dealer[0] -= 1
 
-    def counted(real):
+    def counted(name, real):
         def call(*args, **kwargs):
-            if inside["dealer"]:
-                dealer_hashes.append(real)
-            if not inside["digest"]:
-                outside[sys._getframe(1).f_globals["__name__"]] += 1
+            caller = sys._getframe(1).f_globals["__name__"]
+            if in_dealer[0]:
+                dealer_hashes.append(name)
+            if name != "sha256":
+                others[name, caller] += 1
+            elif caller == "authpsi.merkle" and args and args[0][:1] == merkle.LEAF_PREFIX:
+                leaves[args[0]] += 1
+            else:
+                outside[caller] += 1
             return real(*args, **kwargs)
         return call
 
-    for name in ("sha256", "blake2b"):
-        monkeypatch.setattr(hashlib, name, counted(getattr(hashlib, name)))
-    monkeypatch.setattr(gf, "hash_elements", digest)
-    monkeypatch.setattr(harness.DealerService, "handle", handle)
-
     x, y = datasets.generate_sets(1024, 16, 2, 256, 31)
     sets = datasets.generate_sets(256, 16, 4, 64, 32)
-    for parties, run in (([x, y], lambda: harness.run_two_party(x, y, seed=33)),
-                         (sets, lambda: harness.run_multi_party(sets, 2, seed=34))):
-        digested.clear()
+    runs = []
+    for parties, t, sid in (([x, y], None, b"\x31" * 16), (sets, 2, b"\x32" * 16)):
+        # the announced roots are committed before the session, outside the count
+        roots = {i: merkle.root(s, sid) for i, s in enumerate(parties, start=1)}
+        spec = harness.Session(dict(enumerate(parties, start=1)), roots, sid, t)
+        runs.append((parties, sid, spec))
+
+    for name in (*hashlib.algorithms_guaranteed, "new"):
+        monkeypatch.setattr(hashlib, name, counted(name, getattr(hashlib, name)))
+    monkeypatch.setattr(harness.DealerService, "handle", handle)
+
+    for seed, (parties, sid, spec) in enumerate(runs, start=33):
+        leaves.clear()
         outside.clear()
-        assert not run().aborted
-        n = len(parties[0])
-        assert sorted(digested) == sorted(tuple(s) for s in parties)
-        assert not dealer_hashes
-        assert outside.pop("authpsi.merkle") >= len(parties) * n  # the leaves of every root
+        assert not harness.run_session(spec, np.random.default_rng(seed)).aborted
+        assert leaves == Counter(merkle.LEAF_PREFIX + sid + e for s in parties for e in s)
+        assert not others and not dealer_hashes
+        n = sum(len(s) for s in parties)
+        assert outside.pop("authpsi.merkle") < n  # the interior nodes of the trees
         # what is left hashes per message, per retry or per session: far fewer calls than elements
-        assert sum(outside.values()) < n // 4, outside
+        assert sum(outside.values()) < len(parties[0]) // 4, outside
 
 
 def _sessions():

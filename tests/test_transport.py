@@ -3,6 +3,7 @@
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,26 @@ def test_networked_receiver_gives_up_on_malformed_frame():
         node.close()
         for sink in sinks.values():
             sink.close()
+
+
+def test_frame_length_alone_allocates_no_buffer():
+    # a frame that claims 64 MiB and hangs up after 10 bytes: reading it must
+    # not allocate the claimed size before the bytes arrive
+    a, b = socket.socketpair()
+    try:
+        a.sendall((64 << 20).to_bytes(4, "big") + b"\x00" * 10)
+        a.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportClosed):
+                transport.read_frame(b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        a.close()
+        b.close()
+    assert peak < 4 << 20, peak
 
 
 def test_tcp_unreachable_peer():

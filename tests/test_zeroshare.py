@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from authpsi import gf, zeroshare
+from authpsi import merkle, zeroshare
+
+SALT = b"\x5a" * 16  # the session id the element digests are salted with
+
+
+def _digests(xs):
+    """d(x) of each element: the first 16 bytes of its salted leaf."""
+    return merkle.commit(xs, SALT)[1]
 
 
 def _setup(n, seed=0):
@@ -20,14 +27,14 @@ def _setup(n, seed=0):
 def _xor_shares(keysets, xs):
     acc = np.zeros(len(xs), dtype=np.uint64)
     for ks in keysets:
-        acc ^= zeroshare.zs_share(ks, gf.hash_elements(xs))
+        acc ^= zeroshare.zs_share(ks, _digests(xs))
     return acc
 
 
 def _reference_prf(seed, x):
-    """low64(AES_seed(d(x))), d(x) = BLAKE2b-16(x), one element at a time."""
+    """low64(AES_seed(d(x))), d(x) = SHA256(0x00 || salt || x)[:16], one element at a time."""
     enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
-    block = enc.update(hashlib.blake2b(x, digest_size=16).digest()) + enc.finalize()
+    block = enc.update(hashlib.sha256(b"\x00" + SALT + x).digest()[:16]) + enc.finalize()
     return int.from_bytes(block[:8], "little")
 
 
@@ -35,21 +42,21 @@ def test_prf_matches_reference():
     rng = random.Random(11)
     seeds = [rng.randbytes(16) for _ in range(3)]
     xs = [rng.randbytes(rng.randrange(0, 40)) for _ in range(200)]
-    got = zeroshare.prf(seeds, gf.hash_elements(xs))
+    got = zeroshare.prf(seeds, _digests(xs))
     assert got.dtype == np.uint64 and got.shape == (200,)
     for i, x in enumerate(xs):
         expect = 0
         for seed in seeds:
             expect ^= _reference_prf(seed, x)
         assert int(got[i]) == expect
-    assert (zeroshare.prf([], gf.hash_elements(xs)) == 0).all()
-    assert zeroshare.prf(seeds, gf.hash_elements([])).shape == (0,)
+    assert (zeroshare.prf([], _digests(xs)) == 0).all()
+    assert zeroshare.prf(seeds, np.zeros((0, 2), "<u8")).shape == (0,)
 
 
 def test_prf_does_not_depend_on_batch_composition():
     rng = random.Random(12)
     seeds = [rng.randbytes(16) for _ in range(2)]
-    digests = gf.hash_elements([rng.randbytes(rng.randrange(1, 24)) for _ in range(64)])
+    digests = _digests([rng.randbytes(rng.randrange(1, 24)) for _ in range(64)])
     batch = zeroshare.prf(seeds, digests)
     for i in range(64):
         assert batch[i] == zeroshare.prf(seeds, digests[i : i + 1])[0]
@@ -66,7 +73,7 @@ def test_full_group_cancellation(n):
 
 def test_two_party_shares_coincide():
     keysets, seeds = _setup(2, seed=1)
-    digests = gf.hash_elements([b"common"])
+    digests = _digests([b"common"])
     s1 = zeroshare.zs_share(keysets[0], digests)
     s2 = zeroshare.zs_share(keysets[1], digests)
     assert s1[0] == s2[0] == zeroshare.prf([seeds[(1, 2)]], digests)[0]
@@ -115,7 +122,7 @@ def test_subset_xor_bit_frequency():
 
 def test_share_determinism():
     keysets, _ = _setup(3, seed=7)
-    digests = gf.hash_elements([b"x", b"y", b"x"])
+    digests = _digests([b"x", b"y", b"x"])
     first = zeroshare.zs_share(keysets[1], digests)
     assert (first == zeroshare.zs_share(keysets[1], digests)).all()
     assert first[0] == first[2] != first[1]
@@ -127,5 +134,5 @@ def test_nonshared_element_xor_survives():
     xs = [b"partial"]
     partial = _xor_shares(keysets[:2], xs)
     # the surviving terms are exactly the pair PRFs toward party 3
-    expect = zeroshare.prf([seeds[(1, 3)], seeds[(2, 3)]], gf.hash_elements(xs))
+    expect = zeroshare.prf([seeds[(1, 3)], seeds[(2, 3)]], _digests(xs))
     assert partial[0] == expect[0] != 0
