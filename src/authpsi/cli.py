@@ -99,7 +99,7 @@ def gen(count, elem_bytes, seed, parties, overlap, out_prefix):
 
 
 @main.command()
-@click.option("--in", "in_path", required=True, type=click.Path(exists=True))
+@click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--salt", required=True,
               help="the session id (32 hex chars); leaves are salted with it")
 @click.option("--out", "out_path", required=True)
@@ -107,7 +107,7 @@ def commit(in_path, salt, out_path):
     """Commit to a dataset: write its tree root."""
     try:
         elements = datasets.read_dataset(in_path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise click.UsageError(str(exc))
     if not elements:
         raise click.UsageError("cannot commit to an empty dataset")

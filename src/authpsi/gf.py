@@ -3,7 +3,8 @@
 Field elements are plain Python ints in [0, 2^128), interpreted as polynomials
 over GF(2) with bit 0 as the constant term. Addition is XOR; multiplication is
 a carry-less product reduced modulo x^128 + x^7 + x^2 + x + 1. Serialization
-is 16 bytes little-endian, so byte 0 holds bits 0..7.
+is 16 bytes little-endian, so byte 0 holds bits 0..7; the cells of an OKVS
+table travel in it (`okvs` owns the rest of the table format).
 
 OKVS payloads (128-bit mask values) are field elements as they stand. The
 64-bit XOR values of the multi-party path (PRF outputs and per-element

@@ -34,25 +34,32 @@ vector is indistinguishable across key sets, which is what the protocols
 rely on when they ship tables to the other side.
 
 Keys are element digests d(x) (the salted leaf prefixes of `merkle.commit`)
-in an (n, 2) limb array that each engine computes once, and values are (n, 2) limbs too. A key's
-row is AES_seed(d XOR ctr) for counters 0..4 in the block's last four
-bytes, under a 16-byte row seed that travels inside the table wire format:
-eight 64-bit words are candidates for the sparse indices (rejection-sampled
-until omega distinct, with further counter blocks only when they run out),
-and the low m_dense bits of the ninth are the dense mask.
+in an (n, 2) limb array that each engine computes once, and values are (n, 2)
+limbs too. A key's row is read from its stream AES_seed(d XOR ctr), counters
+0 and 1 in the block's last four bytes, four 64-bit words w_0..w_3 under a
+16-byte row seed. The sparse region splits into omega near-equal parts
+[lo_j, lo_{j+1}) with lo_j = floor(j * m_sparse / omega), and position j is
+lo_j + w_j mod (lo_{j+1} - lo_j): one position per part, so a row is sorted
+and distinct by construction and needs no rejection sampling. At omega = 3
+this is the 3-partite hypergraph of BDZ hashing (Botelho-Pagh-Ziviani, WADS
+2007), which peels at the same 1.23 expansion. The low m_dense bits of
+w_omega are the dense mask.
+
+Wire format of a table: row seed (16 bytes) || cell count (4 bytes,
+big-endian) || the cells, 16 bytes each. The reader passes the pair count n
+it already knows, and `OkvsTable.from_bytes` derives every parameter from n
+and the seed; the cell count and the body length must agree with them.
 
 Encoding can fail when a deferred row's coefficients cancel but its value
 does not; that failure is a value (None), not an exception, and
-`encode_with_retry` re-randomizes the rows with seeds derived from a base
-seed until one attempt succeeds or `MAX_ENCODE_ATTEMPTS`, the budget every
+`encode_with_retry` re-randomizes the rows with a fresh seed drawn for each
+attempt until one succeeds or `MAX_ENCODE_ATTEMPTS`, the budget every
 protocol uses, runs out.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,17 +74,11 @@ DENSE_COLUMNS = 30        # dense tail width, one mask bit per column
 SEED_BYTES = 16
 MAX_ENCODE_ATTEMPTS = 16  # retry budget of every protocol table
 
-TABLE_WIRE_VERSION = 0x03
-# version, n, m_sparse, m_dense, omega, row seed; the cells follow
-_HEADER = struct.Struct(">BIIHB16s")
-
-# per-key stream layout: 8 candidate words for the sparse indices, then the
-# dense mask word; extension blocks continue the counter when the 8 words do
-# not yield omega distinct indices (only plausible at tiny table sizes)
-_SPARSE_WORDS = 8
-_MASK_WORD = _SPARSE_WORDS
-_BASE_BLOCKS = 5          # ceil(9 words * 8 bytes / 16-byte blocks)
+# per-key stream: one 64-bit word per sparse part, then the dense mask word
+_STREAM_BLOCKS = 2
+_MAX_OMEGA = 2 * _STREAM_BLOCKS - 1
 _MAX_DENSE = 64           # the mask is read from one 64-bit word
+_COUNT_BYTES = 4
 
 _U64 = np.dtype("<u8")
 
@@ -95,8 +96,8 @@ class OkvsParams:
     row_seed: bytes
 
     def __post_init__(self):
-        if not 2 <= self.omega <= _SPARSE_WORDS:
-            raise ValueError(f"row weight must be 2..{_SPARSE_WORDS}")
+        if not 2 <= self.omega <= _MAX_OMEGA:
+            raise ValueError(f"row weight must be 2..{_MAX_OMEGA}")
         if self.m_sparse < max(self.n, self.omega):
             raise ValueError("sparse region too small for the pair count")
         if not 0 <= self.m_dense <= _MAX_DENSE:
@@ -121,62 +122,46 @@ class OkvsTable:
     values: np.ndarray  # (m, 2) uint64 limbs
 
     def to_bytes(self) -> bytes:
-        p = self.params
-        return (_HEADER.pack(TABLE_WIRE_VERSION, p.n, p.m_sparse, p.m_dense, p.omega, p.row_seed)
+        """Row seed || cell count (4 bytes, big-endian) || cells."""
+        return (self.params.row_seed + self.values.shape[0].to_bytes(_COUNT_BYTES, "big")
                 + gf.vec_to_bytes(self.values))
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "OkvsTable":
-        if len(raw) < _HEADER.size:
+    def from_bytes(cls, raw: bytes, n: int) -> "OkvsTable":
+        """Parse a table the reader knows to encode n pairs; any other shape is a ValueError."""
+        head = SEED_BYTES + _COUNT_BYTES
+        if len(raw) < head:
             raise ValueError("truncated table encoding")
-        version, *fields = _HEADER.unpack_from(raw)
-        if version != TABLE_WIRE_VERSION:
-            raise ValueError("unknown table encoding version")
-        params = OkvsParams(*fields)
-        body = raw[_HEADER.size:]
-        if len(body) != params.m * gf.GF_BYTES:
-            raise ValueError("bad table body length")
-        return cls(params=params, values=gf.vec_from_bytes(body))
+        params = OkvsParams.for_size(n, raw[:SEED_BYTES])
+        count = int.from_bytes(raw[SEED_BYTES:head], "big")
+        if count != params.m:
+            raise ValueError(f"table has {count} cells, {n} pairs need {params.m}")
+        if len(raw) - head != params.m * gf.GF_BYTES:
+            raise ValueError("table body length does not match its cell count")
+        return cls(params=params, values=gf.vec_from_bytes(raw[head:]))
 
 
-def _expand_streams(digests: np.ndarray, seed: bytes, blocks: int, first: int = 0) -> np.ndarray:
-    """AES-ECB counter blocks first..first+blocks-1 of each key digest; (n, 2*blocks) words."""
+def _expand_streams(digests: np.ndarray, seed: bytes) -> np.ndarray:
+    """The AES-ECB counter blocks of each key digest; (n, 2 * _STREAM_BLOCKS) words."""
     kd = np.ascontiguousarray(digests, dtype=_U64).view(np.uint8).reshape(-1, 16)
     n = kd.shape[0]
-    blk = np.repeat(kd[:, None, :], blocks, axis=1)
-    ctr = np.frombuffer(np.arange(first, first + blocks, dtype=">u4").tobytes(),
-                        dtype=np.uint8).reshape(blocks, 4)
+    blk = np.repeat(kd[:, None, :], _STREAM_BLOCKS, axis=1)
+    ctr = np.frombuffer(np.arange(_STREAM_BLOCKS, dtype=">u4").tobytes(),
+                        dtype=np.uint8).reshape(_STREAM_BLOCKS, 4)
     blk[:, :, 12:16] ^= ctr[None, :, :]
     enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
     out = enc.update(blk.tobytes()) + enc.finalize()
-    return np.frombuffer(out, dtype=_U64).reshape(n, 2 * blocks)
-
-
-def _pick_indices(candidates: list[int], digest: np.ndarray, params: OkvsParams) -> list[int]:
-    """The first omega distinct candidates, sorted; draws extension blocks when they run out."""
-    chosen: list[int] = []
-    block = _BASE_BLOCKS
-    while True:
-        for c in candidates:
-            if c not in chosen:
-                chosen.append(c)
-                if len(chosen) == params.omega:
-                    return sorted(chosen)
-        words = _expand_streams(digest, params.row_seed, 1, first=block)[0]
-        candidates = [w % params.m_sparse for w in words.tolist()]
-        block += 1
+    return np.frombuffer(out, dtype=_U64).reshape(n, 2 * _STREAM_BLOCKS)
 
 
 def row_batch(digests: np.ndarray, params: OkvsParams) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of key digests: (n, omega) sorted sparse indices and (n,) uint64 dense masks."""
-    words = _expand_streams(digests, params.row_seed, _BASE_BLOCKS)
-    cands = words[:, :_SPARSE_WORDS] % np.uint64(params.m_sparse)
-    # when the first omega candidates are distinct they are the row; only
-    # the rare clashing keys take the rejection loop
-    idx = np.sort(cands[:, :params.omega].astype(np.int64), axis=1)
-    for i in np.flatnonzero((idx[:, 1:] == idx[:, :-1]).any(axis=1)):
-        idx[i] = _pick_indices(cands[i].tolist(), digests[i : i + 1], params)
-    masks = words[:, _MASK_WORD] & np.uint64((1 << params.m_dense) - 1)
+    """The rows of key digests: (n, omega) sparse indices, one per part and so sorted and
+    distinct, and (n,) uint64 dense masks."""
+    words = _expand_streams(digests, params.row_seed)
+    bounds = np.arange(params.omega + 1) * params.m_sparse // params.omega
+    sizes = np.diff(bounds).astype(np.uint64)
+    idx = (words[:, :params.omega] % sizes).astype(np.int64) + bounds[:-1]
+    masks = words[:, params.omega] & np.uint64((1 << params.m_dense) - 1)
     return idx, masks
 
 
@@ -342,26 +327,18 @@ def decode_batch(table: OkvsTable, digests: np.ndarray) -> np.ndarray:
     return acc ^ gf.xor_rows(masks, table.values[table.params.m_sparse:])
 
 
-def derived_seed(base_seed: bytes, attempt: int) -> bytes:
-    """Row seed for a retry attempt; attempt 1 is the base seed itself."""
-    if attempt == 1:
-        return base_seed
-    return hashlib.sha256(base_seed + attempt.to_bytes(4, "big")).digest()[:SEED_BYTES]
-
-
 def encode_with_retry(digests: np.ndarray, values: np.ndarray, max_attempts: int,
                       rng: np.random.Generator) -> Optional[tuple[OkvsTable, int]]:
     """Encode into a table sized for the keys, re-randomizing rows until success.
 
-    The base row seed is drawn from `rng`, and retries use seeds derived from
-    it. The returned table carries the seed that actually succeeded; ship the
-    table so the decoder derives identical rows.
+    Each attempt draws its row seed from `rng`. The returned table carries
+    the seed that actually succeeded; ship the table so the decoder derives
+    identical rows.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
-    base_seed = rng.bytes(SEED_BYTES)
     for attempt in range(1, max_attempts + 1):
-        params = OkvsParams.for_size(digests.shape[0], derived_seed(base_seed, attempt))
+        params = OkvsParams.for_size(digests.shape[0], rng.bytes(SEED_BYTES))
         table = encode(digests, values, params, rng=rng)
         if table is not None:
             return table, attempt

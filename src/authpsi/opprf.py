@@ -18,7 +18,9 @@ and an evaluation request carries 16 bytes per query: the dealer sees
 session-salted digests of P_n's elements, not the elements. Values are 64-bit XOR values in uint64 arrays:
 the sender's masked values go into the low limb of OKVS cells, the receiver
 reads the low limb of each decode, and evaluation responses carry 8
-little-endian bytes per query.
+little-endian bytes per query. A hint on the wire is its OPRF session id
+followed by the OKVS table encoding, and the reader passes the point count
+n through to `okvs.OkvsTable.from_bytes`.
 """
 
 from __future__ import annotations
@@ -51,11 +53,12 @@ class OpprfHint:
         return self.oprf_session + self.okvs_table.to_bytes()
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "OpprfHint":
+    def from_bytes(cls, raw: bytes, n: int) -> "OpprfHint":
+        """Parse a hint the reader knows to program n points."""
         if len(raw) < SESSION_ID_BYTES:
             raise ValueError("truncated hint encoding")
         return cls(oprf_session=raw[:SESSION_ID_BYTES],
-                   okvs_table=okvs.OkvsTable.from_bytes(raw[SESSION_ID_BYTES:]))
+                   okvs_table=okvs.OkvsTable.from_bytes(raw[SESSION_ID_BYTES:], n))
 
 
 def oprf_eval(key: bytes, queries: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ session. The run then has three phases:
   pre-announced one and aborts the session on any difference. Both sides
   then draw a correlation (A, C) / (B, delta) with C = A*delta + B from the
   dealer.
-  The receiver sends the masked table A' = A + P; the sender folds it into
-  B' = B + A'*delta and answers with the digest set
+  The receiver sends the masked table A' = A + P in `okvs`'s table format;
+  the sender reads it with the receiver's set size from its commitment,
+  folds it into B' = B + A'*delta and answers with the digest set
   R = { Ho( Decode(B', y) + delta*HB(y) ) | y in Y }, randomly permuted.
 - reconstruct: the receiver computes R' = { Ho( Decode(C, x) ) | x in X } and
   outputs the elements whose digest lands in R.
@@ -328,11 +329,9 @@ class Psi2Engine(Party):
         if self.receiver:
             if self.verified and self._recv_corr is not None and not self._sent_masked:
                 t0 = time.perf_counter()
-                masked = self._recv_corr.a_vec ^ self._table.values
-                payload = (self._table.params.row_seed
-                           + masked.shape[0].to_bytes(4, "big")
-                           + gf.vec_to_bytes(masked))
-                out.append((self.peer, self._env(MSG_MASKED_VECTOR, payload)))
+                masked = okvs.OkvsTable(params=self._table.params,
+                                        values=self._recv_corr.a_vec ^ self._table.values)
+                out.append((self.peer, self._env(MSG_MASKED_VECTOR, masked.to_bytes())))
                 self._sent_masked = True
                 self.phase = "interacted"
                 self.phase_ms["interact"] = (time.perf_counter() - t0) * 1000
@@ -352,20 +351,13 @@ class Psi2Engine(Party):
 
     def _send_digest_set(self) -> list:
         t0 = time.perf_counter()
-        payload = self._pending_masked
-        if len(payload) < okvs.SEED_BYTES + 4:
-            raise ProtocolError("malformed masked vector")
-        row_seed = payload[: okvs.SEED_BYTES]
-        count = int.from_bytes(payload[okvs.SEED_BYTES : okvs.SEED_BYTES + 4], "big")
-        body = payload[okvs.SEED_BYTES + 4 :]
-        m = self._length
-        if count != m or len(body) != m * gf.GF_BYTES:
-            raise ProtocolError("masked vector length mismatch")
-        masked = gf.vec_from_bytes(body)
+        try:
+            masked = okvs.OkvsTable.from_bytes(self._pending_masked, self.n_x)
+        except ValueError as exc:
+            raise ProtocolError(f"malformed masked vector: {exc}") from exc
         corr = self._send_corr
-        bprime = corr.b_vec ^ gf.scalar_mul_vec(corr.delta, masked)
-        params = okvs.OkvsParams.for_size(self.n_x, row_seed)
-        self.bprime_table = okvs.OkvsTable(params=params, values=bprime)
+        bprime = corr.b_vec ^ gf.scalar_mul_vec(corr.delta, masked.values)
+        self.bprime_table = okvs.OkvsTable(params=masked.params, values=bprime)
 
         decoded = okvs.decode_batch(self.bprime_table, self.digests)
         unmasked = decoded ^ gf.scalar_mul_vec(corr.delta, hash_to_mask(self.digests))

@@ -231,13 +231,9 @@ class PsinEngine(Party):
         if src in self._share_tables:
             raise ProtocolError(f"duplicate share table from party {src}")
         try:
-            table = okvs.OkvsTable.from_bytes(payload)
+            self._share_tables[src] = okvs.OkvsTable.from_bytes(payload, cfg.n_l)
         except ValueError as exc:
             raise ProtocolError(f"undecodable share table from party {src}: {exc}") from exc
-        params = table.params
-        if params != okvs.OkvsParams.for_size(cfg.n_l, params.row_seed):
-            raise ProtocolError(f"share table from party {src} has the wrong parameters")
-        self._share_tables[src] = table
         return self._advance()
 
     def _on_zs_seed(self, src: int, payload: bytes) -> list:
@@ -260,6 +256,8 @@ class PsinEngine(Party):
         if subtype == opprf.OPRF_KEY_RESPONSE:
             if not self._is_sender() or session != oprf_session_id(cfg.session_id, cfg.party_index):
                 raise ProtocolError("OPRF key for the wrong party")
+            if self._oprf_key is not None:
+                raise ProtocolError("duplicate OPRF key from the dealer")
             self._oprf_key = body
             return self._advance()
         if subtype == opprf.OPRF_EVAL_RESPONSE:
@@ -267,6 +265,8 @@ class PsinEngine(Party):
                 raise ProtocolError("OPRF evaluations for a non-output party")
             for s in cfg.senders:
                 if oprf_session_id(cfg.session_id, s) == session:
+                    if s in self._evals:
+                        raise ProtocolError(f"duplicate OPRF evaluations for party {s}")
                     if len(body) != cfg.n_l:
                         raise ProtocolError("wrong evaluation count")
                     self._evals[s] = body
@@ -281,12 +281,9 @@ class PsinEngine(Party):
         if src in self._hints:
             raise ProtocolError(f"duplicate hint from party {src}")
         try:
-            hint = opprf.OpprfHint.from_bytes(payload)
+            hint = opprf.OpprfHint.from_bytes(payload, cfg.n_l)
         except ValueError as exc:
             raise ProtocolError(f"undecodable hint from party {src}: {exc}") from exc
-        params = hint.okvs_table.params
-        if params != okvs.OkvsParams.for_size(cfg.n_l, params.row_seed):
-            raise ProtocolError(f"hint from party {src} has the wrong parameters")
         if hint.oprf_session != oprf_session_id(cfg.session_id, src):
             raise ProtocolError(f"hint from party {src} is bound to the wrong OPRF session")
         self._hints[src] = hint

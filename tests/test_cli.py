@@ -108,6 +108,14 @@ def test_commit_rejects_bad_dataset(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_commit_rejects_a_directory(runner, tmp_path):
+    result = runner.invoke(main, ["commit", "--in", str(tmp_path), "--salt", "ab" * 16,
+                                  "--out", str(tmp_path / "x.root")])
+    assert result.exit_code == 2, result.output
+    assert "is a directory" in result.output
+    assert not (tmp_path / "x.root").exists()
+
+
 def test_commit_needs_the_session_id_as_salt(runner, tmp_path):
     prefix = _gen(runner, tmp_path)
     for args in ([], ["--salt", ""], ["--salt", "ab" * 8], ["--salt", "zz" * 16]):

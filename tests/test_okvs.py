@@ -39,23 +39,28 @@ def test_params_shape():
     assert p.m == 1260
     with pytest.raises(ValueError):
         okvs.OkvsParams(n=10, m_sparse=5, m_dense=30, omega=3, row_seed=b"\x00" * 16)
-    # the dense mask is one 64-bit stream word, the sparse candidates are eight
-    for m_dense, omega in ((65, 3), (30, 9)):
+    # the key stream is four 64-bit words: one per sparse part, then the dense mask
+    assert okvs.OkvsParams(n=2, m_sparse=2, m_dense=64, omega=2, row_seed=b"\x00" * 16).m == 66
+    for m_dense, omega in ((65, 3), (30, 4), (30, 1)):
         with pytest.raises(ValueError):
             okvs.OkvsParams(n=10, m_sparse=13, m_dense=m_dense, omega=omega, row_seed=b"\x00" * 16)
 
 
 def test_row_determinism_and_weight():
-    p = _params(500)
+    # one index in each part [floor(j m_sparse / 3), floor((j+1) m_sparse / 3)),
+    # so rows are sorted and distinct down to one cell per part (m_sparse = 3)
     keys = [bytes([i]) * 8 for i in range(50)]
-    idx, masks = okvs.row_batch(_h(keys), p)
-    idx2, masks2 = okvs.row_batch(_h(keys), p)
-    assert (idx == idx2).all() and (masks == masks2).all()
-    assert idx.shape == (50, 3) and masks.shape == (50,)
-    for row in idx.tolist():
-        assert len(set(row)) == 3
-        assert row == sorted(row)
-        assert all(0 <= c < p.m_sparse for c in row)
+    for p in [_params(500)] + [okvs.OkvsParams(n=3, m_sparse=m, m_dense=30, omega=3,
+                                               row_seed=b"\x05" * 16) for m in range(3, 8)]:
+        idx, masks = okvs.row_batch(_h(keys), p)
+        idx2, masks2 = okvs.row_batch(_h(keys), p)
+        assert (idx == idx2).all() and (masks == masks2).all()
+        assert idx.shape == (50, 3) and masks.shape == (50,)
+        bounds = [j * p.m_sparse // 3 for j in range(4)]
+        for row in idx.tolist():
+            assert all(bounds[j] <= c < bounds[j + 1] for j, c in enumerate(row)), (p.m_sparse, row)
+        if p.m_sparse < 8:  # every cell of a tiny table is reached
+            assert set(idx.ravel().tolist()) == set(range(p.m_sparse))
 
 
 def test_row_mask_below_2_pow_m_dense():
@@ -98,21 +103,6 @@ def test_row_batch_matches_scalar():
     rng = random.Random(1)
     keys = [rng.randbytes(9) for _ in range(200)]
     idx, masks = okvs.row_batch(_h(keys), p)
-    assert (idx.tolist(), masks.tolist()) == _rows_one_key_at_a_time(keys, p)
-
-
-def test_row_batch_matches_scalar_tiny_table():
-    # m_sparse this small leaves some keys with fewer than omega distinct
-    # indices among their eight candidate words, so their rows continue into
-    # extension blocks; those rows are patched in by position in the batch
-    p = okvs.OkvsParams(n=3, m_sparse=4, m_dense=30, omega=3, row_seed=b"\x05" * 16)
-    rng = random.Random(2)
-    keys = [rng.randbytes(6) for _ in range(300)]
-    idx, masks = okvs.row_batch(_h(keys), p)
-    for row in idx.tolist():
-        assert len(set(row)) == 3 and row == sorted(row) and max(row) < 4
-    words = okvs._expand_streams(_h(keys), p.row_seed, okvs._BASE_BLOCKS)
-    assert any(len(set((words[i, :8] % np.uint64(4)).tolist())) < 3 for i in range(len(keys)))
     assert (idx.tolist(), masks.tolist()) == _rows_one_key_at_a_time(keys, p)
 
 
@@ -204,10 +194,23 @@ def test_encode_with_retry_first_attempt():
     assert table.params == _params(128, np.random.default_rng(8).bytes(16))
 
 
-def test_encode_with_retry_derives_new_seeds():
-    assert okvs.derived_seed(b"\x07" * 16, 1) == b"\x07" * 16
-    s2, s3 = okvs.derived_seed(b"\x07" * 16, 2), okvs.derived_seed(b"\x07" * 16, 3)
-    assert s2 != s3 and len(s2) == 16
+def test_encode_with_retry_draws_a_new_seed_per_attempt(monkeypatch):
+    # a failed attempt is retried under the rng's next 16 bytes, and the
+    # table carries the seed that succeeded
+    pairs = _pairs(64, random.Random(8))
+    digests, values = _h([k for k, _ in pairs]), gf.vec_from_ints([v for _, v in pairs])
+    real_encode, seeds = okvs.encode, []
+
+    def fail_first(digests, values, params, rng):
+        seeds.append(params.row_seed)
+        return None if len(seeds) == 1 else real_encode(digests, values, params, rng)
+
+    monkeypatch.setattr(okvs, "encode", fail_first)
+    table, attempts = okvs.encode_with_retry(digests, values, 8, np.random.default_rng(8))
+    assert attempts == 2 and len(seeds) == 2
+    assert seeds[0] != seeds[1] and table.params.row_seed == seeds[1]
+    assert seeds[0] == np.random.default_rng(8).bytes(16)
+    assert (okvs.decode_batch(table, digests) == values).all()
 
 
 def test_encode_with_retry_rejects_zero_attempts():
@@ -216,18 +219,28 @@ def test_encode_with_retry_rejects_zero_attempts():
 
 
 def test_table_wire_roundtrip():
+    # row seed || cell count (4 bytes, big-endian) || cells; the reader passes n
     rng = random.Random(9)
     table = _encode(_pairs(20, rng), _params(20), rng=np.random.default_rng(9))
     raw = table.to_bytes()
-    assert raw[0] == 0x03
-    assert int.from_bytes(raw[1:5], "big") == 20
-    assert len(raw) == 28 + table.params.m * 16
-    back = okvs.OkvsTable.from_bytes(raw)
+    assert raw[:16] == table.params.row_seed
+    assert int.from_bytes(raw[16:20], "big") == table.params.m
+    assert len(raw) == 20 + table.params.m * 16
+    back = okvs.OkvsTable.from_bytes(raw, 20)
     assert back.params == table.params
     assert back.values.tolist() == table.values.tolist()
     pairs = _pairs(20, random.Random(9))
     decoded = okvs.decode_batch(back, _h([k for k, _ in pairs]))
     assert [gf.vec_get(decoded, i) for i in range(20)] == [v for _, v in pairs]
+    # a reader that expects another pair count, a short seed, a count that
+    # differs from the body, or a body one cell longer rejects the table
+    count = raw[16:20]
+    other = (table.params.m + 1).to_bytes(4, "big")
+    for bad, n in ((raw, 19), (raw, 21), (raw[:15], 20), (raw[:-1], 20),
+                   (raw[:16] + other + raw[20:], 20), (raw[:16] + other + raw[20:] + bytes(16), 20),
+                   (raw[:16] + count + raw[20:] + bytes(16), 20)):
+        with pytest.raises(ValueError):
+            okvs.OkvsTable.from_bytes(bad, n)
 
 
 def _stalls(idx):

@@ -141,7 +141,7 @@ def test_wire_roundtrip():
     rng = random.Random(9)
     hint = opprf.opprf_program(*_points(8, rng), _session(12), b"\x10" * 16,
                                rng=np.random.default_rng(9))
-    back = opprf.OpprfHint.from_bytes(hint.to_bytes())
+    back = opprf.OpprfHint.from_bytes(hint.to_bytes(), 8)
     assert back.oprf_session == hint.oprf_session
     assert back.okvs_table.to_bytes() == hint.okvs_table.to_bytes()
 

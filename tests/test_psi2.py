@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -475,28 +476,38 @@ def test_transcript_carries_no_leaf_hash_of_own_elements():
 
 
 def party_messages(run):
-    """(src, dst, type) of every message between two parties of a run."""
-    return [(src, dst, msg_type) for (src, dst), sent in run.transcript.per_pair().items()
-            if DEALER_INDEX not in (src, dst) for msg_type, _, _ in sent]
+    """(src, dst, type, nth) of every message a party receives in a run, from another party
+    or from the dealer; nth counts the earlier messages with the same src, dst and type."""
+    messages, seen = [], Counter()
+    for (src, dst), sent in run.transcript.per_pair().items():
+        if dst != DEALER_INDEX:
+            for msg_type, _, _ in sent:
+                messages.append((src, dst, msg_type, seen[src, dst, msg_type]))
+                seen[src, dst, msg_type] += 1
+    return messages
 
 
 class ReplayBus(transport.BusNetwork):
-    """An in-process bus that delivers the first src -> dst message of msg_type twice in a row."""
+    """An in-process bus that delivers the nth src -> dst message of msg_type twice in a row."""
 
-    def __init__(self, src, dst, msg_type):
+    def __init__(self, src, dst, msg_type, nth):
         super().__init__()
         self.replay = (src, dst, msg_type)
+        self.skip = nth
 
     def deliver(self, src, dst, env):
         super().deliver(src, dst, env)
         if self.replay == (src, dst, env.msg_type):
-            self.replay = None
-            super().deliver(src, dst, env)
+            if self.skip:
+                self.skip -= 1
+            else:
+                self.replay = None
+                super().deliver(src, dst, env)
 
 
 def message_id(message):
-    src, dst, msg_type = message
-    return f"{src}to{dst}-{msg_type:#04x}"
+    src, dst, msg_type, nth = message
+    return f"{src}to{dst}-{msg_type:#04x}" + (f"-{nth + 1}" if nth else "")
 
 
 REPLAY_SETS = _sets(12, 12, 4, seed=22)
@@ -505,9 +516,9 @@ REPLAYS = party_messages(harness.run_two_party(*REPLAY_SETS, seed=22))
 
 @pytest.mark.parametrize("message", REPLAYS, ids=message_id)
 def test_replayed_message_aborts_cleanly(message):
-    # a party-to-party message delivered twice is a fault its receiver must
-    # turn into an abort; every party then ends aborted with a reason
-    assert len(REPLAYS) == 4
+    # a message delivered twice, from the peer or the dealer, is a fault its
+    # receiver must turn into an abort; every party then ends aborted with a reason
+    assert len(REPLAYS) == 6
     x, y = REPLAY_SETS
     session = b"\x2e" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}

@@ -114,13 +114,15 @@ def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault):
 
 
 def _malformed_table(raw, fault):
-    """Rewrite an OKVS table encoding: header is version, n, m_sparse, m_dense, omega, seed."""
+    """Rewrite an OKVS table encoding: row seed, cell count (4 bytes), cells."""
     if fault == "truncated":
         return raw[:-1]
-    if fault == "wrong-m-dense":  # one dense column more, body extended to match
-        return raw[:9] + (okvs.DENSE_COLUMNS + 1).to_bytes(2, "big") + raw[11:] + bytes(16)
-    n = int.from_bytes(raw[1:5], "big")
-    return raw[:1] + (n + 1).to_bytes(4, "big") + raw[5:]
+    at = okvs.SEED_BYTES
+    count = int.from_bytes(raw[at : at + 4], "big")
+    head = raw[:at] + (count + 1).to_bytes(4, "big")
+    if fault == "wrong-count":  # the body keeps its cells
+        return head + raw[at + 4:]
+    return head + raw[at + 4:] + bytes(16)  # extra-cell: count and body agree, n disagrees
 
 
 @dataclasses.dataclass
@@ -141,7 +143,7 @@ class TableFault:
         return transport.Envelope(env.session_id, env.msg_type, payload)
 
 
-@pytest.mark.parametrize("fault", ["truncated", "wrong-m-dense", "wrong-n"])
+@pytest.mark.parametrize("fault", ["truncated", "wrong-count", "extra-cell"])
 @pytest.mark.parametrize("msg_type", [psin.MSG_SHARE_TABLE, psin.MSG_OPPRF_HINT],
                          ids=["0x13", "0x14"])
 def test_malformed_table_aborts_cleanly(msg_type, fault):
@@ -216,8 +218,9 @@ REPLAYS = party_messages(harness.run_multi_party(REPLAY_SETS, t=2, seed=17))
 @pytest.mark.parametrize("message", REPLAYS, ids=message_id)
 def test_replayed_message_aborts_cleanly(message):
     # (4,2): 12 roots, group keys 1->3 and 1->4, the share table 1->2,
-    # seeds 2->3, 2->4 and 3->4, hints 2->4 and 3->4; each delivered twice
-    assert len(REPLAYS) == 20
+    # seeds 2->3, 2->4 and 3->4, hints 2->4 and 3->4, and from the dealer the
+    # OPRF keys of 2 and 3 and both evaluation responses to 4; each delivered twice
+    assert len(REPLAYS) == 24
     session = b"\x0a" * 16
     roots = {i + 1: merkle.root(s, session) for i, s in enumerate(REPLAY_SETS)}
     engines = _run_engines(REPLAY_SETS, t=2, session=session, roots=roots, seed=17,

@@ -29,10 +29,10 @@ TWO_PARTY_SIZES = {
 # (8,4) at n_l = 256: group A is P_1..P_3, the coordinator P_4, group B P_5..P_8
 MULTI_PARTY_SIZES = {
     **{(i, j): ((0x11, 62),) for i in range(1, 9) for j in range(1, 9) if i != j},
-    **{(i, 4): ((0x11, 62), (0x13, 5573)) for i in (1, 2, 3)},
+    **{(i, 4): ((0x11, 62), (0x13, 5565)) for i in (1, 2, 3)},
     **{(i, j): ((0x11, 62), (0x12, 45)) for i in (1, 2, 3) for j in (5, 6, 7, 8)},
     **{(i, j): ((0x11, 62), (0x16, 45)) for i in (4, 5, 6, 7) for j in (5, 6, 7) if i < j},
-    **{(i, 8): ((0x11, 62), (0x16, 45), (0x14, 5589)) for i in (4, 5, 6, 7)},
+    **{(i, 8): ((0x11, 62), (0x16, 45), (0x14, 5581)) for i in (4, 5, 6, 7)},
 }
 
 
