@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import merkle, opprf, psi2, psin, transport, vole
+from . import gf, merkle, opprf, psi2, psin, transport, vole
 from .errors import ProtocolError, TransportError
 from .psi2 import decode_root_proofs, encode_root_proofs
 
@@ -148,8 +148,18 @@ def dealer_clients(n: int, t: Optional[int]) -> frozenset[int]:
     return psi2.DEALER_CLIENTS if t is None else psin.dealer_clients(n, t)
 
 
+# the longest correlation whose receiver material fits one message
+MAX_VOLE_LENGTH = ((transport.MAX_PAYLOAD - vole.SESSION_ID_BYTES - 5 - vole.EXPANSION_SEED_BYTES)
+                   // gf.GF_BYTES)
+
+
 class DealerService:
-    """Party 0: serves VOLE correlations and ideal-OPRF keys/evaluations."""
+    """Party 0: serves VOLE correlations and ideal-OPRF keys/evaluations.
+
+    A request it cannot serve raises `ProtocolError`: a correlation length
+    outside 1..MAX_VOLE_LENGTH, refused before anything is allocated, or an
+    OPRF key asked for by a party other than the sender it belongs to.
+    """
 
     def __init__(self, rng: Optional[np.random.Generator] = None):
         self.rng = rng if rng is not None else np.random.default_rng(secrets.randbits(128))
@@ -158,18 +168,22 @@ class DealerService:
         self.served = 0  # requests answered, whether or not the answer got through
 
     def handle(self, src: int, env: transport.Envelope) -> list:
-        reply = self._answer(env)
+        reply = self._answer(src, env)
         self.served += 1
         return [(src, reply)]
 
-    def _answer(self, env: transport.Envelope) -> transport.Envelope:
+    def _answer(self, src: int, env: transport.Envelope) -> transport.Envelope:
         if env.msg_type == vole.MSG_VOLE_REQUEST:
             sid, role, length, _ = vole.decode_dealer_msg(env.payload)
+            if not 1 <= length <= MAX_VOLE_LENGTH:
+                raise ProtocolError(f"correlation length {length} outside 1..{MAX_VOLE_LENGTH}")
             payload = self.vole.request(sid, role, length)
             return transport.Envelope(env.session_id, vole.MSG_VOLE_MATERIAL, payload)
         if env.msg_type == opprf.MSG_OPRF_DEALER:
             subtype, session, body = opprf.decode_dealer_payload(env.payload)
             if subtype == opprf.OPRF_KEY_REQUEST:
+                if session != psin.oprf_session_id(env.session_id, src):
+                    raise ProtocolError("OPRF key request for another party's session")
                 payload = opprf.encode_key_response(session, self.oprf.key(session))
                 return transport.Envelope(env.session_id, opprf.MSG_OPRF_DEALER, payload)
             if subtype == opprf.OPRF_EVAL_REQUEST:
@@ -189,7 +203,8 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
     rewrites its party's outgoing envelopes, and each message received goes to
     its destination's engine, or to the dealer at index 0. The loop ends once
     every engine is done and nothing is left queued for them. An empty receive
-    while an engine waits raises `TransportError` naming the waiting parties:
+    while an engine waits raises `TransportError` naming the waiting parties
+    and what each is still owed:
     at once on the bus, after `timeout` seconds over TCP. With no engine, as in
     a dealer process, the run ends once every party in `clients` has hung up
     (nothing of theirs can still be queued then), or at an empty receive,
@@ -228,7 +243,8 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
             if failed:
                 raise failed[0]
             if waiting:
-                raise TransportError(f"traffic stopped while parties {waiting} wait for it")
+                owed = "; ".join(f"party {i} awaits {engines[i].awaited()}" for i in waiting)
+                raise TransportError(f"traffic stopped while parties {waiting} wait for it: {owed}")
             return
         src, dst, env = got
         if env is None:

@@ -11,6 +11,11 @@ The OPRF itself is an ideal functionality held by the dealer (sender gets the
 key, receiver gets evaluations); the interface leaves room for a real OPRF
 protocol behind it. The ideal OPRF is the zero-sharing PRF under the
 session key, so one dealer request is evaluated in one batched AES pass.
+The networked dealer (`harness.DealerService`) hands a key only to the
+sender whose OPRF session it is. Evaluations are not bounded: any party may
+ask for any number of queries under any session, so a party other than P_n,
+or P_n beyond its n queries, can test guessed elements against a sender's
+programmed points.
 
 Points and queries are element digests d(x) as (n, 2) limb arrays (the
 salted leaf prefixes of `merkle.commit`), so nothing here hashes an element,

@@ -60,12 +60,18 @@ salted with the session id, so commitments are per session.
 
 `Party` is the layer both engines share (`psin` builds on it too): the
 self-check and the root sent to every other party at start, the gate on
-every other party's root, and the abort path. The abort rule: a message
-handler that meets a fault a peer caused (a malformed, duplicated,
-misrouted or out-of-order message, or one for another session) raises
-`ProtocolError`, and `Party._route` turns it into an abort to every other
+every other party's root, and the abort path. The abort rule has two parts.
+Admission: each engine states once, from its role, which messages it is
+owed, as a count per (type, sender); `Party._route` admits a message only
+while its (type, sender) has a count left, so a misrouted, duplicated or
+unsolicited message, or one for another session, is refused before any
+handler sees it. Content: a handler checks what it was given (lengths,
+counts, roles, session bindings, order) and raises `ProtocolError` on a
+fault. Either way `_route` turns the error into an abort to every other
 party with the error's text as the reason. No `ProtocolError` leaves
 `handle`; after an abort, sent or received, further traffic is dropped.
+Here each side is owed its peer's root and its dealer material; the
+receiver also the digest set, the sender the masked vector.
 """
 
 from __future__ import annotations
@@ -169,11 +175,14 @@ def check_peer_commitment(committed: merkle.MerkleRoot, sent: merkle.MerkleRoot)
 
 
 class Party:
-    """State, commitment gate and abort path shared by both engines.
+    """State, admission, commitment gate and abort path shared by both engines.
 
-    An engine names its root and abort message types, calls `_open` first in
-    `start`, passes every message to `_route` with its handler table, and
-    implements `_advance`, which the gate calls after each accepted root.
+    An engine names its root and abort message types, adds what its role is
+    owed to `_owed` in `__init__`, calls `_open` first in `start`, passes
+    every message to `_route` with its handler table, and implements
+    `_advance`, which the gate calls after each accepted root. `_route`
+    hands each owed message to its handler exactly once, so the handler
+    whose message settles the last input of a step is the one that takes it.
     """
     ROOT_TYPE: int
     ABORT_TYPE: int
@@ -187,17 +196,22 @@ class Party:
         self.intersection: Optional[set[bytes]] = None
         self.phase_ms: dict[str, float] = {}
         self.peers = [j for j in sorted(config.roots) if j != config.party_index]
-        self._unverified = set(self.peers)
+        # msg type -> sender -> messages still owed; a settled entry is removed
+        self._owed: dict[int, dict[int, int]] = {self.ROOT_TYPE: dict.fromkeys(self.peers, 1)}
         self.digests: Optional[np.ndarray] = None  # d(x) of each own element, once started
 
     @property
     def done(self) -> bool:
         return self.phase in ("done", "aborted")
 
-    @property
-    def verified(self) -> bool:
-        """Every other party's root has passed the gate."""
-        return not self._unverified
+    def _settled(self, *types: int) -> bool:
+        """Nothing is owed of any of `types`, or of any type at all if none is named."""
+        return not (self._owed.keys() & set(types)) if types else not self._owed
+
+    def awaited(self) -> str:
+        """What this party is still owed, e.g. `0x14 from party 3, 0x15 from party 0 x2`."""
+        return ", ".join(f"{t:#04x} from party {src}" + (f" x{k}" if k > 1 else "")
+                         for t, owed in sorted(self._owed.items()) for src, k in sorted(owed.items()))
 
     def _env(self, msg_type: int, payload: bytes) -> Envelope:
         return Envelope(session_id=self.config.session_id, msg_type=msg_type, payload=payload)
@@ -223,7 +237,7 @@ class Party:
         return [(j, env) for j in self.peers]
 
     def _route(self, src: int, env: Envelope, handlers: dict) -> list:
-        """Deliver one message: drop, abort, gate or dispatch by type to `handlers`."""
+        """Deliver one message: drop, abort, admit against `_owed`, then gate or dispatch."""
         if self.phase == "aborted":
             return []  # late traffic for a dead session is dropped
         try:
@@ -234,18 +248,22 @@ class Party:
                 return []  # a peer's abort is not echoed
             if self.phase == "fresh":
                 raise ProtocolError("message before transform")
+            owed = self._owed.get(env.msg_type, {})
+            if src not in owed:
+                raise ProtocolError(f"unexpected message {env.msg_type:#04x} from party {src}")
+            owed[src] -= 1
+            if not owed[src]:
+                del owed[src]
+                if not owed:
+                    del self._owed[env.msg_type]
             if env.msg_type == self.ROOT_TYPE:
                 return self._on_root(src, env.payload)
-            if env.msg_type not in handlers:
-                raise ProtocolError(f"unexpected message type {env.msg_type:#x}")
             return handlers[env.msg_type](src, env.payload)
         except ProtocolError as exc:
             return self._abort(str(exc))
 
     def _on_root(self, src: int, payload: bytes) -> list:
-        """The gate: one root from each other party, equal to the one it announced."""
-        if src not in self._unverified:
-            raise ProtocolError(f"unexpected root from party {src}")
+        """The gate: the root of each other party must equal the one it announced."""
         t0 = time.perf_counter()
         try:
             ok = check_peer_commitment(self.config.roots[src], decode_root_proofs(payload))
@@ -254,7 +272,6 @@ class Party:
         self.phase_ms["verify"] = self.phase_ms.get("verify", 0.0) + (time.perf_counter() - t0) * 1000
         if not ok:
             raise ProtocolError(f"root from party {src} fails its commitment")
-        self._unverified.discard(src)
         return self._advance()
 
 
@@ -274,9 +291,12 @@ class Psi2Engine(Party):
         self.n_x, self.n_y = (n_own, n_peer) if self.receiver else (n_peer, n_own)
         self.out_bytes = digest_width(self.n_x, self.n_y)
         self._length = okvs_length(self.n_x)
-        self._vole_seed: Optional[vole.VoleSeed] = None
+        self._owed[vole.MSG_VOLE_MATERIAL] = {DEALER_INDEX: 1}
+        if self.receiver:
+            self._owed[MSG_DIGEST_SET] = {self.peer: 1}
+        else:
+            self._owed[MSG_MASKED_VECTOR] = {self.peer: 1}
         self._pending_masked: Optional[bytes] = None
-        self._sent_masked = False
         # receiver state
         self._table: Optional[okvs.OkvsTable] = None
         self._recv_corr: Optional[vole.ReceiverCorrelation] = None
@@ -309,14 +329,11 @@ class Psi2Engine(Party):
                                       MSG_DIGEST_SET: self._on_digest_set})
 
     def _on_vole_material(self, src: int, payload: bytes) -> list:
-        if src != DEALER_INDEX or self._vole_seed is not None:
-            raise ProtocolError("unexpected dealer material")
         seed = vole.seed_from_material(payload)
         if seed.role != self._role:
             raise ProtocolError(f"dealer material for the {seed.role}, not the {self._role}")
         if seed.length != self._length:
             raise ProtocolError("dealer correlation has the wrong length")
-        self._vole_seed = seed
         corr = vole.extend(seed)
         if self.receiver:
             self._recv_corr = corr
@@ -325,27 +342,20 @@ class Psi2Engine(Party):
         return self._advance()
 
     def _advance(self) -> list:
-        out = []
-        if self.receiver:
-            if self.verified and self._recv_corr is not None and not self._sent_masked:
-                t0 = time.perf_counter()
-                masked = okvs.OkvsTable(params=self._table.params,
-                                        values=self._recv_corr.a_vec ^ self._table.values)
-                out.append((self.peer, self._env(MSG_MASKED_VECTOR, masked.to_bytes())))
-                self._sent_masked = True
-                self.phase = "interacted"
-                self.phase_ms["interact"] = (time.perf_counter() - t0) * 1000
-        else:
-            if (self.verified and self._send_corr is not None
-                    and self._pending_masked is not None and self.phase != "done"):
-                out.extend(self._send_digest_set())
-        return out
+        """The receiver masks its table once the root and its material are in;
+        the sender answers once the masked vector is in too."""
+        if self.receiver and self._settled(MSG_ROOT_PROOFS, vole.MSG_VOLE_MATERIAL):
+            t0 = time.perf_counter()
+            masked = okvs.OkvsTable(params=self._table.params,
+                                    values=self._recv_corr.a_vec ^ self._table.values).to_bytes()
+            self.phase = "interacted"
+            self.phase_ms["interact"] = (time.perf_counter() - t0) * 1000
+            return [(self.peer, self._env(MSG_MASKED_VECTOR, masked))]
+        if not self.receiver and self._settled():
+            return self._send_digest_set()
+        return []
 
     def _on_masked_vector(self, src: int, payload: bytes) -> list:
-        if self.receiver or src != self.peer:
-            raise ProtocolError("masked vector sent to the wrong party")
-        if self._pending_masked is not None or self.phase != "transformed":
-            raise ProtocolError("masked vector out of order")
         self._pending_masked = payload
         return self._advance()
 
@@ -370,8 +380,6 @@ class Psi2Engine(Party):
 
     def _on_digest_set(self, src: int, payload: bytes) -> list:
         cfg = self.config
-        if not self.receiver or src != self.peer:
-            raise ProtocolError("digest set sent to the wrong party")
         if self.phase != "interacted":
             raise ProtocolError("digest set out of order")
         t0 = time.perf_counter()

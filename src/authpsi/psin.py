@@ -30,10 +30,21 @@ party hashes its elements once, into the leaves of its root, and every PRF,
 OKVS row and OPRF query of the session runs over the digests d(x) those
 leaves begin with (`psi2` says why that is sound).
 
-The self-check, the root gate and the abort path are `psi2.Party`'s, the
-core this engine shares with the two-party one: a handler raises
-`ProtocolError` on a peer's fault, and the core turns it into one abort to
-every other party.
+Admission, the self-check, the root gate and the abort path are
+`psi2.Party`'s, the core this engine shares with the two-party one. Each
+party is owed one root from every other party, and by role:
+
+- a group-B party: one group key (0x12) from each group-A party;
+- the coordinator: one share table (0x13) from each group-A party;
+- a subgroup member: one zero-sharing seed (0x16) from each lower member;
+- a hint sender: one OPRF key response (0x15) from the dealer;
+- P_n: one hint (0x14) from each sender, and one evaluation response
+  (0x15) from the dealer per sender.
+
+The core refuses anything else, so a handler checks only content: a key or
+seed is the bare 16-byte payload, its endpoints the envelope's; a table or
+hint must parse; a hint and a dealer answer must be bound to the right OPRF
+session. A raised `ProtocolError` becomes one abort to every other party.
 
 Only P_n terminates with output; everyone else ends with none. The gate
 binds each party to its commitment as far as `psi2` states: a party that
@@ -72,14 +83,11 @@ def oprf_session_id(session_id: bytes, sender_index: int) -> bytes:
     return hashlib.sha256(session_id + b"oprf" + sender_index.to_bytes(2, "big")).digest()[:16]
 
 
-def encode_indexed_key(i: int, j: int, key: bytes) -> bytes:
-    return i.to_bytes(2, "big") + j.to_bytes(2, "big") + key
-
-
-def decode_indexed_key(raw: bytes, what: str) -> tuple[int, int, bytes]:
-    if len(raw) != 4 + 16:
+def _bare_key(raw: bytes, what: str) -> bytes:
+    """A group key or zero-sharing seed: the bare key, its endpoints are the envelope's."""
+    if len(raw) != zeroshare.SEED_BYTES:
         raise ProtocolError(f"undecodable {what}")
-    return int.from_bytes(raw[:2], "big"), int.from_bytes(raw[2:4], "big"), raw[4:]
+    return raw
 
 
 def oprf_senders(n: int, t: int) -> list[int]:
@@ -148,24 +156,29 @@ class PsinEngine(Party):
 
     def __init__(self, config: PartyConfigN, rng: Optional[np.random.Generator] = None):
         super().__init__(config, rng)
-        # group-A keys this party holds (group B side): sender index -> key
+        cfg, i = config, config.party_index
+        owed = self._owed
+        if i in cfg.group_b:
+            owed[MSG_GROUP_KEY] = dict.fromkeys(cfg.group_a, 1)
+        if i == cfg.v:
+            owed[MSG_SHARE_TABLE] = dict.fromkeys(cfg.group_a, 1)
+        if i > cfg.v:  # the subgroup above the coordinator
+            owed[MSG_ZS_SEED] = dict.fromkeys(range(cfg.v, i), 1)
+        if i == cfg.n:
+            owed[MSG_OPPRF_HINT] = dict.fromkeys(cfg.senders, 1)
+            owed[MSG_OPRF_DEALER] = {DEALER_INDEX: len(cfg.senders)}
+        elif i in cfg.senders:
+            owed[MSG_OPRF_DEALER] = {DEALER_INDEX: 1}
+        # group B: group-A PRF keys by sender; coordinator: their share tables
         self.groupa_keys: dict[int, bytes] = {}
-        # PRF keys a group-A party generated, per group-B target
-        self._own_groupb_keys: dict[int, bytes] = {}
-        # zero-sharing pair seeds within the subgroup
-        self._zs_seeds: dict[tuple[int, int], bytes] = {}
-        # coordinator: tables from group A
         self._share_tables: dict[int, okvs.OkvsTable] = {}
-        # sender side: OPRF key once the dealer answers
+        # subgroup: zero-sharing seed per counterpart
+        self._zs_seeds: dict[int, bytes] = {}
+        # sender: its OPRF key; P_n: each sender's hint and the dealer's evaluations
         self._oprf_key: Optional[bytes] = None
-        self._hint_sent = False
-        # P_n side
         self._hints: dict[int, opprf.OpprfHint] = {}
         self._evals: dict[int, np.ndarray] = {}
-        self._eval_requested: set[int] = set()
-
-    def _is_sender(self) -> bool:
-        return self.config.party_index in self.config.senders
+        self._evals_requested = False
 
     # -- transform -----------------------------------------------------------
 
@@ -176,13 +189,10 @@ class PsinEngine(Party):
         i = cfg.party_index
 
         if i in cfg.group_a:
-            for j in cfg.group_b:
-                key = self.rng.bytes(zeroshare.SEED_BYTES)
-                self._own_groupb_keys[j] = key
-                out.append((j, self._env(MSG_GROUP_KEY, encode_indexed_key(i, j, key))))
+            keys = {j: self.rng.bytes(zeroshare.SEED_BYTES) for j in cfg.group_b}
+            out.extend((j, self._env(MSG_GROUP_KEY, key)) for j, key in keys.items())
             values = np.zeros((cfg.n_l, 2), dtype=zeroshare.VALUE_DTYPE)
-            values[:, 0] = zeroshare.prf([self._own_groupb_keys[j] for j in cfg.group_b],
-                                         self.digests)
+            values[:, 0] = zeroshare.prf(list(keys.values()), self.digests)
             result = okvs.encode_with_retry(self.digests, values, okvs.MAX_ENCODE_ATTEMPTS,
                                             self.rng)
             if result is None:
@@ -192,13 +202,11 @@ class PsinEngine(Party):
             out.append((cfg.v, self._env(MSG_SHARE_TABLE, table.to_bytes())))
 
         if i in cfg.subgroup:
-            for j in cfg.subgroup:
-                if j > i:
-                    seed = self.rng.bytes(zeroshare.SEED_BYTES)
-                    self._zs_seeds[(i, j)] = seed
-                    out.append((j, self._env(MSG_ZS_SEED, encode_indexed_key(i, j, seed))))
+            for j in range(i + 1, cfg.n + 1):
+                self._zs_seeds[j] = self.rng.bytes(zeroshare.SEED_BYTES)
+                out.append((j, self._env(MSG_ZS_SEED, self._zs_seeds[j])))
 
-        if self._is_sender():
+        if i in cfg.senders:
             sid = oprf_session_id(cfg.session_id, i)
             out.append((DEALER_INDEX, self._env(MSG_OPRF_DEALER, opprf.encode_key_request(sid))))
 
@@ -215,71 +223,43 @@ class PsinEngine(Party):
                                       MSG_OPRF_DEALER: self._on_oprf_dealer})
 
     def _on_group_key(self, src: int, payload: bytes) -> list:
-        cfg = self.config
-        i, j, key = decode_indexed_key(payload, f"group key from party {src}")
-        if src != i or j != cfg.party_index or src not in cfg.group_a or cfg.party_index not in cfg.group_b:
-            raise ProtocolError(f"group key from party {src} has inconsistent endpoints")
-        if i in self.groupa_keys:
-            raise ProtocolError(f"duplicate group key from party {i}")
-        self.groupa_keys[i] = key
+        self.groupa_keys[src] = _bare_key(payload, f"group key from party {src}")
         return self._advance()
 
     def _on_share_table(self, src: int, payload: bytes) -> list:
-        cfg = self.config
-        if cfg.party_index != cfg.v or src not in cfg.group_a:
-            raise ProtocolError("share table sent to a non-coordinator")
-        if src in self._share_tables:
-            raise ProtocolError(f"duplicate share table from party {src}")
         try:
-            self._share_tables[src] = okvs.OkvsTable.from_bytes(payload, cfg.n_l)
+            self._share_tables[src] = okvs.OkvsTable.from_bytes(payload, self.config.n_l)
         except ValueError as exc:
             raise ProtocolError(f"undecodable share table from party {src}: {exc}") from exc
         return self._advance()
 
     def _on_zs_seed(self, src: int, payload: bytes) -> list:
-        cfg = self.config
-        i, j, seed = decode_indexed_key(payload, f"zero-sharing seed from party {src}")
-        if src != i or j != cfg.party_index:
-            raise ProtocolError(f"zero-sharing seed from party {src} has inconsistent endpoints")
-        if i not in cfg.subgroup or j not in cfg.subgroup or not i < j:
-            raise ProtocolError(f"zero-sharing seed from party {src} is outside the subgroup")
-        if (i, j) in self._zs_seeds:
-            raise ProtocolError(f"duplicate zero-sharing seed from party {i}")
-        self._zs_seeds[(i, j)] = seed
+        self._zs_seeds[src] = _bare_key(payload, f"zero-sharing seed from party {src}")
         return self._advance()
 
     def _on_oprf_dealer(self, src: int, payload: bytes) -> list:
         cfg = self.config
-        if src != DEALER_INDEX:
-            raise ProtocolError("OPRF dealer traffic from a non-dealer")
         subtype, session, body = opprf.decode_dealer_payload(payload)
+        if subtype != (opprf.OPRF_EVAL_RESPONSE if cfg.party_index == cfg.n
+                       else opprf.OPRF_KEY_RESPONSE):
+            raise ProtocolError(f"unexpected OPRF dealer subtype {subtype:#x}")
         if subtype == opprf.OPRF_KEY_RESPONSE:
-            if not self._is_sender() or session != oprf_session_id(cfg.session_id, cfg.party_index):
+            if session != oprf_session_id(cfg.session_id, cfg.party_index):
                 raise ProtocolError("OPRF key for the wrong party")
-            if self._oprf_key is not None:
-                raise ProtocolError("duplicate OPRF key from the dealer")
             self._oprf_key = body
             return self._advance()
-        if subtype == opprf.OPRF_EVAL_RESPONSE:
-            if cfg.party_index != cfg.n:
-                raise ProtocolError("OPRF evaluations for a non-output party")
-            for s in cfg.senders:
-                if oprf_session_id(cfg.session_id, s) == session:
-                    if s in self._evals:
-                        raise ProtocolError(f"duplicate OPRF evaluations for party {s}")
-                    if len(body) != cfg.n_l:
-                        raise ProtocolError("wrong evaluation count")
-                    self._evals[s] = body
-                    return self._advance()
-            raise ProtocolError("evaluations for an unknown OPRF session")
-        raise ProtocolError(f"unexpected OPRF dealer subtype {subtype:#x}")
+        for s in cfg.senders:
+            if oprf_session_id(cfg.session_id, s) == session:
+                if s in self._evals:
+                    raise ProtocolError(f"duplicate OPRF evaluations for party {s}")
+                if len(body) != cfg.n_l:
+                    raise ProtocolError("wrong evaluation count")
+                self._evals[s] = body
+                return self._advance()
+        raise ProtocolError("evaluations for an unknown OPRF session")
 
     def _on_hint(self, src: int, payload: bytes) -> list:
         cfg = self.config
-        if cfg.party_index != cfg.n or src not in cfg.senders:
-            raise ProtocolError("hint sent to a non-output party")
-        if src in self._hints:
-            raise ProtocolError(f"duplicate hint from party {src}")
         try:
             hint = opprf.OpprfHint.from_bytes(payload, cfg.n_l)
         except ValueError as exc:
@@ -291,22 +271,8 @@ class PsinEngine(Party):
 
     # -- progress ------------------------------------------------------------
 
-    def _zs_complete(self) -> bool:
-        cfg = self.config
-        i = cfg.party_index
-        if i not in cfg.subgroup:
-            return True
-        need = [(min(i, j), max(i, j)) for j in cfg.subgroup if j != i]
-        return all(pair in self._zs_seeds for pair in need)
-
     def _zs_keyset(self) -> zeroshare.ZsKeySet:
-        cfg = self.config
-        i = cfg.party_index
-        keys = {}
-        for j in cfg.subgroup:
-            if j != i:
-                keys[j] = self._zs_seeds[(min(i, j), max(i, j))]
-        return zeroshare.ZsKeySet(party_index=i, keys=keys)
+        return zeroshare.ZsKeySet(party_index=self.config.party_index, keys=self._zs_seeds)
 
     def _aggregate(self) -> np.ndarray:
         """A^i per own element, uint64: tables at the coordinator, PRF keys in group B."""
@@ -322,59 +288,35 @@ class PsinEngine(Party):
         """share(x) XOR A^i(x) per own element: what a sender programs, what P_n compares."""
         return zeroshare.zs_share(self._zs_keyset(), self.digests) ^ self._aggregate()
 
-    def _materials_ready(self) -> bool:
-        cfg = self.config
-        i = cfg.party_index
-        if i == cfg.v:
-            return len(self._share_tables) == len(cfg.group_a)
-        if i in cfg.group_b:
-            return len(self.groupa_keys) == len(cfg.group_a)
-        return True
-
     def _advance(self) -> list:
+        """P_n asks the dealer for its evaluations once every root has passed;
+        each party finishes once it is owed nothing more."""
         cfg = self.config
         i = cfg.party_index
         out = []
-        if not self.verified:
+        if i == cfg.n and not self._evals_requested and self._settled(self.ROOT_TYPE):
+            self._evals_requested = True
+            out = [(DEALER_INDEX, self._env(MSG_OPRF_DEALER, opprf.encode_eval_request(
+                oprf_session_id(cfg.session_id, s), self.digests))) for s in cfg.senders]
+        if not self._settled():
             return out
-
         if i in cfg.group_a:
             self.phase = "done"
             return out
-
-        if self._is_sender() and not self._hint_sent:
-            if self._oprf_key is not None and self._zs_complete() and self._materials_ready():
-                t0 = time.perf_counter()
-                sid = oprf_session_id(cfg.session_id, i)
-                hint = opprf.opprf_program(self.digests, self._own_values(), sid,
-                                           self._oprf_key, rng=self.rng)
-                out.append((cfg.n, self._env(MSG_OPPRF_HINT, hint.to_bytes())))
-                self._hint_sent = True
-                self.phase = "done"
-                self.phase_ms["reconstruct"] = (time.perf_counter() - t0) * 1000
-            return out
-
+        t0 = time.perf_counter()
         if i == cfg.n:
+            own = self._own_values()
+            combined = np.zeros(cfg.n_l, dtype=zeroshare.VALUE_DTYPE)
             for s in cfg.senders:
-                if s not in self._eval_requested:
-                    sid = oprf_session_id(cfg.session_id, s)
-                    out.append((DEALER_INDEX, self._env(
-                        MSG_OPRF_DEALER, opprf.encode_eval_request(sid, self.digests))))
-                    self._eval_requested.add(s)
-            ready = (self._zs_complete() and self._materials_ready()
-                     and len(self._hints) == len(cfg.senders)
-                     and len(self._evals) == len(cfg.senders))
-            if ready and self.phase != "done":
-                t0 = time.perf_counter()
-                own = self._own_values()
-                combined = np.zeros(cfg.n_l, dtype=zeroshare.VALUE_DTYPE)
-                for s in cfg.senders:
-                    sid = oprf_session_id(cfg.session_id, s)
-                    combined ^= opprf.opprf_query_batch(self._hints[s], self.digests, sid,
-                                                        self._evals[s])
-                self.intersection = {cfg.input_set[q] for q in np.flatnonzero(own == combined)}
-                self.phase = "done"
-                self.phase_ms["reconstruct"] = (time.perf_counter() - t0) * 1000
-            return out
-
+                sid = oprf_session_id(cfg.session_id, s)
+                combined ^= opprf.opprf_query_batch(self._hints[s], self.digests, sid,
+                                                    self._evals[s])
+            self.intersection = {cfg.input_set[q] for q in np.flatnonzero(own == combined)}
+        else:
+            sid = oprf_session_id(cfg.session_id, i)
+            hint = opprf.opprf_program(self.digests, self._own_values(), sid,
+                                       self._oprf_key, rng=self.rng)
+            out.append((cfg.n, self._env(MSG_OPPRF_HINT, hint.to_bytes())))
+        self.phase = "done"
+        self.phase_ms["reconstruct"] = (time.perf_counter() - t0) * 1000
         return out

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from authpsi import datasets, harness, merkle, psi2, psin, transport
-from authpsi.errors import TransportError
+from authpsi import datasets, harness, merkle, opprf, psi2, psin, transport, vole
+from authpsi.errors import ProtocolError, TransportError
 from authpsi.transport import DEALER_INDEX
 
 
@@ -30,9 +30,9 @@ TWO_PARTY_SIZES = {
 MULTI_PARTY_SIZES = {
     **{(i, j): ((0x11, 62),) for i in range(1, 9) for j in range(1, 9) if i != j},
     **{(i, 4): ((0x11, 62), (0x13, 5565)) for i in (1, 2, 3)},
-    **{(i, j): ((0x11, 62), (0x12, 45)) for i in (1, 2, 3) for j in (5, 6, 7, 8)},
-    **{(i, j): ((0x11, 62), (0x16, 45)) for i in (4, 5, 6, 7) for j in (5, 6, 7) if i < j},
-    **{(i, 8): ((0x11, 62), (0x16, 45), (0x14, 5581)) for i in (4, 5, 6, 7)},
+    **{(i, j): ((0x11, 62), (0x12, 41)) for i in (1, 2, 3) for j in (5, 6, 7, 8)},
+    **{(i, j): ((0x11, 62), (0x16, 41)) for i in (4, 5, 6, 7) for j in (5, 6, 7) if i < j},
+    **{(i, 8): ((0x11, 62), (0x16, 41), (0x14, 5581)) for i in (4, 5, 6, 7)},
 }
 
 
@@ -47,8 +47,9 @@ def test_message_sizes_are_pinned():
 def test_each_element_is_hashed_once(monkeypatch):
     # every per-element value derives from one hash per element: in a session
     # each party hashes each of its elements once, into its SHA-256 leaf in
-    # merkle, no other hash algorithm runs, the dealer hashes nothing, and no
-    # other hashing runs once per element
+    # merkle, no other hash algorithm runs, the dealer hashes only the OPRF
+    # session id of each key request's sender, and no other hashing runs once
+    # per element
     leaves, outside, others, dealer_hashes = Counter(), Counter(), Counter(), []
     in_dealer = [0]
     real_handle = harness.DealerService.handle
@@ -90,9 +91,12 @@ def test_each_element_is_hashed_once(monkeypatch):
     for seed, (parties, sid, spec) in enumerate(runs, start=33):
         leaves.clear()
         outside.clear()
+        dealer_hashes.clear()
         assert not harness.run_session(spec, np.random.default_rng(seed)).aborted
         assert leaves == Counter(merkle.LEAF_PREFIX + sid + e for s in parties for e in s)
-        assert not others and not dealer_hashes
+        assert not others
+        senders = [] if spec.t is None else psin.oprf_senders(len(parties), spec.t)
+        assert dealer_hashes == ["sha256"] * len(senders)
         n = sum(len(s) for s in parties)
         assert outside.pop("authpsi.merkle") < n  # the interior nodes of the trees
         # what is left hashes per message, per retry or per session: far fewer calls than elements
@@ -166,15 +170,16 @@ def test_one_corrupted_message_ends_every_party_cleanly(data):
 
 
 class DroppingBus(transport.BusNetwork):
-    """An in-process bus that loses the first message of one type."""
+    """An in-process bus that loses the first message of one type, and notes its sender."""
 
     def __init__(self, msg_type):
         super().__init__()
         self.drop = msg_type
+        self.dropped_from = None
 
     def deliver(self, src, dst, env):
         if env.msg_type == self.drop:
-            self.drop = None
+            self.drop, self.dropped_from = None, src
             return
         super().deliver(src, dst, env)
 
@@ -185,10 +190,13 @@ class DroppingBus(transport.BusNetwork):
 ], ids=["2pc-0x02", "4x2-0x14"])
 def test_quiet_bus_names_the_waiting_parties(name, msg_type, waiting):
     # a bus that goes quiet while a party still waits is a transport failure,
-    # not a silent end of the run
+    # not a silent end of the run; it names what each waiting party is still
+    # owed, the lost message among it
     spec, _ = FUZZ_SESSIONS[name]
-    with pytest.raises(TransportError, match=f"parties {re.escape(waiting)} wait"):
-        harness.run_session(spec, np.random.default_rng(43), DroppingBus(msg_type))
+    bus = DroppingBus(msg_type)
+    with pytest.raises(TransportError, match=f"parties {re.escape(waiting)} wait") as err:
+        harness.run_session(spec, np.random.default_rng(43), bus)
+    assert f"{msg_type:#04x} from party {bus.dropped_from}" in str(err.value)
 
 
 @pytest.mark.parametrize("parties,t", [(2, None), (3, 1), (5, 2), (8, 4)],
@@ -201,3 +209,97 @@ def test_dealer_clients_are_the_parties_that_ask_it(parties, t):
     assert not run.aborted
     asked = {src for src, dst, *_ in run.transcript.entries if dst == DEALER_INDEX}
     assert harness.dealer_clients(parties, t) == asked
+
+
+def _engines(spec, seed):
+    """Every party's engine of a session, and the dealer, seeded as `harness.run_session` does."""
+    rng = np.random.default_rng(seed)
+    engines = {i: spec.engine(i, np.random.default_rng(rng.integers(1 << 62))) for i in spec.sets}
+    return engines, harness.DealerService(rng=np.random.default_rng(rng.integers(1 << 62)))
+
+
+@pytest.mark.parametrize("parties,t", [(2, None), (8, 4)], ids=["2pc", "8x4"])
+def test_each_party_receives_exactly_what_it_is_owed(parties, t):
+    # in an honest session every engine is delivered, per (type, sender),
+    # exactly the messages its role owed it at the start, and ends owed nothing
+    sets = dict(enumerate(datasets.generate_sets(64, 16, parties, 16, 61), start=1))
+    sid = bytes([0x60 + parties]) * 16
+    spec = harness.Session(sets, {i: merkle.root(s, sid) for i, s in sets.items()}, sid, t)
+    engines, dealer = _engines(spec, 62)
+    owed = {i: Counter({(msg_type, src): k for msg_type, left in e._owed.items()
+                        for src, k in left.items()}) for i, e in engines.items()}
+    bus = transport.BusNetwork()
+    harness.drive(bus, engines, dealer)
+    delivered = {i: Counter() for i in engines}
+    for src, dst, msg_type, *_ in bus.transcript.entries:
+        if dst in engines:
+            delivered[dst][msg_type, src] += 1
+    assert delivered == owed
+    assert all(e.done and not e.aborted and not e._owed for e in engines.values())
+
+
+class MisroutingBus(transport.BusNetwork):
+    """An in-process bus that re-addresses the first message of one type to another party."""
+
+    def __init__(self, msg_type, to):
+        super().__init__()
+        self.misroute = (msg_type, to)
+
+    def deliver(self, src, dst, env):
+        if self.misroute is not None and env.msg_type == self.misroute[0]:
+            dst, self.misroute = self.misroute[1], None
+        super().deliver(src, dst, env)
+
+
+# (4,2): group A is P_1, the coordinator P_2, group B P_3 and P_4, the hint senders P_2 and P_3
+@pytest.mark.parametrize("name,msg_type,to", [
+    ("2pc", psi2.MSG_MASKED_VECTOR, 1),   # 1 -> 2, back to the receiver itself
+    ("4x2", psin.MSG_GROUP_KEY, 2),       # 1 -> 3, to the coordinator
+    ("4x2", psin.MSG_SHARE_TABLE, 3),     # 1 -> 2, to a group-B party
+    ("4x2", psin.MSG_OPPRF_HINT, 1),      # to P_4, to a group-A party
+    ("4x2", psin.MSG_ZS_SEED, 1),         # 2 -> 3, to a party outside the subgroup
+], ids=["2pc-0x02", "4x2-0x12", "4x2-0x13", "4x2-0x14", "4x2-0x16"])
+def test_misrouted_message_aborts_every_party(name, msg_type, to):
+    # a message delivered to a party that is not owed it is refused on
+    # admission, and the abort reaches every party: nobody ends with output
+    spec, _ = FUZZ_SESSIONS[name]
+    engines, dealer = _engines(spec, 43)
+    harness.drive(MisroutingBus(msg_type, to), engines, dealer)  # no escaped error
+    assert engines[to].abort_reason.startswith(f"unexpected message {msg_type:#04x} from party ")
+    for i, e in engines.items():
+        assert e.aborted and e.intersection is None, i
+
+
+def _serve_one(src, msg_type, payload, session=b"\x70" * 16):
+    """Drive a dealer alone with one request from `src`."""
+    bus = transport.BusNetwork()
+    bus.deliver(src, DEALER_INDEX, transport.Envelope(session, msg_type, payload))
+    harness.drive(bus, {}, harness.DealerService(rng=np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("length", [0, harness.MAX_VOLE_LENGTH + 1], ids=["zero", "too-long"])
+def test_dealer_refuses_a_correlation_it_cannot_serve(monkeypatch, length):
+    # refused before any correlation is drawn, as a fault naming the sender
+    def drawn(*args, **kwargs):
+        raise AssertionError("a correlation was drawn")
+
+    monkeypatch.setattr(vole, "gen_seed", drawn)
+    request = vole.encode_dealer_msg(b"\x70" * 16, vole.RECEIVER, length)
+    with pytest.raises(ProtocolError, match="^party 1: correlation length"):
+        _serve_one(1, vole.MSG_VOLE_REQUEST, request)
+    # the longest length served is the last whose receiver material fits one message
+    material = len(vole.encode_dealer_msg(b"\x70" * 16, vole.RECEIVER, 1, bytes(32)))
+    longest = harness.MAX_VOLE_LENGTH
+    assert material + 16 * longest <= transport.MAX_PAYLOAD < material + 16 * (longest + 1)
+
+
+def test_dealer_hands_an_oprf_key_only_to_its_sender():
+    sid = b"\x71" * 16
+    own = opprf.encode_key_request(psin.oprf_session_id(sid, 4))
+    dealer = harness.DealerService(rng=np.random.default_rng(0))
+    [(dst, reply)] = dealer.handle(4, transport.Envelope(sid, opprf.MSG_OPRF_DEALER, own))
+    assert dst == 4 and opprf.decode_dealer_payload(reply.payload)[0] == opprf.OPRF_KEY_RESPONSE
+    # P_4 asking for P_3's key is a fault naming P_4
+    other = opprf.encode_key_request(psin.oprf_session_id(sid, 3))
+    with pytest.raises(ProtocolError, match="^party 4: "):
+        _serve_one(4, opprf.MSG_OPRF_DEALER, other, sid)
