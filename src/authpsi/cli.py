@@ -252,14 +252,13 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
     if "dealer" in cfg:
         addresses[transport.DEALER_INDEX] = _address("the dealer", cfg["dealer"])
     if role == transport.DEALER_INDEX:
-        # the dealer learns its clients from the config alone: it holds no
-        # party's dataset or root
+        # the dealer is built from the session's shape in the config alone:
+        # it holds no party's dataset or root
         parties, t = _parties(construction, cfg)
-        clients = harness.dealer_clients(len(parties), t)
+        dealer = harness.DealerService(_session_id(cfg["session_id"], "session_id"), len(parties), t)
         node = transport.TcpNode(role, addresses.get(role), addresses)
-        dealer = harness.DealerService()
         try:
-            harness.drive(node, {}, dealer, timeout=DEALER_IDLE_S, clients=clients)
+            harness.drive(node, {}, dealer, timeout=DEALER_IDLE_S)
         except ProtocolError as exc:
             click.echo(f"session aborted at the dealer: {exc}", err=True)
             sys.exit(EXIT_ABORT)
@@ -297,7 +296,7 @@ def _run_networked(session: harness.Session, role: int, addresses: dict, out_dir
     try:
         engine = session.engine(role)
         # dialled up front, the dealer sees this client leave even without a request
-        if role in harness.dealer_clients(len(session.roots), session.t):
+        if engine.awaits(transport.DEALER_INDEX):
             node.connect(transport.DEALER_INDEX)
         harness.drive(node, {role: engine}, tamper=session.tamper, timeout=PARTY_WAIT_S)
     except ConfigError as exc:

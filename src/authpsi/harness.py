@@ -8,6 +8,14 @@ and the dealer with it over the in-process bus, whose one global FIFO keeps
 runs reproducible under fixed seeds; a networked CLI process runs one party,
 or the dealer, with it over its TCP node.
 
+The dealer (`DealerService`) is a session endpoint like a party: built from
+the session id, n and t, it is owed one VOLE request by each of the two
+parties, or one OPRF request by each hint sender and by P_n, and admits
+them with the parties' own rule, `psi2.admit`. Its messages carry only what
+the envelope's session id and sender do not fix. P_n gets one evaluation
+vector, the XOR over senders of their OPRFs, which is the only combination
+of them its test uses.
+
 Adversarial runs install a tamper on one party; tampering either runs the
 party on inputs other than its committed sequence (flip-element changes an
 element, extra-element adds one, swap-proofs reorders two) or mutates its
@@ -142,60 +150,64 @@ class RunResult:
     elapsed_ms: float
 
 
-def dealer_clients(n: int, t: Optional[int]) -> frozenset[int]:
-    """The parties of an n-party session (t None: the two-party construction)
-    that request from the dealer."""
-    return psi2.DEALER_CLIENTS if t is None else psin.dealer_clients(n, t)
-
-
 # the longest correlation whose receiver material fits one message
-MAX_VOLE_LENGTH = ((transport.MAX_PAYLOAD - vole.SESSION_ID_BYTES - 5 - vole.EXPANSION_SEED_BYTES)
-                   // gf.GF_BYTES)
+MAX_VOLE_LENGTH = (transport.MAX_PAYLOAD - vole.EXPANSION_SEED_BYTES) // gf.GF_BYTES
 
 
 class DealerService:
-    """Party 0: serves VOLE correlations and ideal-OPRF keys/evaluations.
+    """Party 0 of one session: serves VOLE correlations and ideal-OPRF keys/evaluations.
 
-    A request it cannot serve raises `ProtocolError`: a correlation length
-    outside 1..MAX_VOLE_LENGTH, refused before anything is allocated, or an
-    OPRF key asked for by a party other than the sender it belongs to.
+    It admits requests against its owed table (see above); `clients` are the
+    parties that table names. A VOLE request is the bare length, its role
+    the sender's (party 1 is the receiver); a sender's OPRF key request is
+    empty; P_n's request is its digests. A request it cannot serve raises
+    `ProtocolError`: one for another session, one not owed (a second
+    request, or one from a party owed nothing), a correlation length outside
+    1..MAX_VOLE_LENGTH, refused before anything is allocated, or a malformed
+    body.
     """
 
-    def __init__(self, rng: Optional[np.random.Generator] = None):
+    def __init__(self, session_id: bytes, n: int, t: Optional[int],
+                 rng: Optional[np.random.Generator] = None):
+        self.session_id = session_id
         self.rng = rng if rng is not None else np.random.default_rng(secrets.randbits(128))
         self.vole = vole.VoleDealer(rng=self.rng)
         self.oprf = opprf.OprfDealer(rng=self.rng)
+        self._n = n
+        self._senders = [] if t is None else psin.oprf_senders(n, t)
+        self._owed = ({vole.MSG_VOLE_REQUEST: {1: 1, 2: 1}} if t is None else
+                      {opprf.MSG_OPRF_DEALER: dict.fromkeys(self._senders + [n], 1)})
+        self.clients = frozenset(src for owed in self._owed.values() for src in owed)
         self.served = 0  # requests answered, whether or not the answer got through
 
     def handle(self, src: int, env: transport.Envelope) -> list:
-        reply = self._answer(src, env)
+        if env.session_id != self.session_id:
+            raise ProtocolError("envelope for a different session")
+        psi2.admit(self._owed, env.msg_type, src)
+        reply = transport.Envelope(self.session_id, *self._answer(src, env))
         self.served += 1
         return [(src, reply)]
 
-    def _answer(self, src: int, env: transport.Envelope) -> transport.Envelope:
+    def _answer(self, src: int, env: transport.Envelope) -> tuple[int, bytes]:
+        """The reply's type and payload for an admitted request."""
         if env.msg_type == vole.MSG_VOLE_REQUEST:
-            sid, role, length, _ = vole.decode_dealer_msg(env.payload)
+            if len(env.payload) != 4:
+                raise ProtocolError("a correlation request is its 4-byte length")
+            length = int.from_bytes(env.payload, "big")
             if not 1 <= length <= MAX_VOLE_LENGTH:
                 raise ProtocolError(f"correlation length {length} outside 1..{MAX_VOLE_LENGTH}")
-            payload = self.vole.request(sid, role, length)
-            return transport.Envelope(env.session_id, vole.MSG_VOLE_MATERIAL, payload)
-        if env.msg_type == opprf.MSG_OPRF_DEALER:
-            subtype, session, body = opprf.decode_dealer_payload(env.payload)
-            if subtype == opprf.OPRF_KEY_REQUEST:
-                if session != psin.oprf_session_id(env.session_id, src):
-                    raise ProtocolError("OPRF key request for another party's session")
-                payload = opprf.encode_key_response(session, self.oprf.key(session))
-                return transport.Envelope(env.session_id, opprf.MSG_OPRF_DEALER, payload)
-            if subtype == opprf.OPRF_EVAL_REQUEST:
-                values = self.oprf.evaluate(session, body)
-                payload = opprf.encode_eval_response(session, values)
-                return transport.Envelope(env.session_id, opprf.MSG_OPRF_DEALER, payload)
-        raise ProtocolError(f"dealer cannot serve message type {env.msg_type:#x}")
+            role = vole.RECEIVER if src == 1 else vole.SENDER
+            return vole.MSG_VOLE_MATERIAL, self.vole.request(self.session_id, role, length)
+        if src != self._n:
+            if env.payload:
+                raise ProtocolError("an OPRF key request has no body")
+            return opprf.MSG_OPRF_DEALER, self.oprf.key(src)
+        values = self.oprf.evaluate(self._senders, opprf.decode_queries(env.payload))
+        return opprf.MSG_OPRF_DEALER, values.tobytes()
 
 
 def drive(net, engines: dict, dealer: Optional[DealerService] = None,
-          tamper: Optional[Tamper] = None, timeout: Optional[float] = None,
-          clients: frozenset[int] = frozenset()) -> None:
+          tamper: Optional[Tamper] = None, timeout: Optional[float] = None) -> None:
     """Run `engines` (party index -> engine) and `dealer` over `net` until the traffic ends.
 
     The one delivery loop: every party and the dealer of a bus run, or the one
@@ -204,11 +216,11 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
     its destination's engine, or to the dealer at index 0. The loop ends once
     every engine is done and nothing is left queued for them. An empty receive
     while an engine waits raises `TransportError` naming the waiting parties
-    and what each is still owed:
-    at once on the bus, after `timeout` seconds over TCP. With no engine, as in
-    a dealer process, the run ends once every party in `clients` has hung up
-    (nothing of theirs can still be queued then), or at an empty receive,
-    which caps the wait for a client that never shows up.
+    and what each is still owed: at once on the bus, after `timeout` seconds
+    over TCP. With no engine, as in a dealer process, the run ends once every
+    one of the dealer's `clients` has hung up (nothing of theirs can still be
+    queued then), or at an empty receive, which caps the wait for a client
+    that never shows up.
 
     A failed TCP send raises only when the traffic ends, and not at all if its
     sender ended aborted or is the dealer: its peer may have aborted and left,
@@ -249,7 +261,7 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
         src, dst, env = got
         if env is None:
             left.add(src)
-            if not engines and clients and clients <= left:
+            if not engines and dealer.clients <= left:
                 return
             continue
         if dst != transport.DEALER_INDEX:
@@ -270,7 +282,8 @@ def run_session(session: Session, rng: np.random.Generator,
     """
     engines = {i: session.engine(i, np.random.default_rng(rng.integers(1 << 62)))
                for i in sorted(session.sets)}
-    dealer = DealerService(rng=np.random.default_rng(rng.integers(1 << 62)))
+    dealer = DealerService(session.session_id, len(session.roots), session.t,
+                           rng=np.random.default_rng(rng.integers(1 << 62)))
 
     net = network if network is not None else transport.BusNetwork()
     t0 = time.perf_counter()

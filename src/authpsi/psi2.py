@@ -62,14 +62,15 @@ salted with the session id, so commitments are per session.
 self-check and the root sent to every other party at start, the gate on
 every other party's root, and the abort path. The abort rule has two parts.
 Admission: each engine states once, from its role, which messages it is
-owed, as a count per (type, sender); `Party._route` admits a message only
-while its (type, sender) has a count left, so a misrouted, duplicated or
-unsolicited message, or one for another session, is refused before any
-handler sees it. Content: a handler checks what it was given (lengths,
-counts, roles, session bindings, order) and raises `ProtocolError` on a
-fault. Either way `_route` turns the error into an abort to every other
-party with the error's text as the reason. No `ProtocolError` leaves
-`handle`; after an abort, sent or received, further traffic is dropped.
+owed, as a count per (type, sender); `admit`, the one admission rule (the
+dealer, `harness.DealerService`, applies it to its requests too), passes a
+message only while its (type, sender) has a count left, so a misrouted,
+duplicated or unsolicited message, or one for another session, is refused
+before any handler sees it. Content: a handler checks what it was given
+(lengths, counts, order) and raises `ProtocolError` on a fault. Either way
+`_route` turns the error into an abort to every other party with the
+error's text as the reason. No `ProtocolError` leaves `handle`; after an
+abort, sent or received, further traffic is dropped.
 Here each side is owed its peer's root and its dealer material; the
 receiver also the digest set, the sender the masked vector.
 """
@@ -93,10 +94,6 @@ MSG_ROOT_PROOFS = 0x01
 MSG_MASKED_VECTOR = 0x02
 MSG_DIGEST_SET = 0x03
 MSG_ABORT = 0x0F
-
-# the parties that request from the dealer: the receiver and the sender each
-# ask for their half of the VOLE correlation
-DEALER_CLIENTS = frozenset({1, 2})
 
 LAMBDA_STAT = 40
 
@@ -169,6 +166,20 @@ def decode_root_proofs(raw: bytes) -> merkle.MerkleRoot:
         raise ProtocolError(str(exc)) from exc
 
 
+def admit(owed: dict[int, dict[int, int]], msg_type: int, src: int) -> None:
+    """Take one message of `msg_type` from party `src` off `owed` (msg type ->
+    sender -> count still owed; a settled entry is removed). One that is not
+    owed is a `ProtocolError`."""
+    left = owed.get(msg_type, {})
+    if src not in left:
+        raise ProtocolError(f"unexpected message {msg_type:#04x} from party {src}")
+    left[src] -= 1
+    if not left[src]:
+        del left[src]
+        if not left:
+            del owed[msg_type]
+
+
 def check_peer_commitment(committed: merkle.MerkleRoot, sent: merkle.MerkleRoot) -> bool:
     """The gate: the peer's root must equal its announced commitment, digest and set size."""
     return sent == committed
@@ -213,6 +224,10 @@ class Party:
         return ", ".join(f"{t:#04x} from party {src}" + (f" x{k}" if k > 1 else "")
                          for t, owed in sorted(self._owed.items()) for src, k in sorted(owed.items()))
 
+    def awaits(self, src: int) -> bool:
+        """Whether this party is still owed any message from party `src`."""
+        return any(src in owed for owed in self._owed.values())
+
     def _env(self, msg_type: int, payload: bytes) -> Envelope:
         return Envelope(session_id=self.config.session_id, msg_type=msg_type, payload=payload)
 
@@ -248,14 +263,7 @@ class Party:
                 return []  # a peer's abort is not echoed
             if self.phase == "fresh":
                 raise ProtocolError("message before transform")
-            owed = self._owed.get(env.msg_type, {})
-            if src not in owed:
-                raise ProtocolError(f"unexpected message {env.msg_type:#04x} from party {src}")
-            owed[src] -= 1
-            if not owed[src]:
-                del owed[src]
-                if not owed:
-                    del self._owed[env.msg_type]
+            admit(self._owed, env.msg_type, src)
             if env.msg_type == self.ROOT_TYPE:
                 return self._on_root(src, env.payload)
             return handlers[env.msg_type](src, env.payload)
@@ -308,7 +316,6 @@ class Psi2Engine(Party):
 
     def start(self) -> list:
         t0 = time.perf_counter()
-        cfg = self.config
         out = self._open()
         if self.receiver:
             result = okvs.encode_with_retry(self.digests, hash_to_mask(self.digests),
@@ -316,8 +323,9 @@ class Psi2Engine(Party):
             if result is None:
                 return out + self._abort("oblivious table encoding failed")
             self._table, _ = result
-        out.append((DEALER_INDEX, self._env(
-            vole.MSG_VOLE_REQUEST, vole.encode_dealer_msg(cfg.session_id, self._role, self._length))))
+        # the request is the bare length: the dealer reads the role from the
+        # sender's index and the session from the envelope
+        out.append((DEALER_INDEX, self._env(vole.MSG_VOLE_REQUEST, self._length.to_bytes(4, "big"))))
         self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
         return out
 
@@ -329,12 +337,8 @@ class Psi2Engine(Party):
                                       MSG_DIGEST_SET: self._on_digest_set})
 
     def _on_vole_material(self, src: int, payload: bytes) -> list:
-        seed = vole.seed_from_material(payload)
-        if seed.role != self._role:
-            raise ProtocolError(f"dealer material for the {seed.role}, not the {self._role}")
-        if seed.length != self._length:
-            raise ProtocolError("dealer correlation has the wrong length")
-        corr = vole.extend(seed)
+        corr = vole.extend(vole.seed_from_material(self.config.session_id, self._role,
+                                                   self._length, payload))
         if self.receiver:
             self._recv_corr = corr
         else:

@@ -37,14 +37,19 @@ party is owed one root from every other party, and by role:
 - a group-B party: one group key (0x12) from each group-A party;
 - the coordinator: one share table (0x13) from each group-A party;
 - a subgroup member: one zero-sharing seed (0x16) from each lower member;
-- a hint sender: one OPRF key response (0x15) from the dealer;
+- a hint sender: its OPRF key (0x15) from the dealer;
 - P_n: one hint (0x14) from each sender, and one evaluation response
-  (0x15) from the dealer per sender.
+  (0x15) from the dealer: the XOR over senders of their OPRFs at P_n's
+  digests. P_n's test XORs the hints' decodes and those evaluations
+  together, so the XOR is all it needs (`opprf` says why).
 
 The core refuses anything else, so a handler checks only content: a key or
 seed is the bare 16-byte payload, its endpoints the envelope's; a table or
-hint must parse; a hint and a dealer answer must be bound to the right OPRF
-session. A raised `ProtocolError` becomes one abort to every other party.
+hint must parse; P_n's evaluations must be one per own element. A raised
+`ProtocolError` becomes one abort to every other party. The dealer in turn
+is owed one request (0x15) by each sender, which is empty, and one by P_n,
+its digests, and refuses every other request by the same rule
+(`harness.DealerService`).
 
 Only P_n terminates with output; everyone else ends with none. The gate
 binds each party to its commitment as far as `psi2` states: a party that
@@ -57,14 +62,13 @@ can still test a guessed element against them.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import okvs, opprf, zeroshare
+from . import gf, okvs, opprf, zeroshare
 from .errors import ConfigError, ProtocolError
 # decode_root_proofs is held by name so bench/layers.py's tracer reaches it here too
 from .psi2 import Party, PartyConfig, decode_root_proofs  # noqa: F401
@@ -79,12 +83,8 @@ MSG_ZS_SEED = 0x16
 MSG_ABORT = 0x1F
 
 
-def oprf_session_id(session_id: bytes, sender_index: int) -> bytes:
-    return hashlib.sha256(session_id + b"oprf" + sender_index.to_bytes(2, "big")).digest()[:16]
-
-
 def _bare_key(raw: bytes, what: str) -> bytes:
-    """A group key or zero-sharing seed: the bare key, its endpoints are the envelope's."""
+    """A group key, zero-sharing seed or OPRF key: the bare key, its endpoints are the envelope's."""
     if len(raw) != zeroshare.SEED_BYTES:
         raise ProtocolError(f"undecodable {what}")
     return raw
@@ -94,12 +94,6 @@ def oprf_senders(n: int, t: int) -> list[int]:
     """Hint senders, the coordinator P_{n-t} through P_{n-1}: each asks the
     dealer for its OPRF key."""
     return list(range(n - t, n))
-
-
-def dealer_clients(n: int, t: int) -> frozenset[int]:
-    """The parties that request from the dealer: the OPRF senders, and P_n,
-    which asks it to evaluate each sender's OPRF."""
-    return frozenset(oprf_senders(n, t) + [n])
 
 
 @dataclass(kw_only=True)
@@ -166,8 +160,7 @@ class PsinEngine(Party):
             owed[MSG_ZS_SEED] = dict.fromkeys(range(cfg.v, i), 1)
         if i == cfg.n:
             owed[MSG_OPPRF_HINT] = dict.fromkeys(cfg.senders, 1)
-            owed[MSG_OPRF_DEALER] = {DEALER_INDEX: len(cfg.senders)}
-        elif i in cfg.senders:
+        if i == cfg.n or i in cfg.senders:
             owed[MSG_OPRF_DEALER] = {DEALER_INDEX: 1}
         # group B: group-A PRF keys by sender; coordinator: their share tables
         self.groupa_keys: dict[int, bytes] = {}
@@ -176,8 +169,8 @@ class PsinEngine(Party):
         self._zs_seeds: dict[int, bytes] = {}
         # sender: its OPRF key; P_n: each sender's hint and the dealer's evaluations
         self._oprf_key: Optional[bytes] = None
-        self._hints: dict[int, opprf.OpprfHint] = {}
-        self._evals: dict[int, np.ndarray] = {}
+        self._hints: dict[int, okvs.OkvsTable] = {}
+        self._evals: Optional[np.ndarray] = None
         self._evals_requested = False
 
     # -- transform -----------------------------------------------------------
@@ -206,9 +199,8 @@ class PsinEngine(Party):
                 self._zs_seeds[j] = self.rng.bytes(zeroshare.SEED_BYTES)
                 out.append((j, self._env(MSG_ZS_SEED, self._zs_seeds[j])))
 
-        if i in cfg.senders:
-            sid = oprf_session_id(cfg.session_id, i)
-            out.append((DEALER_INDEX, self._env(MSG_OPRF_DEALER, opprf.encode_key_request(sid))))
+        if i in cfg.senders:  # the key request is empty: the dealer keys by the sender's index
+            out.append((DEALER_INDEX, self._env(MSG_OPRF_DEALER, b"")))
 
         self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
         return out
@@ -238,35 +230,21 @@ class PsinEngine(Party):
         return self._advance()
 
     def _on_oprf_dealer(self, src: int, payload: bytes) -> list:
+        """A sender's OPRF key, or P_n's evaluations: 8 bytes per own element."""
         cfg = self.config
-        subtype, session, body = opprf.decode_dealer_payload(payload)
-        if subtype != (opprf.OPRF_EVAL_RESPONSE if cfg.party_index == cfg.n
-                       else opprf.OPRF_KEY_RESPONSE):
-            raise ProtocolError(f"unexpected OPRF dealer subtype {subtype:#x}")
-        if subtype == opprf.OPRF_KEY_RESPONSE:
-            if session != oprf_session_id(cfg.session_id, cfg.party_index):
-                raise ProtocolError("OPRF key for the wrong party")
-            self._oprf_key = body
-            return self._advance()
-        for s in cfg.senders:
-            if oprf_session_id(cfg.session_id, s) == session:
-                if s in self._evals:
-                    raise ProtocolError(f"duplicate OPRF evaluations for party {s}")
-                if len(body) != cfg.n_l:
-                    raise ProtocolError("wrong evaluation count")
-                self._evals[s] = body
-                return self._advance()
-        raise ProtocolError("evaluations for an unknown OPRF session")
+        if cfg.party_index != cfg.n:
+            self._oprf_key = _bare_key(payload, "OPRF key from the dealer")
+        elif len(payload) != cfg.n_l * zeroshare.VALUE_DTYPE.itemsize:
+            raise ProtocolError("wrong OPRF evaluation count")
+        else:
+            self._evals = np.frombuffer(payload, dtype=zeroshare.VALUE_DTYPE)
+        return self._advance()
 
     def _on_hint(self, src: int, payload: bytes) -> list:
-        cfg = self.config
         try:
-            hint = opprf.OpprfHint.from_bytes(payload, cfg.n_l)
+            self._hints[src] = okvs.OkvsTable.from_bytes(payload, self.config.n_l)
         except ValueError as exc:
             raise ProtocolError(f"undecodable hint from party {src}: {exc}") from exc
-        if hint.oprf_session != oprf_session_id(cfg.session_id, src):
-            raise ProtocolError(f"hint from party {src} is bound to the wrong OPRF session")
-        self._hints[src] = hint
         return self._advance()
 
     # -- progress ------------------------------------------------------------
@@ -296,8 +274,7 @@ class PsinEngine(Party):
         out = []
         if i == cfg.n and not self._evals_requested and self._settled(self.ROOT_TYPE):
             self._evals_requested = True
-            out = [(DEALER_INDEX, self._env(MSG_OPRF_DEALER, opprf.encode_eval_request(
-                oprf_session_id(cfg.session_id, s), self.digests))) for s in cfg.senders]
+            out = [(DEALER_INDEX, self._env(MSG_OPRF_DEALER, gf.vec_to_bytes(self.digests)))]
         if not self._settled():
             return out
         if i in cfg.group_a:
@@ -306,16 +283,12 @@ class PsinEngine(Party):
         t0 = time.perf_counter()
         if i == cfg.n:
             own = self._own_values()
-            combined = np.zeros(cfg.n_l, dtype=zeroshare.VALUE_DTYPE)
-            for s in cfg.senders:
-                sid = oprf_session_id(cfg.session_id, s)
-                combined ^= opprf.opprf_query_batch(self._hints[s], self.digests, sid,
-                                                    self._evals[s])
+            combined = opprf.opprf_query_batch([self._hints[s] for s in cfg.senders],
+                                               self.digests, self._evals)
             self.intersection = {cfg.input_set[q] for q in np.flatnonzero(own == combined)}
         else:
-            sid = oprf_session_id(cfg.session_id, i)
-            hint = opprf.opprf_program(self.digests, self._own_values(), sid,
-                                       self._oprf_key, rng=self.rng)
+            hint = opprf.opprf_program(self.digests, self._own_values(), self._oprf_key,
+                                       rng=self.rng)
             out.append((cfg.n, self._env(MSG_OPPRF_HINT, hint.to_bytes())))
         self.phase = "done"
         self.phase_ms["reconstruct"] = (time.perf_counter() - t0) * 1000

@@ -107,6 +107,19 @@ class Meter:
     def setup_bytes(self, session_id: Optional[bytes] = None) -> int:
         return sum(self._select(session_id, setup=True).values())
 
+    def by_party(self, session_id: Optional[bytes] = None) -> dict[int, dict[str, dict[str, int]]]:
+        """Per party, the dealer included: bytes "sent" and "received" per message type."""
+        out: dict[int, dict[str, dict[str, int]]] = {}
+        with self._lock:
+            for (sid, src, dst, mt), nb in self._counts.items():
+                if session_id is not None and sid != session_id:
+                    continue
+                key = f"0x{mt:02x}"
+                for party, way in ((src, "sent"), (dst, "received")):
+                    counts = out.setdefault(party, {"sent": {}, "received": {}})[way]
+                    counts[key] = counts.get(key, 0) + nb
+        return out
+
     def per_type(self, session_id: Optional[bytes] = None) -> dict[str, int]:
         out: dict[str, int] = {}
         for (_, _, _, mt), nb in self._select(session_id, setup=False).items():
@@ -142,7 +155,10 @@ def make_report(meter: Meter, *, session_id: bytes, n: int, parties: int, t: Opt
 
     `phase_ms` maps each reported party to its phase timings. `abort_reasons`
     maps each aborted party the run is judged by to its reason: every honest
-    party of a bus run, or the own party of a networked one.
+    party of a bus run, or the own party of a networked one. `bytes_by_party`
+    holds every party the meter saw, the dealer (0) included; a networked
+    process meters only its own links, so there another party's figures are
+    its traffic with this one.
     """
     protocol = meter.protocol_bytes(session_id)
     return {
@@ -154,6 +170,7 @@ def make_report(meter: Meter, *, session_id: bytes, n: int, parties: int, t: Opt
         "bits_per_element": (protocol * 8 / n) if n else 0.0,
         "per_type": meter.per_type(session_id),
         "setup_bytes": meter.setup_bytes(session_id),
+        "bytes_by_party": meter.by_party(session_id),
         "phase_ms": phase_ms,
         "aborted": bool(abort_reasons),
         "abort_reasons": abort_reasons,

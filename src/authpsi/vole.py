@@ -8,6 +8,14 @@ kernel `gf.xor_rows`), and hands each side its half. Only C ever crosses
 the dealer boundary (seed expansion keeps A and B local), and dealer
 traffic is metered separately from protocol traffic.
 
+On the wire a request is the 4-byte big-endian length alone: the dealer
+reads the role from the requester's index (party 1 is the receiver) and the
+session from the envelope, and it is owed one request by each of the two
+parties. Material is bare: the receiver's expansion seed followed by C, or
+the sender's expansion seed followed by delta. A party rebuilds its seed
+from the role and length it asked for, so material for the other role fails
+on its length.
+
 `extend` is deterministic given a completed seed, so a party can re-derive its
 vectors at will; freshness lives entirely in `gen_seed`.
 """
@@ -36,9 +44,6 @@ SESSION_ID_BYTES = 16
 
 MSG_VOLE_REQUEST = 0x21
 MSG_VOLE_MATERIAL = 0x22
-
-_ROLE_BYTE = {RECEIVER: 0x00, SENDER: 0x01}
-_BYTE_ROLE = {v: k for k, v in _ROLE_BYTE.items()}
 
 
 @dataclass
@@ -121,23 +126,6 @@ def extend(seed: VoleSeed) -> Union[ReceiverCorrelation, SenderCorrelation]:
     return ReceiverCorrelation(a_vec=expand_vector(seed.expansion_seed, seed.length), c_vec=c)
 
 
-# ---------------------------------------------------------------------------
-# dealer message plumbing (session_id | role byte | length | payload)
-
-def encode_dealer_msg(session_id: bytes, role: str, length: int, payload: bytes = b"") -> bytes:
-    return session_id + bytes([_ROLE_BYTE[role]]) + length.to_bytes(4, "big") + payload
-
-def decode_dealer_msg(raw: bytes) -> tuple[bytes, str, int, bytes]:
-    if len(raw) < SESSION_ID_BYTES + 5:
-        raise ProtocolError("truncated dealer message")
-    sid = raw[:SESSION_ID_BYTES]
-    role_byte = raw[SESSION_ID_BYTES]
-    if role_byte not in _BYTE_ROLE:
-        raise ProtocolError("bad dealer role byte")
-    length = int.from_bytes(raw[SESSION_ID_BYTES + 1 : SESSION_ID_BYTES + 5], "big")
-    return sid, _BYTE_ROLE[role_byte], length, raw[SESSION_ID_BYTES + 5 :]
-
-
 class VoleDealer:
     """Trusted setup endpoint: one correlation per (session, length), on request.
 
@@ -161,27 +149,24 @@ class VoleDealer:
         return pair
 
     def request(self, session_id: bytes, role: str, length: int) -> bytes:
-        """Serve one party's half; returns the dealer material message payload."""
+        """Serve one party's half: its bare material."""
         recv, send = self._pair(session_id, length)
         if role == RECEIVER:
-            material = recv.expansion_seed + recv.c_bytes
-        else:
-            material = send.expansion_seed + gf.to_bytes(send.delta)
-        return encode_dealer_msg(session_id, role, length, material)
+            return recv.expansion_seed + recv.c_bytes
+        return send.expansion_seed + gf.to_bytes(send.delta)
 
 
-def seed_from_material(payload: bytes) -> VoleSeed:
-    """Rebuild a party's seed from a dealer material message."""
-    sid, role, length, material = decode_dealer_msg(payload)
+def seed_from_material(session_id: bytes, role: str, length: int, material: bytes) -> VoleSeed:
+    """Rebuild a party's seed from the material it got for the role and length it asked for."""
     if role == SENDER:
         if len(material) != EXPANSION_SEED_BYTES + gf.GF_BYTES:
             raise ProtocolError("bad sender material length")
-        return VoleSeed(role=SENDER, session_id=sid, length=length,
+        return VoleSeed(role=SENDER, session_id=session_id, length=length,
                         expansion_seed=material[:EXPANSION_SEED_BYTES],
                         delta=gf.from_bytes(material[EXPANSION_SEED_BYTES:]))
     expected = EXPANSION_SEED_BYTES + length * gf.GF_BYTES
     if len(material) != expected:
         raise ProtocolError("bad receiver material length")
-    return VoleSeed(role=RECEIVER, session_id=sid, length=length,
+    return VoleSeed(role=RECEIVER, session_id=session_id, length=length,
                     expansion_seed=material[:EXPANSION_SEED_BYTES],
                     c_bytes=material[EXPANSION_SEED_BYTES:])

@@ -327,6 +327,6 @@ def _white_box_session(x, y, session, roots, seed):
     master = np.random.default_rng(seed)
     spec = harness.Session({1: x, 2: y}, roots, session)
     engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62))) for i in (1, 2)}
-    dealer = harness.DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
+    dealer = harness.DealerService(session, 2, None, rng=np.random.default_rng(master.integers(1 << 62)))
     harness.drive(transport.BusNetwork(), engines, dealer)
     return engines

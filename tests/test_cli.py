@@ -140,8 +140,19 @@ def test_local_two_party_run(runner, tmp_path):
     assert report["aborted"] is False
     assert report["bits_per_element"] > 0
     assert set(report) >= {"session", "n", "parties", "t", "bytes_total",
-                           "bits_per_element", "per_type", "setup_bytes",
+                           "bits_per_element", "per_type", "setup_bytes", "bytes_by_party",
                            "phase_ms", "aborted", "abort_reasons"}
+    # every party's bytes, the dealer's included, sent and received per message type
+    by_party = report["bytes_by_party"]
+    assert set(by_party) == {"0", "1", "2"}
+    assert set(by_party["0"]["received"]) == {"0x21"} and set(by_party["0"]["sent"]) == {"0x22"}
+    assert set(by_party["1"]["sent"]) == {"0x01", "0x02", "0x21"}
+    assert set(by_party["1"]["received"]) == {"0x01", "0x03", "0x22"}
+    assert by_party["1"]["sent"]["0x02"] == by_party["2"]["received"]["0x02"]
+    assert by_party["0"]["received"]["0x21"] == by_party["1"]["sent"]["0x21"] + by_party["2"]["sent"]["0x21"]
+    for way in ("sent", "received"):
+        total = sum(n for party in by_party.values() for n in party[way].values())
+        assert total == report["bytes_total"] + report["setup_bytes"]
     # every party's phases, not only the output party's
     assert set(report["phase_ms"]) == {"1", "2"}
     assert all("transform" in phases for phases in report["phase_ms"].values())
@@ -411,10 +422,10 @@ def test_malformed_frame_exits_4_at_once(runner, tmp_path, role):
 
 
 def _send_malformed_dealer_request(port, session_id):
-    """Send the dealer, as party 2, one well-framed OPRF evaluation request with a 2-byte body."""
-    payload = bytes([opprf.OPRF_EVAL_REQUEST]) + bytes(16) + b"\x00\x01"
+    """Send a two-party session's dealer, as party 2, one well-framed OPRF request,
+    which it is not owed."""
     with _connect_as_party_2(port) as raw:
-        raw.sendall(transport.Envelope(session_id, opprf.MSG_OPRF_DEALER, payload).to_frame())
+        raw.sendall(transport.Envelope(session_id, opprf.MSG_OPRF_DEALER, bytes(16)).to_frame())
 
 
 def test_malformed_dealer_request_exits_3_at_once(runner, tmp_path):
@@ -438,7 +449,7 @@ def test_malformed_dealer_request_exits_3_at_once(runner, tmp_path):
         sender.join(timeout=10)
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
-    assert "party 2" in result.output and "OPRF query count" in result.output
+    assert "party 2: unexpected message 0x15 from party 2" in result.output
     assert elapsed < 5
 
 

@@ -97,7 +97,7 @@ def _build(x, y, session, roots, seed, dealer_cls=harness.DealerService):
     master = np.random.default_rng(seed)
     spec = harness.Session({1: x, 2: y}, roots, session)
     engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62))) for i in (1, 2)}
-    return engines, dealer_cls(rng=np.random.default_rng(master.integers(1 << 62)))
+    return engines, dealer_cls(session, 2, None, rng=np.random.default_rng(master.integers(1 << 62)))
 
 
 def _run_engines(x, y, session, roots, seed, tamper=None, net=None):
@@ -238,21 +238,18 @@ def test_malformed_masked_vector_or_digest_set_aborts_cleanly(msg_type, fault):
 def test_vole_backend_substitutability():
     # any dealer satisfying C = A*delta + B yields the same intersection;
     # this one pins delta = 1 and deterministic expansion seeds
+    class FixedDeltaVole(vole.VoleDealer):
+        def _pair(self, session_id, length):
+            recv = vole.VoleSeed(role=vole.RECEIVER, session_id=session_id,
+                                 expansion_seed=b"\x41" * 32, length=length)
+            send = vole.VoleSeed(role=vole.SENDER, session_id=session_id,
+                                 expansion_seed=b"\x42" * 32, length=length, delta=1)
+            return vole.complete_receiver_seed(recv, send), send
+
     class FixedDeltaDealer(harness.DealerService):
-        def handle(self, src, env):
-            if env.msg_type == vole.MSG_VOLE_REQUEST:
-                sid, role, length, _ = vole.decode_dealer_msg(env.payload)
-                key = (sid, length)
-                if key not in self.vole._sessions:
-                    recv = vole.VoleSeed(role=vole.RECEIVER, session_id=sid,
-                                         expansion_seed=b"\x41" * 32, length=length)
-                    send = vole.VoleSeed(role=vole.SENDER, session_id=sid,
-                                         expansion_seed=b"\x42" * 32, length=length, delta=1)
-                    vole.complete_receiver_seed(recv, send)
-                    self.vole._sessions[key] = (recv, send)
-                payload = self.vole.request(sid, role, length)
-                return [(src, transport.Envelope(env.session_id, vole.MSG_VOLE_MATERIAL, payload))]
-            return super().handle(src, env)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.vole = FixedDeltaVole()
 
     x, y = _sets(40, 40, 15, seed=13)
     session = b"\x28" * 16
@@ -264,23 +261,19 @@ def test_vole_backend_substitutability():
 
 @pytest.mark.parametrize("victim", [1, 2])
 def test_wrong_role_dealer_material_aborts_cleanly(victim):
-    # material naming the other party's role (the receiver's seed and C, or
-    # the sender's seed and delta) is a fault, not an escaped exception
+    # material for the other party's role (the receiver's seed and C, or the
+    # sender's seed and delta) is a fault, not an escaped exception: it has
+    # the wrong length for the role the party asked as
     class SwappedRoleDealer(harness.DealerService):
-        def handle(self, src, env):
-            if env.msg_type == vole.MSG_VOLE_REQUEST and src == victim:
-                sid, role, length, _ = vole.decode_dealer_msg(env.payload)
-                other = vole.SENDER if role == vole.RECEIVER else vole.RECEIVER
-                payload = self.vole.request(sid, other, length)
-                return [(src, transport.Envelope(env.session_id, vole.MSG_VOLE_MATERIAL, payload))]
-            return super().handle(src, env)
+        def _answer(self, src, env):  # the role is read from the sender's index
+            return super()._answer(3 - src if src == victim else src, env)
 
     x, y = _sets(20, 20, 8, seed=24)
     session = b"\x2e" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     engines, dealer = _build(x, y, session, roots, seed=24, dealer_cls=SwappedRoleDealer)
     harness.drive(transport.BusNetwork(), engines, dealer)  # no escaped error
-    assert engines[victim].abort_reason.startswith("dealer material for the")
+    assert "material length" in engines[victim].abort_reason
     for i in (1, 2):
         assert engines[i].aborted and engines[i].intersection is None, i
 

@@ -93,7 +93,8 @@ def _run_engines(sets, t, session, roots, seed, tamper=None, net=None):
     spec = harness.Session({i: s for i, s in enumerate(sets, start=1)}, roots, session, t)
     engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62)))
                for i in range(1, len(sets) + 1)}
-    dealer = harness.DealerService(rng=np.random.default_rng(master.integers(1 << 62)))
+    dealer = harness.DealerService(session, len(sets), t,
+                                   rng=np.random.default_rng(master.integers(1 << 62)))
     harness.drive(net if net is not None else transport.BusNetwork(), engines, dealer, tamper)
     return engines
 
@@ -127,7 +128,7 @@ def _malformed_table(raw, fault):
 
 @dataclasses.dataclass
 class TableFault:
-    """Rewrites one party's outgoing share table or hint: its OKVS table, or the hint's OPRF session."""
+    """Rewrites one party's outgoing share table or hint, each a bare OKVS table."""
     party: int
     msg_type: int
     fault: str
@@ -135,12 +136,8 @@ class TableFault:
     def envelope(self, env):
         if env.msg_type != self.msg_type:
             return env
-        head = 16 if self.msg_type == psin.MSG_OPPRF_HINT else 0  # the hint's OPRF session id
-        if self.fault == "wrong-oprf-session":
-            payload = bytes(head) + env.payload[head:]
-        else:
-            payload = env.payload[:head] + _malformed_table(env.payload[head:], self.fault)
-        return transport.Envelope(env.session_id, env.msg_type, payload)
+        return transport.Envelope(env.session_id, env.msg_type,
+                                  _malformed_table(env.payload, self.fault))
 
 
 @pytest.mark.parametrize("fault", ["truncated", "wrong-count", "extra-cell"])
@@ -162,15 +159,31 @@ def test_malformed_table_aborts_cleanly(msg_type, fault):
                for kind in ("share table", "hint"))
 
 
-def test_hint_for_another_oprf_session_aborts_cleanly():
-    sets, _ = _party_sets(3, 12, 4, seed=14)
-    session = b"\x07" * 16
-    roots = {i + 1: merkle.root(sets[i], session) for i in range(3)}
-    engines = _run_engines(sets, t=1, session=session, roots=roots, seed=14,
-                           tamper=TableFault(2, psin.MSG_OPPRF_HINT, "wrong-oprf-session"))
-    for i in (1, 3):
+class TruncatingDealerBus(transport.BusNetwork):
+    """An in-process bus that drops the last byte of every dealer answer to one party."""
+
+    def __init__(self, to):
+        super().__init__()
+        self.to = to
+
+    def deliver(self, src, dst, env):
+        if src == transport.DEALER_INDEX and dst == self.to:
+            env = transport.Envelope(env.session_id, env.msg_type, env.payload[:-1])
+        super().deliver(src, dst, env)
+
+
+@pytest.mark.parametrize("to,fault", [(2, "undecodable OPRF key"), (4, "wrong OPRF evaluation count")],
+                         ids=["key", "evaluations"])
+def test_malformed_dealer_answer_aborts_cleanly(to, fault):
+    # (4,2): the sender P_2's key, or P_4's evaluations, one byte short
+    sets, _ = _party_sets(4, 12, 4, seed=18)
+    session = b"\x0b" * 16
+    roots = {i + 1: merkle.root(s, session) for i, s in enumerate(sets)}
+    engines = _run_engines(sets, t=2, session=session, roots=roots, seed=18,
+                           net=TruncatingDealerBus(to))  # no escaped error
+    assert fault in engines[to].abort_reason
+    for i in range(1, 5):
         assert engines[i].aborted and engines[i].intersection is None, i
-    assert "OPRF session" in engines[3].abort_reason
 
 
 @dataclasses.dataclass
@@ -213,8 +226,8 @@ REPLAYS = party_messages(harness.run_multi_party(REPLAY_SETS, t=2, seed=17))
 def test_replayed_message_aborts_cleanly(message):
     # (4,2): 12 roots, group keys 1->3 and 1->4, the share table 1->2,
     # seeds 2->3, 2->4 and 3->4, hints 2->4 and 3->4, and from the dealer the
-    # OPRF keys of 2 and 3 and both evaluation responses to 4; each delivered twice
-    assert len(REPLAYS) == 24
+    # OPRF keys of 2 and 3 and the one evaluation response to 4; each delivered twice
+    assert len(REPLAYS) == 23
     session = b"\x0a" * 16
     roots = {i + 1: merkle.root(s, session) for i, s in enumerate(REPLAY_SETS)}
     engines = _run_engines(REPLAY_SETS, t=2, session=session, roots=roots, seed=17,

@@ -1,4 +1,5 @@
-"""Whole sessions of both engines: pinned message sizes, one hash per element, a fuzz gate."""
+"""Whole sessions of both engines: pinned message sizes, one hash per element, a fuzz gate,
+and admission at every party and at the dealer."""
 
 import hashlib
 import re
@@ -15,10 +16,11 @@ from authpsi.errors import ProtocolError, TransportError
 from authpsi.transport import DEALER_INDEX
 
 
-def party_sizes(run):
-    """Per directed pair of parties, the ordered (type, wire bytes) of every message."""
+def party_sizes(run, dealer=False):
+    """Per directed pair of parties, or with `dealer` per pair with the dealer,
+    the ordered (type, wire bytes) of every message."""
     return {pair: tuple((msg_type, nbytes) for msg_type, nbytes, _ in sent)
-            for pair, sent in run.transcript.per_pair().items() if DEALER_INDEX not in pair}
+            for pair, sent in run.transcript.per_pair().items() if (DEALER_INDEX in pair) == dealer}
 
 
 TWO_PARTY_SIZES = {
@@ -32,24 +34,40 @@ MULTI_PARTY_SIZES = {
     **{(i, 4): ((0x11, 62), (0x13, 5565)) for i in (1, 2, 3)},
     **{(i, j): ((0x11, 62), (0x12, 41)) for i in (1, 2, 3) for j in (5, 6, 7, 8)},
     **{(i, j): ((0x11, 62), (0x16, 41)) for i in (4, 5, 6, 7) for j in (5, 6, 7) if i < j},
-    **{(i, 8): ((0x11, 62), (0x16, 41), (0x14, 5581)) for i in (4, 5, 6, 7)},
+    **{(i, 8): ((0x11, 62), (0x16, 41), (0x14, 5565)) for i in (4, 5, 6, 7)},
+}
+
+# dealer traffic of the same two sessions: a VOLE request is its 4-byte
+# length, material the bare seed and C (1290 cells) or seed and delta; an
+# OPRF key request is empty and answered with the key, P_8 sends its 256
+# digests and gets one uint64 per digest back
+DEALER_SIZES = {
+    "2pc": {(1, 0): ((0x21, 29),), (2, 0): ((0x21, 29),),
+            (0, 1): ((0x22, 20697),), (0, 2): ((0x22, 73),)},
+    "8x4": {**{(i, 0): ((0x15, 25),) for i in (4, 5, 6, 7)},
+            **{(0, i): ((0x15, 41),) for i in (4, 5, 6, 7)},
+            (8, 0): ((0x15, 4121),), (0, 8): ((0x15, 2073),)},
 }
 
 
 def test_message_sizes_are_pinned():
     # every party-to-party message keeps its type, its place and its size
     x, y = datasets.generate_sets(1024, 16, 2, 256, 21)
-    assert party_sizes(harness.run_two_party(x, y, seed=22)) == TWO_PARTY_SIZES
+    run = harness.run_two_party(x, y, seed=22)
+    assert party_sizes(run) == TWO_PARTY_SIZES
+    assert party_sizes(run, dealer=True) == DEALER_SIZES["2pc"]
     sets = datasets.generate_sets(256, 16, 8, 64, 23)
-    assert party_sizes(harness.run_multi_party(sets, 4, seed=24)) == MULTI_PARTY_SIZES
+    run = harness.run_multi_party(sets, 4, seed=24)
+    assert party_sizes(run) == MULTI_PARTY_SIZES
+    assert party_sizes(run, dealer=True) == DEALER_SIZES["8x4"]
 
 
 def test_each_element_is_hashed_once(monkeypatch):
     # every per-element value derives from one hash per element: in a session
     # each party hashes each of its elements once, into its SHA-256 leaf in
-    # merkle, no other hash algorithm runs, the dealer hashes only the OPRF
-    # session id of each key request's sender, and no other hashing runs once
-    # per element
+    # merkle, no other hash algorithm runs, the dealer hashes nothing (it
+    # reads who asks from the envelope), and no other hashing runs once per
+    # element
     leaves, outside, others, dealer_hashes = Counter(), Counter(), Counter(), []
     in_dealer = [0]
     real_handle = harness.DealerService.handle
@@ -95,8 +113,7 @@ def test_each_element_is_hashed_once(monkeypatch):
         assert not harness.run_session(spec, np.random.default_rng(seed)).aborted
         assert leaves == Counter(merkle.LEAF_PREFIX + sid + e for s in parties for e in s)
         assert not others
-        senders = [] if spec.t is None else psin.oprf_senders(len(parties), spec.t)
-        assert dealer_hashes == ["sha256"] * len(senders)
+        assert not dealer_hashes
         n = sum(len(s) for s in parties)
         assert outside.pop("authpsi.merkle") < n  # the interior nodes of the trees
         # what is left hashes per message, per retry or per session: far fewer calls than elements
@@ -148,7 +165,8 @@ def test_one_corrupted_message_ends_every_party_cleanly(data):
 
     rng = np.random.default_rng(43)
     engines = {i: spec.engine(i, np.random.default_rng(rng.integers(1 << 62))) for i in spec.sets}
-    dealer = harness.DealerService(rng=np.random.default_rng(rng.integers(1 << 62)))
+    dealer = harness.DealerService(spec.session_id, len(spec.roots), spec.t,
+                                   rng=np.random.default_rng(rng.integers(1 << 62)))
     seen, corrupted = [0], []
 
     class CorruptingBus(transport.BusNetwork):
@@ -202,40 +220,49 @@ def test_quiet_bus_names_the_waiting_parties(name, msg_type, waiting):
 @pytest.mark.parametrize("parties,t", [(2, None), (3, 1), (5, 2), (8, 4)],
                          ids=["2pc", "3x1", "5x2", "8x4"])
 def test_dealer_clients_are_the_parties_that_ask_it(parties, t):
-    # a networked dealer ends once exactly these parties have hung up
+    # a networked dealer ends once exactly these parties have hung up, and
+    # they are the parties whose engines are owed something by the dealer,
+    # which a networked party dials up front
     sets = datasets.generate_sets(32, 16, parties, 8, 50 + parties)
     run = (harness.run_two_party(*sets, seed=51) if t is None
            else harness.run_multi_party(sets, t, seed=51))
     assert not run.aborted
     asked = {src for src, dst, *_ in run.transcript.entries if dst == DEALER_INDEX}
-    assert harness.dealer_clients(parties, t) == asked
+    sid = bytes(16)
+    spec = harness.Session(dict(enumerate(sets, start=1)),
+                           {i: merkle.root(s, sid) for i, s in enumerate(sets, start=1)}, sid, t)
+    assert harness.DealerService(sid, parties, t).clients == asked
+    assert {i for i in spec.sets if spec.engine(i).awaits(DEALER_INDEX)} == asked
 
 
 def _engines(spec, seed):
     """Every party's engine of a session, and the dealer, seeded as `harness.run_session` does."""
     rng = np.random.default_rng(seed)
     engines = {i: spec.engine(i, np.random.default_rng(rng.integers(1 << 62))) for i in spec.sets}
-    return engines, harness.DealerService(rng=np.random.default_rng(rng.integers(1 << 62)))
+    return engines, harness.DealerService(spec.session_id, len(spec.roots), spec.t,
+                                          rng=np.random.default_rng(rng.integers(1 << 62)))
 
 
 @pytest.mark.parametrize("parties,t", [(2, None), (8, 4)], ids=["2pc", "8x4"])
 def test_each_party_receives_exactly_what_it_is_owed(parties, t):
-    # in an honest session every engine is delivered, per (type, sender),
-    # exactly the messages its role owed it at the start, and ends owed nothing
+    # in an honest session every engine, and the dealer, is delivered, per
+    # (type, sender), exactly the messages its role owed it at the start, and
+    # ends owed nothing
     sets = dict(enumerate(datasets.generate_sets(64, 16, parties, 16, 61), start=1))
     sid = bytes([0x60 + parties]) * 16
     spec = harness.Session(sets, {i: merkle.root(s, sid) for i, s in sets.items()}, sid, t)
     engines, dealer = _engines(spec, 62)
+    ends = {**engines, DEALER_INDEX: dealer}
     owed = {i: Counter({(msg_type, src): k for msg_type, left in e._owed.items()
-                        for src, k in left.items()}) for i, e in engines.items()}
+                        for src, k in left.items()}) for i, e in ends.items()}
     bus = transport.BusNetwork()
     harness.drive(bus, engines, dealer)
-    delivered = {i: Counter() for i in engines}
+    delivered = {i: Counter() for i in ends}
     for src, dst, msg_type, *_ in bus.transcript.entries:
-        if dst in engines:
-            delivered[dst][msg_type, src] += 1
+        delivered[dst][msg_type, src] += 1
     assert delivered == owed
-    assert all(e.done and not e.aborted and not e._owed for e in engines.values())
+    assert all(e.done and not e.aborted for e in engines.values())
+    assert not any(e._owed for e in ends.values())
 
 
 class MisroutingBus(transport.BusNetwork):
@@ -271,10 +298,10 @@ def test_misrouted_message_aborts_every_party(name, msg_type, to):
 
 
 def _serve_one(src, msg_type, payload, session=b"\x70" * 16):
-    """Drive a dealer alone with one request from `src`."""
+    """Drive a two-party session's dealer alone with one request from `src`."""
     bus = transport.BusNetwork()
     bus.deliver(src, DEALER_INDEX, transport.Envelope(session, msg_type, payload))
-    harness.drive(bus, {}, harness.DealerService(rng=np.random.default_rng(0)))
+    harness.drive(bus, {}, harness.DealerService(session, 2, None, rng=np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("length", [0, harness.MAX_VOLE_LENGTH + 1], ids=["zero", "too-long"])
@@ -284,22 +311,66 @@ def test_dealer_refuses_a_correlation_it_cannot_serve(monkeypatch, length):
         raise AssertionError("a correlation was drawn")
 
     monkeypatch.setattr(vole, "gen_seed", drawn)
-    request = vole.encode_dealer_msg(b"\x70" * 16, vole.RECEIVER, length)
     with pytest.raises(ProtocolError, match="^party 1: correlation length"):
-        _serve_one(1, vole.MSG_VOLE_REQUEST, request)
-    # the longest length served is the last whose receiver material fits one message
-    material = len(vole.encode_dealer_msg(b"\x70" * 16, vole.RECEIVER, 1, bytes(32)))
+        _serve_one(1, vole.MSG_VOLE_REQUEST, length.to_bytes(4, "big"))
+    # the longest length served is the last whose receiver material, the
+    # expansion seed and C, fits one message
     longest = harness.MAX_VOLE_LENGTH
-    assert material + 16 * longest <= transport.MAX_PAYLOAD < material + 16 * (longest + 1)
+    assert 32 + 16 * longest <= transport.MAX_PAYLOAD < 32 + 16 * (longest + 1)
 
 
-def test_dealer_hands_an_oprf_key_only_to_its_sender():
-    sid = b"\x71" * 16
-    own = opprf.encode_key_request(psin.oprf_session_id(sid, 4))
-    dealer = harness.DealerService(rng=np.random.default_rng(0))
-    [(dst, reply)] = dealer.handle(4, transport.Envelope(sid, opprf.MSG_OPRF_DEALER, own))
-    assert dst == 4 and opprf.decode_dealer_payload(reply.payload)[0] == opprf.OPRF_KEY_RESPONSE
-    # P_4 asking for P_3's key is a fault naming P_4
-    other = opprf.encode_key_request(psin.oprf_session_id(sid, 3))
-    with pytest.raises(ProtocolError, match="^party 4: "):
-        _serve_one(4, opprf.MSG_OPRF_DEALER, other, sid)
+def _honest_requests(spec):
+    """Each client's request to the dealer in an honest bus run of a session."""
+    requests = {}
+
+    class RecordingBus(transport.BusNetwork):
+        def deliver(self, src, dst, env):
+            if dst == DEALER_INDEX:
+                requests[src] = env
+            super().deliver(src, dst, env)
+
+    harness.run_session(spec, np.random.default_rng(43), RecordingBus())
+    return requests
+
+
+# (session, sender, request, reason): the request is the sender's own honest
+# one ("again"), that one under another session id ("other-session"), or a
+# (type, body); in (4,2) the hint senders are P_2 and P_3, the output party P_4
+DEALER_FAULTS = [
+    ("2pc", 1, "again", "unexpected message 0x21 from party 1"),
+    ("2pc", 2, "again", "unexpected message 0x21 from party 2"),
+    ("2pc", 1, "other-session", "envelope for a different session"),
+    ("2pc", 1, (opprf.MSG_OPRF_DEALER, b""), "unexpected message 0x15 from party 1"),
+    ("2pc", 2, (vole.MSG_VOLE_REQUEST, b"\x00\x01"), "a correlation request is its 4-byte length"),
+    ("4x2", 2, "again", "unexpected message 0x15 from party 2"),
+    ("4x2", 4, "again", "unexpected message 0x15 from party 4"),
+    ("4x2", 3, "other-session", "envelope for a different session"),
+    ("4x2", 1, (opprf.MSG_OPRF_DEALER, b""), "unexpected message 0x15 from party 1"),
+    ("4x2", 3, (vole.MSG_VOLE_REQUEST, (8).to_bytes(4, "big")), "unexpected message 0x21 from party 3"),
+    ("4x2", 2, (opprf.MSG_OPRF_DEALER, b"\x00"), "an OPRF key request has no body"),
+    ("4x2", 4, (opprf.MSG_OPRF_DEALER, bytes(17)), "OPRF evaluation request of 17 bytes"),
+]
+
+
+def test_dealer_serves_each_client_once_in_its_session():
+    # the dealer admits requests with the parties' own rule: one request of
+    # the owed type from each client of its session. A request queued ahead of
+    # an honest session's traffic ends the run with a ProtocolError naming its
+    # sender when it is one from a party owed nothing, one for another session
+    # or a malformed one (nothing is served), or a copy of the sender's own
+    # (the copy is served, the sender's own is then a second request)
+    requests = {name: _honest_requests(spec) for name, (spec, _) in FUZZ_SESSIONS.items()}
+    for name, src, request, reason in DEALER_FAULTS:
+        spec, _ = FUZZ_SESSIONS[name]
+        if request == "again":
+            env = requests[name][src]
+        elif request == "other-session":
+            env = transport.Envelope(bytes(16), requests[name][src].msg_type, requests[name][src].payload)
+        else:
+            env = transport.Envelope(spec.session_id, *request)
+        engines, dealer = _engines(spec, 43)
+        bus = transport.BusNetwork()
+        bus.deliver(src, DEALER_INDEX, env)
+        with pytest.raises(ProtocolError, match=f"^party {src}: {re.escape(reason)}"):
+            harness.drive(bus, engines, dealer)
+        assert (dealer.served > 0) == (request == "again"), (name, src, request)

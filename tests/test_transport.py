@@ -194,6 +194,23 @@ def test_tcp_send_to_a_peer_that_left_fails_at_once():
         b.close()
 
 
+def test_meter_by_party_counts_each_message_at_both_ends():
+    # every party the meter saw, the dealer included, with its bytes sent and
+    # received per message type, for one session
+    meter = transport.Meter()
+    sid = b"\x01" * 16
+    meter.add(sid, 1, 2, 0x02, 100)
+    meter.add(sid, 1, 0, 0x21, 29)
+    meter.add(sid, 0, 1, 0x22, 73)
+    meter.add(sid, 1, 2, 0x02, 5)
+    meter.add(b"\x02" * 16, 2, 1, 0x03, 7)  # another session
+    assert meter.by_party(sid) == {
+        0: {"sent": {"0x22": 73}, "received": {"0x21": 29}},
+        1: {"sent": {"0x02": 105, "0x21": 29}, "received": {"0x22": 73}},
+        2: {"sent": {}, "received": {"0x02": 105}},
+    }
+
+
 def test_backends_produce_identical_transcripts():
     # same seeds, same session: bus and TCP runs must exchange byte-identical
     # per-pair message sequences
@@ -230,7 +247,7 @@ def test_backends_produce_identical_transcripts():
         threading.Thread(target=party, args=(1,)),
         threading.Thread(target=party, args=(2,)),
         threading.Thread(target=harness.drive,
-                         args=(nodes[0], {}, harness.DealerService(rng=dealer_rng)),
+                         args=(nodes[0], {}, harness.DealerService(session, 2, None, rng=dealer_rng)),
                          kwargs={"timeout": 1.0}),
     ]
     try:

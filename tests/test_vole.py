@@ -1,9 +1,10 @@
-"""Correlation contract: C = A*delta + B, determinism, dealer plumbing."""
+"""Correlation contract: C = A*delta + B, determinism, dealer material."""
 
 import numpy as np
 import pytest
 
 from authpsi import gf, vole
+from authpsi.errors import ProtocolError
 
 
 def _dealt_pair(m, sid=b"\x01" * 16, rng_seed=0):
@@ -92,19 +93,31 @@ def test_marginal_uniformity():
 
 
 def test_dealer_message_roundtrip():
-    raw = vole.encode_dealer_msg(b"\x03" * 16, vole.RECEIVER, 77, b"payload")
-    sid, role, length, payload = vole.decode_dealer_msg(raw)
-    assert (sid, role, length, payload) == (b"\x03" * 16, vole.RECEIVER, 77, b"payload")
+    # material is bare: the receiver's expansion seed and C, the sender's seed and delta
+    dealer = vole.VoleDealer(rng=np.random.default_rng(3))
+    sid = b"\x03" * 16
+    recv_raw = dealer.request(sid, vole.RECEIVER, 77)
+    send_raw = dealer.request(sid, vole.SENDER, 77)
+    assert len(recv_raw) == 32 + 16 * 77 and len(send_raw) == 32 + 16
+    recv = vole.seed_from_material(sid, vole.RECEIVER, 77, recv_raw)
+    send = vole.seed_from_material(sid, vole.SENDER, 77, send_raw)
+    assert (recv.role, recv.session_id, recv.length) == (vole.RECEIVER, sid, 77)
+    assert recv.expansion_seed + recv.c_bytes == recv_raw
+    assert send.expansion_seed + gf.to_bytes(send.delta) == send_raw
+    # material for the other role fails on its length
+    for role, raw in ((vole.RECEIVER, send_raw), (vole.SENDER, recv_raw)):
+        with pytest.raises(ProtocolError, match="material length"):
+            vole.seed_from_material(sid, role, 77, raw)
 
 
 def test_dealer_serves_consistent_halves():
     dealer = vole.VoleDealer(rng=np.random.default_rng(7))
     sid = b"\x04" * 16
-    recv_seed = vole.seed_from_material(dealer.request(sid, vole.RECEIVER, 128))
-    send_seed = vole.seed_from_material(dealer.request(sid, vole.SENDER, 128))
+    recv_seed = vole.seed_from_material(sid, vole.RECEIVER, 128, dealer.request(sid, vole.RECEIVER, 128))
+    send_seed = vole.seed_from_material(sid, vole.SENDER, 128, dealer.request(sid, vole.SENDER, 128))
     rc, sc = vole.extend(recv_seed), vole.extend(send_seed)
     expect = gf.scalar_mul_vec(sc.delta, rc.a_vec) ^ sc.b_vec
     assert (rc.c_vec == expect).all()
     # idempotent per session: a repeated request returns the same material
-    again = vole.seed_from_material(dealer.request(sid, vole.SENDER, 128))
+    again = vole.seed_from_material(sid, vole.SENDER, 128, dealer.request(sid, vole.SENDER, 128))
     assert again.delta == sc.delta
