@@ -1,9 +1,9 @@
 """Operator entry points: dataset generation, commitment, runs, benchmarks.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 protocol abort
-(integrity violation detected, or a request the dealer cannot serve),
-4 transport failure (also a `--local` run whose bus goes quiet while a
-party still waits).
+(integrity violation detected, or a request the dealer cannot serve: the
+dealer and every client it reaches exit 3), 4 transport failure (also a
+`--local` run whose bus goes quiet while a party still waits).
 
 A networked run needs one process per party plus a dealer process (role 0),
 all pointed at the same JSON config:
@@ -36,7 +36,7 @@ import click
 import numpy as np
 
 from . import datasets, harness, merkle, transport
-from .errors import ConfigError, ProtocolError, TransportError
+from .errors import ConfigError, TransportError
 
 EXIT_ABORT = 3
 EXIT_TRANSPORT = 4
@@ -259,14 +259,14 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
         node = transport.TcpNode(role, addresses.get(role), addresses)
         try:
             harness.drive(node, {}, dealer, timeout=DEALER_IDLE_S)
-        except ProtocolError as exc:
-            click.echo(f"session aborted at the dealer: {exc}", err=True)
-            sys.exit(EXIT_ABORT)
         except TransportError as exc:
             click.echo(f"transport failure: {exc}", err=True)
             sys.exit(EXIT_TRANSPORT)
         finally:
             node.close()
+        if dealer.aborted:
+            click.echo(f"session aborted at the dealer: {dealer.abort_reason}", err=True)
+            sys.exit(EXIT_ABORT)
         click.echo(f"dealer served {dealer.served} responses")
         return
     tamper_obj = _tamper(tamper, role if tamper_party is None else tamper_party)

@@ -8,13 +8,11 @@ and the dealer with it over the in-process bus, whose one global FIFO keeps
 runs reproducible under fixed seeds; a networked CLI process runs one party,
 or the dealer, with it over its TCP node.
 
-The dealer (`DealerService`) is a session endpoint like a party: built from
-the session id, n and t, it is owed one VOLE request by each of the two
-parties, or one OPRF request by each hint sender and by P_n, and admits
-them with the parties' own rule, `psi2.admit`. Its messages carry only what
-the envelope's session id and sender do not fix. P_n gets one evaluation
-vector, the XOR over senders of their OPRFs, which is the only combination
-of them its test uses.
+The dealer (`DealerService`) is a `psi2.Endpoint` like the parties, built
+from the session id, n and t; it admits, refuses and aborts by their rules.
+Its messages carry only what the envelope's session id and sender do not
+fix. P_n gets one evaluation vector, the XOR over senders of their OPRFs,
+which is all its test uses.
 
 Adversarial runs install a tamper on one party; tampering either runs the
 party on inputs other than its committed sequence (flip-element changes an
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import secrets
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -154,56 +151,67 @@ class RunResult:
 MAX_VOLE_LENGTH = (transport.MAX_PAYLOAD - vole.EXPANSION_SEED_BYTES) // gf.GF_BYTES
 
 
-class DealerService:
+class DealerService(psi2.Endpoint):
     """Party 0 of one session: serves VOLE correlations and ideal-OPRF keys/evaluations.
 
-    It admits requests against its owed table (see above); `clients` are the
-    parties that table names. A VOLE request is the bare length, its role
-    the sender's (party 1 is the receiver); a sender's OPRF key request is
-    empty; P_n's request is its digests. A request it cannot serve raises
-    `ProtocolError`: one for another session, one not owed (a second
-    request, or one from a party owed nothing), a correlation length outside
-    1..MAX_VOLE_LENGTH, refused before anything is allocated, or a malformed
-    body.
+    It is owed one VOLE request by each of the two parties, or one OPRF
+    request by each hint sender and by P_n; those parties are its peers,
+    its clients. A VOLE request is the bare length, its role the sender's
+    (party 1 is the receiver); one correlation is drawn, and both halves
+    sent, once both requests are in and agree. A sender's OPRF key request
+    is empty; P_n's request is its digests. Refused before anything is
+    drawn, with an abort to every client naming the sender: a request for
+    another session, one not owed (a second one, or one from a party owed
+    nothing), a correlation length outside 1..MAX_VOLE_LENGTH or unlike the
+    other party's, or a malformed body.
     """
 
     def __init__(self, session_id: bytes, n: int, t: Optional[int],
                  rng: Optional[np.random.Generator] = None):
-        self.session_id = session_id
-        self.rng = rng if rng is not None else np.random.default_rng(secrets.randbits(128))
+        self._senders = [] if t is None else psin.oprf_senders(n, t)
+        clients = [1, 2] if t is None else self._senders + [n]
+        request = vole.MSG_VOLE_REQUEST if t is None else opprf.MSG_OPRF_DEALER
+        super().__init__(session_id, clients, {request: dict.fromkeys(clients, 1)}, rng)
+        self.ABORT_TYPE = psi2.MSG_ABORT if t is None else psin.MSG_ABORT
+        self.phase = "serving"  # nothing to start: it serves from the first request on
         self.vole = vole.VoleDealer(rng=self.rng)
         self.oprf = opprf.OprfDealer(rng=self.rng)
-        self._n = n
-        self._senders = [] if t is None else psin.oprf_senders(n, t)
-        self._owed = ({vole.MSG_VOLE_REQUEST: {1: 1, 2: 1}} if t is None else
-                      {opprf.MSG_OPRF_DEALER: dict.fromkeys(self._senders + [n], 1)})
-        self.clients = frozenset(src for owed in self._owed.values() for src in owed)
+        self._length: Optional[int] = None  # the first VOLE request's, until the second is in
         self.served = 0  # requests answered, whether or not the answer got through
 
     def handle(self, src: int, env: transport.Envelope) -> list:
-        if env.session_id != self.session_id:
-            raise ProtocolError("envelope for a different session")
-        psi2.admit(self._owed, env.msg_type, src)
-        reply = transport.Envelope(self.session_id, *self._answer(src, env))
-        self.served += 1
-        return [(src, reply)]
+        return self._route(src, env, {vole.MSG_VOLE_REQUEST: self._on_vole_request,
+                                      opprf.MSG_OPRF_DEALER: self._on_oprf_request})
 
-    def _answer(self, src: int, env: transport.Envelope) -> tuple[int, bytes]:
-        """The reply's type and payload for an admitted request."""
-        if env.msg_type == vole.MSG_VOLE_REQUEST:
-            if len(env.payload) != 4:
-                raise ProtocolError("a correlation request is its 4-byte length")
-            length = int.from_bytes(env.payload, "big")
-            if not 1 <= length <= MAX_VOLE_LENGTH:
-                raise ProtocolError(f"correlation length {length} outside 1..{MAX_VOLE_LENGTH}")
-            role = vole.RECEIVER if src == 1 else vole.SENDER
-            return vole.MSG_VOLE_MATERIAL, self.vole.request(self.session_id, role, length)
-        if src != self._n:
-            if env.payload:
+    def _refusal(self, src: int, exc: ProtocolError) -> str:
+        return f"party {src}: {exc}"  # a client sees no other client's traffic
+
+    def _reply(self, dst: int, msg_type: int, payload: bytes) -> tuple:
+        self.served += 1
+        return dst, self._env(msg_type, payload)
+
+    def _on_vole_request(self, src: int, payload: bytes) -> list:
+        if len(payload) != 4:
+            raise ProtocolError("a correlation request is its 4-byte length")
+        length = int.from_bytes(payload, "big")
+        if not 1 <= length <= MAX_VOLE_LENGTH:
+            raise ProtocolError(f"correlation length {length} outside 1..{MAX_VOLE_LENGTH}")
+        if self._length is None:
+            self._length = length
+            return []
+        if length != self._length:
+            raise ProtocolError(f"correlation lengths differ: {length} against "
+                                f"{self._length} from party {3 - src}")
+        return [self._reply(j, vole.MSG_VOLE_MATERIAL, material)
+                for j, material in zip((1, 2), self.vole.materials(self.session_id, length))]
+
+    def _on_oprf_request(self, src: int, payload: bytes) -> list:
+        if src in self._senders:
+            if payload:
                 raise ProtocolError("an OPRF key request has no body")
-            return opprf.MSG_OPRF_DEALER, self.oprf.key(src)
-        values = self.oprf.evaluate(self._senders, opprf.decode_queries(env.payload))
-        return opprf.MSG_OPRF_DEALER, values.tobytes()
+            return [self._reply(src, opprf.MSG_OPRF_DEALER, self.oprf.key(src))]
+        values = self.oprf.evaluate(self._senders, opprf.decode_queries(payload))
+        return [self._reply(src, opprf.MSG_OPRF_DEALER, values.tobytes())]
 
 
 def drive(net, engines: dict, dealer: Optional[DealerService] = None,
@@ -217,18 +225,16 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
     every engine is done and nothing is left queued for them. An empty receive
     while an engine waits raises `TransportError` naming the waiting parties
     and what each is still owed: at once on the bus, after `timeout` seconds
-    over TCP. With no engine, as in a dealer process, the run ends once every
-    one of the dealer's `clients` has hung up (nothing of theirs can still be
-    queued then), or at an empty receive, which caps the wait for a client
-    that never shows up.
+    over TCP. With no engine, as in a dealer process, the run ends once the
+    dealer has aborted and nothing is queued, once all of its clients have
+    hung up (nothing of theirs can still be queued then), or at an empty
+    receive, which caps the wait for a client that never shows up.
 
     A failed TCP send raises only when the traffic ends, and not at all if its
     sender ended aborted or is the dealer: its peer may have aborted and left,
     with the abort already queued here. Later sends to that peer are skipped.
-    A request the dealer cannot serve raises `ProtocolError` naming its
-    sender. Nothing else is caught: an engine turns every fault a peer causes
-    into a clean abort, so anything that escapes a handler is a defect of the
-    program and ends the run.
+    Nothing is caught: every endpoint, the dealer too, turns every fault a
+    peer causes into a clean abort, so anything that escapes is a defect.
     """
     unsent: dict[int, tuple[int, TransportError]] = {}  # dst -> (src, its first failed send)
     left: set[int] = set()  # parties whose TCP connection has hung up
@@ -248,7 +254,8 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
         send(i, engines[i].start())
     while True:
         waiting = [i for i, e in engines.items() if not e.done]
-        got = net.recv(0 if engines and not waiting else timeout)
+        idle = not waiting if engines else dealer.done
+        got = net.recv(0 if idle else timeout)
         if got is None:
             failed = [exc for src, exc in unsent.values()
                       if src in engines and not engines[src].aborted]
@@ -261,17 +268,10 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
         src, dst, env = got
         if env is None:
             left.add(src)
-            if not engines and dealer.clients <= left:
+            if not engines and left.issuperset(dealer.peers):
                 return
             continue
-        if dst != transport.DEALER_INDEX:
-            send(dst, engines[dst].handle(src, env))
-            continue
-        try:
-            outs = dealer.handle(src, env)
-        except ProtocolError as exc:
-            raise ProtocolError(f"party {src}: {exc}") from exc
-        send(dst, outs)
+        send(dst, (dealer if dst == transport.DEALER_INDEX else engines[dst]).handle(src, env))
 
 
 def run_session(session: Session, rng: np.random.Generator,

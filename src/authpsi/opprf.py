@@ -20,7 +20,7 @@ values, which is all its test needs, and no sender's value on its own.
 
 The dealer (`harness.DealerService`) is owed one request by each sender and
 one by P_n. It hands a sender the key under its own index and P_n the
-evaluations, once each, and refuses every other request. What stays open:
+evaluations, once each; any other request ends the session. What is open:
 P_n's single request may carry any number of queries, so P_n can test
 guessed elements beyond its n_l own; the dealer cannot bound the count to
 n_l without a set size, which it does not read.

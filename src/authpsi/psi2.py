@@ -58,21 +58,10 @@ evaluate itself (the digests are masked by the correlation), so a peer can
 check only a guess of a whole set, against the announced root. Leaves are
 salted with the session id, so commitments are per session.
 
-`Party` is the layer both engines share (`psin` builds on it too): the
-self-check and the root sent to every other party at start, the gate on
-every other party's root, and the abort path. The abort rule has two parts.
-Admission: each engine states once, from its role, which messages it is
-owed, as a count per (type, sender); `admit`, the one admission rule (the
-dealer, `harness.DealerService`, applies it to its requests too), passes a
-message only while its (type, sender) has a count left, so a misrouted,
-duplicated or unsolicited message, or one for another session, is refused
-before any handler sees it. Content: a handler checks what it was given
-(lengths, counts, order) and raises `ProtocolError` on a fault. Either way
-`_route` turns the error into an abort to every other party with the
-error's text as the reason. No `ProtocolError` leaves `handle`; after an
-abort, sent or received, further traffic is dropped.
-Here each side is owed its peer's root and its dealer material; the
-receiver also the digest set, the sender the masked vector.
+`Endpoint`, the core of every endpoint of a session, the dealer included,
+admits, refuses and aborts; `Party` adds the self-check, the root sent at
+start and the gate. Here each side is owed its peer's root and its dealer
+material; the receiver also the digest set, the sender the masked vector.
 """
 
 from __future__ import annotations
@@ -166,50 +155,36 @@ def decode_root_proofs(raw: bytes) -> merkle.MerkleRoot:
         raise ProtocolError(str(exc)) from exc
 
 
-def admit(owed: dict[int, dict[int, int]], msg_type: int, src: int) -> None:
-    """Take one message of `msg_type` from party `src` off `owed` (msg type ->
-    sender -> count still owed; a settled entry is removed). One that is not
-    owed is a `ProtocolError`."""
-    left = owed.get(msg_type, {})
-    if src not in left:
-        raise ProtocolError(f"unexpected message {msg_type:#04x} from party {src}")
-    left[src] -= 1
-    if not left[src]:
-        del left[src]
-        if not left:
-            del owed[msg_type]
-
-
 def check_peer_commitment(committed: merkle.MerkleRoot, sent: merkle.MerkleRoot) -> bool:
     """The gate: the peer's root must equal its announced commitment, digest and set size."""
     return sent == committed
 
 
-class Party:
-    """State, admission, commitment gate and abort path shared by both engines.
+class Endpoint:
+    """The core of every endpoint of a session, the parties and the dealer alike.
 
-    An engine names its root and abort message types, adds what its role is
-    owed to `_owed` in `__init__`, calls `_open` first in `start`, passes
-    every message to `_route` with its handler table, and implements
-    `_advance`, which the gate calls after each accepted root. `_route`
-    hands each owed message to its handler exactly once, so the handler
-    whose message settles the last input of a step is the one that takes it.
+    An endpoint has a session id, the peers it aborts to, and what it is
+    owed, stated once from its role. `_route` drops traffic after an abort
+    and takes a received abort, named after its sender, without echoing it.
+    It admits any other message only while its (type, sender) has a count
+    left, so one for another session, or a misrouted, duplicated or
+    unsolicited one, is refused before a handler sees it; each owed message
+    reaches its handler once. A handler checks content and raises
+    `ProtocolError` on a fault. A refusal or a fault becomes an abort to
+    every peer: no `ProtocolError` leaves `handle`.
     """
-    ROOT_TYPE: int
     ABORT_TYPE: int
 
-    def __init__(self, config: PartyConfig, rng: Optional[np.random.Generator] = None):
-        self.config = config
+    def __init__(self, session_id: bytes, peers: list[int], owed: dict[int, dict[int, int]],
+                 rng: Optional[np.random.Generator] = None):
+        self.session_id = session_id
+        self.peers = peers
+        self._owed = owed  # msg type -> sender -> messages still owed; a settled entry is removed
         self.rng = rng if rng is not None else np.random.default_rng(secrets.randbits(128))
         self.phase = "fresh"
         self.aborted = False
         self.abort_reason: Optional[str] = None
-        self.intersection: Optional[set[bytes]] = None
-        self.phase_ms: dict[str, float] = {}
-        self.peers = [j for j in sorted(config.roots) if j != config.party_index]
-        # msg type -> sender -> messages still owed; a settled entry is removed
-        self._owed: dict[int, dict[int, int]] = {self.ROOT_TYPE: dict.fromkeys(self.peers, 1)}
-        self.digests: Optional[np.ndarray] = None  # d(x) of each own element, once started
+        self.intersection: Optional[set[bytes]] = None  # the output, if this endpoint gets one
 
     @property
     def done(self) -> bool:
@@ -220,16 +195,27 @@ class Party:
         return not (self._owed.keys() & set(types)) if types else not self._owed
 
     def awaited(self) -> str:
-        """What this party is still owed, e.g. `0x14 from party 3, 0x15 from party 0 x2`."""
+        """What this endpoint is still owed, e.g. `0x14 from party 3, 0x15 from party 0 x2`."""
         return ", ".join(f"{t:#04x} from party {src}" + (f" x{k}" if k > 1 else "")
                          for t, owed in sorted(self._owed.items()) for src, k in sorted(owed.items()))
 
     def awaits(self, src: int) -> bool:
-        """Whether this party is still owed any message from party `src`."""
+        """Whether this endpoint is still owed any message from party `src`."""
         return any(src in owed for owed in self._owed.values())
 
+    def _admit(self, msg_type: int, src: int) -> None:
+        """Take one message of `msg_type` from party `src` off `_owed`; one not owed is refused."""
+        left = self._owed.get(msg_type, {})
+        if src not in left:
+            raise ProtocolError(f"unexpected message {msg_type:#04x} from party {src}")
+        left[src] -= 1
+        if not left[src]:
+            del left[src]
+            if not left:
+                del self._owed[msg_type]
+
     def _env(self, msg_type: int, payload: bytes) -> Envelope:
-        return Envelope(session_id=self.config.session_id, msg_type=msg_type, payload=payload)
+        return Envelope(session_id=self.session_id, msg_type=msg_type, payload=payload)
 
     def _abort(self, reason: str) -> list:
         self.aborted = True
@@ -238,6 +224,41 @@ class Party:
         self.intersection = None
         env = self._env(self.ABORT_TYPE, reason.encode())
         return [(j, env) for j in self.peers]
+
+    def _refusal(self, src: int, exc: ProtocolError) -> str:
+        return str(exc)  # the reason to abort with when a message from `src` is at fault
+
+    def _route(self, src: int, env: Envelope, handlers: dict) -> list:
+        """Deliver one message: drop, take an abort, admit against `_owed`, then dispatch."""
+        if self.phase == "aborted":
+            return []  # late traffic for a dead session is dropped
+        try:
+            if env.session_id != self.session_id:
+                raise ProtocolError("envelope for a different session")
+            if env.msg_type == self.ABORT_TYPE:
+                sender = "dealer" if src == DEALER_INDEX else f"party {src}"
+                self._abort(f"{sender}: {env.payload.decode(errors='replace') or 'abort'}")
+                return []  # a received abort is not echoed
+            if self.phase == "fresh":
+                raise ProtocolError("message before transform")
+            self._admit(env.msg_type, src)
+            return handlers[env.msg_type](src, env.payload)
+        except ProtocolError as exc:
+            return self._abort(self._refusal(src, exc))
+
+
+class Party(Endpoint):
+    """A party of either engine: the self-check, the digests and the root gate. An engine
+    calls `_open` first in `start`, routes its root type to `_on_root`, and implements
+    `_advance`, which the gate calls after each accepted root."""
+    ROOT_TYPE: int
+
+    def __init__(self, config: PartyConfig, rng: Optional[np.random.Generator] = None):
+        peers = [j for j in sorted(config.roots) if j != config.party_index]
+        super().__init__(config.session_id, peers, {self.ROOT_TYPE: dict.fromkeys(peers, 1)}, rng)
+        self.config = config
+        self.phase_ms: dict[str, float] = {}
+        self.digests: Optional[np.ndarray] = None  # d(x) of each own element, once started
 
     def _open(self) -> list:
         """Self-check and digest the own inputs; their root to every other party."""
@@ -250,25 +271,6 @@ class Party:
         self.phase = "transformed"
         env = self._env(self.ROOT_TYPE, encode_root_proofs(own_root))
         return [(j, env) for j in self.peers]
-
-    def _route(self, src: int, env: Envelope, handlers: dict) -> list:
-        """Deliver one message: drop, abort, admit against `_owed`, then gate or dispatch."""
-        if self.phase == "aborted":
-            return []  # late traffic for a dead session is dropped
-        try:
-            if env.session_id != self.config.session_id:
-                raise ProtocolError("envelope for a different session")
-            if env.msg_type == self.ABORT_TYPE:
-                self._abort(env.payload.decode(errors="replace") or "peer abort")
-                return []  # a peer's abort is not echoed
-            if self.phase == "fresh":
-                raise ProtocolError("message before transform")
-            admit(self._owed, env.msg_type, src)
-            if env.msg_type == self.ROOT_TYPE:
-                return self._on_root(src, env.payload)
-            return handlers[env.msg_type](src, env.payload)
-        except ProtocolError as exc:
-            return self._abort(str(exc))
 
     def _on_root(self, src: int, payload: bytes) -> list:
         """The gate: the root of each other party must equal the one it announced."""
@@ -332,7 +334,8 @@ class Psi2Engine(Party):
     # -- message handling ----------------------------------------------------
 
     def handle(self, src: int, env: Envelope) -> list:
-        return self._route(src, env, {vole.MSG_VOLE_MATERIAL: self._on_vole_material,
+        return self._route(src, env, {MSG_ROOT_PROOFS: self._on_root,
+                                      vole.MSG_VOLE_MATERIAL: self._on_vole_material,
                                       MSG_MASKED_VECTOR: self._on_masked_vector,
                                       MSG_DIGEST_SET: self._on_digest_set})
 

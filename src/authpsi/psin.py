@@ -45,11 +45,10 @@ party is owed one root from every other party, and by role:
 
 The core refuses anything else, so a handler checks only content: a key or
 seed is the bare 16-byte payload, its endpoints the envelope's; a table or
-hint must parse; P_n's evaluations must be one per own element. A raised
-`ProtocolError` becomes one abort to every other party. The dealer in turn
-is owed one request (0x15) by each sender, which is empty, and one by P_n,
-its digests, and refuses every other request by the same rule
-(`harness.DealerService`).
+hint must parse; P_n's evaluations must be one per own element. The dealer
+(`harness.DealerService`) is owed one request (0x15) by each sender, which
+is empty, and one by P_n, its digests. A fault at any endpoint, the dealer
+included, becomes one abort to every party it deals with.
 
 Only P_n terminates with output; everyone else ends with none. The gate
 binds each party to its commitment as far as `psi2` states: a party that
@@ -208,7 +207,8 @@ class PsinEngine(Party):
     # -- message handling ----------------------------------------------------
 
     def handle(self, src: int, env) -> list:
-        return self._route(src, env, {MSG_GROUP_KEY: self._on_group_key,
+        return self._route(src, env, {MSG_ROOT_PROOFS: self._on_root,
+                                      MSG_GROUP_KEY: self._on_group_key,
                                       MSG_SHARE_TABLE: self._on_share_table,
                                       MSG_ZS_SEED: self._on_zs_seed,
                                       MSG_OPPRF_HINT: self._on_hint,

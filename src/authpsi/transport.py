@@ -221,8 +221,9 @@ class TcpNode:
     """TCP endpoint: listens on its own address, dials peers on first send.
 
     A dialing party identifies itself with a 2-byte index right after
-    connecting; afterwards both directions carry ordinary frames (each
-    direction of a pair uses its own connection).
+    connecting; afterwards both directions carry ordinary frames, each
+    direction of a pair on its own connection. The dealer dials only the
+    parties that have dialed it.
     """
 
     def __init__(self, index: int, listen_addr: Optional[tuple[str, int]],
@@ -235,7 +236,8 @@ class TcpNode:
         self._out: dict[int, socket.socket] = {}
         self._inbox: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
-        # peers whose connection to this node has hung up: they have left
+        # peers that have dialed this node, and those that have hung up since
+        self._dialed: set[int] = set()
         self._gone: set[int] = set()
         self._closed = False
         self._listener = None
@@ -258,6 +260,7 @@ class TcpNode:
             except TransportError:
                 conn.close()
                 continue
+            self._dialed.add(src)
             threading.Thread(target=self._read_loop, args=(conn, src), daemon=True).start()
 
     def _read_loop(self, conn: socket.socket, src: int):
@@ -287,6 +290,8 @@ class TcpNode:
                 addr = self._peers.get(dst)
                 if addr is None:
                     raise TransportError(f"no address configured for party {dst}")
+                if self.index == DEALER_INDEX and dst not in self._dialed:
+                    raise TransportError(f"party {dst} has not dialed the dealer")
                 deadline = time.monotonic() + retry_for
                 while True:
                     # peers come up in arbitrary order, so a refused connection

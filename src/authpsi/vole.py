@@ -10,11 +10,11 @@ traffic is metered separately from protocol traffic.
 
 On the wire a request is the 4-byte big-endian length alone: the dealer
 reads the role from the requester's index (party 1 is the receiver) and the
-session from the envelope, and it is owed one request by each of the two
-parties. Material is bare: the receiver's expansion seed followed by C, or
-the sender's expansion seed followed by delta. A party rebuilds its seed
-from the role and length it asked for, so material for the other role fails
-on its length.
+session from the envelope; it is owed one request by each of the two
+parties, and the two must agree. Material is bare: the receiver's expansion
+seed followed by C, or the sender's expansion seed followed by delta. A
+party rebuilds its seed from the role and length it asked for, so material
+for the other role fails on its length.
 
 `extend` is deterministic given a completed seed, so a party can re-derive its
 vectors at will; freshness lives entirely in `gen_seed`.
@@ -127,33 +127,25 @@ def extend(seed: VoleSeed) -> Union[ReceiverCorrelation, SenderCorrelation]:
 
 
 class VoleDealer:
-    """Trusted setup endpoint: one correlation per (session, length), on request.
+    """Trusted setup endpoint: draws a fresh correlation and serves both halves.
 
     Receiver material: expansion seed followed by the C vector.
     Sender material: expansion seed followed by delta.
-    Keying by length as well keeps the dealer total even when a misbehaving
-    party requests a different length than its peer; the resulting halves
-    are then unrelated, which only hurts the misbehaving party.
+    `harness.DealerService` draws one per session, once both parties have
+    asked for it and agree on its length.
     """
 
     def __init__(self, rng: Optional[np.random.Generator] = None):
         self._rng = rng
-        self._sessions: dict[tuple[bytes, int], tuple[VoleSeed, VoleSeed]] = {}
 
     def _pair(self, session_id: bytes, length: int) -> tuple[VoleSeed, VoleSeed]:
-        pair = self._sessions.get((session_id, length))
-        if pair is None:
-            recv, send = gen_seed(length, session_id, rng=self._rng)
-            pair = (complete_receiver_seed(recv, send), send)
-            self._sessions[(session_id, length)] = pair
-        return pair
+        recv, send = gen_seed(length, session_id, rng=self._rng)
+        return complete_receiver_seed(recv, send), send
 
-    def request(self, session_id: bytes, role: str, length: int) -> bytes:
-        """Serve one party's half: its bare material."""
+    def materials(self, session_id: bytes, length: int) -> tuple[bytes, bytes]:
+        """The receiver's and the sender's bare material of one fresh correlation."""
         recv, send = self._pair(session_id, length)
-        if role == RECEIVER:
-            return recv.expansion_seed + recv.c_bytes
-        return send.expansion_seed + gf.to_bytes(send.delta)
+        return recv.expansion_seed + recv.c_bytes, send.expansion_seed + gf.to_bytes(send.delta)
 
 
 def seed_from_material(session_id: bytes, role: str, length: int, material: bytes) -> VoleSeed:

@@ -467,16 +467,16 @@ def test_dealer_reads_no_party_file(runner, tmp_path, monkeypatch, construction,
     assert "dealer served 0 responses" in result.output
 
 
-def _run_processes(config_path, construction, parties, out_dir, tamper=None):
-    """`authpsi run --role I` for the dealer and every party, each its own process.
+def _run_processes(config_path, construction, roles, out_dir, tamper=None):
+    """`authpsi run --role I` for each of `roles` (0 is the dealer), each its own process.
 
-    Returns I -> (exit code, stdout, stderr, seconds from the first start to its exit)."""
+    Returns I -> (exit code, stdout, stderr, `time.monotonic()` at its exit)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     procs = {}
     t0 = time.monotonic()
     try:
-        for i in range(parties + 1):
+        for i in roles:
             args = [sys.executable, "-m", "authpsi.cli", "run", "--construction", construction,
                     "--config", config_path, "--role", str(i), "--out-dir", str(out_dir / str(i))]
             if tamper is not None and i == tamper[0]:
@@ -486,7 +486,7 @@ def _run_processes(config_path, construction, parties, out_dir, tamper=None):
         # their output is a few lines, so polling cannot fill a pipe
         ended = {}
         while len(ended) < len(procs) and time.monotonic() - t0 < 60:
-            ended.update({i: time.monotonic() - t0 for i, proc in procs.items()
+            ended.update({i: time.monotonic() for i, proc in procs.items()
                           if i not in ended and proc.poll() is not None})
             time.sleep(0.02)
         outputs = {i: proc.communicate(timeout=60) for i, proc in procs.items()}
@@ -515,7 +515,7 @@ def test_networked_run_matches_local(runner, tmp_path, construction, parties, ta
         entry["address"] = f"127.0.0.1:{_free_port()}"
     Path(cfg_path).write_text(json.dumps(cfg))
 
-    results = _run_processes(cfg_path, construction, parties, tmp_path / "net", tamper)
+    results = _run_processes(cfg_path, construction, range(parties + 1), tmp_path / "net", tamper)
     # the dealer serves until its clients have hung up, and counts the
     # requests it answered: the 2pc parties and the OPRF senders ask in their
     # first step, before any root check, so even a tampered run has some
@@ -539,3 +539,43 @@ def test_networked_run_matches_local(runner, tmp_path, construction, parties, ta
     networked = (tmp_path / "net" / str(output_party) / "intersection.txt").read_text()
     assert networked == (tmp_path / "local" / "intersection.txt").read_text()
     assert networked.split() == sorted(e.hex() for e in datasets.read_dataset(f"{prefix}_core.dat"))
+
+
+def test_dealer_refusal_ends_a_networked_party(runner, tmp_path):
+    # the dealer and party 1 run as processes; party 2 is a node here that,
+    # once party 1's root is in (party 1 dials the dealer before it starts),
+    # sends the dealer an OPRF key request, which a 2pc dealer is not owed.
+    # The dealer's abort reaches party 1 at once, not after its 30 s wait
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=16)
+    salt = "dd" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg_path = _config(tmp_path, prefix, 2, salt)
+    cfg = json.loads(Path(cfg_path).read_text())
+    ports = {i: _free_port() for i in (0, 1, 2)}
+    for i, entry in ((0, cfg["dealer"]), (1, cfg["parties"]["1"]), (2, cfg["parties"]["2"])):
+        entry["address"] = f"127.0.0.1:{ports[i]}"
+    Path(cfg_path).write_text(json.dumps(cfg))
+    node = transport.TcpNode(2, ("127.0.0.1", ports[2]), {0: ("127.0.0.1", ports[0])})
+    received, sent_at = [], []
+
+    def party_2():
+        received.append(node.recv(timeout=20))
+        sent_at.append(time.monotonic())
+        node.deliver(2, transport.DEALER_INDEX,
+                     transport.Envelope(bytes.fromhex(salt), opprf.MSG_OPRF_DEALER, b""))
+        received.append(node.recv(timeout=10))
+
+    fake = threading.Thread(target=party_2)
+    fake.start()
+    try:
+        results = _run_processes(cfg_path, "2pc", [0, 1], tmp_path / "net")
+    finally:
+        fake.join(timeout=30)
+        node.close()
+    reason = "dealer: party 2: unexpected message 0x15 from party 2"
+    assert received[0][0] == 1 and received[0][2].msg_type == psi2.MSG_ROOT_PROOFS
+    assert results[1][0] == 3, results[1][2]
+    assert f"session aborted at party 1: {reason}" in results[1][2]
+    assert results[1][3] - sent_at[0] < 5
+    assert results[0][0] == 3, results[0][2]
+    assert "session aborted at the dealer: party 2: unexpected message 0x15" in results[0][2]

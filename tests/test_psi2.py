@@ -265,8 +265,9 @@ def test_wrong_role_dealer_material_aborts_cleanly(victim):
     # sender's seed and delta) is a fault, not an escaped exception: it has
     # the wrong length for the role the party asked as
     class SwappedRoleDealer(harness.DealerService):
-        def _answer(self, src, env):  # the role is read from the sender's index
-            return super()._answer(3 - src if src == victim else src, env)
+        def _on_vole_request(self, src, payload):  # both halves go out together
+            out = dict(super()._on_vole_request(src, payload))
+            return [(j, out[3 - j if j == victim else j]) for j in out]
 
     x, y = _sets(20, 20, 8, seed=24)
     session = b"\x2e" * 16

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from authpsi import datasets, harness, merkle, opprf, psi2, psin, transport, vole
-from authpsi.errors import ProtocolError, TransportError
+from authpsi.errors import TransportError
 from authpsi.transport import DEALER_INDEX
 
 
@@ -121,15 +121,15 @@ def test_each_element_is_hashed_once(monkeypatch):
 
 
 def _sessions():
-    """The honest fuzz sessions: 2pc at n = 32 and (4,2) at n_l = 32, with their message counts."""
+    """The honest fuzz sessions: 2pc at n = 32 and (4,2) at n_l = 32, with their message
+    counts, the dealer's included."""
     out = {}
     for name, sets, t in (("2pc", datasets.generate_sets(32, 16, 2, 8, 41), None),
                           ("4x2", datasets.generate_sets(32, 16, 4, 8, 42), 2)):
         sid = bytes([len(sets)]) * 16
         roots = {i: merkle.root(s, sid) for i, s in enumerate(sets, start=1)}
         spec = harness.Session(dict(enumerate(sets, start=1)), roots, sid, t)
-        out[name] = (spec, sum(len(sent) for sent in party_sizes(harness.run_session(
-            spec, np.random.default_rng(43))).values()))
+        out[name] = (spec, len(harness.run_session(spec, np.random.default_rng(43)).transcript.entries))
     return out
 
 
@@ -138,7 +138,10 @@ ROOT_TYPES = (psi2.MSG_ROOT_PROOFS, psin.MSG_ROOT_PROOFS)
 
 
 def _corrupt(payload, how, offset, bit):
-    """A bit flip at, a truncation to, or one extra byte inserted at a drawn offset."""
+    """A bit flip at, a truncation to, or one extra byte inserted at a drawn offset;
+    an empty payload has nothing to flip or cut."""
+    if how != "extend" and not payload:
+        return payload
     if how == "flip":
         at = offset % len(payload)
         return payload[:at] + bytes([payload[at] ^ (1 << bit)]) + payload[at + 1:]
@@ -152,11 +155,12 @@ def _corrupt(payload, how, offset, bit):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_one_corrupted_message_ends_every_party_cleanly(data):
-    # one party-to-party message of an honest run is corrupted in transit: no
-    # exception escapes the delivery loop and every party ends done; a corrupted root
-    # aborts every party. A flipped bit in a pseudorandom payload may still
-    # give a wrong output, which only channel authentication can turn into an
-    # abort, so outputs are not checked here.
+    # one message of an honest run, between parties or to or from the dealer,
+    # is corrupted in transit: no exception escapes the delivery loop and
+    # every party ends done; a corrupted root aborts every party. A flipped
+    # bit in a pseudorandom payload may still give a wrong output, which only
+    # channel authentication can turn into an abort, so outputs are not
+    # checked here.
     name = data.draw(st.sampled_from(sorted(FUZZ_SESSIONS)))
     spec, count = FUZZ_SESSIONS[name]
     target = data.draw(st.integers(0, count - 1))
@@ -171,12 +175,11 @@ def test_one_corrupted_message_ends_every_party_cleanly(data):
 
     class CorruptingBus(transport.BusNetwork):
         def deliver(self, src, dst, env):
-            if DEALER_INDEX not in (src, dst):
-                if seen[0] == target:
-                    corrupted.append(env.msg_type)
-                    env = transport.Envelope(env.session_id, env.msg_type,
-                                             _corrupt(env.payload, how, offset, bit))
-                seen[0] += 1
+            if seen[0] == target:
+                corrupted.append(env.msg_type)
+                env = transport.Envelope(env.session_id, env.msg_type,
+                                         _corrupt(env.payload, how, offset, bit))
+            seen[0] += 1
             super().deliver(src, dst, env)
 
     harness.drive(CorruptingBus(), engines, dealer)
@@ -231,7 +234,7 @@ def test_dealer_clients_are_the_parties_that_ask_it(parties, t):
     sid = bytes(16)
     spec = harness.Session(dict(enumerate(sets, start=1)),
                            {i: merkle.root(s, sid) for i, s in enumerate(sets, start=1)}, sid, t)
-    assert harness.DealerService(sid, parties, t).clients == asked
+    assert set(harness.DealerService(sid, parties, t).peers) == asked
     assert {i for i in spec.sets if spec.engine(i).awaits(DEALER_INDEX)} == asked
 
 
@@ -297,26 +300,50 @@ def test_misrouted_message_aborts_every_party(name, msg_type, to):
         assert e.aborted and e.intersection is None, i
 
 
-def _serve_one(src, msg_type, payload, session=b"\x70" * 16):
-    """Drive a two-party session's dealer alone with one request from `src`."""
+def _serve_one(spec, src, env):
+    """Drive a session's engines and dealer with `env` from `src` queued for the
+    dealer ahead of the session's own traffic; the engines and the dealer after."""
+    engines, dealer = _engines(spec, 43)
     bus = transport.BusNetwork()
-    bus.deliver(src, DEALER_INDEX, transport.Envelope(session, msg_type, payload))
-    harness.drive(bus, {}, harness.DealerService(session, 2, None, rng=np.random.default_rng(0)))
+    bus.deliver(src, DEALER_INDEX, env)
+    harness.drive(bus, engines, dealer)  # returns: a refusal is an abort, not an error
+    return engines, dealer
 
 
-@pytest.mark.parametrize("length", [0, harness.MAX_VOLE_LENGTH + 1], ids=["zero", "too-long"])
-def test_dealer_refuses_a_correlation_it_cannot_serve(monkeypatch, length):
-    # refused before any correlation is drawn, as a fault naming the sender
+def assert_dealer_refused(engines, dealer, reason):
+    """The dealer aborted with `reason`, and every client of it ends aborted with
+    that reason, named as the dealer's, and no output."""
+    assert dealer.aborted and dealer.abort_reason == reason
+    for i in dealer.peers:
+        assert engines[i].aborted and engines[i].intersection is None, i
+        assert engines[i].abort_reason == f"dealer: {reason}", i
+
+
+LONGEST, HONEST = harness.MAX_VOLE_LENGTH, psi2.okvs_length(32)
+
+
+@pytest.mark.parametrize("src,length,reason", [
+    (1, 0, f"party 1: correlation length 0 outside 1..{LONGEST}"),
+    (1, LONGEST + 1, f"party 1: correlation length {LONGEST + 1} outside 1..{LONGEST}"),
+    # party 2's request, one entry longer than party 1's, is in first
+    (2, HONEST + 1, f"party 1: correlation lengths differ: {HONEST} against {HONEST + 1} from party 2"),
+], ids=["zero", "too-long", "one-longer-than-peer"])
+def test_dealer_refuses_a_correlation_it_cannot_serve(monkeypatch, src, length, reason):
+    # refused before any correlation is drawn, and the refusal reaches both
+    # parties. The two requests must agree: one a single entry longer than
+    # its peer's once drew a correlation of any length up to LONGEST
     def drawn(*args, **kwargs):
         raise AssertionError("a correlation was drawn")
 
     monkeypatch.setattr(vole, "gen_seed", drawn)
-    with pytest.raises(ProtocolError, match="^party 1: correlation length"):
-        _serve_one(1, vole.MSG_VOLE_REQUEST, length.to_bytes(4, "big"))
+    spec, _ = FUZZ_SESSIONS["2pc"]
+    engines, dealer = _serve_one(spec, src, transport.Envelope(
+        spec.session_id, vole.MSG_VOLE_REQUEST, length.to_bytes(4, "big")))
+    assert_dealer_refused(engines, dealer, reason)
+    assert dealer.served == 0
     # the longest length served is the last whose receiver material, the
     # expansion seed and C, fits one message
-    longest = harness.MAX_VOLE_LENGTH
-    assert 32 + 16 * longest <= transport.MAX_PAYLOAD < 32 + 16 * (longest + 1)
+    assert 32 + 16 * LONGEST <= transport.MAX_PAYLOAD < 32 + 16 * (LONGEST + 1)
 
 
 def _honest_requests(spec):
@@ -333,34 +360,38 @@ def _honest_requests(spec):
     return requests
 
 
-# (session, sender, request, reason): the request is the sender's own honest
-# one ("again"), that one under another session id ("other-session"), or a
-# (type, body); in (4,2) the hint senders are P_2 and P_3, the output party P_4
+# (session, sender, request, reason, served): the request is the sender's own
+# honest one ("again"), that one under another session id ("other-session"),
+# or a (type, body); served counts the answers sent before the refusal. In
+# (4,2) the hint senders are P_2 and P_3, the output party P_4
 DEALER_FAULTS = [
-    ("2pc", 1, "again", "unexpected message 0x21 from party 1"),
-    ("2pc", 2, "again", "unexpected message 0x21 from party 2"),
-    ("2pc", 1, "other-session", "envelope for a different session"),
-    ("2pc", 1, (opprf.MSG_OPRF_DEALER, b""), "unexpected message 0x15 from party 1"),
-    ("2pc", 2, (vole.MSG_VOLE_REQUEST, b"\x00\x01"), "a correlation request is its 4-byte length"),
-    ("4x2", 2, "again", "unexpected message 0x15 from party 2"),
-    ("4x2", 4, "again", "unexpected message 0x15 from party 4"),
-    ("4x2", 3, "other-session", "envelope for a different session"),
-    ("4x2", 1, (opprf.MSG_OPRF_DEALER, b""), "unexpected message 0x15 from party 1"),
-    ("4x2", 3, (vole.MSG_VOLE_REQUEST, (8).to_bytes(4, "big")), "unexpected message 0x21 from party 3"),
-    ("4x2", 2, (opprf.MSG_OPRF_DEALER, b"\x00"), "an OPRF key request has no body"),
-    ("4x2", 4, (opprf.MSG_OPRF_DEALER, bytes(17)), "OPRF evaluation request of 17 bytes"),
+    ("2pc", 1, "again", "unexpected message 0x21 from party 1", 0),
+    ("2pc", 2, "again", "unexpected message 0x21 from party 2", 2),
+    ("2pc", 1, "other-session", "envelope for a different session", 0),
+    ("2pc", 1, (opprf.MSG_OPRF_DEALER, b""), "unexpected message 0x15 from party 1", 0),
+    ("2pc", 2, (vole.MSG_VOLE_REQUEST, b"\x00\x01"), "a correlation request is its 4-byte length", 0),
+    ("2pc", 1, (vole.MSG_VOLE_REQUEST, bytes(5)), "a correlation request is its 4-byte length", 0),
+    ("4x2", 2, "again", "unexpected message 0x15 from party 2", 1),
+    ("4x2", 4, "again", "unexpected message 0x15 from party 4", 3),
+    ("4x2", 3, "other-session", "envelope for a different session", 0),
+    ("4x2", 1, (opprf.MSG_OPRF_DEALER, b""), "unexpected message 0x15 from party 1", 0),
+    ("4x2", 3, (vole.MSG_VOLE_REQUEST, (8).to_bytes(4, "big")), "unexpected message 0x21 from party 3", 0),
+    ("4x2", 2, (opprf.MSG_OPRF_DEALER, b"\x00"), "an OPRF key request has no body", 0),
+    ("4x2", 4, (opprf.MSG_OPRF_DEALER, bytes(17)), "OPRF evaluation request of 17 bytes is not whole digests", 0),
 ]
 
 
 def test_dealer_serves_each_client_once_in_its_session():
     # the dealer admits requests with the parties' own rule: one request of
-    # the owed type from each client of its session. A request queued ahead of
-    # an honest session's traffic ends the run with a ProtocolError naming its
-    # sender when it is one from a party owed nothing, one for another session
-    # or a malformed one (nothing is served), or a copy of the sender's own
-    # (the copy is served, the sender's own is then a second request)
+    # the owed type from each client of its session. A request queued ahead
+    # of an honest session's traffic that is one from a party owed nothing,
+    # one for another session or a malformed one is refused at once; a copy
+    # of the sender's own is served like it (a VOLE request once the peer's
+    # is in too), and the sender's own is then a second request. Either way
+    # `drive` returns, and the dealer's abort names the sender and reaches
+    # every client
     requests = {name: _honest_requests(spec) for name, (spec, _) in FUZZ_SESSIONS.items()}
-    for name, src, request, reason in DEALER_FAULTS:
+    for name, src, request, reason, served in DEALER_FAULTS:
         spec, _ = FUZZ_SESSIONS[name]
         if request == "again":
             env = requests[name][src]
@@ -368,9 +399,6 @@ def test_dealer_serves_each_client_once_in_its_session():
             env = transport.Envelope(bytes(16), requests[name][src].msg_type, requests[name][src].payload)
         else:
             env = transport.Envelope(spec.session_id, *request)
-        engines, dealer = _engines(spec, 43)
-        bus = transport.BusNetwork()
-        bus.deliver(src, DEALER_INDEX, env)
-        with pytest.raises(ProtocolError, match=f"^party {src}: {re.escape(reason)}"):
-            harness.drive(bus, engines, dealer)
-        assert (dealer.served > 0) == (request == "again"), (name, src, request)
+        engines, dealer = _serve_one(spec, src, env)
+        assert_dealer_refused(engines, dealer, f"party {src}: {reason}")
+        assert dealer.served == served, (name, src, request)

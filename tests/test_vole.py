@@ -96,8 +96,7 @@ def test_dealer_message_roundtrip():
     # material is bare: the receiver's expansion seed and C, the sender's seed and delta
     dealer = vole.VoleDealer(rng=np.random.default_rng(3))
     sid = b"\x03" * 16
-    recv_raw = dealer.request(sid, vole.RECEIVER, 77)
-    send_raw = dealer.request(sid, vole.SENDER, 77)
+    recv_raw, send_raw = dealer.materials(sid, 77)
     assert len(recv_raw) == 32 + 16 * 77 and len(send_raw) == 32 + 16
     recv = vole.seed_from_material(sid, vole.RECEIVER, 77, recv_raw)
     send = vole.seed_from_material(sid, vole.SENDER, 77, send_raw)
@@ -113,11 +112,12 @@ def test_dealer_message_roundtrip():
 def test_dealer_serves_consistent_halves():
     dealer = vole.VoleDealer(rng=np.random.default_rng(7))
     sid = b"\x04" * 16
-    recv_seed = vole.seed_from_material(sid, vole.RECEIVER, 128, dealer.request(sid, vole.RECEIVER, 128))
-    send_seed = vole.seed_from_material(sid, vole.SENDER, 128, dealer.request(sid, vole.SENDER, 128))
+    recv_raw, send_raw = dealer.materials(sid, 128)
+    recv_seed = vole.seed_from_material(sid, vole.RECEIVER, 128, recv_raw)
+    send_seed = vole.seed_from_material(sid, vole.SENDER, 128, send_raw)
     rc, sc = vole.extend(recv_seed), vole.extend(send_seed)
     expect = gf.scalar_mul_vec(sc.delta, rc.a_vec) ^ sc.b_vec
     assert (rc.c_vec == expect).all()
-    # idempotent per session: a repeated request returns the same material
-    again = vole.seed_from_material(sid, vole.SENDER, 128, dealer.request(sid, vole.SENDER, 128))
-    assert again.delta == sc.delta
+    # each call draws afresh: `harness.DealerService` calls once per session
+    again = vole.seed_from_material(sid, vole.SENDER, 128, dealer.materials(sid, 128)[1])
+    assert again.delta != sc.delta
