@@ -83,11 +83,10 @@ def main():
 @click.option("--out-prefix", default="party", show_default=True)
 def gen(count, elem_bytes, seed, parties, overlap, out_prefix):
     """Write per-party datasets with a planted common core."""
-    if count < 1:
-        raise click.UsageError("--count must be at least 1")
-    if not 0 <= overlap <= count:
-        raise click.UsageError("--overlap must lie between 0 and --count")
-    sets = datasets.generate_sets(count, elem_bytes, parties, overlap, seed)
+    try:
+        sets = datasets.generate_sets(count, elem_bytes, parties, overlap, seed)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     core = sorted(set(sets[0]).intersection(*map(set, sets[1:]))) if parties > 1 else sorted(sets[0])
     for i, s in enumerate(sets, start=1):
         path = f"{out_prefix}{i}.dat"

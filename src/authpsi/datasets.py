@@ -41,6 +41,8 @@ def generate_sets(count: int, elem_bytes: int, parties: int, overlap: int,
 
     Deterministic given the seed. Non-core elements are globally distinct, so
     the exact n-way (and every pairwise) intersection equals the planted core.
+    A request for more distinct elements than `elem_bytes` can hold is a
+    ValueError, not an endless draw.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -48,8 +50,12 @@ def generate_sets(count: int, elem_bytes: int, parties: int, overlap: int,
         raise ValueError("overlap must be between 0 and count")
     if parties < 1:
         raise ValueError("need at least one party")
-    rng = np.random.default_rng(seed)
+    if elem_bytes < 1:
+        raise ValueError("elements must be at least 1 byte wide")
     needed = overlap + parties * (count - overlap)
+    if needed > 256 ** elem_bytes:
+        raise ValueError(f"{needed} distinct elements do not fit in {elem_bytes} byte(s)")
+    rng = np.random.default_rng(seed)
     pool: list[bytes] = []
     seen = set()
     while len(pool) < needed:

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import gf, merkle, opprf, psi2, psin, transport, vole
+from . import merkle, opprf, psi2, psin, transport, vole
 from .errors import ProtocolError, TransportError
 from .psi2 import decode_root_proofs, encode_root_proofs
 
@@ -147,10 +147,6 @@ class RunResult:
     elapsed_ms: float
 
 
-# the longest correlation whose receiver material fits one message
-MAX_VOLE_LENGTH = (transport.MAX_PAYLOAD - vole.EXPANSION_SEED_BYTES) // gf.GF_BYTES
-
-
 class DealerService(psi2.Endpoint):
     """Party 0 of one session: serves VOLE correlations and ideal-OPRF keys/evaluations.
 
@@ -162,7 +158,7 @@ class DealerService(psi2.Endpoint):
     is empty; P_n's request is its digests. Refused before anything is
     drawn, with an abort to every client naming the sender: a request for
     another session, one not owed (a second one, or one from a party owed
-    nothing), a correlation length outside 1..MAX_VOLE_LENGTH or unlike the
+    nothing), a correlation length outside 1..vole.MAX_LENGTH or unlike the
     other party's, or a malformed body.
     """
 
@@ -174,7 +170,6 @@ class DealerService(psi2.Endpoint):
         super().__init__(session_id, clients, {request: dict.fromkeys(clients, 1)}, rng)
         self.ABORT_TYPE = psi2.MSG_ABORT if t is None else psin.MSG_ABORT
         self.phase = "serving"  # nothing to start: it serves from the first request on
-        self.vole = vole.VoleDealer(rng=self.rng)
         self.oprf = opprf.OprfDealer(rng=self.rng)
         self._length: Optional[int] = None  # the first VOLE request's, until the second is in
         self.served = 0  # requests answered, whether or not the answer got through
@@ -194,8 +189,8 @@ class DealerService(psi2.Endpoint):
         if len(payload) != 4:
             raise ProtocolError("a correlation request is its 4-byte length")
         length = int.from_bytes(payload, "big")
-        if not 1 <= length <= MAX_VOLE_LENGTH:
-            raise ProtocolError(f"correlation length {length} outside 1..{MAX_VOLE_LENGTH}")
+        if not 1 <= length <= vole.MAX_LENGTH:
+            raise ProtocolError(f"correlation length {length} outside 1..{vole.MAX_LENGTH}")
         if self._length is None:
             self._length = length
             return []
@@ -203,7 +198,7 @@ class DealerService(psi2.Endpoint):
             raise ProtocolError(f"correlation lengths differ: {length} against "
                                 f"{self._length} from party {3 - src}")
         return [self._reply(j, vole.MSG_VOLE_MATERIAL, material)
-                for j, material in zip((1, 2), self.vole.materials(self.session_id, length))]
+                for j, material in zip((1, 2), vole.materials(length, self.rng))]
 
     def _on_oprf_request(self, src: int, payload: bytes) -> list:
         if src in self._senders:

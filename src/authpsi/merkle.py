@@ -70,7 +70,10 @@ class MerkleRoot:
             raise ValueError("bad root encoding length")
         if raw[0] != ROOT_WIRE_VERSION:
             raise ValueError("unknown root encoding version")
-        return cls(digest=raw[5:], set_size=int.from_bytes(raw[1:5], "big"))
+        set_size = int.from_bytes(raw[1:5], "big")
+        if set_size == 0:
+            raise ValueError("root announces an empty set")  # `root` commits to none
+        return cls(digest=raw[5:], set_size=set_size)
 
 
 @dataclass(frozen=True)

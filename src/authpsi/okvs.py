@@ -110,10 +110,10 @@ class OkvsParams:
         return self.m_sparse + self.m_dense
 
     @classmethod
-    def for_size(cls, n: int, row_seed: bytes,
-                 m_dense: int = DENSE_COLUMNS, omega: int = ROW_WEIGHT) -> "OkvsParams":
-        m_sparse = max(math.ceil(EXPANSION * n), omega)
-        return cls(n=n, m_sparse=m_sparse, m_dense=m_dense, omega=omega, row_seed=row_seed)
+    def for_size(cls, n: int, row_seed: bytes) -> "OkvsParams":
+        m_sparse = max(math.ceil(EXPANSION * n), ROW_WEIGHT)
+        return cls(n=n, m_sparse=m_sparse, m_dense=DENSE_COLUMNS, omega=ROW_WEIGHT,
+                   row_seed=row_seed)
 
 
 @dataclass

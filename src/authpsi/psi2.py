@@ -295,7 +295,6 @@ class Psi2Engine(Party):
             raise ConfigError("a two-party session has parties 1 and 2")
         super().__init__(config, rng)
         self.receiver = config.party_index == 1
-        self._role = vole.RECEIVER if self.receiver else vole.SENDER
         self.peer = 3 - config.party_index
         n_own, n_peer = len(config.input_set), config.roots[self.peer].set_size
         self.n_x, self.n_y = (n_own, n_peer) if self.receiver else (n_peer, n_own)
@@ -340,8 +339,7 @@ class Psi2Engine(Party):
                                       MSG_DIGEST_SET: self._on_digest_set})
 
     def _on_vole_material(self, src: int, payload: bytes) -> list:
-        corr = vole.extend(vole.seed_from_material(self.config.session_id, self._role,
-                                                   self._length, payload))
+        corr = vole.extend(self.receiver, self._length, payload)
         if self.receiver:
             self._recv_corr = corr
         else:

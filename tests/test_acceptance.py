@@ -226,12 +226,14 @@ def test_criterion_08_vole_relation():
     bad_coordinates = 0
     for m in (1, 1024, 65536):
         for s in range(100):
-            rng = np.random.default_rng(m * 1000 + s)
-            recv, send = vole.gen_seed(m, (m * 1000 + s).to_bytes(16, "big"), rng=rng)
-            vole.complete_receiver_seed(recv, send)
-            rc, sc = vole.extend(recv), vole.extend(send)
+            recv_raw, send_raw = vole.materials(m, np.random.default_rng(m * 1000 + s))
+            rc, sc = vole.extend(True, m, recv_raw), vole.extend(False, m, send_raw)
             expect = gf.scalar_mul_vec(sc.delta, rc.a_vec) ^ sc.b_vec
             bad_coordinates += m - int(np.count_nonzero((rc.c_vec == expect).all(axis=1)))
+            # the end coordinates again in scalar arithmetic, independently of the batch kernel
+            for i in {0, m - 1}:
+                a, b = gf.vec_get(rc.a_vec, i), gf.vec_get(sc.b_vec, i)
+                assert gf.vec_get(rc.c_vec, i) == gf.mul(a, sc.delta) ^ b, (m, s, i)
     assert bad_coordinates == 0
     print(f"\n[criterion 8] PASS: correlation exact at every coordinate, "
           f"m in {{1, 2^10, 2^16}} ({time.perf_counter() - t0:.1f}s)")

@@ -86,6 +86,21 @@ def test_gen_usage_errors(runner, tmp_path):
     assert bad.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--count", "300", "--elem-bytes", "1"],  # 600 distinct elements, only 256 of one byte
+    ["--count", "4", "--elem-bytes", "0"],
+    ["--count", "4", "--parties", "0"],
+], ids=["more-elements-than-fit", "zero-byte-elements", "no-parties"])
+def test_gen_impossible_request_is_usage_error(tmp_path, args):
+    # its own process with a timeout, so a request that never finishes fails instead of hanging
+    proc = subprocess.run([sys.executable, "-m", "authpsi.cli", "gen", *args,
+                           "--out-prefix", str(tmp_path / "x")],
+                          env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_commit_matches_library(runner, tmp_path):
     prefix = _gen(runner, tmp_path)
     salt = "ab" * 16
@@ -211,6 +226,22 @@ def test_stale_root_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
                                   "--local", "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("mode", [["--local"], ["--role", "1"]])
+def test_root_announcing_an_empty_set_is_usage_error(runner, tmp_path, mode):
+    # a root file of set size 0 is the operator's error, named by its party
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=18)
+    salt = "ee" * 16
+    _commit_all(runner, prefix, 2, salt)
+    root_path = Path(f"{prefix}2.root")
+    raw = root_path.read_bytes()
+    root_path.write_bytes(raw[:1] + bytes(4) + raw[5:])
+    cfg = _config(tmp_path, prefix, 2, salt)
+    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
+                                  "--out-dir", str(tmp_path / "out")] + mode)
+    assert result.exit_code == 2, result.output
+    assert "party 2: root announces an empty set" in result.output
 
 
 def test_bench_smoke(runner, tmp_path):
@@ -467,12 +498,17 @@ def test_dealer_reads_no_party_file(runner, tmp_path, monkeypatch, construction,
     assert "dealer served 0 responses" in result.output
 
 
+def _cli_env():
+    """The environment for `python -m authpsi.cli` with this source tree on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_processes(config_path, construction, roles, out_dir, tamper=None):
     """`authpsi run --role I` for each of `roles` (0 is the dealer), each its own process.
 
     Returns I -> (exit code, stdout, stderr, `time.monotonic()` at its exit)."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _cli_env()
     procs = {}
     t0 = time.monotonic()
     try:

@@ -170,6 +170,13 @@ def test_wire_roundtrips():
     assert int.from_bytes(root_raw[1:5], "big") == 13 and root_raw[5:] == r.digest
 
 
+def test_root_announcing_an_empty_set_is_refused():
+    # `root` commits to no empty set, so no decoded root announces one
+    empty = merkle.MerkleRoot(digest=merkle.root(_elements(1)).digest, set_size=0)
+    with pytest.raises(ValueError, match="empty set"):
+        merkle.MerkleRoot.from_bytes(empty.to_bytes())
+
+
 def test_commit_is_the_root_and_the_leaf_prefixes():
     data, salt = [b"elem-%d" % i for i in range(11)], b"\x5a" * 16
     root_, digests = merkle.commit(data, salt)

@@ -1,5 +1,6 @@
 """Oblivious key-value store: rows, encode/decode, retries, obliviousness proxy."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -282,7 +283,7 @@ def test_encode_matches_reference_elimination():
         for trial in range(120):
             digests = _h([k for k, _ in _pairs(n, rng)])
             values = gf.vec_from_bytes(rng.randbytes(16 * n))
-            p = okvs.OkvsParams.for_size(n, rng.randbytes(16), m_dense=0)
+            p = dataclasses.replace(okvs.OkvsParams.for_size(n, rng.randbytes(16)), m_dense=0)
             idx, _ = okvs.row_batch(digests, p)
             table = okvs.encode(digests, values, p, rng=np.random.default_rng(trial))
             solvable = _consistent(idx, values, p.m)

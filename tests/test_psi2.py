@@ -235,26 +235,19 @@ def test_malformed_masked_vector_or_digest_set_aborts_cleanly(msg_type, fault):
         assert engines[i].intersection is None
 
 
-def test_vole_backend_substitutability():
+def test_vole_backend_substitutability(monkeypatch):
     # any dealer satisfying C = A*delta + B yields the same intersection;
     # this one pins delta = 1 and deterministic expansion seeds
-    class FixedDeltaVole(vole.VoleDealer):
-        def _pair(self, session_id, length):
-            recv = vole.VoleSeed(role=vole.RECEIVER, session_id=session_id,
-                                 expansion_seed=b"\x41" * 32, length=length)
-            send = vole.VoleSeed(role=vole.SENDER, session_id=session_id,
-                                 expansion_seed=b"\x42" * 32, length=length, delta=1)
-            return vole.complete_receiver_seed(recv, send), send
+    def fixed_delta(length, rng):
+        a_seed, b_seed = b"\x41" * 32, b"\x42" * 32
+        return (a_seed + vole.complete_receiver_seed(a_seed, b_seed, 1, length),
+                b_seed + gf.to_bytes(1))
 
-    class FixedDeltaDealer(harness.DealerService):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.vole = FixedDeltaVole()
-
+    monkeypatch.setattr(vole, "materials", fixed_delta)
     x, y = _sets(40, 40, 15, seed=13)
     session = b"\x28" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    engines, dealer = _build(x, y, session, roots, seed=13, dealer_cls=FixedDeltaDealer)
+    engines, dealer = _build(x, y, session, roots, seed=13)
     harness.drive(transport.BusNetwork(), engines, dealer)
     assert engines[1].intersection == set(x) & set(y)
 

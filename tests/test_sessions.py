@@ -319,7 +319,7 @@ def assert_dealer_refused(engines, dealer, reason):
         assert engines[i].abort_reason == f"dealer: {reason}", i
 
 
-LONGEST, HONEST = harness.MAX_VOLE_LENGTH, psi2.okvs_length(32)
+LONGEST, HONEST = vole.MAX_LENGTH, psi2.okvs_length(32)
 
 
 @pytest.mark.parametrize("src,length,reason", [
@@ -335,7 +335,7 @@ def test_dealer_refuses_a_correlation_it_cannot_serve(monkeypatch, src, length, 
     def drawn(*args, **kwargs):
         raise AssertionError("a correlation was drawn")
 
-    monkeypatch.setattr(vole, "gen_seed", drawn)
+    monkeypatch.setattr(vole, "materials", drawn)
     spec, _ = FUZZ_SESSIONS["2pc"]
     engines, dealer = _serve_one(spec, src, transport.Envelope(
         spec.session_id, vole.MSG_VOLE_REQUEST, length.to_bytes(4, "big")))

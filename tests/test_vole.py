@@ -7,38 +7,21 @@ from authpsi import gf, vole
 from authpsi.errors import ProtocolError
 
 
-def _dealt_pair(m, sid=b"\x01" * 16, rng_seed=0):
-    rng = np.random.default_rng(rng_seed)
-    recv, send = vole.gen_seed(m, sid, rng=rng)
-    vole.complete_receiver_seed(recv, send)
-    return recv, send
-
-
-def test_gen_seed_shape():
-    recv, send = vole.gen_seed(8)
-    assert recv.session_id == send.session_id
-    assert recv.length == send.length == 8
-    assert recv.delta is None and send.delta is not None
-    assert len(recv.expansion_seed) == 32
-
-
-def test_gen_seed_rejects_empty():
-    with pytest.raises(ValueError):
-        vole.gen_seed(0)
+def _dealt_pair(m, rng_seed=0):
+    """Both halves of one correlation of length m, drawn from a fixed-seed rng."""
+    recv_raw, send_raw = vole.materials(m, np.random.default_rng(rng_seed))
+    return vole.extend(True, m, recv_raw), vole.extend(False, m, send_raw)
 
 
 def test_fresh_randomness_per_call():
-    pairs = [vole.gen_seed(4) for _ in range(20)]
-    deltas = {send.delta for _, send in pairs}
-    sessions = {send.session_id for _, send in pairs}
-    assert len(deltas) == 20
-    assert len(sessions) == 20
+    rng = np.random.default_rng(5)
+    draws = [vole.materials(4, rng) for _ in range(20)]
+    assert len({send[32:] for _, send in draws}) == 20  # delta
+    assert len({recv[:32] for recv, _ in draws} | {send[:32] for _, send in draws}) == 40
 
 
 def test_relation_holds_coordinatewise():
-    recv, send = _dealt_pair(1024)
-    rc = vole.extend(recv)
-    sc = vole.extend(send)
+    rc, sc = _dealt_pair(1024)
     expect = gf.scalar_mul_vec(sc.delta, rc.a_vec) ^ sc.b_vec
     assert (rc.c_vec == expect).all()
     # spot-check with scalar arithmetic, independently of the batch path
@@ -49,30 +32,31 @@ def test_relation_holds_coordinatewise():
 
 
 def test_zero_delta_degenerates():
-    recv, send = vole.gen_seed(64, b"\x02" * 16, rng=np.random.default_rng(1))
-    send.delta = 0
-    vole.complete_receiver_seed(recv, send)
-    rc, sc = vole.extend(recv), vole.extend(send)
+    a_seed, b_seed = b"\x41" * 32, b"\x42" * 32
+    c_bytes = vole.complete_receiver_seed(a_seed, b_seed, 0, 64)
+    rc = vole.extend(True, 64, a_seed + c_bytes)
+    sc = vole.extend(False, 64, b_seed + gf.to_bytes(0))
+    assert sc.delta == 0
     assert (rc.c_vec == sc.b_vec).all()
 
 
 def test_extend_is_deterministic():
-    recv, send = _dealt_pair(32)
-    r1, r2 = vole.extend(recv), vole.extend(recv)
+    recv_raw, send_raw = vole.materials(32, np.random.default_rng(0))
+    r1, r2 = vole.extend(True, 32, recv_raw), vole.extend(True, 32, recv_raw)
     assert (r1.a_vec == r2.a_vec).all() and (r1.c_vec == r2.c_vec).all()
-    s1, s2 = vole.extend(send), vole.extend(send)
+    s1, s2 = vole.extend(False, 32, send_raw), vole.extend(False, 32, send_raw)
     assert (s1.b_vec == s2.b_vec).all() and s1.delta == s2.delta
 
 
 def test_extend_requires_completed_receiver_seed():
-    recv, _ = vole.gen_seed(8)
-    with pytest.raises(ValueError):
-        vole.extend(recv)
+    # the receiver's seed without the dealer's C is not material
+    recv_raw, _ = vole.materials(8, np.random.default_rng(2))
+    with pytest.raises(ProtocolError, match="receiver material length"):
+        vole.extend(True, 8, recv_raw[:32])
 
 
 def test_length_one():
-    recv, send = _dealt_pair(1)
-    rc, sc = vole.extend(recv), vole.extend(send)
+    rc, sc = _dealt_pair(1)
     assert gf.vec_get(rc.c_vec, 0) == gf.mul(gf.vec_get(rc.a_vec, 0), sc.delta) ^ gf.vec_get(sc.b_vec, 0)
 
 
@@ -82,8 +66,7 @@ def test_marginal_uniformity():
     counts = {"a": 0.0, "b": 0.0, "c": 0.0}
     total_bits = m * 128 * sessions
     for s in range(sessions):
-        recv, send = _dealt_pair(m, sid=s.to_bytes(16, "big"), rng_seed=s)
-        rc, sc = vole.extend(recv), vole.extend(send)
+        rc, sc = _dealt_pair(m, rng_seed=s)
         for name, arr in (("a", rc.a_vec), ("b", sc.b_vec), ("c", rc.c_vec)):
             counts[name] += float(np.unpackbits(
                 np.frombuffer(gf.vec_to_bytes(arr), dtype=np.uint8)).sum())
@@ -94,30 +77,34 @@ def test_marginal_uniformity():
 
 def test_dealer_message_roundtrip():
     # material is bare: the receiver's expansion seed and C, the sender's seed and delta
-    dealer = vole.VoleDealer(rng=np.random.default_rng(3))
-    sid = b"\x03" * 16
-    recv_raw, send_raw = dealer.materials(sid, 77)
+    recv_raw, send_raw = vole.materials(77, np.random.default_rng(3))
     assert len(recv_raw) == 32 + 16 * 77 and len(send_raw) == 32 + 16
-    recv = vole.seed_from_material(sid, vole.RECEIVER, 77, recv_raw)
-    send = vole.seed_from_material(sid, vole.SENDER, 77, send_raw)
-    assert (recv.role, recv.session_id, recv.length) == (vole.RECEIVER, sid, 77)
-    assert recv.expansion_seed + recv.c_bytes == recv_raw
-    assert send.expansion_seed + gf.to_bytes(send.delta) == send_raw
-    # material for the other role fails on its length
-    for role, raw in ((vole.RECEIVER, send_raw), (vole.SENDER, recv_raw)):
+    rc, sc = vole.extend(True, 77, recv_raw), vole.extend(False, 77, send_raw)
+    assert (rc.a_vec == vole.expand_vector(recv_raw[:32], 77)).all()
+    assert gf.vec_to_bytes(rc.c_vec) == recv_raw[32:]
+    assert (sc.b_vec == vole.expand_vector(send_raw[:32], 77)).all()
+    assert gf.to_bytes(sc.delta) == send_raw[32:]
+    # material for the other role, or the receiver's for another length, fails on its length
+    for receiver, length, raw in ((True, 77, send_raw), (False, 77, recv_raw),
+                                  (True, 76, recv_raw), (True, 78, recv_raw)):
         with pytest.raises(ProtocolError, match="material length"):
-            vole.seed_from_material(sid, role, 77, raw)
+            vole.extend(receiver, length, raw)
 
 
 def test_dealer_serves_consistent_halves():
-    dealer = vole.VoleDealer(rng=np.random.default_rng(7))
-    sid = b"\x04" * 16
-    recv_raw, send_raw = dealer.materials(sid, 128)
-    recv_seed = vole.seed_from_material(sid, vole.RECEIVER, 128, recv_raw)
-    send_seed = vole.seed_from_material(sid, vole.SENDER, 128, send_raw)
-    rc, sc = vole.extend(recv_seed), vole.extend(send_seed)
+    rng = np.random.default_rng(7)
+    recv_raw, send_raw = vole.materials(128, rng)
+    rc, sc = vole.extend(True, 128, recv_raw), vole.extend(False, 128, send_raw)
     expect = gf.scalar_mul_vec(sc.delta, rc.a_vec) ^ sc.b_vec
     assert (rc.c_vec == expect).all()
     # each call draws afresh: `harness.DealerService` calls once per session
-    again = vole.seed_from_material(sid, vole.SENDER, 128, dealer.materials(sid, 128)[1])
+    again = vole.extend(False, 128, vole.materials(128, rng)[1])
     assert again.delta != sc.delta
+
+
+def test_materials_draw_the_a_seed_the_b_seed_then_delta():
+    recv_raw, send_raw = vole.materials(5, np.random.default_rng(9))
+    drawn = np.random.default_rng(9).bytes(32 + 32 + 16)
+    assert (recv_raw[:32], send_raw) == (drawn[:32], drawn[32:])
+    assert recv_raw[32:] == vole.complete_receiver_seed(
+        drawn[:32], drawn[32:64], gf.from_bytes(drawn[64:]), 5)
