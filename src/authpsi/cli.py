@@ -196,7 +196,10 @@ def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session
             roots[i] = merkle.MerkleRoot.from_bytes(Path(entry["root"]).read_bytes())
         except (OSError, ValueError, KeyError) as exc:
             raise click.UsageError(f"party {i}: {exc}")
-    return harness.Session(sets, roots, session_id, t, tamper)
+    try:
+        return harness.Session(sets, roots, session_id, t, tamper)
+    except ConfigError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _tamper(spec, party):
@@ -240,6 +243,8 @@ def _write_outputs(out_dir, intersection, report) -> None:
 def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, out_dir):
     """Execute one protocol session."""
     cfg = _load_config(config_path)
+    if tamper_party is not None and not tamper:
+        raise click.UsageError("--tamper-party needs --tamper")
     if local:
         if tamper and tamper_party is None:
             raise click.UsageError("--tamper in local mode needs --tamper-party")
@@ -254,7 +259,11 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
         # the dealer is built from the session's shape in the config alone:
         # it holds no party's dataset or root
         parties, t = _parties(construction, cfg)
-        dealer = harness.DealerService(_session_id(cfg["session_id"], "session_id"), len(parties), t)
+        try:
+            dealer = harness.DealerService(_session_id(cfg["session_id"], "session_id"),
+                                           len(parties), t)
+        except ConfigError as exc:
+            raise click.UsageError(str(exc))
         node = transport.TcpNode(role, addresses.get(role), addresses)
         try:
             harness.drive(node, {}, dealer, timeout=DEALER_IDLE_S)

@@ -2,14 +2,15 @@
 
 A `Session` describes a run once: the parties' input sets, their announced
 roots, the session id, the collusion bound t (None selects the two-party
-construction) and an optional tamper. Its `engine` method builds any party's
-engine. `drive` is the one delivery loop: `run_session` runs every party
-and the dealer with it over the in-process bus, whose one global FIFO keeps
-runs reproducible under fixed seeds; a networked CLI process runs one party,
-or the dealer, with it over its TCP node.
+construction) and an optional tamper. It checks that shape once, and every
+endpoint is built from it. `drive` is the one delivery loop: `run_session`
+runs every party and the dealer with it over the in-process bus, whose one
+global FIFO keeps runs reproducible under fixed seeds; a networked CLI
+process runs one party, or the dealer, with it over its TCP node.
 
 The dealer (`DealerService`) is a `psi2.Endpoint` like the parties, built
-from the session id, n and t; it admits, refuses and aborts by their rules.
+from the session id, n and t, which it checks by the session's rule; it
+admits, refuses and aborts by the parties' rules.
 Its messages carry only what the envelope's session id and sender do not
 fix. P_n gets one evaluation vector, the XOR over senders of their OPRFs,
 which is all its test uses.
@@ -33,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import merkle, opprf, psi2, psin, transport, vole
-from .errors import ProtocolError, TransportError
+from .errors import ConfigError, ProtocolError, TransportError
 from .psi2 import decode_root_proofs, encode_root_proofs
 
 
@@ -108,9 +109,19 @@ class Tamper:
         return transport.Envelope(env.session_id, env.msg_type, encode_root_proofs(flipped))
 
 
+def _roles(n: int, t: Optional[int]) -> Optional[psin.Roles]:
+    """The roles of an (n, t) session, None in 2pc; a shape no party runs is a `ConfigError`."""
+    if t is not None:
+        return psin.Roles(n, t)
+    if n != 2:
+        raise ConfigError("a two-party session has parties 1 and 2")
+    return None
+
+
 @dataclass(frozen=True)
 class Session:
-    """Everything a session's engines are built from."""
+    """One description of a run, its shape checked here once: every endpoint is built from
+    it, and a shape the parties do not run is a `ConfigError` before any endpoint exists."""
     # party index -> input set; a networked party holds only its own
     sets: dict[int, list[bytes]]
     roots: dict[int, merkle.MerkleRoot]    # party index -> announced commitment
@@ -118,23 +129,52 @@ class Session:
     t: Optional[int] = None                # collusion bound; None for the two-party construction
     tamper: Optional[Tamper] = None
 
+    def __post_init__(self):
+        if len(self.session_id) != 16:
+            raise ConfigError("session id must be 16 bytes")
+        if sorted(self.roots) != list(range(1, self.n + 1)):
+            raise ConfigError("a root must be announced for every party")
+        _roles(self.n, self.t)
+        if self.t is not None and len({r.set_size for r in self.roots.values()}) != 1:
+            raise ConfigError("announced commitments disagree on the set size")
+        for i, elements in self.sets.items():
+            if i not in self.roots:
+                raise ConfigError(f"party index {i} out of range")
+            if not elements:
+                raise ConfigError("input set must be nonempty")
+            if len(set(elements)) != len(elements):
+                raise ConfigError("input set must contain distinct elements")
+        if self.tamper is not None and self.tamper.party not in self.roots:
+            raise ConfigError(f"the tamper names party {self.tamper.party}, not one of the session")
+
+    @property
+    def n(self) -> int:
+        return len(self.roots)
+
     @property
     def output_party(self) -> int:
         """The party that learns the intersection: the receiver P_1, or P_n."""
-        return 1 if self.t is None else len(self.roots)
+        return 1 if self.t is None else self.n
 
     def tamper_at(self, i: int) -> Optional[Tamper]:
         return self.tamper if self.tamper is not None and self.tamper.party == i else None
 
-    def engine(self, i: int, rng: Optional[np.random.Generator] = None):
-        """Party i's engine, running on its tampered inputs if the tamper is its."""
+    def inputs(self, i: int) -> list[bytes]:
+        """What party i runs on: its set, or what its tamper makes of it."""
         tamper = self.tamper_at(i)
-        inputs = tamper.inputs(self.sets[i]) if tamper else list(self.sets[i])
-        config = dict(party_index=i, input_set=inputs, session_id=self.session_id,
-                      roots=self.roots, skip_self_check=tamper is not None)
-        if self.t is None:
-            return psi2.Psi2Engine(psi2.PartyConfig(**config), rng=rng)
-        return psin.PsinEngine(psin.PartyConfigN(**config, t=self.t), rng=rng)
+        return tamper.inputs(self.sets[i]) if tamper else list(self.sets[i])
+
+    def engine(self, i: int, rng: Optional[np.random.Generator] = None):
+        """Party i's engine."""
+        return (psi2.Psi2Engine if self.t is None else psin.PsinEngine)(self, i, rng)
+
+    def endpoints(self, rng: np.random.Generator) -> tuple[dict, DealerService]:
+        """Each given party's engine, in index order, then the dealer, seeded from `rng` in turn."""
+        engines = {i: self.engine(i, np.random.default_rng(rng.integers(1 << 62)))
+                   for i in sorted(self.sets)}
+        dealer = DealerService(self.session_id, self.n, self.t,
+                               rng=np.random.default_rng(rng.integers(1 << 62)))
+        return engines, dealer
 
 
 @dataclass
@@ -164,8 +204,9 @@ class DealerService(psi2.Endpoint):
 
     def __init__(self, session_id: bytes, n: int, t: Optional[int],
                  rng: Optional[np.random.Generator] = None):
-        self._senders = [] if t is None else psin.oprf_senders(n, t)
-        clients = [1, 2] if t is None else self._senders + [n]
+        roles = _roles(n, t)
+        self._senders = [] if roles is None else roles.senders
+        clients = [1, 2] if roles is None else self._senders + [n]
         request = vole.MSG_VOLE_REQUEST if t is None else opprf.MSG_OPRF_DEALER
         super().__init__(session_id, clients, {request: dict.fromkeys(clients, 1)}, rng)
         self.ABORT_TYPE = psi2.MSG_ABORT if t is None else psin.MSG_ABORT
@@ -273,12 +314,9 @@ def run_session(session: Session, rng: np.random.Generator,
                 network: Optional[transport.BusNetwork] = None) -> RunResult:
     """Every party of a session over the in-process bus.
 
-    `rng` seeds one engine per party in index order, then the dealer.
+    `rng` seeds the endpoints as `Session.endpoints` says.
     """
-    engines = {i: session.engine(i, np.random.default_rng(rng.integers(1 << 62)))
-               for i in sorted(session.sets)}
-    dealer = DealerService(session.session_id, len(session.roots), session.t,
-                           rng=np.random.default_rng(rng.integers(1 << 62)))
+    engines, dealer = session.endpoints(rng)
 
     net = network if network is not None else transport.BusNetwork()
     t0 = time.perf_counter()

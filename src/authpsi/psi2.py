@@ -60,8 +60,11 @@ salted with the session id, so commitments are per session.
 
 `Endpoint`, the core of every endpoint of a session, the dealer included,
 admits, refuses and aborts; `Party` adds the self-check, the root sent at
-start and the gate. Here each side is owed its peer's root and its dealer
-material; the receiver also the digest set, the sender the masked vector.
+start and the gate. A party is built from a `harness.Session`, which has
+checked the session's shape, and from its index: it takes the session id,
+the roots and its inputs from the session and validates nothing itself.
+Here each side is owed its peer's root and its dealer material; the
+receiver also the digest set, the sender the masked vector.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from __future__ import annotations
 import math
 import secrets
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -113,33 +115,6 @@ def digest_width(n_x: int, n_y: int, lambda_stat: int = LAMBDA_STAT) -> int:
 def okvs_length(n_x: int) -> int:
     """Table length for a receiver set size; both parties derive it identically."""
     return okvs.OkvsParams.for_size(n_x, bytes(okvs.SEED_BYTES)).m
-
-
-@dataclass
-class PartyConfig:
-    """One party of a session whose parties are numbered 1..n, n = len(roots)."""
-    party_index: int
-    input_set: list[bytes]
-    session_id: bytes
-    roots: dict[int, merkle.MerkleRoot]  # party index -> announced commitment
-    # harness knob for adversarial runs: skip the local commitment re-check
-    skip_self_check: bool = False
-
-    def __post_init__(self):
-        if sorted(self.roots) != list(range(1, self.n + 1)):
-            raise ConfigError("a root must be announced for every party")
-        if self.party_index not in self.roots:
-            raise ConfigError("party index out of range")
-        if not self.input_set:
-            raise ConfigError("input set must be nonempty")
-        if len(set(self.input_set)) != len(self.input_set):
-            raise ConfigError("input set must contain distinct elements")
-        if len(self.session_id) != 16:
-            raise ConfigError("session id must be 16 bytes")
-
-    @property
-    def n(self) -> int:
-        return len(self.roots)
 
 
 def encode_root_proofs(root: merkle.MerkleRoot) -> bytes:
@@ -248,15 +223,19 @@ class Endpoint:
 
 
 class Party(Endpoint):
-    """A party of either engine: the self-check, the digests and the root gate. An engine
-    calls `_open` first in `start`, routes its root type to `_on_root`, and implements
-    `_advance`, which the gate calls after each accepted root."""
+    """Party i of a checked session in either engine: the self-check, the digests and the
+    root gate. An engine calls `_open` first in `start`, routes its root type to `_on_root`,
+    and implements `_advance`, which the gate calls after each accepted root."""
     ROOT_TYPE: int
 
-    def __init__(self, config: PartyConfig, rng: Optional[np.random.Generator] = None):
-        peers = [j for j in sorted(config.roots) if j != config.party_index]
-        super().__init__(config.session_id, peers, {self.ROOT_TYPE: dict.fromkeys(peers, 1)}, rng)
-        self.config = config
+    def __init__(self, session, i: int, rng: Optional[np.random.Generator] = None):
+        peers = [j for j in sorted(session.roots) if j != i]
+        super().__init__(session.session_id, peers, {self.ROOT_TYPE: dict.fromkeys(peers, 1)}, rng)
+        self.index = i
+        self.roots = session.roots  # party index -> announced commitment
+        self.inputs = session.inputs(i)
+        # a tampered party runs on inputs other than its committed ones by design
+        self._self_check = session.tamper_at(i) is None
         self.phase_ms: dict[str, float] = {}
         self.digests: Optional[np.ndarray] = None  # d(x) of each own element, once started
 
@@ -264,9 +243,8 @@ class Party(Endpoint):
         """Self-check and digest the own inputs; their root to every other party."""
         if self.phase != "fresh":
             raise ProtocolError("engine already started")
-        cfg = self.config
-        own_root, self.digests = merkle.commit(cfg.input_set, cfg.session_id)
-        if not cfg.skip_self_check and own_root != cfg.roots[cfg.party_index]:
+        own_root, self.digests = merkle.commit(self.inputs, self.session_id)
+        if self._self_check and own_root != self.roots[self.index]:
             raise ConfigError("input set does not match the announced commitment")
         self.phase = "transformed"
         env = self._env(self.ROOT_TYPE, encode_root_proofs(own_root))
@@ -276,7 +254,7 @@ class Party(Endpoint):
         """The gate: the root of each other party must equal the one it announced."""
         t0 = time.perf_counter()
         try:
-            ok = check_peer_commitment(self.config.roots[src], decode_root_proofs(payload))
+            ok = check_peer_commitment(self.roots[src], decode_root_proofs(payload))
         except ProtocolError:
             ok = False  # an undecodable root fails the gate like a wrong one
         self.phase_ms["verify"] = self.phase_ms.get("verify", 0.0) + (time.perf_counter() - t0) * 1000
@@ -290,13 +268,11 @@ class Psi2Engine(Party):
     ROOT_TYPE = MSG_ROOT_PROOFS
     ABORT_TYPE = MSG_ABORT
 
-    def __init__(self, config: PartyConfig, rng: Optional[np.random.Generator] = None):
-        if config.n != 2:
-            raise ConfigError("a two-party session has parties 1 and 2")
-        super().__init__(config, rng)
-        self.receiver = config.party_index == 1
-        self.peer = 3 - config.party_index
-        n_own, n_peer = len(config.input_set), config.roots[self.peer].set_size
+    def __init__(self, session, i: int, rng: Optional[np.random.Generator] = None):
+        super().__init__(session, i, rng)
+        self.receiver = i == 1
+        self.peer = 3 - i
+        n_own, n_peer = len(self.inputs), self.roots[self.peer].set_size
         self.n_x, self.n_y = (n_own, n_peer) if self.receiver else (n_peer, n_own)
         self.out_bytes = digest_width(self.n_x, self.n_y)
         self._length = okvs_length(self.n_x)
@@ -384,7 +360,6 @@ class Psi2Engine(Party):
         return [(self.peer, self._env(MSG_DIGEST_SET, payload_out))]
 
     def _on_digest_set(self, src: int, payload: bytes) -> list:
-        cfg = self.config
         if self.phase != "interacted":
             raise ProtocolError("digest set out of order")
         t0 = time.perf_counter()
@@ -398,7 +373,7 @@ class Psi2Engine(Party):
 
         c_table = okvs.OkvsTable(params=self._table.params, values=self._recv_corr.c_vec)
         own = output_digest(okvs.decode_batch(c_table, self.digests), width).tobytes()
-        self.intersection = {x for i, x in enumerate(cfg.input_set)
+        self.intersection = {x for i, x in enumerate(self.inputs)
                              if own[i * width : (i + 1) * width] in received}
         self.phase = "done"
         self.phase_ms["reconstruct"] = (time.perf_counter() - t0) * 1000

@@ -1,9 +1,9 @@
 """n-party authenticated set intersection tolerating t collusions.
 
 All n parties pre-announce tree commitments to their equally-sized sets.
-Around v = n - t the parties split into group A (P_1 .. P_{v-1}), a central
-coordinator P_v, and group B (P_{v+1} .. P_n); P_n is the only party that
-learns the intersection.
+Around v = n - t the parties split (`Roles`) into group A (P_1 .. P_{v-1}),
+a central coordinator P_v, and group B (P_{v+1} .. P_n); P_n is the only
+party that learns the intersection.
 
 - transform: everyone broadcasts the root of the inputs it runs on. Each
   group-A party P_i draws one PRF key per group-B party, sends each key to
@@ -62,15 +62,14 @@ can still test a guessed element against them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import gf, okvs, opprf, zeroshare
 from .errors import ConfigError, ProtocolError
-# decode_root_proofs is held by name so bench/layers.py's tracer reaches it here too
-from .psi2 import Party, PartyConfig, decode_root_proofs  # noqa: F401
+# unused here; held by name for bench/test_bench.py, which checks the tracer replaces it here too
+from .psi2 import Party, decode_root_proofs  # noqa: F401
 from .transport import DEALER_INDEX
 
 MSG_ROOT_PROOFS = 0x11
@@ -89,57 +88,24 @@ def _bare_key(raw: bytes, what: str) -> bytes:
     return raw
 
 
-def oprf_senders(n: int, t: int) -> list[int]:
-    """Hint senders, the coordinator P_{n-t} through P_{n-1}: each asks the
-    dealer for its OPRF key."""
-    return list(range(n - t, n))
+class Roles:
+    """The roles in an (n, t) session around the coordinator P_v, v = n - t, and the one
+    rule for which (n, t) the construction runs."""
 
-
-@dataclass(kw_only=True)
-class PartyConfigN(PartyConfig):
-    t: int
-
-    def __post_init__(self):
-        if self.n < 3:
+    def __init__(self, n: int, t: int):
+        if n < 3:
             raise ConfigError("multi-party runs need at least 3 parties")
         # the collusion cap admits the boundary grid point at odd n, e.g. (5, 3)
-        if not 1 <= self.t <= (self.n + 1) // 2:
-            raise ConfigError(f"collusion bound t={self.t} out of range for n={self.n}")
-        if self.v < 2:
+        if not 1 <= t <= (n + 1) // 2:
+            raise ConfigError(f"collusion bound t={t} out of range for n={n}")
+        if n - t < 2:
             raise ConfigError("n - t must be at least 2")
-        super().__post_init__()
-        sizes = {r.set_size for r in self.roots.values()}
-        # the adversarial knob also lifts the own-size check so a tampered
-        # party can run with an inflated set against its stale commitment
-        if not self.skip_self_check and sizes != {len(self.input_set)}:
-            raise ConfigError("all parties must commit to sets of one common size")
-        if len(sizes) != 1:
-            raise ConfigError("announced commitments disagree on the set size")
-
-    @property
-    def v(self) -> int:
-        return self.n - self.t
-
-    @property
-    def n_l(self) -> int:
-        return len(self.input_set)
-
-    @property
-    def group_a(self) -> list[int]:
-        return list(range(1, self.v))
-
-    @property
-    def group_b(self) -> list[int]:
-        return list(range(self.v + 1, self.n + 1))
-
-    @property
-    def subgroup(self) -> list[int]:
-        """Zero-sharing participants: coordinator through P_n."""
-        return list(range(self.v, self.n + 1))
-
-    @property
-    def senders(self) -> list[int]:
-        return oprf_senders(self.n, self.t)
+        self.n, self.t, self.v = n, t, n - t
+        self.group_a = list(range(1, self.v))
+        self.group_b = list(range(self.v + 1, n + 1))
+        self.subgroup = list(range(self.v, n + 1))  # zero-sharing: the coordinator through P_n
+        # hint senders, the coordinator through P_{n-1}: each asks the dealer for its OPRF key
+        self.senders = list(range(self.v, n))
 
 
 class PsinEngine(Party):
@@ -147,19 +113,20 @@ class PsinEngine(Party):
     ROOT_TYPE = MSG_ROOT_PROOFS
     ABORT_TYPE = MSG_ABORT
 
-    def __init__(self, config: PartyConfigN, rng: Optional[np.random.Generator] = None):
-        super().__init__(config, rng)
-        cfg, i = config, config.party_index
+    def __init__(self, session, i: int, rng: Optional[np.random.Generator] = None):
+        super().__init__(session, i, rng)
+        self.roles = roles = Roles(session.n, session.t)
+        self.n_l = len(self.inputs)
         owed = self._owed
-        if i in cfg.group_b:
-            owed[MSG_GROUP_KEY] = dict.fromkeys(cfg.group_a, 1)
-        if i == cfg.v:
-            owed[MSG_SHARE_TABLE] = dict.fromkeys(cfg.group_a, 1)
-        if i > cfg.v:  # the subgroup above the coordinator
-            owed[MSG_ZS_SEED] = dict.fromkeys(range(cfg.v, i), 1)
-        if i == cfg.n:
-            owed[MSG_OPPRF_HINT] = dict.fromkeys(cfg.senders, 1)
-        if i == cfg.n or i in cfg.senders:
+        if i in roles.group_b:
+            owed[MSG_GROUP_KEY] = dict.fromkeys(roles.group_a, 1)
+        if i == roles.v:
+            owed[MSG_SHARE_TABLE] = dict.fromkeys(roles.group_a, 1)
+        if i > roles.v:  # the subgroup above the coordinator
+            owed[MSG_ZS_SEED] = dict.fromkeys(range(roles.v, i), 1)
+        if i == roles.n:
+            owed[MSG_OPPRF_HINT] = dict.fromkeys(roles.senders, 1)
+        if i == roles.n or i in roles.senders:
             owed[MSG_OPRF_DEALER] = {DEALER_INDEX: 1}
         # group B: group-A PRF keys by sender; coordinator: their share tables
         self.groupa_keys: dict[int, bytes] = {}
@@ -177,13 +144,12 @@ class PsinEngine(Party):
     def start(self) -> list:
         t0 = time.perf_counter()
         out = self._open()
-        cfg = self.config
-        i = cfg.party_index
+        roles, i = self.roles, self.index
 
-        if i in cfg.group_a:
-            keys = {j: self.rng.bytes(zeroshare.SEED_BYTES) for j in cfg.group_b}
+        if i in roles.group_a:
+            keys = {j: self.rng.bytes(zeroshare.SEED_BYTES) for j in roles.group_b}
             out.extend((j, self._env(MSG_GROUP_KEY, key)) for j, key in keys.items())
-            values = np.zeros((cfg.n_l, 2), dtype=zeroshare.VALUE_DTYPE)
+            values = np.zeros((self.n_l, 2), dtype=zeroshare.VALUE_DTYPE)
             values[:, 0] = zeroshare.prf(list(keys.values()), self.digests)
             result = okvs.encode_with_retry(self.digests, values, okvs.MAX_ENCODE_ATTEMPTS,
                                             self.rng)
@@ -191,14 +157,14 @@ class PsinEngine(Party):
                 self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
                 return out + self._abort("share table encoding failed")
             table, _ = result
-            out.append((cfg.v, self._env(MSG_SHARE_TABLE, table.to_bytes())))
+            out.append((roles.v, self._env(MSG_SHARE_TABLE, table.to_bytes())))
 
-        if i in cfg.subgroup:
-            for j in range(i + 1, cfg.n + 1):
+        if i in roles.subgroup:
+            for j in range(i + 1, roles.n + 1):
                 self._zs_seeds[j] = self.rng.bytes(zeroshare.SEED_BYTES)
                 out.append((j, self._env(MSG_ZS_SEED, self._zs_seeds[j])))
 
-        if i in cfg.senders:  # the key request is empty: the dealer keys by the sender's index
+        if i in roles.senders:  # the key request is empty: the dealer keys by the sender's index
             out.append((DEALER_INDEX, self._env(MSG_OPRF_DEALER, b"")))
 
         self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
@@ -220,7 +186,7 @@ class PsinEngine(Party):
 
     def _on_share_table(self, src: int, payload: bytes) -> list:
         try:
-            self._share_tables[src] = okvs.OkvsTable.from_bytes(payload, self.config.n_l)
+            self._share_tables[src] = okvs.OkvsTable.from_bytes(payload, self.n_l)
         except ValueError as exc:
             raise ProtocolError(f"undecodable share table from party {src}: {exc}") from exc
         return self._advance()
@@ -231,10 +197,9 @@ class PsinEngine(Party):
 
     def _on_oprf_dealer(self, src: int, payload: bytes) -> list:
         """A sender's OPRF key, or P_n's evaluations: 8 bytes per own element."""
-        cfg = self.config
-        if cfg.party_index != cfg.n:
+        if self.index != self.roles.n:
             self._oprf_key = _bare_key(payload, "OPRF key from the dealer")
-        elif len(payload) != cfg.n_l * zeroshare.VALUE_DTYPE.itemsize:
+        elif len(payload) != self.n_l * zeroshare.VALUE_DTYPE.itemsize:
             raise ProtocolError("wrong OPRF evaluation count")
         else:
             self._evals = np.frombuffer(payload, dtype=zeroshare.VALUE_DTYPE)
@@ -242,7 +207,7 @@ class PsinEngine(Party):
 
     def _on_hint(self, src: int, payload: bytes) -> list:
         try:
-            self._hints[src] = okvs.OkvsTable.from_bytes(payload, self.config.n_l)
+            self._hints[src] = okvs.OkvsTable.from_bytes(payload, self.n_l)
         except ValueError as exc:
             raise ProtocolError(f"undecodable hint from party {src}: {exc}") from exc
         return self._advance()
@@ -250,17 +215,16 @@ class PsinEngine(Party):
     # -- progress ------------------------------------------------------------
 
     def _zs_keyset(self) -> zeroshare.ZsKeySet:
-        return zeroshare.ZsKeySet(party_index=self.config.party_index, keys=self._zs_seeds)
+        return zeroshare.ZsKeySet(party_index=self.index, keys=self._zs_seeds)
 
     def _aggregate(self) -> np.ndarray:
         """A^i per own element, uint64: tables at the coordinator, PRF keys in group B."""
-        cfg = self.config
-        if cfg.party_index == cfg.v:
-            agg = np.zeros(cfg.n_l, dtype=zeroshare.VALUE_DTYPE)
+        if self.index == self.roles.v:
+            agg = np.zeros(self.n_l, dtype=zeroshare.VALUE_DTYPE)
             for table in self._share_tables.values():
                 agg ^= okvs.decode_batch(table, self.digests)[:, 0]
             return agg
-        return zeroshare.prf([self.groupa_keys[s] for s in cfg.group_a], self.digests)
+        return zeroshare.prf([self.groupa_keys[s] for s in self.roles.group_a], self.digests)
 
     def _own_values(self) -> np.ndarray:
         """share(x) XOR A^i(x) per own element: what a sender programs, what P_n compares."""
@@ -269,27 +233,26 @@ class PsinEngine(Party):
     def _advance(self) -> list:
         """P_n asks the dealer for its evaluations once every root has passed;
         each party finishes once it is owed nothing more."""
-        cfg = self.config
-        i = cfg.party_index
+        roles, i = self.roles, self.index
         out = []
-        if i == cfg.n and not self._evals_requested and self._settled(self.ROOT_TYPE):
+        if i == roles.n and not self._evals_requested and self._settled(self.ROOT_TYPE):
             self._evals_requested = True
             out = [(DEALER_INDEX, self._env(MSG_OPRF_DEALER, gf.vec_to_bytes(self.digests)))]
         if not self._settled():
             return out
-        if i in cfg.group_a:
+        if i in roles.group_a:
             self.phase = "done"
             return out
         t0 = time.perf_counter()
-        if i == cfg.n:
+        if i == roles.n:
             own = self._own_values()
-            combined = opprf.opprf_query_batch([self._hints[s] for s in cfg.senders],
+            combined = opprf.opprf_query_batch([self._hints[s] for s in roles.senders],
                                                self.digests, self._evals)
-            self.intersection = {cfg.input_set[q] for q in np.flatnonzero(own == combined)}
+            self.intersection = {self.inputs[q] for q in np.flatnonzero(own == combined)}
         else:
             hint = opprf.opprf_program(self.digests, self._own_values(), self._oprf_key,
                                        rng=self.rng)
-            out.append((cfg.n, self._env(MSG_OPPRF_HINT, hint.to_bytes())))
+            out.append((roles.n, self._env(MSG_OPPRF_HINT, hint.to_bytes())))
         self.phase = "done"
         self.phase_ms["reconstruct"] = (time.perf_counter() - t0) * 1000
         return out

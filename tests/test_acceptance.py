@@ -326,9 +326,7 @@ def _encode(pairs, params, rng):
 
 def _white_box_session(x, y, session, roots, seed):
     from authpsi import transport
-    master = np.random.default_rng(seed)
-    spec = harness.Session({1: x, 2: y}, roots, session)
-    engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62))) for i in (1, 2)}
-    dealer = harness.DealerService(session, 2, None, rng=np.random.default_rng(master.integers(1 << 62)))
+    engines, dealer = harness.Session({1: x, 2: y}, roots, session).endpoints(
+        np.random.default_rng(seed))
     harness.drive(transport.BusNetwork(), engines, dealer)
     return engines

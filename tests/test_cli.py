@@ -244,6 +244,39 @@ def test_root_announcing_an_empty_set_is_usage_error(runner, tmp_path, mode):
     assert "party 2: root announces an empty set" in result.output
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--tamper", "flip-element:3", "--tamper-party", "5"], "the tamper names party 5"),
+    (["--tamper-party", "2"], "--tamper-party needs --tamper"),
+], ids=["tamper-of-no-party", "tamper-party-without-tamper"])
+def test_tamper_naming_no_party_is_usage_error(runner, tmp_path, args, message):
+    # neither may run an honest session in place of the tampered one asked for
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=20)
+    salt = "1e" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg = _config(tmp_path, prefix, 2, salt)
+    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg, "--local",
+                                  "--out-dir", str(tmp_path / "out")] + args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", [["--local"], ["--role", "1"], ["--role", "0"]],
+                         ids=["local", "party", "dealer"])
+def test_collusion_bound_out_of_range_is_usage_error(runner, tmp_path, monkeypatch, mode):
+    # every endpoint refuses (n, t) = (4, 3) by one rule, the dealer too, at
+    # once: it does not wait out its idle cap for clients that never come
+    monkeypatch.setattr(cli, "DEALER_IDLE_S", 0.2)
+    prefix = _gen(runner, tmp_path, count=12, parties=4, overlap=4, seed=21)
+    salt = "1f" * 16
+    _commit_all(runner, prefix, 4, salt)
+    cfg = _config(tmp_path, prefix, 4, salt, extra={"n": 4, "t": 3})
+    result = runner.invoke(main, ["run", "--construction", "npc", "--config", cfg,
+                                  "--out-dir", str(tmp_path / "out")] + mode)
+    assert result.exit_code == 2, result.output
+    assert "collusion bound t=3 out of range for n=4" in result.output
+
+
 def test_bench_smoke(runner, tmp_path):
     out = tmp_path / "bench.json"
     result = runner.invoke(main, ["bench", "--sizes", "64", "--reps", "1",

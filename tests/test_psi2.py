@@ -92,12 +92,9 @@ def test_masking_identity_white_box():
         assert lhs == gf.vec_get(c, i)
 
 
-def _build(x, y, session, roots, seed, dealer_cls=harness.DealerService):
-    """Both engines from the shared session builder, and the dealer."""
-    master = np.random.default_rng(seed)
-    spec = harness.Session({1: x, 2: y}, roots, session)
-    engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62))) for i in (1, 2)}
-    return engines, dealer_cls(session, 2, None, rng=np.random.default_rng(master.integers(1 << 62)))
+def _build(x, y, session, roots, seed):
+    """Both engines and the dealer, as `harness.run_session` builds them."""
+    return harness.Session({1: x, 2: y}, roots, session).endpoints(np.random.default_rng(seed))
 
 
 def _run_engines(x, y, session, roots, seed, tamper=None, net=None):
@@ -126,8 +123,7 @@ def test_digest_set_size_and_permutation():
 
 def _started_receiver(x, y, session):
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    cfg = psi2.PartyConfig(party_index=1, input_set=x, session_id=session, roots=roots)
-    engine = psi2.Psi2Engine(cfg, rng=np.random.default_rng(0))
+    engine = psi2.Psi2Engine(harness.Session({1: x}, roots, session), 1, rng=np.random.default_rng(0))
     engine.start()
     return engine
 
@@ -253,7 +249,7 @@ def test_vole_backend_substitutability(monkeypatch):
 
 
 @pytest.mark.parametrize("victim", [1, 2])
-def test_wrong_role_dealer_material_aborts_cleanly(victim):
+def test_wrong_role_dealer_material_aborts_cleanly(monkeypatch, victim):
     # material for the other party's role (the receiver's seed and C, or the
     # sender's seed and delta) is a fault, not an escaped exception: it has
     # the wrong length for the role the party asked as
@@ -265,7 +261,9 @@ def test_wrong_role_dealer_material_aborts_cleanly(victim):
     x, y = _sets(20, 20, 8, seed=24)
     session = b"\x2e" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    engines, dealer = _build(x, y, session, roots, seed=24, dealer_cls=SwappedRoleDealer)
+    monkeypatch.setattr(harness, "DealerService", SwappedRoleDealer)
+    engines, dealer = _build(x, y, session, roots, seed=24)
+    assert isinstance(dealer, SwappedRoleDealer)
     harness.drive(transport.BusNetwork(), engines, dealer)  # no escaped error
     assert "material length" in engines[victim].abort_reason
     for i in (1, 2):
@@ -386,10 +384,14 @@ def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault, party):
 
 @dataclasses.dataclass
 class ReplayedRoot:
-    """Replaces one party's outgoing root with the honest root of its committed set."""
+    """A tamper that leaves its party's inputs as the session gives them and replaces
+    its outgoing root with the honest root of its committed set."""
     party: int
     committed: list
     session: bytes
+
+    def inputs(self, elements):
+        return list(elements)
 
     def envelope(self, env):
         if env.msg_type != psi2.MSG_ROOT_PROOFS:
@@ -408,9 +410,9 @@ def test_gate_binds_inputs_actually_used():
     session = b"\x2b" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     y_used = [e for e in y if e not in x][:16] + x[:16]
-    engines, dealer = _build(x, y_used, session, roots, seed=19)
-    engines[2].config.skip_self_check = True
-    harness.drive(transport.BusNetwork(), engines, dealer, ReplayedRoot(2, y, session))
+    spec = harness.Session({1: x, 2: y_used}, roots, session, tamper=ReplayedRoot(2, y, session))
+    engines, dealer = spec.endpoints(np.random.default_rng(19))
+    harness.drive(transport.BusNetwork(), engines, dealer, spec.tamper)
     assert engines[1].aborted and engines[1].intersection is None
 
 

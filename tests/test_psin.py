@@ -52,15 +52,12 @@ def test_element_missing_at_one_party_excluded():
 
 
 def test_group_split():
-    sets, _ = _party_sets(8, 8, 2, seed=3)
-    cfg = psin.PartyConfigN(t=4, party_index=1, input_set=sets[0],
-                            session_id=b"\x01" * 16,
-                            roots={i + 1: merkle.root(sets[i], b"\x01" * 16) for i in range(8)})
-    assert cfg.v == 4
-    assert cfg.group_a == [1, 2, 3]
-    assert cfg.group_b == [5, 6, 7, 8]
-    assert cfg.subgroup == [4, 5, 6, 7, 8]
-    assert cfg.senders == [4, 5, 6, 7]
+    roles = psin.Roles(8, 4)
+    assert roles.v == 4
+    assert roles.group_a == [1, 2, 3]
+    assert roles.group_b == [5, 6, 7, 8]
+    assert roles.subgroup == [4, 5, 6, 7, 8]
+    assert roles.senders == [4, 5, 6, 7]
 
 
 def test_smallest_configuration():
@@ -89,12 +86,8 @@ def test_only_output_party_learns_intersection():
 
 
 def _run_engines(sets, t, session, roots, seed, tamper=None, net=None):
-    master = np.random.default_rng(seed)
-    spec = harness.Session({i: s for i, s in enumerate(sets, start=1)}, roots, session, t)
-    engines = {i: spec.engine(i, np.random.default_rng(master.integers(1 << 62)))
-               for i in range(1, len(sets) + 1)}
-    dealer = harness.DealerService(session, len(sets), t,
-                                   rng=np.random.default_rng(master.integers(1 << 62)))
+    spec = harness.Session(dict(enumerate(sets, start=1)), roots, session, t)
+    engines, dealer = spec.endpoints(np.random.default_rng(seed))
     harness.drive(net if net is not None else transport.BusNetwork(), engines, dealer, tamper)
     return engines
 
@@ -265,16 +258,16 @@ def test_cancellation_identity_white_box():
     session = b"\x03" * 16
     roots = {i + 1: merkle.root(sets[i], session) for i in range(5)}
     engines = _run_engines(sets, t=3, session=session, roots=roots, seed=7)
-    cfg = engines[5].config
-    assert cfg.v == 2
+    roles = engines[5].roles
+    assert roles.v == 2
 
     share_sum = np.zeros(len(core), dtype=np.uint64)
     total = np.zeros(len(core), dtype=np.uint64)
-    for i in cfg.subgroup:
+    for i in roles.subgroup:
         engine = engines[i]
         share_sum ^= zeroshare.zs_share(engine._zs_keyset(), merkle.commit(core, session)[1])
         # every pairwise PRF term appears exactly twice across the aggregates
-        positions = [engine.config.input_set.index(x) for x in core]
+        positions = [engine.inputs.index(x) for x in core]
         total ^= engine._aggregate()[positions]
     assert (share_sum == 0).all()
     assert (total == 0).all()
@@ -287,13 +280,13 @@ def test_aggregates_match_raw_keys():
     session = b"\x04" * 16
     roots = {i + 1: merkle.root(sets[i], session) for i in range(4)}
     engines = _run_engines(sets, t=2, session=session, roots=roots, seed=8)
-    cfg = engines[2].config
-    assert cfg.v == 2 and cfg.group_a == [1]
+    roles = engines[2].roles
+    assert roles.v == 2 and roles.group_a == [1]
     coord = engines[2]
     expect = np.zeros(len(core), dtype=np.uint64)
-    for j in cfg.group_b:
+    for j in roles.group_b:
         expect ^= zeroshare.prf([engines[j].groupa_keys[1]], merkle.commit(core, session)[1])
-    positions = [coord.config.input_set.index(x) for x in core]
+    positions = [coord.inputs.index(x) for x in core]
     assert (coord._aggregate()[positions] == expect).all()
 
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from authpsi import datasets, harness, merkle, opprf, psi2, psin, transport, vole
-from authpsi.errors import TransportError
+from authpsi.errors import ConfigError, TransportError
 from authpsi.transport import DEALER_INDEX
 
 
@@ -167,10 +167,7 @@ def test_one_corrupted_message_ends_every_party_cleanly(data):
     how = data.draw(st.sampled_from(["flip", "truncate", "extend"]))
     offset, bit = data.draw(st.integers(0, 1 << 16)), data.draw(st.integers(0, 7))
 
-    rng = np.random.default_rng(43)
-    engines = {i: spec.engine(i, np.random.default_rng(rng.integers(1 << 62))) for i in spec.sets}
-    dealer = harness.DealerService(spec.session_id, len(spec.roots), spec.t,
-                                   rng=np.random.default_rng(rng.integers(1 << 62)))
+    engines, dealer = spec.endpoints(np.random.default_rng(43))
     seen, corrupted = [0], []
 
     class CorruptingBus(transport.BusNetwork):
@@ -220,6 +217,50 @@ def test_quiet_bus_names_the_waiting_parties(name, msg_type, waiting):
     assert f"{msg_type:#04x} from party {bus.dropped_from}" in str(err.value)
 
 
+SHAPE_SID = b"\x51" * 16
+
+# (parties, t, change to an honest session's arguments, the refusal): a change
+# of None leaves the shape (parties, t) itself at fault
+SHAPE_FAULTS = {
+    "session-id-of-15-bytes": (2, None, lambda a: a.update(session_id=bytes(15)),
+                               "session id must be 16 bytes"),
+    "roots-of-parties-1-and-3": (2, None, lambda a: a["roots"].update({3: a["roots"].pop(2)}),
+                                 "a root must be announced for every party"),
+    "2pc-of-3-parties": (3, None, None, "a two-party session has parties 1 and 2"),
+    "npc-of-2-parties": (2, 1, None, "multi-party runs need at least 3 parties"),
+    "t-0": (4, 0, None, "collusion bound t=0 out of range for n=4"),
+    "t-above-the-cap": (4, 3, None, "collusion bound t=3 out of range for n=4"),
+    "n-minus-t-of-1": (3, 2, None, "n - t must be at least 2"),
+    "unequal-announced-sizes": (3, 1, lambda a: a["roots"].update(
+        {2: merkle.root(a["sets"][2][1:], SHAPE_SID)}), "announced commitments disagree on the set size"),
+    "empty-set": (2, None, lambda a: a["sets"].update({2: []}), "input set must be nonempty"),
+    "repeated-element": (2, None, lambda a: a["sets"][2].append(a["sets"][2][0]),
+                         "input set must contain distinct elements"),
+    "set-of-no-party": (2, None, lambda a: a["sets"].update({3: a["sets"][2]}),
+                        "party index 3 out of range"),
+    "tamper-of-no-party": (2, None, lambda a: a.update(tamper=harness.Tamper("flip-element", 3)),
+                           "the tamper names party 3"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SHAPE_FAULTS))
+def test_session_refuses_a_shape_the_parties_do_not_run(fault):
+    # the session's shape is checked once, where the session is described;
+    # the dealer, built from (session id, n, t) alone, refuses a bad (n, t) by the same rule
+    parties, t, change, message = SHAPE_FAULTS[fault]
+    sets = dict(enumerate(datasets.generate_sets(8, 16, parties, 2, 70), start=1))
+    args = dict(sets=sets, roots={i: merkle.root(s, SHAPE_SID) for i, s in sets.items()},
+                session_id=SHAPE_SID, t=t)
+    if change is None:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            harness.DealerService(SHAPE_SID, parties, t)
+    else:
+        harness.Session(**args)  # the session before the change is sound
+        change(args)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        harness.Session(**args)
+
+
 @pytest.mark.parametrize("parties,t", [(2, None), (3, 1), (5, 2), (8, 4)],
                          ids=["2pc", "3x1", "5x2", "8x4"])
 def test_dealer_clients_are_the_parties_that_ask_it(parties, t):
@@ -238,14 +279,6 @@ def test_dealer_clients_are_the_parties_that_ask_it(parties, t):
     assert {i for i in spec.sets if spec.engine(i).awaits(DEALER_INDEX)} == asked
 
 
-def _engines(spec, seed):
-    """Every party's engine of a session, and the dealer, seeded as `harness.run_session` does."""
-    rng = np.random.default_rng(seed)
-    engines = {i: spec.engine(i, np.random.default_rng(rng.integers(1 << 62))) for i in spec.sets}
-    return engines, harness.DealerService(spec.session_id, len(spec.roots), spec.t,
-                                          rng=np.random.default_rng(rng.integers(1 << 62)))
-
-
 @pytest.mark.parametrize("parties,t", [(2, None), (8, 4)], ids=["2pc", "8x4"])
 def test_each_party_receives_exactly_what_it_is_owed(parties, t):
     # in an honest session every engine, and the dealer, is delivered, per
@@ -254,7 +287,7 @@ def test_each_party_receives_exactly_what_it_is_owed(parties, t):
     sets = dict(enumerate(datasets.generate_sets(64, 16, parties, 16, 61), start=1))
     sid = bytes([0x60 + parties]) * 16
     spec = harness.Session(sets, {i: merkle.root(s, sid) for i, s in sets.items()}, sid, t)
-    engines, dealer = _engines(spec, 62)
+    engines, dealer = spec.endpoints(np.random.default_rng(62))
     ends = {**engines, DEALER_INDEX: dealer}
     owed = {i: Counter({(msg_type, src): k for msg_type, left in e._owed.items()
                         for src, k in left.items()}) for i, e in ends.items()}
@@ -293,7 +326,7 @@ def test_misrouted_message_aborts_every_party(name, msg_type, to):
     # a message delivered to a party that is not owed it is refused on
     # admission, and the abort reaches every party: nobody ends with output
     spec, _ = FUZZ_SESSIONS[name]
-    engines, dealer = _engines(spec, 43)
+    engines, dealer = spec.endpoints(np.random.default_rng(43))
     harness.drive(MisroutingBus(msg_type, to), engines, dealer)  # no escaped error
     assert engines[to].abort_reason.startswith(f"unexpected message {msg_type:#04x} from party ")
     for i, e in engines.items():
@@ -303,7 +336,7 @@ def test_misrouted_message_aborts_every_party(name, msg_type, to):
 def _serve_one(spec, src, env):
     """Drive a session's engines and dealer with `env` from `src` queued for the
     dealer ahead of the session's own traffic; the engines and the dealer after."""
-    engines, dealer = _engines(spec, 43)
+    engines, dealer = spec.endpoints(np.random.default_rng(43))
     bus = transport.BusNetwork()
     bus.deliver(src, DEALER_INDEX, env)
     harness.drive(bus, engines, dealer)  # returns: a refusal is an abort, not an error

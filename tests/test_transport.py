@@ -222,10 +222,8 @@ def test_backends_produce_identical_transcripts():
 
     # the networked CLI's path: the shared builder, one `drive` per process
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    spec = harness.Session({1: x, 2: y}, roots, session)
-    master = np.random.default_rng(5)
-    rngs = {i: np.random.default_rng(master.integers(1 << 62)) for i in (1, 2)}
-    dealer_rng = np.random.default_rng(master.integers(1 << 62))
+    engines, dealer = harness.Session({1: x, 2: y}, roots, session).endpoints(
+        np.random.default_rng(5))
 
     nodes = {}
     nodes[0] = transport.TcpNode(0, ("127.0.0.1", 0), {})
@@ -237,18 +235,10 @@ def test_backends_produce_identical_transcripts():
     nodes[0]._peers = {1: ("127.0.0.1", nodes[1].bound_port),
                        2: ("127.0.0.1", nodes[2].bound_port)}
 
-    engines = {}
-
-    def party(i):
-        engines[i] = spec.engine(i, rngs[i])
-        harness.drive(nodes[i], {i: engines[i]}, timeout=30.0)
-
     threads = [
-        threading.Thread(target=party, args=(1,)),
-        threading.Thread(target=party, args=(2,)),
-        threading.Thread(target=harness.drive,
-                         args=(nodes[0], {}, harness.DealerService(session, 2, None, rng=dealer_rng)),
-                         kwargs={"timeout": 1.0}),
+        *(threading.Thread(target=harness.drive, args=(nodes[i], {i: engines[i]}),
+                           kwargs={"timeout": 30.0}) for i in (1, 2)),
+        threading.Thread(target=harness.drive, args=(nodes[0], {}, dealer), kwargs={"timeout": 1.0}),
     ]
     try:
         for th in threads:
