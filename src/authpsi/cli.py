@@ -1,9 +1,15 @@
 """Operator entry points: dataset generation, commitment, runs, benchmarks.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 protocol abort
-(integrity violation detected, or a request the dealer cannot serve: the
-dealer and every client it reaches exit 3), 4 transport failure (also a
-`--local` run whose bus goes quiet while a party still waits).
+Every mode of `run` builds the endpoints it holds and ends one way: one
+`harness.run` drives and reports them, `report.json` is written to
+`--out-dir` (with `intersection.txt` where there is output), the dealer's
+process included, and the exit code follows. Exit codes: 0 success, 2
+usage/configuration error (also an option the mode would ignore: `--local`
+with `--role`, or `--tamper` on the dealer, which has no inputs), 3
+protocol abort (integrity violation detected, or a request the dealer
+cannot serve: the dealer and every client it reaches exit 3), 4 transport
+failure (also a `--local` run whose bus goes quiet while a party still
+waits).
 
 A networked run needs one process per party plus a dealer process (role 0),
 all pointed at the same JSON config:
@@ -28,7 +34,6 @@ from __future__ import annotations
 import json
 import statistics
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -196,10 +201,7 @@ def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session
             roots[i] = merkle.MerkleRoot.from_bytes(Path(entry["root"]).read_bytes())
         except (OSError, ValueError, KeyError) as exc:
             raise click.UsageError(f"party {i}: {exc}")
-    try:
-        return harness.Session(sets, roots, session_id, t, tamper)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc))
+    return harness.Session(sets, roots, session_id, t, tamper)
 
 
 def _tamper(spec, party):
@@ -209,20 +211,6 @@ def _tamper(spec, party):
         return harness.Tamper.parse(spec, party)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-
-
-def _write_outputs(out_dir, intersection, report) -> None:
-    """Write the intersection and the report; on an abort, name each party's reason and exit 3."""
-    out = Path(out_dir) if out_dir else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    if intersection is not None:
-        lines = sorted(e.hex() for e in intersection)
-        (out / "intersection.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    if report["aborted"]:
-        for i, reason in report["abort_reasons"].items():
-            click.echo(f"session aborted at party {i}: {reason}", err=True)
-        sys.exit(EXIT_ABORT)
 
 
 @main.command(name="run")
@@ -241,91 +229,83 @@ def _write_outputs(out_dir, intersection, report) -> None:
               help="fix all protocol randomness (local mode) for reproducible runs")
 @click.option("--out-dir", default=None)
 def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, out_dir):
-    """Execute one protocol session."""
+    """Execute one protocol session: every party in this process (--local), or one
+    party or the dealer (--role) over TCP."""
     cfg = _load_config(config_path)
     if tamper_party is not None and not tamper:
         raise click.UsageError("--tamper-party needs --tamper")
-    if local:
-        if tamper and tamper_party is None:
-            raise click.UsageError("--tamper in local mode needs --tamper-party")
-        _run_local(_session(construction, cfg, _tamper(tamper, tamper_party)), seed, out_dir)
-        return
-    if role is None:
+    if local and role is not None:
+        raise click.UsageError("--local and --role exclude each other")
+    if local and tamper and tamper_party is None:
+        raise click.UsageError("--tamper in local mode needs --tamper-party")
+    if not local and role is None:
         raise click.UsageError("networked mode needs --role (0 for the dealer)")
-    addresses = {_party_index(k): _address(f"party {k}", v) for k, v in cfg["parties"].items()}
-    if "dealer" in cfg:
-        addresses[transport.DEALER_INDEX] = _address("the dealer", cfg["dealer"])
-    if role == transport.DEALER_INDEX:
-        # the dealer is built from the session's shape in the config alone:
-        # it holds no party's dataset or root
-        parties, t = _parties(construction, cfg)
-        try:
-            dealer = harness.DealerService(_session_id(cfg["session_id"], "session_id"),
-                                           len(parties), t)
-        except ConfigError as exc:
-            raise click.UsageError(str(exc))
-        node = transport.TcpNode(role, addresses.get(role), addresses)
-        try:
-            harness.drive(node, {}, dealer, timeout=DEALER_IDLE_S)
-        except TransportError as exc:
-            click.echo(f"transport failure: {exc}", err=True)
-            sys.exit(EXIT_TRANSPORT)
-        finally:
-            node.close()
-        if dealer.aborted:
-            click.echo(f"session aborted at the dealer: {dealer.abort_reason}", err=True)
-            sys.exit(EXIT_ABORT)
-        click.echo(f"dealer served {dealer.served} responses")
-        return
-    tamper_obj = _tamper(tamper, role if tamper_party is None else tamper_party)
-    if tamper_obj is not None and tamper_obj.party != role:
+    if not local and tamper_party not in (None, role):
         raise click.UsageError("a networked process can only tamper with its own inputs")
-    _run_networked(_session(construction, cfg, tamper_obj, role), role, addresses, out_dir)
-
-
-def _run_local(session: harness.Session, seed, out_dir):
+    if role == transport.DEALER_INDEX and tamper:
+        raise click.UsageError("the dealer has no inputs to tamper with")
+    tamper_obj = _tamper(tamper, role if tamper_party is None else tamper_party)
+    node = None
     try:
-        result = harness.run_session(session, np.random.default_rng(seed))
-    except ConfigError as exc:
-        raise click.UsageError(str(exc))
-    except TransportError as exc:
-        click.echo(f"transport failure: {exc}", err=True)
-        sys.exit(EXIT_TRANSPORT)
-    _write_outputs(out_dir, result.intersection, result.report)
-    click.echo(f"ok: {len(result.intersection or ())} common elements, "
-               f"{result.report['bits_per_element']:.0f} bits/element")
-
-
-def _run_networked(session: harness.Session, role: int, addresses: dict, out_dir):
-    if role not in session.sets:
-        raise click.UsageError(f"config has no party {role}")
-    node = transport.TcpNode(role, addresses[role], addresses)
-    t0 = time.perf_counter()
-    try:
-        engine = session.engine(role)
-        # dialled up front, the dealer sees this client leave even without a request
-        if engine.awaits(transport.DEALER_INDEX):
-            node.connect(transport.DEALER_INDEX)
-        harness.drive(node, {role: engine}, tamper=session.tamper, timeout=PARTY_WAIT_S)
+        if local:
+            session = _session(construction, cfg, tamper_obj)
+            net, timeout = transport.BusNetwork(), None
+            engines, dealer = session.endpoints(np.random.default_rng(seed))
+        else:
+            addresses = {_party_index(k): _address(f"party {k}", v)
+                         for k, v in cfg["parties"].items()}
+            if "dealer" in cfg:
+                addresses[transport.DEALER_INDEX] = _address("the dealer", cfg["dealer"])
+            if role == transport.DEALER_INDEX:
+                # the dealer is built from the session's shape in the config
+                # alone: it holds no party's dataset or root
+                parties, t = _parties(construction, cfg)
+                session, engines, timeout = None, {}, DEALER_IDLE_S
+                dealer = harness.DealerService(_session_id(cfg["session_id"], "session_id"),
+                                               len(parties), t)
+            else:
+                session, timeout = _session(construction, cfg, tamper_obj, role), PARTY_WAIT_S
+                if role not in session.sets:
+                    raise click.UsageError(f"config has no party {role}")
+                engines, dealer = {role: session.engine(role)}, None
+            net = node = transport.TcpNode(role, addresses.get(role), addresses)
+            # dialled up front, the dealer sees this client leave even without a request
+            if engines and engines[role].awaits(transport.DEALER_INDEX):
+                node.connect(transport.DEALER_INDEX)
+        result = harness.run(net, session, engines, dealer, timeout)
     except ConfigError as exc:
         raise click.UsageError(str(exc))
     except TransportError as exc:
         click.echo(f"transport failure: {exc}", err=True)
         sys.exit(EXIT_TRANSPORT)
     finally:
-        node.close()
-    elapsed = (time.perf_counter() - t0) * 1000
+        if node is not None:
+            node.close()
+    _finish(out_dir, result, dealer.served if session is None else None)
 
-    report = transport.make_report(
-        node.meter, session_id=session.session_id, n=len(session.sets[role]),
-        parties=len(session.roots), t=session.t, phase_ms={role: engine.phase_ms},
-        abort_reasons={role: engine.abort_reason} if engine.aborted else {})
-    report["elapsed_ms"] = elapsed
-    _write_outputs(out_dir, engine.intersection, report)
-    if engine.intersection is not None:
-        click.echo(f"ok: {len(engine.intersection)} common elements")
-    else:
+
+def _finish(out_dir, result: harness.RunResult, served: Optional[int]) -> None:
+    """End every mode one way: write report.json, and intersection.txt where there is
+    output; on an abort, name each reported endpoint's reason and exit 3. `served` is
+    the dealer's count of answered requests in a dealer's process, else None."""
+    out = Path(out_dir) if out_dir else Path(".")
+    out.mkdir(parents=True, exist_ok=True)
+    if result.intersection is not None:
+        lines = sorted(e.hex() for e in result.intersection)
+        (out / "intersection.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
+    (out / "report.json").write_text(json.dumps(result.report, indent=2) + "\n")
+    if result.aborted:
+        for i, reason in result.report["abort_reasons"].items():
+            who = "the dealer" if i == transport.DEALER_INDEX else f"party {i}"
+            click.echo(f"session aborted at {who}: {reason}", err=True)
+        sys.exit(EXIT_ABORT)
+    if served is not None:
+        click.echo(f"dealer served {served} responses")
+    elif result.intersection is None:
         click.echo("ok: finished (no output at this party)")
+    else:
+        click.echo(f"ok: {len(result.intersection)} common elements, "
+                   f"{result.report['bits_per_element']:.0f} bits/element")
 
 
 @main.command()
@@ -355,7 +335,7 @@ def bench(sizes, reps, construction, out_path, seed):
                 run = harness.run_two_party(x, y, seed=seed + 97 * r)
                 if run.aborted:
                     raise click.ClickException(f"honest run aborted at n={n}")
-                times.append(run.elapsed_ms)
+                times.append(run.report["elapsed_ms"])
                 bpe = run.report["bits_per_element"]
             rows.append({
                 "n": n,
@@ -377,7 +357,7 @@ def bench(sizes, reps, construction, out_path, seed):
                     run = harness.run_multi_party(party_sets, t, seed=seed + 51 * r)
                     if run.aborted:
                         raise click.ClickException(f"honest run aborted at (n={n}, t={t})")
-                    times.append(run.elapsed_ms)
+                    times.append(run.report["elapsed_ms"])
                 rows.append({
                     "n": n, "t": t, "n_l": n_l,
                     "median_ms": round(statistics.median(times), 2),

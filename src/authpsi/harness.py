@@ -3,10 +3,11 @@
 A `Session` describes a run once: the parties' input sets, their announced
 roots, the session id, the collusion bound t (None selects the two-party
 construction) and an optional tamper. It checks that shape once, and every
-endpoint is built from it. `drive` is the one delivery loop: `run_session`
-runs every party and the dealer with it over the in-process bus, whose one
-global FIFO keeps runs reproducible under fixed seeds; a networked CLI
-process runs one party, or the dealer, with it over its TCP node.
+endpoint is built from it. `drive` is the one delivery loop, and `run` the
+one way to drive and report the endpoints a process holds: every party and
+the dealer over the in-process bus, whose one global FIFO keeps runs
+reproducible under fixed seeds, or the one party, or the dealer alone, of a
+networked CLI process over its TCP node.
 
 The dealer (`DealerService`) is a `psi2.Endpoint` like the parties, built
 from the session id, n and t, which it checks by the session's rule; it
@@ -181,10 +182,9 @@ class Session:
 class RunResult:
     intersection: Optional[set[bytes]]
     aborted: bool
-    abort_parties: list[int]  # honest parties that aborted
+    abort_parties: list[int]  # reported endpoints that aborted: honest parties, or the dealer (0)
     report: dict
     transcript: transport.Transcript
-    elapsed_ms: float
 
 
 class DealerService(psi2.Endpoint):
@@ -199,7 +199,8 @@ class DealerService(psi2.Endpoint):
     drawn, with an abort to every client naming the sender: a request for
     another session, one not owed (a second one, or one from a party owed
     nothing), a correlation length outside 1..vole.MAX_LENGTH or unlike the
-    other party's, or a malformed body.
+    other party's, or a malformed body. It keeps the n and t it was built
+    from, which a dealer's process reports.
     """
 
     def __init__(self, session_id: bytes, n: int, t: Optional[int],
@@ -209,6 +210,7 @@ class DealerService(psi2.Endpoint):
         clients = [1, 2] if roles is None else self._senders + [n]
         request = vole.MSG_VOLE_REQUEST if t is None else opprf.MSG_OPRF_DEALER
         super().__init__(session_id, clients, {request: dict.fromkeys(clients, 1)}, rng)
+        self.n, self.t = n, t
         self.ABORT_TYPE = psi2.MSG_ABORT if t is None else psin.MSG_ABORT
         self.phase = "serving"  # nothing to start: it serves from the first request on
         self.oprf = opprf.OprfDealer(rng=self.rng)
@@ -310,27 +312,56 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
         send(dst, (dealer if dst == transport.DEALER_INDEX else engines[dst]).handle(src, env))
 
 
-def run_session(session: Session, rng: np.random.Generator,
-                network: Optional[transport.BusNetwork] = None) -> RunResult:
-    """Every party of a session over the in-process bus.
+def run(net, session: Optional[Session], engines: dict,
+        dealer: Optional[DealerService] = None, timeout: Optional[float] = None) -> RunResult:
+    """Drive the endpoints a process holds over `net` with `drive`, and report them.
 
-    `rng` seeds the endpoints as `Session.endpoints` says.
+    `session` describes the run; it is None only in a dealer's process, which
+    holds no party's roots and reports what its dealer was built from. The
+    report holds the meter's bytes, every engine's `phase_ms`, `elapsed_ms`,
+    and the abort reasons of the endpoints it reports, except the tamperer's:
+    the process's parties, or its dealer if it holds none. So a bus run
+    reports every honest party and not the dealer, whose refusal reaches
+    each client as an abort of its own. `bytes_by_party` holds every party
+    the meter saw, the dealer (0) included; a TCP node meters only its own
+    links, so there another party's figures are its traffic with this one.
+    The element count `n` is the lowest-indexed held party's set size, 0 in
+    a dealer's process, which holds no elements.
     """
-    engines, dealer = session.endpoints(rng)
-
-    net = network if network is not None else transport.BusNetwork()
+    tamper = session.tamper if session is not None else None
     t0 = time.perf_counter()
-    drive(net, engines, dealer, session.tamper)
+    drive(net, engines, dealer, tamper, timeout)
     elapsed = (time.perf_counter() - t0) * 1000
 
-    reasons = {i: e.abort_reason for i, e in engines.items()
-               if e.aborted and not session.tamper_at(i)}
-    report = transport.make_report(
-        net.meter, session_id=session.session_id, n=len(session.sets[1]), parties=len(engines),
-        t=session.t, phase_ms={i: e.phase_ms for i, e in engines.items()}, abort_reasons=reasons)
-    return RunResult(intersection=engines[session.output_party].intersection,
+    if session is not None:
+        session_id, parties, t = session.session_id, session.n, session.t
+        reasons = {i: e.abort_reason for i, e in engines.items()
+                   if e.aborted and not session.tamper_at(i)}
+        output = engines.get(session.output_party)
+        n = len(session.sets[min(engines)])
+    else:
+        session_id, parties, t = dealer.session_id, dealer.n, dealer.t
+        reasons = {transport.DEALER_INDEX: dealer.abort_reason} if dealer.aborted else {}
+        output, n = None, 0
+    protocol = net.meter.protocol_bytes(session_id)
+    report = {
+        "session": session_id.hex(),
+        "n": n,
+        "parties": parties,
+        "t": t,
+        "bytes_total": protocol,
+        "bits_per_element": protocol * 8 / n if n else 0.0,
+        "per_type": net.meter.per_type(session_id),
+        "setup_bytes": net.meter.setup_bytes(session_id),
+        "bytes_by_party": net.meter.by_party(session_id),
+        "phase_ms": {i: e.phase_ms for i, e in engines.items()},
+        "elapsed_ms": elapsed,
+        "aborted": bool(reasons),
+        "abort_reasons": reasons,
+    }
+    return RunResult(intersection=output.intersection if output is not None else None,
                      aborted=bool(reasons), abort_parties=list(reasons), report=report,
-                     transcript=net.transcript, elapsed_ms=elapsed)
+                     transcript=net.transcript)
 
 
 def _run(sets, t, session_id, tamper, seed, network, announced_roots) -> RunResult:
@@ -339,7 +370,10 @@ def _run(sets, t, session_id, tamper, seed, network, announced_roots) -> RunResu
         session_id = rng.bytes(16)
     roots = announced_roots if announced_roots is not None else {
         i: merkle.root(s, session_id) for i, s in sets.items()}
-    return run_session(Session(sets, roots, session_id, t, tamper), rng, network)
+    session = Session(sets, roots, session_id, t, tamper)
+    # the endpoints are seeded from `rng` as `Session.endpoints` says
+    return run(network if network is not None else transport.BusNetwork(),
+               session, *session.endpoints(rng))
 
 
 def run_two_party(receiver_set: list[bytes], sender_set: list[bytes], *,

@@ -106,9 +106,9 @@ def output_digest(values: np.ndarray, out_bytes: int) -> np.ndarray:
     return (pi.reshape(-1, 2) ^ sigma).view(np.uint8)[:, :out_bytes]
 
 
-def digest_width(n_x: int, n_y: int, lambda_stat: int = LAMBDA_STAT) -> int:
+def digest_width(n_x: int, n_y: int) -> int:
     """Bytes needed so collisions stay within the statistical budget."""
-    bits = lambda_stat + max(1, math.ceil(math.log2(n_x * n_y)))
+    bits = LAMBDA_STAT + max(1, math.ceil(math.log2(n_x * n_y)))
     return math.ceil(bits / 8)
 
 

@@ -13,7 +13,9 @@ directed party pair; its receive waits up to the timeout, and it returns
 (src, dst, None) once src's connection has hung up. Party index 0 is
 reserved for dealer endpoints (correlated-randomness setup); traffic to or
 from index 0 is accounted as setup bytes, everything else as protocol bytes.
-Delivery is exactly-once and FIFO per directed pair on both backends.
+Delivery is exactly-once and FIFO per directed pair on both backends. Each
+backend keeps a `meter` and a `transcript` of what it carried, which
+`harness.run` reports.
 """
 
 from __future__ import annotations
@@ -149,34 +151,6 @@ class Transcript:
         return out
 
 
-def make_report(meter: Meter, *, session_id: bytes, n: int, parties: int, t: Optional[int],
-                phase_ms: dict[int, dict], abort_reasons: dict[int, str]) -> dict:
-    """Communication summary in the shape consumed by the CLI and benchmarks.
-
-    `phase_ms` maps each reported party to its phase timings. `abort_reasons`
-    maps each aborted party the run is judged by to its reason: every honest
-    party of a bus run, or the own party of a networked one. `bytes_by_party`
-    holds every party the meter saw, the dealer (0) included; a networked
-    process meters only its own links, so there another party's figures are
-    its traffic with this one.
-    """
-    protocol = meter.protocol_bytes(session_id)
-    return {
-        "session": session_id.hex(),
-        "n": n,
-        "parties": parties,
-        "t": t,
-        "bytes_total": protocol,
-        "bits_per_element": (protocol * 8 / n) if n else 0.0,
-        "per_type": meter.per_type(session_id),
-        "setup_bytes": meter.setup_bytes(session_id),
-        "bytes_by_party": meter.by_party(session_id),
-        "phase_ms": phase_ms,
-        "aborted": bool(abort_reasons),
-        "abort_reasons": abort_reasons,
-    }
-
-
 class BusNetwork:
     """The in-process bus: one global FIFO of (src, dst, envelope) for every party and the dealer.
 
@@ -185,9 +159,9 @@ class BusNetwork:
     party has anything left to say.
     """
 
-    def __init__(self, meter: Optional[Meter] = None, transcript: Optional[Transcript] = None):
-        self.meter = meter if meter is not None else Meter()
-        self.transcript = transcript if transcript is not None else Transcript()
+    def __init__(self):
+        self.meter = Meter()
+        self.transcript = Transcript()
         self._fifo: deque[tuple[int, int, Envelope]] = deque()
 
     def deliver(self, src: int, dst: int, env: Envelope):
@@ -222,16 +196,17 @@ class TcpNode:
 
     A dialing party identifies itself with a 2-byte index right after
     connecting; afterwards both directions carry ordinary frames, each
-    direction of a pair on its own connection. The dealer dials only the
-    parties that have dialed it.
+    direction of a pair on its own connection. Each accepted connection has
+    its own reader thread, which reads that index first, so a dialer that
+    stalls or resets before sending it delays no other peer. The dealer
+    dials only the parties that have dialed it.
     """
 
     def __init__(self, index: int, listen_addr: Optional[tuple[str, int]],
-                 peers: dict[int, tuple[str, int]],
-                 meter: Optional[Meter] = None, transcript: Optional[Transcript] = None):
+                 peers: dict[int, tuple[str, int]]):
         self.index = index
-        self.meter = meter if meter is not None else Meter()
-        self.transcript = transcript if transcript is not None else Transcript()
+        self.meter = Meter()
+        self.transcript = Transcript()
         self._peers = dict(peers)
         self._out: dict[int, socket.socket] = {}
         self._inbox: queue.Queue = queue.Queue()
@@ -242,7 +217,10 @@ class TcpNode:
         self._closed = False
         self._listener = None
         if listen_addr is not None:
-            self._listener = socket.create_server(listen_addr)
+            try:
+                self._listener = socket.create_server(listen_addr)
+            except OSError as exc:
+                raise TransportError(f"cannot listen on {listen_addr}: {exc}") from exc
             threading.Thread(target=self._accept_loop, daemon=True).start()
 
     @property
@@ -250,30 +228,31 @@ class TcpNode:
         return self._listener.getsockname()[1] if self._listener else None
 
     def _accept_loop(self):
+        # only accepts: a dialer that stalls or resets before its index holds
+        # up or ends its own reader, never the next peer's accept
         while not self._closed:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
-            try:
-                src = struct.unpack(">H", _recv_exact(conn, 2))[0]
-            except TransportError:
-                conn.close()
-                continue
-            self._dialed.add(src)
-            threading.Thread(target=self._read_loop, args=(conn, src), daemon=True).start()
+            threading.Thread(target=self._read_loop, args=(conn,), daemon=True).start()
 
-    def _read_loop(self, conn: socket.socket, src: int):
+    def _read_loop(self, conn: socket.socket):
+        src = None  # the dialer's index, once it has sent it
         try:
+            src = struct.unpack(">H", _recv_exact(conn, 2))[0]
+            self._dialed.add(src)
             while True:
                 env = read_frame(conn)
                 self.meter.add(env.session_id, src, self.index, env.msg_type, env.wire_bytes)
                 self._inbox.put((src, self.index, env))
         except TransportClosed:
             # a peer that hangs up after its part is done is not an error; it
-            # has left, and its frames are all queued ahead of the hang-up
-            self._gone.add(src)
-            self._inbox.put((src, self.index, None))
+            # has left, and its frames are all queued ahead of the hang-up. A
+            # dialer that hangs up before naming itself was never a peer
+            if src is not None:
+                self._gone.add(src)
+                self._inbox.put((src, self.index, None))
         except TransportError as exc:
             # an undecodable frame ends this connection and the session with it
             if not self._closed:

@@ -277,6 +277,24 @@ def test_collusion_bound_out_of_range_is_usage_error(runner, tmp_path, monkeypat
     assert "collusion bound t=3 out of range for n=4" in result.output
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--role", "0", "--tamper", "flip-element:1"], "the dealer has no inputs to tamper with"),
+    (["--local", "--role", "2"], "--local and --role exclude each other"),
+], ids=["dealer-tamper", "local-with-role"])
+def test_option_the_mode_would_ignore_is_usage_error(runner, tmp_path, monkeypatch, args, message):
+    # neither may run as if the option had not been given
+    monkeypatch.setattr(cli, "DEALER_IDLE_S", 0.2)
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=22)
+    salt = "2e" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg = _config(tmp_path, prefix, 2, salt)
+    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
+                                  "--out-dir", str(tmp_path / "out")] + args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_smoke(runner, tmp_path):
     out = tmp_path / "bench.json"
     result = runner.invoke(main, ["bench", "--sizes", "64", "--reps", "1",
@@ -485,6 +503,25 @@ def test_malformed_frame_exits_4_at_once(runner, tmp_path, role):
     assert elapsed < 5
 
 
+@pytest.mark.parametrize("role", [0, 1], ids=["dealer", "party"])
+def test_busy_listen_address_exits_4(runner, tmp_path, role):
+    # an address this process cannot listen on is a transport failure, not a traceback
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=23)
+    salt = "3e" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg_path = _config(tmp_path, prefix, 2, salt)
+    cfg = json.loads(Path(cfg_path).read_text())
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        entry = cfg["dealer"] if role == 0 else cfg["parties"]["1"]
+        entry["address"] = f"127.0.0.1:{busy.getsockname()[1]}"
+        Path(cfg_path).write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg_path,
+                                      "--role", str(role), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "cannot listen on" in result.output
+
+
 def _send_malformed_dealer_request(port, session_id):
     """Send a two-party session's dealer, as party 2, one well-framed OPRF request,
     which it is not owed."""
@@ -507,7 +544,7 @@ def test_malformed_dealer_request_exits_3_at_once(runner, tmp_path):
     try:
         t0 = time.monotonic()
         result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg_path,
-                                      "--role", "0"])
+                                      "--role", "0", "--out-dir", str(tmp_path / "out")])
         elapsed = time.monotonic() - t0
     finally:
         sender.join(timeout=10)
@@ -515,6 +552,11 @@ def test_malformed_dealer_request_exits_3_at_once(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "party 2: unexpected message 0x15 from party 2" in result.output
     assert elapsed < 5
+    # the dealer reports its own links and names its refusal under its index
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["aborted"] is True
+    assert report["abort_reasons"] == {"0": "party 2: unexpected message 0x15 from party 2"}
+    assert set(report["bytes_by_party"]) == {"0", "2"}
 
 
 @pytest.mark.parametrize("construction,parties", [("2pc", 2), ("npc", 3)])
@@ -526,9 +568,10 @@ def test_dealer_reads_no_party_file(runner, tmp_path, monkeypatch, construction,
     extra = {"n": parties, "t": 1} if construction == "npc" else None
     cfg_path = _config(tmp_path, str(tmp_path / "absent"), parties, "cc" * 16, extra)
     result = runner.invoke(main, ["run", "--construction", construction, "--config", cfg_path,
-                                  "--role", "0"])
+                                  "--role", "0", "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     assert "dealer served 0 responses" in result.output
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["abort_reasons"] == {}
 
 
 def _cli_env():
@@ -607,6 +650,13 @@ def test_networked_run_matches_local(runner, tmp_path, construction, parties, ta
     output_party = 1 if construction == "2pc" else parties
     networked = (tmp_path / "net" / str(output_party) / "intersection.txt").read_text()
     assert networked == (tmp_path / "local" / "intersection.txt").read_text()
+    # every process reports in one shape, the dealer's too, and a --local run alike
+    local_keys = set(json.loads((tmp_path / "local" / "report.json").read_text()))
+    assert "elapsed_ms" in local_keys
+    for i in range(parties + 1):
+        report = json.loads((tmp_path / "net" / str(i) / "report.json").read_text())
+        assert set(report) == local_keys, i
+        assert report["aborted"] is False, i
     assert networked.split() == sorted(e.hex() for e in datasets.read_dataset(f"{prefix}_core.dat"))
 
 

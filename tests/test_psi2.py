@@ -93,7 +93,7 @@ def test_masking_identity_white_box():
 
 
 def _build(x, y, session, roots, seed):
-    """Both engines and the dealer, as `harness.run_session` builds them."""
+    """Both engines and the dealer, as `harness.run_two_party` builds them."""
     return harness.Session({1: x, 2: y}, roots, session).endpoints(np.random.default_rng(seed))
 
 

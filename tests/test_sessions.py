@@ -16,6 +16,12 @@ from authpsi.errors import ConfigError, TransportError
 from authpsi.transport import DEALER_INDEX
 
 
+def _run(spec, seed, bus=None):
+    """Every party and the dealer of `spec` over the bus, seeded from `seed`."""
+    return harness.run(bus if bus is not None else transport.BusNetwork(), spec,
+                       *spec.endpoints(np.random.default_rng(seed)))
+
+
 def party_sizes(run, dealer=False):
     """Per directed pair of parties, or with `dealer` per pair with the dealer,
     the ordered (type, wire bytes) of every message."""
@@ -110,7 +116,7 @@ def test_each_element_is_hashed_once(monkeypatch):
         leaves.clear()
         outside.clear()
         dealer_hashes.clear()
-        assert not harness.run_session(spec, np.random.default_rng(seed)).aborted
+        assert not _run(spec, seed).aborted
         assert leaves == Counter(merkle.LEAF_PREFIX + sid + e for s in parties for e in s)
         assert not others
         assert not dealer_hashes
@@ -129,7 +135,7 @@ def _sessions():
         sid = bytes([len(sets)]) * 16
         roots = {i: merkle.root(s, sid) for i, s in enumerate(sets, start=1)}
         spec = harness.Session(dict(enumerate(sets, start=1)), roots, sid, t)
-        out[name] = (spec, len(harness.run_session(spec, np.random.default_rng(43)).transcript.entries))
+        out[name] = (spec, len(_run(spec, 43).transcript.entries))
     return out
 
 
@@ -213,7 +219,7 @@ def test_quiet_bus_names_the_waiting_parties(name, msg_type, waiting):
     spec, _ = FUZZ_SESSIONS[name]
     bus = DroppingBus(msg_type)
     with pytest.raises(TransportError, match=f"parties {re.escape(waiting)} wait") as err:
-        harness.run_session(spec, np.random.default_rng(43), bus)
+        _run(spec, 43, bus)
     assert f"{msg_type:#04x} from party {bus.dropped_from}" in str(err.value)
 
 
@@ -389,7 +395,7 @@ def _honest_requests(spec):
                 requests[src] = env
             super().deliver(src, dst, env)
 
-    harness.run_session(spec, np.random.default_rng(43), RecordingBus())
+    _run(spec, 43, RecordingBus())
     return requests
 
 

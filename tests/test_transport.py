@@ -1,6 +1,7 @@
 """Framing, metering, delivery order, and backend equivalence."""
 
 import socket
+import struct
 import threading
 import time
 import tracemalloc
@@ -116,6 +117,30 @@ def test_tcp_malformed_frame_delivers_close(body):
             assert not isinstance(info.value, TransportClosed)
             assert raw.recv(1) == b""
     finally:
+        node.close()
+
+
+@pytest.mark.parametrize("fault", ["reset", "stall", "one-byte"])
+def test_tcp_faulty_dialer_delays_no_other_peer(fault):
+    # a dialer that resets before sending its 2-byte index, sends nothing, or
+    # sends one byte of it ends or holds up only its own connection: an
+    # honest peer that dials after it is still heard at once
+    node = transport.TcpNode(1, ("127.0.0.1", 0), {})
+    peer = transport.TcpNode(2, None, {1: ("127.0.0.1", node.bound_port)})
+    faulty = socket.create_connection(("127.0.0.1", node.bound_port), timeout=5)
+    try:
+        if fault == "reset":
+            faulty.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            faulty.close()
+        elif fault == "one-byte":
+            faulty.sendall(b"\x00")
+        time.sleep(0.2)  # the node meets the faulty dialer first
+        peer.deliver(2, 1, Envelope(SID, 0x07, b"honest"))
+        got = node.recv(timeout=2)
+        assert got is not None and got[:2] == (2, 1) and got[2].payload == b"honest"
+    finally:
+        faulty.close()
+        peer.close()
         node.close()
 
 
