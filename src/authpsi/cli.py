@@ -5,11 +5,11 @@ Every mode of `run` builds the endpoints it holds and ends one way: one
 `--out-dir` (with `intersection.txt` where there is output), the dealer's
 process included, and the exit code follows. Exit codes: 0 success, 2
 usage/configuration error (also an option the mode would ignore: `--local`
-with `--role`, or `--tamper` on the dealer, which has no inputs), 3
-protocol abort (integrity violation detected, or a request the dealer
-cannot serve: the dealer and every client it reaches exit 3), 4 transport
-failure (also a `--local` run whose bus goes quiet while a party still
-waits).
+with `--role`, `--seed` with `--role`, or `--tamper` on the dealer, which
+has no inputs), 3 protocol abort (integrity violation detected, or a
+request the dealer cannot serve: the dealer and every client it reaches
+exit 3), 4 transport failure (also a `--local` run whose bus goes quiet
+while a party still waits).
 
 A networked run needs one process per party plus a dealer process (role 0),
 all pointed at the same JSON config:
@@ -138,6 +138,11 @@ def _load_config(path) -> dict:
     for key in ("session_id", "parties"):
         if key not in cfg:
             raise click.UsageError(f"config is missing {key!r}")
+    if not isinstance(cfg["parties"], dict):
+        raise click.UsageError("'parties' must be an object from party index to entry")
+    for key, entry in cfg["parties"].items():
+        if not isinstance(entry, dict):
+            raise click.UsageError(f"party {key}: the entry must be an object")
     return cfg
 
 
@@ -146,6 +151,14 @@ def _party_index(key) -> int:
         return int(key)
     except ValueError:
         raise click.UsageError(f"party key {key!r} is not an integer")
+
+
+def _integer(cfg: dict, key: str, default=None) -> int:
+    """A JSON integer of the config: int() would read 1.9, true or "2" as one."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise click.UsageError(f"{key!r} must be an integer, not {json.dumps(value)}")
+    return value
 
 
 def _address(who: str, entry) -> tuple[str, int]:
@@ -173,10 +186,7 @@ def _parties(construction: str, cfg: dict) -> tuple[dict, Optional[int]]:
         return parties, None
     if "t" not in cfg:
         raise click.UsageError("npc config is missing 't'")
-    try:
-        t, n = int(cfg["t"]), int(cfg.get("n", len(parties)))
-    except (TypeError, ValueError):
-        raise click.UsageError("'n' and 't' must be integers")
+    t, n = _integer(cfg, "t"), _integer(cfg, "n", len(parties))
     if sorted(parties) != list(range(1, n + 1)):
         raise click.UsageError("npc config must define parties 1..n")
     return parties, t
@@ -199,7 +209,7 @@ def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session
             if role is None or i == role:
                 sets[i] = datasets.read_dataset(entry["dataset"])
             roots[i] = merkle.MerkleRoot.from_bytes(Path(entry["root"]).read_bytes())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:  # TypeError: a path not a string
             raise click.UsageError(f"party {i}: {exc}")
     return harness.Session(sets, roots, session_id, t, tamper)
 
@@ -226,7 +236,7 @@ def _tamper(spec, party):
 @click.option("--tamper-party", type=int, default=None,
               help="which party misbehaves (defaults to --role in networked mode)")
 @click.option("--seed", type=int, default=None,
-              help="fix all protocol randomness (local mode) for reproducible runs")
+              help="fix all protocol randomness of a --local run, for reproducible runs")
 @click.option("--out-dir", default=None)
 def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, out_dir):
     """Execute one protocol session: every party in this process (--local), or one
@@ -240,6 +250,8 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
         raise click.UsageError("--tamper in local mode needs --tamper-party")
     if not local and role is None:
         raise click.UsageError("networked mode needs --role (0 for the dealer)")
+    if role is not None and seed is not None:
+        raise click.UsageError("--seed fixes a --local run only: each --role process draws its own")
     if not local and tamper_party not in (None, role):
         raise click.UsageError("a networked process can only tamper with its own inputs")
     if role == transport.DEALER_INDEX and tamper:

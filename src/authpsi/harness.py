@@ -1,13 +1,13 @@
-"""Session orchestration: one builder for every party, the dealer, and tamper injection.
+"""Session orchestration: the session, its tampers, the dealer and the one delivery loop.
 
 A `Session` describes a run once: the parties' input sets, their announced
 roots, the session id, the collusion bound t (None selects the two-party
 construction) and an optional tamper. It checks that shape once, and every
-endpoint is built from it. `drive` is the one delivery loop, and `run` the
-one way to drive and report the endpoints a process holds: every party and
-the dealer over the in-process bus, whose one global FIFO keeps runs
-reproducible under fixed seeds, or the one party, or the dealer alone, of a
-networked CLI process over its TCP node.
+endpoint is built from it. `drive` is the one delivery loop, which times
+every step of every endpoint, and `run` the one way to drive and report the
+endpoints a process holds: every party and the dealer over the in-process
+bus, whose one global FIFO keeps runs reproducible under fixed seeds, or the
+one party, or the dealer alone, of a networked CLI process over its TCP node.
 
 The dealer (`DealerService`) is a `psi2.Endpoint` like the parties, built
 from the session id, n and t, which it checks by the session's rule; it
@@ -16,12 +16,13 @@ Its messages carry only what the envelope's session id and sender do not
 fix. P_n gets one evaluation vector, the XOR over senders of their OPRFs,
 which is all its test uses.
 
-Adversarial runs install a tamper on one party; tampering either runs the
-party on inputs other than its committed sequence (flip-element changes an
-element, extra-element adds one, swap-proofs reorders two) or mutates its
-outgoing root (flip-path flips a digest byte). Every kind is deterministic
-in its indices, so a seeded tampered run is reproducible. Honest parties are
-expected to abort in every tampered run.
+Adversarial runs install a tamper on one party, which its party applies
+itself: tampering either runs the party on inputs other than its committed
+sequence (flip-element changes an element, extra-element adds one,
+swap-proofs reorders two) or changes the root the party sends (flip-path
+flips a digest byte). Every kind is deterministic in its indices, so a
+seeded tampered run is reproducible. Honest parties are expected to abort in
+every tampered run.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 
 from . import merkle, opprf, psi2, psin, transport, vole
 from .errors import ConfigError, ProtocolError, TransportError
-from .psi2 import decode_root_proofs, encode_root_proofs
+# unused here; held by name for bench/test_bench.py, which checks the tracer replaces it here too
+from .psi2 import decode_root_proofs  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class Tamper:
     - extra-element runs on the inputs plus one new element hashed from `index`;
     - swap-proofs:I,J runs on the committed sequence with elements I and J
       swapped (J bumped by one if equal);
-    - flip-path:I flips digest byte I mod 32 of the outgoing root.
+    - flip-path:I flips digest byte I mod 32 of the root the party sends.
 
     Element indices are taken modulo the set size.
     """
@@ -98,16 +100,13 @@ class Tamper:
             out[a], out[b] = out[b], out[a]
         return out
 
-    def envelope(self, env: transport.Envelope) -> transport.Envelope:
-        """flip-path rewrites the party's outgoing root message."""
-        if (self.kind != "flip-path"
-                or env.msg_type not in (psi2.MSG_ROOT_PROOFS, psin.MSG_ROOT_PROOFS)):
-            return env
-        sent = decode_root_proofs(env.payload)
-        digest = bytearray(sent.digest)
+    def root(self, own: merkle.MerkleRoot) -> merkle.MerkleRoot:
+        """The root the party sends for the root `own` of its inputs: flip-path changes it."""
+        if self.kind != "flip-path":
+            return own
+        digest = bytearray(own.digest)
         digest[self.index % len(digest)] ^= 0x01
-        flipped = merkle.MerkleRoot(digest=bytes(digest), set_size=sent.set_size)
-        return transport.Envelope(env.session_id, env.msg_type, encode_root_proofs(flipped))
+        return merkle.MerkleRoot(digest=bytes(digest), set_size=own.set_size)
 
 
 def _roles(n: int, t: Optional[int]) -> Optional[psin.Roles]:
@@ -212,7 +211,7 @@ class DealerService(psi2.Endpoint):
         super().__init__(session_id, clients, {request: dict.fromkeys(clients, 1)}, rng)
         self.n, self.t = n, t
         self.ABORT_TYPE = psi2.MSG_ABORT if t is None else psin.MSG_ABORT
-        self.phase = "serving"  # nothing to start: it serves from the first request on
+        self.started = True  # nothing to start: it serves from the first request on
         self.oprf = opprf.OprfDealer(rng=self.rng)
         self._length: Optional[int] = None  # the first VOLE request's, until the second is in
         self.served = 0  # requests answered, whether or not the answer got through
@@ -253,14 +252,16 @@ class DealerService(psi2.Endpoint):
 
 
 def drive(net, engines: dict, dealer: Optional[DealerService] = None,
-          tamper: Optional[Tamper] = None, timeout: Optional[float] = None) -> None:
+          timeout: Optional[float] = None) -> None:
     """Run `engines` (party index -> engine) and `dealer` over `net` until the traffic ends.
 
     The one delivery loop: every party and the dealer of a bus run, or the one
-    party or dealer of a TCP process. Engines start in index order, the tamper
-    rewrites its party's outgoing envelopes, and each message received goes to
-    its destination's engine, or to the dealer at index 0. The loop ends once
-    every engine is done and nothing is left queued for them. An empty receive
+    party or dealer of a TCP process. Engines start in index order, and each
+    message received goes to its destination's engine, or to the dealer at
+    index 0. Every `start` and `handle` called here is timed into its
+    endpoint's `phase_ms`, under "start" or the message type ("0x01"), so
+    `phase_ms` covers every step the endpoint takes. The loop ends once every
+    engine is done and nothing is left queued for them. An empty receive
     while an engine waits raises `TransportError` naming the waiting parties
     and what each is still owed: at once on the bus, after `timeout` seconds
     over TCP. With no engine, as in a dealer process, the run ends once the
@@ -277,22 +278,24 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
     unsent: dict[int, tuple[int, TransportError]] = {}  # dst -> (src, its first failed send)
     left: set[int] = set()  # parties whose TCP connection has hung up
 
-    def send(src: int, outs):
+    def step(i: int, endpoint, key: str, call, *args) -> None:
+        """Call one step of endpoint `i`, add its time to `phase_ms[key]`, send what it returns."""
+        t0 = time.perf_counter()
+        outs = call(*args)
+        endpoint.phase_ms[key] = endpoint.phase_ms.get(key, 0.0) + (time.perf_counter() - t0) * 1000
         for dst, env in outs:
-            if tamper is not None and src == tamper.party:
-                env = tamper.envelope(env)
             if dst in unsent:
                 continue
             try:
-                net.deliver(src, dst, env)
+                net.deliver(i, dst, env)
             except TransportError as exc:
-                unsent[dst] = (src, exc)
+                unsent[dst] = (i, exc)
 
     for i in sorted(engines):
-        send(i, engines[i].start())
+        step(i, engines[i], "start", engines[i].start)
     while True:
         waiting = [i for i, e in engines.items() if not e.done]
-        idle = not waiting if engines else dealer.done
+        idle = not waiting if engines else dealer.aborted
         got = net.recv(0 if idle else timeout)
         if got is None:
             failed = [exc for src, exc in unsent.values()
@@ -309,7 +312,8 @@ def drive(net, engines: dict, dealer: Optional[DealerService] = None,
             if not engines and left.issuperset(dealer.peers):
                 return
             continue
-        send(dst, (dealer if dst == transport.DEALER_INDEX else engines[dst]).handle(src, env))
+        endpoint = dealer if dst == transport.DEALER_INDEX else engines[dst]
+        step(dst, endpoint, f"0x{env.msg_type:02x}", endpoint.handle, src, env)
 
 
 def run(net, session: Optional[Session], engines: dict,
@@ -318,7 +322,8 @@ def run(net, session: Optional[Session], engines: dict,
 
     `session` describes the run; it is None only in a dealer's process, which
     holds no party's roots and reports what its dealer was built from. The
-    report holds the meter's bytes, every engine's `phase_ms`, `elapsed_ms`,
+    report holds the meter's bytes, the step times `drive` keeps (`phase_ms`)
+    of every engine, or of the dealer in a process that holds none, `elapsed_ms`,
     and the abort reasons of the endpoints it reports, except the tamperer's:
     the process's parties, or its dealer if it holds none. So a bus run
     reports every honest party and not the dealer, whose refusal reaches
@@ -328,9 +333,8 @@ def run(net, session: Optional[Session], engines: dict,
     The element count `n` is the lowest-indexed held party's set size, 0 in
     a dealer's process, which holds no elements.
     """
-    tamper = session.tamper if session is not None else None
     t0 = time.perf_counter()
-    drive(net, engines, dealer, tamper, timeout)
+    drive(net, engines, dealer, timeout)
     elapsed = (time.perf_counter() - t0) * 1000
 
     if session is not None:
@@ -339,8 +343,10 @@ def run(net, session: Optional[Session], engines: dict,
                    if e.aborted and not session.tamper_at(i)}
         output = engines.get(session.output_party)
         n = len(session.sets[min(engines)])
+        held = engines
     else:
         session_id, parties, t = dealer.session_id, dealer.n, dealer.t
+        held = {transport.DEALER_INDEX: dealer}
         reasons = {transport.DEALER_INDEX: dealer.abort_reason} if dealer.aborted else {}
         output, n = None, 0
     protocol = net.meter.protocol_bytes(session_id)
@@ -354,7 +360,7 @@ def run(net, session: Optional[Session], engines: dict,
         "per_type": net.meter.per_type(session_id),
         "setup_bytes": net.meter.setup_bytes(session_id),
         "bytes_by_party": net.meter.by_party(session_id),
-        "phase_ms": {i: e.phase_ms for i, e in engines.items()},
+        "phase_ms": {i: e.phase_ms for i, e in held.items()},
         "elapsed_ms": elapsed,
         "aborted": bool(reasons),
         "abort_reasons": reasons,

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import math
 import secrets
-import time
 from typing import Optional
 
 import numpy as np
@@ -146,7 +145,9 @@ class Endpoint:
     unsolicited one, is refused before a handler sees it; each owed message
     reaches its handler once. A handler checks content and raises
     `ProtocolError` on a fault. A refusal or a fault becomes an abort to
-    every peer: no `ProtocolError` leaves `handle`.
+    every peer: no `ProtocolError` leaves `handle`. The owed table is the one
+    record of progress: an endpoint is done once it has aborted, or has
+    started and is owed nothing more.
     """
     ABORT_TYPE: int
 
@@ -156,14 +157,15 @@ class Endpoint:
         self.peers = peers
         self._owed = owed  # msg type -> sender -> messages still owed; a settled entry is removed
         self.rng = rng if rng is not None else np.random.default_rng(secrets.randbits(128))
-        self.phase = "fresh"
+        self.started = False
         self.aborted = False
         self.abort_reason: Optional[str] = None
         self.intersection: Optional[set[bytes]] = None  # the output, if this endpoint gets one
+        self.phase_ms: dict[str, float] = {}  # ms per step: "start", or a message type ("0x01")
 
     @property
     def done(self) -> bool:
-        return self.phase in ("done", "aborted")
+        return self.aborted or (self.started and not self._owed)
 
     def _settled(self, *types: int) -> bool:
         """Nothing is owed of any of `types`, or of any type at all if none is named."""
@@ -195,7 +197,6 @@ class Endpoint:
     def _abort(self, reason: str) -> list:
         self.aborted = True
         self.abort_reason = reason
-        self.phase = "aborted"
         self.intersection = None
         env = self._env(self.ABORT_TYPE, reason.encode())
         return [(j, env) for j in self.peers]
@@ -205,7 +206,7 @@ class Endpoint:
 
     def _route(self, src: int, env: Envelope, handlers: dict) -> list:
         """Deliver one message: drop, take an abort, admit against `_owed`, then dispatch."""
-        if self.phase == "aborted":
+        if self.aborted:
             return []  # late traffic for a dead session is dropped
         try:
             if env.session_id != self.session_id:
@@ -214,7 +215,7 @@ class Endpoint:
                 sender = "dealer" if src == DEALER_INDEX else f"party {src}"
                 self._abort(f"{sender}: {env.payload.decode(errors='replace') or 'abort'}")
                 return []  # a received abort is not echoed
-            if self.phase == "fresh":
+            if not self.started:
                 raise ProtocolError("message before transform")
             self._admit(env.msg_type, src)
             return handlers[env.msg_type](src, env.payload)
@@ -225,7 +226,8 @@ class Endpoint:
 class Party(Endpoint):
     """Party i of a checked session in either engine: the self-check, the digests and the
     root gate. An engine calls `_open` first in `start`, routes its root type to `_on_root`,
-    and implements `_advance`, which the gate calls after each accepted root."""
+    and implements `_advance`, which the gate calls after each accepted root. A tampered
+    party skips the self-check and sends the root its tamper makes of its own."""
     ROOT_TYPE: int
 
     def __init__(self, session, i: int, rng: Optional[np.random.Generator] = None):
@@ -234,30 +236,28 @@ class Party(Endpoint):
         self.index = i
         self.roots = session.roots  # party index -> announced commitment
         self.inputs = session.inputs(i)
-        # a tampered party runs on inputs other than its committed ones by design
-        self._self_check = session.tamper_at(i) is None
-        self.phase_ms: dict[str, float] = {}
+        # None when honest: a tampered party runs on other inputs, or sends another root
+        self._tamper = session.tamper_at(i)
         self.digests: Optional[np.ndarray] = None  # d(x) of each own element, once started
 
     def _open(self) -> list:
-        """Self-check and digest the own inputs; their root to every other party."""
-        if self.phase != "fresh":
+        """Self-check and digest the own inputs; send their root, or the tamper's, to every peer."""
+        if self.started:
             raise ProtocolError("engine already started")
         own_root, self.digests = merkle.commit(self.inputs, self.session_id)
-        if self._self_check and own_root != self.roots[self.index]:
+        if self._tamper is None and own_root != self.roots[self.index]:
             raise ConfigError("input set does not match the announced commitment")
-        self.phase = "transformed"
-        env = self._env(self.ROOT_TYPE, encode_root_proofs(own_root))
+        self.started = True
+        sent = own_root if self._tamper is None else self._tamper.root(own_root)
+        env = self._env(self.ROOT_TYPE, encode_root_proofs(sent))
         return [(j, env) for j in self.peers]
 
     def _on_root(self, src: int, payload: bytes) -> list:
         """The gate: the root of each other party must equal the one it announced."""
-        t0 = time.perf_counter()
         try:
             ok = check_peer_commitment(self.roots[src], decode_root_proofs(payload))
         except ProtocolError:
             ok = False  # an undecodable root fails the gate like a wrong one
-        self.phase_ms["verify"] = self.phase_ms.get("verify", 0.0) + (time.perf_counter() - t0) * 1000
         if not ok:
             raise ProtocolError(f"root from party {src} fails its commitment")
         return self._advance()
@@ -292,7 +292,6 @@ class Psi2Engine(Party):
     # -- transform -----------------------------------------------------------
 
     def start(self) -> list:
-        t0 = time.perf_counter()
         out = self._open()
         if self.receiver:
             result = okvs.encode_with_retry(self.digests, hash_to_mask(self.digests),
@@ -303,7 +302,6 @@ class Psi2Engine(Party):
         # the request is the bare length: the dealer reads the role from the
         # sender's index and the session from the envelope
         out.append((DEALER_INDEX, self._env(vole.MSG_VOLE_REQUEST, self._length.to_bytes(4, "big"))))
-        self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
         return out
 
     # -- message handling ----------------------------------------------------
@@ -326,11 +324,8 @@ class Psi2Engine(Party):
         """The receiver masks its table once the root and its material are in;
         the sender answers once the masked vector is in too."""
         if self.receiver and self._settled(MSG_ROOT_PROOFS, vole.MSG_VOLE_MATERIAL):
-            t0 = time.perf_counter()
             masked = okvs.OkvsTable(params=self._table.params,
                                     values=self._recv_corr.a_vec ^ self._table.values).to_bytes()
-            self.phase = "interacted"
-            self.phase_ms["interact"] = (time.perf_counter() - t0) * 1000
             return [(self.peer, self._env(MSG_MASKED_VECTOR, masked))]
         if not self.receiver and self._settled():
             return self._send_digest_set()
@@ -341,7 +336,6 @@ class Psi2Engine(Party):
         return self._advance()
 
     def _send_digest_set(self) -> list:
-        t0 = time.perf_counter()
         try:
             masked = okvs.OkvsTable.from_bytes(self._pending_masked, self.n_x)
         except ValueError as exc:
@@ -355,14 +349,11 @@ class Psi2Engine(Party):
         outputs = output_digest(unmasked, self.out_bytes)
         order = self.rng.permutation(self.n_y)
         payload_out = self.n_y.to_bytes(4, "big") + outputs[order].tobytes()
-        self.phase = "done"
-        self.phase_ms["interact"] = (time.perf_counter() - t0) * 1000
         return [(self.peer, self._env(MSG_DIGEST_SET, payload_out))]
 
     def _on_digest_set(self, src: int, payload: bytes) -> list:
-        if self.phase != "interacted":
+        if not self._settled(MSG_ROOT_PROOFS, vole.MSG_VOLE_MATERIAL):
             raise ProtocolError("digest set out of order")
-        t0 = time.perf_counter()
         count = int.from_bytes(payload[:4], "big")
         if count != self.n_y:
             raise ProtocolError("digest set size does not match the peer commitment")
@@ -375,6 +366,4 @@ class Psi2Engine(Party):
         own = output_digest(okvs.decode_batch(c_table, self.digests), width).tobytes()
         self.intersection = {x for i, x in enumerate(self.inputs)
                              if own[i * width : (i + 1) * width] in received}
-        self.phase = "done"
-        self.phase_ms["reconstruct"] = (time.perf_counter() - t0) * 1000
         return []

@@ -61,7 +61,6 @@ can still test a guessed element against them.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
@@ -142,7 +141,6 @@ class PsinEngine(Party):
     # -- transform -----------------------------------------------------------
 
     def start(self) -> list:
-        t0 = time.perf_counter()
         out = self._open()
         roles, i = self.roles, self.index
 
@@ -154,7 +152,6 @@ class PsinEngine(Party):
             result = okvs.encode_with_retry(self.digests, values, okvs.MAX_ENCODE_ATTEMPTS,
                                             self.rng)
             if result is None:
-                self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
                 return out + self._abort("share table encoding failed")
             table, _ = result
             out.append((roles.v, self._env(MSG_SHARE_TABLE, table.to_bytes())))
@@ -166,8 +163,6 @@ class PsinEngine(Party):
 
         if i in roles.senders:  # the key request is empty: the dealer keys by the sender's index
             out.append((DEALER_INDEX, self._env(MSG_OPRF_DEALER, b"")))
-
-        self.phase_ms["transform"] = (time.perf_counter() - t0) * 1000
         return out
 
     # -- message handling ----------------------------------------------------
@@ -231,19 +226,15 @@ class PsinEngine(Party):
         return zeroshare.zs_share(self._zs_keyset(), self.digests) ^ self._aggregate()
 
     def _advance(self) -> list:
-        """P_n asks the dealer for its evaluations once every root has passed;
-        each party finishes once it is owed nothing more."""
+        """P_n asks the dealer for its evaluations once every root has passed. Once a party
+        is owed nothing more, P_n outputs and each hint sender sends its hint."""
         roles, i = self.roles, self.index
         out = []
         if i == roles.n and not self._evals_requested and self._settled(self.ROOT_TYPE):
             self._evals_requested = True
             out = [(DEALER_INDEX, self._env(MSG_OPRF_DEALER, gf.vec_to_bytes(self.digests)))]
-        if not self._settled():
+        if not self._settled() or i in roles.group_a:
             return out
-        if i in roles.group_a:
-            self.phase = "done"
-            return out
-        t0 = time.perf_counter()
         if i == roles.n:
             own = self._own_values()
             combined = opprf.opprf_query_batch([self._hints[s] for s in roles.senders],
@@ -253,6 +244,4 @@ class PsinEngine(Party):
             hint = opprf.opprf_program(self.digests, self._own_values(), self._oprf_key,
                                        rng=self.rng)
             out.append((roles.n, self._env(MSG_OPPRF_HINT, hint.to_bytes())))
-        self.phase = "done"
-        self.phase_ms["reconstruct"] = (time.perf_counter() - t0) * 1000
         return out

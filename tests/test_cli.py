@@ -170,7 +170,7 @@ def test_local_two_party_run(runner, tmp_path):
         assert total == report["bytes_total"] + report["setup_bytes"]
     # every party's phases, not only the output party's
     assert set(report["phase_ms"]) == {"1", "2"}
-    assert all("transform" in phases for phases in report["phase_ms"].values())
+    assert all("start" in phases for phases in report["phase_ms"].values())
     assert report["abort_reasons"] == {}
 
 
@@ -280,7 +280,9 @@ def test_collusion_bound_out_of_range_is_usage_error(runner, tmp_path, monkeypat
 @pytest.mark.parametrize("args,message", [
     (["--role", "0", "--tamper", "flip-element:1"], "the dealer has no inputs to tamper with"),
     (["--local", "--role", "2"], "--local and --role exclude each other"),
-], ids=["dealer-tamper", "local-with-role"])
+    (["--role", "1", "--seed", "5"], "--seed fixes a --local run only"),
+    (["--role", "0", "--seed", "5"], "--seed fixes a --local run only"),
+], ids=["dealer-tamper", "local-with-role", "party-seed", "dealer-seed"])
 def test_option_the_mode_would_ignore_is_usage_error(runner, tmp_path, monkeypatch, args, message):
     # neither may run as if the option had not been given
     monkeypatch.setattr(cli, "DEALER_IDLE_S", 0.2)
@@ -373,52 +375,54 @@ def test_networked_party_reads_only_its_own_dataset(runner, tmp_path):
         cli._session("2pc", cfg, None)  # a local run still needs every dataset
 
 
-# config faults, each with the text its usage error must show
+MODES = {"party": ["--role", "1"], "dealer": ["--role", "0"], "local": ["--local"]}
+NETWORKED = ("party", "dealer")  # a --local run reads no address
+
+# config faults, each with the text its usage error must show and the modes
+# that read what it breaks
 CONFIG_FAULTS = {
     "dealer-address-without-port": (lambda cfg: cfg["dealer"].update(address="127.0.0.1"),
-                                    'the dealer needs an "address"'),
+                                    'the dealer needs an "address"', NETWORKED),
     "dealer-address-missing": (lambda cfg: cfg["dealer"].pop("address"),
-                               'the dealer needs an "address"'),
+                               'the dealer needs an "address"', NETWORKED),
     "party-address-without-port": (lambda cfg: cfg["parties"]["2"].update(address="127.0.0.1"),
-                                   'party 2 needs an "address"'),
+                                   'party 2 needs an "address"', NETWORKED),
     "party-address-missing": (lambda cfg: cfg["parties"]["2"].pop("address"),
-                              'party 2 needs an "address"'),
+                              'party 2 needs an "address"', NETWORKED),
     "party-port-out-of-range": (lambda cfg: cfg["parties"]["2"].update(address="127.0.0.1:70000"),
-                                'party 2 needs an "address"'),
+                                'party 2 needs an "address"', NETWORKED),
     "non-integer-party-key": (lambda cfg: cfg["parties"].update(two=cfg["parties"].pop("2")),
-                              "party key 'two' is not an integer"),
+                              "party key 'two' is not an integer", tuple(MODES)),
+    "parties-array": (lambda cfg: cfg.update(parties=list(cfg["parties"].values())),
+                      "'parties' must be an object", tuple(MODES)),
+    "party-entry-string": (lambda cfg: cfg["parties"].update({"2": "p2.dat"}),
+                           "party 2: the entry must be an object", tuple(MODES)),
+    # the dealer opens no dataset
+    "party-dataset-number": (lambda cfg: cfg["parties"]["1"].update(dataset=7),
+                             "party 1: expected str", ("party", "local")),
+    # a config that sets t is run as npc
+    "t-fractional": (lambda cfg: cfg.update(t=1.9), "'t' must be an integer, not 1.9", tuple(MODES)),
+    "t-boolean": (lambda cfg: cfg.update(t=True), "'t' must be an integer, not true", tuple(MODES)),
+    "t-string": (lambda cfg: cfg.update(t="2"), "'t' must be an integer, not \"2\"",
+                 tuple(MODES)),
 }
 
 
-@pytest.mark.parametrize("mode", [["--role", "1"], ["--role", "0"]], ids=["party", "dealer"])
-@pytest.mark.parametrize("fault", sorted(CONFIG_FAULTS))
+@pytest.mark.parametrize("fault,mode", [(fault, mode) for fault in sorted(CONFIG_FAULTS)
+                                        for mode in CONFIG_FAULTS[fault][2]])
 def test_bad_networked_config_is_usage_error(runner, tmp_path, fault, mode):
-    # a malformed address or party key is the operator's error: exit 2, no traceback
+    # a malformed address, party key, entry, path or t is the operator's error: exit 2, no traceback
     prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=16)
     salt = "cc" * 16
     _commit_all(runner, prefix, 2, salt)
     cfg_path = _config(tmp_path, prefix, 2, salt)
     cfg = json.loads(Path(cfg_path).read_text())
-    mutate, message = CONFIG_FAULTS[fault]
+    mutate, message, _ = CONFIG_FAULTS[fault]
     mutate(cfg)
     Path(cfg_path).write_text(json.dumps(cfg))
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg_path,
-                                  "--out-dir", str(tmp_path / "out")] + mode)
-    assert result.exit_code == 2, result.output
-    assert message in result.output
-
-
-def test_non_integer_party_key_is_usage_error_locally(runner, tmp_path):
-    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=17)
-    salt = "dd" * 16
-    _commit_all(runner, prefix, 2, salt)
-    cfg_path = _config(tmp_path, prefix, 2, salt)
-    cfg = json.loads(Path(cfg_path).read_text())
-    mutate, message = CONFIG_FAULTS["non-integer-party-key"]
-    mutate(cfg)
-    Path(cfg_path).write_text(json.dumps(cfg))
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg_path,
-                                  "--local", "--out-dir", str(tmp_path / "out")])
+    construction = "npc" if "t" in cfg else "2pc"
+    result = runner.invoke(main, ["run", "--construction", construction, "--config", cfg_path,
+                                  "--out-dir", str(tmp_path / "out")] + MODES[mode])
     assert result.exit_code == 2, result.output
     assert message in result.output
 
@@ -557,6 +561,7 @@ def test_malformed_dealer_request_exits_3_at_once(runner, tmp_path):
     assert report["aborted"] is True
     assert report["abort_reasons"] == {"0": "party 2: unexpected message 0x15 from party 2"}
     assert set(report["bytes_by_party"]) == {"0", "2"}
+    assert set(report["phase_ms"]) == {"0"} and set(report["phase_ms"]["0"]) == {"0x15"}
 
 
 @pytest.mark.parametrize("construction,parties", [("2pc", 2), ("npc", 3)])

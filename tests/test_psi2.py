@@ -97,10 +97,23 @@ def _build(x, y, session, roots, seed):
     return harness.Session({1: x, 2: y}, roots, session).endpoints(np.random.default_rng(seed))
 
 
-def _run_engines(x, y, session, roots, seed, tamper=None, net=None):
+def _run_engines(x, y, session, roots, seed, net=None):
     engines, dealer = _build(x, y, session, roots, seed)
-    harness.drive(net if net is not None else transport.BusNetwork(), engines, dealer, tamper)
+    harness.drive(net if net is not None else transport.BusNetwork(), engines, dealer)
     return engines
+
+
+class RewritingBus(transport.BusNetwork):
+    """An in-process bus that rewrites the payload of one party's messages of one type."""
+
+    def __init__(self, party, msg_type, rewrite):
+        super().__init__()
+        self.party, self.msg_type, self.rewrite = party, msg_type, rewrite
+
+    def deliver(self, src, dst, env):
+        if src == self.party and env.msg_type == self.msg_type:
+            env = transport.Envelope(env.session_id, env.msg_type, self.rewrite(env.payload))
+        super().deliver(src, dst, env)
 
 
 def test_digest_set_size_and_permutation():
@@ -196,24 +209,18 @@ def test_wrong_digest_count_aborts_cleanly():
     assert "digest set size" in engines[1].abort_reason
 
 
-@dataclasses.dataclass
-class LengthFault:
-    """Rewrites one party's outgoing masked vector (seed, count, cells) or digest set (count, digests)."""
-    party: int
-    msg_type: int
-    fault: str
+def length_fault(msg_type, fault):
+    """A rewrite of a masked vector (seed, count, cells) or a digest set (count, digests)."""
+    at = okvs.SEED_BYTES if msg_type == psi2.MSG_MASKED_VECTOR else 0
 
-    def envelope(self, env):
-        if env.msg_type != self.msg_type:
-            return env
-        at = okvs.SEED_BYTES if self.msg_type == psi2.MSG_MASKED_VECTOR else 0
-        count = int.from_bytes(env.payload[at : at + 4], "big")
-        payload = {
-            "truncated": env.payload[:-1],
-            "extended": env.payload + b"\x00",
-            "count-off-by-one": env.payload[:at] + (count + 1).to_bytes(4, "big") + env.payload[at + 4:],
-        }[self.fault]
-        return transport.Envelope(env.session_id, env.msg_type, payload)
+    def rewrite(raw):
+        count = int.from_bytes(raw[at : at + 4], "big")
+        return {
+            "truncated": raw[:-1],
+            "extended": raw + b"\x00",
+            "count-off-by-one": raw[:at] + (count + 1).to_bytes(4, "big") + raw[at + 4:],
+        }[fault]
+    return rewrite
 
 
 @pytest.mark.parametrize("fault", ["truncated", "extended", "count-off-by-one"])
@@ -224,8 +231,8 @@ def test_malformed_masked_vector_or_digest_set_aborts_cleanly(msg_type, fault):
     session = b"\x2c" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     sender = 1 if msg_type == psi2.MSG_MASKED_VECTOR else 2
-    engines = _run_engines(x, y, session, roots, seed=20,
-                           tamper=LengthFault(sender, msg_type, fault))  # no escaped error
+    bus = RewritingBus(sender, msg_type, length_fault(msg_type, fault))
+    engines = _run_engines(x, y, session, roots, seed=20, net=bus)  # no escaped error
     for i in (1, 2):
         assert engines[i].aborted and engines[i].abort_reason, i
         assert engines[i].intersection is None
@@ -352,20 +359,9 @@ ROOT_FAULTS = {
 }
 
 
-@dataclasses.dataclass
-class RootFault:
-    """Rewrites one party's outgoing root messages on the bus, in place of a `harness.Tamper`."""
-    party: int
-    msg_type: int
-    fault: str
-    elements: list
-    session: bytes
-
-    def envelope(self, env):
-        if env.msg_type != self.msg_type:
-            return env
-        payload = ROOT_FAULTS[self.fault](env.payload, self.elements, self.session)
-        return transport.Envelope(env.session_id, env.msg_type, payload)
+def root_fault_bus(party, msg_type, fault, elements, session):
+    """A bus that rewrites one party's root messages in transit, in place of a `harness.Tamper`."""
+    return RewritingBus(party, msg_type, lambda raw: ROOT_FAULTS[fault](raw, elements, session))
 
 
 @pytest.mark.parametrize("fault", sorted(ROOT_FAULTS))
@@ -375,8 +371,8 @@ def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault, party):
     x, y = _sets(16, 16, 4, seed=16)
     session = b"\x29" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    tamper = RootFault(party, psi2.MSG_ROOT_PROOFS, fault, x if party == 1 else y, session)
-    engines = _run_engines(x, y, session, roots, seed=16, tamper=tamper)  # no escaped error
+    bus = root_fault_bus(party, psi2.MSG_ROOT_PROOFS, fault, x if party == 1 else y, session)
+    engines = _run_engines(x, y, session, roots, seed=16, net=bus)  # no escaped error
     honest = engines[3 - party]
     assert honest.aborted and honest.intersection is None
     assert "root" in honest.abort_reason
@@ -384,8 +380,8 @@ def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault, party):
 
 @dataclasses.dataclass
 class ReplayedRoot:
-    """A tamper that leaves its party's inputs as the session gives them and replaces
-    its outgoing root with the honest root of its committed set."""
+    """A tamper that leaves its party's inputs as the session gives them and sends, in
+    place of their root, the honest root of its committed set."""
     party: int
     committed: list
     session: bytes
@@ -393,11 +389,8 @@ class ReplayedRoot:
     def inputs(self, elements):
         return list(elements)
 
-    def envelope(self, env):
-        if env.msg_type != psi2.MSG_ROOT_PROOFS:
-            return env
-        honest = psi2.encode_root_proofs(merkle.root(self.committed, self.session))
-        return transport.Envelope(env.session_id, env.msg_type, honest)
+    def root(self, own):
+        return merkle.root(self.committed, self.session)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -412,7 +405,7 @@ def test_gate_binds_inputs_actually_used():
     y_used = [e for e in y if e not in x][:16] + x[:16]
     spec = harness.Session({1: x, 2: y_used}, roots, session, tamper=ReplayedRoot(2, y, session))
     engines, dealer = spec.endpoints(np.random.default_rng(19))
-    harness.drive(transport.BusNetwork(), engines, dealer, spec.tamper)
+    harness.drive(transport.BusNetwork(), engines, dealer)
     assert engines[1].aborted and engines[1].intersection is None
 
 

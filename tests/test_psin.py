@@ -1,6 +1,5 @@
 """Multi-party engine: correctness across (n, t), aborts, cancellation algebra."""
 
-import dataclasses
 import random
 
 import numpy as np
@@ -8,8 +7,9 @@ import pytest
 
 from authpsi import harness, merkle, okvs, psin, transport, zeroshare
 from authpsi.errors import ConfigError
-from test_psi2 import (ROOT_FAULTS, RecordingBus, ReplayBus, RootFault,
-                       assert_no_own_leaf_hash_received, message_id, party_messages)
+from test_psi2 import (ROOT_FAULTS, RecordingBus, ReplayBus, RewritingBus,
+                       assert_no_own_leaf_hash_received, message_id, party_messages,
+                       root_fault_bus)
 
 
 def _party_sets(n, n_l, core_size, seed=0, width=8):
@@ -82,13 +82,13 @@ def test_only_output_party_learns_intersection():
     assert engines[4].intersection == set(core)
     for i in (1, 2, 3):
         assert engines[i].intersection is None
-        assert engines[i].phase == "done"
+        assert engines[i].done and not engines[i].aborted
 
 
-def _run_engines(sets, t, session, roots, seed, tamper=None, net=None):
+def _run_engines(sets, t, session, roots, seed, net=None):
     spec = harness.Session(dict(enumerate(sets, start=1)), roots, session, t)
     engines, dealer = spec.endpoints(np.random.default_rng(seed))
-    harness.drive(net if net is not None else transport.BusNetwork(), engines, dealer, tamper)
+    harness.drive(net if net is not None else transport.BusNetwork(), engines, dealer)
     return engines
 
 
@@ -98,9 +98,9 @@ def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault):
     sets, _ = _party_sets(4, 12, 4, seed=11)
     session = b"\x05" * 16
     roots = {i + 1: merkle.root(sets[i], session) for i in range(4)}
-    tamper = RootFault(2, psin.MSG_ROOT_PROOFS, fault, sets[1], session)
+    bus = root_fault_bus(2, psin.MSG_ROOT_PROOFS, fault, sets[1], session)
     engines = _run_engines(sets, t=2, session=session, roots=roots, seed=11,
-                           tamper=tamper)  # no escaped error
+                           net=bus)  # no escaped error
     for i in (1, 3, 4):
         assert engines[i].aborted and engines[i].abort_reason, i
         assert engines[i].intersection is None
@@ -119,20 +119,6 @@ def _malformed_table(raw, fault):
     return head + raw[at + 4:] + bytes(16)  # extra-cell: count and body agree, n disagrees
 
 
-@dataclasses.dataclass
-class TableFault:
-    """Rewrites one party's outgoing share table or hint, each a bare OKVS table."""
-    party: int
-    msg_type: int
-    fault: str
-
-    def envelope(self, env):
-        if env.msg_type != self.msg_type:
-            return env
-        return transport.Envelope(env.session_id, env.msg_type,
-                                  _malformed_table(env.payload, self.fault))
-
-
 @pytest.mark.parametrize("fault", ["truncated", "wrong-count", "extra-cell"])
 @pytest.mark.parametrize("msg_type", [psin.MSG_SHARE_TABLE, psin.MSG_OPPRF_HINT],
                          ids=["0x13", "0x14"])
@@ -142,8 +128,9 @@ def test_malformed_table_aborts_cleanly(msg_type, fault):
     session = b"\x06" * 16
     roots = {i + 1: merkle.root(sets[i], session) for i in range(3)}
     sender = 1 if msg_type == psin.MSG_SHARE_TABLE else 2
+    bus = RewritingBus(sender, msg_type, lambda raw: _malformed_table(raw, fault))
     engines = _run_engines(sets, t=1, session=session, roots=roots, seed=13,
-                           tamper=TableFault(sender, msg_type, fault))  # no escaped error
+                           net=bus)  # no escaped error
     for i in (1, 2, 3):
         if i != sender:
             assert engines[i].aborted and engines[i].abort_reason, i
@@ -179,20 +166,6 @@ def test_malformed_dealer_answer_aborts_cleanly(to, fault):
         assert engines[i].aborted and engines[i].intersection is None, i
 
 
-@dataclasses.dataclass
-class IndexedKeyFault:
-    """Rewrites one party's outgoing group key or zero-sharing seed: the bare 16-byte key."""
-    party: int
-    msg_type: int
-    fault: str
-
-    def envelope(self, env):
-        if env.msg_type != self.msg_type:
-            return env
-        payload = env.payload[:-1] if self.fault == "truncated" else env.payload + b"\x00"
-        return transport.Envelope(env.session_id, env.msg_type, payload)
-
-
 @pytest.mark.parametrize("fault", ["truncated", "extended"])
 @pytest.mark.parametrize("msg_type", [psin.MSG_GROUP_KEY, psin.MSG_ZS_SEED], ids=["0x12", "0x16"])
 def test_malformed_indexed_key_aborts_cleanly(msg_type, fault):
@@ -201,8 +174,11 @@ def test_malformed_indexed_key_aborts_cleanly(msg_type, fault):
     session = b"\x08" * 16
     roots = {i + 1: merkle.root(sets[i], session) for i in range(3)}
     sender = 1 if msg_type == psin.MSG_GROUP_KEY else 2
+    # a group key or zero-sharing seed is the bare 16-byte key
+    bus = RewritingBus(sender, msg_type,
+                       lambda raw: raw[:-1] if fault == "truncated" else raw + b"\x00")
     engines = _run_engines(sets, t=1, session=session, roots=roots, seed=15,
-                           tamper=IndexedKeyFault(sender, msg_type, fault))  # no escaped error
+                           net=bus)  # no escaped error
     for i in (1, 2, 3):
         if i != sender:
             assert engines[i].aborted and engines[i].abort_reason, i

@@ -188,7 +188,7 @@ def test_one_corrupted_message_ends_every_party_cleanly(data):
     harness.drive(CorruptingBus(), engines, dealer)
 
     assert len(corrupted) == 1
-    assert all(e.done for e in engines.values()), {i: e.phase for i, e in engines.items()}
+    assert all(e.done for e in engines.values()), {i: e.awaited() for i, e in engines.items()}
     if corrupted[0] in ROOT_TYPES:
         assert all(e.aborted and e.intersection is None for e in engines.values())
 
@@ -305,6 +305,23 @@ def test_each_party_receives_exactly_what_it_is_owed(parties, t):
     assert delivered == owed
     assert all(e.done and not e.aborted for e in engines.values())
     assert not any(e._owed for e in ends.values())
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_SESSIONS))
+def test_every_step_of_every_engine_is_timed(name):
+    # `drive` times each engine's start and each message it handles, keyed by
+    # "start" or the message type, and those steps fit inside the run
+    spec, _ = FUZZ_SESSIONS[name]
+    run = _run(spec, 43)
+    phase_ms, elapsed = run.report["phase_ms"], run.report["elapsed_ms"]
+    assert set(phase_ms) == set(spec.sets)
+    for i, steps in phase_ms.items():
+        delivered = {f"0x{msg_type:02x}" for _, dst, msg_type, *_ in run.transcript.entries
+                     if dst == i}
+        assert set(steps) == {"start"} | delivered, i
+        assert all(ms >= 0 for ms in steps.values()), i
+        assert sum(steps.values()) <= elapsed, i
+    assert sum(ms for steps in phase_ms.values() for ms in steps.values()) <= elapsed
 
 
 class MisroutingBus(transport.BusNetwork):
