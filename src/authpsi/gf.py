@@ -9,15 +9,15 @@ table travel in it (`okvs` owns the rest of the table format).
 OKVS payloads (128-bit mask values) are field elements as they stand. The
 64-bit XOR values of the multi-party path (PRF outputs and per-element
 shares) are not field elements: `zeroshare` carries them as uint64 arrays,
-and an OKVS holding them uses the low limb of each cell.
+and an OKVS holding them has cells one word wide.
 
 The batch helpers at the bottom operate on (n, 2) '<u8' arrays (limb 0 =
 bits 0..63), which set elements enter as their digests d(x), the salted
-leaf prefixes that `merkle.commit` returns. Every GF(2)-linear map on them
-is one kernel, `xor_rows` (Shoup's byte tables; McGrew-Viega, "The
-Galois/Counter Mode of Operation", 2004, 4.1): the OKVS dense columns, and
-`scalar_mul_vec`, which multiplies
-the fixed delta of the VOLE dealer and the two-party sender into vectors.
+leaf prefixes that `merkle.commit` returns. Every GF(2)-linear map on rows
+of any width is one kernel, `xor_rows` (Shoup's byte tables; McGrew-Viega,
+"The Galois/Counter Mode of Operation", 2004, 4.1): the OKVS dense columns,
+at the table's cell width, and `scalar_mul_vec`, which multiplies the fixed
+delta of the VOLE dealer and the two-party sender into vectors.
 `mul` is the scalar reference that `scalar_mul_vec` is tested against.
 """
 
@@ -91,16 +91,16 @@ def vec_from_bytes(raw: bytes) -> np.ndarray:
 
 
 def xor_rows(masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per mask, the XOR of the rows its set bits select; (n, 2) limbs.
+    """Per mask, the XOR of the rows its set bits select; (n, w) words for (k, w) rows.
 
     Bit j of an (n,) uint64 mask selects row j of the (at most 64) rows.
     Each byte of the mask indexes a 256-entry table of the XORs of the (up
     to) eight rows it covers, so a mask costs one lookup per byte.
     """
-    acc = np.zeros((masks.shape[0], 2), dtype=_LIMB)
+    acc = np.zeros((masks.shape[0], rows.shape[1]), dtype=_LIMB)
     for low in range(0, rows.shape[0], 8):
         chunk = rows[low : low + 8]
-        table = np.zeros((1 << chunk.shape[0], 2), dtype=_LIMB)
+        table = np.zeros((1 << chunk.shape[0], rows.shape[1]), dtype=_LIMB)
         for j, row in enumerate(chunk):
             table[1 << j : 2 << j] = table[: 1 << j] ^ row
         acc ^= table[(masks >> np.uint64(low)) & np.uint64(table.shape[0] - 1)]

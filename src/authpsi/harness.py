@@ -212,7 +212,7 @@ class DealerService(psi2.Endpoint):
         self.n, self.t = n, t
         self.ABORT_TYPE = psi2.MSG_ABORT if t is None else psin.MSG_ABORT
         self.started = True  # nothing to start: it serves from the first request on
-        self.oprf = opprf.OprfDealer(rng=self.rng)
+        self.oprf = opprf.OprfDealer(self._senders, rng=self.rng)
         self._length: Optional[int] = None  # the first VOLE request's, until the second is in
         self.served = 0  # requests answered, whether or not the answer got through
 
@@ -323,13 +323,13 @@ def run(net, session: Optional[Session], engines: dict,
     `session` describes the run; it is None only in a dealer's process, which
     holds no party's roots and reports what its dealer was built from. The
     report holds the meter's bytes, the step times `drive` keeps (`phase_ms`)
-    of every engine, or of the dealer in a process that holds none, `elapsed_ms`,
-    and the abort reasons of the endpoints it reports, except the tamperer's:
-    the process's parties, or its dealer if it holds none. So a bus run
-    reports every honest party and not the dealer, whose refusal reaches
-    each client as an abort of its own. `bytes_by_party` holds every party
-    the meter saw, the dealer (0) included; a TCP node meters only its own
-    links, so there another party's figures are its traffic with this one.
+    of every endpoint it drove, the dealer's under 0, `elapsed_ms`, and the
+    abort reasons, except the tamperer's, of the process's parties, or of
+    its dealer if it holds none. So a bus run reports the reason of every
+    honest party and not the dealer's, whose refusal reaches each client as
+    an abort of its own. `bytes_by_party` holds every party the meter saw,
+    the dealer (0) included; a TCP node meters only its own links, so there
+    another party's figures are its traffic with this one.
     The element count `n` is the lowest-indexed held party's set size, 0 in
     a dealer's process, which holds no elements.
     """
@@ -343,13 +343,12 @@ def run(net, session: Optional[Session], engines: dict,
                    if e.aborted and not session.tamper_at(i)}
         output = engines.get(session.output_party)
         n = len(session.sets[min(engines)])
-        held = engines
     else:
         session_id, parties, t = dealer.session_id, dealer.n, dealer.t
-        held = {transport.DEALER_INDEX: dealer}
         reasons = {transport.DEALER_INDEX: dealer.abort_reason} if dealer.aborted else {}
         output, n = None, 0
     protocol = net.meter.protocol_bytes(session_id)
+    driven = engines if dealer is None else {transport.DEALER_INDEX: dealer, **engines}
     report = {
         "session": session_id.hex(),
         "n": n,
@@ -360,7 +359,7 @@ def run(net, session: Optional[Session], engines: dict,
         "per_type": net.meter.per_type(session_id),
         "setup_bytes": net.meter.setup_bytes(session_id),
         "bytes_by_party": net.meter.by_party(session_id),
-        "phase_ms": {i: e.phase_ms for i, e in held.items()},
+        "phase_ms": {i: e.phase_ms for i, e in driven.items()},
         "elapsed_ms": elapsed,
         "aborted": bool(reasons),
         "abort_reasons": reasons,

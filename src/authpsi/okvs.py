@@ -1,15 +1,15 @@
-"""Binary oblivious key-value store: GF(2) rows over GF(2^128) table cells.
+"""Binary oblivious key-value store: GF(2) rows over cells of w 64-bit words.
 
-A table is a vector of m = m_sparse + m_dense field elements. Each key maps
-deterministically to a binary row: omega distinct positions in the sparse
-region plus an m_dense-bit mask over the dense region. Decoding XORs the
-cells the row selects (the dense ones through `gf.xor_rows`, the one
-byte-table kernel), which is linear over GF(2^128) although every
-coefficient is 0 or 1; this is the shape of the binary OKVS of volePSI
-(Raghuraman-Rindal, CCS 2022), and neither side multiplies field elements.
-Encoding solves the resulting GF(2) system in whole-array steps, with no
-loop over rows (peeling in rounds: Jiang-Mitzenmacher-Thaler, "Parallel
-Peeling Algorithms", SPAA 2014):
+A table is m = m_sparse + m_dense cells of w words: w = 2 for GF(2^128)
+elements, w = 1 for 64-bit XOR values. Each key maps deterministically to a
+binary row: omega distinct positions in the sparse region plus an
+m_dense-bit mask over the dense region. Decoding XORs the cells the row
+selects (the dense ones through `gf.xor_rows`, the one byte-table kernel),
+which is linear although every coefficient is 0 or 1; this is the shape of
+the binary OKVS of volePSI (Raghuraman-Rindal, CCS 2022), and neither side
+multiplies field elements. Encoding solves the resulting GF(2) system in
+whole-array steps, with no loop over rows (peeling in rounds:
+Jiang-Mitzenmacher-Thaler, "Parallel Peeling Algorithms", SPAA 2014):
 
 1. peel in rounds: each sparse column keeps its degree and the XOR of its
    live rows' ids, so a degree-1 column names its row. A round takes every
@@ -34,8 +34,8 @@ vector is indistinguishable across key sets, which is what the protocols
 rely on when they ship tables to the other side.
 
 Keys are element digests d(x) (the salted leaf prefixes of `merkle.commit`)
-in an (n, 2) limb array that each engine computes once, and values are (n, 2)
-limbs too. A key's row is read from its stream AES_seed(d XOR ctr), counters
+in an (n, 2) limb array that each engine computes once, and values are (n, w)
+words. A key's row is read from its stream AES_seed(d XOR ctr), counters
 0 and 1 in the block's last four bytes, four 64-bit words w_0..w_3 under a
 16-byte row seed. The sparse region splits into omega near-equal parts
 [lo_j, lo_{j+1}) with lo_j = floor(j * m_sparse / omega), and position j is
@@ -46,9 +46,9 @@ this is the 3-partite hypergraph of BDZ hashing (Botelho-Pagh-Ziviani, WADS
 w_omega are the dense mask.
 
 Wire format of a table: row seed (16 bytes) || cell count (4 bytes,
-big-endian) || the cells, 16 bytes each. The reader passes the pair count n
-it already knows, and `OkvsTable.from_bytes` derives every parameter from n
-and the seed; the cell count and the body length must agree with them.
+big-endian) || the cells, 8w bytes each. The reader passes the pair count n
+and the width w it already knows, and `OkvsTable.from_bytes` derives every
+parameter from n and the seed; the cell count and body length must agree.
 
 Encoding can fail when a deferred row's coefficients cancel but its value
 does not; that failure is a value (None), not an exception, and
@@ -119,16 +119,16 @@ class OkvsParams:
 @dataclass
 class OkvsTable:
     params: OkvsParams
-    values: np.ndarray  # (m, 2) uint64 limbs
+    values: np.ndarray  # (m, w) uint64 words
 
     def to_bytes(self) -> bytes:
         """Row seed || cell count (4 bytes, big-endian) || cells."""
         return (self.params.row_seed + self.values.shape[0].to_bytes(_COUNT_BYTES, "big")
-                + gf.vec_to_bytes(self.values))
+                + np.ascontiguousarray(self.values, dtype=_U64).tobytes())
 
     @classmethod
-    def from_bytes(cls, raw: bytes, n: int) -> "OkvsTable":
-        """Parse a table the reader knows to encode n pairs; any other shape is a ValueError."""
+    def from_bytes(cls, raw: bytes, n: int, width: int) -> "OkvsTable":
+        """Parse a table of n pairs in cells of `width` words; any other shape is a ValueError."""
         head = SEED_BYTES + _COUNT_BYTES
         if len(raw) < head:
             raise ValueError("truncated table encoding")
@@ -136,9 +136,9 @@ class OkvsTable:
         count = int.from_bytes(raw[SEED_BYTES:head], "big")
         if count != params.m:
             raise ValueError(f"table has {count} cells, {n} pairs need {params.m}")
-        if len(raw) - head != params.m * gf.GF_BYTES:
-            raise ValueError("table body length does not match its cell count")
-        return cls(params=params, values=gf.vec_from_bytes(raw[head:]))
+        if len(raw) - head != params.m * width * _U64.itemsize:
+            raise ValueError(f"table body length does not match its cell count at width {width}")
+        return cls(params, np.frombuffer(raw[head:], _U64).reshape(count, width).copy())
 
 
 def _expand_streams(digests: np.ndarray, seed: bytes) -> np.ndarray:
@@ -215,18 +215,19 @@ def _peel(idx: np.ndarray, m_sparse: int
 
 def encode(digests: np.ndarray, values: np.ndarray, params: OkvsParams,
            rng: np.random.Generator) -> Optional[OkvsTable]:
-    """Encode key digests to (n, 2) limb values; returns None when the system cannot be solved."""
+    """Encode key digests to (n, w) word values; returns None when the system cannot be solved."""
     n = digests.shape[0]
     if len(np.unique(np.ascontiguousarray(digests, dtype=_U64).view("V16"))) != n:
         raise DuplicateKeyError("encoding input contains duplicate keys")
-    if n != params.n or values.shape != (n, 2):
+    if n != params.n or values.ndim != 2 or values.shape[0] != n:
         raise ValueError(f"params sized for n={params.n}, got {n} keys, values {values.shape}")
 
     idx, masks = row_batch(digests, params)
     rounds, deferred, first_stall = _peel(idx, params.m_sparse)
 
     # uniform fill of every position; the solves overwrite the pivots
-    cells = gf.vec_from_bytes(rng.bytes(params.m * gf.GF_BYTES))
+    fill = rng.bytes(params.m * values.shape[1] * _U64.itemsize)
+    cells = np.frombuffer(fill, _U64).reshape(params.m, -1).copy()
     if deferred and not _solve_deferred(idx, masks, values, rounds[first_stall:],
                                         np.concatenate(deferred), params, cells):
         return None
@@ -271,7 +272,7 @@ def _solve_deferred(idx: np.ndarray, masks: np.ndarray, values: np.ndarray,
     sources, bits = np.concatenate(sources), np.concatenate(bits)
     src_values, src_masks = values[sources], masks[sources]
 
-    # one packed integer per equation: free sparse cells, dense mask, right-hand side
+    # one packed integer per equation: free sparse cells, dense mask, the w words of its value
     free = np.flatnonzero(involves.any(axis=1))
     s = free.size
     rhs_shift = s + params.m_dense
@@ -281,12 +282,12 @@ def _solve_deferred(idx: np.ndarray, masks: np.ndarray, values: np.ndarray,
         word, bit = e // 64, np.uint64(e % 64)
         # equation e has absorbed the value and dense mask of every row substituted into it
         used = ((bits[:, word] >> bit) & np.uint64(1)).astype(bool)
-        lo, hi = np.bitwise_xor.reduce(src_values[used], axis=0).tolist()
+        value = np.bitwise_xor.reduce(src_values[used], axis=0).astype(_U64)
         dense = int(np.bitwise_xor.reduce(src_masks[used]))
         sparse = np.packbits(((involves[free, word] >> bit) & np.uint64(1)).astype(np.uint8),
                              bitorder="little")
         system.append(int.from_bytes(sparse.tobytes(), "little") | (dense << s)
-                      | ((lo | (hi << 64)) << rhs_shift))
+                      | (int.from_bytes(value.tobytes(), "little") << rhs_shift))
 
     # lowest-set-bit pivoting: a settled pivot row has its pivot as lowest
     # bit, so every other coefficient bit it carries refers to a higher position
@@ -309,19 +310,20 @@ def _solve_deferred(idx: np.ndarray, masks: np.ndarray, values: np.ndarray,
     # either a pivot already assigned or a free position keeping its fill
     positions = np.concatenate([free, np.arange(params.m_sparse, params.m)])
     u = cells[positions]
+    value_bytes = u.shape[1] * _U64.itemsize
     for p in sorted(pivot_row, reverse=True):
         row = pivot_row[p]
         acc = row >> rhs_shift
         others = (row & coef_region & ~(1 << p)).to_bytes(-(-rhs_shift // 8), "little")
         sel = np.unpackbits(np.frombuffer(others, dtype=np.uint8), bitorder="little")
         u[p] = (np.bitwise_xor.reduce(u[sel[:rhs_shift].astype(bool)], axis=0)
-                ^ gf.vec_from_bytes(gf.to_bytes(acc))[0])
+                ^ np.frombuffer(acc.to_bytes(value_bytes, "little"), dtype=_U64))
     cells[positions] = u
     return True
 
 
 def decode_batch(table: OkvsTable, digests: np.ndarray) -> np.ndarray:
-    """The XOR of the cells each key digest's row selects, (n, 2) limbs; defined for any key."""
+    """The XOR of the cells each key digest's row selects, (n, w) words; defined for any key."""
     idx, masks = row_batch(digests, table.params)
     acc = np.bitwise_xor.reduce(table.values[idx], axis=1)
     return acc ^ gf.xor_rows(masks, table.values[table.params.m_sparse:])

@@ -20,20 +20,21 @@ values, which is all its test needs, and no sender's value on its own.
 
 The dealer (`harness.DealerService`) is owed one request by each sender and
 one by P_n. It hands a sender the key under its own index and P_n the
-evaluations, once each; any other request ends the session. What is open:
-P_n's single request may carry any number of queries, so P_n can test
-guessed elements beyond its n_l own; the dealer cannot bound the count to
-n_l without a set size, which it does not read.
+evaluations, once each; any other request ends the session. It draws the
+keys in sender order when it is built, whatever order the requests come in.
+What is open: P_n's single request may carry any number of queries, so P_n
+can test guessed elements beyond its n_l own; the dealer cannot bound the
+count to n_l without a set size, which it does not read.
 
 Points and queries are element digests d(x) as (n, 2) limb arrays (the
 salted leaf prefixes of `merkle.commit`), so nothing here hashes an element.
 On the wire a key request is empty, a key response is the bare 16-byte key,
 an evaluation request is P_n's digests at 16 bytes each and the response
 its uint64 values at 8 little-endian bytes each; the dealer sees
-session-salted digests of P_n's elements, not the elements. The sender's
-masked values go into the low limb of OKVS cells and the receiver reads the
-low limb of each decode. A hint on the wire is its `okvs.OkvsTable`
-encoding, which the reader parses with the point count n it knows.
+session-salted digests of P_n's elements, not the elements. A hint is an
+OKVS of 64-bit cells, one per masked value; on the wire it is its
+`okvs.OkvsTable` encoding, which the reader parses with the point count n
+it knows and width 1.
 """
 
 from __future__ import annotations
@@ -58,15 +59,11 @@ def oprf_eval(key: bytes, queries: np.ndarray) -> np.ndarray:
 class OprfDealer:
     """Ideal-OPRF functionality: a key per sender, the XOR of their evaluations to the receiver."""
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._keys: dict[int, bytes] = {}
+    def __init__(self, senders: Sequence[int], rng: np.random.Generator):
+        self._keys = {s: rng.bytes(KEY_BYTES) for s in senders}
 
     def key(self, sender: int) -> bytes:
-        k = self._keys.get(sender)
-        if k is None:
-            k = self._keys[sender] = self._rng.bytes(KEY_BYTES)
-        return k
+        return self._keys[sender]
 
     def evaluate(self, senders: Sequence[int], digests: np.ndarray) -> np.ndarray:
         """XOR over `senders` of each one's OPRF at every query digest; (n,) uint64."""
@@ -85,8 +82,7 @@ def opprf_program(points: np.ndarray, ys: np.ndarray, oprf_key: bytes,
     """Sender side: the hint programming each point digest points[i] to the uint64 ys[i]."""
     if points.shape[0] != len(ys):
         raise ValueError("one programmed value per point required")
-    values = np.zeros((len(ys), 2), dtype=zeroshare.VALUE_DTYPE)
-    values[:, 0] = ys ^ oprf_eval(oprf_key, points)
+    values = (ys ^ oprf_eval(oprf_key, points))[:, None]
     result = okvs.encode_with_retry(points, values, okvs.MAX_ENCODE_ATTEMPTS, rng)
     if result is None:
         raise ProtocolError("hint encoding failed after retries")
@@ -102,5 +98,5 @@ def opprf_query_batch(hints: Sequence[okvs.OkvsTable], queries: np.ndarray,
         raise ValueError("one evaluation per query required")
     out = np.array(evaluations, dtype=zeroshare.VALUE_DTYPE)
     for hint in hints:
-        out ^= okvs.decode_batch(hint, queries)[:, 0]
+        out ^= okvs.decode_batch(hint, queries).ravel()
     return out

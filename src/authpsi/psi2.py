@@ -337,7 +337,7 @@ class Psi2Engine(Party):
 
     def _send_digest_set(self) -> list:
         try:
-            masked = okvs.OkvsTable.from_bytes(self._pending_masked, self.n_x)
+            masked = okvs.OkvsTable.from_bytes(self._pending_masked, self.n_x, width=2)
         except ValueError as exc:
             raise ProtocolError(f"malformed masked vector: {exc}") from exc
         corr = self._send_corr

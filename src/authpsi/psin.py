@@ -25,10 +25,15 @@ party that learns the intersection.
 
 Every 64-bit XOR value (table values, aggregates, shares, hint points and
 the final comparison) is a uint64 array over the party's input set, so each
-step above is a handful of whole-array XORs and batched PRF calls. Each
-party hashes its elements once, into the leaves of its root, and every PRF,
-OKVS row and OPRF query of the session runs over the digests d(x) those
-leaves begin with (`psi2` says why that is sound).
+step above is a handful of whole-array XORs and batched PRF calls; the
+share tables and hints are OKVS tables of 64-bit cells (width 1). Each party
+hashes its elements once, into the leaves of its root, and every PRF, OKVS
+row and OPRF query of the session runs over the digests d(x) those leaves
+begin with (`psi2` says why that is sound).
+
+P_n's test compares 64 bits, and an element some party lacks leaves an
+unpaired pseudorandom term, so a false match has probability at most
+n_l * 2^-64 per comparison set: 2^-52 at n_l = 2^12, inside the 2^-40 budget.
 
 Admission, the self-check, the root gate and the abort path are
 `psi2.Party`'s, the core this engine shares with the two-party one. Each
@@ -136,7 +141,6 @@ class PsinEngine(Party):
         self._oprf_key: Optional[bytes] = None
         self._hints: dict[int, okvs.OkvsTable] = {}
         self._evals: Optional[np.ndarray] = None
-        self._evals_requested = False
 
     # -- transform -----------------------------------------------------------
 
@@ -147,8 +151,7 @@ class PsinEngine(Party):
         if i in roles.group_a:
             keys = {j: self.rng.bytes(zeroshare.SEED_BYTES) for j in roles.group_b}
             out.extend((j, self._env(MSG_GROUP_KEY, key)) for j, key in keys.items())
-            values = np.zeros((self.n_l, 2), dtype=zeroshare.VALUE_DTYPE)
-            values[:, 0] = zeroshare.prf(list(keys.values()), self.digests)
+            values = zeroshare.prf(list(keys.values()), self.digests)[:, None]
             result = okvs.encode_with_retry(self.digests, values, okvs.MAX_ENCODE_ATTEMPTS,
                                             self.rng)
             if result is None:
@@ -175,13 +178,21 @@ class PsinEngine(Party):
                                       MSG_OPPRF_HINT: self._on_hint,
                                       MSG_OPRF_DEALER: self._on_oprf_dealer})
 
+    def _on_root(self, src: int, payload: bytes) -> list:
+        """The gate; P_n asks the dealer for its evaluations once its last root has passed."""
+        out = super()._on_root(src, payload)
+        if self.index == self.roles.n and self._settled(self.ROOT_TYPE):
+            request = self._env(MSG_OPRF_DEALER, gf.vec_to_bytes(self.digests))
+            return [(DEALER_INDEX, request)] + out
+        return out
+
     def _on_group_key(self, src: int, payload: bytes) -> list:
         self.groupa_keys[src] = _bare_key(payload, f"group key from party {src}")
         return self._advance()
 
     def _on_share_table(self, src: int, payload: bytes) -> list:
         try:
-            self._share_tables[src] = okvs.OkvsTable.from_bytes(payload, self.n_l)
+            self._share_tables[src] = okvs.OkvsTable.from_bytes(payload, self.n_l, width=1)
         except ValueError as exc:
             raise ProtocolError(f"undecodable share table from party {src}: {exc}") from exc
         return self._advance()
@@ -202,7 +213,7 @@ class PsinEngine(Party):
 
     def _on_hint(self, src: int, payload: bytes) -> list:
         try:
-            self._hints[src] = okvs.OkvsTable.from_bytes(payload, self.n_l)
+            self._hints[src] = okvs.OkvsTable.from_bytes(payload, self.n_l, width=1)
         except ValueError as exc:
             raise ProtocolError(f"undecodable hint from party {src}: {exc}") from exc
         return self._advance()
@@ -215,10 +226,8 @@ class PsinEngine(Party):
     def _aggregate(self) -> np.ndarray:
         """A^i per own element, uint64: tables at the coordinator, PRF keys in group B."""
         if self.index == self.roles.v:
-            agg = np.zeros(self.n_l, dtype=zeroshare.VALUE_DTYPE)
-            for table in self._share_tables.values():
-                agg ^= okvs.decode_batch(table, self.digests)[:, 0]
-            return agg
+            decoded = [okvs.decode_batch(t, self.digests) for t in self._share_tables.values()]
+            return np.bitwise_xor.reduce(decoded).ravel()
         return zeroshare.prf([self.groupa_keys[s] for s in self.roles.group_a], self.digests)
 
     def _own_values(self) -> np.ndarray:
@@ -226,22 +235,16 @@ class PsinEngine(Party):
         return zeroshare.zs_share(self._zs_keyset(), self.digests) ^ self._aggregate()
 
     def _advance(self) -> list:
-        """P_n asks the dealer for its evaluations once every root has passed. Once a party
-        is owed nothing more, P_n outputs and each hint sender sends its hint."""
+        """Once a party is owed nothing more, P_n outputs and each hint sender sends its hint."""
         roles, i = self.roles, self.index
-        out = []
-        if i == roles.n and not self._evals_requested and self._settled(self.ROOT_TYPE):
-            self._evals_requested = True
-            out = [(DEALER_INDEX, self._env(MSG_OPRF_DEALER, gf.vec_to_bytes(self.digests)))]
         if not self._settled() or i in roles.group_a:
-            return out
+            return []
         if i == roles.n:
             own = self._own_values()
             combined = opprf.opprf_query_batch([self._hints[s] for s in roles.senders],
                                                self.digests, self._evals)
             self.intersection = {self.inputs[q] for q in np.flatnonzero(own == combined)}
-        else:
-            hint = opprf.opprf_program(self.digests, self._own_values(), self._oprf_key,
-                                       rng=self.rng)
-            out.append((roles.n, self._env(MSG_OPPRF_HINT, hint.to_bytes())))
-        return out
+            return []
+        hint = opprf.opprf_program(self.digests, self._own_values(), self._oprf_key,
+                                   rng=self.rng)
+        return [(roles.n, self._env(MSG_OPPRF_HINT, hint.to_bytes()))]

@@ -168,9 +168,10 @@ def test_local_two_party_run(runner, tmp_path):
     for way in ("sent", "received"):
         total = sum(n for party in by_party.values() for n in party[way].values())
         assert total == report["bytes_total"] + report["setup_bytes"]
-    # every party's phases, not only the output party's
-    assert set(report["phase_ms"]) == {"1", "2"}
-    assert all("start" in phases for phases in report["phase_ms"].values())
+    # every party's steps, not only the output party's, and the dealer's
+    assert set(report["phase_ms"]) == {"0", "1", "2"}
+    assert set(report["phase_ms"]["0"]) == {"0x21"}
+    assert all("start" in report["phase_ms"][i] for i in ("1", "2"))
     assert report["abort_reasons"] == {}
 
 

@@ -3,6 +3,7 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from authpsi import gf
@@ -107,16 +108,18 @@ def test_scalar_mul_vec_matches_scalar():
         assert empty.shape == (0, 2) and empty.dtype == arr.dtype
 
 
-def test_xor_rows_matches_row_loop():
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_xor_rows_matches_row_loop(width):
+    # rows of any width: 64-bit XOR values, field elements, or wider
     rng = np.random.default_rng(9)
     masks = np.concatenate([rng.integers(0, 1 << 64, size=200, dtype=np.uint64),
                             np.array([0, (1 << 64) - 1], dtype=np.uint64)])
     for count in (0, 1, 7, 8, 9, 30, 63, 64):
-        rows = gf.vec_from_bytes(rng.bytes(16 * count))
+        rows = rng.integers(0, 1 << 64, size=(count, width), dtype=np.uint64)
         out = gf.xor_rows(masks & np.uint64((1 << count) - 1), rows)
-        assert out.shape == (masks.size, 2)
+        assert out.shape == (masks.size, width)
         for k, mask in enumerate(masks.tolist()):
-            expect = np.zeros(2, dtype=np.uint64)
+            expect = np.zeros(width, dtype=np.uint64)
             for j in range(count):
                 if mask >> j & 1:
                     expect ^= rows[j]

@@ -219,29 +219,36 @@ def test_encode_with_retry_rejects_zero_attempts():
         okvs.encode_with_retry(_h([b"k"]), gf.vec_from_ints([1]), 0, np.random.default_rng(0))
 
 
-def test_table_wire_roundtrip():
-    # row seed || cell count (4 bytes, big-endian) || cells; the reader passes n
-    rng = random.Random(9)
-    table = _encode(_pairs(20, rng), _params(20), rng=np.random.default_rng(9))
+@pytest.mark.parametrize("width", [1, 2])
+def test_table_wire_roundtrip(width):
+    # row seed || cell count (4 bytes, big-endian) || cells of `width` 8-byte
+    # words; the reader passes n and the width
+    nprng = np.random.default_rng(9)
+    digests = _h([k for k, _ in _pairs(20, random.Random(9))])
+    values = nprng.integers(0, 1 << 64, size=(20, width), dtype=np.uint64)
+    table = okvs.encode(digests, values, _params(20), rng=nprng)
     raw = table.to_bytes()
     assert raw[:16] == table.params.row_seed
     assert int.from_bytes(raw[16:20], "big") == table.params.m
-    assert len(raw) == 20 + table.params.m * 16
-    back = okvs.OkvsTable.from_bytes(raw, 20)
+    assert len(raw) == 20 + table.params.m * 8 * width
+    back = okvs.OkvsTable.from_bytes(raw, 20, width)
     assert back.params == table.params
+    assert back.values.shape == (table.params.m, width)
     assert back.values.tolist() == table.values.tolist()
-    pairs = _pairs(20, random.Random(9))
-    decoded = okvs.decode_batch(back, _h([k for k, _ in pairs]))
-    assert [gf.vec_get(decoded, i) for i in range(20)] == [v for _, v in pairs]
-    # a reader that expects another pair count, a short seed, a count that
-    # differs from the body, or a body one cell longer rejects the table
+    assert okvs.decode_batch(back, digests).tolist() == values.tolist()
+    # a reader that expects another pair count or another width, a short
+    # seed, a count that differs from the body, or a body one cell longer
+    # rejects the table
     count = raw[16:20]
     other = (table.params.m + 1).to_bytes(4, "big")
-    for bad, n in ((raw, 19), (raw, 21), (raw[:15], 20), (raw[:-1], 20),
-                   (raw[:16] + other + raw[20:], 20), (raw[:16] + other + raw[20:] + bytes(16), 20),
-                   (raw[:16] + count + raw[20:] + bytes(16), 20)):
+    cell = bytes(8 * width)
+    for bad, n, w in ((raw, 19, width), (raw, 21, width), (raw, 20, 3 - width),
+                      (raw[:15], 20, width), (raw[:-1], 20, width),
+                      (raw[:16] + other + raw[20:], 20, width),
+                      (raw[:16] + other + raw[20:] + cell, 20, width),
+                      (raw[:16] + count + raw[20:] + cell, 20, width)):
         with pytest.raises(ValueError):
-            okvs.OkvsTable.from_bytes(bad, n)
+            okvs.OkvsTable.from_bytes(bad, n, w)
 
 
 def _stalls(idx):

@@ -98,7 +98,7 @@ def test_duplicate_points_rejected():
 def test_fresh_key_changes_hint():
     rng = random.Random(7)
     xs, ys = _points(16, rng)
-    dealer = opprf.OprfDealer(rng=np.random.default_rng(6))
+    dealer = opprf.OprfDealer([9, 10], rng=np.random.default_rng(6))
     k1, k2 = dealer.key(9), dealer.key(10)
     assert k1 != k2 and dealer.key(9) == k1
     assert (dealer.evaluate([9], xs) == opprf.oprf_eval(k1, xs)).all()
@@ -109,13 +109,22 @@ def test_fresh_key_changes_hint():
     assert h1.to_bytes() != h2.to_bytes()
 
 
+def test_dealer_keys_do_not_depend_on_request_order():
+    # every sender's key is drawn in sender order when the dealer is built,
+    # so the order the key requests arrive in changes no key
+    first, second = (opprf.OprfDealer([4, 5, 6], rng=np.random.default_rng(12)) for _ in range(2))
+    forward = [first.key(s) for s in (4, 5, 6)]
+    backward = [second.key(s) for s in (6, 5, 4)][::-1]
+    assert forward == backward and len(set(forward)) == 3
+
+
 def test_combined_evaluation_recovers_the_xor_of_programmed_values():
     # the dealer's one vector is the XOR of every sender's OPRF, so querying
     # all the hints with it gives the XOR of the values each one programmed
     rng = random.Random(10)
     xs, ys = _points(64, rng)
     others = np.array([rng.getrandbits(64) for _ in range(64)], dtype=np.uint64)
-    dealer = opprf.OprfDealer(rng=np.random.default_rng(10))
+    dealer = opprf.OprfDealer([3, 4], rng=np.random.default_rng(10))
     hints = [opprf.opprf_program(xs, values, dealer.key(s), rng=np.random.default_rng(s))
              for s, values in ((3, ys), (4, others))]
     evals = dealer.evaluate([3, 4], xs)
@@ -138,11 +147,14 @@ def test_hint_bytes_look_uniform():
 
 
 def test_wire_roundtrip():
-    # a hint on the wire is its bare OKVS table
+    # a hint on the wire is its bare OKVS table, of one 8-byte word per cell
     rng = random.Random(9)
     hint = opprf.opprf_program(*_points(8, rng), b"\x10" * 16, rng=np.random.default_rng(9))
-    back = okvs.OkvsTable.from_bytes(hint.to_bytes(), 8)
-    assert back.to_bytes() == hint.to_bytes()
+    raw = hint.to_bytes()
+    assert hint.values.shape == (hint.params.m, 1)
+    assert len(raw) == 20 + 8 * hint.params.m
+    back = okvs.OkvsTable.from_bytes(raw, 8, 1)
+    assert back.to_bytes() == raw
 
 
 def test_dealer_payload_roundtrips():
@@ -152,7 +164,7 @@ def test_dealer_payload_roundtrips():
     assert len(raw) == 16 * 3
     assert (opprf.decode_queries(raw) == queries).all()
     # the response is one uint64 per query, 8 little-endian bytes each
-    dealer = opprf.OprfDealer(rng=np.random.default_rng(11))
+    dealer = opprf.OprfDealer([1, 2], rng=np.random.default_rng(11))
     values = dealer.evaluate([1, 2], opprf.decode_queries(raw))
     assert values.dtype == np.uint64 and len(values.tobytes()) == 8 * 3
     assert values.tobytes()[:8] == int(values[0]).to_bytes(8, "little")

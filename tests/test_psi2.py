@@ -210,22 +210,28 @@ def test_wrong_digest_count_aborts_cleanly():
 
 
 def length_fault(msg_type, fault):
-    """A rewrite of a masked vector (seed, count, cells) or a digest set (count, digests)."""
+    """A rewrite of a masked vector (seed, count, cells) or a digest set (count, digests);
+    8-byte-cells keeps the low word of each 16-byte cell of a masked vector."""
     at = okvs.SEED_BYTES if msg_type == psi2.MSG_MASKED_VECTOR else 0
 
     def rewrite(raw):
         count = int.from_bytes(raw[at : at + 4], "big")
+        body = raw[at + 4:]
         return {
             "truncated": raw[:-1],
             "extended": raw + b"\x00",
-            "count-off-by-one": raw[:at] + (count + 1).to_bytes(4, "big") + raw[at + 4:],
+            "count-off-by-one": raw[:at] + (count + 1).to_bytes(4, "big") + body,
+            "8-byte-cells": raw[: at + 4] + b"".join(body[k : k + 8]
+                                                     for k in range(0, len(body), 16)),
         }[fault]
     return rewrite
 
 
-@pytest.mark.parametrize("fault", ["truncated", "extended", "count-off-by-one"])
-@pytest.mark.parametrize("msg_type", [psi2.MSG_MASKED_VECTOR, psi2.MSG_DIGEST_SET],
-                         ids=["0x02", "0x03"])
+@pytest.mark.parametrize("msg_type,fault", [
+    pytest.param(msg_type, fault, id=f"{msg_type:#04x}-{fault}")
+    for msg_type in (psi2.MSG_MASKED_VECTOR, psi2.MSG_DIGEST_SET)
+    for fault in ("truncated", "extended", "count-off-by-one")
+] + [pytest.param(psi2.MSG_MASKED_VECTOR, "8-byte-cells", id="0x02-8-byte-cells")])
 def test_malformed_masked_vector_or_digest_set_aborts_cleanly(msg_type, fault):
     x, y = _sets(12, 12, 4, seed=20)
     session = b"\x2c" * 16

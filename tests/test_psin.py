@@ -112,6 +112,9 @@ def _malformed_table(raw, fault):
     if fault == "truncated":
         return raw[:-1]
     at = okvs.SEED_BYTES
+    if fault == "16-byte-cells":  # each 8-byte cell padded with a zero high word
+        body = raw[at + 4:]
+        return raw[: at + 4] + b"".join(body[k : k + 8] + bytes(8) for k in range(0, len(body), 8))
     count = int.from_bytes(raw[at : at + 4], "big")
     head = raw[:at] + (count + 1).to_bytes(4, "big")
     if fault == "wrong-count":  # the body keeps its cells
@@ -119,7 +122,7 @@ def _malformed_table(raw, fault):
     return head + raw[at + 4:] + bytes(16)  # extra-cell: count and body agree, n disagrees
 
 
-@pytest.mark.parametrize("fault", ["truncated", "wrong-count", "extra-cell"])
+@pytest.mark.parametrize("fault", ["truncated", "wrong-count", "extra-cell", "16-byte-cells"])
 @pytest.mark.parametrize("msg_type", [psin.MSG_SHARE_TABLE, psin.MSG_OPPRF_HINT],
                          ids=["0x13", "0x14"])
 def test_malformed_table_aborts_cleanly(msg_type, fault):

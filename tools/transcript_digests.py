@@ -10,12 +10,14 @@ their reasons.
 - (3,1) and (4,2) at n_l = 64, and (8,4) at n_l = 256: honest, and every
   tamper kind at P_1, P_{n-t} and P_n.
 
-A change that must keep the protocol's bytes, outputs and aborts as they
-are is checked with one diff:
+Its output is committed beside it as `transcript_digests.txt`, and a run
+is checked against that file with one diff:
 
-    python3 tools/transcript_digests.py > after.txt
-    (cd ../parent && python3 tools/transcript_digests.py) > before.txt
-    diff before.txt after.txt
+    python3 tools/transcript_digests.py | diff tools/transcript_digests.txt -
+
+A change that must keep the protocol's bytes, outputs and aborts as they
+are leaves the file as it is; a change to the wire regenerates it, and its
+diff names the sessions that changed.
 
 It imports `authpsi` from the `src/` beside it, so each checkout runs its own code.
 """
