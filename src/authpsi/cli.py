@@ -81,7 +81,7 @@ def main():
 @main.command()
 @click.option("--count", type=int, required=True, help="elements per party")
 @click.option("--elem-bytes", type=int, default=16, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--parties", type=int, default=2, show_default=True)
 @click.option("--overlap", type=int, default=0, show_default=True,
               help="size of the planted common core")
@@ -220,7 +220,7 @@ def _tamper(spec, party):
     try:
         return harness.Tamper.parse(spec, party)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise click.UsageError(f"--tamper {spec}: {exc}")
 
 
 @main.command(name="run")
@@ -232,10 +232,11 @@ def _tamper(spec, party):
 @click.option("--tamper", default=None,
               help="adversarial move: flip-element:I (flip a bit of element I) | flip-path:I "
                    "(flip digest byte I mod 32 of the sent root) | swap-proofs:I,J (run with "
-                   "elements I and J swapped) | extra-element (add one element)")
+                   "elements I and J swapped) | extra-element[:I] (add one element, hashed from I, "
+                   "default 0)")
 @click.option("--tamper-party", type=int, default=None,
               help="which party misbehaves (defaults to --role in networked mode)")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=None,
               help="fix all protocol randomness of a --local run, for reproducible runs")
 @click.option("--out-dir", default=None)
 def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, out_dir):
@@ -327,7 +328,7 @@ def _finish(out_dir, result: harness.RunResult, served: Optional[int]) -> None:
 @click.option("--construction", type=click.Choice(["2pc", "npc", "both"]),
               default="2pc", show_default=True)
 @click.option("--out", "out_path", default=None, help=".json or .csv output path")
-@click.option("--seed", type=int, default=1, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 def bench(sizes, reps, construction, out_path, seed):
     """Honest-run sweeps: median timings and communication per element."""
     if reps < 1:

@@ -1,7 +1,8 @@
 """Dataset files for protocol runs: one header line, then hex elements.
 
-The header records the element count and fixed element width so consumers can
-sanity-check a file without parsing it fully. Elements are distinct byte
+The header records the element count and fixed element width (0 when the
+widths are mixed) so consumers can sanity-check a file without parsing it
+fully; `read_dataset` holds the elements to both. Elements are distinct byte
 strings, one lowercase-hex line each, in commitment order (the order matters:
 the tree root is a function of it).
 """
@@ -26,10 +27,13 @@ def read_dataset(path) -> list[bytes]:
     if not lines or not lines[0].startswith("count="):
         raise ValueError(f"{path}: missing dataset header")
     fields = dict(kv.split("=", 1) for kv in lines[0].split())
-    count = int(fields["count"])
+    count, width = int(fields["count"]), int(fields.get("elem_bytes", 0))
     elements = [bytes.fromhex(line) for line in lines[1:] if line.strip()]
     if len(elements) != count:
         raise ValueError(f"{path}: header says {count} elements, found {len(elements)}")
+    wrong = next((e for e in elements if width and len(e) != width), None)
+    if wrong is not None:
+        raise ValueError(f"{path}: header says {width}-byte elements, found one of {len(wrong)}")
     if len(set(elements)) != len(elements):
         raise ValueError(f"{path}: elements are not distinct")
     return elements

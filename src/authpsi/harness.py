@@ -46,7 +46,7 @@ class Tamper:
     """One adversarial move by one party, applied after commitments are fixed.
 
     - flip-element:I runs on the inputs with one bit of element I flipped;
-    - extra-element runs on the inputs plus one new element hashed from `index`;
+    - extra-element[:I] runs on the inputs plus one new element hashed from I (default 0);
     - swap-proofs:I,J runs on the committed sequence with elements I and J
       swapped (J bumped by one if equal);
     - flip-path:I flips digest byte I mod 32 of the root the party sends.
@@ -66,12 +66,15 @@ class Tamper:
 
     @classmethod
     def parse(cls, spec: str, party: int) -> "Tamper":
-        """Parse CLI syntax like flip-element:17 or swap-proofs:1,5."""
+        """Parse CLI syntax like flip-element:17, swap-proofs:1,5 or extra-element:3.
+
+        A suffix that is not an integer is a ValueError.
+        """
         kind, _, rest = spec.partition(":")
         if kind == "swap-proofs":
             a, _, b = rest.partition(",")
             return cls(kind=kind, party=party, index=int(a), index2=int(b))
-        if kind == "extra-element":
+        if kind == "extra-element" and not rest:
             return cls(kind=kind, party=party)
         return cls(kind=kind, party=party, index=int(rest))
 

@@ -140,13 +140,6 @@ def commit(elements: Sequence[bytes], salt: bytes = b"") -> tuple[MerkleRoot, np
     return MerkleRoot(digest=levels[-1][0], set_size=len(elements)), leaves[:, :2].copy()
 
 
-def gen_path(elements: Sequence[bytes], index: int, salt: bytes = b"") -> InclusionProof:
-    """Inclusion proof for the element at a position. Deterministic."""
-    if not 0 <= index < len(elements):
-        raise ValueError(f"index {index} out of range for set of {len(elements)}")
-    return _path_from_levels(_tree(elements, salt), index, len(elements))
-
-
 def gen_all_paths(elements: Sequence[bytes], salt: bytes = b"") -> list[InclusionProof]:
     """Inclusion proofs for every element, sharing one tree construction."""
     if not elements:

@@ -220,9 +220,6 @@ class PsinEngine(Party):
 
     # -- progress ------------------------------------------------------------
 
-    def _zs_keyset(self) -> zeroshare.ZsKeySet:
-        return zeroshare.ZsKeySet(party_index=self.index, keys=self._zs_seeds)
-
     def _aggregate(self) -> np.ndarray:
         """A^i per own element, uint64: tables at the coordinator, PRF keys in group B."""
         if self.index == self.roles.v:
@@ -232,7 +229,7 @@ class PsinEngine(Party):
 
     def _own_values(self) -> np.ndarray:
         """share(x) XOR A^i(x) per own element: what a sender programs, what P_n compares."""
-        return zeroshare.zs_share(self._zs_keyset(), self.digests) ^ self._aggregate()
+        return zeroshare.zs_share(self._zs_seeds.values(), self.digests) ^ self._aggregate()
 
     def _advance(self) -> list:
         """Once a party is owed nothing more, P_n outputs and each hint sender sends its hint."""

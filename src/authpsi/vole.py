@@ -5,7 +5,9 @@ with C[i] = A[i] * delta + B[i] over GF(2^128). A and B expand from 32-byte
 seeds with a counter-mode generator. The dealer draws both seeds and delta,
 computes C with `gf.scalar_mul_vec`, and sends each party its bare material:
 the receiver's seed followed by C, or the sender's seed followed by delta.
-Dealer traffic is metered separately from protocol traffic.
+Delta stays the 16 little-endian bytes it travels as, from the dealer's draw
+to the sender's fold. Dealer traffic is metered separately from protocol
+traffic.
 
 A request is the 4-byte big-endian length alone: the dealer reads the role
 from the requester's index (party 1 is the receiver) and the session from
@@ -44,7 +46,7 @@ class ReceiverCorrelation:
 @dataclass
 class SenderCorrelation:
     b_vec: np.ndarray
-    delta: int
+    delta: bytes  # 16 bytes little-endian, as on the wire
 
 
 def expand_vector(seed: bytes, m: int) -> np.ndarray:
@@ -55,7 +57,7 @@ def expand_vector(seed: bytes, m: int) -> np.ndarray:
     return gf.vec_from_bytes(enc.update(bytes(m * gf.GF_BYTES)) + enc.finalize())
 
 
-def complete_receiver_seed(a_seed: bytes, b_seed: bytes, delta: int, length: int) -> bytes:
+def complete_receiver_seed(a_seed: bytes, b_seed: bytes, delta: bytes, length: int) -> bytes:
     """Dealer step: the bytes of C = A * delta + B."""
     return gf.vec_to_bytes(gf.scalar_mul_vec(delta, expand_vector(a_seed, length))
                            ^ expand_vector(b_seed, length))
@@ -65,7 +67,7 @@ def materials(length: int, rng: np.random.Generator) -> tuple[bytes, bytes]:
     """The dealer's one draw (the A seed, the B seed, then delta): both parties' material."""
     a_seed, b_seed = rng.bytes(EXPANSION_SEED_BYTES), rng.bytes(EXPANSION_SEED_BYTES)
     delta = rng.bytes(gf.GF_BYTES)
-    c_bytes = complete_receiver_seed(a_seed, b_seed, gf.from_bytes(delta), length)
+    c_bytes = complete_receiver_seed(a_seed, b_seed, delta, length)
     return a_seed + c_bytes, b_seed + delta
 
 
@@ -77,4 +79,4 @@ def extend(receiver: bool, length: int,
     seed, rest = material[:EXPANSION_SEED_BYTES], material[EXPANSION_SEED_BYTES:]
     if receiver:
         return ReceiverCorrelation(a_vec=expand_vector(seed, length), c_vec=gf.vec_from_bytes(rest))
-    return SenderCorrelation(b_vec=expand_vector(seed, length), delta=gf.from_bytes(rest))
+    return SenderCorrelation(b_vec=expand_vector(seed, length), delta=rest)

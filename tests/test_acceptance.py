@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from authpsi import datasets, gf, harness, merkle, okvs, psi2, vole, zeroshare
+from test_gf import mul_oracle, to_bytes, vec_from_ints, vec_get
 
 TAMPER_KINDS = ("flip-element", "flip-path", "swap-proofs", "extra-element")
 
@@ -143,13 +144,14 @@ def test_criterion_06_zero_sharing_cancellation():
     for n in (2, 3, 5, 8):
         parties = list(range(1, n + 1))
         seeds = {(a, b): rng.randbytes(16) for a in parties for b in parties if a < b}
-        keysets = zeroshare.zs_setup(parties, seeds)
+        # each party holds the seeds of the n - 1 pairs it is in
+        party_seeds = [[seeds[min(i, j), max(i, j)] for j in parties if j != i] for i in parties]
         elements = [rng.randbytes(12) for _ in range(1000)]
-        shares = [zeroshare.zs_share(ks, _digests(elements)) for ks in keysets]
+        shares = [zeroshare.zs_share(own, _digests(elements)) for own in party_seeds]
         # the batch answers element by element as one-element batches would
         for k in range(0, 1000, 50):
-            for ks, share in zip(keysets, shares):
-                assert zeroshare.zs_share(ks, _digests([elements[k]]))[0] == share[k], n
+            for own, share in zip(party_seeds, shares):
+                assert zeroshare.zs_share(own, _digests([elements[k]]))[0] == share[k], n
         acc = np.bitwise_xor.reduce(shares)
         assert acc.shape == (1000,) and (acc == 0).all(), n
         if n > 1:
@@ -181,7 +183,7 @@ def test_criterion_07_okvs_suite():
         assert table is not None, n
         decoded = okvs.decode_batch(table, _digests([k for k, _ in pairs]))
         for i, (_, v) in enumerate(pairs):
-            assert gf.vec_get(decoded, i) == v, n
+            assert vec_get(decoded, i) == v, n
 
     # linearity and scalar identities on 10^4 random probes
     n = 256
@@ -192,7 +194,7 @@ def test_criterion_07_okvs_suite():
     t2 = _encode(pairs2, params, rng=np.random.default_rng(2))
     delta = rng.getrandbits(128)
     xored = okvs.OkvsTable(params=params, values=t1.values ^ t2.values)
-    scaled = okvs.OkvsTable(params=params, values=gf.scalar_mul_vec(delta, t1.values))
+    scaled = okvs.OkvsTable(params=params, values=gf.scalar_mul_vec(to_bytes(delta), t1.values))
     probes = _digests([rng.randbytes(10) for _ in range(10_000)])
     d1 = okvs.decode_batch(t1, probes)
     d2 = okvs.decode_batch(t2, probes)
@@ -200,8 +202,8 @@ def test_criterion_07_okvs_suite():
     ds = okvs.decode_batch(scaled, probes)
     assert (dx == (d1 ^ d2)).all()
     for i in range(0, 10_000, 997):
-        assert gf.vec_get(ds, i) == gf.mul(delta, gf.vec_get(d1, i))
-    assert (ds == gf.scalar_mul_vec(delta, d1)).all()
+        assert vec_get(ds, i) == mul_oracle(delta, vec_get(d1, i))
+    assert (ds == gf.scalar_mul_vec(to_bytes(delta), d1)).all()
 
     # fresh-instance encode success rate at n = 2^10, first attempt only
     successes = 0
@@ -230,10 +232,11 @@ def test_criterion_08_vole_relation():
             rc, sc = vole.extend(True, m, recv_raw), vole.extend(False, m, send_raw)
             expect = gf.scalar_mul_vec(sc.delta, rc.a_vec) ^ sc.b_vec
             bad_coordinates += m - int(np.count_nonzero((rc.c_vec == expect).all(axis=1)))
-            # the end coordinates again in scalar arithmetic, independently of the batch kernel
+            # the end coordinates again on the scalar reference, independently of the batch kernel
+            delta = int.from_bytes(sc.delta, "little")
             for i in {0, m - 1}:
-                a, b = gf.vec_get(rc.a_vec, i), gf.vec_get(sc.b_vec, i)
-                assert gf.vec_get(rc.c_vec, i) == gf.mul(a, sc.delta) ^ b, (m, s, i)
+                a, b = vec_get(rc.a_vec, i), vec_get(sc.b_vec, i)
+                assert vec_get(rc.c_vec, i) == mul_oracle(a, delta) ^ b, (m, s, i)
     assert bad_coordinates == 0
     print(f"\n[criterion 8] PASS: correlation exact at every coordinate, "
           f"m in {{1, 2^10, 2^16}} ({time.perf_counter() - t0:.1f}s)")
@@ -303,8 +306,8 @@ def test_criterion_10_masking_identity_white_box():
         c_decoded = okvs.decode_batch(c_table, common)
         masks = gf.scalar_mul_vec(delta, psi2.hash_to_mask(common))
         for i in range(len(common)):
-            lhs = gf.vec_get(bprime_decoded, i) ^ gf.vec_get(masks, i)
-            assert lhs == gf.vec_get(c_decoded, i)
+            lhs = vec_get(bprime_decoded, i) ^ vec_get(masks, i)
+            assert lhs == vec_get(c_decoded, i)
             checked += 1
             if checked == 1000:
                 break
@@ -321,7 +324,7 @@ def _digests(elements):
 def _encode(pairs, params, rng):
     """okvs.encode of (element, field element) pairs: elements as digests, values as limbs."""
     return okvs.encode(_digests([k for k, _ in pairs]),
-                       gf.vec_from_ints([v for _, v in pairs]), params, rng=rng)
+                       vec_from_ints([v for _, v in pairs]), params, rng=rng)
 
 
 def _white_box_session(x, y, session, roots, seed):

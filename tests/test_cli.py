@@ -14,7 +14,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from authpsi import cli, datasets, merkle, opprf, psi2, transport
+from authpsi import cli, datasets, harness, merkle, opprf, psi2, transport
 from authpsi.cli import main
 
 
@@ -121,6 +121,21 @@ def test_commit_rejects_bad_dataset(runner, tmp_path):
     result = runner.invoke(main, ["commit", "--in", str(path), "--salt", "ab" * 16,
                                   "--out", str(tmp_path / "x.root")])
     assert result.exit_code == 2
+
+
+def test_commit_rejects_elements_wider_than_the_header(runner, tmp_path):
+    # the header's elem_bytes binds every element; 0 marks mixed widths
+    path = tmp_path / "wide.dat"
+    path.write_text("count=2 elem_bytes=16\nbeef\ncafe\n")
+    result = runner.invoke(main, ["commit", "--in", str(path), "--salt", "ab" * 16,
+                                  "--out", str(tmp_path / "x.root")])
+    assert result.exit_code == 2, result.output
+    assert "header says 16-byte elements, found one of 2" in result.output
+    assert not (tmp_path / "x.root").exists()
+    path.write_text("count=2 elem_bytes=0\nbeef\ncafe00\n")
+    result = runner.invoke(main, ["commit", "--in", str(path), "--salt", "ab" * 16,
+                                  "--out", str(tmp_path / "x.root")])
+    assert result.exit_code == 0, result.output
 
 
 def test_commit_rejects_a_directory(runner, tmp_path):
@@ -248,9 +263,10 @@ def test_root_announcing_an_empty_set_is_usage_error(runner, tmp_path, mode):
 @pytest.mark.parametrize("args,message", [
     (["--tamper", "flip-element:3", "--tamper-party", "5"], "the tamper names party 5"),
     (["--tamper-party", "2"], "--tamper-party needs --tamper"),
-], ids=["tamper-of-no-party", "tamper-party-without-tamper"])
+    (["--tamper", "extra-element:zz", "--tamper-party", "1"], "--tamper extra-element:zz"),
+], ids=["tamper-of-no-party", "tamper-party-without-tamper", "tamper-index-not-an-integer"])
 def test_tamper_naming_no_party_is_usage_error(runner, tmp_path, args, message):
-    # neither may run an honest session in place of the tampered one asked for
+    # none may run an honest or another tampered session in place of the one asked for
     prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=20)
     salt = "1e" * 16
     _commit_all(runner, prefix, 2, salt)
@@ -260,6 +276,15 @@ def test_tamper_naming_no_party_is_usage_error(runner, tmp_path, args, message):
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_extra_element_tamper_reads_its_index():
+    # the suffix picks the added element; without one it is index 0
+    assert harness.Tamper.parse("extra-element:7", 1).index == 7
+    assert harness.Tamper.parse("extra-element", 1).index == 0
+    runs = [harness.Tamper.parse(spec, 1).inputs([b"a" * 8, b"b" * 8])[-1]
+            for spec in ("extra-element", "extra-element:7")]
+    assert runs[0] != runs[1]
 
 
 @pytest.mark.parametrize("mode", [["--local"], ["--role", "1"], ["--role", "0"]],
@@ -283,9 +308,10 @@ def test_collusion_bound_out_of_range_is_usage_error(runner, tmp_path, monkeypat
     (["--local", "--role", "2"], "--local and --role exclude each other"),
     (["--role", "1", "--seed", "5"], "--seed fixes a --local run only"),
     (["--role", "0", "--seed", "5"], "--seed fixes a --local run only"),
-], ids=["dealer-tamper", "local-with-role", "party-seed", "dealer-seed"])
+    (["--local", "--seed", "-1"], "-1 is not in the range x>=0"),
+], ids=["dealer-tamper", "local-with-role", "party-seed", "dealer-seed", "negative-seed"])
 def test_option_the_mode_would_ignore_is_usage_error(runner, tmp_path, monkeypatch, args, message):
-    # neither may run as if the option had not been given
+    # none may run as if the option had not been given, nor crash on its value
     monkeypatch.setattr(cli, "DEALER_IDLE_S", 0.2)
     prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=22)
     salt = "2e" * 16
@@ -313,6 +339,9 @@ def test_bench_smoke(runner, tmp_path):
                                   "--construction", "2pc", "--out", str(csv_out)])
     assert result.exit_code == 0
     assert csv_out.read_text().startswith("construction,n,median_ms")
+    # seeds are non-negative, as numpy's generators require
+    result = runner.invoke(main, ["bench", "--sizes", "64", "--reps", "1", "--seed", "-1"])
+    assert result.exit_code == 2, result.output
 
 
 def test_unsalted_config_is_usage_error(runner, tmp_path):

@@ -49,20 +49,26 @@ def test_four_leaf_path_for_third_element():
     data = _elements(4)
     h = [merkle.hash_leaf(d) for d in data]
     left = merkle.hash_node(h[0], h[1])
-    proof = merkle.gen_path(data, 2)
+    proof = merkle.gen_all_paths(data)[2]
     assert proof.leaf_hash == h[2]
     assert proof.siblings == ((merkle.RIGHT, h[3]), (merkle.LEFT, left))
 
 
 def test_single_leaf_path_is_empty():
-    proof = merkle.gen_path([b"x"], 0)
+    proof = merkle.gen_all_paths([b"x"])[0]
     assert proof.siblings == ()
     assert merkle.verify(merkle.root([b"x"]), proof)
 
 
 def test_out_of_range_index_rejected():
-    with pytest.raises(ValueError):
-        merkle.gen_path(_elements(4), 4)
+    # index 4 of 4 has the sibling sides of index 3, so only the range check
+    # keeps the last leaf's proof from verifying one past the end
+    data = _elements(4)
+    r, last = merkle.root(data), merkle.gen_all_paths(data)[3]
+    for index in (4, -1):
+        forged = merkle.InclusionProof(index=index, leaf_hash=last.leaf_hash,
+                                       siblings=last.siblings, set_size=last.set_size)
+        assert not merkle.verify(r, forged), index
 
 
 def test_correctness_small_sizes_exhaustive():
@@ -75,20 +81,19 @@ def test_correctness_small_sizes_exhaustive():
             assert p.index == i and p.set_size == n and p.leaf_hash == leaves[i]
             assert len(p.siblings) <= max(1, (n - 1).bit_length())
             assert merkle.verify(r, p), (n, i)
-            assert p == merkle.gen_path(data, i)
 
 
 def test_determinism():
     data = _elements(19)
     assert merkle.root(data) == merkle.root(data)
-    assert merkle.gen_path(data, 7) == merkle.gen_path(data, 7)
+    assert merkle.gen_all_paths(data) == merkle.gen_all_paths(data)
 
 
 def test_salt_changes_root_and_binds_proofs():
     data = _elements(6)
     plain, salted = merkle.root(data), merkle.root(data, b"s" * 16)
     assert plain != salted
-    proof = merkle.gen_path(data, 3, b"s" * 16)
+    proof = merkle.gen_all_paths(data, b"s" * 16)[3]
     assert merkle.verify(salted, proof)
     assert not merkle.verify(plain, proof)
 
@@ -137,7 +142,7 @@ def test_index_rebinding_rejected():
     # sibling chain itself is untouched
     data = _elements(8, tag=6)
     r = merkle.root(data)
-    p = merkle.gen_path(data, 2)
+    p = merkle.gen_all_paths(data)[2]
     for other in range(8):
         if other == 2:
             continue

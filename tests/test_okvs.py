@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from authpsi import gf, merkle, okvs
+from test_gf import mul_oracle, to_bytes, vec_from_ints, vec_get
 
 
 def _params(n, seed=b"\x07" * 16):
@@ -28,7 +29,7 @@ def _h(keys):
 
 def _encode(pairs, params, rng):
     """Encode (element, field element) pairs under the elements' digests."""
-    return okvs.encode(_h([k for k, _ in pairs]), gf.vec_from_ints([v for _, v in pairs]),
+    return okvs.encode(_h([k for k, _ in pairs]), vec_from_ints([v for _, v in pairs]),
                        params, rng=rng)
 
 
@@ -111,7 +112,7 @@ def test_single_pair_roundtrip():
     rng = random.Random(3)
     table = _encode([(b"only", 12345)], _params(1), rng=np.random.default_rng(0))
     assert table is not None
-    assert gf.vec_get(okvs.decode_batch(table, _h([b"only"])), 0) == 12345
+    assert vec_get(okvs.decode_batch(table, _h([b"only"])), 0) == 12345
 
 
 @pytest.mark.parametrize("n", [16, 256, 1024, 4096])
@@ -122,7 +123,7 @@ def test_roundtrip(n):
     assert table is not None
     decoded = okvs.decode_batch(table, _h([k for k, _ in pairs]))
     for i, (_, v) in enumerate(pairs):
-        assert gf.vec_get(decoded, i) == v
+        assert vec_get(decoded, i) == v
 
 
 def test_decode_batch_matches_scalar():
@@ -150,13 +151,13 @@ def test_linearity_and_scalar_identities():
     t2 = _encode(_pairs(n, random.Random(6)), p, rng=nprng)
     xored = okvs.OkvsTable(params=p, values=t1.values ^ t2.values)
     delta = rng.getrandbits(128)
-    scaled = okvs.OkvsTable(params=p, values=gf.scalar_mul_vec(delta, t1.values))
+    scaled = okvs.OkvsTable(params=p, values=gf.scalar_mul_vec(to_bytes(delta), t1.values))
     probes = _h([rng.randbytes(12) for _ in range(200)])
     d1, d2 = okvs.decode_batch(t1, probes), okvs.decode_batch(t2, probes)
     assert (okvs.decode_batch(xored, probes) == d1 ^ d2).all()
     ds = okvs.decode_batch(scaled, probes)
     for i in range(len(probes)):
-        assert gf.vec_get(ds, i) == gf.mul(delta, gf.vec_get(d1, i))
+        assert vec_get(ds, i) == mul_oracle(delta, vec_get(d1, i))
 
 
 def test_encode_and_decode_use_no_field_multiplication(monkeypatch):
@@ -164,12 +165,11 @@ def test_encode_and_decode_use_no_field_multiplication(monkeypatch):
     def refuse(*args):
         raise AssertionError("field multiplication in the OKVS")
 
-    monkeypatch.setattr(gf, "mul", refuse)
     monkeypatch.setattr(gf, "scalar_mul_vec", refuse)
     pairs = _pairs(512, random.Random(11))
     table = _encode(pairs, _params(512), rng=np.random.default_rng(11))
     decoded = okvs.decode_batch(table, _h([k for k, _ in pairs]))
-    assert [gf.vec_get(decoded, i) for i in range(512)] == [v for _, v in pairs]
+    assert [vec_get(decoded, i) for i in range(512)] == [v for _, v in pairs]
 
 
 def test_unknown_key_decodes_do_not_repeat():
@@ -180,14 +180,14 @@ def test_unknown_key_decodes_do_not_repeat():
     for i in range(1000):
         pairs = _pairs(8, rng)
         table = _encode(pairs, _params(8, rng.randbytes(16)), rng=np.random.default_rng(i))
-        seen.add(gf.vec_get(okvs.decode_batch(table, _h([b"never-encoded"])), 0))
+        seen.add(vec_get(okvs.decode_batch(table, _h([b"never-encoded"])), 0))
     assert len(seen) == 1000
 
 
 def test_encode_with_retry_first_attempt():
     # the table is sized for the keys, and its base row seed is the rng's next 16 bytes
     pairs = _pairs(128, random.Random(8))
-    values = gf.vec_from_ints([v for _, v in pairs])
+    values = vec_from_ints([v for _, v in pairs])
     result = okvs.encode_with_retry(_h([k for k, _ in pairs]), values, 8, np.random.default_rng(8))
     assert result is not None
     table, attempts = result
@@ -199,7 +199,7 @@ def test_encode_with_retry_draws_a_new_seed_per_attempt(monkeypatch):
     # a failed attempt is retried under the rng's next 16 bytes, and the
     # table carries the seed that succeeded
     pairs = _pairs(64, random.Random(8))
-    digests, values = _h([k for k, _ in pairs]), gf.vec_from_ints([v for _, v in pairs])
+    digests, values = _h([k for k, _ in pairs]), vec_from_ints([v for _, v in pairs])
     real_encode, seeds = okvs.encode, []
 
     def fail_first(digests, values, params, rng):
@@ -216,7 +216,7 @@ def test_encode_with_retry_draws_a_new_seed_per_attempt(monkeypatch):
 
 def test_encode_with_retry_rejects_zero_attempts():
     with pytest.raises(ValueError):
-        okvs.encode_with_retry(_h([b"k"]), gf.vec_from_ints([1]), 0, np.random.default_rng(0))
+        okvs.encode_with_retry(_h([b"k"]), vec_from_ints([1]), 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("width", [1, 2])

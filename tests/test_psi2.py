@@ -11,6 +11,7 @@ import pytest
 from authpsi import gf, harness, merkle, okvs, psi2, transport, vole
 from authpsi.errors import ConfigError, ProtocolError
 from authpsi.transport import DEALER_INDEX
+from test_gf import mul_oracle, to_bytes, vec_get
 
 
 def _sets(nx, ny, overlap, seed=0, width=8):
@@ -83,13 +84,13 @@ def test_masking_identity_white_box():
     er, es = engines[1], engines[2]
     assert er.intersection == set(x) & set(y)
     c_table = okvs.OkvsTable(params=er._table.params, values=er._recv_corr.c_vec)
-    delta = es._send_corr.delta
+    delta = int.from_bytes(es._send_corr.delta, "little")
     common = merkle.commit(sorted(set(x) & set(y)), session)[1]
     bprime, c = okvs.decode_batch(es.bprime_table, common), okvs.decode_batch(c_table, common)
     hb = psi2.hash_to_mask(common)
     for i in range(len(common)):
-        lhs = gf.vec_get(bprime, i) ^ gf.mul(delta, gf.vec_get(hb, i))
-        assert lhs == gf.vec_get(c, i)
+        lhs = vec_get(bprime, i) ^ mul_oracle(delta, vec_get(hb, i))
+        assert lhs == vec_get(c, i)
 
 
 def _build(x, y, session, roots, seed):
@@ -249,8 +250,8 @@ def test_vole_backend_substitutability(monkeypatch):
     # this one pins delta = 1 and deterministic expansion seeds
     def fixed_delta(length, rng):
         a_seed, b_seed = b"\x41" * 32, b"\x42" * 32
-        return (a_seed + vole.complete_receiver_seed(a_seed, b_seed, 1, length),
-                b_seed + gf.to_bytes(1))
+        one = to_bytes(1)
+        return a_seed + vole.complete_receiver_seed(a_seed, b_seed, one, length), b_seed + one
 
     monkeypatch.setattr(vole, "materials", fixed_delta)
     x, y = _sets(40, 40, 15, seed=13)

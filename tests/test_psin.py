@@ -244,7 +244,8 @@ def test_cancellation_identity_white_box():
     total = np.zeros(len(core), dtype=np.uint64)
     for i in roles.subgroup:
         engine = engines[i]
-        share_sum ^= zeroshare.zs_share(engine._zs_keyset(), merkle.commit(core, session)[1])
+        share_sum ^= zeroshare.zs_share(engine._zs_seeds.values(),
+                                        merkle.commit(core, session)[1])
         # every pairwise PRF term appears exactly twice across the aggregates
         positions = [engine.inputs.index(x) for x in core]
         total ^= engine._aggregate()[positions]

@@ -5,6 +5,7 @@ import pytest
 
 from authpsi import gf, vole
 from authpsi.errors import ProtocolError
+from test_gf import mul_oracle, vec_get
 
 
 def _dealt_pair(m, rng_seed=0):
@@ -24,19 +25,18 @@ def test_relation_holds_coordinatewise():
     rc, sc = _dealt_pair(1024)
     expect = gf.scalar_mul_vec(sc.delta, rc.a_vec) ^ sc.b_vec
     assert (rc.c_vec == expect).all()
-    # spot-check with scalar arithmetic, independently of the batch path
+    # spot-check on the scalar reference, independently of the batch path
+    delta = int.from_bytes(sc.delta, "little")
     for i in (0, 1, 511, 1023):
-        a = gf.vec_get(rc.a_vec, i)
-        b = gf.vec_get(sc.b_vec, i)
-        assert gf.vec_get(rc.c_vec, i) == gf.mul(a, sc.delta) ^ b
+        assert vec_get(rc.c_vec, i) == mul_oracle(vec_get(rc.a_vec, i), delta) ^ vec_get(sc.b_vec, i)
 
 
 def test_zero_delta_degenerates():
     a_seed, b_seed = b"\x41" * 32, b"\x42" * 32
-    c_bytes = vole.complete_receiver_seed(a_seed, b_seed, 0, 64)
+    c_bytes = vole.complete_receiver_seed(a_seed, b_seed, bytes(16), 64)
     rc = vole.extend(True, 64, a_seed + c_bytes)
-    sc = vole.extend(False, 64, b_seed + gf.to_bytes(0))
-    assert sc.delta == 0
+    sc = vole.extend(False, 64, b_seed + bytes(16))
+    assert sc.delta == bytes(16)
     assert (rc.c_vec == sc.b_vec).all()
 
 
@@ -57,7 +57,8 @@ def test_extend_requires_completed_receiver_seed():
 
 def test_length_one():
     rc, sc = _dealt_pair(1)
-    assert gf.vec_get(rc.c_vec, 0) == gf.mul(gf.vec_get(rc.a_vec, 0), sc.delta) ^ gf.vec_get(sc.b_vec, 0)
+    delta = int.from_bytes(sc.delta, "little")
+    assert vec_get(rc.c_vec, 0) == mul_oracle(vec_get(rc.a_vec, 0), delta) ^ vec_get(sc.b_vec, 0)
 
 
 def test_marginal_uniformity():
@@ -83,7 +84,7 @@ def test_dealer_message_roundtrip():
     assert (rc.a_vec == vole.expand_vector(recv_raw[:32], 77)).all()
     assert gf.vec_to_bytes(rc.c_vec) == recv_raw[32:]
     assert (sc.b_vec == vole.expand_vector(send_raw[:32], 77)).all()
-    assert gf.to_bytes(sc.delta) == send_raw[32:]
+    assert sc.delta == send_raw[32:]
     # material for the other role, or the receiver's for another length, fails on its length
     for receiver, length, raw in ((True, 77, send_raw), (False, 77, recv_raw),
                                   (True, 76, recv_raw), (True, 78, recv_raw)):
@@ -107,4 +108,4 @@ def test_materials_draw_the_a_seed_the_b_seed_then_delta():
     drawn = np.random.default_rng(9).bytes(32 + 32 + 16)
     assert (recv_raw[:32], send_raw) == (drawn[:32], drawn[32:])
     assert recv_raw[32:] == vole.complete_receiver_seed(
-        drawn[:32], drawn[32:64], gf.from_bytes(drawn[64:]), 5)
+        drawn[:32], drawn[32:64], drawn[64:], 5)

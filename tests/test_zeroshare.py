@@ -18,16 +18,18 @@ def _digests(xs):
 
 
 def _setup(n, seed=0):
+    """Each party's pair seeds by counterpart, as a `psin` engine keeps them, and all pair seeds."""
     rng = random.Random(seed)
     parties = list(range(1, n + 1))
     seeds = {(a, b): rng.randbytes(16) for a in parties for b in parties if a < b}
-    return zeroshare.zs_setup(parties, seeds), seeds
+    own = [{j: seeds[min(i, j), max(i, j)] for j in parties if j != i} for i in parties]
+    return own, seeds
 
 
-def _xor_shares(keysets, xs):
+def _xor_shares(party_seeds, xs):
     acc = np.zeros(len(xs), dtype=np.uint64)
-    for ks in keysets:
-        acc ^= zeroshare.zs_share(ks, _digests(xs))
+    for own in party_seeds:
+        acc ^= zeroshare.zs_share(own.values(), _digests(xs))
     return acc
 
 
@@ -65,55 +67,42 @@ def test_prf_does_not_depend_on_batch_composition():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_full_group_cancellation(n):
-    keysets, _ = _setup(n, seed=n)
+    party_seeds, _ = _setup(n, seed=n)
     rng = random.Random(100 + n)
     xs = [rng.randbytes(10) for _ in range(300)]
-    assert (_xor_shares(keysets, xs) == 0).all()
+    assert (_xor_shares(party_seeds, xs) == 0).all()
 
 
 def test_two_party_shares_coincide():
-    keysets, seeds = _setup(2, seed=1)
+    party_seeds, seeds = _setup(2, seed=1)
     digests = _digests([b"common"])
-    s1 = zeroshare.zs_share(keysets[0], digests)
-    s2 = zeroshare.zs_share(keysets[1], digests)
+    s1 = zeroshare.zs_share(party_seeds[0].values(), digests)
+    s2 = zeroshare.zs_share(party_seeds[1].values(), digests)
     assert s1[0] == s2[0] == zeroshare.prf([seeds[(1, 2)]], digests)[0]
 
 
 def test_key_counts():
-    keysets, seeds = _setup(8, seed=2)
+    party_seeds, seeds = _setup(8, seed=2)
     assert len(seeds) == 28  # n(n-1)/2 distinct pair seeds
-    for ks in keysets:
-        assert len(ks.keys) == 7
-
-
-def test_missing_pair_seed_rejected():
-    parties = [1, 2, 3]
-    seeds = {(1, 2): b"\x00" * 16, (1, 3): b"\x01" * 16}  # (2, 3) missing
-    with pytest.raises(ValueError):
-        zeroshare.zs_setup(parties, seeds)
-
-
-def test_int_shorthand_for_parties():
-    seeds = {(1, 2): b"\x00" * 16, (1, 3): b"\x01" * 16, (2, 3): b"\x02" * 16}
-    keysets = zeroshare.zs_setup(3, seeds)
-    assert [ks.party_index for ks in keysets] == [1, 2, 3]
+    for own in party_seeds:
+        assert len(own) == 7
 
 
 def test_strict_subset_xor_is_nonzero():
-    keysets, _ = _setup(5, seed=3)
+    party_seeds, _ = _setup(5, seed=3)
     rng = random.Random(4)
     xs = [rng.randbytes(8) for _ in range(500)]
     # drop one party: the terms pairing with it survive
-    assert (_xor_shares(keysets[:-1], xs) != 0).all()
+    assert (_xor_shares(party_seeds[:-1], xs) != 0).all()
 
 
 def test_subset_xor_bit_frequency():
     # XOR over a strict subset looks uniform: pooled bit bias within 4 sigma
-    keysets, _ = _setup(4, seed=5)
+    party_seeds, _ = _setup(4, seed=5)
     rng = random.Random(6)
     trials = 1000
     xs = [rng.randbytes(8) for _ in range(trials)]
-    acc = _xor_shares([keysets[0], keysets[2]], xs)
+    acc = _xor_shares([party_seeds[0], party_seeds[2]], xs)
     ones = int(np.unpackbits(acc.view(np.uint8)).sum())
     total = trials * 64
     sigma = (0.25 / total) ** 0.5
@@ -121,18 +110,18 @@ def test_subset_xor_bit_frequency():
 
 
 def test_share_determinism():
-    keysets, _ = _setup(3, seed=7)
+    party_seeds, _ = _setup(3, seed=7)
     digests = _digests([b"x", b"y", b"x"])
-    first = zeroshare.zs_share(keysets[1], digests)
-    assert (first == zeroshare.zs_share(keysets[1], digests)).all()
+    first = zeroshare.zs_share(party_seeds[1].values(), digests)
+    assert (first == zeroshare.zs_share(party_seeds[1].values(), digests)).all()
     assert first[0] == first[2] != first[1]
 
 
 def test_nonshared_element_xor_survives():
     # an element held by n-1 of n parties leaves the unpaired PRF terms alive
-    keysets, seeds = _setup(3, seed=8)
+    party_seeds, seeds = _setup(3, seed=8)
     xs = [b"partial"]
-    partial = _xor_shares(keysets[:2], xs)
+    partial = _xor_shares(party_seeds[:2], xs)
     # the surviving terms are exactly the pair PRFs toward party 3
     expect = zeroshare.prf([seeds[(1, 3)], seeds[(2, 3)]], _digests(xs))
     assert partial[0] == expect[0] != 0
