@@ -135,6 +135,8 @@ def _load_config(path) -> dict:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read config: {exc}")
+    if not isinstance(cfg, dict):
+        raise click.UsageError("config must be a JSON object at its top level")
     for key in ("session_id", "parties"):
         if key not in cfg:
             raise click.UsageError(f"config is missing {key!r}")
@@ -177,6 +179,10 @@ def _parties(construction: str, cfg: dict) -> tuple[dict, Optional[int]]:
     without opening any file they name."""
     parties = {_party_index(k): entry for k, entry in cfg["parties"].items()}
     if construction == "2pc":
+        if "t" in cfg:
+            raise click.UsageError("a 2pc config sets no 't': only npc has a threshold")
+        if _integer(cfg, "n", 2) != 2:
+            raise click.UsageError(f"'n' of a 2pc config must be 2, not {cfg['n']}")
         if sorted(parties) != [1, 2]:
             raise click.UsageError("2pc config must define parties 1 and 2")
         for i, expected in ((1, "receiver"), (2, "sender")):

@@ -186,7 +186,7 @@ class RunResult:
     aborted: bool
     abort_parties: list[int]  # reported endpoints that aborted: honest parties, or the dealer (0)
     report: dict
-    transcript: transport.Transcript
+    meter: transport.Meter  # the backend's log of what it carried
 
 
 class DealerService(psi2.Endpoint):
@@ -325,14 +325,16 @@ def run(net, session: Optional[Session], engines: dict,
 
     `session` describes the run; it is None only in a dealer's process, which
     holds no party's roots and reports what its dealer was built from. The
-    report holds the meter's bytes, the step times `drive` keeps (`phase_ms`)
-    of every endpoint it drove, the dealer's under 0, `elapsed_ms`, and the
-    abort reasons, except the tamperer's, of the process's parties, or of
-    its dealer if it holds none. So a bus run reports the reason of every
-    honest party and not the dealer's, whose refusal reaches each client as
-    an abort of its own. `bytes_by_party` holds every party the meter saw,
-    the dealer (0) included; a TCP node meters only its own links, so there
-    another party's figures are its traffic with this one.
+    report's bytes are views of the backend's one log, its `meter`, which
+    the result carries. The report also holds the step times `drive` keeps
+    (`phase_ms`) of every endpoint it drove, the dealer's under 0,
+    `elapsed_ms`, and the abort reasons, except the tamperer's, of the
+    process's parties, or of its dealer if it holds none. So a bus run
+    reports the reason of every honest party and not the dealer's, whose
+    refusal reaches each client as an abort of its own. `bytes_by_party`
+    holds every party the log names, the dealer (0) included; a TCP node
+    logs only its own links, so there another party's figures are its
+    traffic with this one.
     The element count `n` is the lowest-indexed held party's set size, 0 in
     a dealer's process, which holds no elements.
     """
@@ -350,7 +352,7 @@ def run(net, session: Optional[Session], engines: dict,
         session_id, parties, t = dealer.session_id, dealer.n, dealer.t
         reasons = {transport.DEALER_INDEX: dealer.abort_reason} if dealer.aborted else {}
         output, n = None, 0
-    protocol = net.meter.protocol_bytes(session_id)
+    protocol = net.meter.protocol_bytes()
     driven = engines if dealer is None else {transport.DEALER_INDEX: dealer, **engines}
     report = {
         "session": session_id.hex(),
@@ -359,9 +361,9 @@ def run(net, session: Optional[Session], engines: dict,
         "t": t,
         "bytes_total": protocol,
         "bits_per_element": protocol * 8 / n if n else 0.0,
-        "per_type": net.meter.per_type(session_id),
-        "setup_bytes": net.meter.setup_bytes(session_id),
-        "bytes_by_party": net.meter.by_party(session_id),
+        "per_type": net.meter.per_type(),
+        "setup_bytes": net.meter.setup_bytes(),
+        "bytes_by_party": net.meter.by_party(),
         "phase_ms": {i: e.phase_ms for i, e in driven.items()},
         "elapsed_ms": elapsed,
         "aborted": bool(reasons),
@@ -369,7 +371,7 @@ def run(net, session: Optional[Session], engines: dict,
     }
     return RunResult(intersection=output.intersection if output is not None else None,
                      aborted=bool(reasons), abort_parties=list(reasons), report=report,
-                     transcript=net.transcript)
+                     meter=net.meter)
 
 
 def _run(sets, t, session_id, tamper, seed, network, announced_roots) -> RunResult:

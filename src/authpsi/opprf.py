@@ -51,11 +51,6 @@ KEY_BYTES = 16
 MSG_OPRF_DEALER = 0x15
 
 
-def oprf_eval(key: bytes, queries: np.ndarray) -> np.ndarray:
-    """The ideal OPRF: the zero-sharing PRF under one key over query digests; (n,) uint64."""
-    return zeroshare.prf([key], queries)
-
-
 class OprfDealer:
     """Ideal-OPRF functionality: a key per sender, the XOR of their evaluations to the receiver."""
 
@@ -82,7 +77,7 @@ def opprf_program(points: np.ndarray, ys: np.ndarray, oprf_key: bytes,
     """Sender side: the hint programming each point digest points[i] to the uint64 ys[i]."""
     if points.shape[0] != len(ys):
         raise ValueError("one programmed value per point required")
-    values = (ys ^ oprf_eval(oprf_key, points))[:, None]
+    values = (ys ^ zeroshare.prf([oprf_key], points))[:, None]
     result = okvs.encode_with_retry(points, values, okvs.MAX_ENCODE_ATTEMPTS, rng)
     if result is None:
         raise ProtocolError("hint encoding failed after retries")

@@ -1,4 +1,4 @@
-"""Message framing, delivery backends, and per-session byte metering.
+"""Message framing, delivery backends, and the one log of the traffic they carry.
 
 Every protocol message travels as an envelope: 16-byte session id, one type
 byte, and a length-prefixed payload. On the wire an envelope is preceded by a
@@ -13,9 +13,11 @@ directed party pair; its receive waits up to the timeout, and it returns
 (src, dst, None) once src's connection has hung up. Party index 0 is
 reserved for dealer endpoints (correlated-randomness setup); traffic to or
 from index 0 is accounted as setup bytes, everything else as protocol bytes.
-Delivery is exactly-once and FIFO per directed pair on both backends. Each
-backend keeps a `meter` and a `transcript` of what it carried, which
-`harness.run` reports.
+Delivery is exactly-once and FIFO per directed pair on both backends.
+Each backend carries one session and keeps one log of it, its `meter`: an
+entry per message it sends, and on TCP also per frame it receives. Every
+figure `harness.run` reports, and every per-pair transcript, is a view of
+that log.
 """
 
 from __future__ import annotations
@@ -77,61 +79,12 @@ class Envelope:
 
 
 class Meter:
-    """Monotone byte counters per (session, src, dst, msg_type).
+    """The one log of what a backend carried: per message, in order,
+    (src, dst, type, wire bytes, payload digest).
 
-    Dealer traffic (src or dst 0) lands in the setup bucket; the rest is
-    protocol traffic.
+    Every view is read off this log. Dealer traffic (src or dst 0) is setup
+    traffic; the rest is protocol traffic.
     """
-
-    def __init__(self):
-        self._counts: dict[tuple[bytes, int, int, int], int] = {}
-        self._lock = threading.Lock()
-
-    def add(self, session_id: bytes, src: int, dst: int, msg_type: int, nbytes: int):
-        key = (session_id, src, dst, msg_type)
-        with self._lock:
-            self._counts[key] = self._counts.get(key, 0) + nbytes
-
-    def _select(self, session_id: Optional[bytes], setup: bool) -> dict:
-        out = {}
-        with self._lock:
-            for (sid, src, dst, mt), nb in self._counts.items():
-                if session_id is not None and sid != session_id:
-                    continue
-                if (src == DEALER_INDEX or dst == DEALER_INDEX) != setup:
-                    continue
-                out[(sid, src, dst, mt)] = nb
-        return out
-
-    def protocol_bytes(self, session_id: Optional[bytes] = None) -> int:
-        return sum(self._select(session_id, setup=False).values())
-
-    def setup_bytes(self, session_id: Optional[bytes] = None) -> int:
-        return sum(self._select(session_id, setup=True).values())
-
-    def by_party(self, session_id: Optional[bytes] = None) -> dict[int, dict[str, dict[str, int]]]:
-        """Per party, the dealer included: bytes "sent" and "received" per message type."""
-        out: dict[int, dict[str, dict[str, int]]] = {}
-        with self._lock:
-            for (sid, src, dst, mt), nb in self._counts.items():
-                if session_id is not None and sid != session_id:
-                    continue
-                key = f"0x{mt:02x}"
-                for party, way in ((src, "sent"), (dst, "received")):
-                    counts = out.setdefault(party, {"sent": {}, "received": {}})[way]
-                    counts[key] = counts.get(key, 0) + nb
-        return out
-
-    def per_type(self, session_id: Optional[bytes] = None) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for (_, _, _, mt), nb in self._select(session_id, setup=False).items():
-            key = f"0x{mt:02x}"
-            out[key] = out.get(key, 0) + nb
-        return out
-
-
-class Transcript:
-    """Ordered log of sent messages: (src, dst, type, wire bytes, payload digest)."""
 
     def __init__(self):
         self.entries: list[tuple[int, int, int, int, str]] = []
@@ -142,12 +95,40 @@ class Transcript:
         with self._lock:
             self.entries.append((src, dst, env.msg_type, env.wire_bytes, digest))
 
+    def _logged(self) -> list[tuple[int, int, int, int, str]]:
+        with self._lock:
+            return list(self.entries)
+
+    def protocol_bytes(self) -> int:
+        return sum(self.per_type().values())
+
+    def setup_bytes(self) -> int:
+        return sum(nb for src, dst, _, nb, _ in self._logged() if DEALER_INDEX in (src, dst))
+
+    def per_type(self) -> dict[str, int]:
+        """Protocol bytes per message type."""
+        out: dict[str, int] = {}
+        for src, dst, mt, nb, _ in self._logged():
+            if DEALER_INDEX not in (src, dst):
+                key = f"0x{mt:02x}"
+                out[key] = out.get(key, 0) + nb
+        return out
+
+    def by_party(self) -> dict[int, dict[str, dict[str, int]]]:
+        """Per party, the dealer included: bytes "sent" and "received" per message type."""
+        out: dict[int, dict[str, dict[str, int]]] = {}
+        for src, dst, mt, nb, _ in self._logged():
+            key = f"0x{mt:02x}"
+            for party, way in ((src, "sent"), (dst, "received")):
+                counts = out.setdefault(party, {"sent": {}, "received": {}})[way]
+                counts[key] = counts.get(key, 0) + nb
+        return out
+
     def per_pair(self) -> dict[tuple[int, int], list[tuple[int, int, str]]]:
         """Per directed pair, the ordered (type, bytes, digest) sequence."""
         out: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
-        with self._lock:
-            for src, dst, mt, nb, dg in self.entries:
-                out.setdefault((src, dst), []).append((mt, nb, dg))
+        for src, dst, mt, nb, dg in self._logged():
+            out.setdefault((src, dst), []).append((mt, nb, dg))
         return out
 
 
@@ -161,12 +142,10 @@ class BusNetwork:
 
     def __init__(self):
         self.meter = Meter()
-        self.transcript = Transcript()
         self._fifo: deque[tuple[int, int, Envelope]] = deque()
 
     def deliver(self, src: int, dst: int, env: Envelope):
-        self.meter.add(env.session_id, src, dst, env.msg_type, env.wire_bytes)
-        self.transcript.add(src, dst, env)
+        self.meter.add(src, dst, env)
         self._fifo.append((src, dst, env))
 
     def recv(self, timeout: Optional[float] = None):
@@ -206,7 +185,6 @@ class TcpNode:
                  peers: dict[int, tuple[str, int]]):
         self.index = index
         self.meter = Meter()
-        self.transcript = Transcript()
         self._peers = dict(peers)
         self._out: dict[int, socket.socket] = {}
         self._inbox: queue.Queue = queue.Queue()
@@ -244,7 +222,7 @@ class TcpNode:
             self._dialed.add(src)
             while True:
                 env = read_frame(conn)
-                self.meter.add(env.session_id, src, self.index, env.msg_type, env.wire_bytes)
+                self.meter.add(src, self.index, env)
                 self._inbox.put((src, self.index, env))
         except TransportClosed:
             # a peer that hangs up after its part is done is not an error; it
@@ -303,8 +281,7 @@ class TcpNode:
             sock.sendall(env.to_frame())
         except OSError as exc:
             raise TransportError(f"send to party {dst} failed: {exc}") from exc
-        self.meter.add(env.session_id, src, dst, env.msg_type, env.wire_bytes)
-        self.transcript.add(src, dst, env)
+        self.meter.add(src, dst, env)
 
     def recv(self, timeout: Optional[float] = None):
         """The next (src, own index, envelope), or None after `timeout` seconds without one.

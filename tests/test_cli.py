@@ -435,7 +435,14 @@ CONFIG_FAULTS = {
     "t-boolean": (lambda cfg: cfg.update(t=True), "'t' must be an integer, not true", tuple(MODES)),
     "t-string": (lambda cfg: cfg.update(t="2"), "'t' must be an integer, not \"2\"",
                  tuple(MODES)),
+    # run with --construction 2pc, which has no threshold and two parties
+    "2pc-with-t": (lambda cfg: cfg.update(t=1), "a 2pc config sets no 't'", tuple(MODES), "2pc"),
+    "2pc-with-n-3": (lambda cfg: cfg.update(n=3), "'n' of a 2pc config must be 2, not 3",
+                     tuple(MODES), "2pc"),
 }
+
+# whole configs that are not a JSON object
+NON_OBJECT_CONFIGS = {"number": 5, "null": None, "string": "session_id parties"}
 
 
 @pytest.mark.parametrize("fault,mode", [(fault, mode) for fault in sorted(CONFIG_FAULTS)
@@ -447,14 +454,25 @@ def test_bad_networked_config_is_usage_error(runner, tmp_path, fault, mode):
     _commit_all(runner, prefix, 2, salt)
     cfg_path = _config(tmp_path, prefix, 2, salt)
     cfg = json.loads(Path(cfg_path).read_text())
-    mutate, message, _ = CONFIG_FAULTS[fault]
+    mutate, message, _, *construction = CONFIG_FAULTS[fault]
     mutate(cfg)
     Path(cfg_path).write_text(json.dumps(cfg))
-    construction = "npc" if "t" in cfg else "2pc"
+    construction = construction[0] if construction else "npc" if "t" in cfg else "2pc"
     result = runner.invoke(main, ["run", "--construction", construction, "--config", cfg_path,
                                   "--out-dir", str(tmp_path / "out")] + MODES[mode])
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("config", NON_OBJECT_CONFIGS)
+def test_non_object_config_is_usage_error(runner, tmp_path, config, mode):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(NON_OBJECT_CONFIGS[config]))
+    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", str(cfg_path),
+                                  "--out-dir", str(tmp_path / "out")] + MODES[mode])
+    assert result.exit_code == 2, result.output
+    assert "config must be a JSON object" in result.output
 
 
 def test_local_transport_failure_exits_4(runner, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from authpsi import gf, merkle, okvs, opprf
+from authpsi import gf, merkle, okvs, opprf, zeroshare
 from authpsi.errors import ProtocolError
 
 
@@ -32,7 +32,7 @@ def test_programmed_points_recovered():
     xs, ys = _points(256, rng)
     key = b"\x09" * 16
     hint = opprf.opprf_program(xs, ys, key, rng=np.random.default_rng(0))
-    got = opprf.opprf_query_batch([hint], xs, opprf.oprf_eval(key, xs))
+    got = opprf.opprf_query_batch([hint], xs, zeroshare.prf([key], xs))
     assert got.dtype == np.uint64
     assert (got == ys).all()
 
@@ -43,13 +43,13 @@ def test_batch_query_matches_scalar():
     key = b"\x0a" * 16
     hint = opprf.opprf_program(xs, ys, key, rng=np.random.default_rng(1))
     queries = np.concatenate([xs[:16], _h([rng.randbytes(10) for _ in range(16)])])
-    evals = opprf.oprf_eval(key, queries)
+    evals = zeroshare.prf([key], queries)
     batch = opprf.opprf_query_batch([hint], queries, evals)
     assert (batch[:16] == ys[:16]).all()
     # one query at a time gives the same answers as the mixed batch
     for k in range(len(queries)):
         q = queries[k : k + 1]
-        ev = opprf.oprf_eval(key, q)
+        ev = zeroshare.prf([key], q)
         assert ev[0] == evals[k]
         assert opprf.opprf_query_batch([hint], q, ev)[0] == batch[k]
 
@@ -62,7 +62,7 @@ def test_unprogrammed_queries_look_random():
     key = b"\x0b" * 16
     hint = opprf.opprf_program(xs, ys, key, rng=np.random.default_rng(2))
     queries = _h([b"q" + i.to_bytes(4, "big") for i in range(100_000)])
-    outs = opprf.opprf_query_batch([hint], queries, opprf.oprf_eval(key, queries))
+    outs = opprf.opprf_query_batch([hint], queries, zeroshare.prf([key], queries))
     assert len(np.unique(outs)) == len(queries)
     assert not np.isin(outs, ys).any()
 
@@ -73,7 +73,7 @@ def test_repeated_query_is_deterministic():
     key = b"\x0c" * 16
     hint = opprf.opprf_program(xs, ys, key, rng=np.random.default_rng(3))
     q = _h([b"again", b"again"])
-    evals = opprf.oprf_eval(key, q)
+    evals = zeroshare.prf([key], q)
     assert evals[0] == evals[1]
     first, second = opprf.opprf_query_batch([hint], q, evals)
     assert first == second == opprf.opprf_query_batch([hint], q[:1], evals[:1])[0]
@@ -101,7 +101,7 @@ def test_fresh_key_changes_hint():
     dealer = opprf.OprfDealer([9, 10], rng=np.random.default_rng(6))
     k1, k2 = dealer.key(9), dealer.key(10)
     assert k1 != k2 and dealer.key(9) == k1
-    assert (dealer.evaluate([9], xs) == opprf.oprf_eval(k1, xs)).all()
+    assert (dealer.evaluate([9], xs) == zeroshare.prf([k1], xs)).all()
     # alike rngs give alike row seeds, so the two hints share their rows
     h1 = opprf.opprf_program(xs, ys, k1, rng=np.random.default_rng(7))
     h2 = opprf.opprf_program(xs, ys, k2, rng=np.random.default_rng(7))
@@ -128,7 +128,7 @@ def test_combined_evaluation_recovers_the_xor_of_programmed_values():
     hints = [opprf.opprf_program(xs, values, dealer.key(s), rng=np.random.default_rng(s))
              for s, values in ((3, ys), (4, others))]
     evals = dealer.evaluate([3, 4], xs)
-    assert (evals == opprf.oprf_eval(dealer.key(3), xs) ^ opprf.oprf_eval(dealer.key(4), xs)).all()
+    assert (evals == zeroshare.prf([dealer.key(3)], xs) ^ zeroshare.prf([dealer.key(4)], xs)).all()
     assert (opprf.opprf_query_batch(hints, xs, evals) == ys ^ others).all()
 
 

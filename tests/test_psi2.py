@@ -419,7 +419,7 @@ def test_gate_binds_inputs_actually_used():
 def test_commitment_message_is_one_root():
     x, y = _sets(20, 70, 9, seed=17)
     res = harness.run_two_party(x, y, seed=17)
-    for (src, dst), sent in res.transcript.per_pair().items():
+    for (src, dst), sent in res.meter.per_pair().items():
         sizes = [nbytes for msg_type, nbytes, _ in sent if msg_type == psi2.MSG_ROOT_PROOFS]
         if src and dst:
             assert sizes == [transport.HEADER_BYTES + 37]
@@ -468,7 +468,7 @@ def party_messages(run):
     """(src, dst, type, nth) of every message a party receives in a run, from another party
     or from the dealer; nth counts the earlier messages with the same src, dst and type."""
     messages, seen = [], Counter()
-    for (src, dst), sent in run.transcript.per_pair().items():
+    for (src, dst), sent in run.meter.per_pair().items():
         if dst != DEALER_INDEX:
             for msg_type, _, _ in sent:
                 messages.append((src, dst, msg_type, seen[src, dst, msg_type]))
@@ -523,4 +523,4 @@ def test_seeded_extra_element_run_is_reproducible():
     runs = [harness.run_two_party(x, y, seed=3, tamper=harness.Tamper("extra-element", 1))
             for _ in range(2)]
     assert runs[0].aborted
-    assert runs[0].transcript.per_pair() == runs[1].transcript.per_pair()
+    assert runs[0].meter.per_pair() == runs[1].meter.per_pair()

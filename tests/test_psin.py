@@ -212,7 +212,7 @@ def test_replayed_message_aborts_cleanly(message):
 def test_commitment_message_is_one_root():
     sets, _ = _party_sets(4, 12, 4, seed=12)
     res = harness.run_multi_party(sets, t=2, seed=12)
-    for (src, dst), sent in res.transcript.per_pair().items():
+    for (src, dst), sent in res.meter.per_pair().items():
         sizes = [nbytes for msg_type, nbytes, _ in sent if msg_type == psin.MSG_ROOT_PROOFS]
         if src and dst:
             assert sizes == [transport.HEADER_BYTES + 37]

@@ -27,7 +27,7 @@ def party_sizes(run, dealer=False):
     """Per directed pair of parties, or with `dealer` per pair with the dealer,
     the ordered (type, wire bytes) of every message."""
     return {pair: tuple((msg_type, nbytes) for msg_type, nbytes, _ in sent)
-            for pair, sent in run.transcript.per_pair().items() if (DEALER_INDEX in pair) == dealer}
+            for pair, sent in run.meter.per_pair().items() if (DEALER_INDEX in pair) == dealer}
 
 
 TWO_PARTY_SIZES = {
@@ -136,7 +136,7 @@ def _sessions():
         sid = bytes([len(sets)]) * 16
         roots = {i: merkle.root(s, sid) for i, s in enumerate(sets, start=1)}
         spec = harness.Session(dict(enumerate(sets, start=1)), roots, sid, t)
-        out[name] = (spec, len(_run(spec, 43).transcript.entries))
+        out[name] = (spec, len(_run(spec, 43).meter.entries))
     return out
 
 
@@ -278,7 +278,7 @@ def test_dealer_clients_are_the_parties_that_ask_it(parties, t):
     run = (harness.run_two_party(*sets, seed=51) if t is None
            else harness.run_multi_party(sets, t, seed=51))
     assert not run.aborted
-    asked = {src for src, dst, *_ in run.transcript.entries if dst == DEALER_INDEX}
+    asked = {src for src, dst, *_ in run.meter.entries if dst == DEALER_INDEX}
     sid = bytes(16)
     spec = harness.Session(dict(enumerate(sets, start=1)),
                            {i: merkle.root(s, sid) for i, s in enumerate(sets, start=1)}, sid, t)
@@ -301,7 +301,7 @@ def test_each_party_receives_exactly_what_it_is_owed(parties, t):
     bus = transport.BusNetwork()
     harness.drive(bus, engines, dealer)
     delivered = {i: Counter() for i in ends}
-    for src, dst, msg_type, *_ in bus.transcript.entries:
+    for src, dst, msg_type, *_ in bus.meter.entries:
         delivered[dst][msg_type, src] += 1
     assert delivered == owed
     assert all(e.done and not e.aborted for e in engines.values())
@@ -318,7 +318,7 @@ def test_every_step_of_every_engine_is_timed(name):
     phase_ms, elapsed = run.report["phase_ms"], run.report["elapsed_ms"]
     assert set(phase_ms) == {DEALER_INDEX} | set(spec.sets)
     for i, steps in phase_ms.items():
-        delivered = {f"0x{msg_type:02x}" for _, dst, msg_type, *_ in run.transcript.entries
+        delivered = {f"0x{msg_type:02x}" for _, dst, msg_type, *_ in run.meter.entries
                      if dst == i}
         assert delivered, i
         assert set(steps) == delivered | ({"start"} if i != DEALER_INDEX else set()), i
@@ -499,14 +499,14 @@ def test_every_delivery_order_gives_the_fifo_outcome(name):
     roots = {i: merkle.root(s, sid) for i, s in sets.items()}
     expected = set.intersection(*(set(s) for s in sets.values()))
     honest = harness.Session(sets, roots, sid, t)
-    fifo = _run(honest, 81).transcript.per_pair()
+    fifo = _run(honest, 81).meter.per_pair()
     output = honest.output_party
     for order in range(40):
         engines, dealer = honest.endpoints(np.random.default_rng(81))
         bus = ShuffledBus(order)
         harness.drive(bus, engines, dealer)
         assert engines[output].intersection == expected, order
-        assert bus.transcript.per_pair() == fifo, order
+        assert bus.meter.per_pair() == fifo, order
     for order, (party, kind) in enumerate((p, k) for p in tamperers for k in ORDER_KINDS):
         tamper = harness.Tamper(kind=kind, party=party, index=order, index2=order + 7)
         spec = harness.Session(sets, roots, sid, t, tamper)

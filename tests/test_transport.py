@@ -35,16 +35,16 @@ def test_envelope_validation():
 def test_meter_header_arithmetic():
     net = transport.BusNetwork()
     net.deliver(1, 2, Envelope(SID, 0x01, b"\x00" * 100))
-    assert net.meter.protocol_bytes(SID) == 125  # payload + 25 header bytes
-    assert net.meter.setup_bytes(SID) == 0
-    assert net.meter.per_type(SID) == {"0x01": 125}
+    assert net.meter.protocol_bytes() == 125  # payload + 25 header bytes
+    assert net.meter.setup_bytes() == 0
+    assert net.meter.per_type() == {"0x01": 125}
 
 
 def test_dealer_traffic_is_setup_bytes():
     net = transport.BusNetwork()
     net.deliver(1, 0, Envelope(SID, 0x21, b"\x00" * 10))
-    assert net.meter.protocol_bytes(SID) == 0
-    assert net.meter.setup_bytes(SID) == 35
+    assert net.meter.protocol_bytes() == 0
+    assert net.meter.setup_bytes() == 35
 
 
 def test_meter_conservation():
@@ -52,7 +52,7 @@ def test_meter_conservation():
     sizes = [3, 50, 7, 0]
     for i, size in enumerate(sizes):
         net.deliver(1, 2, Envelope(SID, i + 1, b"\x01" * size))
-    assert sum(net.meter.per_type(SID).values()) == net.meter.protocol_bytes(SID)
+    assert sum(net.meter.per_type().values()) == net.meter.protocol_bytes()
 
 
 def test_bus_fifo_order_and_exactly_once():
@@ -83,6 +83,24 @@ def test_bus_timeout_vs_closed():
     assert time.monotonic() - t0 < 1
 
 
+def test_log_counts_a_message_of_another_session():
+    # the receiver refuses a root rewritten to another session id, and the
+    # reported bytes still cover every message the bus carried, that one too
+    class RewritingBus(transport.BusNetwork):
+        def deliver(self, src, dst, env):
+            if (src, dst, env.msg_type) == (2, 1, 0x01):
+                env = Envelope(bytes(16), env.msg_type, env.payload)
+            super().deliver(src, dst, env)
+
+    x = [bytes([i, 2]) for i in range(24)]
+    y = [bytes([i, 2]) for i in range(12, 36)]
+    run = harness.run_two_party(x, y, session_id=SID, seed=3, network=RewritingBus())
+    assert run.aborted and "envelope for a different session" in run.report["abort_reasons"][1]
+    assert (2, 1, 0x01) in {(src, dst, mt) for src, dst, mt, *_ in run.meter.entries}
+    logged = sum(nbytes for *_, nbytes, _ in run.meter.entries)
+    assert run.report["bytes_total"] + run.report["setup_bytes"] == logged
+
+
 def test_tcp_roundtrip_and_meter():
     n1 = transport.TcpNode(1, ("127.0.0.1", 0), {})
     n2 = transport.TcpNode(2, ("127.0.0.1", 0), {1: ("127.0.0.1", n1.bound_port)})
@@ -90,8 +108,11 @@ def test_tcp_roundtrip_and_meter():
         n2.deliver(2, 1, Envelope(SID, 0x07, b"over tcp"))
         src, dst, env = n1.recv(timeout=5)
         assert (src, dst, env.payload) == (2, 1, b"over tcp")
-        # both ends metered the same direction key
-        assert n1.meter.protocol_bytes(SID) == n2.meter.protocol_bytes(SID) == 33
+        # both ends count the one message
+        assert n1.meter.protocol_bytes() == n2.meter.protocol_bytes() == 33
+        # both ends log the same per-pair sequence: the sender its send, the
+        # receiver the frame it read
+        assert n1.meter.per_pair() == n2.meter.per_pair()
         for i in range(100):
             n2.deliver(2, 1, Envelope(SID, 0x08, bytes([i])))
         got = [n1.recv(timeout=5)[2].payload[0] for _ in range(100)]
@@ -220,19 +241,16 @@ def test_tcp_send_to_a_peer_that_left_fails_at_once():
 
 
 def test_meter_by_party_counts_each_message_at_both_ends():
-    # every party the meter saw, the dealer included, with its bytes sent and
-    # received per message type, for one session
+    # every party the log names, the dealer included, with its bytes sent and
+    # received per message type
     meter = transport.Meter()
-    sid = b"\x01" * 16
-    meter.add(sid, 1, 2, 0x02, 100)
-    meter.add(sid, 1, 0, 0x21, 29)
-    meter.add(sid, 0, 1, 0x22, 73)
-    meter.add(sid, 1, 2, 0x02, 5)
-    meter.add(b"\x02" * 16, 2, 1, 0x03, 7)  # another session
-    assert meter.by_party(sid) == {
+    for src, dst, msg_type, size in ((1, 2, 0x02, 75), (1, 0, 0x21, 4), (0, 1, 0x22, 48),
+                                     (1, 2, 0x02, 5)):
+        meter.add(src, dst, Envelope(SID, msg_type, bytes(size)))
+    assert meter.by_party() == {
         0: {"sent": {"0x22": 73}, "received": {"0x21": 29}},
-        1: {"sent": {"0x02": 105, "0x21": 29}, "received": {"0x22": 73}},
-        2: {"sent": {}, "received": {"0x02": 105}},
+        1: {"sent": {"0x02": 130, "0x21": 29}, "received": {"0x22": 73}},
+        2: {"sent": {}, "received": {"0x02": 130}},
     }
 
 
@@ -276,11 +294,10 @@ def test_backends_produce_identical_transcripts():
             node.close()
 
     assert engines[1].intersection == bus_run.intersection
-    tcp_pairs = {}
-    for node in nodes.values():
-        for pair, seq in node.transcript.per_pair().items():
-            tcp_pairs.setdefault(pair, []).extend(seq)
-    bus_pairs = bus_run.transcript.per_pair()
+    # each node logs its sends and its reads; its sends are the pairs it is the source of
+    tcp_pairs = {pair: seq for i, node in nodes.items()
+                 for pair, seq in node.meter.per_pair().items() if pair[0] == i}
+    bus_pairs = bus_run.meter.per_pair()
     assert set(tcp_pairs) == set(bus_pairs)
     for pair in bus_pairs:
         assert tcp_pairs[pair] == bus_pairs[pair], pair

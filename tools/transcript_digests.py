@@ -1,10 +1,10 @@
 """One SHA-256 per fixed-seed session, to compare what two checkouts put on the wire.
 
 Runs 48 sessions over the in-process bus and prints one line per session:
-its name, then a SHA-256 over the transcript's per-pair message sequences
-(type, wire bytes and payload digest of every message, the dealer's
-included), the output, the abort flag, the aborting honest parties and
-their reasons.
+its name, then a SHA-256 over the per-pair message sequences of the bus's
+one log, `run.meter.per_pair()` (type, wire bytes and payload digest of
+every message, the dealer's included), the output, the abort flag, the
+aborting honest parties and their reasons.
 
 - 2pc at n = 1024: honest, and every tamper kind at each party;
 - (3,1) and (4,2) at n_l = 64, and (8,4) at n_l = 256: honest, and every
@@ -49,7 +49,7 @@ def _tampers(parties: int, t):
 
 
 def _digest(run: harness.RunResult) -> str:
-    fields = (sorted(run.transcript.per_pair().items()),
+    fields = (sorted(run.meter.per_pair().items()),
               None if run.intersection is None else sorted(run.intersection),
               run.aborted, run.abort_parties, sorted(run.report["abort_reasons"].items()))
     return hashlib.sha256(repr(fields).encode()).hexdigest()
