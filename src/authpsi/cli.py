@@ -1,15 +1,17 @@
 """Operator entry points: dataset generation, commitment, runs, benchmarks.
 
-Every mode of `run` builds the endpoints it holds and ends one way: one
-`harness.run` drives and reports them, `report.json` is written to
-`--out-dir` (with `intersection.txt` where there is output), the dealer's
-process included, and the exit code follows. Exit codes: 0 success, 2
-usage/configuration error (also an option the mode would ignore: `--local`
-with `--role`, `--seed` with `--role`, or `--tamper` on the dealer, which
-has no inputs), 3 protocol abort (integrity violation detected, or a
-request the dealer cannot serve: the dealer and every client it reaches
-exit 3), 4 transport failure (also a `--local` run whose bus goes quiet
-while a party still waits).
+`run` takes the construction from the config, where a "t" selects npc, and
+runs every party in this process over the in-process bus, or with `--role`
+one party, or the dealer (role 0), over TCP. Every mode builds the endpoints
+it holds and ends one way: one `harness.run` drives and reports them,
+`report.json` is written to `--out-dir` (with `intersection.txt` where there
+is output), the dealer's process included, and the exit code follows. Exit
+codes: 0 success, 2 usage/configuration error (also an output path that
+cannot be written, a tamper that changes nothing, `--seed` with `--role`,
+or `--tamper` on the dealer, which has no inputs), 3 protocol abort
+(integrity violation detected, or a request the dealer cannot serve: the
+dealer and every client it reaches exit 3), 4 transport failure (also a run
+without `--role` whose bus goes quiet while a party still waits).
 
 A networked run needs one process per party plus a dealer process (role 0),
 all pointed at the same JSON config:
@@ -24,9 +26,8 @@ all pointed at the same JSON config:
       }
     }
 
-Roots come from `authpsi commit --salt <session_id>`. In a 2pc session party 1
-is the receiver and party 2 the sender. `--local` instead runs every party of
-the session inside one process over the in-process bus.
+Roots come from `authpsi commit --salt <session_id>`. In a 2pc session (no
+"t") party 1 is the receiver and party 2 the sender.
 """
 
 from __future__ import annotations
@@ -93,12 +94,15 @@ def gen(count, elem_bytes, seed, parties, overlap, out_prefix):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     core = sorted(set(sets[0]).intersection(*map(set, sets[1:]))) if parties > 1 else sorted(sets[0])
-    for i, s in enumerate(sets, start=1):
-        path = f"{out_prefix}{i}.dat"
-        datasets.write_dataset(path, s)
-        click.echo(f"wrote {path} ({count} elements)")
-    core_path = f"{out_prefix}_core.dat"
-    datasets.write_dataset(core_path, core)
+    try:
+        for i, s in enumerate(sets, start=1):
+            path = f"{out_prefix}{i}.dat"
+            datasets.write_dataset(path, s)
+            click.echo(f"wrote {path} ({count} elements)")
+        core_path = f"{out_prefix}_core.dat"
+        datasets.write_dataset(core_path, core)
+    except OSError as exc:
+        raise click.UsageError(f"--out-prefix: {exc}")
     click.echo(f"wrote {core_path} ({len(core)} planted common elements)")
 
 
@@ -116,7 +120,10 @@ def commit(in_path, salt, out_path):
     if not elements:
         raise click.UsageError("cannot commit to an empty dataset")
     root = merkle.root(elements, _session_id(salt, "--salt"))
-    Path(out_path).write_bytes(root.to_bytes())
+    try:
+        Path(out_path).write_bytes(root.to_bytes())
+    except OSError as exc:
+        raise click.UsageError(f"--out: {exc}")
     click.echo(root.to_bytes().hex())
 
 
@@ -174,31 +181,23 @@ def _address(who: str, entry) -> tuple[str, int]:
     raise click.UsageError(f'{who} needs an "address" of the form host:port')
 
 
-def _parties(construction: str, cfg: dict) -> tuple[dict, Optional[int]]:
-    """The config's party entries by index, and t (None in 2pc), checked
-    without opening any file they name."""
+def _parties(cfg: dict) -> tuple[dict, int, Optional[int]]:
+    """The config's party entries by index, n ("n", or else the party count) and t (None
+    without "t": 2pc), checked without opening any file they name."""
     parties = {_party_index(k): entry for k, entry in cfg["parties"].items()}
-    if construction == "2pc":
-        if "t" in cfg:
-            raise click.UsageError("a 2pc config sets no 't': only npc has a threshold")
-        if _integer(cfg, "n", 2) != 2:
-            raise click.UsageError(f"'n' of a 2pc config must be 2, not {cfg['n']}")
-        if sorted(parties) != [1, 2]:
-            raise click.UsageError("2pc config must define parties 1 and 2")
+    n = _integer(cfg, "n", len(parties))
+    t = _integer(cfg, "t") if "t" in cfg else None
+    if sorted(parties) != list(range(1, n + 1)):
+        raise click.UsageError(f"config must define parties 1..{n}")
+    if t is None:
         for i, expected in ((1, "receiver"), (2, "sender")):
-            if parties[i].get("role", expected) != expected:
+            if parties.get(i, {}).get("role", expected) != expected:
                 raise click.UsageError(f"party {i} is the {expected} of a 2pc session, "
                                        f"not {parties[i]['role']!r}")
-        return parties, None
-    if "t" not in cfg:
-        raise click.UsageError("npc config is missing 't'")
-    t, n = _integer(cfg, "t"), _integer(cfg, "n", len(parties))
-    if sorted(parties) != list(range(1, n + 1)):
-        raise click.UsageError("npc config must define parties 1..n")
-    return parties, t
+    return parties, n, t
 
 
-def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session:
+def _session(cfg: dict, tamper, role=None) -> harness.Session:
     """The session a config describes, with every party's root loaded.
 
     A networked party (`role` given) reads only its own dataset, since the
@@ -208,7 +207,7 @@ def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session
     if cfg.get("salted", True) is not True:
         raise click.UsageError('config key "salted" must be true or absent: '
                                "leaves are always salted with the session id")
-    parties, t = _parties(construction, cfg)
+    parties, _, t = _parties(cfg)
     sets, roots = {}, {}
     for i, entry in parties.items():
         try:
@@ -220,55 +219,42 @@ def _session(construction: str, cfg: dict, tamper, role=None) -> harness.Session
     return harness.Session(sets, roots, session_id, t, tamper)
 
 
-def _tamper(spec, party):
-    if not spec:
-        return None
-    try:
-        return harness.Tamper.parse(spec, party)
-    except ValueError as exc:
-        raise click.UsageError(f"--tamper {spec}: {exc}")
-
-
 @main.command(name="run")
-@click.option("--construction", type=click.Choice(["2pc", "npc"]), required=True)
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path(exists=True),
+              help='session config; a "t" selects the multi-party construction')
 @click.option("--role", type=int, default=None,
-              help="party index this process runs (0 = dealer); omit with --local")
-@click.option("--local", is_flag=True, help="run all parties in-process")
+              help="the party this process runs over TCP (0: the dealer); omit to run them all")
 @click.option("--tamper", default=None,
               help="adversarial move: flip-element:I (flip a bit of element I) | flip-path:I "
                    "(flip digest byte I mod 32 of the sent root) | swap-proofs:I,J (run with "
                    "elements I and J swapped) | extra-element[:I] (add one element, hashed from I, "
                    "default 0)")
 @click.option("--tamper-party", type=int, default=None,
-              help="which party misbehaves (defaults to --role in networked mode)")
+              help="which party misbehaves (defaults to --role)")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
-              help="fix all protocol randomness of a --local run, for reproducible runs")
-@click.option("--out-dir", default=None)
-def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, out_dir):
-    """Execute one protocol session: every party in this process (--local), or one
-    party or the dealer (--role) over TCP."""
+              help="fix all protocol randomness of a run without --role, for reproducible runs")
+@click.option("--out-dir", default=".", help="where report.json and intersection.txt go")
+def run_cmd(config_path, role, tamper, tamper_party, seed, out_dir):
+    """Execute one protocol session: every party in this process, or with --role one
+    party or the dealer over TCP."""
     cfg = _load_config(config_path)
     if tamper_party is not None and not tamper:
         raise click.UsageError("--tamper-party needs --tamper")
-    if local and role is not None:
-        raise click.UsageError("--local and --role exclude each other")
-    if local and tamper and tamper_party is None:
-        raise click.UsageError("--tamper in local mode needs --tamper-party")
-    if not local and role is None:
-        raise click.UsageError("networked mode needs --role (0 for the dealer)")
+    if role is None and tamper and tamper_party is None:
+        raise click.UsageError("--tamper without --role needs --tamper-party")
     if role is not None and seed is not None:
-        raise click.UsageError("--seed fixes a --local run only: each --role process draws its own")
-    if not local and tamper_party not in (None, role):
+        raise click.UsageError("--seed fixes a run without --role only: each --role process "
+                               "draws its own")
+    if role is not None and tamper_party not in (None, role):
         raise click.UsageError("a networked process can only tamper with its own inputs")
     if role == transport.DEALER_INDEX and tamper:
         raise click.UsageError("the dealer has no inputs to tamper with")
-    tamper_obj = _tamper(tamper, role if tamper_party is None else tamper_party)
     node = None
     try:
-        if local:
-            session = _session(construction, cfg, tamper_obj)
-            net, timeout = transport.BusNetwork(), None
+        party = role if tamper_party is None else tamper_party
+        tamper_obj = harness.Tamper.parse(tamper, party) if tamper else None
+        if role is None:
+            session, net, timeout = _session(cfg, tamper_obj), transport.BusNetwork(), None
             engines, dealer = session.endpoints(np.random.default_rng(seed))
         else:
             addresses = {_party_index(k): _address(f"party {k}", v)
@@ -278,15 +264,20 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
             if role == transport.DEALER_INDEX:
                 # the dealer is built from the session's shape in the config
                 # alone: it holds no party's dataset or root
-                parties, t = _parties(construction, cfg)
+                _, n, t = _parties(cfg)
                 session, engines, timeout = None, {}, DEALER_IDLE_S
-                dealer = harness.DealerService(_session_id(cfg["session_id"], "session_id"),
-                                               len(parties), t)
+                dealer = harness.DealerService(_session_id(cfg["session_id"], "session_id"), n, t)
             else:
-                session, timeout = _session(construction, cfg, tamper_obj, role), PARTY_WAIT_S
+                session, timeout = _session(cfg, tamper_obj, role), PARTY_WAIT_S
                 if role not in session.sets:
                     raise click.UsageError(f"config has no party {role}")
                 engines, dealer = {role: session.engine(role)}, None
+        out = Path(out_dir)
+        try:  # before the session connects or takes a step
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise click.UsageError(f"--out-dir: {exc}")
+        if role is not None:
             net = node = transport.TcpNode(role, addresses.get(role), addresses)
             # dialled up front, the dealer sees this client leave even without a request
             if engines and engines[role].awaits(transport.DEALER_INDEX):
@@ -300,15 +291,13 @@ def run_cmd(construction, config_path, role, local, tamper, tamper_party, seed, 
     finally:
         if node is not None:
             node.close()
-    _finish(out_dir, result, dealer.served if session is None else None)
+    _finish(out, result, dealer.served if session is None else None)
 
 
-def _finish(out_dir, result: harness.RunResult, served: Optional[int]) -> None:
+def _finish(out: Path, result: harness.RunResult, served: Optional[int]) -> None:
     """End every mode one way: write report.json, and intersection.txt where there is
     output; on an abort, name each reported endpoint's reason and exit 3. `served` is
     the dealer's count of answered requests in a dealer's process, else None."""
-    out = Path(out_dir) if out_dir else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
     if result.intersection is not None:
         lines = sorted(e.hex() for e in result.intersection)
         (out / "intersection.txt").write_text("\n".join(lines) + ("\n" if lines else ""))

@@ -22,7 +22,7 @@ sequence (flip-element changes an element, extra-element adds one,
 swap-proofs reorders two) or changes the root the party sends (flip-path
 flips a digest byte). Every kind is deterministic in its indices, so a
 seeded tampered run is reproducible. Honest parties are expected to abort in
-every tampered run.
+every tampered run; a tamper that changes nothing is refused.
 """
 
 from __future__ import annotations
@@ -68,18 +68,22 @@ class Tamper:
     def parse(cls, spec: str, party: int) -> "Tamper":
         """Parse CLI syntax like flip-element:17, swap-proofs:1,5 or extra-element:3.
 
-        A suffix that is not an integer is a ValueError.
+        An unknown kind or a suffix that is not an integer is a ConfigError.
         """
         kind, _, rest = spec.partition(":")
-        if kind == "swap-proofs":
-            a, _, b = rest.partition(",")
-            return cls(kind=kind, party=party, index=int(a), index2=int(b))
-        if kind == "extra-element" and not rest:
-            return cls(kind=kind, party=party)
-        return cls(kind=kind, party=party, index=int(rest))
+        try:
+            if kind == "swap-proofs":
+                a, _, b = rest.partition(",")
+                return cls(kind=kind, party=party, index=int(a), index2=int(b))
+            if kind == "extra-element" and not rest:
+                return cls(kind=kind, party=party)
+            return cls(kind=kind, party=party, index=int(rest))
+        except ValueError as exc:
+            raise ConfigError(f"--tamper {spec}: {exc}") from exc
 
     def inputs(self, elements: list[bytes]) -> list[bytes]:
-        """The inputs the party actually runs on: every kind but flip-path changes them."""
+        """The inputs the party actually runs on: every kind but flip-path changes them, and
+        one that would not is a `ConfigError`, since the run would be an honest one."""
         out = list(elements)
         if self.kind == "flip-element":
             i = self.index % len(out)
@@ -92,15 +96,19 @@ class Tamper:
                     break
         elif self.kind == "extra-element":
             # the first SHA-256 candidate over (index, counter) that is new to the set
-            width = max(1, len(out[0]))
+            taken, width = set(out), max(1, len(out[0]))
+            if len(taken) >= 256 ** width and sum(len(e) == width for e in taken) == 256 ** width:
+                width += 1  # every value of the set's width is taken: one byte wider
             candidates = (hashlib.sha256(f"extra-element:{self.index}:{c}".encode()).digest()[:width]
                           for c in itertools.count())
-            out.append(next(e for e in candidates if e not in out))
+            out.append(next(e for e in candidates if e not in taken))
         elif self.kind == "swap-proofs":
             a, b = self.index % len(out), self.index2 % len(out)
             if a == b:
                 b = (b + 1) % len(out)
             out[a], out[b] = out[b], out[a]
+        if self.kind != "flip-path" and out == elements:
+            raise ConfigError(f"the {self.kind} tamper of party {self.party} changes none of its inputs")
         return out
 
     def root(self, own: merkle.MerkleRoot) -> merkle.MerkleRoot:
@@ -117,7 +125,7 @@ def _roles(n: int, t: Optional[int]) -> Optional[psin.Roles]:
     if t is not None:
         return psin.Roles(n, t)
     if n != 2:
-        raise ConfigError("a two-party session has parties 1 and 2")
+        raise ConfigError("a session without 't' is two-party: parties 1 and 2")
     return None
 
 

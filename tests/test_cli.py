@@ -23,9 +23,9 @@ def runner():
     return CliRunner()
 
 
-def _gen(runner, tmp_path, count=32, parties=2, overlap=8, seed=7):
+def _gen(runner, tmp_path, count=32, parties=2, overlap=8, seed=7, elem_bytes=8):
     prefix = str(tmp_path / "p")
-    result = runner.invoke(main, ["gen", "--count", str(count), "--elem-bytes", "8",
+    result = runner.invoke(main, ["gen", "--count", str(count), "--elem-bytes", str(elem_bytes),
                                   "--seed", str(seed), "--parties", str(parties),
                                   "--overlap", str(overlap), "--out-prefix", prefix])
     assert result.exit_code == 0, result.output
@@ -101,6 +101,19 @@ def test_gen_impossible_request_is_usage_error(tmp_path, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["gen", "commit"])
+def test_output_path_that_cannot_be_written_is_usage_error(runner, tmp_path, command):
+    # gen's prefix names a missing directory, commit's output an existing one
+    prefix = _gen(runner, tmp_path)
+    args = {"gen": ["gen", "--count", "4", "--out-prefix", str(tmp_path / "missing" / "x")],
+            "commit": ["commit", "--in", f"{prefix}1.dat", "--salt", "ab" * 16,
+                       "--out", str(tmp_path)]}[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "--out" in result.output
+
+
 def test_commit_matches_library(runner, tmp_path):
     prefix = _gen(runner, tmp_path)
     salt = "ab" * 16
@@ -161,8 +174,7 @@ def test_local_two_party_run(runner, tmp_path):
     _commit_all(runner, prefix, 2, salt)
     cfg = _config(tmp_path, prefix, 2, salt)
     out_dir = tmp_path / "out"
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
-                                  "--local", "--out-dir", str(out_dir)])
+    result = runner.invoke(main, ["run", "--config", cfg, "--out-dir", str(out_dir)])
     assert result.exit_code == 0, result.output
     got = sorted(bytes.fromhex(l) for l in (out_dir / "intersection.txt").read_text().split())
     assert got == sorted(datasets.read_dataset(f"{prefix}_core.dat"))
@@ -195,8 +207,7 @@ def test_local_tampered_run_exits_3(runner, tmp_path):
     salt = "22" * 16
     _commit_all(runner, prefix, 2, salt)
     cfg = _config(tmp_path, prefix, 2, salt)
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
-                                  "--local", "--tamper", "flip-element:5",
+    result = runner.invoke(main, ["run", "--config", cfg, "--tamper", "flip-element:5",
                                   "--tamper-party", "2", "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 3, result.output
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -213,8 +224,7 @@ def test_local_multi_party_run(runner, tmp_path):
     _commit_all(runner, prefix, 4, salt)
     cfg = _config(tmp_path, prefix, 4, salt, extra={"n": 4, "t": 2})
     out_dir = tmp_path / "outm"
-    result = runner.invoke(main, ["run", "--construction", "npc", "--config", cfg,
-                                  "--local", "--out-dir", str(out_dir)])
+    result = runner.invoke(main, ["run", "--config", cfg, "--out-dir", str(out_dir)])
     assert result.exit_code == 0, result.output
     got = sorted(bytes.fromhex(l) for l in (out_dir / "intersection.txt").read_text().split())
     assert got == sorted(datasets.read_dataset(f"{prefix}_core.dat"))
@@ -225,8 +235,7 @@ def test_local_multi_party_tamper_exits_3(runner, tmp_path):
     salt = "44" * 16
     _commit_all(runner, prefix, 3, salt)
     cfg = _config(tmp_path, prefix, 3, salt, extra={"n": 3, "t": 1})
-    result = runner.invoke(main, ["run", "--construction", "npc", "--config", cfg,
-                                  "--local", "--tamper", "swap-proofs:0,3",
+    result = runner.invoke(main, ["run", "--config", cfg, "--tamper", "swap-proofs:0,3",
                                   "--tamper-party", "3", "--out-dir", str(tmp_path / "o")])
     assert result.exit_code == 3, result.output
 
@@ -239,12 +248,11 @@ def test_stale_root_is_usage_error(runner, tmp_path):
     runner.invoke(main, ["gen", "--count", "16", "--elem-bytes", "8", "--seed", "99",
                          "--parties", "2", "--overlap", "4", "--out-prefix", prefix])
     cfg = _config(tmp_path, prefix, 2, salt)
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
-                                  "--local", "--out-dir", str(tmp_path / "out")])
+    result = runner.invoke(main, ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("mode", [["--local"], ["--role", "1"]])
+@pytest.mark.parametrize("mode", [[], ["--role", "1"]])
 def test_root_announcing_an_empty_set_is_usage_error(runner, tmp_path, mode):
     # a root file of set size 0 is the operator's error, named by its party
     prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=18)
@@ -254,7 +262,7 @@ def test_root_announcing_an_empty_set_is_usage_error(runner, tmp_path, mode):
     raw = root_path.read_bytes()
     root_path.write_bytes(raw[:1] + bytes(4) + raw[5:])
     cfg = _config(tmp_path, prefix, 2, salt)
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
+    result = runner.invoke(main, ["run", "--config", cfg,
                                   "--out-dir", str(tmp_path / "out")] + mode)
     assert result.exit_code == 2, result.output
     assert "party 2: root announces an empty set" in result.output
@@ -271,11 +279,35 @@ def test_tamper_naming_no_party_is_usage_error(runner, tmp_path, args, message):
     salt = "1e" * 16
     _commit_all(runner, prefix, 2, salt)
     cfg = _config(tmp_path, prefix, 2, salt)
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg, "--local",
+    result = runner.invoke(main, ["run", "--config", cfg,
                                   "--out-dir", str(tmp_path / "out")] + args)
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count,tamper,code,message", [
+    (256, "extra-element", 3, "party 1: root from party 2 fails its commitment"),
+    (256, "flip-element:3", 2, "the flip-element tamper of party 2 changes none of its inputs"),
+    (1, "swap-proofs:0,0", 2, "the swap-proofs tamper of party 2 changes none of its inputs"),
+], ids=["extra-element-of-a-full-width", "flip-element-of-a-full-width",
+        "swap-proofs-of-one-element"])
+def test_tamper_on_a_set_with_no_room_ends_or_is_refused(runner, tmp_path, count, tamper, code,
+                                                         message):
+    # both one-byte sets hold every value, or the one same element: extra-element must
+    # still end, and a tamper that would leave its party's inputs as committed is refused.
+    # Its own process with a timeout, so a tamper that never ends fails instead of hanging
+    prefix = _gen(runner, tmp_path, count=count, overlap=count, elem_bytes=1)
+    salt = "2f" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg = _config(tmp_path, prefix, 2, salt)
+    proc = subprocess.run([sys.executable, "-m", "authpsi.cli", "run", "--config", cfg,
+                           "--tamper", tamper, "--tamper-party", "2",
+                           "--out-dir", str(tmp_path / "out")],
+                          env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_extra_element_tamper_reads_its_index():
@@ -287,7 +319,7 @@ def test_extra_element_tamper_reads_its_index():
     assert runs[0] != runs[1]
 
 
-@pytest.mark.parametrize("mode", [["--local"], ["--role", "1"], ["--role", "0"]],
+@pytest.mark.parametrize("mode", [[], ["--role", "1"], ["--role", "0"]],
                          ids=["local", "party", "dealer"])
 def test_collusion_bound_out_of_range_is_usage_error(runner, tmp_path, monkeypatch, mode):
     # every endpoint refuses (n, t) = (4, 3) by one rule, the dealer too, at
@@ -297,7 +329,7 @@ def test_collusion_bound_out_of_range_is_usage_error(runner, tmp_path, monkeypat
     salt = "1f" * 16
     _commit_all(runner, prefix, 4, salt)
     cfg = _config(tmp_path, prefix, 4, salt, extra={"n": 4, "t": 3})
-    result = runner.invoke(main, ["run", "--construction", "npc", "--config", cfg,
+    result = runner.invoke(main, ["run", "--config", cfg,
                                   "--out-dir", str(tmp_path / "out")] + mode)
     assert result.exit_code == 2, result.output
     assert "collusion bound t=3 out of range for n=4" in result.output
@@ -305,11 +337,10 @@ def test_collusion_bound_out_of_range_is_usage_error(runner, tmp_path, monkeypat
 
 @pytest.mark.parametrize("args,message", [
     (["--role", "0", "--tamper", "flip-element:1"], "the dealer has no inputs to tamper with"),
-    (["--local", "--role", "2"], "--local and --role exclude each other"),
-    (["--role", "1", "--seed", "5"], "--seed fixes a --local run only"),
-    (["--role", "0", "--seed", "5"], "--seed fixes a --local run only"),
-    (["--local", "--seed", "-1"], "-1 is not in the range x>=0"),
-], ids=["dealer-tamper", "local-with-role", "party-seed", "dealer-seed", "negative-seed"])
+    (["--role", "1", "--seed", "5"], "--seed fixes a run without --role only"),
+    (["--role", "0", "--seed", "5"], "--seed fixes a run without --role only"),
+    (["--seed", "-1"], "-1 is not in the range x>=0"),
+], ids=["dealer-tamper", "party-seed", "dealer-seed", "negative-seed"])
 def test_option_the_mode_would_ignore_is_usage_error(runner, tmp_path, monkeypatch, args, message):
     # none may run as if the option had not been given, nor crash on its value
     monkeypatch.setattr(cli, "DEALER_IDLE_S", 0.2)
@@ -317,7 +348,7 @@ def test_option_the_mode_would_ignore_is_usage_error(runner, tmp_path, monkeypat
     salt = "2e" * 16
     _commit_all(runner, prefix, 2, salt)
     cfg = _config(tmp_path, prefix, 2, salt)
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
+    result = runner.invoke(main, ["run", "--config", cfg,
                                   "--out-dir", str(tmp_path / "out")] + args)
     assert result.exit_code == 2, result.output
     assert message in result.output
@@ -349,20 +380,18 @@ def test_unsalted_config_is_usage_error(runner, tmp_path):
     salt = "66" * 16
     _commit_all(runner, prefix, 2, salt)
     cfg = _config(tmp_path, prefix, 2, salt, extra={"salted": False})
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
-                                  "--local", "--out-dir", str(tmp_path / "out")])
+    result = runner.invoke(main, ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert '"salted"' in result.output
     # an absent key runs like "salted": true
     cfg_data = json.loads(Path(cfg).read_text())
     del cfg_data["salted"]
     Path(cfg).write_text(json.dumps(cfg_data))
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
-                                  "--local", "--out-dir", str(tmp_path / "out")])
+    result = runner.invoke(main, ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
 
 
-@pytest.mark.parametrize("mode", [["--local"], ["--role", "1"]])
+@pytest.mark.parametrize("mode", [[], ["--role", "1"]])
 def test_two_party_role_mismatch_is_usage_error(runner, tmp_path, mode):
     # party 1 is always the receiver, in local and networked runs alike
     prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=11)
@@ -373,19 +402,22 @@ def test_two_party_role_mismatch_is_usage_error(runner, tmp_path, mode):
     cfg_data["parties"]["1"]["role"] = "sender"
     cfg_data["parties"]["2"]["role"] = "receiver"
     Path(cfg).write_text(json.dumps(cfg_data))
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
+    result = runner.invoke(main, ["run", "--config", cfg,
                                   "--out-dir", str(tmp_path / "out")] + mode)
     assert result.exit_code == 2, result.output
     assert "receiver" in result.output
 
 
-@pytest.mark.parametrize("mode", [["--local"], ["--role", "1"]])
-def test_multi_party_config_without_t_is_usage_error(runner, tmp_path, mode):
+@pytest.mark.parametrize("mode", [[], ["--role", "1"], ["--role", "0"]])
+def test_multi_party_config_without_t_is_usage_error(runner, tmp_path, monkeypatch, mode):
+    # a config without "t" is two-party in every mode, so three parties are refused, and
+    # the dealer refuses them at once
+    monkeypatch.setattr(cli, "DEALER_IDLE_S", 0.2)
     prefix = _gen(runner, tmp_path, count=12, parties=3, overlap=4, seed=12)
     salt = "88" * 16
     _commit_all(runner, prefix, 3, salt)
     cfg = _config(tmp_path, prefix, 3, salt, extra={"n": 3})
-    result = runner.invoke(main, ["run", "--construction", "npc", "--config", cfg,
+    result = runner.invoke(main, ["run", "--config", cfg,
                                   "--out-dir", str(tmp_path / "out")] + mode)
     assert result.exit_code == 2, result.output
     assert "'t'" in result.output
@@ -398,15 +430,15 @@ def test_networked_party_reads_only_its_own_dataset(runner, tmp_path):
     _commit_all(runner, prefix, 2, salt)
     cfg = json.loads(Path(_config(tmp_path, prefix, 2, salt)).read_text())
     Path(f"{prefix}1.dat").unlink()
-    session = cli._session("2pc", cfg, None, role=2)
+    session = cli._session(cfg, None, role=2)
     assert set(session.sets) == {2} and set(session.roots) == {1, 2}
     assert session.sets[2] == datasets.read_dataset(f"{prefix}2.dat")
     with pytest.raises(click.UsageError, match="party 1"):
-        cli._session("2pc", cfg, None)  # a local run still needs every dataset
+        cli._session(cfg, None)  # a local run still needs every dataset
 
 
-MODES = {"party": ["--role", "1"], "dealer": ["--role", "0"], "local": ["--local"]}
-NETWORKED = ("party", "dealer")  # a --local run reads no address
+MODES = {"party": ["--role", "1"], "dealer": ["--role", "0"], "local": []}
+NETWORKED = ("party", "dealer")  # a run without --role reads no address
 
 # config faults, each with the text its usage error must show and the modes
 # that read what it breaks
@@ -435,10 +467,11 @@ CONFIG_FAULTS = {
     "t-boolean": (lambda cfg: cfg.update(t=True), "'t' must be an integer, not true", tuple(MODES)),
     "t-string": (lambda cfg: cfg.update(t="2"), "'t' must be an integer, not \"2\"",
                  tuple(MODES)),
-    # run with --construction 2pc, which has no threshold and two parties
-    "2pc-with-t": (lambda cfg: cfg.update(t=1), "a 2pc config sets no 't'", tuple(MODES), "2pc"),
-    "2pc-with-n-3": (lambda cfg: cfg.update(n=3), "'n' of a 2pc config must be 2, not 3",
-                     tuple(MODES), "2pc"),
+    # a two-party config given a threshold runs as npc, which needs three parties;
+    # one given n = 3 names a party it does not define
+    "2pc-with-t": (lambda cfg: cfg.update(t=1), "multi-party runs need at least 3 parties",
+                   tuple(MODES)),
+    "2pc-with-n-3": (lambda cfg: cfg.update(n=3), "config must define parties 1..3", tuple(MODES)),
 }
 
 # whole configs that are not a JSON object
@@ -454,11 +487,10 @@ def test_bad_networked_config_is_usage_error(runner, tmp_path, fault, mode):
     _commit_all(runner, prefix, 2, salt)
     cfg_path = _config(tmp_path, prefix, 2, salt)
     cfg = json.loads(Path(cfg_path).read_text())
-    mutate, message, _, *construction = CONFIG_FAULTS[fault]
+    mutate, message, _ = CONFIG_FAULTS[fault]
     mutate(cfg)
     Path(cfg_path).write_text(json.dumps(cfg))
-    construction = construction[0] if construction else "npc" if "t" in cfg else "2pc"
-    result = runner.invoke(main, ["run", "--construction", construction, "--config", cfg_path,
+    result = runner.invoke(main, ["run", "--config", cfg_path,
                                   "--out-dir", str(tmp_path / "out")] + MODES[mode])
     assert result.exit_code == 2, result.output
     assert message in result.output
@@ -469,10 +501,30 @@ def test_bad_networked_config_is_usage_error(runner, tmp_path, fault, mode):
 def test_non_object_config_is_usage_error(runner, tmp_path, config, mode):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(NON_OBJECT_CONFIGS[config]))
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", str(cfg_path),
+    result = runner.invoke(main, ["run", "--config", str(cfg_path),
                                   "--out-dir", str(tmp_path / "out")] + MODES[mode])
     assert result.exit_code == 2, result.output
     assert "config must be a JSON object" in result.output
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_out_dir_that_is_a_file_is_usage_error(runner, tmp_path, monkeypatch, mode):
+    # refused before the session runs or its process connects: the dealer does not wait
+    # for clients, and no party dials it
+    monkeypatch.setattr(cli, "DEALER_IDLE_S", 5)
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=24)
+    salt = "3f" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg = _config(tmp_path, prefix, 2, salt)
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    t0 = time.monotonic()
+    result = runner.invoke(main, ["run", "--config", cfg, "--out-dir", str(out)] + MODES[mode])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "--out-dir" in result.output
+    assert time.monotonic() - t0 < 3
+    assert out.read_text() == "not a directory\n"
 
 
 def test_local_transport_failure_exits_4(runner, tmp_path, monkeypatch):
@@ -488,11 +540,31 @@ def test_local_transport_failure_exits_4(runner, tmp_path, monkeypatch):
             deliver(self, src, dst, env)
 
     monkeypatch.setattr(transport.BusNetwork, "deliver", lossy)
-    result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg,
-                                  "--local", "--out-dir", str(tmp_path / "out")])
+    result = runner.invoke(main, ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 4, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "transport failure: " in result.output and "parties [1, 2]" in result.output
+
+
+def _readme_commands():
+    """(command, its --options) of each `authpsi` line in README's fenced sh blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    script = "\n".join(re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S))
+    commands = []
+    for line in script.replace("\\\n", " ").splitlines():
+        words = line.split("#")[0].split()
+        if words[:1] == ["authpsi"]:
+            commands.append((words[1], {w.split("=")[0] for w in words if w.startswith("--")}))
+    return commands
+
+
+def test_readme_uses_only_options_the_cli_has():
+    # a walkthrough line with an option its command lost fails here, not on a reader's shell
+    commands = _readme_commands()
+    assert {name for name, _ in commands} >= {"gen", "commit", "run"}
+    for name, options in commands:
+        known = {opt for param in main.commands[name].params for opt in param.opts}
+        assert options <= known, (name, sorted(options - known))
 
 
 def _free_port():
@@ -542,7 +614,7 @@ def test_malformed_frame_exits_4_at_once(runner, tmp_path, role):
     sender.start()
     try:
         t0 = time.monotonic()
-        result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg_path,
+        result = runner.invoke(main, ["run", "--config", cfg_path,
                                       "--role", str(role), "--out-dir", str(tmp_path / "out")])
         elapsed = time.monotonic() - t0
     finally:
@@ -567,7 +639,7 @@ def test_busy_listen_address_exits_4(runner, tmp_path, role):
         entry = cfg["dealer"] if role == 0 else cfg["parties"]["1"]
         entry["address"] = f"127.0.0.1:{busy.getsockname()[1]}"
         Path(cfg_path).write_text(json.dumps(cfg))
-        result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg_path,
+        result = runner.invoke(main, ["run", "--config", cfg_path,
                                       "--role", str(role), "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 4, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
@@ -595,7 +667,7 @@ def test_malformed_dealer_request_exits_3_at_once(runner, tmp_path):
     sender.start()
     try:
         t0 = time.monotonic()
-        result = runner.invoke(main, ["run", "--construction", "2pc", "--config", cfg_path,
+        result = runner.invoke(main, ["run", "--config", cfg_path,
                                       "--role", "0", "--out-dir", str(tmp_path / "out")])
         elapsed = time.monotonic() - t0
     finally:
@@ -620,7 +692,7 @@ def test_dealer_reads_no_party_file(runner, tmp_path, monkeypatch, construction,
     monkeypatch.setattr(cli, "DEALER_IDLE_S", 0.2)
     extra = {"n": parties, "t": 1} if construction == "npc" else None
     cfg_path = _config(tmp_path, str(tmp_path / "absent"), parties, "cc" * 16, extra)
-    result = runner.invoke(main, ["run", "--construction", construction, "--config", cfg_path,
+    result = runner.invoke(main, ["run", "--config", cfg_path,
                                   "--role", "0", "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     assert "dealer served 0 responses" in result.output
@@ -633,7 +705,7 @@ def _cli_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def _run_processes(config_path, construction, roles, out_dir, tamper=None):
+def _run_processes(config_path, roles, out_dir, tamper=None):
     """`authpsi run --role I` for each of `roles` (0 is the dealer), each its own process.
 
     Returns I -> (exit code, stdout, stderr, `time.monotonic()` at its exit)."""
@@ -642,8 +714,8 @@ def _run_processes(config_path, construction, roles, out_dir, tamper=None):
     t0 = time.monotonic()
     try:
         for i in roles:
-            args = [sys.executable, "-m", "authpsi.cli", "run", "--construction", construction,
-                    "--config", config_path, "--role", str(i), "--out-dir", str(out_dir / str(i))]
+            args = [sys.executable, "-m", "authpsi.cli", "run", "--config", config_path,
+                    "--role", str(i), "--out-dir", str(out_dir / str(i))]
             if tamper is not None and i == tamper[0]:
                 args += ["--tamper", tamper[1]]
             procs[i] = subprocess.Popen(args, env=env, stdout=subprocess.PIPE,
@@ -680,7 +752,7 @@ def test_networked_run_matches_local(runner, tmp_path, construction, parties, ta
         entry["address"] = f"127.0.0.1:{_free_port()}"
     Path(cfg_path).write_text(json.dumps(cfg))
 
-    results = _run_processes(cfg_path, construction, range(parties + 1), tmp_path / "net", tamper)
+    results = _run_processes(cfg_path, range(parties + 1), tmp_path / "net", tamper)
     # the dealer serves until its clients have hung up, and counts the
     # requests it answered: the 2pc parties and the OPRF senders ask in their
     # first step, before any root check, so even a tampered run has some
@@ -697,13 +769,12 @@ def test_networked_run_matches_local(runner, tmp_path, construction, parties, ta
                 assert f"root from party {tamper[0]}" in results[i][2]
         return
     assert all(code == 0 for code, _, _, _ in results.values()), results
-    local = runner.invoke(main, ["run", "--construction", construction, "--config", cfg_path,
-                                 "--local", "--out-dir", str(tmp_path / "local")])
+    local = runner.invoke(main, ["run", "--config", cfg_path, "--out-dir", str(tmp_path / "local")])
     assert local.exit_code == 0, local.output
     output_party = 1 if construction == "2pc" else parties
     networked = (tmp_path / "net" / str(output_party) / "intersection.txt").read_text()
     assert networked == (tmp_path / "local" / "intersection.txt").read_text()
-    # every process reports in one shape, the dealer's too, and a --local run alike
+    # every process reports in one shape, the dealer's too, and a run without --role alike
     local_keys = set(json.loads((tmp_path / "local" / "report.json").read_text()))
     assert "elapsed_ms" in local_keys
     for i in range(parties + 1):
@@ -740,7 +811,7 @@ def test_dealer_refusal_ends_a_networked_party(runner, tmp_path):
     fake = threading.Thread(target=party_2)
     fake.start()
     try:
-        results = _run_processes(cfg_path, "2pc", [0, 1], tmp_path / "net")
+        results = _run_processes(cfg_path, [0, 1], tmp_path / "net")
     finally:
         fake.join(timeout=30)
         node.close()

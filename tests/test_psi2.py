@@ -1,8 +1,10 @@
 """Two-party engine: correctness, integrity aborts, masking algebra, errors."""
 
+import contextlib
 import dataclasses
 import hashlib
 import random
+import signal
 from collections import Counter
 
 import numpy as np
@@ -62,6 +64,46 @@ def test_tampering_aborts(kind, party):
     assert res.aborted
     assert res.intersection is None
     assert res.report["aborted"] is True
+
+
+FULL_WIDTH = [bytes([b]) for b in range(256)]  # every one-byte element
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the test's (main) thread once the block has run `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("sets,tamper", [
+    ((FULL_WIDTH, FULL_WIDTH), harness.Tamper("flip-element", 2, 3)),
+    (([b"\x00"], [b"\x00"]), harness.Tamper("swap-proofs", 2, 0, 0)),
+], ids=["flip-element-of-a-full-width", "swap-proofs-of-one-element"])
+def test_tamper_that_leaves_the_inputs_as_committed_is_refused(sets, tamper):
+    # every one-bit flip of element 3 is already in the set, and a one-element set has
+    # nothing to swap: either run would be an honest session passed off as a tampered one
+    with pytest.raises(ConfigError, match=f"the {tamper.kind} tamper of party 2 changes none of its"):
+        harness.run_two_party(*sets, tamper=tamper, seed=1)
+
+
+def test_extra_element_of_a_full_width_is_one_byte_wider():
+    # no one-byte value is free, so the added element is the first two-byte candidate
+    extra = harness.Tamper("extra-element", 2)
+    with _time_limit(20):
+        inputs = extra.inputs(FULL_WIDTH)
+        res = harness.run_two_party(FULL_WIDTH, FULL_WIDTH, tamper=extra, seed=1)
+    assert inputs == FULL_WIDTH + [hashlib.sha256(b"extra-element:0:0").digest()[:2]]
+    assert res.aborted and res.intersection is None
+    assert res.report["abort_reasons"] == {1: "root from party 2 fails its commitment"}
 
 
 def test_honest_self_check_catches_drift():

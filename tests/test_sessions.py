@@ -233,7 +233,7 @@ SHAPE_FAULTS = {
                                "session id must be 16 bytes"),
     "roots-of-parties-1-and-3": (2, None, lambda a: a["roots"].update({3: a["roots"].pop(2)}),
                                  "a root must be announced for every party"),
-    "2pc-of-3-parties": (3, None, None, "a two-party session has parties 1 and 2"),
+    "2pc-of-3-parties": (3, None, None, "a session without 't' is two-party: parties 1 and 2"),
     "npc-of-2-parties": (2, 1, None, "multi-party runs need at least 3 parties"),
     "t-0": (4, 0, None, "collusion bound t=0 out of range for n=4"),
     "t-above-the-cap": (4, 3, None, "collusion bound t=3 out of range for n=4"),
