@@ -278,6 +278,11 @@ def run_cmd(config_path, role, tamper, tamper_party, seed, out_dir):
         except OSError as exc:
             raise click.UsageError(f"--out-dir: {exc}")
         if role is not None:
+            for i, (_, port) in sorted(addresses.items()):
+                if port == 0 and i != role:
+                    who = "the dealer" if i == transport.DEALER_INDEX else f"party {i}"
+                    raise click.UsageError(f"{who} has port 0 in its address: a process "
+                                           "can listen on port 0 (any free port) but not dial it")
             net = node = transport.TcpNode(role, addresses.get(role), addresses)
             # dialled up front, the dealer sees this client leave even without a request
             if engines and engines[role].awaits(transport.DEALER_INDEX):

@@ -1,11 +1,20 @@
 """Set commitments and per-element inclusion proofs over SHA-256 hash trees.
 
-A committed set is an ordered sequence of byte strings. The tree is the
-left-balanced binary tree used by transparency logs: an internal node over a
-range of leaves splits at the largest power of two strictly below the range
-size, and a lone node is promoted unhashed to the next level. Leaves and
-internal nodes are domain-separated (0x00 / 0x01 prefixes) so a leaf can never
-be confused with an interior hash.
+A committed set is an ordered sequence of byte strings. The tree is 16-ary
+and built bottom-up: each level is cut into runs of up to ARITY consecutive
+digests, a run of two or more is hashed into one node of the next level, and
+a lone trailing digest is promoted unhashed. Leaves and interior nodes are
+domain-separated, SHA256(0x00 || salt || x) and SHA256(0x01 || c_1 || ... ||
+c_k), so a leaf can never be confused with an interior hash. A tree over n
+leaves hashes about n/15 interior nodes, where a binary tree hashes n - 1.
+
+Binding reduces to SHA-256 collision resistance as in a binary tree. A node
+preimage's length fixes its child count k (1 + 32k bytes), so two distinct
+child sequences of one node collide only through SHA-256; and the set size
+in the root fixes the tree's shape (every level's size, and which digests
+are grouped or promoted). So for two sets of one size committed to one
+digest, descending from the root, the first node whose children differ is
+a SHA-256 collision.
 
 Leaves may carry a per-session salt, so the same set committed for two
 sessions gives two unrelated roots; the salt must be fixed before the root is
@@ -22,12 +31,13 @@ that sees d(x) sees a session-salted leaf prefix; knowing the session id, it
 can test a guessed element against it, exactly as it could test an unsalted
 digest.
 
-Per-element proofs are library code that no session sends. They are
-verified statelessly: a proof carries its index, leaf hash, sibling chain,
-and the committed set size. `verify` recomputes the sibling-side pattern
-from (index, set_size) and rejects a proof whose recorded sides disagree, so
-re-binding a proof to a different index is caught even when the hash chain
-alone would fold to the same digest.
+Per-element proofs are library code that no session sends. A proof carries
+its index, leaf hash, committed set size and, per level below the root, the
+digests of its node's other children in node order (none where the digest
+is promoted). `verify` derives each level's position in the node and the
+node's child count from (index, set_size) alone and rejects a level whose
+sibling count differs, so a proof re-bound to another index or size folds
+through another shape.
 """
 
 from __future__ import annotations
@@ -41,19 +51,18 @@ import numpy as np
 LEAF_PREFIX = b"\x00"
 NODE_PREFIX = b"\x01"
 DIGEST_BYTES = 32
+ARITY = 16
 
-ROOT_WIRE_VERSION = 0x01
+ROOT_WIRE_VERSION = 0x02
 
-LEFT = 0x00   # sibling sits to the left of the running hash
-RIGHT = 0x01  # sibling sits to the right
-
-
-def hash_leaf(element: bytes, salt: bytes = b"") -> bytes:
-    return hashlib.sha256(LEAF_PREFIX + salt + element).digest()
+_RUN_BYTES = ARITY * DIGEST_BYTES  # one node's children, concatenated
 
 
-def hash_node(left: bytes, right: bytes) -> bytes:
-    return hashlib.sha256(NODE_PREFIX + left + right).digest()
+def _node(children: bytes) -> bytes:
+    """An interior node over its concatenated child digests; a lone digest is promoted."""
+    if len(children) == DIGEST_BYTES:
+        return children
+    return hashlib.sha256(NODE_PREFIX + children).digest()
 
 
 @dataclass(frozen=True)
@@ -80,51 +89,36 @@ class MerkleRoot:
 class InclusionProof:
     index: int
     leaf_hash: bytes
-    siblings: tuple[tuple[int, bytes], ...]  # (side, digest), leaf level first
+    siblings: tuple[tuple[bytes, ...], ...]  # per level, leaf level first: the other children
     set_size: int
 
 
-def _levels(leaves: list[bytes]) -> list[list[bytes]]:
-    """All tree levels bottom-up; a lone trailing node is promoted unhashed."""
-    levels = [leaves]
-    while len(levels[-1]) > 1:
+def _levels(elements: Sequence[bytes], salt: bytes) -> list[bytes]:
+    """All tree levels bottom-up, each the concatenation of its digests."""
+    prefix = LEAF_PREFIX + salt
+    levels = [b"".join([hashlib.sha256(prefix + e).digest() for e in elements])]
+    while len(levels[-1]) > DIGEST_BYTES:
         cur = levels[-1]
-        nxt = [hash_node(cur[i], cur[i + 1]) for i in range(0, len(cur) - 1, 2)]
-        if len(cur) % 2:
-            nxt.append(cur[-1])
-        levels.append(nxt)
+        levels.append(b"".join(_node(cur[i:i + _RUN_BYTES])
+                               for i in range(0, len(cur), _RUN_BYTES)))
     return levels
 
 
-def expected_sides(index: int, set_size: int) -> tuple[int, ...]:
-    """Sibling-side pattern for a leaf position, leaf level first."""
-    sides = []
-    size = set_size
-    idx = index
-    while size > 1:
-        k = 1
-        while k * 2 < size:
-            k *= 2
-        if idx < k:
-            sides.append(RIGHT)
-            size = k
-        else:
-            sides.append(LEFT)
-            idx -= k
-            size -= k
-    sides.reverse()
-    return tuple(sides)
-
-
-def _tree(elements: Sequence[bytes], salt: bytes) -> list[list[bytes]]:
-    return _levels([hash_leaf(e, salt) for e in elements])
+def _shape(index: int, set_size: int) -> list[tuple[int, int]]:
+    """Per level below the root, leaf level first: (position in the node, its child count)."""
+    shape = []
+    while set_size > 1:
+        first = index - index % ARITY
+        shape.append((index - first, min(ARITY, set_size - first)))
+        index, set_size = index // ARITY, -(-set_size // ARITY)
+    return shape
 
 
 def root(elements: Sequence[bytes], salt: bytes = b"") -> MerkleRoot:
     """Commit to an ordered sequence of elements. Deterministic."""
     if not elements:
         raise ValueError("cannot commit to an empty set")
-    return MerkleRoot(digest=_tree(elements, salt)[-1][0], set_size=len(elements))
+    return MerkleRoot(digest=_levels(elements, salt)[-1], set_size=len(elements))
 
 
 def commit(elements: Sequence[bytes], salt: bytes = b"") -> tuple[MerkleRoot, np.ndarray]:
@@ -135,33 +129,31 @@ def commit(elements: Sequence[bytes], salt: bytes = b"") -> tuple[MerkleRoot, np
     """
     if not elements:
         raise ValueError("cannot commit to an empty set")
-    levels = _tree(elements, salt)
-    leaves = np.frombuffer(b"".join(levels[0]), dtype="<u8").reshape(-1, 4)
-    return MerkleRoot(digest=levels[-1][0], set_size=len(elements)), leaves[:, :2].copy()
+    levels = _levels(elements, salt)
+    leaves = np.frombuffer(levels[0], dtype="<u8").reshape(-1, 4)
+    return MerkleRoot(digest=levels[-1], set_size=len(elements)), leaves[:, :2].copy()
 
 
 def gen_all_paths(elements: Sequence[bytes], salt: bytes = b"") -> list[InclusionProof]:
     """Inclusion proofs for every element, sharing one tree construction."""
     if not elements:
         raise ValueError("cannot prove membership in an empty set")
-    levels = _tree(elements, salt)
+    levels = _levels(elements, salt)
     n = len(elements)
     return [_path_from_levels(levels, i, n) for i in range(n)]
 
 
-def _path_from_levels(levels: list[list[bytes]], index: int, set_size: int) -> InclusionProof:
+def _path_from_levels(levels: list[bytes], index: int, set_size: int) -> InclusionProof:
     siblings = []
     pos = index
-    for level in levels[:-1]:
-        sib = pos ^ 1
-        if sib < len(level):
-            side = LEFT if sib < pos else RIGHT
-            siblings.append((side, level[sib]))
-        # else: lone node promoted, no sibling at this level
-        pos //= 2
+    for level, (at, count) in zip(levels, _shape(index, set_size)):
+        first = pos - at
+        siblings.append(tuple(level[j * DIGEST_BYTES:(j + 1) * DIGEST_BYTES]
+                              for j in range(first, first + count) if j != pos))
+        pos //= ARITY
     return InclusionProof(
         index=index,
-        leaf_hash=levels[0][index],
+        leaf_hash=levels[0][index * DIGEST_BYTES:(index + 1) * DIGEST_BYTES],
         siblings=tuple(siblings),
         set_size=set_size,
     )
@@ -178,14 +170,14 @@ def verify(root_: MerkleRoot, proof: InclusionProof) -> bool:
         return False
     if len(proof.leaf_hash) != DIGEST_BYTES:
         return False
-    sides = tuple(side for side, _ in proof.siblings)
-    if sides != expected_sides(proof.index, proof.set_size):
+    shape = _shape(proof.index, proof.set_size)
+    if len(proof.siblings) != len(shape):
         return False
     cur = proof.leaf_hash
-    for side, digest in proof.siblings:
-        if len(digest) != DIGEST_BYTES:
+    for (at, count), others in zip(shape, proof.siblings):
+        if len(others) != count - 1 or any(len(d) != DIGEST_BYTES for d in others):
             return False
-        cur = hash_node(digest, cur) if side == LEFT else hash_node(cur, digest)
+        cur = _node(b"".join(others[:at]) + cur + b"".join(others[at:]))
     return cur == root_.digest
 
 

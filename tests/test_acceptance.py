@@ -264,14 +264,15 @@ def test_criterion_09_merkle_forgery_resistance():
             leaf = bytearray(p.leaf_hash)
             leaf[rng.randrange(32)] ^= 1 << rng.randrange(8)
             mutated = merkle.InclusionProof(p.index, bytes(leaf), p.siblings, p.set_size)
-        elif field == 1:  # sibling hash bit flip
-            sibs = list(p.siblings)
-            si = rng.randrange(len(sibs))
-            side, digest = sibs[si]
-            d = bytearray(digest)
+        elif field == 1:  # bit flip in one sibling digest at a random level
+            levels = [list(others) for others in p.siblings]
+            level = rng.choice([lv for lv in levels if lv])
+            si = rng.randrange(len(level))
+            d = bytearray(level[si])
             d[rng.randrange(32)] ^= 1 << rng.randrange(8)
-            sibs[si] = (side, bytes(d))
-            mutated = merkle.InclusionProof(p.index, p.leaf_hash, tuple(sibs), p.set_size)
+            level[si] = bytes(d)
+            mutated = merkle.InclusionProof(p.index, p.leaf_hash,
+                                            tuple(map(tuple, levels)), p.set_size)
         elif field == 2:  # index bit flip
             mutated = merkle.InclusionProof(p.index ^ (1 << rng.randrange(8)),
                                             p.leaf_hash, p.siblings, p.set_size)

@@ -40,11 +40,13 @@ def _commit_all(runner, prefix, parties, salt):
 
 
 def _config(tmp_path, prefix, parties, salt, extra=None):
+    # every endpoint at a port no process listens on: a --role process dials its peers,
+    # which it cannot do at port 0
     cfg = {
         "session_id": salt,
         "salted": True,
-        "dealer": {"address": "127.0.0.1:0"},
-        "parties": {str(i): {"address": "127.0.0.1:0",
+        "dealer": {"address": f"127.0.0.1:{_free_port()}"},
+        "parties": {str(i): {"address": f"127.0.0.1:{_free_port()}",
                              "dataset": f"{prefix}{i}.dat",
                              "root": f"{prefix}{i}.root"}
                     for i in range(1, parties + 1)},
@@ -266,6 +268,49 @@ def test_root_announcing_an_empty_set_is_usage_error(runner, tmp_path, mode):
                                   "--out-dir", str(tmp_path / "out")] + mode)
     assert result.exit_code == 2, result.output
     assert "party 2: root announces an empty set" in result.output
+
+
+@pytest.mark.parametrize("mode", [[], ["--role", "1"], ["--role", "2"]],
+                         ids=["local", "party", "other-party"])
+def test_root_of_another_encoding_version_is_usage_error(runner, tmp_path, mode):
+    # a root committed before the tree became 16-ary carries version 0x01; every
+    # process that reads roots refuses it (the dealer reads none)
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=25)
+    salt = "e1" * 16
+    _commit_all(runner, prefix, 2, salt)
+    root_path = Path(f"{prefix}2.root")
+    raw = root_path.read_bytes()
+    assert raw[0] == 0x02 and len(raw) == 37
+    root_path.write_bytes(b"\x01" + raw[1:])
+    cfg = _config(tmp_path, prefix, 2, salt)
+    result = runner.invoke(main, ["run", "--config", cfg,
+                                  "--out-dir", str(tmp_path / "out")] + mode)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "party 2: unknown root encoding version" in result.output
+
+
+@pytest.mark.parametrize("role,peer,who", [(1, "0", "the dealer"), (0, "2", "party 2")],
+                         ids=["party", "dealer"])
+def test_peer_at_port_0_is_usage_error(runner, tmp_path, monkeypatch, role, peer, who):
+    # port 0 is a listen address only: this process's own may take it, a peer's
+    # cannot be dialed, so a --role process refuses it at once and names the peer
+    monkeypatch.setattr(cli, "DEALER_IDLE_S", 0.2)
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=26)
+    salt = "e2" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg_path = _config(tmp_path, prefix, 2, salt)
+    cfg = json.loads(Path(cfg_path).read_text())
+    entries = {"0": cfg["dealer"], **cfg["parties"]}
+    entries[str(role)]["address"] = entries[peer]["address"] = "127.0.0.1:0"
+    Path(cfg_path).write_text(json.dumps(cfg))
+    t0 = time.monotonic()
+    result = runner.invoke(main, ["run", "--config", cfg_path,
+                                  "--role", str(role), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"{who} has port 0 in its address" in result.output
+    assert time.monotonic() - t0 < 3
 
 
 @pytest.mark.parametrize("args,message", [

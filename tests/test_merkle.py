@@ -10,6 +10,14 @@ from authpsi import merkle, psi2
 from authpsi.errors import ProtocolError
 
 
+def _leaf(element, salt=b""):
+    return hashlib.sha256(b"\x00" + salt + element).digest()
+
+
+def _node(*children):
+    return hashlib.sha256(b"\x01" + b"".join(children)).digest()
+
+
 def _elements(n, tag=0):
     return [bytes([tag]) + i.to_bytes(4, "big") for i in range(n)]
 
@@ -21,12 +29,14 @@ def test_single_leaf_root_is_leaf_hash():
     assert r.set_size == 1
 
 
-def test_four_leaf_root_structure():
-    data = _elements(4)
-    h = [merkle.hash_leaf(d) for d in data]
-    left = hashlib.sha256(b"\x01" + h[0] + h[1]).digest()
-    right = hashlib.sha256(b"\x01" + h[2] + h[3]).digest()
-    assert merkle.root(data).digest == hashlib.sha256(b"\x01" + left + right).digest()
+def test_root_structure_at_16_17_and_257_leaves():
+    h = [_leaf(d) for d in _elements(257)]
+    # one full node; then a 17th leaf promoted to the root node
+    assert merkle.root(_elements(16)).digest == _node(*h[:16])
+    assert merkle.root(_elements(17)).digest == _node(_node(*h[:16]), h[16])
+    # sixteen full nodes, and the last leaf promoted twice
+    level1 = [_node(*h[i:i + 16]) for i in range(0, 256, 16)] + [h[256]]
+    assert merkle.root(_elements(257)).digest == _node(_node(*level1[:16]), h[256])
 
 
 def test_permutation_changes_root():
@@ -45,13 +55,23 @@ def test_empty_set_rejected():
         merkle.gen_all_paths([])
 
 
-def test_four_leaf_path_for_third_element():
-    data = _elements(4)
-    h = [merkle.hash_leaf(d) for d in data]
-    left = merkle.hash_node(h[0], h[1])
-    proof = merkle.gen_all_paths(data)[2]
-    assert proof.leaf_hash == h[2]
-    assert proof.siblings == ((merkle.RIGHT, h[3]), (merkle.LEFT, left))
+def test_paths_carry_each_level_s_other_children_in_node_order():
+    h = [_leaf(d) for d in _elements(257)]
+    level1 = [_node(*h[i:i + 16]) for i in range(0, 256, 16)] + [h[256]]
+    top = _node(*level1[:16])
+    cases = {
+        (16, 2): ((*h[:2], *h[3:16]),),
+        (17, 2): ((*h[:2], *h[3:16]), (h[16],)),
+        (17, 16): ((), (_node(*h[:16]),)),
+        (257, 17): ((h[16], *h[18:32]), (level1[0], *level1[2:16]), (h[256],)),
+        (257, 256): ((), (), (top,)),
+    }
+    for (n, index), siblings in cases.items():
+        data = _elements(n)
+        proof = merkle.gen_all_paths(data)[index]
+        assert proof.leaf_hash == h[index]
+        assert proof.siblings == siblings, (n, index)
+        assert merkle.verify(merkle.root(data), proof)
 
 
 def test_single_leaf_path_is_empty():
@@ -61,8 +81,8 @@ def test_single_leaf_path_is_empty():
 
 
 def test_out_of_range_index_rejected():
-    # index 4 of 4 has the sibling sides of index 3, so only the range check
-    # keeps the last leaf's proof from verifying one past the end
+    # index 4 of 4 sits after the last leaf's three siblings, as index 3 does,
+    # so only the range check keeps that proof from verifying one past the end
     data = _elements(4)
     r, last = merkle.root(data), merkle.gen_all_paths(data)[3]
     for index in (4, -1):
@@ -72,14 +92,16 @@ def test_out_of_range_index_rejected():
 
 
 def test_correctness_small_sizes_exhaustive():
-    for n in list(range(1, 40)) + [63, 64, 65, 127, 128, 129]:
+    for n in list(range(1, 40)) + [255, 256, 257, 272, 273]:
         data = _elements(n, tag=1)
         r = merkle.root(data)
-        leaves = [merkle.hash_leaf(d) for d in data]
+        leaves = [_leaf(d) for d in data]
         proofs = merkle.gen_all_paths(data)
         for i, p in enumerate(proofs):
             assert p.index == i and p.set_size == n and p.leaf_hash == leaves[i]
-            assert len(p.siblings) <= max(1, (n - 1).bit_length())
+            # one level per hex digit of n - 1, at most 15 other children each
+            assert len(p.siblings) == ((n - 1).bit_length() + 3) // 4
+            assert all(len(level) < 16 for level in p.siblings)
             assert merkle.verify(r, p), (n, i)
 
 
@@ -123,7 +145,7 @@ def test_leaf_substitution_rejected_bulk():
     for _ in range(1000):
         p = proofs[rng.randrange(64)]
         other = rng.randbytes(6)
-        forged = merkle.InclusionProof(index=p.index, leaf_hash=merkle.hash_leaf(other),
+        forged = merkle.InclusionProof(index=p.index, leaf_hash=_leaf(other),
                                        siblings=p.siblings, set_size=p.set_size)
         assert not merkle.verify(r, forged)
 
@@ -151,6 +173,26 @@ def test_index_rebinding_rejected():
         assert not merkle.verify(r, forged), other
 
 
+def test_proof_of_another_shape_rejected():
+    # the proof's levels must be the ones (index, set_size) give: one per
+    # level, each with exactly the node's other children
+    data = _elements(17, tag=9)
+    r, p = merkle.root(data), merkle.gen_all_paths(data)[2]
+    first, top = p.siblings
+    for siblings in ((first,), (first, top, ()), (first[:-1], (first[-1], *top)),
+                     (first + top, ()), (first, top + top)):
+        forged = merkle.InclusionProof(index=2, leaf_hash=p.leaf_hash,
+                                       siblings=siblings, set_size=17)
+        assert not merkle.verify(r, forged), siblings
+    # the count check is what stops this one: leaf 16 is promoted at the leaf
+    # level, but hashing it there with the first node's digest as the claimed
+    # leaf, and promoting at the top, folds to the root
+    first_node = _node(*(_leaf(d) for d in data[:16]))
+    forged = merkle.InclusionProof(index=16, leaf_hash=first_node,
+                                   siblings=((_leaf(data[16]),), ()), set_size=17)
+    assert not merkle.verify(r, forged)
+
+
 def test_batch_verify():
     data = _elements(10, tag=7)
     r = merkle.root(data)
@@ -171,7 +213,7 @@ def test_wire_roundtrips():
     assert merkle.MerkleRoot.from_bytes(r.to_bytes()) == r
     # exact layout: version | set_size | digest
     root_raw = r.to_bytes()
-    assert root_raw[0] == 0x01 and len(root_raw) == 37
+    assert root_raw[0] == 0x02 and len(root_raw) == 37
     assert int.from_bytes(root_raw[1:5], "big") == 13 and root_raw[5:] == r.digest
 
 
@@ -186,11 +228,11 @@ def test_commit_is_the_root_and_the_leaf_prefixes():
     data, salt = [b"elem-%d" % i for i in range(11)], b"\x5a" * 16
     root_, digests = merkle.commit(data, salt)
     assert root_ == merkle.root(data, salt)
-    # pinned: the same root, byte for byte, as before the leaves became the digests
+    # pinned: version 2, 11 leaves, and one node over the 11 salted leaves
     assert root_.to_bytes().hex() == (
-        "010000000bef878417c99a0c7d4cf2642ca459cd172891f0ad3a857e2f454b666d5c982169")
+        "020000000b48600270ff89c09d29a04eb955bc710d0a86066b711a57a27c5a91ee81911552")
     assert digests.dtype == np.dtype("<u8") and digests.shape == (11, 2)
-    assert digests.tobytes() == b"".join(merkle.hash_leaf(x, salt)[:16] for x in data)
+    assert digests.tobytes() == b"".join(_leaf(x, salt)[:16] for x in data)
 
 
 def test_common_element_digest_is_shared_within_a_session_only():

@@ -375,7 +375,8 @@ def test_root_proofs_payload_roundtrip():
     assert psi2.check_peer_commitment(committed, psi2.decode_root_proofs(raw))
     assert not psi2.check_peer_commitment(
         committed, merkle.MerkleRoot(committed.digest, committed.set_size + 1))
-    for bad in (raw + b"\x00", raw[:-1], b"\x02" + raw[1:]):
+    # 0x01 is the version of the binary tree's roots, which no longer decode
+    for bad in (raw + b"\x00", raw[:-1], b"\x01" + raw[1:], b"\x03" + raw[1:]):
         with pytest.raises(ProtocolError):
             psi2.decode_root_proofs(bad)
 
