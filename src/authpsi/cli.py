@@ -18,7 +18,7 @@ all pointed at the same JSON config:
 
     {
       "session_id": "<32 hex chars>",
-      "n": 3, "t": 1,
+      "t": 1,
       "dealer": {"address": "127.0.0.1:9000"},
       "parties": {
         "1": {"address": "127.0.0.1:9001", "dataset": "p1.dat", "root": "p1.root"},
@@ -27,7 +27,8 @@ all pointed at the same JSON config:
     }
 
 Roots come from `authpsi commit --salt <session_id>`. In a 2pc session (no
-"t") party 1 is the receiver and party 2 the sender.
+"t") party 1 is the receiver and party 2 the sender. A key the CLI does not
+read, a mistyped one included, is a usage error.
 """
 
 from __future__ import annotations
@@ -147,12 +148,23 @@ def _load_config(path) -> dict:
     for key in ("session_id", "parties"):
         if key not in cfg:
             raise click.UsageError(f"config is missing {key!r}")
+    _known_keys("config", cfg, ("session_id", "t", "dealer", "parties"))
+    if isinstance(cfg.get("dealer"), dict):
+        _known_keys("the dealer", cfg["dealer"], ("address",))
     if not isinstance(cfg["parties"], dict):
         raise click.UsageError("'parties' must be an object from party index to entry")
     for key, entry in cfg["parties"].items():
         if not isinstance(entry, dict):
             raise click.UsageError(f"party {key}: the entry must be an object")
+        _known_keys(f"party {key}", entry, ("address", "dataset", "root"))
     return cfg
+
+
+def _known_keys(where: str, entry: dict, keys: tuple) -> None:
+    """Refuse a key the CLI does not read, which it would otherwise ignore."""
+    for key in entry:
+        if key not in keys:
+            raise click.UsageError(f"{where} has an unknown key {key!r}")
 
 
 def _party_index(key) -> int:
@@ -162,9 +174,9 @@ def _party_index(key) -> int:
         raise click.UsageError(f"party key {key!r} is not an integer")
 
 
-def _integer(cfg: dict, key: str, default=None) -> int:
+def _integer(cfg: dict, key: str) -> int:
     """A JSON integer of the config: int() would read 1.9, true or "2" as one."""
-    value = cfg.get(key, default)
+    value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise click.UsageError(f"{key!r} must be an integer, not {json.dumps(value)}")
     return value
@@ -182,18 +194,13 @@ def _address(who: str, entry) -> tuple[str, int]:
 
 
 def _parties(cfg: dict) -> tuple[dict, int, Optional[int]]:
-    """The config's party entries by index, n ("n", or else the party count) and t (None
-    without "t": 2pc), checked without opening any file they name."""
+    """The config's party entries by index, n (their count) and t (None without "t": 2pc),
+    checked without opening any file they name."""
     parties = {_party_index(k): entry for k, entry in cfg["parties"].items()}
-    n = _integer(cfg, "n", len(parties))
+    n = len(parties)
     t = _integer(cfg, "t") if "t" in cfg else None
     if sorted(parties) != list(range(1, n + 1)):
         raise click.UsageError(f"config must define parties 1..{n}")
-    if t is None:
-        for i, expected in ((1, "receiver"), (2, "sender")):
-            if parties.get(i, {}).get("role", expected) != expected:
-                raise click.UsageError(f"party {i} is the {expected} of a 2pc session, "
-                                       f"not {parties[i]['role']!r}")
     return parties, n, t
 
 
@@ -204,9 +211,6 @@ def _session(cfg: dict, tamper, role=None) -> harness.Session:
     other parties' inputs are private to them; a local run reads them all.
     """
     session_id = _session_id(cfg["session_id"], "session_id")
-    if cfg.get("salted", True) is not True:
-        raise click.UsageError('config key "salted" must be true or absent: '
-                               "leaves are always salted with the session id")
     parties, _, t = _parties(cfg)
     sets, roots = {}, {}
     for i, entry in parties.items():
@@ -259,8 +263,8 @@ def run_cmd(config_path, role, tamper, tamper_party, seed, out_dir):
         else:
             addresses = {_party_index(k): _address(f"party {k}", v)
                          for k, v in cfg["parties"].items()}
-            if "dealer" in cfg:
-                addresses[transport.DEALER_INDEX] = _address("the dealer", cfg["dealer"])
+            # every networked run has a dealer: the dealer listens there, a party dials it
+            addresses[transport.DEALER_INDEX] = _address("the dealer", cfg.get("dealer"))
             if role == transport.DEALER_INDEX:
                 # the dealer is built from the session's shape in the config
                 # alone: it holds no party's dataset or root

@@ -45,10 +45,10 @@ this is the 3-partite hypergraph of BDZ hashing (Botelho-Pagh-Ziviani, WADS
 2007), which peels at the same 1.23 expansion. The low m_dense bits of
 w_omega are the dense mask.
 
-Wire format of a table: row seed (16 bytes) || cell count (4 bytes,
-big-endian) || the cells, 8w bytes each. The reader passes the pair count n
-and the width w it already knows, and `OkvsTable.from_bytes` derives every
-parameter from n and the seed; the cell count and body length must agree.
+Wire format of a table: row seed (16 bytes) || the cells, 8w bytes each.
+The reader passes the pair count n and the width w it already knows, and
+`OkvsTable.from_bytes` derives every parameter from n and the seed, the cell
+count m included; the table must be exactly 16 + 8wm bytes.
 
 Encoding can fail when a deferred row's coefficients cancel but its value
 does not; that failure is a value (None), not an exception, and
@@ -78,7 +78,6 @@ MAX_ENCODE_ATTEMPTS = 16  # retry budget of every protocol table
 _STREAM_BLOCKS = 2
 _MAX_OMEGA = 2 * _STREAM_BLOCKS - 1
 _MAX_DENSE = 64           # the mask is read from one 64-bit word
-_COUNT_BYTES = 4
 
 _U64 = np.dtype("<u8")
 
@@ -122,23 +121,17 @@ class OkvsTable:
     values: np.ndarray  # (m, w) uint64 words
 
     def to_bytes(self) -> bytes:
-        """Row seed || cell count (4 bytes, big-endian) || cells."""
-        return (self.params.row_seed + self.values.shape[0].to_bytes(_COUNT_BYTES, "big")
-                + np.ascontiguousarray(self.values, dtype=_U64).tobytes())
+        """Row seed || cells."""
+        return self.params.row_seed + np.ascontiguousarray(self.values, dtype=_U64).tobytes()
 
     @classmethod
     def from_bytes(cls, raw: bytes, n: int, width: int) -> "OkvsTable":
-        """Parse a table of n pairs in cells of `width` words; any other shape is a ValueError."""
-        head = SEED_BYTES + _COUNT_BYTES
-        if len(raw) < head:
-            raise ValueError("truncated table encoding")
-        params = OkvsParams.for_size(n, raw[:SEED_BYTES])
-        count = int.from_bytes(raw[SEED_BYTES:head], "big")
-        if count != params.m:
-            raise ValueError(f"table has {count} cells, {n} pairs need {params.m}")
-        if len(raw) - head != params.m * width * _U64.itemsize:
-            raise ValueError(f"table body length does not match its cell count at width {width}")
-        return cls(params, np.frombuffer(raw[head:], _U64).reshape(count, width).copy())
+        """Parse a table of n pairs in cells of `width` words; any other length is a ValueError."""
+        params = OkvsParams.for_size(n, raw[:SEED_BYTES])  # a short seed is a ValueError too
+        expected = SEED_BYTES + params.m * width * _U64.itemsize
+        if len(raw) != expected:
+            raise ValueError(f"table of {len(raw)} bytes, {n} pairs at width {width} need {expected}")
+        return cls(params, np.frombuffer(raw[SEED_BYTES:], _U64).reshape(params.m, width).copy())
 
 
 def _expand_streams(digests: np.ndarray, seed: bytes) -> np.ndarray:

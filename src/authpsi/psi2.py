@@ -15,7 +15,9 @@ session. The run then has three phases:
   The receiver sends the masked table A' = A + P in `okvs`'s table format;
   the sender reads it with the receiver's set size from its commitment,
   folds it into B' = B + A'*delta and answers with the digest set
-  R = { Ho( Decode(B', y) + delta*HB(y) ) | y in Y }, randomly permuted.
+  R = { Ho( Decode(B', y) + delta*HB(y) ) | y in Y }, randomly permuted and
+  sent as the bare digests: the receiver knows their count, the sender's set
+  size, from its commitment.
 - reconstruct: the receiver computes R' = { Ho( Decode(C, x) ) | x in X } and
   outputs the elements whose digest lands in R.
 
@@ -348,19 +350,16 @@ class Psi2Engine(Party):
         unmasked = decoded ^ gf.scalar_mul_vec(corr.delta, hash_to_mask(self.digests))
         outputs = output_digest(unmasked, self.out_bytes)
         order = self.rng.permutation(self.n_y)
-        payload_out = self.n_y.to_bytes(4, "big") + outputs[order].tobytes()
-        return [(self.peer, self._env(MSG_DIGEST_SET, payload_out))]
+        return [(self.peer, self._env(MSG_DIGEST_SET, outputs[order].tobytes()))]
 
     def _on_digest_set(self, src: int, payload: bytes) -> list:
         if not self._settled(MSG_ROOT_PROOFS, vole.MSG_VOLE_MATERIAL):
             raise ProtocolError("digest set out of order")
-        count = int.from_bytes(payload[:4], "big")
-        if count != self.n_y:
-            raise ProtocolError("digest set size does not match the peer commitment")
         width = self.out_bytes
-        if len(payload) != 4 + count * width:
-            raise ProtocolError("bad digest set payload length")
-        received = {payload[4 + i * width : 4 + (i + 1) * width] for i in range(count)}
+        if len(payload) != self.n_y * width:
+            raise ProtocolError(f"digest set of {len(payload)} bytes, the peer commitment's "
+                                f"{self.n_y} digests need {self.n_y * width}")
+        received = {payload[i * width : (i + 1) * width] for i in range(self.n_y)}
 
         c_table = okvs.OkvsTable(params=self._table.params, values=self._recv_corr.c_vec)
         own = output_digest(okvs.decode_batch(c_table, self.digests), width).tobytes()

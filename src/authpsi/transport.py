@@ -1,8 +1,9 @@
 """Message framing, delivery backends, and the one log of the traffic they carry.
 
 Every protocol message travels as an envelope: 16-byte session id, one type
-byte, and a length-prefixed payload. On the wire an envelope is preceded by a
-4-byte big-endian frame length, for 25 bytes of header per message.
+byte, and the payload. On the wire an envelope is preceded by a 4-byte
+big-endian frame length, the only length it carries, for 21 bytes of header
+per message.
 
 Two backends offer `harness.drive` the same two calls: `deliver(src, dst,
 env)` sends a message, and `recv(timeout)` returns the next (src, dst, env)
@@ -35,8 +36,9 @@ from typing import Optional
 from .errors import TransportClosed, TransportError
 
 SESSION_ID_BYTES = 16
-HEADER_BYTES = 25  # 4 frame length + 16 session + 1 type + 4 payload length
-MAX_PAYLOAD = (1 << 32) - 1
+HEADER_BYTES = 21  # 4 frame length + 16 session + 1 type
+# the largest payload whose body (session id, type, payload) the frame length can state
+MAX_PAYLOAD = 0xFFFFFFFF - (HEADER_BYTES - 4)
 RECV_CHUNK = 1 << 16  # most bytes one socket read asks for
 
 DEALER_INDEX = 0
@@ -57,21 +59,15 @@ class Envelope:
             raise ValueError("payload too large for the frame format")
 
     def to_frame(self) -> bytes:
-        body = (self.session_id + bytes([self.msg_type])
-                + len(self.payload).to_bytes(4, "big") + self.payload)
+        body = self.session_id + bytes([self.msg_type]) + self.payload
         return len(body).to_bytes(4, "big") + body
 
     @classmethod
     def from_body(cls, body: bytes) -> "Envelope":
-        if len(body) < SESSION_ID_BYTES + 5:
+        if len(body) < SESSION_ID_BYTES + 1:
             raise TransportError("truncated envelope")
-        sid = body[:SESSION_ID_BYTES]
-        msg_type = body[SESSION_ID_BYTES]
-        plen = int.from_bytes(body[SESSION_ID_BYTES + 1 : SESSION_ID_BYTES + 5], "big")
-        payload = body[SESSION_ID_BYTES + 5 :]
-        if len(payload) != plen:
-            raise TransportError("payload length mismatch")
-        return cls(session_id=sid, msg_type=msg_type, payload=payload)
+        return cls(session_id=body[:SESSION_ID_BYTES], msg_type=body[SESSION_ID_BYTES],
+                   payload=body[SESSION_ID_BYTES + 1:])
 
     @property
     def wire_bytes(self) -> int:

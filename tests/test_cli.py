@@ -44,16 +44,12 @@ def _config(tmp_path, prefix, parties, salt, extra=None):
     # which it cannot do at port 0
     cfg = {
         "session_id": salt,
-        "salted": True,
         "dealer": {"address": f"127.0.0.1:{_free_port()}"},
         "parties": {str(i): {"address": f"127.0.0.1:{_free_port()}",
                              "dataset": f"{prefix}{i}.dat",
                              "root": f"{prefix}{i}.root"}
                     for i in range(1, parties + 1)},
     }
-    if parties == 2:
-        cfg["parties"]["1"]["role"] = "receiver"
-        cfg["parties"]["2"]["role"] = "sender"
     cfg.update(extra or {})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -224,7 +220,7 @@ def test_local_multi_party_run(runner, tmp_path):
     prefix = _gen(runner, tmp_path, count=20, parties=4, overlap=5, seed=5)
     salt = "33" * 16
     _commit_all(runner, prefix, 4, salt)
-    cfg = _config(tmp_path, prefix, 4, salt, extra={"n": 4, "t": 2})
+    cfg = _config(tmp_path, prefix, 4, salt, extra={"t": 2})
     out_dir = tmp_path / "outm"
     result = runner.invoke(main, ["run", "--config", cfg, "--out-dir", str(out_dir)])
     assert result.exit_code == 0, result.output
@@ -236,7 +232,7 @@ def test_local_multi_party_tamper_exits_3(runner, tmp_path):
     prefix = _gen(runner, tmp_path, count=16, parties=3, overlap=4, seed=6)
     salt = "44" * 16
     _commit_all(runner, prefix, 3, salt)
-    cfg = _config(tmp_path, prefix, 3, salt, extra={"n": 3, "t": 1})
+    cfg = _config(tmp_path, prefix, 3, salt, extra={"t": 1})
     result = runner.invoke(main, ["run", "--config", cfg, "--tamper", "swap-proofs:0,3",
                                   "--tamper-party", "3", "--out-dir", str(tmp_path / "o")])
     assert result.exit_code == 3, result.output
@@ -373,7 +369,7 @@ def test_collusion_bound_out_of_range_is_usage_error(runner, tmp_path, monkeypat
     prefix = _gen(runner, tmp_path, count=12, parties=4, overlap=4, seed=21)
     salt = "1f" * 16
     _commit_all(runner, prefix, 4, salt)
-    cfg = _config(tmp_path, prefix, 4, salt, extra={"n": 4, "t": 3})
+    cfg = _config(tmp_path, prefix, 4, salt, extra={"t": 3})
     result = runner.invoke(main, ["run", "--config", cfg,
                                   "--out-dir", str(tmp_path / "out")] + mode)
     assert result.exit_code == 2, result.output
@@ -420,37 +416,39 @@ def test_bench_smoke(runner, tmp_path):
     assert result.exit_code == 2, result.output
 
 
-def test_unsalted_config_is_usage_error(runner, tmp_path):
-    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=10)
-    salt = "66" * 16
-    _commit_all(runner, prefix, 2, salt)
-    cfg = _config(tmp_path, prefix, 2, salt, extra={"salted": False})
-    result = runner.invoke(main, ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
-    assert result.exit_code == 2
-    assert '"salted"' in result.output
-    # an absent key runs like "salted": true
-    cfg_data = json.loads(Path(cfg).read_text())
-    del cfg_data["salted"]
-    Path(cfg).write_text(json.dumps(cfg_data))
-    result = runner.invoke(main, ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
-    assert result.exit_code == 0, result.output
+# keys the CLI does not read, each with what sets it: two a config once could give
+# with one valid value only (leaves are always salted, a party's index fixes its
+# 2pc role; "n", the party count, is a CONFIG_FAULTS case), and mistyped ones
+UNKNOWN_KEYS = {
+    "salted": (lambda cfg: cfg.update(salted=True), "config has an unknown key 'salted'"),
+    "role": (lambda cfg: cfg["parties"]["1"].update(role="receiver"),
+             "party 1 has an unknown key 'role'"),
+    "party-typo": (lambda cfg: cfg["parties"]["2"].update(datset="p2.dat"),
+                   "party 2 has an unknown key 'datset'"),
+    "dealer-typo": (lambda cfg: cfg["dealer"].update(adress="127.0.0.1:1"),
+                    "the dealer has an unknown key 'adress'"),
+}
 
 
-@pytest.mark.parametrize("mode", [[], ["--role", "1"]])
-def test_two_party_role_mismatch_is_usage_error(runner, tmp_path, mode):
-    # party 1 is always the receiver, in local and networked runs alike
+@pytest.mark.parametrize("mode", [[], ["--role", "1"], ["--role", "0"]],
+                         ids=["local", "party", "dealer"])
+@pytest.mark.parametrize("key", UNKNOWN_KEYS)
+def test_unknown_config_key_is_usage_error(runner, tmp_path, monkeypatch, key, mode):
+    # a key the CLI would ignore is refused and named, in every mode; the dealer does
+    # not wait for clients first
+    monkeypatch.setattr(cli, "DEALER_IDLE_S", 5)
     prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=11)
     salt = "77" * 16
     _commit_all(runner, prefix, 2, salt)
-    cfg = _config(tmp_path, prefix, 2, salt)
-    cfg_data = json.loads(Path(cfg).read_text())
-    cfg_data["parties"]["1"]["role"] = "sender"
-    cfg_data["parties"]["2"]["role"] = "receiver"
-    Path(cfg).write_text(json.dumps(cfg_data))
-    result = runner.invoke(main, ["run", "--config", cfg,
+    cfg_path = _config(tmp_path, prefix, 2, salt)
+    cfg = json.loads(Path(cfg_path).read_text())
+    mutate, message = UNKNOWN_KEYS[key]
+    mutate(cfg)
+    Path(cfg_path).write_text(json.dumps(cfg))
+    result = runner.invoke(main, ["run", "--config", cfg_path,
                                   "--out-dir", str(tmp_path / "out")] + mode)
     assert result.exit_code == 2, result.output
-    assert "receiver" in result.output
+    assert message in result.output
 
 
 @pytest.mark.parametrize("mode", [[], ["--role", "1"], ["--role", "0"]])
@@ -461,7 +459,7 @@ def test_multi_party_config_without_t_is_usage_error(runner, tmp_path, monkeypat
     prefix = _gen(runner, tmp_path, count=12, parties=3, overlap=4, seed=12)
     salt = "88" * 16
     _commit_all(runner, prefix, 3, salt)
-    cfg = _config(tmp_path, prefix, 3, salt, extra={"n": 3})
+    cfg = _config(tmp_path, prefix, 3, salt)
     result = runner.invoke(main, ["run", "--config", cfg,
                                   "--out-dir", str(tmp_path / "out")] + mode)
     assert result.exit_code == 2, result.output
@@ -492,6 +490,8 @@ CONFIG_FAULTS = {
                                     'the dealer needs an "address"', NETWORKED),
     "dealer-address-missing": (lambda cfg: cfg["dealer"].pop("address"),
                                'the dealer needs an "address"', NETWORKED),
+    # every networked run has a dealer
+    "dealer-missing": (lambda cfg: cfg.pop("dealer"), 'the dealer needs an "address"', NETWORKED),
     "party-address-without-port": (lambda cfg: cfg["parties"]["2"].update(address="127.0.0.1"),
                                    'party 2 needs an "address"', NETWORKED),
     "party-address-missing": (lambda cfg: cfg["parties"]["2"].pop("address"),
@@ -513,10 +513,10 @@ CONFIG_FAULTS = {
     "t-string": (lambda cfg: cfg.update(t="2"), "'t' must be an integer, not \"2\"",
                  tuple(MODES)),
     # a two-party config given a threshold runs as npc, which needs three parties;
-    # one given n = 3 names a party it does not define
+    # n is the party count, and a config that gives it is refused
     "2pc-with-t": (lambda cfg: cfg.update(t=1), "multi-party runs need at least 3 parties",
                    tuple(MODES)),
-    "2pc-with-n-3": (lambda cfg: cfg.update(n=3), "config must define parties 1..3", tuple(MODES)),
+    "2pc-with-n-3": (lambda cfg: cfg.update(n=3), "config has an unknown key 'n'", tuple(MODES)),
 }
 
 # whole configs that are not a JSON object
@@ -735,7 +735,7 @@ def test_dealer_reads_no_party_file(runner, tmp_path, monkeypatch, construction,
     # needs no party's dataset or root; with no client coming it ends at
     # its idle cap
     monkeypatch.setattr(cli, "DEALER_IDLE_S", 0.2)
-    extra = {"n": parties, "t": 1} if construction == "npc" else None
+    extra = {"t": 1} if construction == "npc" else None
     cfg_path = _config(tmp_path, str(tmp_path / "absent"), parties, "cc" * 16, extra)
     result = runner.invoke(main, ["run", "--config", cfg_path,
                                   "--role", "0", "--out-dir", str(tmp_path / "out")])
@@ -790,7 +790,7 @@ def test_networked_run_matches_local(runner, tmp_path, construction, parties, ta
     prefix = _gen(runner, tmp_path, count=24, parties=parties, overlap=6, seed=19)
     salt = "ff" * 16
     _commit_all(runner, prefix, parties, salt)
-    extra = {"n": parties, "t": 1} if construction == "npc" else None
+    extra = {"t": 1} if construction == "npc" else None
     cfg_path = _config(tmp_path, prefix, parties, salt, extra)
     cfg = json.loads(Path(cfg_path).read_text())
     for entry in [cfg["dealer"], *cfg["parties"].values()]:

@@ -221,32 +221,28 @@ def test_encode_with_retry_rejects_zero_attempts():
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_table_wire_roundtrip(width):
-    # row seed || cell count (4 bytes, big-endian) || cells of `width` 8-byte
-    # words; the reader passes n and the width
+    # row seed || cells of `width` 8-byte words; the reader passes n and the
+    # width, and the cell count follows from n
     nprng = np.random.default_rng(9)
     digests = _h([k for k, _ in _pairs(20, random.Random(9))])
     values = nprng.integers(0, 1 << 64, size=(20, width), dtype=np.uint64)
     table = okvs.encode(digests, values, _params(20), rng=nprng)
     raw = table.to_bytes()
     assert raw[:16] == table.params.row_seed
-    assert int.from_bytes(raw[16:20], "big") == table.params.m
-    assert len(raw) == 20 + table.params.m * 8 * width
+    assert raw[16:] == table.values.tobytes()
+    assert len(raw) == 16 + table.params.m * 8 * width
     back = okvs.OkvsTable.from_bytes(raw, 20, width)
     assert back.params == table.params
     assert back.values.shape == (table.params.m, width)
     assert back.values.tolist() == table.values.tolist()
     assert okvs.decode_batch(back, digests).tolist() == values.tolist()
     # a reader that expects another pair count or another width, a short
-    # seed, a count that differs from the body, or a body one cell longer
-    # rejects the table
-    count = raw[16:20]
-    other = (table.params.m + 1).to_bytes(4, "big")
+    # seed, a body one byte short, or a body one cell short or long rejects
+    # the table
     cell = bytes(8 * width)
     for bad, n, w in ((raw, 19, width), (raw, 21, width), (raw, 20, 3 - width),
                       (raw[:15], 20, width), (raw[:-1], 20, width),
-                      (raw[:16] + other + raw[20:], 20, width),
-                      (raw[:16] + other + raw[20:] + cell, 20, width),
-                      (raw[:16] + count + raw[20:] + cell, 20, width)):
+                      (raw[:-8 * width], 20, width), (raw + cell, 20, width)):
         with pytest.raises(ValueError):
             okvs.OkvsTable.from_bytes(bad, n, w)
 

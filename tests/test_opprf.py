@@ -152,7 +152,7 @@ def test_wire_roundtrip():
     hint = opprf.opprf_program(*_points(8, rng), b"\x10" * 16, rng=np.random.default_rng(9))
     raw = hint.to_bytes()
     assert hint.values.shape == (hint.params.m, 1)
-    assert len(raw) == 20 + 8 * hint.params.m
+    assert len(raw) == 16 + 8 * hint.params.m
     back = okvs.OkvsTable.from_bytes(raw, 8, 1)
     assert back.to_bytes() == raw
 

@@ -167,14 +167,14 @@ def test_digest_set_size_and_permutation():
     engines = _run_engines(x, y, session, roots, seed=7, net=bus)
 
     [payload] = bus.payloads(1, psi2.MSG_DIGEST_SET)
-    count = int.from_bytes(payload[:4], "big")
-    assert count == len(y)
+    # the bare digests, one per sender element: the receiver knows their
+    # count from the sender's commitment
     width = engines[1].out_bytes
-    assert len(payload) == 4 + count * width
+    assert len(payload) == len(y) * width
     # out width covers the statistical budget: 40 + ceil(log2(30*30)) bits
     assert width == 7
-    digests = [payload[4 + i * width : 4 + (i + 1) * width] for i in range(count)]
-    assert len(set(digests)) == count
+    digests = [payload[i * width : (i + 1) * width] for i in range(len(y))]
+    assert len(set(digests)) == len(y)
 
 
 def _started_receiver(x, y, session):
@@ -196,7 +196,7 @@ def assert_clean_abort(engine, out, fault):
 def test_out_of_order_messages_rejected():
     x, y = _sets(8, 8, 2, seed=8)
     engine = _started_receiver(x, y, b"\x24" * 16)
-    bogus = transport.Envelope(b"\x24" * 16, psi2.MSG_DIGEST_SET, b"\x00\x00\x00\x01" + b"\x00" * 8)
+    bogus = transport.Envelope(b"\x24" * 16, psi2.MSG_DIGEST_SET, b"\x00" * 8)
     assert_clean_abort(engine, engine.handle(2, bogus), "digest set out of order")
     assert engine.handle(2, bogus) == []  # traffic after the abort is dropped
 
@@ -230,42 +230,16 @@ def test_table_length_formula():
     assert psi2.okvs_length(4096) == 5039 + 30
 
 
-def test_wrong_digest_count_aborts_cleanly():
-    x, y = _sets(12, 12, 4, seed=12)
-    session = b"\x27" * 16
-    roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    engines, dealer = _build(x, y, session, roots, seed=12)
-
-    class TruncatingBus(transport.BusNetwork):
-        """Drops the last digest of the digest set in transit, and its count with it."""
-
-        def deliver(self, src, dst, env):
-            if env.msg_type == psi2.MSG_DIGEST_SET:
-                count = int.from_bytes(env.payload[:4], "big")
-                width = engines[1].out_bytes
-                env = transport.Envelope(env.session_id, env.msg_type,
-                                         (count - 1).to_bytes(4, "big") + env.payload[4:-width])
-            super().deliver(src, dst, env)
-
-    harness.drive(TruncatingBus(), engines, dealer)  # no escaped error
-    assert engines[1].aborted and engines[1].intersection is None
-    assert "digest set size" in engines[1].abort_reason
-
-
-def length_fault(msg_type, fault):
-    """A rewrite of a masked vector (seed, count, cells) or a digest set (count, digests);
-    8-byte-cells keeps the low word of each 16-byte cell of a masked vector."""
-    at = okvs.SEED_BYTES if msg_type == psi2.MSG_MASKED_VECTOR else 0
-
+def length_fault(fault, unit):
+    """A rewrite of a masked vector (seed, cells of 16 bytes) or a digest set (digests of
+    `unit` bytes); 8-byte-cells keeps the low word of each cell of a masked vector."""
     def rewrite(raw):
-        count = int.from_bytes(raw[at : at + 4], "big")
-        body = raw[at + 4:]
         return {
             "truncated": raw[:-1],
             "extended": raw + b"\x00",
-            "count-off-by-one": raw[:at] + (count + 1).to_bytes(4, "big") + body,
-            "8-byte-cells": raw[: at + 4] + b"".join(body[k : k + 8]
-                                                     for k in range(0, len(body), 16)),
+            "one-unit-short": raw[:-unit],
+            "8-byte-cells": raw[:okvs.SEED_BYTES] + b"".join(
+                raw[k : k + 8] for k in range(okvs.SEED_BYTES, len(raw), 16)),
         }[fault]
     return rewrite
 
@@ -273,18 +247,23 @@ def length_fault(msg_type, fault):
 @pytest.mark.parametrize("msg_type,fault", [
     pytest.param(msg_type, fault, id=f"{msg_type:#04x}-{fault}")
     for msg_type in (psi2.MSG_MASKED_VECTOR, psi2.MSG_DIGEST_SET)
-    for fault in ("truncated", "extended", "count-off-by-one")
+    for fault in ("truncated", "extended", "one-unit-short")
 ] + [pytest.param(psi2.MSG_MASKED_VECTOR, "8-byte-cells", id="0x02-8-byte-cells")])
 def test_malformed_masked_vector_or_digest_set_aborts_cleanly(msg_type, fault):
+    # one unit short is a masked vector one cell short or a digest set one digest
+    # short; each is refused on its length alone, the length the reader derives
     x, y = _sets(12, 12, 4, seed=20)
     session = b"\x2c" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     sender = 1 if msg_type == psi2.MSG_MASKED_VECTOR else 2
-    bus = RewritingBus(sender, msg_type, length_fault(msg_type, fault))
+    unit = gf.GF_BYTES if msg_type == psi2.MSG_MASKED_VECTOR else psi2.digest_width(12, 12)
+    bus = RewritingBus(sender, msg_type, length_fault(fault, unit))
     engines = _run_engines(x, y, session, roots, seed=20, net=bus)  # no escaped error
     for i in (1, 2):
         assert engines[i].aborted and engines[i].abort_reason, i
         assert engines[i].intersection is None
+    refusal = "table of" if msg_type == psi2.MSG_MASKED_VECTOR else "digest set of"
+    assert refusal in engines[3 - sender].abort_reason
 
 
 def test_vole_backend_substitutability(monkeypatch):
@@ -344,9 +323,8 @@ def test_digest_set_leaks_nothing_beyond_membership():
             roots = {1: merkle.root(x, session), 2: merkle.root(cand[which], session)}
             payload = _capture_digest_payload(x, cand[which], session, roots,
                                               seed=3000 + 2 * trial + which)
-            body = payload[4:]
-            ones[which] += sum(bin(b).count("1") for b in body)
-            total[which] += len(body) * 8
+            ones[which] += sum(bin(b).count("1") for b in payload)
+            total[which] += len(payload) * 8
 
     assert total[0] == total[1]  # same digest-set shape for both candidates
     freq = {w: ones[w] / total[w] for w in (0, 1)}

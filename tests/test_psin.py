@@ -108,21 +108,16 @@ def test_gate_rejects_bad_leaf_vector_with_clean_abort(fault):
 
 
 def _malformed_table(raw, fault):
-    """Rewrite an OKVS table encoding: row seed, cell count (4 bytes), cells."""
+    """Rewrite an OKVS table encoding: row seed, then cells of one 8-byte word."""
     if fault == "truncated":
         return raw[:-1]
-    at = okvs.SEED_BYTES
     if fault == "16-byte-cells":  # each 8-byte cell padded with a zero high word
-        body = raw[at + 4:]
-        return raw[: at + 4] + b"".join(body[k : k + 8] + bytes(8) for k in range(0, len(body), 8))
-    count = int.from_bytes(raw[at : at + 4], "big")
-    head = raw[:at] + (count + 1).to_bytes(4, "big")
-    if fault == "wrong-count":  # the body keeps its cells
-        return head + raw[at + 4:]
-    return head + raw[at + 4:] + bytes(16)  # extra-cell: count and body agree, n disagrees
+        at = okvs.SEED_BYTES
+        return raw[:at] + b"".join(raw[k : k + 8] + bytes(8) for k in range(at, len(raw), 8))
+    return raw + bytes(8)  # extra-cell: whole cells, one more than n pairs need
 
 
-@pytest.mark.parametrize("fault", ["truncated", "wrong-count", "extra-cell", "16-byte-cells"])
+@pytest.mark.parametrize("fault", ["truncated", "extra-cell", "16-byte-cells"])
 @pytest.mark.parametrize("msg_type", [psin.MSG_SHARE_TABLE, psin.MSG_OPPRF_HINT],
                          ids=["0x13", "0x14"])
 def test_malformed_table_aborts_cleanly(msg_type, fault):

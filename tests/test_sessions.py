@@ -31,17 +31,17 @@ def party_sizes(run, dealer=False):
 
 
 TWO_PARTY_SIZES = {
-    (1, 2): ((0x01, 62), (0x02, 20685)),
-    (2, 1): ((0x01, 62), (0x03, 8221)),
+    (1, 2): ((0x01, 58), (0x02, 20677)),
+    (2, 1): ((0x01, 58), (0x03, 8213)),
 }
 
 # (8,4) at n_l = 256: group A is P_1..P_3, the coordinator P_4, group B P_5..P_8
 MULTI_PARTY_SIZES = {
-    **{(i, j): ((0x11, 62),) for i in range(1, 9) for j in range(1, 9) if i != j},
-    **{(i, 4): ((0x11, 62), (0x13, 2805)) for i in (1, 2, 3)},
-    **{(i, j): ((0x11, 62), (0x12, 41)) for i in (1, 2, 3) for j in (5, 6, 7, 8)},
-    **{(i, j): ((0x11, 62), (0x16, 41)) for i in (4, 5, 6, 7) for j in (5, 6, 7) if i < j},
-    **{(i, 8): ((0x11, 62), (0x16, 41), (0x14, 2805)) for i in (4, 5, 6, 7)},
+    **{(i, j): ((0x11, 58),) for i in range(1, 9) for j in range(1, 9) if i != j},
+    **{(i, 4): ((0x11, 58), (0x13, 2797)) for i in (1, 2, 3)},
+    **{(i, j): ((0x11, 58), (0x12, 37)) for i in (1, 2, 3) for j in (5, 6, 7, 8)},
+    **{(i, j): ((0x11, 58), (0x16, 37)) for i in (4, 5, 6, 7) for j in (5, 6, 7) if i < j},
+    **{(i, 8): ((0x11, 58), (0x16, 37), (0x14, 2797)) for i in (4, 5, 6, 7)},
 }
 
 # dealer traffic of the same two sessions: a VOLE request is its 4-byte
@@ -49,11 +49,11 @@ MULTI_PARTY_SIZES = {
 # OPRF key request is empty and answered with the key, P_8 sends its 256
 # digests and gets one uint64 per digest back
 DEALER_SIZES = {
-    "2pc": {(1, 0): ((0x21, 29),), (2, 0): ((0x21, 29),),
-            (0, 1): ((0x22, 20697),), (0, 2): ((0x22, 73),)},
-    "8x4": {**{(i, 0): ((0x15, 25),) for i in (4, 5, 6, 7)},
-            **{(0, i): ((0x15, 41),) for i in (4, 5, 6, 7)},
-            (8, 0): ((0x15, 4121),), (0, 8): ((0x15, 2073),)},
+    "2pc": {(1, 0): ((0x21, 25),), (2, 0): ((0x21, 25),),
+            (0, 1): ((0x22, 20693),), (0, 2): ((0x22, 69),)},
+    "8x4": {**{(i, 0): ((0x15, 21),) for i in (4, 5, 6, 7)},
+            **{(0, i): ((0x15, 37),) for i in (4, 5, 6, 7)},
+            (8, 0): ((0x15, 4117),), (0, 8): ((0x15, 2069),)},
 }
 
 
@@ -402,8 +402,10 @@ def test_dealer_refuses_a_correlation_it_cannot_serve(monkeypatch, src, length, 
     assert_dealer_refused(engines, dealer, reason)
     assert dealer.served == 0
     # the longest length served is the last whose receiver material, the
-    # expansion seed and C, fits one message
+    # expansion seed and C, fits one message, and the largest message's
+    # body still fits the frame's 4-byte length
     assert 32 + 16 * LONGEST <= transport.MAX_PAYLOAD < 32 + 16 * (LONGEST + 1)
+    assert transport.HEADER_BYTES - 4 + transport.MAX_PAYLOAD <= 0xFFFFFFFF
 
 
 def _honest_requests(spec):

@@ -22,7 +22,10 @@ def test_envelope_frame_roundtrip():
     assert int.from_bytes(frame[:4], "big") == len(frame) - 4
     back = Envelope.from_body(frame[4:])
     assert back == env
-    assert env.wire_bytes == 25 + 11
+    # the frame length is the only length: session id, type, then the payload
+    assert frame[4:] == SID + b"\x42" + b"hello world"
+    assert env.wire_bytes == 21 + 11
+    assert Envelope.from_body(SID + b"\x42") == Envelope(SID, 0x42, b"")
 
 
 def test_envelope_validation():
@@ -35,16 +38,16 @@ def test_envelope_validation():
 def test_meter_header_arithmetic():
     net = transport.BusNetwork()
     net.deliver(1, 2, Envelope(SID, 0x01, b"\x00" * 100))
-    assert net.meter.protocol_bytes() == 125  # payload + 25 header bytes
+    assert net.meter.protocol_bytes() == 121  # payload + 21 header bytes
     assert net.meter.setup_bytes() == 0
-    assert net.meter.per_type() == {"0x01": 125}
+    assert net.meter.per_type() == {"0x01": 121}
 
 
 def test_dealer_traffic_is_setup_bytes():
     net = transport.BusNetwork()
     net.deliver(1, 0, Envelope(SID, 0x21, b"\x00" * 10))
     assert net.meter.protocol_bytes() == 0
-    assert net.meter.setup_bytes() == 35
+    assert net.meter.setup_bytes() == 31
 
 
 def test_meter_conservation():
@@ -109,7 +112,7 @@ def test_tcp_roundtrip_and_meter():
         src, dst, env = n1.recv(timeout=5)
         assert (src, dst, env.payload) == (2, 1, b"over tcp")
         # both ends count the one message
-        assert n1.meter.protocol_bytes() == n2.meter.protocol_bytes() == 33
+        assert n1.meter.protocol_bytes() == n2.meter.protocol_bytes() == 29
         # both ends log the same per-pair sequence: the sender its send, the
         # receiver the frame it read
         assert n1.meter.per_pair() == n2.meter.per_pair()
@@ -122,11 +125,11 @@ def test_tcp_roundtrip_and_meter():
         n2.close()
 
 
-@pytest.mark.parametrize("body", [b"\x00" * 5, SID + b"\x01" + (9).to_bytes(4, "big") + b"short"],
-                         ids=["truncated-envelope", "length-mismatch"])
+@pytest.mark.parametrize("body", [b"\x00" * 5, SID], ids=["truncated-envelope", "no-type-byte"])
 def test_tcp_malformed_frame_delivers_close(body):
-    # the node closes the connection and delivers the bad frame as an error of
-    # its own, not as the hang-up of a peer that finished its part
+    # a body too short for its session id and type: the node closes the
+    # connection and delivers the bad frame as an error of its own, not as
+    # the hang-up of a peer that finished its part
     node = transport.TcpNode(1, ("127.0.0.1", 0), {})
     try:
         with socket.create_connection(("127.0.0.1", node.bound_port), timeout=5) as raw:
@@ -248,9 +251,9 @@ def test_meter_by_party_counts_each_message_at_both_ends():
                                      (1, 2, 0x02, 5)):
         meter.add(src, dst, Envelope(SID, msg_type, bytes(size)))
     assert meter.by_party() == {
-        0: {"sent": {"0x22": 73}, "received": {"0x21": 29}},
-        1: {"sent": {"0x02": 130, "0x21": 29}, "received": {"0x22": 73}},
-        2: {"sent": {}, "received": {"0x02": 130}},
+        0: {"sent": {"0x22": 69}, "received": {"0x21": 25}},
+        1: {"sent": {"0x02": 122, "0x21": 25}, "received": {"0x22": 69}},
+        2: {"sent": {}, "received": {"0x02": 122}},
     }
 
 

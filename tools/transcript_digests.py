@@ -1,8 +1,9 @@
 """One SHA-256 per fixed-seed session, to compare what two checkouts put on the wire.
 
 Runs 48 sessions over the in-process bus and prints one line per session:
-its name, then a SHA-256 over the per-pair message sequences of the bus's
-one log, `run.meter.per_pair()` (type, wire bytes and payload digest of
+its name, its protocol and setup byte totals (so a diff of a wire change
+shows its sizes), then a SHA-256 over the per-pair message sequences of the
+bus's one log, `run.meter.per_pair()` (type, wire bytes and payload digest of
 every message, the dealer's included), the output, the abort flag, the
 aborting honest parties and their reasons.
 
@@ -67,7 +68,8 @@ def main() -> None:
                 run = harness.run_multi_party(sets, t, session_id=session_id,
                                               tamper=tamper, seed=200 + shape_no)
             label = "honest" if tamper is None else f"{tamper.kind}@{tamper.party}"
-            print(f"{name} {label} {_digest(run)}", flush=True)
+            print(f"{name} {label} {run.meter.protocol_bytes()} {run.meter.setup_bytes()} "
+                  f"{_digest(run)}", flush=True)
 
 
 if __name__ == "__main__":
