@@ -18,7 +18,9 @@ Every GF(2)-linear map on rows of any width is one kernel, `xor_rows`
 (Shoup's byte tables; McGrew-Viega, "The Galois/Counter Mode of Operation",
 2004, 4.1): the OKVS dense columns, at the table's cell width, and
 `scalar_mul_vec`, which multiplies the fixed delta of the VOLE dealer and
-the two-party sender into vectors.
+the two-party sender into vectors. It reads the masks as little-endian
+bytes and gathers each byte column from its table in one `np.take` over
+entries of a whole row's bytes.
 """
 
 from __future__ import annotations
@@ -45,17 +47,23 @@ def vec_from_bytes(raw: bytes) -> np.ndarray:
 def xor_rows(masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per mask, the XOR of the rows its set bits select; (n, w) words for (k, w) rows.
 
-    Bit j of an (n,) uint64 mask selects row j of the (at most 64) rows.
-    Each byte of the mask indexes a 256-entry table of the XORs of the (up
-    to) eight rows it covers, so a mask costs one lookup per byte.
+    Bit j of an (n,) uint64 mask selects row j of the (at most 64) rows; bits
+    at or above the row count k select nothing. The masks are read as '<u8'
+    values, so any byte order of the given array gives the same rows, and
+    byte j of a mask is its bits 8j..8j+7. Each of the first ceil(k/8) mask
+    bytes indexes a 256-entry table of the XORs of the eight rows it covers
+    (zero rows past k), and each byte column is one gather of 8w-byte entries.
     """
-    acc = np.zeros((masks.shape[0], rows.shape[1]), dtype=_LIMB)
-    for low in range(0, rows.shape[0], 8):
-        chunk = rows[low : low + 8]
-        table = np.zeros((1 << chunk.shape[0], rows.shape[1]), dtype=_LIMB)
-        for j, row in enumerate(chunk):
-            table[1 << j : 2 << j] = table[: 1 << j] ^ row
-        acc ^= table[(masks >> np.uint64(low)) & np.uint64(table.shape[0] - 1)]
+    n, (k, w) = masks.shape[0], rows.shape
+    columns = np.ascontiguousarray(masks, dtype=_LIMB).view(np.uint8).reshape(n, 8).T
+    entry = np.dtype((np.void, w * _LIMB.itemsize))
+    acc = np.zeros((n, w), dtype=_LIMB)
+    for j in range(-(-k // 8)):
+        table = np.zeros((256, w), dtype=_LIMB)
+        for b in range(8):
+            row = rows[8 * j + b] if 8 * j + b < k else 0
+            table[1 << b : 2 << b] = table[: 1 << b] ^ row
+        acc ^= np.take(table.view(entry).ravel(), columns[j]).view(_LIMB).reshape(n, w)
     return acc
 
 

@@ -50,6 +50,10 @@ The reader passes the pair count n and the width w it already knows, and
 `OkvsTable.from_bytes` derives every parameter from n and the seed, the cell
 count m included; the table must be exactly 16 + 8wm bytes.
 
+Encoding refuses a repeated key (`DuplicateKeyError`). It sorts limb 0
+and compares whole keys, with a `lexsort` on both limbs, only when two
+limb-0 values are equal, which random digests almost never are.
+
 Encoding can fail when a deferred row's coefficients cancel but its value
 does not; that failure is a value (None), not an exception, and
 `encode_with_retry` re-randomizes the rows with a fresh seed drawn for each
@@ -210,8 +214,13 @@ def encode(digests: np.ndarray, values: np.ndarray, params: OkvsParams,
            rng: np.random.Generator) -> Optional[OkvsTable]:
     """Encode key digests to (n, w) word values; returns None when the system cannot be solved."""
     n = digests.shape[0]
-    if len(np.unique(np.ascontiguousarray(digests, dtype=_U64).view("V16"))) != n:
-        raise DuplicateKeyError("encoding input contains duplicate keys")
+    keys = np.ascontiguousarray(digests, dtype=_U64)
+    low = np.sort(keys[:, 0])
+    if (low[1:] == low[:-1]).any():
+        # a limb-0 value repeats: only whole keys in (limb 0, limb 1) order tell
+        whole = keys[np.lexsort((keys[:, 1], keys[:, 0]))]
+        if (whole[1:] == whole[:-1]).all(axis=1).any():
+            raise DuplicateKeyError("encoding input contains duplicate keys")
     if n != params.n or values.ndim != 2 or values.shape[0] != n:
         raise ValueError(f"params sized for n={params.n}, got {n} keys, values {values.shape}")
 

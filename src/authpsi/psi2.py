@@ -19,7 +19,11 @@ session. The run then has three phases:
   sent as the bare digests: the receiver knows their count, the sender's set
   size, from its commitment.
 - reconstruct: the receiver computes R' = { Ho( Decode(C, x) ) | x in X } and
-  outputs the elements whose digest lands in R.
+  outputs the elements whose digest lands in R. The match is exact and in
+  whole arrays: it sorts the first 8 bytes of the received digests, looks
+  its own up in them, and confirms each candidate on the remaining bytes
+  against every received digest with that prefix, so duplicated or
+  prefix-sharing digests from a faulty sender cannot enlarge the output.
 
 For a common element the masks cancel exactly: Decode(B', x) + delta*HB(x)
 equals Decode(C, x) by linearity of decoding, so matching digests identify
@@ -359,10 +363,49 @@ class Psi2Engine(Party):
         if len(payload) != self.n_y * width:
             raise ProtocolError(f"digest set of {len(payload)} bytes, the peer commitment's "
                                 f"{self.n_y} digests need {self.n_y * width}")
-        received = {payload[i * width : (i + 1) * width] for i in range(self.n_y)}
+        received = np.frombuffer(payload, dtype=np.uint8).reshape(self.n_y, width)
 
         c_table = okvs.OkvsTable(params=self._table.params, values=self._recv_corr.c_vec)
-        own = output_digest(okvs.decode_batch(c_table, self.digests), width).tobytes()
-        self.intersection = {x for i, x in enumerate(self.inputs)
-                             if own[i * width : (i + 1) * width] in received}
+        own = output_digest(okvs.decode_batch(c_table, self.digests), width)
+        self.intersection = {self.inputs[i] for i in np.flatnonzero(_matches(received, own)).tolist()}
         return []
+
+
+def _prefix_words(digests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, w) digest bytes, w <= 16, zero-padded to 16 bytes and read as two big-endian words."""
+    padded = np.zeros((digests.shape[0], 16), dtype=np.uint8)
+    padded[:, :digests.shape[1]] = digests
+    words = padded.view(">u8").astype(np.uint64)
+    return words[:, 0], words[:, 1]
+
+
+def _matches(received: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Per own digest, whether it equals some received digest; both are (n, w) bytes, w <= 16.
+
+    The received first words are sorted and the own first words, sorted too,
+    are looked up in them. An own digest whose first word is found is then
+    compared on its second word with every received digest in the run of
+    equal first words, so duplicated or prefix-sharing received digests
+    still give the exact answer. There are at most n_y candidates per
+    distinct own first word, and two own digests share one only by a
+    collision of their first 8 bytes.
+    """
+    r_first, r_second = _prefix_words(received)
+    o_first, o_second = _prefix_words(own)
+    by_first = np.argsort(r_first)
+    r_first, r_second = r_first[by_first], r_second[by_first]
+    order = np.argsort(o_first)
+    o_first, o_second = o_first[order], o_second[order]
+
+    start = np.searchsorted(r_first, o_first)
+    found = np.flatnonzero(r_first[np.minimum(start, r_first.size - 1)] == o_first)
+    run = np.searchsorted(r_first, o_first[found], side="right") - start[found]
+    # one candidate per (own digest, received digest of its run)
+    cand_own = np.repeat(found, run)
+    offset = np.arange(cand_own.size) - np.repeat(np.cumsum(run) - run, run)
+    cand_received = np.repeat(start[found], run) + offset
+    hit = cand_own[r_second[cand_received] == o_second[cand_own]]
+
+    matched = np.zeros(own.shape[0], dtype=bool)
+    matched[order[hit]] = True
+    return matched

@@ -159,6 +159,23 @@ def test_xor_rows_matches_row_loop(width):
             assert out[k].tolist() == expect.tolist(), (count, k)
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_xor_rows_ignores_bits_above_row_count_and_host_order(width):
+    # the masks are passed as drawn, with bits set above the row count; those
+    # bits select nothing, and the masks' values count, not their byte order
+    rng = np.random.default_rng(10)
+    masks = np.concatenate([rng.integers(0, 1 << 64, size=200, dtype=np.uint64),
+                            np.array([0, (1 << 64) - 1], dtype=np.uint64)])
+    for count in (0, 1, 7, 8, 9, 30, 63, 64):
+        rows = rng.integers(0, 1 << 64, size=(count, width), dtype=np.uint64)
+        expect = np.zeros((masks.size, width), dtype=np.uint64)
+        for j in range(count):
+            expect[(masks >> np.uint64(j)) & np.uint64(1) == 1] ^= rows[j]
+        out = gf.xor_rows(masks, rows)
+        assert out.tolist() == expect.tolist(), count
+        assert gf.xor_rows(masks.astype(">u8"), rows).tolist() == expect.tolist(), count
+
+
 @settings(max_examples=50, deadline=None)
 @given(elems, st.lists(elems, min_size=1, max_size=8))
 def test_scalar_mul_vec_property(scalar, values):

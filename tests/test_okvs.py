@@ -142,6 +142,26 @@ def test_duplicate_keys_rejected():
         _encode(pairs, _params(3), np.random.default_rng(3))
 
 
+def test_duplicate_check_compares_whole_keys():
+    # digests that share limb 0 are distinct keys when limb 1 differs; only a
+    # repeat of both limbs is a duplicate, and the caller's array is left as it was
+    rng = np.random.default_rng(11)
+    digests = rng.integers(0, 1 << 64, size=(64, 2), dtype=np.uint64)
+    digests[1:4, 0] = digests[0, 0]
+    digests[3, 1] = digests[2, 1] ^ np.uint64(1)
+    before = digests.copy()
+    values = rng.integers(0, 1 << 64, size=(64, 2), dtype=np.uint64)
+    table, _ = okvs.encode_with_retry(digests, values, okvs.MAX_ENCODE_ATTEMPTS, rng)
+    assert okvs.decode_batch(table, digests).tolist() == values.tolist()
+    assert (digests == before).all()
+
+    digests[5] = digests[2]
+    before = digests.copy()
+    with pytest.raises(okvs.DuplicateKeyError):
+        okvs.encode(digests, values, _params(64), rng)
+    assert (digests == before).all()
+
+
 def test_linearity_and_scalar_identities():
     rng = random.Random(5)
     n = 64

@@ -177,6 +177,57 @@ def test_digest_set_size_and_permutation():
     assert len(set(digests)) == len(y)
 
 
+def _prefix_tricks(raw, width):
+    """A digest set of the same length: a third of the digests with the last byte
+    flipped, then per digest a run of three equal first 8 bytes (two flipped
+    variants, then the digest itself), then each digest twice."""
+    def flip(d, bit):
+        return d[:-1] + bytes([d[-1] ^ bit])
+
+    digests = [raw[k : k + width] for k in range(0, len(raw), width)]
+    n, third = len(digests), len(digests) // 3
+    out = [flip(d, 1) for d in digests[:third]]
+    for d in digests[third:]:
+        out += [flip(d, 1), flip(d, 2), d] if len(out) < 2 * third else [d, d]
+    return b"".join(out[:n])
+
+
+def test_receiver_match_is_exact_on_prefix_sharing_and_duplicate_digests():
+    # digests of 9 bytes, one past the 8-byte prefix the receiver sorts on; the
+    # sender's digests of common elements become digests that share a prefix
+    # with an own digest but differ in the last byte, runs of three equal
+    # prefixes and duplicates, and the output is still exactly the own
+    # elements whose digest was received
+    n = 4100
+    assert psi2.digest_width(n, n) == 9
+    x, y = _sets(n, n, n // 2, seed=25)
+    session = b"\x2d" * 16
+    roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
+    rewritten = []
+
+    def rewrite(raw):
+        rewritten.append(_prefix_tricks(raw, 9))
+        return rewritten[-1]
+
+    bus = RewritingBus(2, psi2.MSG_DIGEST_SET, rewrite)
+    receiver = _run_engines(x, y, session, roots, seed=25, net=bus)[1]
+    [payload] = rewritten
+
+    c_table = okvs.OkvsTable(params=receiver._table.params, values=receiver._recv_corr.c_vec)
+    own = psi2.output_digest(okvs.decode_batch(c_table, receiver.digests), 9)
+    own = [bytes(d) for d in own]
+    received = Counter(payload[k : k + 9] for k in range(0, len(payload), 9))
+    prefixes = Counter(d[:8] for d in received.elements())
+    # the rewrite reached own digests in each of its three ways
+    assert any(d[:8] in prefixes and d not in received for d in own)
+    assert any(received[d] > 1 for d in own)
+    assert any(prefixes[d[:8]] >= 3 and d in received for d in own)
+
+    expected = {e for e, d in zip(x, own) if d in received}
+    assert 0 < len(expected) < n // 2
+    assert receiver.intersection == expected
+
+
 def _started_receiver(x, y, session):
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     engine = psi2.Psi2Engine(harness.Session({1: x}, roots, session), 1, rng=np.random.default_rng(0))

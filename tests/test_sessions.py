@@ -2,8 +2,10 @@
 and admission at every party and at the dealer."""
 
 import hashlib
+import os
 import random
 import re
+import subprocess
 import sys
 from collections import Counter, deque
 
@@ -67,6 +69,20 @@ def test_message_sizes_are_pinned():
     run = harness.run_multi_party(sets, 4, seed=24)
     assert party_sizes(run) == MULTI_PARTY_SIZES
     assert party_sizes(run, dealer=True) == DEALER_SIZES["8x4"]
+
+
+def test_first_session_in_a_fresh_process_does_not_import_numpy_ma():
+    # numpy.ma is a lazy import of some 30 ms (np.unique pulls it in); a cold
+    # session, as one CLI run is, must not pay for it
+    code = ("import sys\n"
+            "from authpsi import datasets, harness\n"
+            "x, y = datasets.generate_sets(1024, 16, 2, 256, 21)\n"
+            "assert len(harness.run_two_party(x, y, seed=22).intersection) == 256\n"
+            "assert 'numpy.ma' not in sys.modules, 'a session imported numpy.ma'\n")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_each_element_is_hashed_once(monkeypatch):
