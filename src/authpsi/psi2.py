@@ -4,14 +4,16 @@ Both parties publish a commitment (tree root) to their input set before the
 session. The run then has three phases:
 
 - transform: each party computes the root of the inputs it runs on once,
-  refuses to start if it differs from its announced commitment, sends that
-  root (37 bytes: version, set size, digest) to its peer; the receiver
-  (always party 1) also encodes its set into an oblivious table P mapping
-  x -> HB(x).
+  refuses to start if it differs from its announced commitment, and sends
+  that root (37 bytes: version, set size, digest) to its peer, and nothing
+  else.
 - interact: each side compares the received root with the peer's
-  pre-announced one and aborts the session on any difference. Both sides
-  then draw a correlation (A, C) / (B, delta) with C = A*delta + B from the
-  dealer.
+  pre-announced one and aborts the session on any difference. Only once
+  the root has passed does the receiver (always party 1) encode its set
+  into an oblivious table P mapping x -> HB(x), and each side ask the
+  dealer for its half of a correlation (A, C) / (B, delta) with
+  C = A*delta + B. A party whose gate fails thus does no work past its
+  own root, and the dealer draws no correlation for its session.
   The receiver sends the masked table A' = A + P in `okvs`'s table format;
   the sender reads it with the receiver's set size from its commitment,
   folds it into B' = B + A'*delta and answers with the digest set
@@ -231,9 +233,12 @@ class Endpoint:
 
 class Party(Endpoint):
     """Party i of a checked session in either engine: the self-check, the digests and the
-    root gate. An engine calls `_open` first in `start`, routes its root type to `_on_root`,
-    and implements `_advance`, which the gate calls after each accepted root. A tampered
-    party skips the self-check and sends the root its tamper makes of its own."""
+    root gate, and the one rule both engines keep: a party's `start` is `_open`, the
+    self-check and its root, and nothing else; everything else it sends or computes waits
+    until every root it is owed has passed the gate. An engine routes its root type to
+    `_on_root` and implements `_after_gate`, which the gate calls once, when the last owed
+    root has passed, and `_advance`, which the gate calls after it. A tampered party skips
+    the self-check and sends the root its tamper makes of its own."""
     ROOT_TYPE: int
 
     def __init__(self, session, i: int, rng: Optional[np.random.Generator] = None):
@@ -259,14 +264,17 @@ class Party(Endpoint):
         return [(j, env) for j in self.peers]
 
     def _on_root(self, src: int, payload: bytes) -> list:
-        """The gate: the root of each other party must equal the one it announced."""
+        """The gate: the root of each other party must equal the one it announced. Once the
+        last one has passed, the party takes its first step past the gate."""
         try:
             ok = check_peer_commitment(self.roots[src], decode_root_proofs(payload))
         except ProtocolError:
             ok = False  # an undecodable root fails the gate like a wrong one
         if not ok:
             raise ProtocolError(f"root from party {src} fails its commitment")
-        return self._advance()
+        if not self._settled(self.ROOT_TYPE):
+            return []
+        return self._after_gate() + self._advance()
 
 
 class Psi2Engine(Party):
@@ -298,17 +306,22 @@ class Psi2Engine(Party):
     # -- transform -----------------------------------------------------------
 
     def start(self) -> list:
-        out = self._open()
+        """The self-check and the root; the rest waits for the gate."""
+        return self._open()
+
+    # -- interact ------------------------------------------------------------
+
+    def _after_gate(self) -> list:
+        """The receiver encodes its table P; then each side asks the dealer for its half."""
         if self.receiver:
             result = okvs.encode_with_retry(self.digests, hash_to_mask(self.digests),
                                             okvs.MAX_ENCODE_ATTEMPTS, self.rng)
             if result is None:
-                return out + self._abort("oblivious table encoding failed")
+                raise ProtocolError("oblivious table encoding failed")
             self._table, _ = result
         # the request is the bare length: the dealer reads the role from the
         # sender's index and the session from the envelope
-        out.append((DEALER_INDEX, self._env(vole.MSG_VOLE_REQUEST, self._length.to_bytes(4, "big"))))
-        return out
+        return [(DEALER_INDEX, self._env(vole.MSG_VOLE_REQUEST, self._length.to_bytes(4, "big")))]
 
     # -- message handling ----------------------------------------------------
 

@@ -5,14 +5,17 @@ Around v = n - t the parties split (`Roles`) into group A (P_1 .. P_{v-1}),
 a central coordinator P_v, and group B (P_{v+1} .. P_n); P_n is the only
 party that learns the intersection.
 
-- transform: everyone broadcasts the root of the inputs it runs on. Each
-  group-A party P_i draws one PRF key per group-B party, sends each key to
-  its target, and ships the coordinator an oblivious table T_i encoding
-  x -> XOR of the PRF of x under all those keys. The parties P_v .. P_n
-  exchange pairwise zero-sharing seeds.
+- transform: everyone broadcasts the root of the inputs it runs on, and
+  nothing else.
 - interact: every party compares every other party's root with the one
   that party announced; the first failure anywhere broadcasts an abort and
-  the whole session dies. The coordinator aggregates
+  the whole session dies. Once every root a party is owed has passed, it
+  takes its role's first step (`_after_gate`): a group-A party P_i draws one
+  PRF key per group-B party, sends each key to its target, and ships the
+  coordinator an oblivious table T_i encoding x -> XOR of the PRF of x
+  under all those keys; the parties P_v .. P_n exchange pairwise
+  zero-sharing seeds; the hint senders ask the dealer for their OPRF keys,
+  and P_n for its evaluations. The coordinator aggregates
   A^v(x) = XOR of Decode(T_i, x); each group-B party aggregates
   A^i(x) = XOR of its received PRF evaluations.
 - reconstruct: each of P_v .. P_{n-1} programs an oblivious PRF with points
@@ -145,9 +148,16 @@ class PsinEngine(Party):
     # -- transform -----------------------------------------------------------
 
     def start(self) -> list:
-        out = self._open()
-        roles, i = self.roles, self.index
+        """The self-check and the root; the rest waits for the gate."""
+        return self._open()
 
+    # -- interact ------------------------------------------------------------
+
+    def _after_gate(self) -> list:
+        """Each role's first step once every root has passed: group A deals its keys and
+        ships its share table, the subgroup deals its seeds, and the dealer's clients ask it."""
+        roles, i = self.roles, self.index
+        out = []
         if i in roles.group_a:
             keys = {j: self.rng.bytes(zeroshare.SEED_BYTES) for j in roles.group_b}
             out.extend((j, self._env(MSG_GROUP_KEY, key)) for j, key in keys.items())
@@ -155,7 +165,7 @@ class PsinEngine(Party):
             result = okvs.encode_with_retry(self.digests, values, okvs.MAX_ENCODE_ATTEMPTS,
                                             self.rng)
             if result is None:
-                return out + self._abort("share table encoding failed")
+                raise ProtocolError("share table encoding failed")
             table, _ = result
             out.append((roles.v, self._env(MSG_SHARE_TABLE, table.to_bytes())))
 
@@ -166,6 +176,8 @@ class PsinEngine(Party):
 
         if i in roles.senders:  # the key request is empty: the dealer keys by the sender's index
             out.append((DEALER_INDEX, self._env(MSG_OPRF_DEALER, b"")))
+        if i == roles.n:  # P_n's request is its digests
+            out.append((DEALER_INDEX, self._env(MSG_OPRF_DEALER, gf.vec_to_bytes(self.digests))))
         return out
 
     # -- message handling ----------------------------------------------------
@@ -177,14 +189,6 @@ class PsinEngine(Party):
                                       MSG_ZS_SEED: self._on_zs_seed,
                                       MSG_OPPRF_HINT: self._on_hint,
                                       MSG_OPRF_DEALER: self._on_oprf_dealer})
-
-    def _on_root(self, src: int, payload: bytes) -> list:
-        """The gate; P_n asks the dealer for its evaluations once its last root has passed."""
-        out = super()._on_root(src, payload)
-        if self.index == self.roles.n and self._settled(self.ROOT_TYPE):
-            request = self._env(MSG_OPRF_DEALER, gf.vec_to_bytes(self.digests))
-            return [(DEALER_INDEX, request)] + out
-        return out
 
     def _on_group_key(self, src: int, payload: bytes) -> list:
         self.groupa_keys[src] = _bare_key(payload, f"group key from party {src}")

@@ -784,7 +784,8 @@ def _run_processes(config_path, roles, out_dir, tamper=None):
     ("2pc", 2, None),
     ("npc", 3, None),
     ("npc", 3, (3, "flip-element:0")),
-], ids=["2pc", "3x1", "3x1-tampered-at-3"])
+    ("2pc", 2, (2, "flip-element:0")),
+], ids=["2pc", "3x1", "3x1-tampered-at-3", "2pc-tampered-at-2"])
 def test_networked_run_matches_local(runner, tmp_path, construction, parties, tamper):
     # the dealer and every party in its own process, over TCP on free ports
     prefix = _gen(runner, tmp_path, count=24, parties=parties, overlap=6, seed=19)
@@ -798,21 +799,23 @@ def test_networked_run_matches_local(runner, tmp_path, construction, parties, ta
     Path(cfg_path).write_text(json.dumps(cfg))
 
     results = _run_processes(cfg_path, range(parties + 1), tmp_path / "net", tamper)
-    # the dealer serves until its clients have hung up, and counts the
-    # requests it answered: the 2pc parties and the OPRF senders ask in their
-    # first step, before any root check, so even a tampered run has some
+    # the dealer serves until its clients have hung up; every dealer client
+    # dials the dealer before it starts, so the dealer sees each one hang up,
+    # also one that aborts without a request
     assert results[0][0] == 0, results[0][2]
-    assert re.search(r"dealer served [1-9]\d* responses", results[0][1]), results[0][1]
-    # every dealer client dials the dealer before it starts, so the dealer
-    # sees each one hang up, also one that aborts without a request
     last_party = max(results[i][3] for i in range(1, parties + 1))
     assert results[0][3] - last_party < 5, {i: r[3] for i, r in results.items()}
     if tamper is not None:
+        # a party asks the dealer only once every root it is owed has passed
+        # the gate, so an honest party, whose gate fails, asks it nothing
+        dealer_report = json.loads((tmp_path / "net" / "0" / "report.json").read_text())
         for i in range(1, parties + 1):
             if i != tamper[0]:
                 assert results[i][0] == 3, results[i][2]
                 assert f"root from party {tamper[0]}" in results[i][2]
+                assert not dealer_report["bytes_by_party"].get(str(i), {}).get("sent"), i
         return
+    assert re.search(r"dealer served [1-9]\d* responses", results[0][1]), results[0][1]
     assert all(code == 0 for code, _, _, _ in results.values()), results
     local = runner.invoke(main, ["run", "--config", cfg_path, "--out-dir", str(tmp_path / "local")])
     assert local.exit_code == 0, local.output

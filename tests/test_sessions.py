@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from authpsi import datasets, harness, merkle, opprf, psi2, psin, transport, vole
+from authpsi import datasets, harness, merkle, okvs, opprf, psi2, psin, transport, vole
 from authpsi.errors import ConfigError, TransportError
 from authpsi.transport import DEALER_INDEX
 
@@ -401,8 +401,8 @@ LONGEST, HONEST = vole.MAX_LENGTH, psi2.okvs_length(32)
 @pytest.mark.parametrize("src,length,reason", [
     (1, 0, f"party 1: correlation length 0 outside 1..{LONGEST}"),
     (1, LONGEST + 1, f"party 1: correlation length {LONGEST + 1} outside 1..{LONGEST}"),
-    # party 2's request, one entry longer than party 1's, is in first
-    (2, HONEST + 1, f"party 1: correlation lengths differ: {HONEST} against {HONEST + 1} from party 2"),
+    # party 1's request, one entry longer than party 2's, is in first
+    (1, HONEST + 1, f"party 2: correlation lengths differ: {HONEST} against {HONEST + 1} from party 1"),
 ], ids=["zero", "too-long", "one-longer-than-peer"])
 def test_dealer_refuses_a_correlation_it_cannot_serve(monkeypatch, src, length, reason):
     # refused before any correlation is drawn, and the refusal reaches both
@@ -440,17 +440,20 @@ def _honest_requests(spec):
 
 # (session, sender, request, reason, served): the request is the sender's own
 # honest one ("again"), that one under another session id ("other-session"),
-# or a (type, body); served counts the answers sent before the refusal. In
-# (4,2) the hint senders are P_2 and P_3, the output party P_4
+# or a (type, body); served counts the answers sent before the refusal. A
+# party asks the dealer once its last root has passed the gate, so the honest
+# requests come in the order the gates pass: party 2's before party 1's in
+# 2pc, and in (4,2), where the hint senders are P_2 and P_3 and the output
+# party P_4, P_4's, then P_2's, then P_3's
 DEALER_FAULTS = [
-    ("2pc", 1, "again", "unexpected message 0x21 from party 1", 0),
-    ("2pc", 2, "again", "unexpected message 0x21 from party 2", 2),
+    ("2pc", 1, "again", "unexpected message 0x21 from party 1", 2),
+    ("2pc", 2, "again", "unexpected message 0x21 from party 2", 0),
     ("2pc", 1, "other-session", "envelope for a different session", 0),
     ("2pc", 1, (opprf.MSG_OPRF_DEALER, b""), "unexpected message 0x15 from party 1", 0),
     ("2pc", 2, (vole.MSG_VOLE_REQUEST, b"\x00\x01"), "a correlation request is its 4-byte length", 0),
     ("2pc", 1, (vole.MSG_VOLE_REQUEST, bytes(5)), "a correlation request is its 4-byte length", 0),
-    ("4x2", 2, "again", "unexpected message 0x15 from party 2", 1),
-    ("4x2", 4, "again", "unexpected message 0x15 from party 4", 3),
+    ("4x2", 2, "again", "unexpected message 0x15 from party 2", 2),
+    ("4x2", 4, "again", "unexpected message 0x15 from party 4", 1),
     ("4x2", 3, "other-session", "envelope for a different session", 0),
     ("4x2", 1, (opprf.MSG_OPRF_DEALER, b""), "unexpected message 0x15 from party 1", 0),
     ("4x2", 3, (vole.MSG_VOLE_REQUEST, (8).to_bytes(4, "big")), "unexpected message 0x21 from party 3", 0),
@@ -535,3 +538,74 @@ def test_every_delivery_order_gives_the_fifo_outcome(name):
             for i, e in engines.items():
                 if i != party:
                     assert e.aborted and e.intersection is None, (kind, party, seed, i)
+
+
+@pytest.mark.parametrize("name", ORDER_SHAPES)
+def test_honest_parties_send_only_their_root_before_a_failed_gate(name):
+    # a party sends its root and nothing else until every root it is owed has
+    # passed the gate. With any tamper at any tamperer, over the FIFO bus and
+    # seeded orders TCP allows, each honest party's gate fails, so it sends
+    # its root and its abort and nothing else, and the dealer, which no honest
+    # party asks, deals nothing to one; every honest party ends with no output
+    parties, t, tamperers = ORDER_SHAPES[name]
+    sets = dict(enumerate(datasets.generate_sets(32, 16, parties, 8, 90 + parties), start=1))
+    sid = bytes([0x90 + parties]) * 16
+    roots = {i: merkle.root(s, sid) for i, s in sets.items()}
+    engine = psi2.Psi2Engine if t is None else psin.PsinEngine
+    allowed = {engine.ROOT_TYPE, engine.ABORT_TYPE}
+    for party in tamperers:
+        for kind in ORDER_KINDS:
+            spec = harness.Session(sets, roots, sid, t,
+                                   harness.Tamper(kind=kind, party=party, index=5, index2=11))
+            for order in (None, 0, 1, 2):
+                engines, dealer = spec.endpoints(np.random.default_rng(91))
+                bus = transport.BusNetwork() if order is None else ShuffledBus(order)
+                harness.drive(bus, engines, dealer)
+                honest = set(engines) - {party}
+                for src, dst, msg_type, *_ in bus.meter.entries:
+                    where = (kind, party, order, src, dst, f"{msg_type:#04x}")
+                    if src in honest:
+                        assert msg_type in allowed and dst != DEALER_INDEX, where
+                    assert not (src == DEALER_INDEX and dst in honest), where
+                for i in honest:
+                    assert engines[i].aborted and engines[i].intersection is None, (kind, party, i)
+
+
+ENCODE_FAILURES = {  # place -> (session, the caller of okvs.encode_with_retry that fails, the reason)
+    "2pc-receiver": ("2pc", "_after_gate", "oblivious table encoding failed"),
+    "4x2-group-a": ("4x2", "_after_gate", "share table encoding failed"),
+    "4x2-hint-sender": ("4x2", "opprf_program", "hint encoding failed after retries"),
+}
+
+
+@pytest.mark.parametrize("place", sorted(ENCODE_FAILURES))
+def test_failed_encode_aborts_every_party(monkeypatch, place):
+    # an OKVS encode that runs out of retries inside a handler is a clean
+    # abort: the first encode at the place fails, nothing escapes `drive`,
+    # every party ends aborted with no output, the others with the failing
+    # party's reason, and the failing party's aborts are the last it sends
+    name, caller, reason = ENCODE_FAILURES[place]
+    spec, _ = FUZZ_SESSIONS[name]
+    real, failed = okvs.encode_with_retry, []
+
+    def encode(*args, **kwargs):
+        if not failed and sys._getframe(1).f_code.co_name == caller:
+            failed.append(caller)
+            return None
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(okvs, "encode_with_retry", encode)
+    engines, dealer = spec.endpoints(np.random.default_rng(43))
+    bus = transport.BusNetwork()
+    harness.drive(bus, engines, dealer)
+    assert failed == [caller]
+    failing = [i for i, e in engines.items() if e.abort_reason == reason]
+    assert len(failing) == 1, {i: e.abort_reason for i, e in engines.items()}
+    for i, e in engines.items():
+        assert e.aborted and e.intersection is None, i
+        if i != failing[0]:
+            assert e.abort_reason == f"party {failing[0]}: {reason}", i
+    sent = [msg_type for src, _, msg_type, *_ in bus.meter.entries if src == failing[0]]
+    aborts = len(engines[failing[0]].peers)
+    assert sent[-aborts:] == [engines[failing[0]].ABORT_TYPE] * aborts
+    assert engines[failing[0]].ABORT_TYPE not in sent[:-aborts]
