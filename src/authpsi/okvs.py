@@ -4,8 +4,11 @@ A table is m = m_sparse + m_dense cells of w words: w = 2 for GF(2^128)
 elements, w = 1 for 64-bit XOR values. Each key maps deterministically to a
 binary row: omega distinct positions in the sparse region plus an
 m_dense-bit mask over the dense region. Decoding XORs the cells the row
-selects (the dense ones through `gf.xor_rows`, the one byte-table kernel),
-which is linear although every coefficient is 0 or 1; this is the shape of
+selects: the sparse ones by one whole-cell `take` along axis 0 per row
+position, as back-substitution does (at 2^14 keys a middle-axis reduce of
+an (n, omega, w) gather, or 2-D fancy indexing, costs 10-20x more), and the
+dense ones through `gf.xor_rows`, the one byte-table kernel. That is linear
+although every coefficient is 0 or 1; this is the shape of
 the binary OKVS of volePSI (Raghuraman-Rindal, CCS 2022), and neither side
 multiplies field elements. Encoding solves the resulting GF(2) system in
 whole-array steps, with no loop over rows (peeling in rounds:
@@ -140,24 +143,29 @@ class OkvsTable:
 
 def _expand_streams(digests: np.ndarray, seed: bytes) -> np.ndarray:
     """The AES-ECB counter blocks of each key digest; (n, 2 * _STREAM_BLOCKS) words."""
-    kd = np.ascontiguousarray(digests, dtype=_U64).view(np.uint8).reshape(-1, 16)
-    n = kd.shape[0]
-    blk = np.repeat(kd[:, None, :], _STREAM_BLOCKS, axis=1)
-    ctr = np.frombuffer(np.arange(_STREAM_BLOCKS, dtype=">u4").tobytes(),
-                        dtype=np.uint8).reshape(_STREAM_BLOCKS, 4)
-    blk[:, :, 12:16] ^= ctr[None, :, :]
+    keys = np.ascontiguousarray(digests, dtype=_U64)
+    blk = np.empty((keys.shape[0], _STREAM_BLOCKS, 2), dtype=_U64)
+    for c in range(_STREAM_BLOCKS):
+        # counter c big-endian in bytes 12..15: the high half of the block's '<u8' word 1
+        blk[:, c, 0] = keys[:, 0]
+        blk[:, c, 1] = keys[:, 1] ^ np.uint64(int.from_bytes(c.to_bytes(4, "big"), "little") << 32)
+    # update_into a fresh array (room for one more block) costs a tenth of update's new bytes
+    # object; a 1-D byte view has len() = its byte count under every cryptography release
+    out = np.empty(blk.nbytes + 15, dtype=np.uint8)
     enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
-    out = enc.update(blk.tobytes()) + enc.finalize()
-    return np.frombuffer(out, dtype=_U64).reshape(n, 2 * _STREAM_BLOCKS)
+    enc.update_into(blk.ravel().view(np.uint8), out)  # whole blocks: nothing to finalize
+    return out[:blk.nbytes].view(_U64).reshape(-1, 2 * _STREAM_BLOCKS)
 
 
 def row_batch(digests: np.ndarray, params: OkvsParams) -> tuple[np.ndarray, np.ndarray]:
     """The rows of key digests: (n, omega) sparse indices, one per part and so sorted and
     distinct, and (n,) uint64 dense masks."""
     words = _expand_streams(digests, params.row_seed)
-    bounds = np.arange(params.omega + 1) * params.m_sparse // params.omega
-    sizes = np.diff(bounds).astype(np.uint64)
-    idx = (words[:, :params.omega] % sizes).astype(np.int64) + bounds[:-1]
+    lo = (np.arange(params.omega + 1) * params.m_sparse // params.omega).astype(np.uint64)
+    idx = np.empty((words.shape[0], params.omega), dtype=np.int64)
+    for j, (w, size) in enumerate(zip(words.T, np.diff(lo))):
+        # w mod s as w - (w // s) s: numpy divides by one scalar s with libdivide, 3x faster
+        idx[:, j] = w - w // size * size + lo[j]
     masks = words[:, params.omega] & np.uint64((1 << params.m_dense) - 1)
     return idx, masks
 
@@ -198,12 +206,12 @@ def _peel(idx: np.ndarray, m_sparse: int
                 first_stall = len(rounds)
             # removing a row with degree-2 columns leaves them at degree 1
             left = np.flatnonzero(alive)
-            twos = (degree[idx[left]] == 2).sum(axis=1)
+            twos = (degree[idx.take(left, axis=0)] == 2).sum(axis=1)
             rows = left[np.argsort(-twos, kind="stable")[: max(1, left.size // 512)]]
             deferred.append(rows)
         alive[rows] = False
         live -= rows.size
-        cols = idx[rows]
+        cols = idx.take(rows, axis=0)
         np.subtract.at(degree, cols, 1)
         np.bitwise_xor.at(row_xor, cols, rows[:, None])
         ones = cols[degree[cols] == 1]
@@ -236,10 +244,13 @@ def encode(digests: np.ndarray, values: np.ndarray, params: OkvsParams,
 
     # the dense cells are settled now: fold each row's dense part into its value
     rhs = values ^ gf.xor_rows(masks, cells[params.m_sparse:])
+    cell_view = cells.view(np.dtype((np.void, cells.shape[1] * _U64.itemsize))).ravel()
     for rows, pivots in reversed(rounds):
         # no other row of the round holds these pivots, and XORing a whole
         # row into its pivot cancels the pivot's old fill
-        cells[pivots] ^= rhs[rows] ^ np.bitwise_xor.reduce(cells[idx[rows]], axis=1)
+        solved = (cells.take(pivots, axis=0) ^ rhs.take(rows, axis=0)
+                  ^ _xor_cells(cells, idx.take(rows, axis=0)))
+        cell_view.put(pivots, solved.astype(_U64, copy=False).view(cell_view.dtype).ravel())
     return OkvsTable(params=params, values=cells)
 
 
@@ -324,11 +335,18 @@ def _solve_deferred(idx: np.ndarray, masks: np.ndarray, values: np.ndarray,
     return True
 
 
+def _xor_cells(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per row of `idx`, the XOR of the cells it names: one whole-cell `take` per row position."""
+    acc = cells.take(idx[:, 0], axis=0)
+    for j in range(1, idx.shape[1]):
+        acc ^= cells.take(idx[:, j], axis=0)
+    return acc
+
+
 def decode_batch(table: OkvsTable, digests: np.ndarray) -> np.ndarray:
     """The XOR of the cells each key digest's row selects, (n, w) words; defined for any key."""
     idx, masks = row_batch(digests, table.params)
-    acc = np.bitwise_xor.reduce(table.values[idx], axis=1)
-    return acc ^ gf.xor_rows(masks, table.values[table.params.m_sparse:])
+    return _xor_cells(table.values, idx) ^ gf.xor_rows(masks, table.values[table.params.m_sparse:])
 
 
 def encode_with_retry(digests: np.ndarray, values: np.ndarray, max_attempts: int,

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from authpsi import gf, merkle, okvs
 from test_gf import mul_oracle, to_bytes, vec_from_ints, vec_get
@@ -63,6 +64,50 @@ def test_row_determinism_and_weight():
             assert all(bounds[j] <= c < bounds[j + 1] for j, c in enumerate(row)), (p.m_sparse, row)
         if p.m_sparse < 8:  # every cell of a tiny table is reached
             assert set(idx.ravel().tolist()) == set(range(p.m_sparse))
+
+
+def test_rows_follow_the_documented_stream():
+    # the module docstring's definition, one key at a time in Python ints: the
+    # stream is AES_seed(d XOR ctr) for counters 0 and 1, big-endian in bytes
+    # 12..15, read as four little-endian words w_0..w_3; position j is
+    # lo_j + w_j mod (lo_{j+1} - lo_j), and the dense mask is w_3's low m_dense
+    # bits. m_sparse = 1000 is not a multiple of 3, so the parts differ in size
+    seed = bytes(range(16))
+    p = okvs.OkvsParams(n=300, m_sparse=1000, m_dense=30, omega=3, row_seed=seed)
+    digests = _h([i.to_bytes(2, "big") for i in range(300)])
+    idx, masks = okvs.row_batch(digests, p)
+    aes = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
+    lo = [0, 333, 666, 1000]
+    for (d0, d1), row, mask in zip(digests.tolist(), idx.tolist(), masks.tolist()):
+        d = d0.to_bytes(8, "little") + d1.to_bytes(8, "little")
+        blocks = [d[:12] + (int.from_bytes(d[12:], "big") ^ ctr).to_bytes(4, "big") for ctr in (0, 1)]
+        stream = aes.update(b"".join(blocks))
+        w = [int.from_bytes(stream[8 * i:8 * i + 8], "little") for i in range(4)]
+        assert row == [lo[j] + w[j] % (lo[j + 1] - lo[j]) for j in range(3)]
+        assert mask == w[3] & ((1 << 30) - 1)
+
+
+def test_stream_input_len_is_its_byte_count(monkeypatch):
+    # cryptography's older Python backend sizes update_into's input by len(data),
+    # so the counter blocks must reach AES as a buffer whose len() counts bytes
+    real = okvs.Cipher
+
+    class Measuring:
+        def __init__(self, *args):
+            self.ctx = real(*args).encryptor()
+
+        def encryptor(self):
+            return self
+
+        def update_into(self, data, buf):
+            assert len(data) == memoryview(data).nbytes
+            return self.ctx.update_into(data, buf)
+
+    digests, p = _h([bytes([i]) for i in range(50)]), _params(50)
+    expected = okvs.row_batch(digests, p)
+    monkeypatch.setattr(okvs, "Cipher", Measuring)
+    for got, want in zip(okvs.row_batch(digests, p), expected):
+        assert (got == want).all()
 
 
 def test_row_mask_below_2_pow_m_dense():
@@ -134,6 +179,31 @@ def test_decode_batch_matches_scalar():
     batch = okvs.decode_batch(table, _h(probes))
     for i, k in enumerate(probes):
         assert (batch[i] == okvs.decode_batch(table, _h([k]))[0]).all()
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_decode_is_the_xor_of_selected_cells(width):
+    # at the benchmark's sizes (2^12 keys at w = 1, 2^14 at w = 2), whose first
+    # peeling rounds hold about 1,000 and 4,000 rows: every key, encoded or
+    # not, decodes to the XOR of its sparse cells and of the dense cells its
+    # mask bits select, and the encoded keys decode to their values
+    n = 1 << (10 + 2 * width)
+    rng = np.random.default_rng(width)
+    digests = rng.integers(0, 1 << 64, size=(n, 2), dtype=np.uint64)
+    values = rng.integers(0, 1 << 64, size=(n, width), dtype=np.uint64)
+    table, _ = okvs.encode_with_retry(digests, values, okvs.MAX_ENCODE_ATTEMPTS, rng)
+    probes = np.concatenate([digests, rng.integers(0, 1 << 64, size=(1000, 2), dtype=np.uint64)])
+    idx, masks = okvs.row_batch(probes, table.params)
+    cells, dense = table.values.tolist(), table.params.m_sparse
+    expected = []
+    for row, mask in zip(idx.tolist(), masks.tolist()):
+        acc = [0] * width
+        for c in row + [dense + b for b in range(table.params.m_dense) if mask >> b & 1]:
+            acc = [a ^ v for a, v in zip(acc, cells[c])]
+        expected.append(acc)
+    decoded = okvs.decode_batch(table, probes)
+    assert decoded.tolist() == expected
+    assert decoded[:n].tolist() == values.tolist()
 
 
 def test_duplicate_keys_rejected():

@@ -1,6 +1,6 @@
 """One SHA-256 per fixed-seed session, to compare what two checkouts put on the wire.
 
-Runs 48 sessions over the in-process bus and prints one line per session:
+Runs 70 sessions over the in-process bus and prints one line per session:
 its name, its protocol and setup byte totals (so a diff of a wire change
 shows its sizes), then a SHA-256 over the per-pair message sequences of the
 bus's one log, `run.meter.per_pair()` (type, wire bytes and payload digest of
@@ -9,7 +9,10 @@ aborting honest parties and their reasons.
 
 - 2pc at n = 1024: honest, and every tamper kind at each party;
 - (3,1) and (4,2) at n_l = 64, and (8,4) at n_l = 256: honest, and every
-  tamper kind at P_1, P_{n-t} and P_n.
+  tamper kind at P_1, P_{n-t} and P_n;
+- the benchmark's sizes, 2pc at n = 16384 and (8,4) at n_l = 4096, the same
+  way: OKVS tables whose peeling rounds hold thousands of rows. They come
+  last, so the seeds of the shapes before them stay as they were.
 
 Its output is committed beside it as `transcript_digests.txt`, and a run
 is checked against that file with one diff:
@@ -37,7 +40,8 @@ from authpsi import datasets, harness  # noqa: E402
 KINDS = ("flip-element", "flip-path", "swap-proofs", "extra-element")
 # (name, parties, t, elements per party); t None is the two-party construction
 SHAPES = [("2pc-1024", 2, None, 1024), ("3x1-64", 3, 1, 64),
-          ("4x2-64", 4, 2, 64), ("8x4-256", 8, 4, 256)]
+          ("4x2-64", 4, 2, 64), ("8x4-256", 8, 4, 256),
+          ("2pc-16384", 2, None, 16384), ("8x4-4096", 8, 4, 4096)]
 
 
 def _tampers(parties: int, t):
