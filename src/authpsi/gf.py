@@ -21,11 +21,17 @@ Every GF(2)-linear map on rows of any width is one kernel, `xor_rows`
 the two-party sender into vectors. It reads the masks as little-endian
 bytes and gathers each byte column from its table in one `np.take` over
 entries of a whole row's bytes.
+
+Every AES call of the library is `aes`, on 16-byte blocks held as '<u8'
+words in this layout: AES-128-ECB, or CTR from a nonce, of their wire bytes.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 GF_BYTES = 16
 
@@ -42,6 +48,22 @@ def vec_from_bytes(raw: bytes) -> np.ndarray:
     if len(raw) % GF_BYTES:
         raise ValueError("vector byte length is not a multiple of 16")
     return np.frombuffer(raw, dtype=_LIMB).reshape(-1, 2).copy()
+
+
+def aes(key: bytes, blocks: np.ndarray, nonce: Optional[bytes] = None) -> np.ndarray:
+    """AES-128-ECB under `key`, or CTR from `nonce`, of the bytes of '<u8' words; same shape.
+
+    The words are encrypted `update_into` a fresh array, which costs a tenth
+    of `update`'s new bytes object. The input goes in as a 1-D byte view:
+    cryptography's older backend (pyproject admits cryptography>=41) sizes it
+    by `len(data)`, which for an (n, 2) array is n, not 16n bytes.
+    """
+    data = np.ascontiguousarray(blocks, dtype=_LIMB)
+    mode = modes.ECB() if nonce is None else modes.CTR(nonce)
+    out = np.empty(data.nbytes + 15, dtype=np.uint8)  # room for one more block
+    enc = Cipher(algorithms.AES(key), mode).encryptor()
+    enc.update_into(data.reshape(-1).view(np.uint8), out)  # nothing left to finalize
+    return out[:data.nbytes].view(_LIMB).reshape(data.shape)
 
 
 def xor_rows(masks: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Binary oblivious key-value store: GF(2) rows over cells of w 64-bit words.
 
-A table is m = m_sparse + m_dense cells of w words: w = 2 for GF(2^128)
-elements, w = 1 for 64-bit XOR values. Each key maps deterministically to a
-binary row: omega distinct positions in the sparse region plus an
-m_dense-bit mask over the dense region. Decoding XORs the cells the row
-selects: the sparse ones by one whole-cell `take` along axis 0 per row
-position, as back-substitution does (at 2^14 keys a middle-axis reduce of
-an (n, omega, w) gather, or 2-D fancy indexing, costs 10-20x more), and the
-dense ones through `gf.xor_rows`, the one byte-table kernel. That is linear
+A table of n pairs is m = `table_length(n)` cells of w words: w = 2 for
+GF(2^128) elements, w = 1 for 64-bit XOR values. The first m_sparse =
+max(ceil(1.23 n), 3) cells are the sparse region, the last m_dense = 30 the
+dense region. Each key maps deterministically to a binary row: omega = 3
+distinct positions in the sparse region plus an m_dense-bit mask over the
+dense region. Decoding XORs the cells the row selects: the sparse ones by
+one whole-cell `take` along axis 0 per row position, as back-substitution
+does (at 2^14 keys a middle-axis reduce of an (n, omega, w) gather, or 2-D
+fancy indexing, costs 10-20x more), and the dense ones through
+`gf.xor_rows`, the one byte-table kernel. That is linear
 although every coefficient is 0 or 1; this is the shape of
 the binary OKVS of volePSI (Raghuraman-Rindal, CCS 2022), and neither side
 multiplies field elements. Encoding solves the resulting GF(2) system in
@@ -48,10 +50,11 @@ this is the 3-partite hypergraph of BDZ hashing (Botelho-Pagh-Ziviani, WADS
 2007), which peels at the same 1.23 expansion. The low m_dense bits of
 w_omega are the dense mask.
 
-Wire format of a table: row seed (16 bytes) || the cells, 8w bytes each.
-The reader passes the pair count n and the width w it already knows, and
-`OkvsTable.from_bytes` derives every parameter from n and the seed, the cell
-count m included; the table must be exactly 16 + 8wm bytes.
+A table is its row seed and its cells, and so is its wire format: row seed
+(16 bytes) || the cells, 8w bytes each. The reader passes the pair count n
+and the width w it already knows; the cell count is `table_length(n)`, so
+the table must be exactly 16 + 8w * table_length(n) bytes. No other
+parameter is stored or sent: the region split follows from the cell count.
 
 Encoding refuses a repeated key (`DuplicateKeyError`). It sorts limb 0
 and compares whole keys, with a `lexsort` on both limbs, only when two
@@ -71,20 +74,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import gf
 
 EXPANSION = 1.23          # sparse columns per key-value pair
 ROW_WEIGHT = 3            # omega
-DENSE_COLUMNS = 30        # dense tail width, one mask bit per column
+DENSE_COLUMNS = 30        # dense tail width, one mask bit per column (at most 64)
 SEED_BYTES = 16
 MAX_ENCODE_ATTEMPTS = 16  # retry budget of every protocol table
 
 # per-key stream: one 64-bit word per sparse part, then the dense mask word
 _STREAM_BLOCKS = 2
-_MAX_OMEGA = 2 * _STREAM_BLOCKS - 1
-_MAX_DENSE = 64           # the mask is read from one 64-bit word
 
 _U64 = np.dtype("<u8")
 
@@ -93,52 +93,27 @@ class DuplicateKeyError(ValueError):
     """Encoding input contained a repeated key."""
 
 
-@dataclass(frozen=True)
-class OkvsParams:
-    n: int
-    m_sparse: int
-    m_dense: int
-    omega: int
-    row_seed: bytes
-
-    def __post_init__(self):
-        if not 2 <= self.omega <= _MAX_OMEGA:
-            raise ValueError(f"row weight must be 2..{_MAX_OMEGA}")
-        if self.m_sparse < max(self.n, self.omega):
-            raise ValueError("sparse region too small for the pair count")
-        if not 0 <= self.m_dense <= _MAX_DENSE:
-            raise ValueError(f"dense region must have 0..{_MAX_DENSE} columns")
-        if len(self.row_seed) != SEED_BYTES:
-            raise ValueError(f"row seed must be {SEED_BYTES} bytes")
-
-    @property
-    def m(self) -> int:
-        return self.m_sparse + self.m_dense
-
-    @classmethod
-    def for_size(cls, n: int, row_seed: bytes) -> "OkvsParams":
-        m_sparse = max(math.ceil(EXPANSION * n), ROW_WEIGHT)
-        return cls(n=n, m_sparse=m_sparse, m_dense=DENSE_COLUMNS, omega=ROW_WEIGHT,
-                   row_seed=row_seed)
+def table_length(n: int) -> int:
+    """The cell count m of a table of n pairs: its sparse region, then its dense one."""
+    return max(math.ceil(EXPANSION * n), ROW_WEIGHT) + DENSE_COLUMNS
 
 
 @dataclass
 class OkvsTable:
-    params: OkvsParams
+    row_seed: bytes
     values: np.ndarray  # (m, w) uint64 words
 
     def to_bytes(self) -> bytes:
         """Row seed || cells."""
-        return self.params.row_seed + np.ascontiguousarray(self.values, dtype=_U64).tobytes()
+        return self.row_seed + np.ascontiguousarray(self.values, dtype=_U64).tobytes()
 
     @classmethod
     def from_bytes(cls, raw: bytes, n: int, width: int) -> "OkvsTable":
         """Parse a table of n pairs in cells of `width` words; any other length is a ValueError."""
-        params = OkvsParams.for_size(n, raw[:SEED_BYTES])  # a short seed is a ValueError too
-        expected = SEED_BYTES + params.m * width * _U64.itemsize
-        if len(raw) != expected:
+        expected = SEED_BYTES + table_length(n) * width * _U64.itemsize
+        if len(raw) != expected:  # a short seed too
             raise ValueError(f"table of {len(raw)} bytes, {n} pairs at width {width} need {expected}")
-        return cls(params, np.frombuffer(raw[SEED_BYTES:], _U64).reshape(params.m, width).copy())
+        return cls(raw[:SEED_BYTES], np.frombuffer(raw[SEED_BYTES:], _U64).reshape(-1, width).copy())
 
 
 def _expand_streams(digests: np.ndarray, seed: bytes) -> np.ndarray:
@@ -149,24 +124,19 @@ def _expand_streams(digests: np.ndarray, seed: bytes) -> np.ndarray:
         # counter c big-endian in bytes 12..15: the high half of the block's '<u8' word 1
         blk[:, c, 0] = keys[:, 0]
         blk[:, c, 1] = keys[:, 1] ^ np.uint64(int.from_bytes(c.to_bytes(4, "big"), "little") << 32)
-    # update_into a fresh array (room for one more block) costs a tenth of update's new bytes
-    # object; a 1-D byte view has len() = its byte count under every cryptography release
-    out = np.empty(blk.nbytes + 15, dtype=np.uint8)
-    enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
-    enc.update_into(blk.ravel().view(np.uint8), out)  # whole blocks: nothing to finalize
-    return out[:blk.nbytes].view(_U64).reshape(-1, 2 * _STREAM_BLOCKS)
+    return gf.aes(seed, blk).reshape(-1, 2 * _STREAM_BLOCKS)
 
 
-def row_batch(digests: np.ndarray, params: OkvsParams) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of key digests: (n, omega) sparse indices, one per part and so sorted and
-    distinct, and (n,) uint64 dense masks."""
-    words = _expand_streams(digests, params.row_seed)
-    lo = (np.arange(params.omega + 1) * params.m_sparse // params.omega).astype(np.uint64)
-    idx = np.empty((words.shape[0], params.omega), dtype=np.int64)
+def row_batch(digests: np.ndarray, row_seed: bytes, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of key digests in a table of m cells: (n, omega) sparse indices, one per
+    part and so sorted and distinct, and (n,) uint64 dense masks."""
+    words = _expand_streams(digests, row_seed)
+    lo = (np.arange(ROW_WEIGHT + 1) * (m - DENSE_COLUMNS) // ROW_WEIGHT).astype(np.uint64)
+    idx = np.empty((words.shape[0], ROW_WEIGHT), dtype=np.int64)
     for j, (w, size) in enumerate(zip(words.T, np.diff(lo))):
         # w mod s as w - (w // s) s: numpy divides by one scalar s with libdivide, 3x faster
         idx[:, j] = w - w // size * size + lo[j]
-    masks = words[:, params.omega] & np.uint64((1 << params.m_dense) - 1)
+    masks = words[:, ROW_WEIGHT] & np.uint64((1 << DENSE_COLUMNS) - 1)
     return idx, masks
 
 
@@ -218,9 +188,10 @@ def _peel(idx: np.ndarray, m_sparse: int
     return rounds, deferred, len(rounds) if first_stall is None else first_stall
 
 
-def encode(digests: np.ndarray, values: np.ndarray, params: OkvsParams,
+def encode(digests: np.ndarray, values: np.ndarray, row_seed: bytes,
            rng: np.random.Generator) -> Optional[OkvsTable]:
-    """Encode key digests to (n, w) word values; returns None when the system cannot be solved."""
+    """Encode n key digests to (n, w) word values in `table_length(n)` cells under `row_seed`;
+    returns None when the system cannot be solved."""
     n = digests.shape[0]
     keys = np.ascontiguousarray(digests, dtype=_U64)
     low = np.sort(keys[:, 0])
@@ -229,21 +200,23 @@ def encode(digests: np.ndarray, values: np.ndarray, params: OkvsParams,
         whole = keys[np.lexsort((keys[:, 1], keys[:, 0]))]
         if (whole[1:] == whole[:-1]).all(axis=1).any():
             raise DuplicateKeyError("encoding input contains duplicate keys")
-    if n != params.n or values.ndim != 2 or values.shape[0] != n:
-        raise ValueError(f"params sized for n={params.n}, got {n} keys, values {values.shape}")
+    if values.ndim != 2 or values.shape[0] != n:
+        raise ValueError(f"{n} keys, values {values.shape}")
 
-    idx, masks = row_batch(digests, params)
-    rounds, deferred, first_stall = _peel(idx, params.m_sparse)
+    m = table_length(n)
+    m_sparse = m - DENSE_COLUMNS
+    idx, masks = row_batch(digests, row_seed, m)
+    rounds, deferred, first_stall = _peel(idx, m_sparse)
 
     # uniform fill of every position; the solves overwrite the pivots
-    fill = rng.bytes(params.m * values.shape[1] * _U64.itemsize)
-    cells = np.frombuffer(fill, _U64).reshape(params.m, -1).copy()
+    fill = rng.bytes(m * values.shape[1] * _U64.itemsize)
+    cells = np.frombuffer(fill, _U64).reshape(m, -1).copy()
     if deferred and not _solve_deferred(idx, masks, values, rounds[first_stall:],
-                                        np.concatenate(deferred), params, cells):
+                                        np.concatenate(deferred), cells):
         return None
 
     # the dense cells are settled now: fold each row's dense part into its value
-    rhs = values ^ gf.xor_rows(masks, cells[params.m_sparse:])
+    rhs = values ^ gf.xor_rows(masks, cells[m_sparse:])
     cell_view = cells.view(np.dtype((np.void, cells.shape[1] * _U64.itemsize))).ravel()
     for rows, pivots in reversed(rounds):
         # no other row of the round holds these pivots, and XORing a whole
@@ -251,12 +224,12 @@ def encode(digests: np.ndarray, values: np.ndarray, params: OkvsParams,
         solved = (cells.take(pivots, axis=0) ^ rhs.take(rows, axis=0)
                   ^ _xor_cells(cells, idx.take(rows, axis=0)))
         cell_view.put(pivots, solved.astype(_U64, copy=False).view(cell_view.dtype).ravel())
-    return OkvsTable(params=params, values=cells)
+    return OkvsTable(row_seed, cells)
 
 
 def _solve_deferred(idx: np.ndarray, masks: np.ndarray, values: np.ndarray,
                     rounds: list[tuple[np.ndarray, np.ndarray]], deferred: np.ndarray,
-                    params: OkvsParams, cells: np.ndarray) -> bool:
+                    cells: np.ndarray) -> bool:
     """Solve the deferred rows over the cells they depend on; writes those cells into `cells`.
 
     `rounds` are the rounds peeled after the first stall; no deferred row
@@ -269,12 +242,13 @@ def _solve_deferred(idx: np.ndarray, masks: np.ndarray, values: np.ndarray,
     exactly when the whole system is; positions of U without a pivot keep
     their fill.
     """
+    m_sparse = cells.shape[0] - DENSE_COLUMNS
     g = deferred.size
     words = -(-g // 64)
     d = np.arange(g)
     unit = np.zeros((g, words), dtype=_U64)
     unit[d, d // 64] = np.left_shift(np.uint64(1), (d % 64).astype(np.uint64))
-    involves = np.zeros((params.m_sparse, words), dtype=_U64)
+    involves = np.zeros((m_sparse, words), dtype=_U64)
     np.bitwise_xor.at(involves, idx[deferred], unit[:, None, :])
     sources, bits = [deferred], [unit]
     for rows, pivots in rounds:
@@ -288,7 +262,7 @@ def _solve_deferred(idx: np.ndarray, masks: np.ndarray, values: np.ndarray,
     # one packed integer per equation: free sparse cells, dense mask, the w words of its value
     free = np.flatnonzero(involves.any(axis=1))
     s = free.size
-    rhs_shift = s + params.m_dense
+    rhs_shift = s + DENSE_COLUMNS
     coef_region = (1 << rhs_shift) - 1
     system = []
     for e in range(g):
@@ -321,7 +295,7 @@ def _solve_deferred(idx: np.ndarray, masks: np.ndarray, values: np.ndarray,
 
     # highest pivot first: every other position of a row is then resolved,
     # either a pivot already assigned or a free position keeping its fill
-    positions = np.concatenate([free, np.arange(params.m_sparse, params.m)])
+    positions = np.concatenate([free, np.arange(m_sparse, cells.shape[0])])
     u = cells[positions]
     value_bytes = u.shape[1] * _U64.itemsize
     for p in sorted(pivot_row, reverse=True):
@@ -345,8 +319,9 @@ def _xor_cells(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def decode_batch(table: OkvsTable, digests: np.ndarray) -> np.ndarray:
     """The XOR of the cells each key digest's row selects, (n, w) words; defined for any key."""
-    idx, masks = row_batch(digests, table.params)
-    return _xor_cells(table.values, idx) ^ gf.xor_rows(masks, table.values[table.params.m_sparse:])
+    m = table.values.shape[0]
+    idx, masks = row_batch(digests, table.row_seed, m)
+    return _xor_cells(table.values, idx) ^ gf.xor_rows(masks, table.values[m - DENSE_COLUMNS:])
 
 
 def encode_with_retry(digests: np.ndarray, values: np.ndarray, max_attempts: int,
@@ -360,8 +335,7 @@ def encode_with_retry(digests: np.ndarray, values: np.ndarray, max_attempts: int
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     for attempt in range(1, max_attempts + 1):
-        params = OkvsParams.for_size(digests.shape[0], rng.bytes(SEED_BYTES))
-        table = encode(digests, values, params, rng=rng)
+        table = encode(digests, values, rng.bytes(SEED_BYTES), rng=rng)
         if table is not None:
             return table, attempt
     return None

@@ -82,7 +82,6 @@ import secrets
 from typing import Optional
 
 import numpy as np
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import gf, merkle, okvs, vole
 from .errors import ConfigError, ProtocolError
@@ -108,20 +107,13 @@ def output_digest(values: np.ndarray, out_bytes: int) -> np.ndarray:
     sigma = np.empty((values.shape[0], 2), dtype=values.dtype)
     sigma[:, 0] = values[:, 1]
     sigma[:, 1] = values[:, 0] ^ values[:, 1]
-    enc = Cipher(algorithms.AES(_HO_KEY), modes.ECB()).encryptor()
-    pi = np.frombuffer(enc.update(sigma.tobytes()) + enc.finalize(), dtype=values.dtype)
-    return (pi.reshape(-1, 2) ^ sigma).view(np.uint8)[:, :out_bytes]
+    return (gf.aes(_HO_KEY, sigma) ^ sigma).view(np.uint8)[:, :out_bytes]
 
 
 def digest_width(n_x: int, n_y: int) -> int:
     """Bytes needed so collisions stay within the statistical budget."""
     bits = LAMBDA_STAT + max(1, math.ceil(math.log2(n_x * n_y)))
     return math.ceil(bits / 8)
-
-
-def okvs_length(n_x: int) -> int:
-    """Table length for a receiver set size; both parties derive it identically."""
-    return okvs.OkvsParams.for_size(n_x, bytes(okvs.SEED_BYTES)).m
 
 
 def encode_root_proofs(root: merkle.MerkleRoot) -> bytes:
@@ -289,7 +281,7 @@ class Psi2Engine(Party):
         n_own, n_peer = len(self.inputs), self.roots[self.peer].set_size
         self.n_x, self.n_y = (n_own, n_peer) if self.receiver else (n_peer, n_own)
         self.out_bytes = digest_width(self.n_x, self.n_y)
-        self._length = okvs_length(self.n_x)
+        self._length = okvs.table_length(self.n_x)
         self._owed[vole.MSG_VOLE_MATERIAL] = {DEALER_INDEX: 1}
         if self.receiver:
             self._owed[MSG_DIGEST_SET] = {self.peer: 1}
@@ -343,8 +335,8 @@ class Psi2Engine(Party):
         """The receiver masks its table once the root and its material are in;
         the sender answers once the masked vector is in too."""
         if self.receiver and self._settled(MSG_ROOT_PROOFS, vole.MSG_VOLE_MATERIAL):
-            masked = okvs.OkvsTable(params=self._table.params,
-                                    values=self._recv_corr.a_vec ^ self._table.values).to_bytes()
+            masked = okvs.OkvsTable(self._table.row_seed,
+                                    self._recv_corr.a_vec ^ self._table.values).to_bytes()
             return [(self.peer, self._env(MSG_MASKED_VECTOR, masked))]
         if not self.receiver and self._settled():
             return self._send_digest_set()
@@ -361,7 +353,7 @@ class Psi2Engine(Party):
             raise ProtocolError(f"malformed masked vector: {exc}") from exc
         corr = self._send_corr
         bprime = corr.b_vec ^ gf.scalar_mul_vec(corr.delta, masked.values)
-        self.bprime_table = okvs.OkvsTable(params=masked.params, values=bprime)
+        self.bprime_table = okvs.OkvsTable(masked.row_seed, bprime)
 
         decoded = okvs.decode_batch(self.bprime_table, self.digests)
         unmasked = decoded ^ gf.scalar_mul_vec(corr.delta, hash_to_mask(self.digests))
@@ -378,7 +370,7 @@ class Psi2Engine(Party):
                                 f"{self.n_y} digests need {self.n_y * width}")
         received = np.frombuffer(payload, dtype=np.uint8).reshape(self.n_y, width)
 
-        c_table = okvs.OkvsTable(params=self._table.params, values=self._recv_corr.c_vec)
+        c_table = okvs.OkvsTable(self._table.row_seed, self._recv_corr.c_vec)
         own = output_digest(okvs.decode_batch(c_table, self.digests), width)
         self.intersection = {self.inputs[i] for i in np.flatnonzero(_matches(received, own)).tolist()}
         return []

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import gf, transport
 from .errors import ProtocolError
@@ -53,8 +52,7 @@ def expand_vector(seed: bytes, m: int) -> np.ndarray:
     """m field elements expanded from a 32-byte seed (AES-128-CTR keystream)."""
     if len(seed) != EXPANSION_SEED_BYTES:
         raise ValueError("expansion seed must be 32 bytes")
-    enc = Cipher(algorithms.AES(seed[:16]), modes.CTR(seed[16:])).encryptor()
-    return gf.vec_from_bytes(enc.update(bytes(m * gf.GF_BYTES)) + enc.finalize())
+    return gf.aes(seed[:16], np.zeros((m, 2), dtype=np.uint64), nonce=seed[16:])
 
 
 def complete_receiver_seed(a_seed: bytes, b_seed: bytes, delta: bytes, length: int) -> bytes:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import gf
 
@@ -33,11 +32,9 @@ VALUE_DTYPE = np.dtype("<u8")  # one 64-bit XOR value, little-endian on the wire
 
 def prf(seeds: Iterable[bytes], digests: np.ndarray) -> np.ndarray:
     """Per element digest d, the XOR over seeds of low64(AES_seed(d)); (n,) uint64."""
-    blocks = gf.vec_to_bytes(digests)
     acc = np.zeros(digests.shape[0], dtype=VALUE_DTYPE)
     for seed in seeds:
-        enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
-        acc ^= np.frombuffer(enc.update(blocks) + enc.finalize(), dtype=VALUE_DTYPE)[0::2]
+        acc ^= gf.aes(seed, digests)[:, 0]
     return acc
 
 

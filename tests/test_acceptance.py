@@ -178,8 +178,7 @@ def test_criterion_07_okvs_suite():
         while len(keys) < n:
             keys.add(rng.randbytes(12))
         pairs = [(k, rng.getrandbits(128)) for k in sorted(keys)]
-        params = okvs.OkvsParams.for_size(n, rng.randbytes(16))
-        table = _encode(pairs, params, rng=np.random.default_rng(n))
+        table = _encode(pairs, rng.randbytes(16), rng=np.random.default_rng(n))
         assert table is not None, n
         decoded = okvs.decode_batch(table, _digests([k for k, _ in pairs]))
         for i, (_, v) in enumerate(pairs):
@@ -187,14 +186,14 @@ def test_criterion_07_okvs_suite():
 
     # linearity and scalar identities on 10^4 random probes
     n = 256
-    params = okvs.OkvsParams.for_size(n, b"\x55" * 16)
+    row_seed = b"\x55" * 16
     pairs1 = [(b"1" + i.to_bytes(3, "big"), rng.getrandbits(128)) for i in range(n)]
     pairs2 = [(b"2" + i.to_bytes(3, "big"), rng.getrandbits(128)) for i in range(n)]
-    t1 = _encode(pairs1, params, rng=np.random.default_rng(1))
-    t2 = _encode(pairs2, params, rng=np.random.default_rng(2))
+    t1 = _encode(pairs1, row_seed, rng=np.random.default_rng(1))
+    t2 = _encode(pairs2, row_seed, rng=np.random.default_rng(2))
     delta = rng.getrandbits(128)
-    xored = okvs.OkvsTable(params=params, values=t1.values ^ t2.values)
-    scaled = okvs.OkvsTable(params=params, values=gf.scalar_mul_vec(to_bytes(delta), t1.values))
+    xored = okvs.OkvsTable(row_seed, t1.values ^ t2.values)
+    scaled = okvs.OkvsTable(row_seed, gf.scalar_mul_vec(to_bytes(delta), t1.values))
     probes = _digests([rng.randbytes(10) for _ in range(10_000)])
     d1 = okvs.decode_batch(t1, probes)
     d2 = okvs.decode_batch(t2, probes)
@@ -214,8 +213,7 @@ def test_criterion_07_okvs_suite():
         if len(set(keys)) != n:
             keys = list({*keys})[:n]
         pairs = [(k, int.from_bytes(nprng.bytes(16), "little")) for k in keys]
-        params = okvs.OkvsParams.for_size(n, nprng.bytes(16))
-        if _encode(pairs, params, rng=nprng) is not None:
+        if _encode(pairs, nprng.bytes(16), rng=nprng) is not None:
             successes += 1
     assert successes >= 995, successes
     print(f"\n[criterion 7] PASS: roundtrips exact, identities hold on 10^4 probes, "
@@ -300,7 +298,7 @@ def test_criterion_10_masking_identity_white_box():
         engines = _white_box_session(x, y, session, roots, seed=session_no)
         er, es = engines[1], engines[2]
         assert er.intersection == set(x) & set(y)
-        c_table = okvs.OkvsTable(params=er._table.params, values=er._recv_corr.c_vec)
+        c_table = okvs.OkvsTable(er._table.row_seed, er._recv_corr.c_vec)
         delta = es._send_corr.delta
         common = merkle.commit(sorted(set(x) & set(y)), session)[1]
         bprime_decoded = okvs.decode_batch(es.bprime_table, common)
@@ -322,10 +320,10 @@ def _digests(elements):
     return merkle.commit(elements, b"\x5a" * 16)[1]
 
 
-def _encode(pairs, params, rng):
+def _encode(pairs, row_seed, rng):
     """okvs.encode of (element, field element) pairs: elements as digests, values as limbs."""
     return okvs.encode(_digests([k for k, _ in pairs]),
-                       vec_from_ints([v for _, v in pairs]), params, rng=rng)
+                       vec_from_ints([v for _, v in pairs]), row_seed, rng=rng)
 
 
 def _white_box_session(x, y, session, roots, seed):

@@ -9,6 +9,7 @@ import random
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 from authpsi import gf
@@ -187,3 +188,19 @@ def test_vec_xor_is_elementwise():
     a = vec_from_ints([1, 2, 3])
     b = vec_from_ints([5, 6, 7])
     assert [vec_get(a ^ b, i) for i in range(3)] == [1 ^ 5, 2 ^ 6, 3 ^ 7]
+
+
+@pytest.mark.parametrize("nonce", [None, bytes(range(16, 32))])
+@pytest.mark.parametrize("shape", [(0, 2), (1, 2), (33, 2), (5, 2, 2)])
+def test_aes_is_the_cipher_over_the_wire_bytes(shape, nonce):
+    # ECB, or CTR from the nonce, of the words' little-endian bytes, given
+    # back as words in the shape of the blocks, in any host byte order
+    key = bytes(range(16))
+    words = np.random.default_rng(len(shape)).integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    mode = modes.ECB() if nonce is None else modes.CTR(nonce)
+    enc = Cipher(algorithms.AES(key), mode).encryptor()
+    expected = enc.update(words.astype("<u8").tobytes()) + enc.finalize()
+    for blocks in (words, words.astype(">u8")):
+        out = gf.aes(key, blocks, nonce)
+        assert out.shape == shape and out.dtype == np.dtype("<u8")
+        assert out.tobytes() == expected

@@ -125,7 +125,7 @@ def test_masking_identity_white_box():
     engines = _run_engines(x, y, session, roots, seed=6)
     er, es = engines[1], engines[2]
     assert er.intersection == set(x) & set(y)
-    c_table = okvs.OkvsTable(params=er._table.params, values=er._recv_corr.c_vec)
+    c_table = okvs.OkvsTable(er._table.row_seed, er._recv_corr.c_vec)
     delta = int.from_bytes(es._send_corr.delta, "little")
     common = merkle.commit(sorted(set(x) & set(y)), session)[1]
     bprime, c = okvs.decode_batch(es.bprime_table, common), okvs.decode_batch(c_table, common)
@@ -213,7 +213,7 @@ def test_receiver_match_is_exact_on_prefix_sharing_and_duplicate_digests():
     receiver = _run_engines(x, y, session, roots, seed=25, net=bus)[1]
     [payload] = rewritten
 
-    c_table = okvs.OkvsTable(params=receiver._table.params, values=receiver._recv_corr.c_vec)
+    c_table = okvs.OkvsTable(receiver._table.row_seed, receiver._recv_corr.c_vec)
     own = psi2.output_digest(okvs.decode_batch(c_table, receiver.digests), 9)
     own = [bytes(d) for d in own]
     received = Counter(payload[k : k + 9] for k in range(0, len(payload), 9))
@@ -277,8 +277,8 @@ def test_digest_width_formula():
 
 def test_table_length_formula():
     # 1.23x expansion plus the dense tail, derivable by both parties
-    assert psi2.okvs_length(1024) == 1260 + 30
-    assert psi2.okvs_length(4096) == 5039 + 30
+    assert okvs.table_length(1024) == 1260 + 30
+    assert okvs.table_length(4096) == 5039 + 30
 
 
 def length_fault(fault, unit):

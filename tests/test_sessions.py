@@ -395,7 +395,7 @@ def assert_dealer_refused(engines, dealer, reason):
         assert engines[i].abort_reason == f"dealer: {reason}", i
 
 
-LONGEST, HONEST = vole.MAX_LENGTH, psi2.okvs_length(32)
+LONGEST, HONEST = vole.MAX_LENGTH, okvs.table_length(32)
 
 
 @pytest.mark.parametrize("src,length,reason", [
