@@ -114,13 +114,10 @@ def gen(count, elem_bytes, seed, parties, overlap, out_prefix):
 @click.option("--out", "out_path", required=True)
 def commit(in_path, salt, out_path):
     """Commit to a dataset: write its tree root."""
-    try:
-        elements = datasets.read_dataset(in_path)
+    try:  # an empty dataset is a ValueError too: `merkle.root` commits to no empty set
+        root = merkle.root(datasets.read_dataset(in_path), _session_id(salt, "--salt")).root
     except (OSError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    if not elements:
-        raise click.UsageError("cannot commit to an empty dataset")
-    root = merkle.root(elements, _session_id(salt, "--salt"))
     try:
         Path(out_path).write_bytes(root.to_bytes())
     except OSError as exc:
@@ -208,19 +205,20 @@ def _session(cfg: dict, tamper, role=None) -> harness.Session:
     """The session a config describes, with every party's root loaded.
 
     A networked party (`role` given) reads only its own dataset, since the
-    other parties' inputs are private to them; a local run reads them all.
+    other parties' inputs are private to them; a local run reads them all,
+    and commits each once, under the session id.
     """
     session_id = _session_id(cfg["session_id"], "session_id")
     parties, _, t = _parties(cfg)
-    sets, roots = {}, {}
+    commitments, roots = {}, {}
     for i, entry in parties.items():
         try:
             if role is None or i == role:
-                sets[i] = datasets.read_dataset(entry["dataset"])
+                commitments[i] = merkle.root(datasets.read_dataset(entry["dataset"]), session_id)
             roots[i] = merkle.MerkleRoot.from_bytes(Path(entry["root"]).read_bytes())
         except (OSError, ValueError, KeyError, TypeError) as exc:  # TypeError: a path not a string
             raise click.UsageError(f"party {i}: {exc}")
-    return harness.Session(sets, roots, session_id, t, tamper)
+    return harness.Session(commitments, roots, session_id, t, tamper)
 
 
 @main.command(name="run")
@@ -273,7 +271,7 @@ def run_cmd(config_path, role, tamper, tamper_party, seed, out_dir):
                 dealer = harness.DealerService(_session_id(cfg["session_id"], "session_id"), n, t)
             else:
                 session, timeout = _session(cfg, tamper_obj, role), PARTY_WAIT_S
-                if role not in session.sets:
+                if role not in session.commitments:
                     raise click.UsageError(f"config has no party {role}")
                 engines, dealer = {role: session.engine(role)}, None
         out = Path(out_dir)

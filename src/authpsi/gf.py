@@ -8,9 +8,9 @@ bits 0..7; the cells of an OKVS table travel in it (`okvs` owns the rest of
 the table format). The one scalar the protocols multiply by, the VOLE delta,
 stays in those 16 wire bytes.
 
-OKVS payloads (128-bit mask values) are field elements as they stand, and
-set elements enter as their digests d(x), the salted leaf prefixes that
-`merkle.commit` returns. The 64-bit XOR values of the multi-party path (PRF
+OKVS payloads (128-bit mask values) are field elements as they stand, and set
+elements enter as their digests d(x), the salted leaf prefixes of a
+`merkle.Commitment`. The 64-bit XOR values of the multi-party path (PRF
 outputs and per-element shares) are not field elements: `zeroshare` carries
 them as uint64 arrays, and an OKVS holding them has cells one word wide.
 

@@ -1,13 +1,14 @@
 """Session orchestration: the session, its tampers, the dealer and the one delivery loop.
 
-A `Session` describes a run once: the parties' input sets, their announced
+A `Session` describes a run once: the parties' commitments, their announced
 roots, the session id, the collusion bound t (None selects the two-party
-construction) and an optional tamper. It checks that shape once, and every
-endpoint is built from it. `drive` is the one delivery loop, which times
-every step of every endpoint, and `run` the one way to drive and report the
-endpoints a process holds: every party and the dealer over the in-process
-bus, whose one global FIFO keeps runs reproducible under fixed seeds, or the
-one party, or the dealer alone, of a networked CLI process over its TCP node.
+construction) and an optional tamper. It checks that shape, and each honest
+party's commitment against its announced root, once, and every endpoint is
+built from it. `drive` is the one delivery loop, which times every step of
+every endpoint, and `run` the one way to drive and report the endpoints a
+process holds: every party and the dealer over the in-process bus, whose one
+global FIFO keeps runs reproducible under fixed seeds, or the one party, or
+the dealer alone, of a networked CLI process over its TCP node.
 
 The dealer (`DealerService`) is a `psi2.Endpoint` like the parties, built
 from the session id, n and t, which it checks by the session's rule; it
@@ -31,7 +32,7 @@ import hashlib
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class Tamper:
         except ValueError as exc:
             raise ConfigError(f"--tamper {spec}: {exc}") from exc
 
-    def inputs(self, elements: list[bytes]) -> list[bytes]:
+    def inputs(self, elements: Sequence[bytes]) -> list[bytes]:
         """The inputs the party actually runs on: every kind but flip-path changes them, and
         one that would not is a `ConfigError`, since the run would be an honest one."""
         out = list(elements)
@@ -107,7 +108,7 @@ class Tamper:
             if a == b:
                 b = (b + 1) % len(out)
             out[a], out[b] = out[b], out[a]
-        if self.kind != "flip-path" and out == elements:
+        if self.kind != "flip-path" and out == list(elements):
             raise ConfigError(f"the {self.kind} tamper of party {self.party} changes none of its inputs")
         return out
 
@@ -132,10 +133,11 @@ def _roles(n: int, t: Optional[int]) -> Optional[psin.Roles]:
 @dataclass(frozen=True)
 class Session:
     """One description of a run, its shape checked here once: every endpoint is built from
-    it, and a shape the parties do not run is a `ConfigError` before any endpoint exists."""
-    # party index -> input set; a networked party holds only its own
-    sets: dict[int, list[bytes]]
-    roots: dict[int, merkle.MerkleRoot]    # party index -> announced commitment
+    it, and a shape the parties do not run, or an honest party's commitment of another root
+    or salt, is a `ConfigError` before any endpoint exists. Nothing re-hashes a set."""
+    # party index -> its commitment; a networked party holds only its own
+    commitments: dict[int, merkle.Commitment]
+    roots: dict[int, merkle.MerkleRoot]    # party index -> announced root
     session_id: bytes
     t: Optional[int] = None                # collusion bound; None for the two-party construction
     tamper: Optional[Tamper] = None
@@ -148,13 +150,15 @@ class Session:
         _roles(self.n, self.t)
         if self.t is not None and len({r.set_size for r in self.roots.values()}) != 1:
             raise ConfigError("announced commitments disagree on the set size")
-        for i, elements in self.sets.items():
+        for i, own in self.commitments.items():
             if i not in self.roots:
                 raise ConfigError(f"party index {i} out of range")
-            if not elements:
+            if not own.elements:
                 raise ConfigError("input set must be nonempty")
-            if len(set(elements)) != len(elements):
+            if len(set(own.elements)) != len(own.elements):
                 raise ConfigError("input set must contain distinct elements")
+            if not self.tamper_at(i) and (own.salt, own.root) != (self.session_id, self.roots[i]):
+                raise ConfigError("input set does not match the announced commitment")
         if self.tamper is not None and self.tamper.party not in self.roots:
             raise ConfigError(f"the tamper names party {self.tamper.party}, not one of the session")
 
@@ -170,11 +174,6 @@ class Session:
     def tamper_at(self, i: int) -> Optional[Tamper]:
         return self.tamper if self.tamper is not None and self.tamper.party == i else None
 
-    def inputs(self, i: int) -> list[bytes]:
-        """What party i runs on: its set, or what its tamper makes of it."""
-        tamper = self.tamper_at(i)
-        return tamper.inputs(self.sets[i]) if tamper else list(self.sets[i])
-
     def engine(self, i: int, rng: Optional[np.random.Generator] = None):
         """Party i's engine."""
         return (psi2.Psi2Engine if self.t is None else psin.PsinEngine)(self, i, rng)
@@ -182,7 +181,7 @@ class Session:
     def endpoints(self, rng: np.random.Generator) -> tuple[dict, DealerService]:
         """Each given party's engine, in index order, then the dealer, seeded from `rng` in turn."""
         engines = {i: self.engine(i, np.random.default_rng(rng.integers(1 << 62)))
-                   for i in sorted(self.sets)}
+                   for i in sorted(self.commitments)}
         dealer = DealerService(self.session_id, self.n, self.t,
                                rng=np.random.default_rng(rng.integers(1 << 62)))
         return engines, dealer
@@ -355,7 +354,7 @@ def run(net, session: Optional[Session], engines: dict,
         reasons = {i: e.abort_reason for i, e in engines.items()
                    if e.aborted and not session.tamper_at(i)}
         output = engines.get(session.output_party)
-        n = len(session.sets[min(engines)])
+        n = len(session.commitments[min(engines)].elements)
     else:
         session_id, parties, t = dealer.session_id, dealer.n, dealer.t
         reasons = {transport.DEALER_INDEX: dealer.abort_reason} if dealer.aborted else {}
@@ -386,9 +385,12 @@ def _run(sets, t, session_id, tamper, seed, network, announced_roots) -> RunResu
     rng = np.random.default_rng(seed)
     if session_id is None:
         session_id = rng.bytes(16)
-    roots = announced_roots if announced_roots is not None else {
-        i: merkle.root(s, session_id) for i, s in sets.items()}
-    session = Session(sets, roots, session_id, t, tamper)
+    given = announced_roots or {}
+    # a set is committed here only when no commitment of it was given
+    commitments = {i: given[i] if i in given and given[i].elements == s
+                   else merkle.root(s, session_id) for i, s in sets.items()}
+    roots = {i: given.get(i, own).root for i, own in commitments.items()}
+    session = Session(commitments, roots, session_id, t, tamper)
     # the endpoints are seeded from `rng` as `Session.endpoints` says
     return run(network if network is not None else transport.BusNetwork(),
                session, *session.endpoints(rng))
@@ -397,16 +399,16 @@ def _run(sets, t, session_id, tamper, seed, network, announced_roots) -> RunResu
 def run_two_party(receiver_set: list[bytes], sender_set: list[bytes], *,
                   session_id: Optional[bytes] = None, tamper: Optional[Tamper] = None,
                   seed: Optional[int] = None, network: Optional[transport.BusNetwork] = None,
-                  announced_roots: Optional[dict[int, merkle.MerkleRoot]] = None) -> RunResult:
+                  announced_roots: Optional[dict[int, merkle.Commitment]] = None) -> RunResult:
     """One full two-party session over the in-process bus."""
-    return _run({1: list(receiver_set), 2: list(sender_set)}, None,
+    return _run({1: tuple(receiver_set), 2: tuple(sender_set)}, None,
                 session_id, tamper, seed, network, announced_roots)
 
 
 def run_multi_party(input_sets: list[list[bytes]], t: int, *,
                     session_id: Optional[bytes] = None, tamper: Optional[Tamper] = None,
                     seed: Optional[int] = None, network: Optional[transport.BusNetwork] = None,
-                    announced_roots: Optional[dict[int, merkle.MerkleRoot]] = None) -> RunResult:
+                    announced_roots: Optional[dict[int, merkle.Commitment]] = None) -> RunResult:
     """One full n-party session over the in-process bus; output lands at P_n."""
-    return _run({i + 1: list(s) for i, s in enumerate(input_sets)}, t,
+    return _run({i + 1: tuple(s) for i, s in enumerate(input_sets)}, t,
                 session_id, tamper, seed, network, announced_roots)

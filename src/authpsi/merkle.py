@@ -20,16 +20,17 @@ Leaves may carry a per-session salt, so the same set committed for two
 sessions gives two unrelated roots; the salt must be fixed before the root is
 announced. The protocol engines exchange only roots (`MerkleRoot.to_bytes`).
 
-The salted leaf is also the element digest of a session: `commit` returns
-d(x), the first 16 bytes of SHA256(0x00 || salt || x), next to the root, so
-a party hashes each of its elements once. This is sound on three counts.
-The tree still hashes all 32 bytes of every leaf, so binding is unchanged.
-d(x) is a random-oracle digest truncated to 128 bits, and the salt is the
-session id, so every party of a session derives the same d(x) for a common
-element, and another session gives an unrelated one. An ideal-OPRF dealer
-that sees d(x) sees a session-salted leaf prefix; knowing the session id, it
-can test a guessed element against it, exactly as it could test an unsalted
-digest.
+The salted leaf is also the element digest of a session. `root` builds the
+tree once and returns the party's `Commitment`: its elements, the salt, the
+root and d(x), the first 16 bytes of SHA256(0x00 || salt || x). A party
+commits once, before the session, which then runs on that commitment and
+hashes no element again. This is sound on three counts. The tree still
+hashes all 32 bytes of every leaf, so binding is unchanged. d(x) is a
+random-oracle digest truncated to 128 bits, and the salt is the session id,
+so every party of a session derives the same d(x) for a common element, and
+another session gives an unrelated one. An ideal-OPRF dealer that sees d(x)
+sees a session-salted leaf prefix; knowing the session id, it can test a
+guessed element against it, exactly as it could test an unsalted digest.
 
 Per-element proofs are library code that no session sends. A proof carries
 its index, leaf hash, committed set size and, per level below the root, the
@@ -85,6 +86,16 @@ class MerkleRoot:
         return cls(digest=raw[5:], set_size=set_size)
 
 
+@dataclass(frozen=True, eq=False)
+class Commitment:
+    """A party's commitment, made once before the session: its elements in committed order,
+    the salt, their root, and each one's d(x), its leaf's first 16 bytes, as (n, 2) '<u8' limbs."""
+    elements: tuple[bytes, ...]
+    salt: bytes
+    root: MerkleRoot
+    digests: np.ndarray
+
+
 @dataclass(frozen=True)
 class InclusionProof:
     index: int
@@ -114,24 +125,14 @@ def _shape(index: int, set_size: int) -> list[tuple[int, int]]:
     return shape
 
 
-def root(elements: Sequence[bytes], salt: bytes = b"") -> MerkleRoot:
-    """Commit to an ordered sequence of elements. Deterministic."""
-    if not elements:
-        raise ValueError("cannot commit to an empty set")
-    return MerkleRoot(digest=_levels(elements, salt)[-1], set_size=len(elements))
-
-
-def commit(elements: Sequence[bytes], salt: bytes = b"") -> tuple[MerkleRoot, np.ndarray]:
-    """The root, and each element's digest d(x) as an (n, 2) '<u8' limb array.
-
-    d(x) is the first 16 bytes of the element's salted leaf, read from the
-    one tree the root is built from.
-    """
+def root(elements: Sequence[bytes], salt: bytes = b"") -> Commitment:
+    """Commit to an ordered sequence of elements: one tree, its root and d(x). Deterministic."""
     if not elements:
         raise ValueError("cannot commit to an empty set")
     levels = _levels(elements, salt)
     leaves = np.frombuffer(levels[0], dtype="<u8").reshape(-1, 4)
-    return MerkleRoot(digest=levels[-1], set_size=len(elements)), leaves[:, :2].copy()
+    return Commitment(tuple(elements), salt, MerkleRoot(levels[-1], len(elements)),
+                      leaves[:, :2].copy())
 
 
 def gen_all_paths(elements: Sequence[bytes], salt: bytes = b"") -> list[InclusionProof]:

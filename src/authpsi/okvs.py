@@ -38,17 +38,17 @@ solution set: that is load-bearing, since with uniform values the encoded
 vector is indistinguishable across key sets, which is what the protocols
 rely on when they ship tables to the other side.
 
-Keys are element digests d(x) (the salted leaf prefixes of `merkle.commit`)
-in an (n, 2) limb array that each engine computes once, and values are (n, w)
-words. A key's row is read from its stream AES_seed(d XOR ctr), counters
-0 and 1 in the block's last four bytes, four 64-bit words w_0..w_3 under a
-16-byte row seed. The sparse region splits into omega near-equal parts
-[lo_j, lo_{j+1}) with lo_j = floor(j * m_sparse / omega), and position j is
-lo_j + w_j mod (lo_{j+1} - lo_j): one position per part, so a row is sorted
-and distinct by construction and needs no rejection sampling. At omega = 3
-this is the 3-partite hypergraph of BDZ hashing (Botelho-Pagh-Ziviani, WADS
-2007), which peels at the same 1.23 expansion. The low m_dense bits of
-w_omega are the dense mask.
+Keys are element digests d(x) (the salted leaf prefixes of `merkle.root`) in
+an (n, 2) limb array that each party computes once, when it commits, and
+values are (n, w) words. A key's row is read from its stream AES_seed(d XOR
+ctr), counters 0 and 1 in the block's last four bytes, four 64-bit words
+w_0..w_3 under a 16-byte row seed. The sparse region splits into omega
+near-equal parts [lo_j, lo_{j+1}) with lo_j = floor(j * m_sparse / omega),
+and position j is lo_j + w_j mod (lo_{j+1} - lo_j): one position per part,
+so a row is sorted and distinct by construction and needs no rejection
+sampling. At omega = 3 this is the 3-partite hypergraph of BDZ hashing
+(Botelho-Pagh-Ziviani, WADS 2007), which peels at the same 1.23 expansion.
+The low m_dense bits of w_omega are the dense mask.
 
 A table is its row seed and its cells, and so is its wire format: row seed
 (16 bytes) || the cells, 8w bytes each. The reader passes the pair count n

@@ -27,14 +27,14 @@ can test guessed elements beyond its n_l own; the dealer cannot bound the
 count to n_l without a set size, which it does not read.
 
 Points and queries are element digests d(x) as (n, 2) limb arrays (the
-salted leaf prefixes of `merkle.commit`), so nothing here hashes an element.
-On the wire a key request is empty, a key response is the bare 16-byte key,
-an evaluation request is P_n's digests at 16 bytes each and the response
-its uint64 values at 8 little-endian bytes each; the dealer sees
+salted leaf prefixes a `merkle.Commitment` holds), so nothing here hashes an
+element. On the wire a key request is empty, a key response is the bare
+16-byte key, an evaluation request is P_n's digests at 16 bytes each and the
+response its uint64 values at 8 little-endian bytes each; the dealer sees
 session-salted digests of P_n's elements, not the elements. A hint is an
 OKVS of 64-bit cells, one per masked value; on the wire it is its
-`okvs.OkvsTable` encoding, which the reader parses with the point count n
-it knows and width 1.
+`okvs.OkvsTable` encoding, which the reader parses with the point count n it
+knows and width 1.
 """
 
 from __future__ import annotations

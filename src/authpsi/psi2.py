@@ -1,12 +1,10 @@
 """Two-party authenticated set intersection over committed inputs, and the party core.
 
-Both parties publish a commitment (tree root) to their input set before the
-session. The run then has three phases:
+Both parties commit to their input set before the session and publish its
+tree root; the session runs on those commitments. The run has three phases:
 
-- transform: each party computes the root of the inputs it runs on once,
-  refuses to start if it differs from its announced commitment, and sends
-  that root (37 bytes: version, set size, digest) to its peer, and nothing
-  else.
+- transform: each party sends the root of its commitment (37 bytes:
+  version, set size, digest) to its peer, and nothing else.
 - interact: each side compares the received root with the peer's
   pre-announced one and aborts the session on any difference. Only once
   the root has passed does the receiver (always party 1) encode its set
@@ -33,15 +31,15 @@ the intersection while everything else stays masked by the correlation.
 Digests are truncated to cover the statistical collision budget for the two
 set sizes.
 
-Every per-element value derives from d(x): the OKVS rows, HB and, in
-`psin`, every PRF. d(x) is the first 16 bytes of the element's salted leaf
-SHA256(0x00 || session id || x), which `merkle.commit` returns with the
-root, so a party hashes each element once per session. This is sound: the
-root still binds all 32 bytes of every leaf; d(x) is a truncated
-random-oracle digest that every party of a session derives alike, since the
-salt is the session id; and the OPRF dealer of `psin`, which sees
-session-salted leaf prefixes, can test a guessed element against them as it
-could an unsalted digest. The two hashes:
+Every per-element value derives from d(x): the OKVS rows, HB and, in `psin`,
+every PRF. d(x) is the first 16 bytes of the element's salted leaf
+SHA256(0x00 || session id || x), which the party's commitment holds, so a
+party hashes each element once, when it commits. This is sound: the root
+still binds all 32 bytes of every leaf; d(x) is a truncated random-oracle
+digest that every party of a session derives alike, since the salt is the
+session id; and the OPRF dealer of `psin`, which sees session-salted leaf
+prefixes, can test a guessed element against them as it could an unsalted
+digest. The two hashes:
 
 - HB(x) = d(x) read as a field element (`hash_to_mask`). Masking needs only
   HB(y) != Decode(P, y) for y outside X, since the sender's value for such
@@ -67,12 +65,12 @@ check only a guess of a whole set, against the announced root. Leaves are
 salted with the session id, so commitments are per session.
 
 `Endpoint`, the core of every endpoint of a session, the dealer included,
-admits, refuses and aborts; `Party` adds the self-check, the root sent at
-start and the gate. A party is built from a `harness.Session`, which has
-checked the session's shape, and from its index: it takes the session id,
-the roots and its inputs from the session and validates nothing itself.
-Here each side is owed its peer's root and its dealer material; the
-receiver also the digest set, the sender the masked vector.
+admits, refuses and aborts; `Party` adds the root sent at start and the
+gate. A party is built from a `harness.Session`, which has checked the
+session's shape and commitments, and from its index: it takes the session
+id, the roots and its commitment from the session and validates nothing.
+Here each side is owed its peer's root and its dealer material; the receiver
+also the digest set, the sender the masked vector.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ from typing import Optional
 import numpy as np
 
 from . import gf, merkle, okvs, vole
-from .errors import ConfigError, ProtocolError
+from .errors import ProtocolError
 from .transport import DEALER_INDEX, Envelope
 
 MSG_ROOT_PROOFS = 0x01
@@ -224,34 +222,34 @@ class Endpoint:
 
 
 class Party(Endpoint):
-    """Party i of a checked session in either engine: the self-check, the digests and the
-    root gate, and the one rule both engines keep: a party's `start` is `_open`, the
-    self-check and its root, and nothing else; everything else it sends or computes waits
-    until every root it is owed has passed the gate. An engine routes its root type to
-    `_on_root` and implements `_after_gate`, which the gate calls once, when the last owed
-    root has passed, and `_advance`, which the gate calls after it. A tampered party skips
-    the self-check and sends the root its tamper makes of its own."""
+    """Party i of a checked session in either engine: its digests and the root gate, and the
+    one rule both engines keep: a party's `start` is `_open`, its root, and nothing else;
+    everything else it sends or computes waits until every root it is owed has passed the
+    gate. An engine routes its root type to `_on_root` and implements `_after_gate`, which
+    the gate calls once, when the last owed root has passed, and `_advance`, which the gate
+    calls after it. An honest party takes its root and digests from its commitment; a
+    tampered one commits at start to the inputs its tamper gives, and sends its tamper's root."""
     ROOT_TYPE: int
 
     def __init__(self, session, i: int, rng: Optional[np.random.Generator] = None):
         peers = [j for j in sorted(session.roots) if j != i]
         super().__init__(session.session_id, peers, {self.ROOT_TYPE: dict.fromkeys(peers, 1)}, rng)
         self.index = i
-        self.roots = session.roots  # party index -> announced commitment
-        self.inputs = session.inputs(i)
+        self.roots = session.roots  # party index -> announced root
+        own = self._commitment = session.commitments[i]
         # None when honest: a tampered party runs on other inputs, or sends another root
         self._tamper = session.tamper_at(i)
+        self.inputs = own.elements if self._tamper is None else self._tamper.inputs(own.elements)
         self.digests: Optional[np.ndarray] = None  # d(x) of each own element, once started
 
     def _open(self) -> list:
-        """Self-check and digest the own inputs; send their root, or the tamper's, to every peer."""
+        """Take the digests of the own inputs; send their root, or the tamper's, to every peer."""
         if self.started:
             raise ProtocolError("engine already started")
-        own_root, self.digests = merkle.commit(self.inputs, self.session_id)
-        if self._tamper is None and own_root != self.roots[self.index]:
-            raise ConfigError("input set does not match the announced commitment")
+        own = self._commitment if self._tamper is None else merkle.root(self.inputs, self.session_id)
+        self.digests = own.digests
         self.started = True
-        sent = own_root if self._tamper is None else self._tamper.root(own_root)
+        sent = own.root if self._tamper is None else self._tamper.root(own.root)
         env = self._env(self.ROOT_TYPE, encode_root_proofs(sent))
         return [(j, env) for j in self.peers]
 
@@ -298,7 +296,7 @@ class Psi2Engine(Party):
     # -- transform -----------------------------------------------------------
 
     def start(self) -> list:
-        """The self-check and the root; the rest waits for the gate."""
+        """The root; the rest waits for the gate."""
         return self._open()
 
     # -- interact ------------------------------------------------------------

@@ -30,17 +30,17 @@ Every 64-bit XOR value (table values, aggregates, shares, hint points and
 the final comparison) is a uint64 array over the party's input set, so each
 step above is a handful of whole-array XORs and batched PRF calls; the
 share tables and hints are OKVS tables of 64-bit cells (width 1). Each party
-hashes its elements once, into the leaves of its root, and every PRF, OKVS
-row and OPRF query of the session runs over the digests d(x) those leaves
-begin with (`psi2` says why that is sound).
+hashes its elements once, when it commits, and every PRF, OKVS row and OPRF
+query of the session runs over the digests d(x) its commitment holds (`psi2`
+says why that is sound).
 
 P_n's test compares 64 bits, and an element some party lacks leaves an
 unpaired pseudorandom term, so a false match has probability at most
 n_l * 2^-64 per comparison set: 2^-52 at n_l = 2^12, inside the 2^-40 budget.
 
-Admission, the self-check, the root gate and the abort path are
-`psi2.Party`'s, the core this engine shares with the two-party one. Each
-party is owed one root from every other party, and by role:
+Admission, the root gate and the abort path are `psi2.Party`'s, the core
+this engine shares with the two-party one. Each party is owed one root from
+every other party, and by role:
 
 - a group-B party: one group key (0x12) from each group-A party;
 - the coordinator: one share table (0x13) from each group-A party;
@@ -148,7 +148,7 @@ class PsinEngine(Party):
     # -- transform -----------------------------------------------------------
 
     def start(self) -> list:
-        """The self-check and the root; the rest waits for the gate."""
+        """The root; the rest waits for the gate."""
         return self._open()
 
     # -- interact ------------------------------------------------------------

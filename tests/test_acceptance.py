@@ -246,13 +246,13 @@ def test_criterion_09_merkle_forgery_resistance():
     t0 = time.perf_counter()
     for n in range(1, 258):
         data = [b"\x31" + i.to_bytes(4, "big") for i in range(n)]
-        r = merkle.root(data)
+        r = merkle.root(data).root
         for p in merkle.gen_all_paths(data):
             assert merkle.verify(r, p), n
 
     rng = random.Random(3)
     data = [b"\x32" + i.to_bytes(4, "big") for i in range(96)]
-    r = merkle.root(data)
+    r = merkle.root(data).root
     proofs = merkle.gen_all_paths(data)
     false_accepts = 0
     for trial in range(10_000):
@@ -300,7 +300,7 @@ def test_criterion_10_masking_identity_white_box():
         assert er.intersection == set(x) & set(y)
         c_table = okvs.OkvsTable(er._table.row_seed, er._recv_corr.c_vec)
         delta = es._send_corr.delta
-        common = merkle.commit(sorted(set(x) & set(y)), session)[1]
+        common = merkle.root(sorted(set(x) & set(y)), session).digests
         bprime_decoded = okvs.decode_batch(es.bprime_table, common)
         c_decoded = okvs.decode_batch(c_table, common)
         masks = gf.scalar_mul_vec(delta, psi2.hash_to_mask(common))
@@ -317,7 +317,7 @@ def test_criterion_10_masking_identity_white_box():
 
 def _digests(elements):
     """The element digests d(x) (salted leaf prefixes) that tables and PRFs take."""
-    return merkle.commit(elements, b"\x5a" * 16)[1]
+    return merkle.root(elements, b"\x5a" * 16).digests
 
 
 def _encode(pairs, row_seed, rng):
@@ -328,7 +328,7 @@ def _encode(pairs, row_seed, rng):
 
 def _white_box_session(x, y, session, roots, seed):
     from authpsi import transport
-    engines, dealer = harness.Session({1: x, 2: y}, roots, session).endpoints(
-        np.random.default_rng(seed))
+    spec = harness.Session(roots, {i: c.root for i, c in roots.items()}, session)
+    engines, dealer = spec.endpoints(np.random.default_rng(seed))
     harness.drive(transport.BusNetwork(), engines, dealer)
     return engines

@@ -118,7 +118,7 @@ def test_commit_matches_library(runner, tmp_path):
     _commit_all(runner, prefix, 2, salt)
     root = merkle.MerkleRoot.from_bytes(Path(f"{prefix}1.root").read_bytes())
     elements = datasets.read_dataset(f"{prefix}1.dat")
-    assert root == merkle.root(elements, bytes.fromhex(salt))
+    assert root == merkle.root(elements, bytes.fromhex(salt)).root
     # different salt, different root
     result = runner.invoke(main, ["commit", "--in", f"{prefix}1.dat",
                                   "--salt", "cd" * 16, "--out", f"{prefix}alt.root"])
@@ -238,7 +238,8 @@ def test_local_multi_party_tamper_exits_3(runner, tmp_path):
     assert result.exit_code == 3, result.output
 
 
-def test_stale_root_is_usage_error(runner, tmp_path):
+@pytest.mark.parametrize("mode", [[], ["--role", "1"]])
+def test_stale_root_is_usage_error(runner, tmp_path, mode):
     prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=8)
     salt = "55" * 16
     _commit_all(runner, prefix, 2, salt)
@@ -246,7 +247,8 @@ def test_stale_root_is_usage_error(runner, tmp_path):
     runner.invoke(main, ["gen", "--count", "16", "--elem-bytes", "8", "--seed", "99",
                          "--parties", "2", "--overlap", "4", "--out-prefix", prefix])
     cfg = _config(tmp_path, prefix, 2, salt)
-    result = runner.invoke(main, ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    result = runner.invoke(main, ["run", "--config", cfg,
+                                  "--out-dir", str(tmp_path / "out")] + mode)
     assert result.exit_code == 2
 
 
@@ -474,8 +476,8 @@ def test_networked_party_reads_only_its_own_dataset(runner, tmp_path):
     cfg = json.loads(Path(_config(tmp_path, prefix, 2, salt)).read_text())
     Path(f"{prefix}1.dat").unlink()
     session = cli._session(cfg, None, role=2)
-    assert set(session.sets) == {2} and set(session.roots) == {1, 2}
-    assert session.sets[2] == datasets.read_dataset(f"{prefix}2.dat")
+    assert set(session.commitments) == {2} and set(session.roots) == {1, 2}
+    assert list(session.commitments[2].elements) == datasets.read_dataset(f"{prefix}2.dat")
     with pytest.raises(click.UsageError, match="party 1"):
         cli._session(cfg, None)  # a local run still needs every dataset
 

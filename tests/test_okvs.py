@@ -22,7 +22,7 @@ def _pairs(n, rng):
 
 def _h(keys):
     """The element digests d(x) that OKVS keys are: salted leaf prefixes."""
-    return merkle.commit(keys, b"\x07" * 16)[1]
+    return merkle.root(keys, b"\x07" * 16).digests
 
 
 def _encode(pairs, row_seed, rng):

@@ -20,7 +20,7 @@ def _points(m, rng):
 
 def _h(queries):
     """The element digests d(x) that points and queries are: salted leaf prefixes."""
-    return merkle.commit(queries, _session())[1]
+    return merkle.root(queries, _session()).digests
 
 
 def _session(tag=1):

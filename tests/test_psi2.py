@@ -115,6 +115,12 @@ def test_honest_self_check_catches_drift():
     drifted[0] = b"\xff" * 8
     with pytest.raises(ConfigError):
         harness.run_two_party(drifted, y, session_id=session, announced_roots=roots, seed=5)
+    # and at P_2 of a (3,1) session, whose set drifted likewise
+    sets = [y, x, x[::-1]]
+    roots = {i: merkle.root(s, session) for i, s in enumerate(sets, start=1)}
+    with pytest.raises(ConfigError, match="does not match the announced commitment"):
+        harness.run_multi_party([y, drifted, x[::-1]], 1, session_id=session,
+                                announced_roots=roots, seed=5)
 
 
 def test_masking_identity_white_box():
@@ -127,7 +133,7 @@ def test_masking_identity_white_box():
     assert er.intersection == set(x) & set(y)
     c_table = okvs.OkvsTable(er._table.row_seed, er._recv_corr.c_vec)
     delta = int.from_bytes(es._send_corr.delta, "little")
-    common = merkle.commit(sorted(set(x) & set(y)), session)[1]
+    common = merkle.root(sorted(set(x) & set(y)), session).digests
     bprime, c = okvs.decode_batch(es.bprime_table, common), okvs.decode_batch(c_table, common)
     hb = psi2.hash_to_mask(common)
     for i in range(len(common)):
@@ -137,7 +143,8 @@ def test_masking_identity_white_box():
 
 def _build(x, y, session, roots, seed):
     """Both engines and the dealer, as `harness.run_two_party` builds them."""
-    return harness.Session({1: x, 2: y}, roots, session).endpoints(np.random.default_rng(seed))
+    announced = {i: c.root for i, c in roots.items()}
+    return harness.Session(roots, announced, session).endpoints(np.random.default_rng(seed))
 
 
 def _run_engines(x, y, session, roots, seed, net=None):
@@ -230,7 +237,9 @@ def test_receiver_match_is_exact_on_prefix_sharing_and_duplicate_digests():
 
 def _started_receiver(x, y, session):
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    engine = psi2.Psi2Engine(harness.Session({1: x}, roots, session), 1, rng=np.random.default_rng(0))
+    announced = {i: c.root for i, c in roots.items()}
+    engine = psi2.Psi2Engine(harness.Session({1: roots[1]}, announced, session), 1,
+                             rng=np.random.default_rng(0))
     engine.start()
     return engine
 
@@ -397,7 +406,7 @@ def _capture_digest_payload(x, y, session, roots, seed):
 def test_root_proofs_payload_roundtrip():
     # the commitment message is the 37-byte root: version, set size, digest
     x, _ = _sets(10, 10, 0, seed=11)
-    committed = merkle.root(x, b"\x2a" * 16)
+    committed = merkle.root(x, b"\x2a" * 16).root
     raw = psi2.encode_root_proofs(committed)
     assert raw == committed.to_bytes() and len(raw) == 37
     assert psi2.decode_root_proofs(raw) == committed
@@ -416,7 +425,7 @@ def _resized(raw, delta):
 
 
 def _root_bytes(xs, sid):
-    return merkle.root(xs, sid).to_bytes()
+    return merkle.root(xs, sid).root.to_bytes()
 
 
 # Ways to corrupt a party's outgoing root message `raw`, given the party's
@@ -469,7 +478,7 @@ class ReplayedRoot:
         return list(elements)
 
     def root(self, own):
-        return merkle.root(self.committed, self.session)
+        return merkle.root(self.committed, self.session).root
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -482,7 +491,9 @@ def test_gate_binds_inputs_actually_used():
     session = b"\x2b" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     y_used = [e for e in y if e not in x][:16] + x[:16]
-    spec = harness.Session({1: x, 2: y_used}, roots, session, tamper=ReplayedRoot(2, y, session))
+    spec = harness.Session({1: roots[1], 2: merkle.root(y_used, session)},
+                           {i: c.root for i, c in roots.items()}, session,
+                           tamper=ReplayedRoot(2, y, session))
     engines, dealer = spec.endpoints(np.random.default_rng(19))
     harness.drive(transport.BusNetwork(), engines, dealer)
     assert engines[1].aborted and engines[1].intersection is None
@@ -519,7 +530,7 @@ def assert_no_own_leaf_hash_received(bus, sets, session):
     for i, own in sets.items():
         leaves = [hashlib.sha256(b"\x00" + session + x).digest() for x in own]
         digests = [leaf[:16] for leaf in leaves]
-        assert digests == [gf.vec_to_bytes(d) for d in merkle.commit(own, session)[1]]
+        assert digests == [gf.vec_to_bytes(d) for d in merkle.root(own, session).digests]
         for env in bus.received[i]:
             assert not [leaf for leaf in leaves if leaf in env.payload], i
             assert not [d for d in digests if d in env.payload], i

@@ -86,7 +86,7 @@ def test_only_output_party_learns_intersection():
 
 
 def _run_engines(sets, t, session, roots, seed, net=None):
-    spec = harness.Session(dict(enumerate(sets, start=1)), roots, session, t)
+    spec = harness.Session(roots, {i: c.root for i, c in roots.items()}, session, t)
     engines, dealer = spec.endpoints(np.random.default_rng(seed))
     harness.drive(net if net is not None else transport.BusNetwork(), engines, dealer)
     return engines
@@ -240,7 +240,7 @@ def test_cancellation_identity_white_box():
     for i in roles.subgroup:
         engine = engines[i]
         share_sum ^= zeroshare.zs_share(engine._zs_seeds.values(),
-                                        merkle.commit(core, session)[1])
+                                        merkle.root(core, session).digests)
         # every pairwise PRF term appears exactly twice across the aggregates
         positions = [engine.inputs.index(x) for x in core]
         total ^= engine._aggregate()[positions]
@@ -260,7 +260,7 @@ def test_aggregates_match_raw_keys():
     coord = engines[2]
     expect = np.zeros(len(core), dtype=np.uint64)
     for j in roles.group_b:
-        expect ^= zeroshare.prf([engines[j].groupa_keys[1]], merkle.commit(core, session)[1])
+        expect ^= zeroshare.prf([engines[j].groupa_keys[1]], merkle.root(core, session).digests)
     positions = [coord.inputs.index(x) for x in core]
     assert (coord._aggregate()[positions] == expect).all()
 

@@ -1,6 +1,7 @@
 """Whole sessions of both engines: pinned message sizes, one hash per element, a fuzz gate,
 and admission at every party and at the dealer."""
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -23,6 +24,11 @@ def _run(spec, seed, bus=None):
     """Every party and the dealer of `spec` over the bus, seeded from `seed`."""
     return harness.run(bus if bus is not None else transport.BusNetwork(), spec,
                        *spec.endpoints(np.random.default_rng(seed)))
+
+
+def _announced(commitments):
+    """The root each party announces: the one of its commitment."""
+    return {i: c.root for i, c in commitments.items()}
 
 
 def party_sizes(run, dealer=False):
@@ -86,11 +92,13 @@ def test_first_session_in_a_fresh_process_does_not_import_numpy_ma():
 
 
 def test_each_element_is_hashed_once(monkeypatch):
-    # every per-element value derives from one hash per element: in a session
-    # each party hashes each of its elements once, into its SHA-256 leaf in
-    # merkle, no other hash algorithm runs, the dealer hashes nothing (it
-    # reads who asks from the envelope), and no other hashing runs once per
-    # element
+    # every per-element value derives from one hash per element: each party
+    # hashes each of its elements once, into its SHA-256 leaf in merkle, when
+    # it commits before the session; an honest session given those
+    # commitments hashes no leaf at all, and a tampered party only the inputs
+    # its tamper makes, once each. No other hash algorithm runs, the dealer
+    # hashes nothing (it reads who asks from the envelope), and no other
+    # hashing runs once per element
     leaves, outside, others, dealer_hashes = Counter(), Counter(), Counter(), []
     in_dealer = [0]
     real_handle = harness.DealerService.handle
@@ -116,32 +124,38 @@ def test_each_element_is_hashed_once(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    x, y = datasets.generate_sets(1024, 16, 2, 256, 31)
-    sets = datasets.generate_sets(256, 16, 4, 64, 32)
-    runs = []
-    for parties, t, sid in (([x, y], None, b"\x31" * 16), (sets, 2, b"\x32" * 16)):
-        # the announced roots are committed before the session, outside the count
-        roots = {i: merkle.root(s, sid) for i, s in enumerate(parties, start=1)}
-        spec = harness.Session(dict(enumerate(parties, start=1)), roots, sid, t)
-        runs.append((parties, sid, spec))
-
     for name in (*hashlib.algorithms_guaranteed, "new"):
         monkeypatch.setattr(hashlib, name, counted(name, getattr(hashlib, name)))
     monkeypatch.setattr(harness.DealerService, "handle", handle)
 
-    for seed, (parties, sid, spec) in enumerate(runs, start=33):
+    x, y = datasets.generate_sets(1024, 16, 2, 256, 31)
+    sets = datasets.generate_sets(256, 16, 4, 64, 32)
+    for seed, (parties, t, sid) in enumerate((([x, y], None, b"\x31" * 16),
+                                              (sets, 2, b"\x32" * 16)), start=33):
         leaves.clear()
         outside.clear()
-        dealer_hashes.clear()
-        assert not _run(spec, seed).aborted
+        commitments = {i: merkle.root(s, sid) for i, s in enumerate(parties, start=1)}
         assert leaves == Counter(merkle.LEAF_PREFIX + sid + e for s in parties for e in s)
-        assert not others
-        assert not dealer_hashes
         n = sum(len(s) for s in parties)
         # the interior nodes of 16-ary trees: about n / 15, where binary trees take n - 2
         assert outside.pop("authpsi.merkle") < n // 8
+        assert not outside
+
+        leaves.clear()
+        assert not _run(harness.Session(commitments, _announced(commitments), sid, t), seed).aborted
+        assert not leaves
+        assert "authpsi.merkle" not in outside
         # what is left hashes per message, per retry or per session: far fewer calls than elements
         assert sum(outside.values()) < len(parties[0]) // 4, outside
+
+        for kind in ("flip-element", "flip-path", "swap-proofs", "extra-element"):
+            tamper = harness.Tamper(kind, party=len(parties), index=3, index2=5)
+            leaves.clear()
+            spec = harness.Session(commitments, _announced(commitments), sid, t, tamper)
+            assert _run(spec, seed).aborted
+            assert leaves == Counter(merkle.LEAF_PREFIX + sid + e for e in tamper.inputs(parties[-1]))
+    assert not others
+    assert not dealer_hashes
 
 
 def _sessions():
@@ -152,7 +166,7 @@ def _sessions():
                           ("4x2", datasets.generate_sets(32, 16, 4, 8, 42), 2)):
         sid = bytes([len(sets)]) * 16
         roots = {i: merkle.root(s, sid) for i, s in enumerate(sets, start=1)}
-        spec = harness.Session(dict(enumerate(sets, start=1)), roots, sid, t)
+        spec = harness.Session(roots, _announced(roots), sid, t)
         out[name] = (spec, len(_run(spec, 43).meter.entries))
     return out
 
@@ -243,6 +257,13 @@ def test_quiet_bus_names_the_waiting_parties(name, msg_type, waiting):
 
 SHAPE_SID = b"\x51" * 16
 
+
+def _commit_under_another_salt(args, i):
+    """Party i's commitment and its announced root, both of its set under a salt other than
+    the session id, so that they agree with each other."""
+    other = merkle.root(args["commitments"][i].elements, bytes(16))
+    args["commitments"][i], args["roots"][i] = other, other.root
+
 # (parties, t, change to an honest session's arguments, the refusal): a change
 # of None leaves the shape (parties, t) itself at fault
 SHAPE_FAULTS = {
@@ -256,12 +277,20 @@ SHAPE_FAULTS = {
     "t-above-the-cap": (4, 3, None, "collusion bound t=3 out of range for n=4"),
     "n-minus-t-of-1": (3, 2, None, "n - t must be at least 2"),
     "unequal-announced-sizes": (3, 1, lambda a: a["roots"].update(
-        {2: merkle.root(a["sets"][2][1:], SHAPE_SID)}), "announced commitments disagree on the set size"),
-    "empty-set": (2, None, lambda a: a["sets"].update({2: []}), "input set must be nonempty"),
-    "repeated-element": (2, None, lambda a: a["sets"][2].append(a["sets"][2][0]),
-                         "input set must contain distinct elements"),
-    "set-of-no-party": (2, None, lambda a: a["sets"].update({3: a["sets"][2]}),
+        {2: merkle.root(a["commitments"][2].elements[1:], SHAPE_SID).root}),
+        "announced commitments disagree on the set size"),
+    "empty-set": (2, None, lambda a: a["commitments"].update(
+        {2: dataclasses.replace(a["commitments"][2], elements=())}), "input set must be nonempty"),
+    "repeated-element": (2, None, lambda a: a["commitments"].update(
+        {2: dataclasses.replace(a["commitments"][2], elements=a["commitments"][2].elements * 2)}),
+        "input set must contain distinct elements"),
+    "set-of-no-party": (2, None, lambda a: a["commitments"].update({3: a["commitments"][2]}),
                         "party index 3 out of range"),
+    "drifted-set": (2, None, lambda a: a["commitments"].update(
+        {2: merkle.root(a["commitments"][2].elements[::-1], SHAPE_SID)}),
+        "input set does not match the announced commitment"),
+    "commitment-under-another-salt": (2, None, lambda a: _commit_under_another_salt(a, 2),
+                                      "input set does not match the announced commitment"),
     "tamper-of-no-party": (2, None, lambda a: a.update(tamper=harness.Tamper("flip-element", 3)),
                            "the tamper names party 3"),
 }
@@ -273,8 +302,8 @@ def test_session_refuses_a_shape_the_parties_do_not_run(fault):
     # the dealer, built from (session id, n, t) alone, refuses a bad (n, t) by the same rule
     parties, t, change, message = SHAPE_FAULTS[fault]
     sets = dict(enumerate(datasets.generate_sets(8, 16, parties, 2, 70), start=1))
-    args = dict(sets=sets, roots={i: merkle.root(s, SHAPE_SID) for i, s in sets.items()},
-                session_id=SHAPE_SID, t=t)
+    commitments = {i: merkle.root(s, SHAPE_SID) for i, s in sets.items()}
+    args = dict(commitments=commitments, roots=_announced(commitments), session_id=SHAPE_SID, t=t)
     if change is None:
         with pytest.raises(ConfigError, match=re.escape(message)):
             harness.DealerService(SHAPE_SID, parties, t)
@@ -297,10 +326,10 @@ def test_dealer_clients_are_the_parties_that_ask_it(parties, t):
     assert not run.aborted
     asked = {src for src, dst, *_ in run.meter.entries if dst == DEALER_INDEX}
     sid = bytes(16)
-    spec = harness.Session(dict(enumerate(sets, start=1)),
-                           {i: merkle.root(s, sid) for i, s in enumerate(sets, start=1)}, sid, t)
+    commitments = {i: merkle.root(s, sid) for i, s in enumerate(sets, start=1)}
+    spec = harness.Session(commitments, _announced(commitments), sid, t)
     assert set(harness.DealerService(sid, parties, t).peers) == asked
-    assert {i for i in spec.sets if spec.engine(i).awaits(DEALER_INDEX)} == asked
+    assert {i for i in spec.commitments if spec.engine(i).awaits(DEALER_INDEX)} == asked
 
 
 @pytest.mark.parametrize("parties,t", [(2, None), (8, 4)], ids=["2pc", "8x4"])
@@ -310,7 +339,8 @@ def test_each_party_receives_exactly_what_it_is_owed(parties, t):
     # ends owed nothing
     sets = dict(enumerate(datasets.generate_sets(64, 16, parties, 16, 61), start=1))
     sid = bytes([0x60 + parties]) * 16
-    spec = harness.Session(sets, {i: merkle.root(s, sid) for i, s in sets.items()}, sid, t)
+    commitments = {i: merkle.root(s, sid) for i, s in sets.items()}
+    spec = harness.Session(commitments, _announced(commitments), sid, t)
     engines, dealer = spec.endpoints(np.random.default_rng(62))
     ends = {**engines, DEALER_INDEX: dealer}
     owed = {i: Counter({(msg_type, src): k for msg_type, left in e._owed.items()
@@ -333,7 +363,7 @@ def test_every_step_of_every_engine_is_timed(name):
     spec, _ = FUZZ_SESSIONS[name]
     run = _run(spec, 43)
     phase_ms, elapsed = run.report["phase_ms"], run.report["elapsed_ms"]
-    assert set(phase_ms) == {DEALER_INDEX} | set(spec.sets)
+    assert set(phase_ms) == {DEALER_INDEX} | set(spec.commitments)
     for i, steps in phase_ms.items():
         delivered = {f"0x{msg_type:02x}" for _, dst, msg_type, *_ in run.meter.entries
                      if dst == i}
@@ -520,7 +550,7 @@ def test_every_delivery_order_gives_the_fifo_outcome(name):
     sid = bytes([0x80 + parties]) * 16
     roots = {i: merkle.root(s, sid) for i, s in sets.items()}
     expected = set.intersection(*(set(s) for s in sets.values()))
-    honest = harness.Session(sets, roots, sid, t)
+    honest = harness.Session(roots, _announced(roots), sid, t)
     fifo = _run(honest, 81).meter.per_pair()
     output = honest.output_party
     for order in range(40):
@@ -531,7 +561,7 @@ def test_every_delivery_order_gives_the_fifo_outcome(name):
         assert bus.meter.per_pair() == fifo, order
     for order, (party, kind) in enumerate((p, k) for p in tamperers for k in ORDER_KINDS):
         tamper = harness.Tamper(kind=kind, party=party, index=order, index2=order + 7)
-        spec = harness.Session(sets, roots, sid, t, tamper)
+        spec = harness.Session(roots, _announced(roots), sid, t, tamper)
         for seed in range(3 * order, 3 * order + 3):
             engines, dealer = spec.endpoints(np.random.default_rng(seed))
             harness.drive(ShuffledBus(seed), engines, dealer)
@@ -555,7 +585,7 @@ def test_honest_parties_send_only_their_root_before_a_failed_gate(name):
     allowed = {engine.ROOT_TYPE, engine.ABORT_TYPE}
     for party in tamperers:
         for kind in ORDER_KINDS:
-            spec = harness.Session(sets, roots, sid, t,
+            spec = harness.Session(roots, _announced(roots), sid, t,
                                    harness.Tamper(kind=kind, party=party, index=5, index2=11))
             for order in (None, 0, 1, 2):
                 engines, dealer = spec.endpoints(np.random.default_rng(91))

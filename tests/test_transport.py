@@ -175,7 +175,7 @@ def test_networked_receiver_gives_up_on_malformed_frame():
     y = [bytes([i, 2]) for i in range(8, 24)]
     session = b"\x34" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    spec = harness.Session({1: x}, roots, session)
+    spec = harness.Session({1: roots[1]}, {i: c.root for i, c in roots.items()}, session)
     sinks = {i: transport.TcpNode(i, ("127.0.0.1", 0), {}) for i in (0, 2)}
     node = transport.TcpNode(1, ("127.0.0.1", 0),
                              {i: ("127.0.0.1", sink.bound_port) for i, sink in sinks.items()})
@@ -268,8 +268,8 @@ def test_backends_produce_identical_transcripts():
 
     # the networked CLI's path: the shared builder, one `drive` per process
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
-    engines, dealer = harness.Session({1: x, 2: y}, roots, session).endpoints(
-        np.random.default_rng(5))
+    engines, dealer = harness.Session(roots, {i: c.root for i, c in roots.items()},
+                                      session).endpoints(np.random.default_rng(5))
 
     nodes = {}
     nodes[0] = transport.TcpNode(0, ("127.0.0.1", 0), {})

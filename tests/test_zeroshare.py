@@ -14,7 +14,7 @@ SALT = b"\x5a" * 16  # the session id the element digests are salted with
 
 def _digests(xs):
     """d(x) of each element: the first 16 bytes of its salted leaf."""
-    return merkle.commit(xs, SALT)[1]
+    return merkle.root(xs, SALT).digests
 
 
 def _setup(n, seed=0):
