@@ -82,9 +82,12 @@ class Tamper:
         except ValueError as exc:
             raise ConfigError(f"--tamper {spec}: {exc}") from exc
 
-    def inputs(self, elements: Sequence[bytes]) -> list[bytes]:
-        """The inputs the party actually runs on: every kind but flip-path changes them, and
-        one that would not is a `ConfigError`, since the run would be an honest one."""
+    def inputs(self, elements: Sequence[bytes]) -> Sequence[bytes]:
+        """The inputs the party actually runs on: flip-path runs on `elements` themselves,
+        every other kind changes them, and one that would not is a `ConfigError`, since the
+        run would be an honest one."""
+        if self.kind == "flip-path":
+            return elements
         out = list(elements)
         if self.kind == "flip-element":
             i = self.index % len(out)
@@ -108,7 +111,7 @@ class Tamper:
             if a == b:
                 b = (b + 1) % len(out)
             out[a], out[b] = out[b], out[a]
-        if self.kind != "flip-path" and out == list(elements):
+        if out == list(elements):
             raise ConfigError(f"the {self.kind} tamper of party {self.party} changes none of its inputs")
         return out
 

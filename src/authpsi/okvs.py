@@ -16,20 +16,25 @@ multiplies field elements. Encoding solves the resulting GF(2) system in
 whole-array steps, with no loop over rows (peeling in rounds:
 Jiang-Mitzenmacher-Thaler, "Parallel Peeling Algorithms", SPAA 2014):
 
-1. peel in rounds: each sparse column keeps its degree and the XOR of its
-   live rows' ids, so a degree-1 column names its row. A round takes every
-   degree-1 column at once, one pivot per row, and rows peeled in the same
-   round hold none of each other's pivots;
+1. peel in rounds: each sparse column keeps one int64, its live degree
+   less one times 2^32 plus the sum of its live rows' ids, so a degree-1
+   column names its row. A round takes every degree-1 column at once, one
+   pivot per row (rows peeled in the same round hold none of each other's
+   pivots), and takes its rows out of their columns in one `ufunc.at` call;
 2. when no column has degree 1, defer a small batch of live rows (one per
    512 live rows, preferring rows with the most degree-2 columns) and peel
    on. Near the peeling threshold this replaces a core of a third or more
    of the rows by a few deferred ones;
-3. substitute the pivots peeled after the first stall into the deferred
-   rows, which leaves a small system over the dense cells and the free
-   sparse cells the substitution reaches; it is solvable exactly when the
-   whole system is, and is solved by elimination on packed integers;
-4. back-substitute round by round in reverse: a round's pivots are one
-   vectorized XOR of the other cells of their rows.
+3. each deferred row starts an equation; from then on a column also counts,
+   per equation, the rows that added it there, and each round substitutes
+   its pivots into the equations holding them in that same `ufunc.at` call.
+   What remains is a small system over the dense cells and the free sparse
+   cells the substitution reaches, assembled in whole arrays; it is solvable
+   exactly when the whole system is, and Gauss-Jordan elimination on packed
+   integers solves it, every pivot then evaluated at once;
+4. back-substitute round by round in reverse over operands gathered once in
+   peeling order, each row's two other cells and its value with its dense
+   part folded in: a round is a slice, two gathers, two XORs and one put.
 
 Every position starts from a uniform random fill, and only pivot positions
 (of the peel or of the small system) are overwritten. The free positions
@@ -141,51 +146,82 @@ def row_batch(digests: np.ndarray, row_seed: bytes, m: int) -> tuple[np.ndarray,
 
 
 def _peel(idx: np.ndarray, m_sparse: int
-          ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray], int]:
+          ) -> tuple[list[tuple[np.ndarray, Optional[np.ndarray]]], Optional[tuple]]:
     """Peel the rows in rounds, deferring a few rows whenever no column has degree 1.
 
-    Returns the rounds as (rows, pivot columns) pairs in peeling order, the
-    deferred batches in order, and the index of the first round after the
-    first stall (len(rounds) when peeling never stalled).
+    Returns the steps in order, (rows, pivot columns) for a round and (rows,
+    None) for a deferred batch, and None if peeling never stalled, else the
+    deferred equations after substitution, as `_solve_deferred` takes them.
     """
-    n = idx.shape[0]
-    degree = np.bincount(idx.ravel(), minlength=m_sparse)
-    # the XOR of the ids of a column's live rows: a degree-1 column names its row
-    row_xor = np.zeros(m_sparse, dtype=np.int64)
-    np.bitwise_xor.at(row_xor, idx, np.arange(n, dtype=np.int64)[:, None])
-    alive = np.ones(n, dtype=bool)
-    claim = np.zeros(n, dtype=np.int64)
-    live = n
-    rounds: list[tuple[np.ndarray, np.ndarray]] = []
-    deferred: list[np.ndarray] = []
-    first_stall = None
-    ones = np.flatnonzero(degree == 1)
+    n, one = idx.shape[0], 1 << 32
+    # a column's state is its live degree less one, times 2^32, plus the sum
+    # of its live rows' ids: a degree-1 column's state is its row's id, and
+    # read unsigned, only a degree-1 column's state is below 2^32
+    tags = np.repeat(np.arange(one, one + n), 3)  # what a row takes from each of its columns
+    state = np.full(m_sparse, -one, dtype=np.int64)
+    np.add.at(state, idx.ravel(), tags)
+    # from the first stall on, rows of counter words follow the state: per
+    # column and deferred equation, a `width`-bit field counts down, from an
+    # even start above any column's degree, the rows that added the equation
+    # there, so its low bit is set exactly while the equation holds the column
+    width = ((int(state.max()) >> 32) + 2).bit_length()
+    per, parity = 63 // width, sum(1 << (f * width) for f in range(63 // width))
+    table, flat, unsigned, tags = state[None], state, state.view(np.uint64), tags.reshape(n, 3)
+    claim, below = np.zeros(n, dtype=np.int32), np.array(one, dtype=np.uint64)  # 0-d compares faster
+    steps: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
+    sources, added, live, g = [], [], n, 0  # the rows of every step from the first stall on
+    ones = np.flatnonzero(unsigned < one)
     while live:
         if ones.size:
             # one pivot per row: where several entries name a row, keep the
             # one whose position survives in `claim`; rows of one round share
             # no pivot column
-            rows = row_xor[ones]
+            rows = state[ones]
             position = np.arange(rows.size)
             claim[rows] = position
             kept = claim[rows] == position
-            rows = rows[kept]
-            rounds.append((rows, ones[kept]))
+            rows, pivots = rows[kept], ones[kept]
+            if g:  # an equation holding a pivot takes the pivot's row in its place
+                moved = flat[offsets + pivots] & parity
         else:
-            if first_stall is None:
-                first_stall = len(rounds)
             # removing a row with degree-2 columns leaves them at degree 1
+            alive = np.ones(n, dtype=bool)
+            if steps:
+                alive[np.concatenate([r for r, _ in steps])] = False
             left = np.flatnonzero(alive)
-            twos = (degree[idx.take(left, axis=0)] == 2).sum(axis=1)
-            rows = left[np.argsort(-twos, kind="stable")[: max(1, left.size // 512)]]
-            deferred.append(rows)
-        alive[rows] = False
+            twos = ((state >> 32)[idx.take(left, axis=0)] == 1).sum(axis=1)
+            rows, pivots = left[np.argsort(-twos, kind="stable")[: max(1, left.size // 512)]], None
+            e, g = np.arange(g, g + rows.size), g + rows.size  # each deferred row starts an equation
+            grow = 1 - (-g // per) - table.shape[0]
+            if grow > 0:  # one more word of counters per `per` equations
+                table = np.pad(table, ((0, grow), (0, 0)), constant_values=((1 << width) - 2) * parity)
+                state, flat, unsigned = table[0], table.reshape(-1), table[0].view(np.uint64)
+                offsets = m_sparse * np.arange(table.shape[0])[:, None]
+                added = [np.pad(np.concatenate(added, axis=1), ((0, grow), (0, 0)))] if added else []
+            moved = np.zeros((table.shape[0], rows.size), dtype=np.int64)
+            moved[1 + e // per, np.arange(rows.size)] = np.left_shift(1, e % per * width)
+        steps.append((rows, pivots))
         live -= rows.size
-        cols = idx.take(rows, axis=0)
-        np.subtract.at(degree, cols, 1)
-        np.bitwise_xor.at(row_xor, cols, rows[:, None])
-        ones = cols[degree[cols] == 1]
-    return rounds, deferred, len(rounds) if first_stall is None else first_stall
+        cols = idx.take(rows, axis=0).ravel()
+        if g:  # what the row takes from its column's state, then the equations' bits
+            moved[0] = rows + one
+            sources.append(rows)
+            added.append(moved)
+            np.subtract.at(flat, (offsets + cols).ravel(), np.repeat(moved, 3))
+        else:
+            np.subtract.at(state, cols, tags.take(rows, axis=0).ravel())
+        ones = cols[unsigned[cols] < below]
+    if not g:
+        return steps, None
+    # equation e's bit is the low bit of field e % per of a column's counter word e // per:
+    # bit q % 8 of the word's byte q // 8, for q = e % per * width
+    q = np.arange(g) % per * width
+    word, byte, bit = np.arange(g) // per, q // 8, (1 << q % 8).astype(np.uint8)[:, None]
+    free = np.flatnonzero((table[1:] & parity).any(axis=0))
+    absorbed, held = (w.view(np.uint8).reshape(*w.shape, 8)
+                      for w in (np.concatenate([a[1:] for a in added], axis=1), table[1:]))
+    return steps, (np.concatenate(sources), absorbed[word, :, byte] & bit != 0,
+                   held[word[:, None], free, byte[:, None]] & bit != 0, free)
 
 
 def encode(digests: np.ndarray, values: np.ndarray, row_seed: bytes,
@@ -206,75 +242,56 @@ def encode(digests: np.ndarray, values: np.ndarray, row_seed: bytes,
     m = table_length(n)
     m_sparse = m - DENSE_COLUMNS
     idx, masks = row_batch(digests, row_seed, m)
-    rounds, deferred, first_stall = _peel(idx, m_sparse)
+    steps, deferred = _peel(idx, m_sparse)
 
     # uniform fill of every position; the solves overwrite the pivots
-    fill = rng.bytes(m * values.shape[1] * _U64.itemsize)
-    cells = np.frombuffer(fill, _U64).reshape(m, -1).copy()
-    if deferred and not _solve_deferred(idx, masks, values, rounds[first_stall:],
-                                        np.concatenate(deferred), cells):
+    cells = np.frombuffer(rng.bytes(m * values.shape[1] * _U64.itemsize), _U64).reshape(m, -1).copy()
+    if deferred is not None and not _solve_deferred(masks, values, *deferred, cells):
         return None
 
-    # the dense cells are settled now: fold each row's dense part into its value
-    rhs = values ^ gf.xor_rows(masks, cells[m_sparse:])
-    cell_view = cells.view(np.dtype((np.void, cells.shape[1] * _U64.itemsize))).ravel()
-    for rows, pivots in reversed(rounds):
-        # no other row of the round holds these pivots, and XORing a whole
-        # row into its pivot cancels the pivot's old fill
-        solved = (cells.take(pivots, axis=0) ^ rhs.take(rows, axis=0)
-                  ^ _xor_cells(cells, idx.take(rows, axis=0)))
-        cell_view.put(pivots, solved.astype(_U64, copy=False).view(cell_view.dtype).ravel())
+    # gathered once, in peeling order: each peeled row's two other cells, and
+    # its value with its dense part folded in (the dense cells are settled now)
+    rounds = [step for step in steps if step[1] is not None] or [(idx[:0, 0], idx[:0, 0])]
+    rows, pivots = (np.concatenate(part) for part in zip(*rounds))
+    c0, c1, c2 = idx.take(rows, axis=0).T
+    a, b = np.where(pivots == c0, c1, c0), np.where(pivots == c2, c1, c2)
+    del pivots, c0, c1, c2  # the loop reads only the gathered operands
+    rhs = values.take(rows, axis=0)
+    rhs ^= gf.xor_rows(masks.take(rows), cells[m_sparse:])
+    cell = np.dtype((np.void, cells.shape[1] * _U64.itemsize))
+    cell_view, ends = cells.view(cell).ravel(), np.cumsum([0] + [p.size for _, p in rounds]).tolist()
+    for (_, pivots), lo, hi in zip(reversed(rounds), ends[-2::-1], ends[:0:-1]):
+        # no other row of the round holds these pivots
+        solved = cells.take(a[lo:hi], axis=0) ^ cells.take(b[lo:hi], axis=0) ^ rhs[lo:hi]
+        cell_view.put(pivots, solved.view(cell))
     return OkvsTable(row_seed, cells)
 
 
-def _solve_deferred(idx: np.ndarray, masks: np.ndarray, values: np.ndarray,
-                    rounds: list[tuple[np.ndarray, np.ndarray]], deferred: np.ndarray,
+def _solve_deferred(masks: np.ndarray, values: np.ndarray, sources: np.ndarray,
+                    added: np.ndarray, involves: np.ndarray, free: np.ndarray,
                     cells: np.ndarray) -> bool:
     """Solve the deferred rows over the cells they depend on; writes those cells into `cells`.
 
-    `rounds` are the rounds peeled after the first stall; no deferred row
-    holds a pivot peeled before it. Substituting a pivot by its row's value
-    XOR the row's other cells, in peeling order, leaves each deferred
-    equation over the free sparse cells and the dense cells (U). Every sparse
-    cell carries one bit per deferred row, set while that row's equation
-    involves the cell, and each round moves its pivots' bits onto the other
-    cells of their rows at once. The g x |U| system that remains is solvable
-    exactly when the whole system is; positions of U without a pivot keep
+    After substitution each deferred equation is over the free sparse cells
+    and the dense cells (U): `added` says which `sources` rows it absorbed,
+    `involves` which free cells it holds. Positions of U without a pivot keep
     their fill.
     """
-    m_sparse = cells.shape[0] - DENSE_COLUMNS
-    g = deferred.size
-    words = -(-g // 64)
-    d = np.arange(g)
-    unit = np.zeros((g, words), dtype=_U64)
-    unit[d, d // 64] = np.left_shift(np.uint64(1), (d % 64).astype(np.uint64))
-    involves = np.zeros((m_sparse, words), dtype=_U64)
-    np.bitwise_xor.at(involves, idx[deferred], unit[:, None, :])
-    sources, bits = [deferred], [unit]
-    for rows, pivots in rounds:
-        moved = involves[pivots]
-        np.bitwise_xor.at(involves, idx[rows], moved[:, None, :])
-        sources.append(rows)
-        bits.append(moved)
-    sources, bits = np.concatenate(sources), np.concatenate(bits)
-    src_values, src_masks = values[sources], masks[sources]
-
-    # one packed integer per equation: free sparse cells, dense mask, the w words of its value
-    free = np.flatnonzero(involves.any(axis=1))
-    s = free.size
-    rhs_shift = s + DENSE_COLUMNS
+    g, rhs_shift = added.shape[0], free.size + DENSE_COLUMNS
     coef_region = (1 << rhs_shift) - 1
-    system = []
-    for e in range(g):
-        word, bit = e // 64, np.uint64(e % 64)
-        # equation e has absorbed the value and dense mask of every row substituted into it
-        used = ((bits[:, word] >> bit) & np.uint64(1)).astype(bool)
-        value = np.bitwise_xor.reduce(src_values[used], axis=0).astype(_U64)
-        dense = int(np.bitwise_xor.reduce(src_masks[used]))
-        sparse = np.packbits(((involves[free, word] >> bit) & np.uint64(1)).astype(np.uint8),
-                             bitorder="little")
-        system.append(int.from_bytes(sparse.tobytes(), "little") | (dense << s)
-                      | (int.from_bytes(value.tobytes(), "little") << rhs_shift))
+    # equation e has absorbed the value and dense mask of every row added to
+    # it, its own deferred row among them, so none of the runs is empty
+    e, src = np.divmod(np.flatnonzero(added), added.shape[1])
+    src, starts = sources.take(src), np.searchsorted(e, np.arange(g))
+    value = np.bitwise_xor.reduceat(values.take(src, axis=0), starts, axis=0).astype(_U64)
+    dense = np.bitwise_xor.reduceat(masks.take(src), starts).astype(_U64)
+    # one packed integer per equation: free sparse cells, dense mask, the w words of its value
+    bits = np.concatenate([involves, np.unpackbits(dense.view(np.uint8).reshape(g, -1), axis=1,
+                                                     bitorder="little")[:, :DENSE_COLUMNS],
+                           np.unpackbits(value.view(np.uint8).reshape(g, -1), axis=1,
+                                         bitorder="little")], axis=1)
+    system = [int.from_bytes(row.tobytes(), "little")
+              for row in np.packbits(bits, axis=1, bitorder="little")]
 
     # lowest-set-bit pivoting: a settled pivot row has its pivot as lowest
     # bit, so every other coefficient bit it carries refers to a higher position
@@ -292,19 +309,31 @@ def _solve_deferred(idx: np.ndarray, masks: np.ndarray, values: np.ndarray,
                 pivot_row[p] = row
                 break
             row ^= other
+    if not pivot_row:
+        return True
 
-    # highest pivot first: every other position of a row is then resolved,
-    # either a pivot already assigned or a free position keeping its fill
-    positions = np.concatenate([free, np.arange(m_sparse, cells.shape[0])])
-    u = cells[positions]
-    value_bytes = u.shape[1] * _U64.itemsize
-    for p in sorted(pivot_row, reverse=True):
+    # Gauss-Jordan, highest pivot first: a row keeps its pivot and positions
+    # without one, which keep their fill, so every pivot is evaluated at once
+    pivots = sorted(pivot_row)
+    pivot_bits = sum(1 << p for p in pivots)
+    for p in reversed(pivots):
         row = pivot_row[p]
-        acc = row >> rhs_shift
-        others = (row & coef_region & ~(1 << p)).to_bytes(-(-rhs_shift // 8), "little")
-        sel = np.unpackbits(np.frombuffer(others, dtype=np.uint8), bitorder="little")
-        u[p] = (np.bitwise_xor.reduce(u[sel[:rhs_shift].astype(bool)], axis=0)
-                ^ np.frombuffer(acc.to_bytes(value_bytes, "little"), dtype=_U64))
+        higher = (row & pivot_bits) ^ (1 << p)
+        while higher:
+            row ^= pivot_row[(higher & -higher).bit_length() - 1]
+            higher &= higher - 1
+        pivot_row[p] = row
+    positions = np.concatenate([free, np.arange(cells.shape[0] - DENSE_COLUMNS, cells.shape[0])])
+    u = cells.take(positions, axis=0)
+    u[pivots] = 0  # a row's own pivot bit then adds nothing, and keeps its run nonempty
+    end = rhs_shift + 64 * u.shape[1]
+    bits = np.unpackbits(np.frombuffer(b"".join(pivot_row[p].to_bytes(-(-end // 8), "little")
+                                                for p in pivots), np.uint8).reshape(len(pivots), -1),
+                         axis=1, count=end, bitorder="little")
+    r, c = np.divmod(np.flatnonzero(bits[:, :rhs_shift]), rhs_shift)
+    u[pivots] = (np.bitwise_xor.reduceat(u.take(c, axis=0), np.searchsorted(r, np.arange(len(pivots))),
+                                         axis=0)
+                 ^ np.packbits(bits[:, rhs_shift:], axis=1, bitorder="little").view(_U64))
     cells[positions] = u
     return True
 

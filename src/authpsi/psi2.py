@@ -227,8 +227,8 @@ class Party(Endpoint):
     everything else it sends or computes waits until every root it is owed has passed the
     gate. An engine routes its root type to `_on_root` and implements `_after_gate`, which
     the gate calls once, when the last owed root has passed, and `_advance`, which the gate
-    calls after it. An honest party takes its root and digests from its commitment; a
-    tampered one commits at start to the inputs its tamper gives, and sends its tamper's root."""
+    calls after it. A party takes its root and digests from its commitment unless its tamper
+    changes its inputs: then it commits at start to them. A tampered party sends its tamper's root."""
     ROOT_TYPE: int
 
     def __init__(self, session, i: int, rng: Optional[np.random.Generator] = None):
@@ -246,7 +246,9 @@ class Party(Endpoint):
         """Take the digests of the own inputs; send their root, or the tamper's, to every peer."""
         if self.started:
             raise ProtocolError("engine already started")
-        own = self._commitment if self._tamper is None else merkle.root(self.inputs, self.session_id)
+        own = self._commitment
+        if self.inputs is not own.elements:
+            own = merkle.root(self.inputs, self.session_id)
         self.digests = own.digests
         self.started = True
         sent = own.root if self._tamper is None else self._tamper.root(own.root)

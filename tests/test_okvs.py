@@ -1,11 +1,14 @@
 """Oblivious key-value store: rows, encode/decode, retries, obliviousness proxy."""
 
+import hashlib
+import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import given, settings, strategies as st
 
 from authpsi import gf, merkle, okvs, psi2, vole, zeroshare
 from test_gf import mul_oracle, to_bytes, vec_from_ints, vec_get
@@ -416,3 +419,64 @@ def test_obliviousness_bit_bias_proxy():
     for prefix in key_sets:
         per_coord = np.abs((ones[prefix] / trials).reshape(m, 128).mean(axis=1) - 0.5)
         assert float(per_coord.max()) < 4 * sigma, prefix
+
+
+# SHA-256 of the bytes of seeded tables, so that a change to the peel or the
+# solves that moves any table byte shows: (pairs, width, seed) -> the deferred
+# batches its peel takes, and the digest
+PINNED = {
+    (4096, 1, 7): (0, "ae04612ac52926c593a6db47182540fd2a03468b0e85fdb3035397043e7d69ba"),
+    (4096, 1, 1): (1, "cd28f2b3ccacafc84580d64830580345c76265428a908dd4f8590012d6916edd"),
+    (4096, 1, 2): (3, "66ea5686f74abcaed8bf4436a7d5e14e8bae984b9fe6b3849b8822de45d1c44b"),
+    (16384, 2, 1): (0, "69d04b9c5245f3dfa24c17ea8def9ffac859bd7147b818fffc2748e348b470bd"),
+    (16384, 2, 5): (2, "24d9e89b3d59a88768f03ec899ae14891bdb6e9c8bce0e5fe055b3fded5f8787"),
+}
+
+
+@pytest.mark.parametrize("n, width, seed", sorted(PINNED))
+def test_tables_are_pinned(n, width, seed):
+    # the peel's rounds, pivots and deferred batches, the elimination order and
+    # the fill decide every table byte; at the benchmark's sizes, stalled or not
+    batches, digest = PINNED[n, width, seed]
+    rng = np.random.default_rng(seed)
+    digests = rng.integers(0, 1 << 64, size=(n, 2), dtype=np.uint64)
+    values = rng.integers(0, 1 << 64, size=(n, width), dtype=np.uint64)
+    table, attempts = okvs.encode_with_retry(digests, values, okvs.MAX_ENCODE_ATTEMPTS, rng)
+    m = okvs.table_length(n)
+    steps, _ = okvs._peel(okvs.row_batch(digests, table.row_seed, m)[0], m - okvs.DENSE_COLUMNS)
+    assert (attempts, sum(pivots is None for _, pivots in steps)) == (1, batches)
+    assert hashlib.sha256(table.to_bytes()).hexdigest() == digest
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(1, 300), ratio=st.floats(1.0, 1.4), key=st.integers(0, 2**32))
+def test_peel_invariants(n, ratio, key):
+    # replaying the steps, on tables from below to above the 1.23 expansion:
+    # every row is peeled or deferred once; a round's pivots are distinct, each
+    # in its own row and the only live row's column when the round runs; no
+    # deferred row holds a pivot peeled before it; and each deferred equation
+    # after substitution, the XOR of the rows it absorbed, holds exactly the
+    # free cells it is said to, none of them a pivot
+    m_sparse = max(math.ceil(ratio * n), okvs.ROW_WEIGHT)
+    digests = np.random.default_rng(key).integers(0, 1 << 64, size=(n, 2), dtype=np.uint64)
+    idx = okvs.row_batch(digests, SEED, m_sparse + okvs.DENSE_COLUMNS)[0]
+    steps, deferred = okvs._peel(idx, m_sparse)
+    live, peeled = np.ones(n, dtype=bool), set()
+    for rows, pivots in steps:
+        assert rows.size and live[rows].all() and len(set(rows.tolist())) == rows.size
+        if pivots is None:
+            assert not peeled & set(idx[rows].ravel().tolist())
+        else:
+            assert len(set(pivots.tolist())) == pivots.size
+            assert (idx[rows] == pivots[:, None]).any(axis=1).all()
+            assert ((idx[live][:, :, None] == pivots).any(axis=1).sum(axis=0) == 1).all()
+            peeled |= set(pivots.tolist())
+        live[rows] = False
+    assert not live.any()
+    assert (deferred is None) == all(pivots is not None for _, pivots in steps)
+    if deferred is not None:
+        sources, added, involves, free = deferred
+        assert not peeled & set(free.tolist())
+        for e in range(added.shape[0]):
+            held = Counter(idx[sources[added[e]]].ravel().tolist())
+            assert {c for c, k in held.items() if k % 2} == set(free[involves[e]].tolist())
