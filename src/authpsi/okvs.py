@@ -28,10 +28,9 @@ Jiang-Mitzenmacher-Thaler, "Parallel Peeling Algorithms", SPAA 2014):
 3. each deferred row starts an equation; from then on a column also counts,
    per equation, the rows that added it there, and each round substitutes
    its pivots into the equations holding them in that same `ufunc.at` call.
-   What remains is a small system over the dense cells and the free sparse
-   cells the substitution reaches, assembled in whole arrays; it is solvable
-   exactly when the whole system is, and Gauss-Jordan elimination on packed
-   integers solves it, every pivot then evaluated at once;
+   The small system left over the dense cells and the free sparse cells the
+   substitution reaches, solvable exactly when the whole system is, is built
+   in whole arrays and solved by Gauss-Jordan on packed integers;
 4. back-substitute round by round in reverse over operands gathered once in
    peeling order, each row's two other cells and its value with its dense
    part folded in: a round is a slice, two gathers, two XORs and one put.
@@ -185,7 +184,7 @@ def _peel(idx: np.ndarray, m_sparse: int
                 moved = flat[offsets + pivots] & parity
         else:
             # removing a row with degree-2 columns leaves them at degree 1
-            alive = np.ones(n, dtype=bool)
+            alive, tags = np.ones(n, dtype=bool), None  # no tags are read from the first stall on
             if steps:
                 alive[np.concatenate([r for r, _ in steps])] = False
             left = np.flatnonzero(alive)
@@ -207,7 +206,7 @@ def _peel(idx: np.ndarray, m_sparse: int
             moved[0] = rows + one
             sources.append(rows)
             added.append(moved)
-            np.subtract.at(flat, (offsets + cols).ravel(), np.repeat(moved, 3))
+            np.subtract.at(flat, (offsets + cols).ravel(), moved.repeat(3))
         else:
             np.subtract.at(state, cols, tags.take(rows, axis=0).ravel())
         ones = cols[unsigned[cols] < below]
@@ -217,7 +216,8 @@ def _peel(idx: np.ndarray, m_sparse: int
     # bit q % 8 of the word's byte q // 8, for q = e % per * width
     q = np.arange(g) % per * width
     word, byte, bit = np.arange(g) // per, q // 8, (1 << q % 8).astype(np.uint8)[:, None]
-    free = np.flatnonzero((table[1:] & parity).any(axis=0))
+    np.bitwise_and(table[1:], parity, out=table[1:])
+    free = np.flatnonzero(table[1:].any(axis=0))
     absorbed, held = (w.view(np.uint8).reshape(*w.shape, 8)
                       for w in (np.concatenate([a[1:] for a in added], axis=1), table[1:]))
     return steps, (np.concatenate(sources), absorbed[word, :, byte] & bit != 0,
@@ -252,18 +252,19 @@ def encode(digests: np.ndarray, values: np.ndarray, row_seed: bytes,
     # gathered once, in peeling order: each peeled row's two other cells, and
     # its value with its dense part folded in (the dense cells are settled now)
     rounds = [step for step in steps if step[1] is not None] or [(idx[:0, 0], idx[:0, 0])]
+    ends = np.cumsum([0] + [p.size for _, p in rounds]).tolist()
     rows, pivots = (np.concatenate(part) for part in zip(*rounds))
+    del steps, deferred, rounds  # from here on only the gathered operands are read
     c0, c1, c2 = idx.take(rows, axis=0).T
     a, b = np.where(pivots == c0, c1, c0), np.where(pivots == c2, c1, c2)
-    del pivots, c0, c1, c2  # the loop reads only the gathered operands
+    del idx, c0, c1, c2
     rhs = values.take(rows, axis=0)
     rhs ^= gf.xor_rows(masks.take(rows), cells[m_sparse:])
     cell = np.dtype((np.void, cells.shape[1] * _U64.itemsize))
-    cell_view, ends = cells.view(cell).ravel(), np.cumsum([0] + [p.size for _, p in rounds]).tolist()
-    for (_, pivots), lo, hi in zip(reversed(rounds), ends[-2::-1], ends[:0:-1]):
-        # no other row of the round holds these pivots
+    cell_view = cells.view(cell).ravel()
+    for lo, hi in zip(ends[-2::-1], ends[:0:-1]):  # no other row of a round holds its pivots
         solved = cells.take(a[lo:hi], axis=0) ^ cells.take(b[lo:hi], axis=0) ^ rhs[lo:hi]
-        cell_view.put(pivots, solved.view(cell))
+        cell_view.put(pivots[lo:hi], solved.view(cell))
     return OkvsTable(row_seed, cells)
 
 
