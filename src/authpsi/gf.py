@@ -18,9 +18,12 @@ Every GF(2)-linear map on rows of any width is one kernel, `xor_rows`
 (Shoup's byte tables; McGrew-Viega, "The Galois/Counter Mode of Operation",
 2004, 4.1): the OKVS dense columns, at the table's cell width, and
 `scalar_mul_vec`, which multiplies the fixed delta of the VOLE dealer and
-the two-party sender into vectors. It reads the masks as little-endian
-bytes and gathers each byte column from its table in one `np.take` over
-entries of a whole row's bytes.
+the two-party sender into vectors, reading each element's two limbs as one
+128-bit mask over the 128 basis products. It reads the masks as
+little-endian bytes, builds the 256-entry tables of all mask bytes together
+in 8 whole-array steps, one per bit over every table at once, and gathers
+each byte column from its table in one `np.take` over entries of a whole
+row's bytes.
 
 Every AES call of the library is `aes`, on 16-byte blocks held as '<u8'
 words in this layout: AES-128-ECB, or CTR from a nonce, of their wire bytes.
@@ -69,23 +72,31 @@ def aes(key: bytes, blocks: np.ndarray, nonce: Optional[bytes] = None) -> np.nda
 def xor_rows(masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per mask, the XOR of the rows its set bits select; (n, w) words for (k, w) rows.
 
-    Bit j of an (n,) uint64 mask selects row j of the (at most 64) rows; bits
-    at or above the row count k select nothing. The masks are read as '<u8'
-    values, so any byte order of the given array gives the same rows, and
-    byte j of a mask is its bits 8j..8j+7. Each of the first ceil(k/8) mask
-    bytes indexes a 256-entry table of the XORs of the eight rows it covers
-    (zero rows past k), and each byte column is one gather of 8w-byte entries.
+    A mask is one uint64 word, (n,), or L words, (n, L), word i holding bits
+    64i..64i+63, so a field element of an (n, 2) limb array is a 128-bit mask.
+    Bit j selects row j of the (at most 64L) rows; bits at or above the row
+    count k select nothing. The masks are read as '<u8' words, so any byte
+    order of the given array gives the same rows, and byte j of a mask is its
+    bits 8j..8j+7. Each of the first ceil(k/8) mask bytes indexes a 256-entry
+    table of the XORs of the eight rows it covers (zero rows past k), and each
+    byte column is one gather of 8w-byte entries. The tables are built
+    together, one (groups, 256, w) array doubled in 8 whole-array steps: step
+    b fills entries [2^b, 2^(b+1)) of every table.
     """
     n, (k, w) = masks.shape[0], rows.shape
-    columns = np.ascontiguousarray(masks, dtype=_LIMB).view(np.uint8).reshape(n, 8).T
-    entry = np.dtype((np.void, w * _LIMB.itemsize))
+    groups = -(-k // 8)
+    words = np.ascontiguousarray(masks, dtype=_LIMB).reshape(n, *masks.shape[1:] or (1,))
+    columns = words.view(np.uint8).T
+    padded = np.zeros((groups * 8, w), dtype=_LIMB)
+    padded[:k] = rows
+    padded = padded.reshape(groups, 8, 1, w)
+    tables = np.zeros((groups, 256, w), dtype=_LIMB)
+    for b in range(8):
+        np.bitwise_xor(tables[:, : 1 << b], padded[:, b], out=tables[:, 1 << b : 2 << b])
+    entries = tables.view(np.dtype((np.void, w * _LIMB.itemsize))).reshape(groups, 256)
     acc = np.zeros((n, w), dtype=_LIMB)
-    for j in range(-(-k // 8)):
-        table = np.zeros((256, w), dtype=_LIMB)
-        for b in range(8):
-            row = rows[8 * j + b] if 8 * j + b < k else 0
-            table[1 << b : 2 << b] = table[: 1 << b] ^ row
-        acc ^= np.take(table.view(entry).ravel(), columns[j]).view(_LIMB).reshape(n, w)
+    for j in range(groups):
+        acc ^= np.take(entries[j], columns[j]).view(_LIMB).reshape(n, w)
     return acc
 
 
@@ -99,7 +110,8 @@ def scalar_mul_vec(delta: bytes, vec: np.ndarray) -> np.ndarray:
     """Multiply every element of an (n, 2) limb array by one 16-byte scalar delta.
 
     delta * v is GF(2)-linear in v: the XOR of the basis products delta * x^i
-    that the bits of v select, limb 0 from x^0..x^63 and limb 1 from x^64..x^127.
+    that the bits of v select, one `xor_rows` over the 128 basis rows with v's
+    two limbs as the mask.
     """
     if len(delta) != GF_BYTES:
         raise ValueError(f"scalar must be {GF_BYTES} bytes, got {len(delta)}")
@@ -107,4 +119,4 @@ def scalar_mul_vec(delta: bytes, vec: np.ndarray) -> np.ndarray:
     for _ in range(127):
         basis.append(_double(basis[-1]))
     rows = vec_from_bytes(b"".join(b.to_bytes(GF_BYTES, "little") for b in basis))
-    return xor_rows(vec[:, 0], rows[:64]) ^ xor_rows(vec[:, 1], rows[64:])
+    return xor_rows(vec, rows)

@@ -133,11 +133,26 @@ def _roles(n: int, t: Optional[int]) -> Optional[psin.Roles]:
     return None
 
 
+def _distinct(own: merkle.Commitment) -> bool:
+    """Whether the committed elements are distinct: by their digests' limb 0 when that decides
+    (one digest per element and no limb 0 repeated, as in `okvs.encode`), else by a set."""
+    low = np.sort(own.digests[:, 0])
+    if low.size == len(own.elements) and not (low[1:] == low[:-1]).any():
+        return True
+    return len(set(own.elements)) == len(own.elements)
+
+
 @dataclass(frozen=True)
 class Session:
     """One description of a run, its shape checked here once: every endpoint is built from
     it, and a shape the parties do not run, or an honest party's commitment of another root
-    or salt, is a `ConfigError` before any endpoint exists. Nothing re-hashes a set."""
+    or salt, is a `ConfigError` before any endpoint exists. Nothing re-hashes a set.
+
+    A set's distinctness is read from its commitment's digests: a commitment holding one
+    digest per element, no two with the same limb 0, is of distinct elements, since equal
+    elements have equal salted leaves. The session trusts a commitment to hold its elements'
+    digests, as `merkle.root` makes them, as it trusts it for its root. Any other commitment
+    is checked on its elements themselves."""
     # party index -> its commitment; a networked party holds only its own
     commitments: dict[int, merkle.Commitment]
     roots: dict[int, merkle.MerkleRoot]    # party index -> announced root
@@ -158,7 +173,7 @@ class Session:
                 raise ConfigError(f"party index {i} out of range")
             if not own.elements:
                 raise ConfigError("input set must be nonempty")
-            if len(set(own.elements)) != len(own.elements):
+            if not _distinct(own):
                 raise ConfigError("input set must contain distinct elements")
             if not self.tamper_at(i) and (own.salt, own.root) != (self.session_id, self.roots[i]):
                 raise ConfigError("input set does not match the announced commitment")

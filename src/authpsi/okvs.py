@@ -9,7 +9,9 @@ dense region. Decoding XORs the cells the row selects: the sparse ones by
 one whole-cell `take` along axis 0 per row position, as back-substitution
 does (at 2^14 keys a middle-axis reduce of an (n, omega, w) gather, or 2-D
 fancy indexing, costs 10-20x more), and the dense ones through
-`gf.xor_rows`, the one byte-table kernel. That is linear
+`gf.xor_rows`, the one byte-table kernel. `decode_rows` is that decode
+over rows already expanded, so tables of one row seed and length share one
+expansion; `decode_batch` expands a table's rows and decodes. That is linear
 although every coefficient is 0 or 1; this is the shape of
 the binary OKVS of volePSI (Raghuraman-Rindal, CCS 2022), and neither side
 multiplies field elements. Encoding solves the resulting GF(2) system in
@@ -339,19 +341,20 @@ def _solve_deferred(masks: np.ndarray, values: np.ndarray, sources: np.ndarray,
     return True
 
 
-def _xor_cells(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per row of `idx`, the XOR of the cells it names: one whole-cell `take` per row position."""
-    acc = cells.take(idx[:, 0], axis=0)
-    for j in range(1, idx.shape[1]):
+def decode_rows(cells: np.ndarray, idx: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The XOR of the cells each row selects, (n, w) words, for rows as `row_batch` gives them
+    for these m cells: the dense cells through `gf.xor_rows`, then the sparse ones by one
+    whole-cell `take` per row position. Tables that share a row seed and a length share
+    their rows."""
+    acc = gf.xor_rows(masks, cells[cells.shape[0] - DENSE_COLUMNS:])
+    for j in range(idx.shape[1]):
         acc ^= cells.take(idx[:, j], axis=0)
     return acc
 
 
 def decode_batch(table: OkvsTable, digests: np.ndarray) -> np.ndarray:
     """The XOR of the cells each key digest's row selects, (n, w) words; defined for any key."""
-    m = table.values.shape[0]
-    idx, masks = row_batch(digests, table.row_seed, m)
-    return _xor_cells(table.values, idx) ^ gf.xor_rows(masks, table.values[m - DENSE_COLUMNS:])
+    return decode_rows(table.values, *row_batch(digests, table.row_seed, table.values.shape[0]))
 
 
 def encode_with_retry(digests: np.ndarray, values: np.ndarray, max_attempts: int,

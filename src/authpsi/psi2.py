@@ -13,11 +13,16 @@ tree root; the session runs on those commitments. The run has three phases:
   C = A*delta + B. A party whose gate fails thus does no work past its
   own root, and the dealer draws no correlation for its session.
   The receiver sends the masked table A' = A + P in `okvs`'s table format;
-  the sender reads it with the receiver's set size from its commitment,
-  folds it into B' = B + A'*delta and answers with the digest set
-  R = { Ho( Decode(B', y) + delta*HB(y) ) | y in Y }, randomly permuted and
-  sent as the bare digests: the receiver knows their count, the sender's set
-  size, from its commitment.
+  the sender reads it with the receiver's set size from its commitment and
+  answers with the digest set
+  R = { Ho( Decode(B', y) + delta*HB(y) ) | y in Y }, B' = B + A'*delta,
+  randomly permuted and sent as the bare digests: the receiver knows their
+  count, the sender's set size, from its commitment. The sender never forms
+  B': decoding is linear, so Decode(B', y) = Decode(B, y) + delta*Decode(A', y),
+  and it computes the same field element as
+  Decode(B, y) + delta*(Decode(A', y) + HB(y)) (`sender_values`), which takes
+  n_y products by delta where B' takes m, and expands y's rows once for both
+  decodes.
 - reconstruct: the receiver computes R' = { Ho( Decode(C, x) ) | x in X } and
   outputs the elements whose digest lands in R. The match is exact and in
   whole arrays: it sorts the first 8 bytes of the received digests, looks
@@ -293,7 +298,6 @@ class Psi2Engine(Party):
         self._recv_corr: Optional[vole.ReceiverCorrelation] = None
         # sender state
         self._send_corr: Optional[vole.SenderCorrelation] = None
-        self.bprime_table: Optional[okvs.OkvsTable] = None  # exposed for white-box checks
 
     # -- transform -----------------------------------------------------------
 
@@ -351,13 +355,8 @@ class Psi2Engine(Party):
             masked = okvs.OkvsTable.from_bytes(self._pending_masked, self.n_x, width=2)
         except ValueError as exc:
             raise ProtocolError(f"malformed masked vector: {exc}") from exc
-        corr = self._send_corr
-        bprime = corr.b_vec ^ gf.scalar_mul_vec(corr.delta, masked.values)
-        self.bprime_table = okvs.OkvsTable(masked.row_seed, bprime)
-
-        decoded = okvs.decode_batch(self.bprime_table, self.digests)
-        unmasked = decoded ^ gf.scalar_mul_vec(corr.delta, hash_to_mask(self.digests))
-        outputs = output_digest(unmasked, self.out_bytes)
+        self._pending_masked = None
+        outputs = output_digest(sender_values(masked, self._send_corr, self.digests), self.out_bytes)
         order = self.rng.permutation(self.n_y)
         return [(self.peer, self._env(MSG_DIGEST_SET, outputs[order].tobytes()))]
 
@@ -374,6 +373,20 @@ class Psi2Engine(Party):
         own = output_digest(okvs.decode_batch(c_table, self.digests), width)
         self.intersection = {self.inputs[i] for i in np.flatnonzero(_matches(received, own)).tolist()}
         return []
+
+
+def sender_values(masked: okvs.OkvsTable, corr: vole.SenderCorrelation,
+                  digests: np.ndarray) -> np.ndarray:
+    """Decode(B, y) + delta*(Decode(A', y) + HB(y)) per digest y, for the receiver's masked
+    table A' and the sender's half (B, delta): by linearity of decoding, Decode(B', y) +
+    delta*HB(y) with B' = B + A'*delta. The rows are expanded once for both decodes."""
+    idx, masks = okvs.row_batch(digests, masked.row_seed, masked.values.shape[0])
+    offset = okvs.decode_rows(masked.values, idx, masks)
+    offset ^= hash_to_mask(digests)
+    values = gf.scalar_mul_vec(corr.delta, offset)
+    del offset  # freed before the second decode, which keeps the sender's peak down
+    values ^= okvs.decode_rows(corr.b_vec, idx, masks)
+    return values
 
 
 def _prefix_words(digests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -244,7 +244,7 @@ class PsinEngine(Party):
             own = self._own_values()
             combined = opprf.opprf_query_batch([self._hints[s] for s in roles.senders],
                                                self.digests, self._evals)
-            self.intersection = {self.inputs[q] for q in np.flatnonzero(own == combined)}
+            self.intersection = {self.inputs[q] for q in np.flatnonzero(own == combined).tolist()}
             return []
         hint = opprf.opprf_program(self.digests, self._own_values(), self._oprf_key,
                                    rng=self.rng)

@@ -286,7 +286,9 @@ def test_criterion_09_merkle_forgery_resistance():
 
 def test_criterion_10_masking_identity_white_box():
     """Decode(B', x) + delta*HB(x) equals Decode(C, x) bit-exactly for 10^3
-    elements lying in both sets."""
+    elements lying in both sets, with B' = B + delta*A' from the sender's B and
+    the A' the receiver sent; so does the sender's folded form,
+    Decode(B, x) + delta*(Decode(A', x) + HB(x))."""
     t0 = time.perf_counter()
     checked = 0
     session_no = 0
@@ -298,15 +300,19 @@ def test_criterion_10_masking_identity_white_box():
         engines = _white_box_session(x, y, session, roots, seed=session_no)
         er, es = engines[1], engines[2]
         assert er.intersection == set(x) & set(y)
-        c_table = okvs.OkvsTable(er._table.row_seed, er._recv_corr.c_vec)
-        delta = es._send_corr.delta
+        row_seed, corr = er._table.row_seed, es._send_corr
+        c_table = okvs.OkvsTable(row_seed, er._recv_corr.c_vec)
+        masked = okvs.OkvsTable(row_seed, er._recv_corr.a_vec ^ er._table.values)
+        bprime_table = okvs.OkvsTable(row_seed, corr.b_vec ^ gf.scalar_mul_vec(corr.delta, masked.values))
         common = merkle.root(sorted(set(x) & set(y)), session).digests
-        bprime_decoded = okvs.decode_batch(es.bprime_table, common)
+        bprime_decoded = okvs.decode_batch(bprime_table, common)
         c_decoded = okvs.decode_batch(c_table, common)
-        masks = gf.scalar_mul_vec(delta, psi2.hash_to_mask(common))
+        masks = gf.scalar_mul_vec(corr.delta, psi2.hash_to_mask(common))
+        folded = psi2.sender_values(masked, corr, common)
         for i in range(len(common)):
             lhs = vec_get(bprime_decoded, i) ^ vec_get(masks, i)
             assert lhs == vec_get(c_decoded, i)
+            assert vec_get(folded, i) == vec_get(c_decoded, i)
             checked += 1
             if checked == 1000:
                 break

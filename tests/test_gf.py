@@ -204,3 +204,18 @@ def test_aes_is_the_cipher_over_the_wire_bytes(shape, nonce):
         out = gf.aes(key, blocks, nonce)
         assert out.shape == shape and out.dtype == np.dtype("<u8")
         assert out.tobytes() == expected
+
+
+def test_xor_rows_reads_two_words_as_one_128_bit_mask():
+    # word 1 holds bits 64..127, as in a field element's limbs; bits at or above
+    # the row count select nothing, and the words' byte order does not count
+    rng = np.random.default_rng(11)
+    masks = np.concatenate([rng.integers(0, 1 << 64, size=(200, 2), dtype=np.uint64),
+                            np.array([[0, 0], [(1 << 64) - 1] * 2], dtype=np.uint64)])
+    for count in (0, 9, 64, 65, 100, 128):
+        rows = rng.integers(0, 1 << 64, size=(count, 2), dtype=np.uint64)
+        expect = np.zeros((masks.shape[0], 2), dtype=np.uint64)
+        for j in range(count):
+            expect[(masks[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1) == 1] ^= rows[j]
+        assert gf.xor_rows(masks, rows).tolist() == expect.tolist(), count
+        assert gf.xor_rows(masks.astype(">u8"), rows).tolist() == expect.tolist(), count

@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from authpsi import gf, harness, merkle, okvs, psi2, transport, vole
 from authpsi.errors import ConfigError, ProtocolError
@@ -124,21 +126,61 @@ def test_honest_self_check_catches_drift():
 
 
 def test_masking_identity_white_box():
-    # Decode(B', x) + delta*HB(x) == Decode(C, x) for members of both sets
+    # Decode(B', x) + delta*HB(x) == Decode(C, x) for members of both sets, with
+    # B' = B + delta*A' from the sender's B and the A' the receiver sent; the
+    # sender's folded form gives the same field elements
     x, y = _sets(48, 48, 24, seed=6)
     session = b"\x22" * 16
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     engines = _run_engines(x, y, session, roots, seed=6)
     er, es = engines[1], engines[2]
     assert er.intersection == set(x) & set(y)
-    c_table = okvs.OkvsTable(er._table.row_seed, er._recv_corr.c_vec)
-    delta = int.from_bytes(es._send_corr.delta, "little")
+    row_seed, corr = er._table.row_seed, es._send_corr
+    c_table = okvs.OkvsTable(row_seed, er._recv_corr.c_vec)
+    masked = okvs.OkvsTable(row_seed, er._recv_corr.a_vec ^ er._table.values)
+    bprime_table = okvs.OkvsTable(row_seed, corr.b_vec ^ gf.scalar_mul_vec(corr.delta, masked.values))
+    delta = int.from_bytes(corr.delta, "little")
     common = merkle.root(sorted(set(x) & set(y)), session).digests
-    bprime, c = okvs.decode_batch(es.bprime_table, common), okvs.decode_batch(c_table, common)
+    bprime, c = okvs.decode_batch(bprime_table, common), okvs.decode_batch(c_table, common)
+    folded = psi2.sender_values(masked, corr, common)
     hb = psi2.hash_to_mask(common)
     for i in range(len(common)):
         lhs = vec_get(bprime, i) ^ mul_oracle(delta, vec_get(hb, i))
         assert lhs == vec_get(c, i)
+        assert vec_get(folded, i) == vec_get(c, i)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(n_x=st.integers(1, 200), n_y=st.integers(1, 200), seed=st.integers(0, 2**32))
+def test_sender_folds_delta_in_after_decoding(n_x, n_y, seed):
+    # over uniform tables, digests and delta, Decode(B, y) + delta*(Decode(A', y) + HB(y))
+    # is Decode(B + delta*A', y) + delta*HB(y)
+    rng = np.random.default_rng(seed)
+    m = okvs.table_length(n_x)
+    masked = okvs.OkvsTable(rng.bytes(okvs.SEED_BYTES), rng.integers(0, 1 << 64, (m, 2), np.uint64))
+    corr = vole.SenderCorrelation(rng.integers(0, 1 << 64, (m, 2), np.uint64), rng.bytes(gf.GF_BYTES))
+    digests = rng.integers(0, 1 << 64, (n_y, 2), np.uint64)
+    bprime = okvs.OkvsTable(masked.row_seed, corr.b_vec ^ gf.scalar_mul_vec(corr.delta, masked.values))
+    expected = (okvs.decode_batch(bprime, digests)
+                ^ gf.scalar_mul_vec(corr.delta, psi2.hash_to_mask(digests)))
+    assert psi2.sender_values(masked, corr, digests).tolist() == expected.tolist()
+
+
+def test_session_multiplies_the_table_and_the_sender_set_once(monkeypatch):
+    # the dealer multiplies A by delta over the m table cells; the sender folds delta
+    # in after decoding, over its n_y elements, and forms no m-cell B' = B + delta*A'
+    counted = []
+    real = gf.scalar_mul_vec
+
+    def scalar_mul_vec(delta, vec):
+        counted.append(len(vec))
+        return real(delta, vec)
+
+    monkeypatch.setattr(gf, "scalar_mul_vec", scalar_mul_vec)
+    x, y = _sets(300, 200, 50, seed=9)
+    res = harness.run_two_party(x, y, seed=9)
+    assert res.intersection == set(x) & set(y)
+    assert sorted(counted) == sorted([okvs.table_length(len(x)), len(y)])
 
 
 def _build(x, y, session, roots, seed):

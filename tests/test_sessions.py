@@ -316,6 +316,26 @@ def test_session_refuses_a_shape_the_parties_do_not_run(fault):
         harness.Session(**args)
 
 
+def test_repeated_element_is_refused_though_its_commitment_has_a_digest_per_element():
+    # merkle.root hashes the repeat into a second equal digest, so the count matches
+    # and the repeat shows in the digests' limb 0
+    x, y = datasets.generate_sets(8, 16, 2, 2, 70)
+    commitments = {1: merkle.root(x, SHAPE_SID), 2: merkle.root(y + y[:1], SHAPE_SID)}
+    assert len(commitments[2].digests) == len(commitments[2].elements)
+    with pytest.raises(ConfigError, match="input set must contain distinct elements"):
+        harness.Session(commitments, _announced(commitments), SHAPE_SID)
+
+
+def test_distinct_elements_whose_digests_share_limb_0_are_accepted():
+    # a repeated limb 0 does not decide: the elements themselves are compared
+    x, y = datasets.generate_sets(8, 16, 2, 2, 70)
+    commitments = {1: merkle.root(x, SHAPE_SID), 2: merkle.root(y[:2], SHAPE_SID)}
+    digests = commitments[2].digests.copy()
+    digests[1, 0] = digests[0, 0]
+    commitments[2] = dataclasses.replace(commitments[2], digests=digests)
+    harness.Session(commitments, _announced(commitments), SHAPE_SID)
+
+
 @pytest.mark.parametrize("parties,t", [(2, None), (3, 1), (5, 2), (8, 4)],
                          ids=["2pc", "3x1", "5x2", "8x4"])
 def test_dealer_clients_are_the_parties_that_ask_it(parties, t):
