@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Optional
 
 import click
-import numpy as np
 
 from . import datasets, harness, merkle, transport
 from .errors import ConfigError, TransportError
@@ -247,6 +246,8 @@ def run_cmd(config_path, role, tamper, tamper_party, seed, out_dir):
     if role is not None and seed is not None:
         raise click.UsageError("--seed fixes a run without --role only: each --role process "
                                "draws its own")
+    if seed is not None and seed >> 128:
+        raise click.UsageError("--seed is the run's 16-byte key: at most 2^128 - 1")
     if role is not None and tamper_party not in (None, role):
         raise click.UsageError("a networked process can only tamper with its own inputs")
     if role == transport.DEALER_INDEX and tamper:
@@ -257,7 +258,7 @@ def run_cmd(config_path, role, tamper, tamper_party, seed, out_dir):
         tamper_obj = harness.Tamper.parse(tamper, party) if tamper else None
         if role is None:
             session, net, timeout = _session(cfg, tamper_obj), transport.BusNetwork(), None
-            engines, dealer = session.endpoints(np.random.default_rng(seed))
+            engines, dealer = session.endpoints(harness.run_stream(seed))
         else:
             addresses = {_party_index(k): _address(f"party {k}", v)
                          for k, v in cfg["parties"].items()}
@@ -330,7 +331,7 @@ def _finish(out: Path, result: harness.RunResult, served: Optional[int]) -> None
 @click.option("--construction", type=click.Choice(["2pc", "npc", "both"]),
               default="2pc", show_default=True)
 @click.option("--out", "out_path", default=None, help=".json or .csv output path")
-@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0, max=(1 << 64) - 1), default=1, show_default=True)
 def bench(sizes, reps, construction, out_path, seed):
     """Honest-run sweeps: median timings and communication per element."""
     if reps < 1:

@@ -31,6 +31,7 @@ words in this layout: AES-128-ECB, or CTR from a nonce, of their wire bytes.
 
 from __future__ import annotations
 
+import secrets
 from typing import Optional
 
 import numpy as np
@@ -67,6 +68,26 @@ def aes(key: bytes, blocks: np.ndarray, nonce: Optional[bytes] = None) -> np.nda
     enc = Cipher(algorithms.AES(key), mode).encryptor()
     enc.update_into(data.reshape(-1).view(np.uint8), out)  # nothing left to finalize
     return out[:data.nbytes].view(_LIMB).reshape(data.shape)
+
+
+class KeyStream:
+    """The library's one generator: AES-128-CTR over zero blocks from counter 0 under a 16-byte
+    key (by default `secrets.token_bytes(16)`, the library's one read of OS entropy). Each draw
+    continues the stream in whole blocks: n bytes are the first n of the next ceil(n/16)."""
+
+    def __init__(self, key: Optional[bytes] = None):
+        self.key = secrets.token_bytes(GF_BYTES) if key is None else key
+        self._block = 0  # the counter of the next draw's first block
+
+    def bytes(self, n: int) -> bytes:
+        blocks = -(-n // GF_BYTES)
+        out = aes(self.key, np.zeros((blocks, 2), _LIMB), self._block.to_bytes(GF_BYTES, "big"))
+        self._block += blocks
+        return out.tobytes()[:n]
+
+    def permutation(self, n: int) -> np.ndarray:
+        """0..n-1 in the order of n 64-bit stream words (`np.argsort`, default kind)."""
+        return np.argsort(np.frombuffer(self.bytes(8 * n), _LIMB))
 
 
 def xor_rows(masks: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -4,11 +4,12 @@ A `Session` describes a run once: the parties' commitments, their announced
 roots, the session id, the collusion bound t (None selects the two-party
 construction) and an optional tamper. It checks that shape, and each honest
 party's commitment against its announced root, once, and every endpoint is
-built from it. `drive` is the one delivery loop, which times every step of
-every endpoint, and `run` the one way to drive and report the endpoints a
-process holds: every party and the dealer over the in-process bus, whose one
-global FIFO keeps runs reproducible under fixed seeds, or the one party, or
-the dealer alone, of a networked CLI process over its TCP node.
+built from it, on its own `gf.KeyStream` (`Session.endpoints`). `drive` is
+the one delivery loop, which times every step of every endpoint, and `run`
+the one way to drive and report the endpoints a process holds: every party
+and the dealer over the in-process bus, whose one global FIFO keeps runs
+reproducible under fixed seeds, or the one party, or the dealer alone, of a
+networked CLI process over its TCP node.
 
 The dealer (`DealerService`) is a `psi2.Endpoint` like the parties, built
 from the session id, n and t, which it checks by the session's rule; it
@@ -36,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import merkle, opprf, psi2, psin, transport, vole
+from . import gf, merkle, opprf, psi2, psin, transport, vole
 from .errors import ConfigError, ProtocolError, TransportError
 # unused here; held by name for bench/test_bench.py, which checks the tracer replaces it here too
 from .psi2 import decode_root_proofs  # noqa: F401
@@ -192,17 +193,14 @@ class Session:
     def tamper_at(self, i: int) -> Optional[Tamper]:
         return self.tamper if self.tamper is not None and self.tamper.party == i else None
 
-    def engine(self, i: int, rng: Optional[np.random.Generator] = None):
+    def engine(self, i: int, rng: Optional[gf.KeyStream] = None):
         """Party i's engine."""
         return (psi2.Psi2Engine if self.t is None else psin.PsinEngine)(self, i, rng)
 
-    def endpoints(self, rng: np.random.Generator) -> tuple[dict, DealerService]:
-        """Each given party's engine, in index order, then the dealer, seeded from `rng` in turn."""
-        engines = {i: self.engine(i, np.random.default_rng(rng.integers(1 << 62)))
-                   for i in sorted(self.commitments)}
-        dealer = DealerService(self.session_id, self.n, self.t,
-                               rng=np.random.default_rng(rng.integers(1 << 62)))
-        return engines, dealer
+    def endpoints(self, rng: gf.KeyStream) -> tuple[dict, DealerService]:
+        """Each given party's engine, in index order, then the dealer, keyed from `rng` in turn."""
+        engines = {i: self.engine(i, gf.KeyStream(rng.bytes(16))) for i in sorted(self.commitments)}
+        return engines, DealerService(self.session_id, self.n, self.t, gf.KeyStream(rng.bytes(16)))
 
 
 @dataclass
@@ -231,7 +229,7 @@ class DealerService(psi2.Endpoint):
     """
 
     def __init__(self, session_id: bytes, n: int, t: Optional[int],
-                 rng: Optional[np.random.Generator] = None):
+                 rng: Optional[gf.KeyStream] = None):
         roles = _roles(n, t)
         self._senders = [] if roles is None else roles.senders
         clients = [1, 2] if roles is None else self._senders + [n]
@@ -399,17 +397,20 @@ def run(net, session: Optional[Session], engines: dict,
                      meter=net.meter)
 
 
+def run_stream(seed: Optional[int]) -> gf.KeyStream:
+    """A run's key stream: a seed is its key, as 16 big-endian bytes; no seed, a fresh key."""
+    return gf.KeyStream(None if seed is None else seed.to_bytes(gf.GF_BYTES, "big"))
+
+
 def _run(sets, t, session_id, tamper, seed, network, announced_roots) -> RunResult:
-    rng = np.random.default_rng(seed)
-    if session_id is None:
-        session_id = rng.bytes(16)
+    rng = run_stream(seed)
+    session_id = rng.bytes(16) if session_id is None else session_id
     given = announced_roots or {}
     # a set is committed here only when no commitment of it was given
     commitments = {i: given[i] if i in given and given[i].elements == s
                    else merkle.root(s, session_id) for i, s in sets.items()}
     roots = {i: given.get(i, own).root for i, own in commitments.items()}
     session = Session(commitments, roots, session_id, t, tamper)
-    # the endpoints are seeded from `rng` as `Session.endpoints` says
     return run(network if network is not None else transport.BusNetwork(),
                session, *session.endpoints(rng))
 

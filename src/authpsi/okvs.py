@@ -37,12 +37,12 @@ Jiang-Mitzenmacher-Thaler, "Parallel Peeling Algorithms", SPAA 2014):
    peeling order, each row's two other cells and its value with its dense
    part folded in: a round is a slice, two gathers, two XORs and one put.
 
-Every position starts from a uniform random fill, and only pivot positions
-(of the peel or of the small system) are overwritten. The free positions
-thus stay uniform and independent, and the table is uniform over the
-solution set: that is load-bearing, since with uniform values the encoded
-vector is indistinguishable across key sets, which is what the protocols
-rely on when they ship tables to the other side.
+Every position starts from a uniform fill from the encoder's `gf.KeyStream`,
+and only pivot positions (of the peel or of the small system) are
+overwritten. The free positions thus stay uniform and independent, and the
+table is uniform over the solution set: that is load-bearing, since with
+uniform values the encoded vector is indistinguishable across key sets,
+which is what the protocols rely on when they ship tables to the other side.
 
 Keys are element digests d(x) (the salted leaf prefixes of `merkle.root`) in
 an (n, 2) limb array that each party computes once, when it commits, and
@@ -115,11 +115,12 @@ class OkvsTable:
 
     @classmethod
     def from_bytes(cls, raw: bytes, n: int, width: int) -> "OkvsTable":
-        """Parse a table of n pairs in cells of `width` words; any other length is a ValueError."""
+        """Parse a table of n pairs in `width`-word cells, a read-only view of `raw`; any other
+        length is a ValueError."""
         expected = SEED_BYTES + table_length(n) * width * _U64.itemsize
         if len(raw) != expected:  # a short seed too
             raise ValueError(f"table of {len(raw)} bytes, {n} pairs at width {width} need {expected}")
-        return cls(raw[:SEED_BYTES], np.frombuffer(raw[SEED_BYTES:], _U64).reshape(-1, width).copy())
+        return cls(raw[:SEED_BYTES], np.frombuffer(raw, _U64, offset=SEED_BYTES).reshape(-1, width))
 
 
 def _expand_streams(digests: np.ndarray, seed: bytes) -> np.ndarray:
@@ -227,7 +228,7 @@ def _peel(idx: np.ndarray, m_sparse: int
 
 
 def encode(digests: np.ndarray, values: np.ndarray, row_seed: bytes,
-           rng: np.random.Generator) -> Optional[OkvsTable]:
+           rng: gf.KeyStream) -> Optional[OkvsTable]:
     """Encode n key digests to (n, w) word values in `table_length(n)` cells under `row_seed`;
     returns None when the system cannot be solved."""
     n = digests.shape[0]
@@ -246,7 +247,7 @@ def encode(digests: np.ndarray, values: np.ndarray, row_seed: bytes,
     idx, masks = row_batch(digests, row_seed, m)
     steps, deferred = _peel(idx, m_sparse)
 
-    # uniform fill of every position; the solves overwrite the pivots
+    # uniform fill of every position from the key stream; the solves overwrite the pivots
     cells = np.frombuffer(rng.bytes(m * values.shape[1] * _U64.itemsize), _U64).reshape(m, -1).copy()
     if deferred is not None and not _solve_deferred(masks, values, *deferred, cells):
         return None
@@ -358,7 +359,7 @@ def decode_batch(table: OkvsTable, digests: np.ndarray) -> np.ndarray:
 
 
 def encode_with_retry(digests: np.ndarray, values: np.ndarray, max_attempts: int,
-                      rng: np.random.Generator) -> Optional[tuple[OkvsTable, int]]:
+                      rng: gf.KeyStream) -> Optional[tuple[OkvsTable, int]]:
     """Encode into a table sized for the keys, re-randomizing rows until success.
 
     Each attempt draws its row seed from `rng`. The returned table carries

@@ -54,7 +54,7 @@ MSG_OPRF_DEALER = 0x15
 class OprfDealer:
     """Ideal-OPRF functionality: a key per sender, the XOR of their evaluations to the receiver."""
 
-    def __init__(self, senders: Sequence[int], rng: np.random.Generator):
+    def __init__(self, senders: Sequence[int], rng: gf.KeyStream):
         self._keys = {s: rng.bytes(KEY_BYTES) for s in senders}
 
     def key(self, sender: int) -> bytes:
@@ -73,7 +73,7 @@ def decode_queries(raw: bytes) -> np.ndarray:
 
 
 def opprf_program(points: np.ndarray, ys: np.ndarray, oprf_key: bytes,
-                  rng: np.random.Generator) -> okvs.OkvsTable:
+                  rng: gf.KeyStream) -> okvs.OkvsTable:
     """Sender side: the hint programming each point digest points[i] to the uint64 ys[i]."""
     if points.shape[0] != len(ys):
         raise ValueError("one programmed value per point required")

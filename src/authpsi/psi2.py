@@ -71,17 +71,17 @@ salted with the session id, so commitments are per session.
 
 `Endpoint`, the core of every endpoint of a session, the dealer included,
 admits, refuses and aborts; `Party` adds the root sent at start and the
-gate. A party is built from a `harness.Session`, which has checked the
-session's shape and commitments, and from its index: it takes the session
-id, the roots and its commitment from the session and validates nothing.
-Here each side is owed its peer's root and its dealer material; the receiver
-also the digest set, the sender the masked vector.
+gate. Every endpoint draws from its own key stream `rng`, a `gf.KeyStream`
+(a fresh key when none is given). A party is built from a `harness.Session`,
+which has checked the session's shape and commitments, and from its index:
+it takes the session id, the roots and its commitment from the session and
+validates nothing. Here each side is owed its peer's root and its dealer
+material; the receiver also the digest set, the sender the masked vector.
 """
 
 from __future__ import annotations
 
 import math
-import secrets
 from typing import Optional
 
 import numpy as np
@@ -155,11 +155,11 @@ class Endpoint:
     ABORT_TYPE: int
 
     def __init__(self, session_id: bytes, peers: list[int], owed: dict[int, dict[int, int]],
-                 rng: Optional[np.random.Generator] = None):
+                 rng: Optional[gf.KeyStream] = None):
         self.session_id = session_id
         self.peers = peers
         self._owed = owed  # msg type -> sender -> messages still owed; a settled entry is removed
-        self.rng = rng if rng is not None else np.random.default_rng(secrets.randbits(128))
+        self.rng = rng if rng is not None else gf.KeyStream()
         self.started = False
         self.aborted = False
         self.abort_reason: Optional[str] = None
@@ -236,7 +236,7 @@ class Party(Endpoint):
     changes its inputs: then it commits at start to them. A tampered party sends its tamper's root."""
     ROOT_TYPE: int
 
-    def __init__(self, session, i: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, session, i: int, rng: Optional[gf.KeyStream] = None):
         peers = [j for j in sorted(session.roots) if j != i]
         super().__init__(session.session_id, peers, {self.ROOT_TYPE: dict.fromkeys(peers, 1)}, rng)
         self.index = i
@@ -279,7 +279,7 @@ class Psi2Engine(Party):
     ROOT_TYPE = MSG_ROOT_PROOFS
     ABORT_TYPE = MSG_ABORT
 
-    def __init__(self, session, i: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, session, i: int, rng: Optional[gf.KeyStream] = None):
         super().__init__(session, i, rng)
         self.receiver = i == 1
         self.peer = 3 - i

@@ -37,6 +37,7 @@ says why that is sound).
 P_n's test compares 64 bits, and an element some party lacks leaves an
 unpaired pseudorandom term, so a false match has probability at most
 n_l * 2^-64 per comparison set: 2^-52 at n_l = 2^12, inside the 2^-40 budget.
+Every key, seed and table fill a party draws comes from its `gf.KeyStream`.
 
 Admission, the root gate and the abort path are `psi2.Party`'s, the core
 this engine shares with the two-party one. Each party is owed one root from
@@ -120,7 +121,7 @@ class PsinEngine(Party):
     ROOT_TYPE = MSG_ROOT_PROOFS
     ABORT_TYPE = MSG_ABORT
 
-    def __init__(self, session, i: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, session, i: int, rng: Optional[gf.KeyStream] = None):
         super().__init__(session, i, rng)
         self.roles = roles = Roles(session.n, session.t)
         self.n_l = len(self.inputs)

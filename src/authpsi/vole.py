@@ -2,12 +2,12 @@
 
 A correlation of length m gives the receiver (A, C) and the sender (B, delta)
 with C[i] = A[i] * delta + B[i] over GF(2^128). A and B expand from 32-byte
-seeds with a counter-mode generator. The dealer draws both seeds and delta,
-computes C with `gf.scalar_mul_vec`, and sends each party its bare material:
-the receiver's seed followed by C, or the sender's seed followed by delta.
-Delta stays the 16 little-endian bytes it travels as, from the dealer's draw
-to the sender's fold. Dealer traffic is metered separately from protocol
-traffic.
+seeds with a counter-mode generator. The dealer draws both seeds and delta
+from its key stream (`gf.KeyStream`), computes C with `gf.scalar_mul_vec`,
+and sends each party its bare material: the receiver's seed followed by C,
+or the sender's seed followed by delta. Delta stays the 16 little-endian
+bytes it travels as, from the dealer's draw to the sender's fold. Dealer
+traffic is metered separately from protocol traffic.
 
 A request is the 4-byte big-endian length alone: the dealer reads the role
 from the requester's index (party 1 is the receiver) and the session from
@@ -61,7 +61,7 @@ def complete_receiver_seed(a_seed: bytes, b_seed: bytes, delta: bytes, length: i
                            ^ expand_vector(b_seed, length))
 
 
-def materials(length: int, rng: np.random.Generator) -> tuple[bytes, bytes]:
+def materials(length: int, rng: gf.KeyStream) -> tuple[bytes, bytes]:
     """The dealer's one draw (the A seed, the B seed, then delta): both parties' material."""
     a_seed, b_seed = rng.bytes(EXPANSION_SEED_BYTES), rng.bytes(EXPANSION_SEED_BYTES)
     delta = rng.bytes(gf.GF_BYTES)

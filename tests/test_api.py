@@ -17,6 +17,7 @@ receiver's class is not known statically.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,3 +111,12 @@ def test_allowed_names_exist_and_are_still_test_only():
     uses = _Uses()
     defined = set(_definitions())
     assert {s for s in ALLOWED if s not in defined or uses.used(s)} == set()
+
+
+def test_one_generator_outside_datasets():
+    # every endpoint draws from gf.KeyStream; numpy's generators stay in
+    # `datasets`, which makes test and benchmark inputs, not key material
+    found = [f"{path.name}:{no}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "datasets.py"
+             for no, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"np\.random|default_rng|randbits", line)]
+    assert not found, found

@@ -329,6 +329,25 @@ def test_tamper_naming_no_party_is_usage_error(runner, tmp_path, args, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_largest_seed_keys_a_reproducible_run(runner, tmp_path):
+    # --seed is the run stream's 16-byte key: 2^128 - 1 is the largest, and a
+    # seeded run puts the same bytes on the wire each time
+    prefix = _gen(runner, tmp_path, count=16, overlap=4, seed=23)
+    salt = "3e" * 16
+    _commit_all(runner, prefix, 2, salt)
+    cfg = _config(tmp_path, prefix, 2, salt)
+    reports = []
+    for k in range(2):
+        out = tmp_path / f"out{k}"
+        result = runner.invoke(main, ["run", "--config", cfg, "--seed", str((1 << 128) - 1),
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        reports.append(json.loads((out / "report.json").read_text()))
+    assert reports[0]["per_type"] == reports[1]["per_type"]
+    assert (tmp_path / "out0" / "intersection.txt").read_text() == \
+        (tmp_path / "out1" / "intersection.txt").read_text()
+
+
 @pytest.mark.parametrize("count,tamper,code,message", [
     (256, "extra-element", 3, "party 1: root from party 2 fails its commitment"),
     (256, "flip-element:3", 2, "the flip-element tamper of party 2 changes none of its inputs"),
@@ -383,7 +402,8 @@ def test_collusion_bound_out_of_range_is_usage_error(runner, tmp_path, monkeypat
     (["--role", "1", "--seed", "5"], "--seed fixes a run without --role only"),
     (["--role", "0", "--seed", "5"], "--seed fixes a run without --role only"),
     (["--seed", "-1"], "-1 is not in the range x>=0"),
-], ids=["dealer-tamper", "party-seed", "dealer-seed", "negative-seed"])
+    (["--seed", str(1 << 128)], "--seed is the run's 16-byte key"),
+], ids=["dealer-tamper", "party-seed", "dealer-seed", "negative-seed", "seed-over-128-bits"])
 def test_option_the_mode_would_ignore_is_usage_error(runner, tmp_path, monkeypatch, args, message):
     # none may run as if the option had not been given, nor crash on its value
     monkeypatch.setattr(cli, "DEALER_IDLE_S", 0.2)
@@ -413,9 +433,11 @@ def test_bench_smoke(runner, tmp_path):
                                   "--construction", "2pc", "--out", str(csv_out)])
     assert result.exit_code == 0
     assert csv_out.read_text().startswith("construction,n,median_ms")
-    # seeds are non-negative, as numpy's generators require
-    result = runner.invoke(main, ["bench", "--sizes", "64", "--reps", "1", "--seed", "-1"])
-    assert result.exit_code == 2, result.output
+    # seeds are non-negative, as numpy's generators require, and below 2^64, so
+    # that each run's seed, offset by its repetition, is a 16-byte key
+    for seed in (-1, 1 << 64):
+        result = runner.invoke(main, ["bench", "--sizes", "64", "--reps", "1", "--seed", str(seed)])
+        assert result.exit_code == 2, result.output
 
 
 # keys the CLI does not read, each with what sets it: two a config once could give

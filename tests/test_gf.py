@@ -219,3 +219,42 @@ def test_xor_rows_reads_two_words_as_one_128_bit_mask():
             expect[(masks[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1) == 1] ^= rows[j]
         assert gf.xor_rows(masks, rows).tolist() == expect.tolist(), count
         assert gf.xor_rows(masks.astype(">u8"), rows).tolist() == expect.tolist(), count
+
+
+def test_key_stream_is_aes_ctr_over_zero_blocks_in_whole_blocks():
+    # the class's definition: AES-128-CTR under the key from counter block 0;
+    # each draw takes whole blocks, so 5 then 27 bytes are the first 5 bytes
+    # of block 0 and the first 27 of blocks 1-2, and the next draw starts at block 3
+    key = bytes(range(16))
+    blocks = Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor().update(bytes(16 * 5))
+    stream = gf.KeyStream(key)
+    assert stream.key == key
+    assert stream.bytes(5) == blocks[:5]
+    assert stream.bytes(27) == blocks[16:43]
+    assert stream.bytes(16) == blocks[48:64]
+    assert stream.bytes(0) == b""
+    assert stream.bytes(1) == blocks[64:65]
+
+
+def test_key_stream_permutation_is_fixed_by_the_key():
+    # n 64-bit stream words, ordered: a permutation of range(n) that the key
+    # fixes, and a draw like any other
+    key = b"\x07" * 16
+    for n in (0, 1, 2, 1000):
+        order = gf.KeyStream(key).permutation(n).tolist()
+        assert sorted(order) == list(range(n))
+        assert gf.KeyStream(key).permutation(n).tolist() == order
+    raw = gf.KeyStream(key).bytes(8 * 1000)
+    words = [int.from_bytes(raw[i:i + 8], "little") for i in range(0, len(raw), 8)]
+    assert gf.KeyStream(key).permutation(1000).tolist() == sorted(range(1000), key=words.__getitem__)
+    stream = gf.KeyStream(key)
+    stream.permutation(3)
+    assert stream.bytes(16) == gf.KeyStream(key).bytes(48)[32:]  # 24 bytes took two blocks
+
+
+def test_key_streams_differ_by_key_and_a_stream_without_one_is_fresh():
+    assert gf.KeyStream(bytes(16)).bytes(64) != gf.KeyStream(bytes(15) + b"\x01").bytes(64)
+    assert (gf.KeyStream(bytes(16)).permutation(64).tolist()
+            != gf.KeyStream(bytes(15) + b"\x01").permutation(64).tolist())
+    fresh = [gf.KeyStream() for _ in range(2)]
+    assert [len(s.key) for s in fresh] == [16, 16] and fresh[0].key != fresh[1].key

@@ -105,6 +105,7 @@ def test_stream_input_len_is_its_byte_count(monkeypatch):
         "vole": lambda: (vole.expand_vector(bytes(range(32)), 50),),
         "ho": lambda: (psi2.output_digest(values, 11),),
         "prf": lambda: (zeroshare.prf([SEED, b"\x08" * 16], digests),),
+        "stream": lambda: (np.frombuffer(gf.KeyStream(SEED).bytes(40), np.uint8),),
     }
     expected = {name: call() for name, call in callers.items()}
     monkeypatch.setattr(gf, "Cipher", Measuring)
@@ -342,6 +343,21 @@ def test_table_wire_roundtrip(width):
                       (raw[:-8 * width], 20, width), (raw + cell, 20, width)):
         with pytest.raises(ValueError):
             okvs.OkvsTable.from_bytes(bad, n, w)
+
+
+def test_parsed_table_is_a_read_only_view_of_its_payload():
+    # the sender, the coordinator and P_n only decode a received table, so
+    # parsing copies no cell: the cells share the payload's memory and cannot
+    # be written
+    digests = _h([k for k, _ in _pairs(20, random.Random(9))])
+    values = np.arange(20, dtype=np.uint64)[:, None]
+    raw = okvs.encode(digests, values, SEED, rng=gf.KeyStream(SEED)).to_bytes()
+    back = okvs.OkvsTable.from_bytes(raw, 20, 1)
+    assert not back.values.flags.writeable
+    assert np.shares_memory(back.values, np.frombuffer(raw, np.uint8))
+    with pytest.raises(ValueError):
+        back.values[0, 0] = 0
+    assert okvs.decode_batch(back, digests).tolist() == values.tolist()
 
 
 def _stalls(idx):

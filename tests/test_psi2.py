@@ -186,7 +186,7 @@ def test_session_multiplies_the_table_and_the_sender_set_once(monkeypatch):
 def _build(x, y, session, roots, seed):
     """Both engines and the dealer, as `harness.run_two_party` builds them."""
     announced = {i: c.root for i, c in roots.items()}
-    return harness.Session(roots, announced, session).endpoints(np.random.default_rng(seed))
+    return harness.Session(roots, announced, session).endpoints(harness.run_stream(seed))
 
 
 def _run_engines(x, y, session, roots, seed, net=None):
@@ -536,7 +536,7 @@ def test_gate_binds_inputs_actually_used():
     spec = harness.Session({1: roots[1], 2: merkle.root(y_used, session)},
                            {i: c.root for i, c in roots.items()}, session,
                            tamper=ReplayedRoot(2, y, session))
-    engines, dealer = spec.endpoints(np.random.default_rng(19))
+    engines, dealer = spec.endpoints(harness.run_stream(19))
     harness.drive(transport.BusNetwork(), engines, dealer)
     assert engines[1].aborted and engines[1].intersection is None
 

@@ -87,7 +87,7 @@ def test_only_output_party_learns_intersection():
 
 def _run_engines(sets, t, session, roots, seed, net=None):
     spec = harness.Session(roots, {i: c.root for i, c in roots.items()}, session, t)
-    engines, dealer = spec.endpoints(np.random.default_rng(seed))
+    engines, dealer = spec.endpoints(harness.run_stream(seed))
     harness.drive(net if net is not None else transport.BusNetwork(), engines, dealer)
     return engines
 

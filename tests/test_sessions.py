@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from authpsi import datasets, harness, merkle, okvs, opprf, psi2, psin, transport, vole
+from authpsi import datasets, gf, harness, merkle, okvs, opprf, psi2, psin, transport, vole
 from authpsi.errors import ConfigError, TransportError
 from authpsi.transport import DEALER_INDEX
 
@@ -23,7 +23,7 @@ from authpsi.transport import DEALER_INDEX
 def _run(spec, seed, bus=None):
     """Every party and the dealer of `spec` over the bus, seeded from `seed`."""
     return harness.run(bus if bus is not None else transport.BusNetwork(), spec,
-                       *spec.endpoints(np.random.default_rng(seed)))
+                       *spec.endpoints(harness.run_stream(seed)))
 
 
 def _announced(commitments):
@@ -207,7 +207,7 @@ def test_one_corrupted_message_ends_every_party_cleanly(data):
     how = data.draw(st.sampled_from(["flip", "truncate", "extend"]))
     offset, bit = data.draw(st.integers(0, 1 << 16)), data.draw(st.integers(0, 7))
 
-    engines, dealer = spec.endpoints(np.random.default_rng(43))
+    engines, dealer = spec.endpoints(harness.run_stream(43))
     seen, corrupted = [0], []
 
     class CorruptingBus(transport.BusNetwork):
@@ -354,6 +354,34 @@ def test_dealer_clients_are_the_parties_that_ask_it(parties, t):
     assert {i for i in spec.commitments if spec.engine(i).awaits(DEALER_INDEX)} == asked
 
 
+@pytest.mark.parametrize("parties,t", [(2, None), (4, 2)], ids=["2pc", "4x2"])
+def test_every_endpoint_draws_from_its_own_key_stream(parties, t):
+    # each party engine and the dealer holds a gf.KeyStream under a 16-byte key
+    # drawn from the run's stream: no two endpoints of a run share a key, a
+    # seed fixes every key, and two unseeded runs share none
+    sets = dict(enumerate(datasets.generate_sets(32, 16, parties, 8, 70 + parties), start=1))
+    sid = bytes([0x70 + parties]) * 16
+    commitments = {i: merkle.root(s, sid) for i, s in sets.items()}
+    spec = harness.Session(commitments, _announced(commitments), sid, t)
+
+    def keys(seed):
+        engines, dealer = spec.endpoints(harness.run_stream(seed))
+        streams = [engines[i].rng for i in sorted(engines)] + [dealer.rng]
+        assert all(type(s) is gf.KeyStream and len(s.key) == 16 for s in streams)
+        if t is not None:  # the dealer drew its OPRF keys, in sender order, from its stream
+            replay, senders = gf.KeyStream(dealer.rng.key), psin.Roles(parties, t).senders
+            assert [dealer.oprf.key(s) for s in senders] == [replay.bytes(16) for _ in senders]
+        return [s.key for s in streams]
+
+    seeded, unseeded = keys(7), [keys(None) for _ in range(2)]
+    assert keys(7) == seeded
+    stream = harness.run_stream(7)
+    assert seeded == [stream.bytes(16) for _ in range(parties + 1)]
+    for run in (seeded, *unseeded):
+        assert len(set(run)) == parties + 1
+    assert not set(unseeded[0]) & set(unseeded[1])
+
+
 @pytest.mark.parametrize("parties,t", [(2, None), (8, 4)], ids=["2pc", "8x4"])
 def test_each_party_receives_exactly_what_it_is_owed(parties, t):
     # in an honest session every engine, and the dealer, is delivered, per
@@ -363,7 +391,7 @@ def test_each_party_receives_exactly_what_it_is_owed(parties, t):
     sid = bytes([0x60 + parties]) * 16
     commitments = {i: merkle.root(s, sid) for i, s in sets.items()}
     spec = harness.Session(commitments, _announced(commitments), sid, t)
-    engines, dealer = spec.endpoints(np.random.default_rng(62))
+    engines, dealer = spec.endpoints(harness.run_stream(62))
     ends = {**engines, DEALER_INDEX: dealer}
     owed = {i: Counter({(msg_type, src): k for msg_type, left in e._owed.items()
                         for src, k in left.items()}) for i, e in ends.items()}
@@ -421,7 +449,7 @@ def test_misrouted_message_aborts_every_party(name, msg_type, to):
     # a message delivered to a party that is not owed it is refused on
     # admission, and the abort reaches every party: nobody ends with output
     spec, _ = FUZZ_SESSIONS[name]
-    engines, dealer = spec.endpoints(np.random.default_rng(43))
+    engines, dealer = spec.endpoints(harness.run_stream(43))
     harness.drive(MisroutingBus(msg_type, to), engines, dealer)  # no escaped error
     assert engines[to].abort_reason.startswith(f"unexpected message {msg_type:#04x} from party ")
     for i, e in engines.items():
@@ -431,7 +459,7 @@ def test_misrouted_message_aborts_every_party(name, msg_type, to):
 def _serve_one(spec, src, env):
     """Drive a session's engines and dealer with `env` from `src` queued for the
     dealer ahead of the session's own traffic; the engines and the dealer after."""
-    engines, dealer = spec.endpoints(np.random.default_rng(43))
+    engines, dealer = spec.endpoints(harness.run_stream(43))
     bus = transport.BusNetwork()
     bus.deliver(src, DEALER_INDEX, env)
     harness.drive(bus, engines, dealer)  # returns: a refusal is an abort, not an error
@@ -576,7 +604,7 @@ def test_every_delivery_order_gives_the_fifo_outcome(name):
     fifo = _run(honest, 81).meter.per_pair()
     output = honest.output_party
     for order in range(40):
-        engines, dealer = honest.endpoints(np.random.default_rng(81))
+        engines, dealer = honest.endpoints(harness.run_stream(81))
         bus = ShuffledBus(order)
         harness.drive(bus, engines, dealer)
         assert engines[output].intersection == expected, order
@@ -585,7 +613,7 @@ def test_every_delivery_order_gives_the_fifo_outcome(name):
         tamper = harness.Tamper(kind=kind, party=party, index=order, index2=order + 7)
         spec = harness.Session(roots, _announced(roots), sid, t, tamper)
         for seed in range(3 * order, 3 * order + 3):
-            engines, dealer = spec.endpoints(np.random.default_rng(seed))
+            engines, dealer = spec.endpoints(harness.run_stream(seed))
             harness.drive(ShuffledBus(seed), engines, dealer)
             for i, e in engines.items():
                 if i != party:
@@ -610,7 +638,7 @@ def test_honest_parties_send_only_their_root_before_a_failed_gate(name):
             spec = harness.Session(roots, _announced(roots), sid, t,
                                    harness.Tamper(kind=kind, party=party, index=5, index2=11))
             for order in (None, 0, 1, 2):
-                engines, dealer = spec.endpoints(np.random.default_rng(91))
+                engines, dealer = spec.endpoints(harness.run_stream(91))
                 bus = transport.BusNetwork() if order is None else ShuffledBus(order)
                 harness.drive(bus, engines, dealer)
                 honest = set(engines) - {party}
@@ -647,7 +675,7 @@ def test_failed_encode_aborts_every_party(monkeypatch, place):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(okvs, "encode_with_retry", encode)
-    engines, dealer = spec.endpoints(np.random.default_rng(43))
+    engines, dealer = spec.endpoints(harness.run_stream(43))
     bus = transport.BusNetwork()
     harness.drive(bus, engines, dealer)
     assert failed == [caller]

@@ -6,7 +6,6 @@ import threading
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from authpsi import harness, merkle, transport
@@ -184,7 +183,7 @@ def test_networked_receiver_gives_up_on_malformed_frame():
             raw.sendall((2).to_bytes(2, "big") + (5).to_bytes(4, "big") + bytes(5))
             t0 = time.monotonic()
             with pytest.raises(TransportError, match="malformed frame") as info:
-                harness.drive(node, {1: spec.engine(1, np.random.default_rng(0))}, timeout=4.0)
+                harness.drive(node, {1: spec.engine(1, harness.run_stream(0))}, timeout=4.0)
             assert time.monotonic() - t0 < 1.0
             assert not isinstance(info.value, TransportClosed)
     finally:
@@ -269,7 +268,7 @@ def test_backends_produce_identical_transcripts():
     # the networked CLI's path: the shared builder, one `drive` per process
     roots = {1: merkle.root(x, session), 2: merkle.root(y, session)}
     engines, dealer = harness.Session(roots, {i: c.root for i, c in roots.items()},
-                                      session).endpoints(np.random.default_rng(5))
+                                      session).endpoints(harness.run_stream(5))
 
     nodes = {}
     nodes[0] = transport.TcpNode(0, ("127.0.0.1", 0), {})
